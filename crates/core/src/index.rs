@@ -14,7 +14,7 @@
 //! cross-shard queries (`right_to_erasure`, `right_of_access`, …) merge
 //! over all segments.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 use kvstore::shard::{hash_key, ShardRouter};
@@ -117,6 +117,16 @@ impl SubjectPresence {
     }
 }
 
+/// What one key is posted under: the reverse of the two inverted indexes,
+/// so maintenance touches only that key's own posting lists. The strings
+/// are the ones the forward maps already hold, and keys with the same
+/// purpose whitelist share one list.
+#[derive(Debug, Clone)]
+struct Posting {
+    subject: Arc<str>,
+    purposes: Arc<[Arc<str>]>,
+}
+
 /// In-memory inverted indexes over the GDPR metadata.
 ///
 /// The index is rebuildable from the metadata shadow records (see
@@ -124,8 +134,15 @@ impl SubjectPresence {
 /// persistence.
 #[derive(Debug, Clone, Default)]
 pub struct MetadataIndex {
-    by_subject: BTreeMap<String, BTreeSet<String>>,
-    by_purpose: BTreeMap<String, BTreeSet<String>>,
+    by_subject: BTreeMap<Arc<str>, BTreeSet<Arc<str>>>,
+    by_purpose: BTreeMap<Arc<str>, BTreeSet<Arc<str>>>,
+    /// key → the subject and purposes it is currently posted under. A key
+    /// has at most one posting: [`Self::insert`] retires the previous one,
+    /// and [`Self::remove`] costs O(that key's lists), not O(subjects).
+    by_key: HashMap<Arc<str>, Posting>,
+    /// The distinct purpose lists the postings of `by_key` point at (a
+    /// handful per deployment, against one small allocation per key).
+    purpose_lists: HashSet<Arc<[Arc<str>]>>,
     /// Number of index mutations performed (used by the ablation bench).
     updates: u64,
     /// Set when this index is a segment of a [`ShardedMetadataIndex`]:
@@ -136,6 +153,17 @@ pub struct MetadataIndex {
     presence: Option<(usize, usize, Arc<SubjectPresence>)>,
 }
 
+/// The shared copy of `name` a forward map already keys on, or a new one.
+fn interned(map: &BTreeMap<Arc<str>, BTreeSet<Arc<str>>>, name: &str) -> Arc<str> {
+    map.get_key_value(name)
+        .map_or_else(|| Arc::from(name), |(shared, _)| Arc::clone(shared))
+}
+
+fn strings(set: Option<&BTreeSet<Arc<str>>>) -> Vec<String> {
+    set.map(|s| s.iter().map(|k| k.to_string()).collect())
+        .unwrap_or_default()
+}
+
 impl MetadataIndex {
     /// An empty index.
     #[must_use]
@@ -143,88 +171,150 @@ impl MetadataIndex {
         Self::default()
     }
 
-    /// Index `key` as belonging to `subject` with the given purposes.
+    /// Index `key` as belonging to `subject` with the given purposes,
+    /// replacing whatever the key was posted under before: a key whose
+    /// owner changed must leave the old subject's postings, or that
+    /// subject's erasure would reach the new owner's data.
     pub fn insert(&mut self, key: &str, subject: &str, purposes: impl IntoIterator<Item = String>) {
-        let subject_is_new = !self.by_subject.contains_key(subject);
-        self.by_subject
-            .entry(subject.to_string())
-            .or_default()
-            .insert(key.to_string());
-        for purpose in purposes {
-            self.by_purpose
-                .entry(purpose)
-                .or_default()
-                .insert(key.to_string());
-        }
         self.updates += 1;
+        let purposes: Vec<String> = purposes.into_iter().collect();
+        // Rewriting a key under unchanged metadata is the common overwrite;
+        // its postings are already in place.
+        let unchanged = self.by_key.get(key).is_some_and(|old| {
+            &*old.subject == subject && old.purposes.iter().map(|p| &**p).eq(&purposes)
+        });
+        if unchanged {
+            return;
+        }
+        let key = match self.by_key.remove_entry(key) {
+            Some((key, old)) => {
+                self.retire(&key, &old);
+                key
+            }
+            None => Arc::from(key),
+        };
+        let subject_is_new = !self.by_subject.contains_key(subject);
+        let subject = interned(&self.by_subject, subject);
+        self.by_subject
+            .entry(Arc::clone(&subject))
+            .or_default()
+            .insert(Arc::clone(&key));
+        let purposes: Vec<Arc<str>> = purposes
+            .iter()
+            .map(|purpose| {
+                let purpose = interned(&self.by_purpose, purpose);
+                self.by_purpose
+                    .entry(Arc::clone(&purpose))
+                    .or_default()
+                    .insert(Arc::clone(&key));
+                purpose
+            })
+            .collect();
+        let purposes = self.shared_list(purposes);
         if subject_is_new {
             if let Some((shard, shards, presence)) = &self.presence {
-                presence.note_added(subject, *shard, *shards);
+                presence.note_added(&subject, *shard, *shards);
             }
+        }
+        self.by_key.insert(key, Posting { subject, purposes });
+    }
+
+    /// The shared copy of this purpose list.
+    fn shared_list(&mut self, purposes: Vec<Arc<str>>) -> Arc<[Arc<str>]> {
+        if let Some(list) = self.purpose_lists.get(purposes.as_slice()) {
+            return Arc::clone(list);
+        }
+        let list: Arc<[Arc<str>]> = purposes.into();
+        self.purpose_lists.insert(Arc::clone(&list));
+        list
+    }
+
+    /// Forget `list` if the posting handing it back was its last user
+    /// (the other reference is the table's own).
+    fn release_list(&mut self, list: &Arc<[Arc<str>]>) {
+        if Arc::strong_count(list) == 2 {
+            self.purpose_lists.remove(&**list);
         }
     }
 
-    /// Remove `key` from every posting list.
-    pub fn remove(&mut self, key: &str) {
-        let mut departed: Vec<String> = Vec::new();
-        self.by_subject.retain(|subject, keys| {
-            if keys.remove(key) && keys.is_empty() {
-                departed.push(subject.clone());
-            }
-            !keys.is_empty()
-        });
-        self.by_purpose.retain(|_, keys| {
+    /// Take `key` out of the lists `posting` (already out of `by_key`)
+    /// names; a subject whose last key this was leaves the segment (and
+    /// the presence map).
+    fn retire(&mut self, key: &str, posting: &Posting) {
+        if let Some(keys) = self.by_subject.get_mut(&*posting.subject) {
             keys.remove(key);
-            !keys.is_empty()
-        });
-        self.updates += 1;
-        if let Some((shard, _, presence)) = &self.presence {
-            for subject in &departed {
-                presence.note_removed(subject, *shard);
+            if keys.is_empty() {
+                self.by_subject.remove(&*posting.subject);
+                if let Some((shard, _, presence)) = &self.presence {
+                    presence.note_removed(&posting.subject, *shard);
+                }
             }
         }
+        for purpose in posting.purposes.iter() {
+            self.drop_purpose_posting(key, purpose);
+        }
+        self.release_list(&posting.purposes);
     }
 
-    /// Remove `key` from one purpose's posting list (used when an objection
-    /// is recorded against that purpose).
-    pub fn remove_purpose(&mut self, key: &str, purpose: &str) {
+    fn drop_purpose_posting(&mut self, key: &str, purpose: &str) {
         if let Some(keys) = self.by_purpose.get_mut(purpose) {
             keys.remove(key);
             if keys.is_empty() {
                 self.by_purpose.remove(purpose);
             }
         }
+    }
+
+    /// Remove `key` from every posting list.
+    pub fn remove(&mut self, key: &str) {
         self.updates += 1;
+        if let Some((key, posting)) = self.by_key.remove_entry(key) {
+            self.retire(&key, &posting);
+        }
+    }
+
+    /// Remove `key` from one purpose's posting list (used when an objection
+    /// is recorded against that purpose).
+    pub fn remove_purpose(&mut self, key: &str, purpose: &str) {
+        self.updates += 1;
+        let listed = self
+            .by_key
+            .get(key)
+            .map(|posting| Arc::clone(&posting.purposes))
+            .filter(|list| list.iter().any(|p| &**p == purpose));
+        if let Some(old) = listed {
+            let kept = old.iter().filter(|p| &***p != purpose).cloned().collect();
+            let kept = self.shared_list(kept);
+            if let Some(posting) = self.by_key.get_mut(key) {
+                posting.purposes = kept;
+            }
+            self.release_list(&old);
+        }
+        self.drop_purpose_posting(key, purpose);
     }
 
     /// Every key owned by `subject`, in lexicographic order.
     #[must_use]
     pub fn keys_of_subject(&self, subject: &str) -> Vec<String> {
-        self.by_subject
-            .get(subject)
-            .map(|s| s.iter().cloned().collect())
-            .unwrap_or_default()
+        strings(self.by_subject.get(subject))
     }
 
     /// Every key processable under `purpose`, in lexicographic order.
     #[must_use]
     pub fn keys_for_purpose(&self, purpose: &str) -> Vec<String> {
-        self.by_purpose
-            .get(purpose)
-            .map(|s| s.iter().cloned().collect())
-            .unwrap_or_default()
+        strings(self.by_purpose.get(purpose))
     }
 
     /// All data subjects currently present in the index.
     #[must_use]
     pub fn subjects(&self) -> Vec<String> {
-        self.by_subject.keys().cloned().collect()
+        self.by_subject.keys().map(|s| s.to_string()).collect()
     }
 
     /// All purposes currently present in the index.
     #[must_use]
     pub fn purposes(&self) -> Vec<String> {
-        self.by_purpose.keys().cloned().collect()
+        self.by_purpose.keys().map(|p| p.to_string()).collect()
     }
 
     /// Number of keys indexed for `subject`.
@@ -248,6 +338,8 @@ impl MetadataIndex {
         }
         self.by_subject.clear();
         self.by_purpose.clear();
+        self.by_key.clear();
+        self.purpose_lists.clear();
     }
 }
 
@@ -590,9 +682,41 @@ mod tests {
         assert_eq!(idx.keys_of_subject("bob"), vec!["k2"]);
     }
 
-    // The pruned cross-segment queries must agree with an exact reference
-    // (a single unsharded MetadataIndex) under arbitrary interleavings of
-    // insert / remove / remove_purpose / clear.
+    #[test]
+    fn insert_retires_the_previous_owners_postings() {
+        let idx = ShardedMetadataIndex::new(ShardRouter::new(1, 7));
+        idx.insert("k", "alice", ["billing".to_string()]);
+        idx.insert("k", "bob", ["analytics".to_string()]);
+        assert!(idx.keys_of_subject("alice").is_empty());
+        assert!(idx.keys_for_purpose("billing").is_empty());
+        assert_eq!(idx.keys_of_subject("bob"), vec!["k"]);
+        assert_eq!(idx.keys_for_purpose("analytics"), vec!["k"]);
+        assert_eq!(idx.subjects(), vec!["bob"]);
+        // Alice's last posting died with the re-insert: presence cleared.
+        assert!(idx.presence().shards_with("alice").is_empty());
+        assert_eq!(idx.presence().shards_with("bob"), vec![0]);
+    }
+
+    #[test]
+    fn purpose_lists_are_shared_and_dropped_with_their_last_key() {
+        let mut idx = MetadataIndex::new();
+        let both = || ["a".to_string(), "b".to_string()];
+        idx.insert("k1", "alice", both());
+        idx.insert("k2", "bob", both());
+        assert_eq!(idx.purpose_lists.len(), 1);
+        idx.remove_purpose("k1", "a");
+        assert_eq!(idx.purpose_lists.len(), 2);
+        idx.remove("k1");
+        assert_eq!(idx.purpose_lists.len(), 1);
+        idx.insert("k2", "bob", ["c".to_string()]);
+        idx.remove("k2");
+        assert!(idx.purpose_lists.is_empty());
+    }
+
+    // The pruned cross-segment queries must agree with a naive model (one
+    // posting per key, queries answered by scanning it) under arbitrary
+    // interleavings of insert — including re-inserts of a live key under
+    // another subject or purpose — remove / remove_purpose / clear.
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig { cases: 64 })]
         #[test]
@@ -604,7 +728,7 @@ mod tests {
             shards in 1usize..9,
         ) {
             let sharded = ShardedMetadataIndex::new(ShardRouter::new(shards, 7));
-            let mut exact = MetadataIndex::new();
+            let mut model: BTreeMap<String, (String, BTreeSet<String>)> = BTreeMap::new();
             for ((op, key), (subject, purpose)) in ops {
                 let key = format!("key:{key:02}");
                 let subject = format!("subject:{subject}");
@@ -612,41 +736,55 @@ mod tests {
                 match op {
                     0..=59 => {
                         sharded.insert(&key, &subject, [purpose.clone()]);
-                        exact.insert(&key, &subject, [purpose]);
+                        model.insert(key, (subject, BTreeSet::from([purpose])));
                     }
                     60..=89 => {
                         sharded.remove(&key);
-                        exact.remove(&key);
+                        model.remove(&key);
                     }
                     90..=97 => {
                         sharded.remove_purpose(&key, &purpose);
-                        exact.remove_purpose(&key, &purpose);
+                        if let Some((_, purposes)) = model.get_mut(&key) {
+                            purposes.remove(&purpose);
+                        }
                     }
                     _ => {
                         sharded.clear();
-                        exact.clear();
+                        model.clear();
                     }
                 }
             }
-            for s in 0..12 {
+            // (owner, purposes) of one modelled key.
+            type Posted = (String, BTreeSet<String>);
+            let model_keys = |pick: &dyn Fn(&Posted) -> bool| -> Vec<String> {
+                model
+                    .iter()
+                    .filter(|(_, posting)| pick(posting))
+                    .map(|(key, _)| key.clone())
+                    .collect()
+            };
+            for p in 0..3 {
+                let purpose = format!("purpose:{p}");
+                proptest::prop_assert_eq!(
+                    sharded.keys_for_purpose(&purpose),
+                    model_keys(&|(_, purposes)| purposes.contains(&purpose))
+                );
+            }
+            for s in 0..4 {
                 let subject = format!("subject:{s}");
+                let expected = model_keys(&|(owner, _)| *owner == subject);
+                proptest::prop_assert_eq!(sharded.subject_key_count(&subject), expected.len());
                 proptest::prop_assert_eq!(
-                    sharded.keys_of_subject(&subject),
-                    exact.keys_of_subject(&subject)
+                    sharded.subjects().contains(&subject),
+                    !expected.is_empty()
                 );
-                proptest::prop_assert_eq!(
-                    sharded.subject_key_count(&subject),
-                    exact.subject_key_count(&subject)
-                );
-                // A cleared presence bit is always truthful: no segment may
-                // still hold postings for the subject.
-                let shards_with = sharded.presence().shards_with(&subject);
-                for shard in 0..sharded.segment_count() {
-                    if !shards_with.contains(&shard) {
-                        proptest::prop_assert!(sharded
-                            .with_segment(shard, |seg| seg.keys_of_subject(&subject).is_empty()));
-                    }
-                }
+                // Presence transitions are exact: a shard is listed if and
+                // only if it holds a posting of the subject.
+                let holding: Vec<usize> = (0..sharded.segment_count())
+                    .filter(|&shard| expected.iter().any(|k| sharded.shard_of(k) == shard))
+                    .collect();
+                proptest::prop_assert_eq!(sharded.presence().shards_with(&subject), holding);
+                proptest::prop_assert_eq!(sharded.keys_of_subject(&subject), expected);
             }
         }
     }

@@ -18,13 +18,14 @@
 //!   after which reads under that purpose are refused.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::Ordering;
 
-use audit::record::{AuditRecord, Operation};
+use audit::record::Operation;
 use kvstore::object::Bytes;
 
 use crate::export::{self, ExportCursor, ExportPage};
 use crate::metadata::PersonalMetadata;
-use crate::store::{AccessContext, GdprStore};
+use crate::store::{AccessContext, GdprStore, Op};
 use crate::Result;
 
 /// Everything returned to a data subject exercising their right of access.
@@ -49,13 +50,6 @@ pub struct SubjectDataItem {
     pub fields: Option<BTreeMap<String, Bytes>>,
     /// The GDPR metadata attached to the value.
     pub metadata: PersonalMetadata,
-}
-
-/// Per-key state fetched under the segment lock during an export page.
-struct ItemData {
-    metadata: PersonalMetadata,
-    value: Option<Bytes>,
-    fields: Option<BTreeMap<String, Bytes>>,
 }
 
 /// Result of a right-to-be-forgotten request.
@@ -97,23 +91,60 @@ impl GdprStore {
         if self.policy.maintain_indexes {
             return Ok(self.index.keys_of_subject(subject));
         }
-        // Fallback: full scan over the metadata shadow records.
         let mut keys = Vec::new();
-        for meta_key in self.kv.keys(&format!("{}*", crate::store::META_PREFIX))? {
-            if let Some(bytes) = self.kv.get(&meta_key)? {
-                if let Some(meta) = PersonalMetadata::decode(&bytes) {
-                    if meta.subject == subject {
-                        keys.push(
-                            meta_key
-                                .trim_start_matches(crate::store::META_PREFIX)
-                                .to_string(),
-                        );
-                    }
-                }
+        self.for_each_shadow(|key, meta| {
+            if meta.subject == subject {
+                keys.push(key.to_string());
             }
-        }
+        })?;
         keys.sort();
         Ok(keys)
+    }
+
+    /// The stored items behind `keys` (sorted, as [`Self::keys_of_subject`]
+    /// returns them), in key order: metadata plus the value, which can be
+    /// a plain string or a multi-field record. A key that vanished (erased,
+    /// or past its retention deadline — the engine expires lazily on read)
+    /// yields no item.
+    ///
+    /// The per-key value and shadow reads are batched by index segment:
+    /// keys are grouped with [`crate::index::ShardedMetadataIndex::shard_of`]
+    /// and each group is read under a single segment-lock acquisition (the
+    /// same segment → engine lock order every mutation bracket uses)
+    /// instead of paying one bracket per item.
+    fn load_items(&self, keys: &[String]) -> Result<Vec<SubjectDataItem>> {
+        let mut by_shard: Vec<Vec<&str>> = vec![Vec::new(); self.index.segment_count()];
+        for key in keys {
+            by_shard[self.index.shard_of(key)].push(key);
+        }
+        let mut items = Vec::with_capacity(keys.len());
+        for (shard, group) in by_shard.iter().enumerate() {
+            if group.is_empty() {
+                continue;
+            }
+            self.index.with_segment(shard, |_segment| -> Result<()> {
+                for &key in group {
+                    let Some(metadata) = self.load_metadata(key)? else {
+                        continue;
+                    };
+                    let fields = self.kv.hgetall(key).ok().flatten();
+                    let value = if fields.is_some() {
+                        None
+                    } else {
+                        self.kv.get(key)?
+                    };
+                    items.push(SubjectDataItem {
+                        key: key.to_string(),
+                        value,
+                        fields,
+                        metadata,
+                    });
+                }
+                Ok(())
+            })?;
+        }
+        items.sort_by(|a, b| a.key.cmp(&b.key));
+        Ok(items)
     }
 
     /// Article 15: produce the full access report for a subject.
@@ -126,36 +157,13 @@ impl GdprStore {
         ctx: &AccessContext,
         subject: &str,
     ) -> Result<SubjectAccessReport> {
-        let now = self.now_ms();
-        let mut items = Vec::new();
-        for key in self.keys_of_subject(subject)? {
-            let Some(metadata) = self.load_metadata(&key)? else {
-                continue;
-            };
-            // Values can be plain strings or multi-field records.
-            let fields = self.kv.hgetall(&key).ok().flatten();
-            let value = if fields.is_some() {
-                None
-            } else {
-                self.kv.get(&key)?
-            };
-            items.push(SubjectDataItem {
-                key,
-                value,
-                fields,
-                metadata,
-            });
-        }
-        self.emit_audit(
-            AuditRecord::new(now, &ctx.actor, Operation::RightsRequest)
-                .subject(subject)
-                .purpose(&ctx.purpose)
-                .detail(&format!("art.15 access request: {} items", items.len())),
-        );
-        self.flush_audit_if_strict()?;
+        let op = self.begin(Operation::RightsRequest, ctx, None);
+        let items = self.load_items(&self.keys_of_subject(subject)?)?;
+        let detail = format!("art.15 access request: {} items", items.len());
+        self.complete(&op, subject, &detail)?;
         Ok(SubjectAccessReport {
             subject: subject.to_string(),
-            generated_at_ms: now,
+            generated_at_ms: op.now,
             items,
         })
     }
@@ -172,29 +180,10 @@ impl GdprStore {
     /// Returns storage or audit errors.
     pub fn right_to_erasure(&self, ctx: &AccessContext, subject: &str) -> Result<ErasureReport> {
         let _timed = self.rights_timing.erase.start_timer();
-        let now = self.now_ms();
-        let keys = self.keys_of_subject(subject)?;
-        let mut erased = Vec::with_capacity(keys.len());
-        for key in keys {
-            // Per-key mutation bracket: serializes against a concurrent put
-            // of the same key, so erased data cannot be resurrected by an
-            // in-flight write (value, shadow record and index posting go
-            // together).
-            let existed = self
-                .index
-                .with_key_segment(&key, |segment| -> Result<bool> {
-                    let existed = self.kv.delete(&key)?;
-                    self.kv.delete(&Self::meta_key(&key))?;
-                    if self.policy.maintain_indexes {
-                        segment.remove(&key);
-                    }
-                    // Erasure must also purge the hot tier before the
-                    // bracket releases: no read after this point may be
-                    // served from a cached copy of the erased value.
-                    self.hot.invalidate(&key);
-                    Ok(existed)
-                })?;
-            if existed {
+        let op = self.begin(Operation::RightsRequest, ctx, None);
+        let mut erased = Vec::new();
+        for key in self.keys_of_subject(subject)? {
+            if self.purge(&key, false)? {
                 erased.push(key);
             }
         }
@@ -205,18 +194,14 @@ impl GdprStore {
             0
         };
 
-        self.stats.add_erased_by_request(erased.len() as u64);
-        self.emit_audit(
-            AuditRecord::new(now, &ctx.actor, Operation::RightsRequest)
-                .subject(subject)
-                .purpose(&ctx.purpose)
-                .detail(&format!(
-                    "art.17 erasure: {} keys erased, {} journal records scrubbed",
-                    erased.len(),
-                    journal_records_scrubbed
-                )),
+        self.stats
+            .erased_by_request
+            .fetch_add(erased.len() as u64, Ordering::Relaxed);
+        let detail = format!(
+            "art.17 erasure: {} keys erased, {journal_records_scrubbed} journal records scrubbed",
+            erased.len()
         );
-        self.flush_audit_if_strict()?;
+        self.complete(&op, subject, &detail)?;
 
         Ok(ErasureReport {
             subject: subject.to_string(),
@@ -237,19 +222,9 @@ impl GdprStore {
     ///
     /// Returns storage or corruption errors.
     pub fn right_to_portability(&self, ctx: &AccessContext, subject: &str) -> Result<String> {
-        let _timed = self.rights_timing.export.start_timer();
-        let now = self.now_ms();
-        let mut out = String::with_capacity(1024);
-        let (emitted, next) = self.render_export(subject, None, None, now, &mut out)?;
-        debug_assert!(next.is_none(), "unpaged export must complete");
-        self.emit_audit(
-            AuditRecord::new(now, &ctx.actor, Operation::RightsRequest)
-                .subject(subject)
-                .purpose(&ctx.purpose)
-                .detail(&format!("art.20 portability export: {emitted} items")),
-        );
-        self.flush_audit_if_strict()?;
-        Ok(out)
+        let page = self.export(ctx, subject, None, None)?;
+        debug_assert!(page.next_cursor.is_none(), "unpaged export must complete");
+        Ok(page.chunk)
     }
 
     /// Article 20, paged: render one page of the portability export.
@@ -272,55 +247,23 @@ impl GdprStore {
         cursor: Option<&ExportCursor>,
         count: usize,
     ) -> Result<ExportPage> {
-        let _timed = self.rights_timing.export.start_timer();
-        let now = self.now_ms();
-        let mut chunk = String::with_capacity(1024);
-        let (emitted, next_cursor) =
-            self.render_export(subject, cursor, Some(count.max(1)), now, &mut chunk)?;
-        self.emit_audit(
-            AuditRecord::new(now, &ctx.actor, Operation::RightsRequest)
-                .subject(subject)
-                .purpose(&ctx.purpose)
-                .detail(&format!(
-                    "art.20 portability export page: {emitted} items, {}",
-                    if next_cursor.is_some() {
-                        "continued"
-                    } else {
-                        "complete"
-                    }
-                )),
-        );
-        self.flush_audit_if_strict()?;
-        Ok(ExportPage {
-            chunk,
-            next_cursor,
-            items_rendered: emitted,
-        })
+        self.export(ctx, subject, cursor, Some(count.max(1)))
     }
 
-    /// Shared streaming renderer behind the monolithic and paged exports.
-    ///
-    /// Renders up to `max_keys` subject keys (all of them when `None`)
-    /// after the `resume` position into `out`, batching the per-key
-    /// value and metadata-shadow reads by index segment: keys are grouped
-    /// with [`crate::index::ShardedMetadataIndex::shard_of`] and each group is
-    /// read under a single segment-lock acquisition (the same segment →
-    /// engine lock order every mutation bracket uses) instead of paying
-    /// one bracket per item. Returns the number of items rendered in this
-    /// call and the cursor for the next page (`None` when the envelope
-    /// was closed).
-    fn render_export(
+    /// One portability request: the whole document (`max_keys` is `None`)
+    /// or the page of at most `max_keys` subject keys after `resume`.
+    fn export(
         &self,
+        ctx: &AccessContext,
         subject: &str,
         resume: Option<&ExportCursor>,
         max_keys: Option<usize>,
-        now_ms: u64,
-        out: &mut String,
-    ) -> Result<(u64, Option<ExportCursor>)> {
-        let mut emitted = resume.map_or(0, |c| c.emitted);
-        let emitted_at_entry = emitted;
+    ) -> Result<ExportPage> {
+        let _timed = self.rights_timing.export.start_timer();
+        let op = self.begin(Operation::RightsRequest, ctx, None);
+        let mut chunk = String::with_capacity(1024);
         if resume.is_none() {
-            export::write_export_header(out, subject, now_ms);
+            export::write_export_header(&mut chunk, subject, op.now);
         }
 
         let keys = self.keys_of_subject(subject)?;
@@ -331,73 +274,46 @@ impl GdprStore {
         let end = max_keys.map_or(keys.len(), |max| keys.len().min(start + max));
         let page_keys = &keys[start..end];
 
-        // Group this page's keys by owning segment, then read value +
-        // shadow under one lock acquisition per segment. A key that
-        // vanished (erased, or past its retention deadline — the engine
-        // expires lazily on read) yields no item.
-        let mut fetched: BTreeMap<&str, ItemData> = BTreeMap::new();
-        let mut by_shard: Vec<Vec<&str>> = vec![Vec::new(); self.index.segment_count()];
-        for key in page_keys {
-            by_shard[self.index.shard_of(key)].push(key);
+        let emitted_before = resume.map_or(0, |c| c.emitted);
+        let mut emitted = emitted_before;
+        for item in self.load_items(page_keys)? {
+            export::write_export_item(
+                &mut chunk,
+                emitted,
+                &item.key,
+                &item.metadata,
+                item.value.as_deref(),
+                item.fields.as_ref(),
+            );
+            emitted += 1;
         }
-        for (shard, group) in by_shard.iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            self.index.with_segment(shard, |_segment| -> Result<()> {
-                for &key in group {
-                    let Some(metadata) = self.load_metadata(key)? else {
-                        continue;
-                    };
-                    // Values can be plain strings or multi-field records.
-                    let fields = self.kv.hgetall(key).ok().flatten();
-                    let value = if fields.is_some() {
-                        None
-                    } else {
-                        self.kv.get(key)?
-                    };
-                    fetched.insert(
-                        key,
-                        ItemData {
-                            metadata,
-                            value,
-                            fields,
-                        },
-                    );
-                }
-                Ok(())
-            })?;
-        }
+        let items_rendered = emitted - emitted_before;
 
-        for key in page_keys {
-            if let Some(item) = fetched.get(key.as_str()) {
-                export::write_export_item(
-                    out,
-                    emitted,
-                    key,
-                    &item.metadata,
-                    item.value.as_deref(),
-                    item.fields.as_ref(),
-                );
-                emitted += 1;
-            }
-        }
-
-        if end < keys.len() {
-            Ok((
-                emitted - emitted_at_entry,
-                Some(ExportCursor {
-                    emitted,
-                    last_key: page_keys
-                        .last()
-                        .expect("non-final page consumed at least one key")
-                        .clone(),
-                }),
-            ))
+        let (next_cursor, detail) = if end < keys.len() {
+            let last_key = page_keys
+                .last()
+                .expect("non-final page consumed at least one key")
+                .clone();
+            (
+                Some(ExportCursor { emitted, last_key }),
+                format!("art.20 portability export page: {items_rendered} items, continued"),
+            )
         } else {
-            export::write_export_footer(out, emitted);
-            Ok((emitted - emitted_at_entry, None))
-        }
+            export::write_export_footer(&mut chunk, emitted);
+            let detail = match max_keys {
+                Some(_) => {
+                    format!("art.20 portability export page: {items_rendered} items, complete")
+                }
+                None => format!("art.20 portability export: {items_rendered} items"),
+            };
+            (None, detail)
+        };
+        self.complete(&op, subject, &detail)?;
+        Ok(ExportPage {
+            chunk,
+            next_cursor,
+            items_rendered,
+        })
     }
 
     /// Article 21: record an objection against `purpose` on every key of
@@ -413,7 +329,11 @@ impl GdprStore {
         purpose: &str,
     ) -> Result<ObjectionReport> {
         let _timed = self.rights_timing.object.start_timer();
-        let now = self.now_ms();
+        // The record names the purpose objected to, not the requester's.
+        let op = Op {
+            purpose,
+            ..self.begin(Operation::RightsRequest, ctx, None)
+        };
         let mut updated = Vec::new();
         for key in self.keys_of_subject(subject)? {
             // Bracketed read-modify-write of the metadata shadow, so a
@@ -439,16 +359,8 @@ impl GdprStore {
                 updated.push(key);
             }
         }
-        self.emit_audit(
-            AuditRecord::new(now, &ctx.actor, Operation::RightsRequest)
-                .subject(subject)
-                .purpose(purpose)
-                .detail(&format!(
-                    "art.21 objection recorded on {} keys",
-                    updated.len()
-                )),
-        );
-        self.flush_audit_if_strict()?;
+        let detail = format!("art.21 objection recorded on {} keys", updated.len());
+        self.complete(&op, subject, &detail)?;
         Ok(ObjectionReport {
             subject: subject.to_string(),
             purpose: purpose.to_string(),

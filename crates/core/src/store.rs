@@ -1,20 +1,21 @@
 //! [`GdprStore`]: the compliant store façade.
 //!
-//! Every operation goes through the same pipeline the paper's modified
-//! Redis implements (spread across its §4.1–§4.3 changes):
+//! Every operation runs the same pipeline — the one the paper's modified
+//! Redis spreads across its §4.1–§4.3 changes — and each stage exists
+//! exactly once in this file:
 //!
-//! 1. **access control** — the actor must hold a grant for the claimed
-//!    purpose (Articles 25/32);
-//! 2. **purpose limitation** — the key's metadata must whitelist the
-//!    purpose and the data subject must not have objected (Articles 5/21);
-//! 3. **location policy** — new data may only be placed in permitted
-//!    regions (Article 46);
-//! 4. the operation executes on the underlying engine, with TTLs resolved
-//!    from the retention metadata (Articles 5(e)/13/17);
-//! 5. **monitoring** — an audit record is emitted, and under real-time
-//!    compliance it is durable before the call returns (Articles 30/33/34);
-//! 6. secondary **metadata indexes** are maintained so subject rights can
-//!    be answered without scanning (Articles 15/17/20/21).
+//! 1. **authorize** — `authorize_write` (location policy, Article 46 →
+//!    access control, Articles 25/32 → the writer's purpose is whitelisted,
+//!    Article 5) or `authorize_read` (access control → purpose limitation
+//!    and objections, Articles 5/21). Every refusal goes through `deny`:
+//!    one `denied_ops` increment and one `Denied` audit record.
+//! 2. **bracket** — the engine work under the key's index-segment lock:
+//!    `install` for writes, `purge` for removals (Articles 5(e)/13/17),
+//!    keeping the metadata indexes in step so subject rights are answered
+//!    without scanning (Articles 15/17/20/21).
+//! 3. **record** — `complete`: one `allowed_ops` increment and one audit
+//!    record (monitoring, Articles 30/33/34). Under real-time compliance
+//!    either outcome's record is durable before the call returns.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,6 +25,7 @@ use audit::log::AuditLog;
 use audit::record::{AuditRecord, Operation, Outcome};
 use audit::sink::{AuditSink, MemorySink};
 use kvstore::clock::SharedClock;
+use kvstore::commands::Command;
 use kvstore::config::StoreConfig;
 use kvstore::expire::CycleOutcome;
 use kvstore::object::Bytes;
@@ -33,7 +35,7 @@ use parking_lot::RwLock;
 use crate::acl::{AccessController, AccessDecision, Grant};
 use crate::audit_pipeline::AuditPipeline;
 use crate::hot_cache::{HotCache, HotCacheConfig, HotCacheStats, HotEntry, Probe};
-use crate::index::ShardedMetadataIndex;
+use crate::index::{MetadataIndex, ShardedMetadataIndex};
 use crate::location::LocationInventory;
 use crate::metadata::PersonalMetadata;
 use crate::policy::CompliancePolicy;
@@ -98,45 +100,31 @@ pub(crate) struct RightsTimers {
     pub(crate) object: obs::AtomicHistogram,
 }
 
-/// Lock-free compliance counters (snapshotted into [`GdprStats`]).
+/// Lock-free compliance counters (snapshotted by [`GdprStore::stats`]).
 #[derive(Debug, Default)]
 pub(crate) struct GdprStatsCells {
     allowed_ops: AtomicU64,
     denied_ops: AtomicU64,
     audit_records: AtomicU64,
-    erased_by_request: AtomicU64,
+    pub(crate) erased_by_request: AtomicU64,
     erased_by_retention: AtomicU64,
 }
 
-impl GdprStatsCells {
-    pub(crate) fn inc_allowed(&self) {
-        self.allowed_ops.fetch_add(1, Ordering::Relaxed);
-    }
+/// One operation on its way through the compliance pipeline: what every
+/// stage needs to name it in an audit record, whichever way it ends.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Op<'a> {
+    pub(crate) kind: Operation,
+    pub(crate) actor: &'a str,
+    pub(crate) purpose: &'a str,
+    pub(crate) key: Option<&'a str>,
+    /// When the operation entered the pipeline (Unix milliseconds).
+    pub(crate) now: u64,
+}
 
-    pub(crate) fn inc_denied(&self) {
-        self.denied_ops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_erased_by_request(&self, n: u64) {
-        self.erased_by_request.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_erased_by_retention(&self, n: u64) {
-        self.erased_by_retention.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> GdprStats {
-        GdprStats {
-            allowed_ops: self.allowed_ops.load(Ordering::Relaxed),
-            denied_ops: self.denied_ops.load(Ordering::Relaxed),
-            audit_records: self.audit_records.load(Ordering::Relaxed),
-            erased_by_request: self.erased_by_request.load(Ordering::Relaxed),
-            erased_by_retention: self.erased_by_retention.load(Ordering::Relaxed),
-            // The hot-cache counters live on the cache itself; the store
-            // façade overlays them (see `GdprStore::stats`).
-            ..GdprStats::default()
-        }
-    }
+/// The subject an audit record names for a key that may have no metadata.
+fn subject_of(meta: Option<&PersonalMetadata>) -> &str {
+    meta.map_or("", |m| m.subject.as_str())
 }
 
 /// The GDPR-compliant store.
@@ -256,16 +244,23 @@ impl GdprStore {
         &self.kv
     }
 
-    /// Compliance-layer counters (including the hot-read cache's).
+    /// Compliance-layer counters (including the hot-read cache's, which
+    /// live on the cache itself).
     #[must_use]
     pub fn stats(&self) -> GdprStats {
-        let mut stats = self.stats.snapshot();
+        let load = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
         let hot = self.hot.stats();
-        stats.cache_hits = hot.hits;
-        stats.cache_misses = hot.misses;
-        stats.cache_admissions = hot.admissions;
-        stats.cache_invalidations = hot.invalidations;
-        stats
+        GdprStats {
+            allowed_ops: load(&self.stats.allowed_ops),
+            denied_ops: load(&self.stats.denied_ops),
+            audit_records: load(&self.stats.audit_records),
+            erased_by_request: load(&self.stats.erased_by_request),
+            erased_by_retention: load(&self.stats.erased_by_retention),
+            cache_hits: hot.hits,
+            cache_misses: hot.misses,
+            cache_admissions: hot.admissions,
+            cache_invalidations: hot.invalidations,
+        }
     }
 
     /// Replace the hot-read cache configuration (takes effect on an empty
@@ -360,13 +355,13 @@ impl GdprStore {
     /// Install an access grant (Article 25: restrict access by default,
     /// open it explicitly).
     pub fn grant(&self, grant: Grant) {
-        let now = self.now_ms();
         self.acl.write().grant(grant.clone());
-        self.emit_audit(
-            AuditRecord::new(now, &grant.actor, Operation::AccessControl)
-                .purpose(&grant.purpose)
-                .detail("grant installed"),
-        );
+        self.audit_acl_change(&grant.actor, &grant.purpose, "grant installed");
+    }
+
+    fn audit_acl_change(&self, actor: &str, purpose: &str, detail: &str) {
+        let record = AuditRecord::new(self.now_ms(), actor, Operation::AccessControl);
+        self.emit_audit(record.purpose(purpose).detail(detail));
     }
 
     /// Whether `actor` currently holds any unexpired grant for `purpose`
@@ -385,13 +380,8 @@ impl GdprStore {
     /// Revoke every grant of `actor` for `purpose`. Returns how many were
     /// removed.
     pub fn revoke(&self, actor: &str, purpose: &str) -> usize {
-        let now = self.now_ms();
         let removed = self.acl.write().revoke(actor, purpose);
-        self.emit_audit(
-            AuditRecord::new(now, actor, Operation::AccessControl)
-                .purpose(purpose)
-                .detail(&format!("{removed} grants revoked")),
-        );
+        self.audit_acl_change(actor, purpose, &format!("{removed} grants revoked"));
         removed
     }
 
@@ -407,7 +397,7 @@ impl GdprStore {
         key.starts_with(META_PREFIX)
     }
 
-    pub(crate) fn emit_audit(&self, record: AuditRecord) {
+    fn emit_audit(&self, record: AuditRecord) {
         // Under the unmodified policy nothing is monitored at all.
         if !self.policy.monitor_all_operations {
             return;
@@ -443,57 +433,40 @@ impl GdprStore {
         Ok(())
     }
 
-    fn check_access(&self, ctx: &AccessContext, subject: &str, key: &str) -> Result<()> {
-        if !self.policy.enforce_access_control {
-            return Ok(());
-        }
-        let now = self.now_ms();
-        let decision = self
-            .acl
-            .read()
-            .check(&ctx.actor, &ctx.purpose, subject, now);
-        match decision {
-            AccessDecision::Allow => Ok(()),
-            AccessDecision::Deny { reason } => {
-                self.stats.inc_denied();
-                self.emit_audit(
-                    AuditRecord::new(now, &ctx.actor, Operation::Read)
-                        .key(key)
-                        .subject(subject)
-                        .purpose(&ctx.purpose)
-                        .outcome(Outcome::Denied)
-                        .detail(&reason),
-                );
-                Err(GdprError::AccessDenied {
-                    actor: ctx.actor.clone(),
-                    purpose: ctx.purpose.clone(),
-                    reason,
-                })
-            }
+    fn require_metadata(&self, key: &str) -> Result<Option<PersonalMetadata>> {
+        match self.load_metadata(key)? {
+            Some(meta) => Ok(Some(meta)),
+            None if self.policy.enforce_purpose_limitation => Err(GdprError::MissingMetadata {
+                key: key.to_string(),
+            }),
+            None => Ok(None),
         }
     }
 
-    fn check_purpose(&self, ctx: &AccessContext, key: &str, meta: &PersonalMetadata) -> Result<()> {
-        if !self.policy.enforce_purpose_limitation {
-            return Ok(());
+    /// The metadata governing a read of `key`: required while the key
+    /// holds a value, absent (not an error) once it does not.
+    fn metadata_if_stored(&self, key: &str) -> Result<Option<PersonalMetadata>> {
+        match self.kv.exists(key)? {
+            true => self.require_metadata(key),
+            false => Ok(None),
         }
-        if meta.allows_purpose(&ctx.purpose) {
-            return Ok(());
+    }
+
+    /// Every metadata shadow record in the engine, as `(data key,
+    /// metadata)` — the full scan behind index rebuilds, the location
+    /// inventory and the unindexed subject lookup.
+    pub(crate) fn for_each_shadow(
+        &self,
+        mut visit: impl FnMut(&str, PersonalMetadata),
+    ) -> Result<()> {
+        for meta_key in self.kv.keys(&format!("{META_PREFIX}*"))? {
+            let data_key = meta_key.strip_prefix(META_PREFIX).unwrap_or(&meta_key);
+            // A shadow can expire between the listing and the read.
+            if let Some(meta) = self.load_metadata(data_key)? {
+                visit(data_key, meta);
+            }
         }
-        let now = self.now_ms();
-        self.stats.inc_denied();
-        self.emit_audit(
-            AuditRecord::new(now, &ctx.actor, Operation::Read)
-                .key(key)
-                .subject(&meta.subject)
-                .purpose(&ctx.purpose)
-                .outcome(Outcome::Denied)
-                .detail("purpose not permitted for this key"),
-        );
-        Err(GdprError::PurposeViolation {
-            key: key.to_string(),
-            purpose: ctx.purpose.clone(),
-        })
+        Ok(())
     }
 
     /// Resolve the retention deadline carried in freshly supplied metadata:
@@ -512,6 +485,196 @@ impl GdprStore {
         }
     }
 
+    // ---- the pipeline stages (see the module docs) ----------------------------
+
+    /// Enter the pipeline: stamp the operation with the engine clock.
+    pub(crate) fn begin<'a>(
+        &self,
+        kind: Operation,
+        ctx: &'a AccessContext,
+        key: Option<&'a str>,
+    ) -> Op<'a> {
+        Op {
+            kind,
+            actor: &ctx.actor,
+            purpose: &ctx.purpose,
+            key,
+            now: self.now_ms(),
+        }
+    }
+
+    /// Refuse `op`: the only place a denial is counted and recorded.
+    /// Returns the error the caller hands back.
+    fn deny(&self, op: &Op<'_>, subject: &str, error: GdprError) -> GdprError {
+        self.stats.denied_ops.fetch_add(1, Ordering::Relaxed);
+        let reason = match &error {
+            GdprError::AccessDenied { reason, .. } => reason.as_str(),
+            GdprError::LocationViolation { .. } => "location policy violation",
+            GdprError::PurposeViolation { .. } => "purpose not permitted for this key",
+            _ => "denied",
+        };
+        // No durable evidence of the refusal: that failure outranks it.
+        match self.record(op, subject, Outcome::Denied, reason) {
+            Ok(()) => error,
+            Err(audit_failure) => audit_failure,
+        }
+    }
+
+    /// Articles 25/32: the actor must hold a grant covering the purpose
+    /// and the data subject.
+    fn authorize_access(&self, op: &Op<'_>, subject: &str) -> Result<()> {
+        if !self.policy.enforce_access_control {
+            return Ok(());
+        }
+        let decision = self.acl.read().check(op.actor, op.purpose, subject, op.now);
+        match decision {
+            AccessDecision::Allow => Ok(()),
+            AccessDecision::Deny { reason } => Err(self.deny(
+                op,
+                subject,
+                GdprError::AccessDenied {
+                    actor: op.actor.to_string(),
+                    purpose: op.purpose.to_string(),
+                    reason,
+                },
+            )),
+        }
+    }
+
+    fn deny_purpose(&self, op: &Op<'_>, subject: &str) -> GdprError {
+        let error = GdprError::PurposeViolation {
+            key: op.key.unwrap_or_default().to_string(),
+            purpose: op.purpose.to_string(),
+        };
+        self.deny(op, subject, error)
+    }
+
+    /// Authorize placing data under `meta`: location policy (Article 46),
+    /// access control, then the writer must itself be acting under a
+    /// purpose the metadata whitelists (Article 5).
+    fn authorize_write(&self, op: &Op<'_>, meta: &PersonalMetadata) -> Result<()> {
+        if !self.policy.location_policy.allows(meta.location) {
+            let error = GdprError::LocationViolation {
+                region: meta.location.to_string(),
+            };
+            return Err(self.deny(op, &meta.subject, error));
+        }
+        self.authorize_access(op, &meta.subject)?;
+        if self.policy.enforce_purpose_limitation && !meta.purposes.contains(op.purpose) {
+            return Err(self.deny_purpose(op, &meta.subject));
+        }
+        Ok(())
+    }
+
+    /// Authorize using data stored under `meta` (a key without metadata
+    /// has nothing to check): access control, then the purpose must be
+    /// whitelisted and not objected to (Articles 5/21).
+    fn authorize_read(&self, op: &Op<'_>, meta: Option<&PersonalMetadata>) -> Result<()> {
+        let Some(meta) = meta else {
+            return Ok(());
+        };
+        self.authorize_access(op, &meta.subject)?;
+        if self.policy.enforce_purpose_limitation && !meta.allows_purpose(op.purpose) {
+            return Err(self.deny_purpose(op, &meta.subject));
+        }
+        Ok(())
+    }
+
+    /// Bring `key`'s index posting (and through it the subject-presence
+    /// bit) in line with its shadow record; `None` when the shadow is gone.
+    fn repost(&self, segment: &mut MetadataIndex, key: &str, shadow: Option<&PersonalMetadata>) {
+        if !self.policy.maintain_indexes {
+            return;
+        }
+        match shadow {
+            Some(meta) => segment.insert(key, &meta.subject, meta.purposes.iter().cloned()),
+            None => segment.remove(key),
+        }
+    }
+
+    /// The install bracket behind every write: value, retention deadline,
+    /// metadata shadow, index posting and hot entry of `key` change
+    /// together under the key's segment lock (segment → engine shard, the
+    /// lock order of every bracket), so a concurrent erasure of the key
+    /// cannot interleave. `write` runs first: it puts the value in place
+    /// and yields the metadata now governing the key. With `restamp` that
+    /// metadata is new and becomes the key's shadow and posting; without,
+    /// it is the shadow already stored.
+    fn install(
+        &self,
+        key: &str,
+        restamp: bool,
+        write: impl FnOnce() -> Result<Option<PersonalMetadata>>,
+    ) -> Result<Option<PersonalMetadata>> {
+        self.index.with_key_segment(key, |segment| {
+            let meta = write()?;
+            if let Some(meta) = &meta {
+                if let Some(at) = meta.expires_at_ms {
+                    self.kv.expire_at(key, at)?;
+                }
+                if restamp {
+                    self.store_metadata(key, meta)?;
+                    self.repost(segment, key, Some(meta));
+                }
+            }
+            // Last step of the bracket: drop any hot entry and fence
+            // in-flight admissions of the pre-write state.
+            self.hot.invalidate(key);
+            Ok(meta)
+        })
+    }
+
+    /// The purge bracket behind every removal (`DEL`, erasure, retention):
+    /// value, shadow, posting and hot entry of `key` go together, so an
+    /// in-flight write cannot resurrect erased data and no later read is
+    /// served a cached copy. Returns whether a value was removed.
+    /// `engine_expired` is the retention path: the engine removed the
+    /// value when its deadline fired, and a concurrent put may have
+    /// re-created the key since — then only the hot entry is dropped.
+    pub(crate) fn purge(&self, key: &str, engine_expired: bool) -> Result<bool> {
+        self.index.with_key_segment(key, |segment| {
+            let removed = if engine_expired {
+                !self.kv.exists(key)?
+            } else {
+                self.kv.delete(key)?
+            };
+            let recreated = engine_expired && !removed;
+            if !recreated {
+                // The shadow goes too, even if its own TTL cycle has not
+                // caught it yet.
+                self.kv.delete(&Self::meta_key(key))?;
+                self.repost(segment, key, None);
+            }
+            self.hot.invalidate(key);
+            Ok(removed)
+        })
+    }
+
+    /// Write the one audit record of `op`; under a real-time audit policy
+    /// it is durable (and a sink failure surfaces) before this returns.
+    fn record(&self, op: &Op<'_>, subject: &str, outcome: Outcome, detail: &str) -> Result<()> {
+        let mut record = AuditRecord::new(op.now, op.actor, op.kind)
+            .subject(subject)
+            .purpose(op.purpose)
+            .outcome(outcome)
+            .detail(detail);
+        if let Some(key) = op.key {
+            record = record.key(key);
+        }
+        self.emit_audit(record);
+        if self.policy.audit_flush.is_real_time() {
+            self.audit.flush()?;
+        }
+        Ok(())
+    }
+
+    /// The success epilogue of every data-path operation and rights
+    /// request: counted once, recorded once.
+    pub(crate) fn complete(&self, op: &Op<'_>, subject: &str, detail: &str) -> Result<()> {
+        self.stats.allowed_ops.fetch_add(1, Ordering::Relaxed);
+        self.record(op, subject, Outcome::Allowed, detail)
+    }
+
     // ---- data-path operations -----------------------------------------------
 
     /// Store personal data under `key` with its GDPR metadata.
@@ -527,66 +690,15 @@ impl GdprStore {
         value: Bytes,
         mut meta: PersonalMetadata,
     ) -> Result<()> {
-        let now = self.now_ms();
-
-        // Article 46: placement control.
-        if !self.policy.location_policy.allows(meta.location) {
-            self.stats.inc_denied();
-            self.emit_audit(
-                AuditRecord::new(now, &ctx.actor, Operation::Write)
-                    .key(key)
-                    .subject(&meta.subject)
-                    .purpose(&ctx.purpose)
-                    .outcome(Outcome::Denied)
-                    .detail("location policy violation"),
-            );
-            return Err(GdprError::LocationViolation {
-                region: meta.location.to_string(),
-            });
-        }
-
-        self.check_access(ctx, &meta.subject, key)?;
-
-        // Article 5: the writer must itself be acting under a declared,
-        // whitelisted purpose.
-        if self.policy.enforce_purpose_limitation && !meta.purposes.contains(&ctx.purpose) {
-            self.stats.inc_denied();
-            return Err(GdprError::PurposeViolation {
-                key: key.to_string(),
-                purpose: ctx.purpose.clone(),
-            });
-        }
-
+        let op = self.begin(Operation::Write, ctx, Some(key));
+        self.authorize_write(&op, &meta)?;
         self.resolve_retention(&mut meta);
-
-        let value_len = value.len();
-        // Mutation bracket: value, metadata shadow and index posting change
-        // together under the key's segment lock, so a concurrent erasure of
-        // the same key cannot interleave (see ShardedMetadataIndex docs).
-        self.index.with_key_segment(key, |segment| -> Result<()> {
+        let detail = format!("SET {} bytes", value.len());
+        let meta = self.install(key, true, || {
             self.kv.set(key, value)?;
-            if let Some(at) = meta.expires_at_ms {
-                self.kv.expire_at(key, at)?;
-            }
-            self.store_metadata(key, &meta)?;
-            if self.policy.maintain_indexes {
-                segment.insert(key, &meta.subject, meta.purposes.iter().cloned());
-            }
-            // Last step of the bracket: drop any hot entry and fence
-            // in-flight admissions of the pre-write value.
-            self.hot.invalidate(key);
-            Ok(())
+            Ok(Some(meta))
         })?;
-
-        self.stats.inc_allowed();
-        self.emit_audit(
-            AuditRecord::new(now, &ctx.actor, Operation::Write)
-                .key(key)
-                .subject(&meta.subject)
-                .purpose(&ctx.purpose)
-                .detail(&format!("SET {value_len} bytes")),
-        );
-        self.flush_audit_if_strict()
+        self.complete(&op, subject_of(meta.as_ref()), &detail)
     }
 
     /// Store a multi-field record (the YCSB record shape) with metadata.
@@ -601,44 +713,15 @@ impl GdprStore {
         fields: &BTreeMap<String, Bytes>,
         mut meta: PersonalMetadata,
     ) -> Result<()> {
-        let now = self.now_ms();
-        if !self.policy.location_policy.allows(meta.location) {
-            self.stats.inc_denied();
-            return Err(GdprError::LocationViolation {
-                region: meta.location.to_string(),
-            });
-        }
-        self.check_access(ctx, &meta.subject, key)?;
-        if self.policy.enforce_purpose_limitation && !meta.purposes.contains(&ctx.purpose) {
-            self.stats.inc_denied();
-            return Err(GdprError::PurposeViolation {
-                key: key.to_string(),
-                purpose: ctx.purpose.clone(),
-            });
-        }
+        let op = self.begin(Operation::Write, ctx, Some(key));
+        self.authorize_write(&op, &meta)?;
         self.resolve_retention(&mut meta);
-
-        self.index.with_key_segment(key, |segment| -> Result<()> {
+        let meta = self.install(key, true, || {
             self.kv.hset_multi(key, fields)?;
-            if let Some(at) = meta.expires_at_ms {
-                self.kv.expire_at(key, at)?;
-            }
-            self.store_metadata(key, &meta)?;
-            if self.policy.maintain_indexes {
-                segment.insert(key, &meta.subject, meta.purposes.iter().cloned());
-            }
-            self.hot.invalidate(key);
-            Ok(())
+            Ok(Some(meta))
         })?;
-        self.stats.inc_allowed();
-        self.emit_audit(
-            AuditRecord::new(now, &ctx.actor, Operation::Write)
-                .key(key)
-                .subject(&meta.subject)
-                .purpose(&ctx.purpose)
-                .detail(&format!("HMSET {} fields", fields.len())),
-        );
-        self.flush_audit_if_strict()
+        let detail = format!("HMSET {} fields", fields.len());
+        self.complete(&op, subject_of(meta.as_ref()), &detail)
     }
 
     /// Update fields of an existing record, re-using its stored metadata.
@@ -653,47 +736,19 @@ impl GdprStore {
         key: &str,
         fields: &BTreeMap<String, Bytes>,
     ) -> Result<()> {
-        let now = self.now_ms();
-        let meta = self.require_metadata(key)?;
-        if let Some(meta) = &meta {
-            self.check_access(ctx, &meta.subject, key)?;
-            self.check_purpose(ctx, key, meta)?;
-        }
-        let meta = self.index.with_key_segment(key, |_| -> Result<_> {
+        let op = self.begin(Operation::Write, ctx, Some(key));
+        self.authorize_read(&op, self.require_metadata(key)?.as_ref())?;
+        let meta = self.install(key, false, || {
             // Re-check inside the bracket: an erasure may have removed the
             // key (and its metadata) between the check above and now; the
-            // update must not resurrect data for an erased subject.
+            // update must not resurrect data for an erased subject. The
+            // install restores the stored deadline on the data key.
             let meta = self.require_metadata(key)?;
             self.kv.hset_multi(key, fields)?;
-            // hset clears no TTL, but SET-based metadata writes do; restore
-            // the deadline on the data key if the metadata carries one.
-            if let Some(meta) = &meta {
-                if let Some(at) = meta.expires_at_ms {
-                    self.kv.expire_at(key, at)?;
-                }
-            }
-            self.hot.invalidate(key);
             Ok(meta)
         })?;
-        self.stats.inc_allowed();
-        self.emit_audit(
-            AuditRecord::new(now, &ctx.actor, Operation::Write)
-                .key(key)
-                .subject(meta.as_ref().map(|m| m.subject.as_str()).unwrap_or(""))
-                .purpose(&ctx.purpose)
-                .detail(&format!("HMSET {} fields (update)", fields.len())),
-        );
-        self.flush_audit_if_strict()
-    }
-
-    fn require_metadata(&self, key: &str) -> Result<Option<PersonalMetadata>> {
-        match self.load_metadata(key)? {
-            Some(meta) => Ok(Some(meta)),
-            None if self.policy.enforce_purpose_limitation => Err(GdprError::MissingMetadata {
-                key: key.to_string(),
-            }),
-            None => Ok(None),
-        }
+        let detail = format!("HMSET {} fields (update)", fields.len());
+        self.complete(&op, subject_of(meta.as_ref()), &detail)
     }
 
     /// Read the string value stored under `key`.
@@ -703,7 +758,7 @@ impl GdprStore {
     /// Returns access/purpose violations, missing-metadata errors (when the
     /// policy demands metadata) and storage errors.
     pub fn get(&self, ctx: &AccessContext, key: &str) -> Result<Option<Bytes>> {
-        let now = self.now_ms();
+        let op = self.begin(Operation::Read, ctx, Some(key));
 
         // Hot tier first: a resident entry carries value and metadata, so
         // a hit touches no engine shard at all — every mutation bracket
@@ -712,79 +767,49 @@ impl GdprStore {
         // the engine's removal listener while the shard lock is still
         // held. The one removal no listener can deliver is a retention
         // deadline that has passed but not yet fired; the cached metadata
-        // carries that deadline, checked here. Access/purpose checks
-        // re-run on the cached metadata so revocations and objections are
-        // never bypassed, and the audit record is identical to the slow
-        // path's: the trail must not depend on cache state.
-        let mut token = None;
-        match self.hot.probe(key) {
-            Probe::Hit(entry) => {
-                let live = entry
-                    .meta
-                    .as_ref()
-                    .and_then(|m| m.expires_at_ms)
-                    .is_none_or(|at| now < at);
-                if live {
-                    if let Some(meta) = &entry.meta {
-                        self.check_access(ctx, &meta.subject, key)?;
-                        self.check_purpose(ctx, key, meta)?;
-                    }
-                    self.stats.inc_allowed();
-                    self.emit_audit(
-                        AuditRecord::new(now, &ctx.actor, Operation::Read)
-                            .key(key)
-                            .subject(
-                                entry
-                                    .meta
-                                    .as_ref()
-                                    .map(|m| m.subject.as_str())
-                                    .unwrap_or(""),
-                            )
-                            .purpose(&ctx.purpose)
-                            .detail(&format!("GET {} bytes", entry.value.len())),
-                    );
-                    self.flush_audit_if_strict()?;
-                    return Ok(Some(entry.value));
-                }
-                // Retention elapsed under the resident entry; drop it and
-                // fall through to the authoritative path, which lazily
-                // expires the shadow and applies the policy's
-                // missing-metadata behavior.
-                self.hot.invalidate(key);
-            }
-            Probe::Miss(t) => token = Some(t),
-        }
-
-        let meta = match self.kv.exists(key)? {
-            true => self.require_metadata(key)?,
-            false => None,
+        // carries that deadline, checked here. Hit and miss then run the
+        // same authorize and record stages — on the cached metadata, so
+        // revocations and objections are never bypassed — and the trail
+        // does not depend on cache state.
+        let live = |entry: &HotEntry| {
+            let deadline = entry.meta.as_ref().and_then(|m| m.expires_at_ms);
+            deadline.is_none_or(|at| op.now < at)
         };
-        if let Some(meta) = &meta {
-            self.check_access(ctx, &meta.subject, key)?;
-            self.check_purpose(ctx, key, meta)?;
-        }
-        let value = self.kv.get(key)?;
-        if let (Some(value), Some(token)) = (&value, token) {
-            // TinyLFU decides residency; the token refuses admission if
-            // any mutation bracket on this segment ran since the probe.
-            self.hot.admit(
-                key,
-                HotEntry {
-                    value: value.clone(),
-                    meta: meta.clone().map(std::sync::Arc::new),
-                },
-                token,
-            );
-        }
-        self.stats.inc_allowed();
-        self.emit_audit(
-            AuditRecord::new(now, &ctx.actor, Operation::Read)
-                .key(key)
-                .subject(meta.as_ref().map(|m| m.subject.as_str()).unwrap_or(""))
-                .purpose(&ctx.purpose)
-                .detail(&format!("GET {} bytes", value.as_ref().map_or(0, Vec::len))),
-        );
-        self.flush_audit_if_strict()?;
+        let (value, meta) = match self.hot.probe(key) {
+            Probe::Hit(entry) if live(&entry) => {
+                self.authorize_read(&op, entry.meta.as_deref())?;
+                (Some(entry.value), entry.meta)
+            }
+            probe => {
+                let token = match probe {
+                    Probe::Miss(token) => Some(token),
+                    // Retention elapsed under the resident entry; drop it.
+                    // The authoritative path below lazily expires the
+                    // shadow and applies the policy's missing-metadata
+                    // behavior.
+                    Probe::Hit(_) => {
+                        self.hot.invalidate(key);
+                        None
+                    }
+                };
+                let meta = self.metadata_if_stored(key)?.map(Arc::new);
+                self.authorize_read(&op, meta.as_deref())?;
+                let value = self.kv.get(key)?;
+                if let (Some(value), Some(token)) = (&value, token) {
+                    // TinyLFU decides residency; the token refuses
+                    // admission if any mutation bracket on this segment
+                    // ran since the probe.
+                    let entry = HotEntry {
+                        value: value.clone(),
+                        meta: meta.clone(),
+                    };
+                    self.hot.admit(key, entry, token);
+                }
+                (value, meta)
+            }
+        };
+        let detail = format!("GET {} bytes", value.as_ref().map_or(0, Vec::len));
+        self.complete(&op, subject_of(meta.as_deref()), &detail)?;
         Ok(value)
     }
 
@@ -798,25 +823,11 @@ impl GdprStore {
         ctx: &AccessContext,
         key: &str,
     ) -> Result<Option<BTreeMap<String, Bytes>>> {
-        let now = self.now_ms();
-        let meta = match self.kv.exists(key)? {
-            true => self.require_metadata(key)?,
-            false => None,
-        };
-        if let Some(meta) = &meta {
-            self.check_access(ctx, &meta.subject, key)?;
-            self.check_purpose(ctx, key, meta)?;
-        }
+        let op = self.begin(Operation::Read, ctx, Some(key));
+        let meta = self.metadata_if_stored(key)?;
+        self.authorize_read(&op, meta.as_ref())?;
         let record = self.kv.hgetall(key)?;
-        self.stats.inc_allowed();
-        self.emit_audit(
-            AuditRecord::new(now, &ctx.actor, Operation::Read)
-                .key(key)
-                .subject(meta.as_ref().map(|m| m.subject.as_str()).unwrap_or(""))
-                .purpose(&ctx.purpose)
-                .detail("HGETALL"),
-        );
-        self.flush_audit_if_strict()?;
+        self.complete(&op, subject_of(meta.as_ref()), "HGETALL")?;
         Ok(record)
     }
 
@@ -844,26 +855,13 @@ impl GdprStore {
         key: &str,
         mut meta: PersonalMetadata,
     ) -> Result<()> {
-        let now = self.now_ms();
-        if !self.policy.location_policy.allows(meta.location) {
-            self.stats.inc_denied();
-            return Err(GdprError::LocationViolation {
-                region: meta.location.to_string(),
-            });
-        }
+        let op = self.begin(Operation::Write, ctx, Some(key));
         if let Some(existing) = self.load_metadata(key)? {
-            self.check_access(ctx, &existing.subject, key)?;
+            self.authorize_access(&op, &existing.subject)?;
         }
-        self.check_access(ctx, &meta.subject, key)?;
-        if self.policy.enforce_purpose_limitation && !meta.purposes.contains(&ctx.purpose) {
-            self.stats.inc_denied();
-            return Err(GdprError::PurposeViolation {
-                key: key.to_string(),
-                purpose: ctx.purpose.clone(),
-            });
-        }
+        self.authorize_write(&op, &meta)?;
         self.resolve_retention(&mut meta);
-        self.index.with_key_segment(key, |segment| -> Result<()> {
+        let meta = self.install(key, true, || {
             if !self.kv.exists(key)? {
                 return Err(GdprError::NoSuchKey {
                     key: key.to_string(),
@@ -872,42 +870,19 @@ impl GdprStore {
             // Article 21: objections outlive metadata replacement. Re-read
             // inside the bracket so a racing objection cannot be lost.
             if let Some(existing) = self.load_metadata(key)? {
-                for objection in existing.objections {
-                    meta.objections.insert(objection);
-                }
+                meta.objections.extend(existing.objections);
             }
-            self.store_metadata(key, &meta)?;
-            match meta.expires_at_ms {
-                Some(at) => {
-                    self.kv.expire_at(key, at)?;
-                }
-                None => {
-                    // Lifting retention must also clear the value key's old
-                    // engine-level deadline, or the engine would still erase
-                    // it while the metadata claims indefinite retention.
-                    self.kv.execute(kvstore::commands::Command::Persist {
-                        key: key.to_string(),
-                    })?;
-                }
+            if meta.expires_at_ms.is_none() {
+                // Lifting retention must also clear the value key's old
+                // engine-level deadline, or the engine would still erase
+                // it while the metadata claims indefinite retention.
+                self.kv.execute(Command::Persist {
+                    key: key.to_string(),
+                })?;
             }
-            if self.policy.maintain_indexes {
-                segment.remove(key);
-                segment.insert(key, &meta.subject, meta.purposes.iter().cloned());
-            }
-            // The cached entry carries the old metadata (subject,
-            // purposes, objections); it must not survive the re-stamp.
-            self.hot.invalidate(key);
-            Ok(())
+            Ok(Some(meta))
         })?;
-        self.stats.inc_allowed();
-        self.emit_audit(
-            AuditRecord::new(now, &ctx.actor, Operation::Write)
-                .key(key)
-                .subject(&meta.subject)
-                .purpose(&ctx.purpose)
-                .detail("metadata replaced"),
-        );
-        self.flush_audit_if_strict()
+        self.complete(&op, subject_of(meta.as_ref()), "metadata replaced")
     }
 
     /// Read the GDPR metadata of a key (itself an audited read).
@@ -917,15 +892,9 @@ impl GdprStore {
     /// Returns corruption or storage errors.
     pub fn metadata(&self, ctx: &AccessContext, key: &str) -> Result<Option<PersonalMetadata>> {
         let _timed = self.rights_timing.getmeta.start_timer();
-        let now = self.now_ms();
+        let op = self.begin(Operation::Read, ctx, Some(key));
         let meta = self.load_metadata(key)?;
-        self.emit_audit(
-            AuditRecord::new(now, &ctx.actor, Operation::Read)
-                .key(key)
-                .subject(meta.as_ref().map(|m| m.subject.as_str()).unwrap_or(""))
-                .purpose(&ctx.purpose)
-                .detail("metadata read"),
-        );
+        self.complete(&op, subject_of(meta.as_ref()), "metadata read")?;
         Ok(meta)
     }
 
@@ -935,38 +904,21 @@ impl GdprStore {
     ///
     /// Returns access violations and storage errors.
     pub fn delete(&self, ctx: &AccessContext, key: &str) -> Result<bool> {
-        let now = self.now_ms();
+        let op = self.begin(Operation::Delete, ctx, Some(key));
         let meta = self.load_metadata(key)?;
         if let Some(meta) = &meta {
-            self.check_access(ctx, &meta.subject, key)?;
+            self.authorize_access(&op, &meta.subject)?;
         }
-        let existed = self
-            .index
-            .with_key_segment(key, |segment| -> Result<bool> {
-                let existed = self.kv.delete(key)?;
-                self.kv.delete(&Self::meta_key(key))?;
-                if self.policy.maintain_indexes {
-                    segment.remove(key);
-                }
-                self.hot.invalidate(key);
-                Ok(existed)
-            })?;
+        let existed = self.purge(key, false)?;
         if existed && self.policy.scrub_aof_on_erasure {
             self.kv.rewrite_aof()?;
         }
-        self.stats.inc_allowed();
-        self.emit_audit(
-            AuditRecord::new(now, &ctx.actor, Operation::Delete)
-                .key(key)
-                .subject(meta.as_ref().map(|m| m.subject.as_str()).unwrap_or(""))
-                .purpose(&ctx.purpose)
-                .detail(if existed {
-                    "DEL (existed)"
-                } else {
-                    "DEL (missing)"
-                }),
-        );
-        self.flush_audit_if_strict()?;
+        let detail = if existed {
+            "DEL (existed)"
+        } else {
+            "DEL (missing)"
+        };
+        self.complete(&op, subject_of(meta.as_ref()), detail)?;
         Ok(existed)
     }
 
@@ -977,7 +929,7 @@ impl GdprStore {
     ///
     /// Returns storage errors.
     pub fn scan(&self, ctx: &AccessContext, start: &str, count: usize) -> Result<Vec<String>> {
-        let now = self.now_ms();
+        let op = self.begin(Operation::Read, ctx, None);
         // Shadow keys form one contiguous `__gdpr_meta__:` block in key
         // order, so a fixed over-fetch cannot compensate for them (a scan
         // landing inside the block would return short). Page through the
@@ -1002,12 +954,7 @@ impl GdprStore {
                 break;
             }
         }
-        self.emit_audit(
-            AuditRecord::new(now, &ctx.actor, Operation::Read)
-                .purpose(&ctx.purpose)
-                .detail(&format!("SCAN {} keys", keys.len())),
-        );
-        self.flush_audit_if_strict()?;
+        self.complete(&op, "", &format!("SCAN {} keys", keys.len()))?;
         Ok(keys)
     }
 
@@ -1040,31 +987,9 @@ impl GdprStore {
         let outcome = self.kv.tick()?;
         let now = self.now_ms();
         let mut erased_data_keys = 0u64;
-        for key in &outcome.removed {
-            if Self::is_meta_key(key) {
-                continue;
-            }
+        for key in outcome.removed.iter().filter(|k| !Self::is_meta_key(k)) {
             erased_data_keys += 1;
-            self.index.with_key_segment(key, |segment| -> Result<()> {
-                // The engine already fired the deadline; whatever the hot
-                // tier holds for this key predates it (a concurrent
-                // re-creating put serializes on this bracket and leaves
-                // the cache empty anyway), so drop it unconditionally.
-                self.hot.invalidate(key);
-                // A concurrent put may have re-created the key (with fresh
-                // metadata and posting) after the engine expired it; only
-                // clean up if it is still gone.
-                if self.kv.exists(key)? {
-                    return Ok(());
-                }
-                if self.policy.maintain_indexes {
-                    segment.remove(key);
-                }
-                // Make sure the shadow record goes too, even if its own TTL
-                // cycle has not caught it yet.
-                self.kv.delete(&Self::meta_key(key))?;
-                Ok(())
-            })?;
+            self.purge(key, true)?;
             self.emit_audit(
                 AuditRecord::new(now, "retention-engine", Operation::Delete)
                     .key(key)
@@ -1072,7 +997,9 @@ impl GdprStore {
             );
         }
         if erased_data_keys > 0 {
-            self.stats.add_erased_by_retention(erased_data_keys);
+            self.stats
+                .erased_by_retention
+                .fetch_add(erased_data_keys, Ordering::Relaxed);
             if self.policy.scrub_aof_on_erasure {
                 self.kv.rewrite_aof()?;
             }
@@ -1082,13 +1009,6 @@ impl GdprStore {
         // tick.
         self.audit.flush().map_err(GdprError::from)?;
         Ok(outcome)
-    }
-
-    pub(crate) fn flush_audit_if_strict(&self) -> Result<()> {
-        if self.policy.audit_flush.is_real_time() {
-            self.audit.flush()?;
-        }
-        Ok(())
     }
 
     /// Rebuild the in-memory metadata indexes from the shadow records
@@ -1102,24 +1022,9 @@ impl GdprStore {
             return Ok(());
         }
         self.index.clear();
-        for meta_key in self.kv.keys(&format!("{META_PREFIX}*"))? {
-            let data_key = meta_key.trim_start_matches(META_PREFIX).to_string();
-            if let Some(bytes) = self.kv.get(&meta_key)? {
-                match PersonalMetadata::decode(&bytes) {
-                    Some(meta) => {
-                        self.index
-                            .insert(&data_key, &meta.subject, meta.purposes.iter().cloned());
-                    }
-                    None => {
-                        return Err(GdprError::CorruptMetadata {
-                            key: data_key,
-                            detail: "rebuild".to_string(),
-                        })
-                    }
-                }
-            }
-        }
-        Ok(())
+        self.for_each_shadow(|key, meta| {
+            self.index.insert(key, &meta.subject, meta.purposes);
+        })
     }
 
     /// Apply one journal record streamed from a replication primary.
@@ -1129,55 +1034,40 @@ impl GdprStore {
     /// the engine — but the metadata index must stay coherent: when the
     /// record touches a metadata shadow key, the engine write and the index
     /// posting change together under the data key's segment lock, exactly
-    /// as [`Self::put`] brackets them on the primary. This is how an
-    /// erasure on the primary removes both the value *and the postings* on
-    /// every replica.
+    /// as the install and purge brackets pair them on the primary. This is
+    /// how an erasure on the primary removes both the value *and the
+    /// postings* on every replica.
     ///
     /// # Errors
     ///
     /// Propagates engine execution errors and metadata corruption.
-    pub fn apply_replicated(&self, cmd: kvstore::commands::Command) -> Result<()> {
-        use kvstore::commands::Command;
+    pub fn apply_replicated(&self, cmd: Command) -> Result<()> {
         if matches!(cmd, Command::FlushAll) {
             self.kv.execute(cmd)?;
             self.index.clear();
             self.hot.clear();
             return Ok(());
         }
-        let meta_data_key = cmd
-            .primary_key()
-            .filter(|key| Self::is_meta_key(key))
-            .map(|key| key.trim_start_matches(META_PREFIX).to_string());
-        match meta_data_key {
-            Some(data_key) => self
-                .index
-                .with_key_segment(&data_key, |segment| -> Result<()> {
-                    self.kv.execute(cmd)?;
-                    if self.policy.maintain_indexes {
-                        match self.load_metadata(&data_key)? {
-                            Some(meta) => {
-                                segment.remove(&data_key);
-                                segment.insert(
-                                    &data_key,
-                                    &meta.subject,
-                                    meta.purposes.iter().cloned(),
-                                );
-                            }
-                            None => segment.remove(&data_key),
-                        }
-                    }
-                    self.hot.invalidate(&data_key);
-                    Ok(())
-                }),
+        let Some(touched) = cmd.primary_key().map(str::to_string) else {
+            self.kv.execute(cmd)?;
+            return Ok(());
+        };
+        match touched.strip_prefix(META_PREFIX) {
+            Some(data_key) => self.index.with_key_segment(data_key, |segment| {
+                self.kv.execute(cmd)?;
+                if self.policy.maintain_indexes {
+                    let shadow = self.load_metadata(data_key)?;
+                    self.repost(segment, data_key, shadow.as_ref());
+                }
+                self.hot.invalidate(data_key);
+                Ok(())
+            }),
             None => {
                 // A replicated write to a data key (including the
                 // primary's journaled eviction DELs) must push the old
                 // value out of the replica's hot tier.
-                let touched = cmd.primary_key().map(str::to_string);
                 self.kv.execute(cmd)?;
-                if let Some(key) = touched {
-                    self.hot.invalidate(&key);
-                }
+                self.hot.invalidate(&touched);
                 Ok(())
             }
         }
@@ -1190,13 +1080,7 @@ impl GdprStore {
     /// Returns storage or corruption errors.
     pub fn location_inventory(&self) -> Result<LocationInventory> {
         let mut inventory = LocationInventory::new();
-        for meta_key in self.kv.keys(&format!("{META_PREFIX}*"))? {
-            if let Some(bytes) = self.kv.get(&meta_key)? {
-                if let Some(meta) = PersonalMetadata::decode(&bytes) {
-                    inventory.add(meta.location);
-                }
-            }
-        }
+        self.for_each_shadow(|_, meta| inventory.add(meta.location))?;
         Ok(inventory)
     }
 }
@@ -1564,7 +1448,9 @@ mod tests {
 
     #[test]
     fn hot_cache_serves_repeated_gets_and_invalidates_on_mutation() {
-        let store = permissive_store();
+        // Explicitly on: the suite also runs with GDPR_HOT_CACHE=off.
+        let mut store = permissive_store();
+        store.set_hot_cache(HotCacheConfig::default());
         assert!(store.hot_cache_enabled());
         store.put(&ctx(), "k", b"v1".to_vec(), meta()).unwrap();
         // First read misses and admits; the second must hit.
@@ -1584,7 +1470,8 @@ mod tests {
 
     #[test]
     fn hot_cache_never_serves_after_erasure() {
-        let store = permissive_store();
+        let mut store = permissive_store();
+        store.set_hot_cache(HotCacheConfig::default());
         store.put(&ctx(), "k", b"secret".to_vec(), meta()).unwrap();
         // Heat the key into the hot tier.
         for _ in 0..4 {

@@ -68,6 +68,11 @@
 //!   environment variable. Ignored with `compliance=0` (the raw engine
 //!   has no compliance slow path to cache around).
 //!
+//! An argument that is not one of the keys above, or whose value does not
+//! parse, is printed back and the process exits with status 2: on a
+//! compliance server a typo (`fsync=alway`, `shard=8`) must not silently
+//! run with a weaker configuration than the operator asked for.
+//!
 //! The server exits cleanly when a client sends `SHUTDOWN`: in-flight
 //! requests are answered, every connection thread is joined, and the final
 //! request counters are printed.
@@ -85,32 +90,78 @@ use kvstore::aof::FsyncPolicy;
 use kvstore::config::StoreConfig;
 use kvstore::store::KvStore;
 
+/// Every `key=value` argument the binary understands.
+const KNOWN_FLAGS: &[&str] = &[
+    "addr",
+    "shards",
+    "fsync",
+    "compliance",
+    "transport",
+    "workers",
+    "maxconns",
+    "readtimeout",
+    "aof",
+    "groupcommit",
+    "gcwait",
+    "index",
+    "replicaof",
+    "backlog",
+    "grant",
+    "duration",
+    "metrics",
+    "slowlog",
+    "slowlogmax",
+    "maxmemory",
+    "evict",
+    "hotcache",
+];
+
+/// Refuse to start: print the offending `key=value` and exit 2.
+fn reject(arg: &str, why: &str) -> ! {
+    eprintln!("gdpr-server: bad argument {arg:?}: {why}");
+    std::process::exit(2);
+}
+
 fn arg_str<'a>(args: &'a [String], key: &str) -> Option<&'a str> {
     args.iter().find_map(|a| a.strip_prefix(&format!("{key}=")))
 }
 
-fn arg_u64(args: &[String], key: &str) -> Option<u64> {
-    arg_str(args, key).and_then(|v| v.parse().ok())
+/// The value of `key` run through `parse`; a value it refuses is fatal.
+fn arg_with<T>(
+    args: &[String],
+    key: &str,
+    parse: impl Fn(&str) -> Option<T>,
+    want: &str,
+) -> Option<T> {
+    arg_str(args, key).map(|value| {
+        parse(value).unwrap_or_else(|| reject(&format!("{key}={value}"), &format!("want {want}")))
+    })
 }
 
-fn arg_i64(args: &[String], key: &str) -> Option<i64> {
-    arg_str(args, key).and_then(|v| v.parse().ok())
+fn arg_u64(args: &[String], key: &str) -> Option<u64> {
+    arg_with(args, key, |v| v.parse().ok(), "an unsigned integer")
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    for arg in &args {
+        let known = arg
+            .split_once('=')
+            .is_some_and(|(key, _)| KNOWN_FLAGS.contains(&key));
+        if !known {
+            reject(
+                arg,
+                "unknown flag (see the usage at the top of gdpr_server.rs)",
+            );
+        }
+    }
     let addr = arg_str(&args, "addr")
         .unwrap_or("127.0.0.1:6379")
         .to_string();
     let shards = arg_u64(&args, "shards").unwrap_or(1) as usize;
-    let compliance = arg_u64(&args, "compliance").unwrap_or(1);
-    let transport = arg_str(&args, "transport")
-        .map(|label| {
-            Transport::parse(label).unwrap_or_else(|| {
-                eprintln!("  unknown transport {label:?} (want reactor|threads), using reactor");
-                Transport::Reactor
-            })
-        })
+    let parse_level = |v: &str| v.parse().ok().filter(|level: &u64| *level <= 2);
+    let compliance = arg_with(&args, "compliance", parse_level, "0|1|2").unwrap_or(1);
+    let transport = arg_with(&args, "transport", Transport::parse, "reactor|threads")
         .unwrap_or_else(Transport::from_env_or_default);
     // The reactor holds a connection for the cost of one descriptor, so
     // its default is uncapped; thread-per-connection defaults to 1024.
@@ -124,33 +175,31 @@ fn main() {
     // transports so `maxconns` is an honest knob on either.
     let _ = polling::raise_nofile_limit(65536);
 
-    let fsync = match arg_str(&args, "fsync").unwrap_or("everysec") {
-        "always" => FsyncPolicy::Always,
-        "none" | "never" | "no" => FsyncPolicy::Never,
-        _ => FsyncPolicy::EverySec,
+    let parse_fsync = |label: &str| match label {
+        "always" => Some(FsyncPolicy::Always),
+        "everysec" => Some(FsyncPolicy::EverySec),
+        "none" | "never" | "no" => Some(FsyncPolicy::Never),
+        _ => None,
     };
+    let fsync = arg_with(&args, "fsync", parse_fsync, "always|everysec|none")
+        .unwrap_or(FsyncPolicy::EverySec);
 
     let group_commit = arg_u64(&args, "groupcommit").unwrap_or(1) != 0;
-    let index = arg_str(&args, "index")
-        .map(|label| {
-            kvstore::ttl_wheel::DeadlineIndexKind::parse(label).unwrap_or_else(|| {
-                eprintln!("  unknown index {label:?} (want wheel|btree), using wheel");
-                kvstore::ttl_wheel::DeadlineIndexKind::Wheel
-            })
-        })
-        .unwrap_or_default();
+    let index = arg_with(
+        &args,
+        "index",
+        kvstore::ttl_wheel::DeadlineIndexKind::parse,
+        "wheel|btree",
+    )
+    .unwrap_or_default();
     let max_memory = arg_u64(&args, "maxmemory").unwrap_or(0);
-    let evict = arg_str(&args, "evict")
-        .map(|label| {
-            kvstore::config::EvictionPolicy::parse(label).unwrap_or_else(|| {
-                eprintln!(
-                    "  unknown eviction policy {label:?} (want noeviction|lru|random), \
-                     using noeviction"
-                );
-                kvstore::config::EvictionPolicy::Noeviction
-            })
-        })
-        .unwrap_or_default();
+    let evict = arg_with(
+        &args,
+        "evict",
+        kvstore::config::EvictionPolicy::parse,
+        "noeviction|lru|random",
+    )
+    .unwrap_or_default();
     let mut config = StoreConfig::in_memory()
         .shards(shards)
         .fsync(fsync)
@@ -182,7 +231,7 @@ fn main() {
         );
         Dispatcher::kv(store)
     } else {
-        let mut policy = if compliance >= 2 {
+        let mut policy = if compliance == 2 {
             CompliancePolicy::strict()
         } else {
             CompliancePolicy::eventual()
@@ -212,18 +261,20 @@ fn main() {
         );
         if let Some(grants) = arg_str(&args, "grant") {
             for pair in grants.split(',').filter(|p| !p.is_empty()) {
-                if let Some((actor, purpose)) = pair.split_once(':') {
-                    store.grant(Grant::new(actor, purpose));
-                    println!("  grant installed: {actor} -> {purpose}");
-                } else {
-                    eprintln!("  ignoring malformed grant {pair:?} (want actor:purpose)");
-                }
+                let Some((actor, purpose)) = pair.split_once(':') else {
+                    reject(
+                        &format!("grant={grants}"),
+                        "want actor:purpose[,actor:purpose...]",
+                    );
+                };
+                store.grant(Grant::new(actor, purpose));
+                println!("  grant installed: {actor} -> {purpose}");
             }
         }
         Dispatcher::gdpr(Arc::new(store))
     };
-    let slowlog_threshold =
-        arg_i64(&args, "slowlog").unwrap_or(gdpr_server::metrics::DEFAULT_SLOWLOG_THRESHOLD_MICROS);
+    let slowlog_threshold = arg_with(&args, "slowlog", |v| v.parse().ok(), "an integer")
+        .unwrap_or(gdpr_server::metrics::DEFAULT_SLOWLOG_THRESHOLD_MICROS);
     let slowlog_max = arg_u64(&args, "slowlogmax")
         .unwrap_or(gdpr_server::metrics::DEFAULT_SLOWLOG_MAX_LEN as u64)
         as usize;

@@ -930,116 +930,6 @@ fn dispatch_gdpr(
         GdprRequest::Revoke { actor, purpose } => {
             Frame::Integer(store.revoke(actor, purpose) as i64)
         }
-        GdprRequest::Put {
-            key,
-            subject,
-            purposes,
-            value,
-            ttl_ms,
-        } => {
-            let ctx = match require_ctx(session) {
-                Ok(ctx) => ctx,
-                Err(e) => return e,
-            };
-            let meta = metadata_from_request(subject, purposes, *ttl_ms);
-            match store.put(&ctx, key, value.clone(), meta) {
-                Ok(()) => Frame::Simple("OK".to_string()),
-                Err(e) => gdpr_err(&e),
-            }
-        }
-        GdprRequest::GetMeta { key } => {
-            let ctx = match require_ctx(session) {
-                Ok(ctx) => ctx,
-                Err(e) => return e,
-            };
-            match store.metadata(&ctx, key) {
-                Ok(Some(meta)) => metadata_frame(&meta),
-                Ok(None) => Frame::Null,
-                Err(e) => gdpr_err(&e),
-            }
-        }
-        GdprRequest::SetMeta {
-            key,
-            subject,
-            purposes,
-            ttl_ms,
-        } => {
-            let ctx = match require_ctx(session) {
-                Ok(ctx) => ctx,
-                Err(e) => return e,
-            };
-            let meta = metadata_from_request(subject, purposes, *ttl_ms);
-            match store.set_metadata(&ctx, key, meta) {
-                Ok(()) => Frame::Simple("OK".to_string()),
-                Err(e) => gdpr_err(&e),
-            }
-        }
-        GdprRequest::KeysOf { subject } => {
-            // Listing a subject's keys reveals where their personal data
-            // lives — as access-guarded as any other subject-data read.
-            if let Err(e) = require_ctx(session) {
-                return e;
-            }
-            match store.keys_of_subject(subject) {
-                Ok(keys) => string_array_frame(keys),
-                Err(e) => gdpr_err(&e),
-            }
-        }
-        GdprRequest::Erase { subject } => {
-            let ctx = match require_ctx(session) {
-                Ok(ctx) => ctx,
-                Err(e) => return e,
-            };
-            match store.right_to_erasure(&ctx, subject) {
-                Ok(report) => Frame::Integer(report.erased_keys.len() as i64),
-                Err(e) => gdpr_err(&e),
-            }
-        }
-        GdprRequest::Export {
-            subject,
-            cursor,
-            count,
-        } => {
-            let ctx = match require_ctx(session) {
-                Ok(ctx) => ctx,
-                Err(e) => return e,
-            };
-            match cursor {
-                // Monolithic form: one bulk reply with the whole document.
-                None => match store.right_to_portability(&ctx, subject) {
-                    Ok(json) => Frame::Bulk(json.into_bytes()),
-                    Err(e) => gdpr_err(&e),
-                },
-                // Paged form: `[next_cursor, chunk]`, SCAN-style ("0" ends).
-                Some(token) => match ExportCursor::parse(token) {
-                    None => Frame::Error("ERR invalid export cursor".to_string()),
-                    Some(resume) => {
-                        let count = count.map_or(DEFAULT_EXPORT_PAGE_ITEMS, |n| n as usize);
-                        match store.export_page(&ctx, subject, resume.as_ref(), count) {
-                            Ok(page) => Frame::Array(vec![
-                                Frame::Bulk(
-                                    page.next_cursor
-                                        .map_or_else(|| "0".to_string(), |c| c.encode())
-                                        .into_bytes(),
-                                ),
-                                Frame::Bulk(page.chunk.into_bytes()),
-                            ]),
-                            Err(e) => gdpr_err(&e),
-                        }
-                    }
-                },
-            }
-        }
-        GdprRequest::Object { subject, purpose } => {
-            let ctx = match require_ctx(session) {
-                Ok(ctx) => ctx,
-                Err(e) => return e,
-            };
-            match store.right_to_object(&ctx, subject, purpose) {
-                Ok(report) => Frame::Integer(report.updated_keys.len() as i64),
-                Err(e) => gdpr_err(&e),
-            }
-        }
         GdprRequest::Stats => {
             let stats = store.stats();
             let mut lines = vec![
@@ -1137,6 +1027,89 @@ fn dispatch_gdpr(
             // with this surface's `=` separator.
             lines.extend(dispatcher.latency_lines('='));
             string_array_frame(lines)
+        }
+        // Everything else acts on personal data (listing a subject's keys
+        // reveals where it lives) and needs an authenticated session.
+        _ => match require_ctx(session) {
+            Ok(ctx) => dispatch_gdpr_data(store, request, &ctx),
+            Err(noauth) => noauth,
+        },
+    }
+}
+
+/// The `GDPR.*` requests that run under the session's access context.
+fn dispatch_gdpr_data(store: &GdprStore, request: &GdprRequest, ctx: &AccessContext) -> Frame {
+    let ok = |result: gdpr_core::Result<()>| match result {
+        Ok(()) => Frame::Simple("OK".to_string()),
+        Err(e) => gdpr_err(&e),
+    };
+    match request {
+        GdprRequest::Put {
+            key,
+            subject,
+            purposes,
+            value,
+            ttl_ms,
+        } => {
+            let meta = metadata_from_request(subject, purposes, *ttl_ms);
+            ok(store.put(ctx, key, value.clone(), meta))
+        }
+        GdprRequest::GetMeta { key } => match store.metadata(ctx, key) {
+            Ok(Some(meta)) => metadata_frame(&meta),
+            Ok(None) => Frame::Null,
+            Err(e) => gdpr_err(&e),
+        },
+        GdprRequest::SetMeta {
+            key,
+            subject,
+            purposes,
+            ttl_ms,
+        } => {
+            let meta = metadata_from_request(subject, purposes, *ttl_ms);
+            ok(store.set_metadata(ctx, key, meta))
+        }
+        GdprRequest::KeysOf { subject } => match store.keys_of_subject(subject) {
+            Ok(keys) => string_array_frame(keys),
+            Err(e) => gdpr_err(&e),
+        },
+        GdprRequest::Erase { subject } => match store.right_to_erasure(ctx, subject) {
+            Ok(report) => Frame::Integer(report.erased_keys.len() as i64),
+            Err(e) => gdpr_err(&e),
+        },
+        GdprRequest::Export {
+            subject,
+            cursor,
+            count,
+        } => match cursor {
+            // Monolithic form: one bulk reply with the whole document.
+            None => match store.right_to_portability(ctx, subject) {
+                Ok(json) => Frame::Bulk(json.into_bytes()),
+                Err(e) => gdpr_err(&e),
+            },
+            // Paged form: `[next_cursor, chunk]`, SCAN-style ("0" ends).
+            Some(token) => match ExportCursor::parse(token) {
+                None => Frame::Error("ERR invalid export cursor".to_string()),
+                Some(resume) => {
+                    let count = count.map_or(DEFAULT_EXPORT_PAGE_ITEMS, |n| n as usize);
+                    match store.export_page(ctx, subject, resume.as_ref(), count) {
+                        Ok(page) => Frame::Array(vec![
+                            Frame::Bulk(
+                                page.next_cursor
+                                    .map_or_else(|| "0".to_string(), |c| c.encode())
+                                    .into_bytes(),
+                            ),
+                            Frame::Bulk(page.chunk.into_bytes()),
+                        ]),
+                        Err(e) => gdpr_err(&e),
+                    }
+                }
+            },
+        },
+        GdprRequest::Object { subject, purpose } => {
+            match store.right_to_object(ctx, subject, purpose) {
+                Ok(report) => Frame::Integer(report.updated_keys.len() as i64),
+                Err(e) => gdpr_err(&e),
+            }
         }
         // `GdprRequest` is non-exhaustive: a newer wire surface than this
         // server understands is a protocol error, not a panic.

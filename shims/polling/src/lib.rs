@@ -17,8 +17,9 @@
 //!   via `GDPR_POLL_BACKEND=epoll|poll` for differential testing;
 //! * [`Poller::notify`] — wake a blocked [`Poller::wait`] from another
 //!   thread (worker threads use it to hand completed batches back to the
-//!   reactor), implemented as a self-pipe with a coalescing flag so the
-//!   pipe never accumulates more than one pending byte;
+//!   reactor), implemented as a self-pipe with a coalescing flag: one
+//!   byte per flag transition, so the pipe holds at most two and a drain
+//!   can never block;
 //! * [`raise_nofile_limit`] — lift `RLIMIT_NOFILE`'s soft limit toward
 //!   the hard limit, without which "10k connections" dies at the default
 //!   1024 file descriptors on most distros.
@@ -127,8 +128,9 @@ pub struct Poller {
     backend: BackendImpl,
     wake_reader: Mutex<std::io::PipeReader>,
     wake_writer: std::io::PipeWriter,
-    /// Coalesces notifies: at most one byte is ever pending in the pipe,
-    /// so draining it can never block.
+    /// Coalesces notifies: a byte is written only on a clear → set
+    /// transition and each drain clears once and reads once, so at most
+    /// two bytes are ever pending and draining can never block.
     notified: AtomicBool,
 }
 
@@ -282,8 +284,11 @@ impl Poller {
         // Clear the flag BEFORE consuming the byte: a notify landing
         // between the two puts a fresh byte in the pipe, so the next wait
         // wakes (at worst spuriously) instead of sleeping through it.
+        // Consume exactly ONE byte per cleared flag: reading more would
+        // swallow that fresh byte while the flag stays set, and every
+        // later notify would be elided as "already pending".
         self.notified.store(false, Ordering::SeqCst);
-        let mut byte = [0u8; 8];
+        let mut byte = [0u8; 1];
         if let Ok(reader) = self.wake_reader.lock() {
             let _ = (&*reader).read(&mut byte);
         }
@@ -749,6 +754,63 @@ mod tests {
                 .wait(&mut events, Some(Duration::from_millis(50)))
                 .unwrap();
             assert!(start.elapsed() >= Duration::from_millis(40), "{backend:?}");
+        }
+    }
+
+    #[test]
+    fn concurrent_notifies_are_never_lost() {
+        // Several notifiers each post work, notify, and wait for the
+        // waiter's ack before posting again (the reactor's worker-completion
+        // handshake). A notify racing a drain must still wake a later wait:
+        // a swallowed wake byte leaves the waiter asleep with work posted,
+        // which shows here as a wait running into its timeout.
+        use std::sync::atomic::AtomicUsize;
+        const NOTIFIERS: usize = 4;
+        const ROUNDS: usize = 20_000;
+        const STALL: Duration = Duration::from_secs(5);
+        for backend in backends() {
+            let poller = Poller::with_backend(backend).unwrap();
+            let posted: Vec<AtomicBool> = (0..NOTIFIERS).map(|_| AtomicBool::new(false)).collect();
+            let abort = AtomicBool::new(false);
+            let acked = AtomicUsize::new(0);
+            let mut stalled = false;
+            std::thread::scope(|scope| {
+                for flag in &posted {
+                    let (poller, abort) = (&poller, &abort);
+                    scope.spawn(move || {
+                        for _ in 0..ROUNDS {
+                            flag.store(true, Ordering::SeqCst);
+                            poller.notify();
+                            while flag.load(Ordering::SeqCst) {
+                                if abort.load(Ordering::SeqCst) {
+                                    return;
+                                }
+                                std::thread::yield_now();
+                            }
+                        }
+                    });
+                }
+                let mut events = Vec::new();
+                while acked.load(Ordering::SeqCst) < NOTIFIERS * ROUNDS {
+                    let start = Instant::now();
+                    poller.wait(&mut events, Some(STALL)).unwrap();
+                    if start.elapsed() >= STALL {
+                        stalled = true;
+                        abort.store(true, Ordering::SeqCst);
+                        break;
+                    }
+                    for flag in &posted {
+                        if flag.swap(false, Ordering::SeqCst) {
+                            acked.fetch_add(1, Ordering::SeqCst);
+                        }
+                    }
+                }
+            });
+            assert!(
+                !stalled,
+                "{backend:?}: a notify was lost after {} acks; the wait slept through posted work",
+                acked.load(Ordering::SeqCst)
+            );
         }
     }
 

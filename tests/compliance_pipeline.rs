@@ -1,0 +1,345 @@
+//! The compliance pipeline contract: every public data-path and rights
+//! operation of `GdprStore` is counted once and audited once, whichever
+//! way it ends.
+//!
+//! * allowed: one `allowed_ops` increment, one `Allowed` record;
+//! * denied (location, access, reader purpose, writer purpose): one
+//!   `denied_ops` increment, one `Denied` record naming the operation, and
+//!   keyspace, metadata index and hot cache exactly as they were;
+//! * under `CompliancePolicy::strict()` that record is in the sink before
+//!   the call returns.
+
+use std::collections::BTreeMap;
+
+use gdpr_storage::audit::log::parse_chained_line;
+use gdpr_storage::audit::reader::{parse_trail, verify_trail};
+use gdpr_storage::audit::record::{Operation, Outcome};
+use gdpr_storage::audit::sink::MemorySink;
+use gdpr_storage::gdpr_core::acl::Grant;
+use gdpr_storage::gdpr_core::metadata::{PersonalMetadata, Region};
+use gdpr_storage::gdpr_core::policy::CompliancePolicy;
+use gdpr_storage::gdpr_core::store::{AccessContext, GdprStore};
+use gdpr_storage::gdpr_core::GdprError;
+use gdpr_storage::kvstore::config::StoreConfig;
+use proptest::prelude::*;
+
+/// Holds grants for `billing` and `marketing`; the seeded keys whitelist
+/// only `billing`.
+fn app(purpose: &str) -> AccessContext {
+    AccessContext::new("app", purpose)
+}
+
+/// Holds no grant at all.
+fn stranger() -> AccessContext {
+    AccessContext::new("stranger", "billing")
+}
+
+fn meta(subject: &str) -> PersonalMetadata {
+    PersonalMetadata::new(subject)
+        .with_purpose("billing")
+        .with_location(Region::Eu)
+}
+
+/// Placement the strict policy's EU-only location rule refuses.
+fn us() -> PersonalMetadata {
+    meta("alice").with_location(Region::Us)
+}
+
+/// Metadata that does not whitelist the writer's own purpose (`billing`).
+fn analytics_only() -> PersonalMetadata {
+    PersonalMetadata::new("alice").with_purpose("analytics")
+}
+
+fn fields() -> BTreeMap<String, Vec<u8>> {
+    BTreeMap::from([("f".to_string(), b"v".to_vec())])
+}
+
+/// A strict store over a sink the test can read without flushing, seeded
+/// with alice's string keys `k` (heated into the hot tier) and `c` (never
+/// read) and her record `r`.
+fn fixture() -> (GdprStore, MemorySink) {
+    let sink = MemorySink::new();
+    let view = sink.share();
+    let config = StoreConfig::in_memory().aof_in_memory().shards(2);
+    let store = GdprStore::open(CompliancePolicy::strict(), config, Box::new(sink)).unwrap();
+    store.grant(Grant::new("app", "billing"));
+    store.grant(Grant::new("app", "marketing"));
+    let billing = app("billing");
+    store
+        .put(&billing, "k", b"value".to_vec(), meta("alice"))
+        .unwrap();
+    store
+        .put(&billing, "c", b"value".to_vec(), meta("alice"))
+        .unwrap();
+    store
+        .put_record(&billing, "r", &fields(), meta("alice"))
+        .unwrap();
+    for _ in 0..3 {
+        store.get(&billing, "k").unwrap();
+    }
+    (store, view)
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Expect {
+    Allowed,
+    Location,
+    Access,
+    Purpose,
+}
+
+type Run = fn(&GdprStore) -> Result<(), GdprError>;
+
+/// operation × {allowed, location, access, reader purpose, writer purpose}:
+/// every cell the operation has a check for.
+fn matrix() -> Vec<(&'static str, Operation, Expect, Run)> {
+    use Expect::{Access, Allowed, Location, Purpose};
+    use Operation::{Delete, Read, RightsRequest, Write};
+    vec![
+        ("put", Write, Allowed, |s| {
+            s.put(&app("billing"), "n", b"v".to_vec(), meta("bob"))
+        }),
+        ("put/location", Write, Location, |s| {
+            s.put(&app("billing"), "n", b"v".to_vec(), us())
+        }),
+        ("put/access", Write, Access, |s| {
+            s.put(&stranger(), "n", b"v".to_vec(), meta("bob"))
+        }),
+        ("put/writer-purpose", Write, Purpose, |s| {
+            s.put(&app("billing"), "n", b"v".to_vec(), analytics_only())
+        }),
+        ("put_record", Write, Allowed, |s| {
+            s.put_record(&app("billing"), "n", &fields(), meta("bob"))
+        }),
+        ("put_record/location", Write, Location, |s| {
+            s.put_record(&app("billing"), "n", &fields(), us())
+        }),
+        ("put_record/access", Write, Access, |s| {
+            s.put_record(&stranger(), "n", &fields(), meta("bob"))
+        }),
+        ("put_record/writer-purpose", Write, Purpose, |s| {
+            s.put_record(&app("billing"), "n", &fields(), analytics_only())
+        }),
+        ("update_record", Write, Allowed, |s| {
+            s.update_record(&app("billing"), "r", &fields())
+        }),
+        ("update_record/access", Write, Access, |s| {
+            s.update_record(&stranger(), "r", &fields())
+        }),
+        ("update_record/reader-purpose", Write, Purpose, |s| {
+            s.update_record(&app("marketing"), "r", &fields())
+        }),
+        ("get (hot)", Read, Allowed, |s| {
+            s.get(&app("billing"), "k").map(drop)
+        }),
+        ("get (hot)/access", Read, Access, |s| {
+            s.get(&stranger(), "k").map(drop)
+        }),
+        ("get (hot)/reader-purpose", Read, Purpose, |s| {
+            s.get(&app("marketing"), "k").map(drop)
+        }),
+        ("get (cold)", Read, Allowed, |s| {
+            s.get(&app("billing"), "c").map(drop)
+        }),
+        ("get (cold)/access", Read, Access, |s| {
+            s.get(&stranger(), "c").map(drop)
+        }),
+        ("get (cold)/reader-purpose", Read, Purpose, |s| {
+            s.get(&app("marketing"), "c").map(drop)
+        }),
+        ("get (absent)", Read, Allowed, |s| {
+            s.get(&app("billing"), "nope").map(drop)
+        }),
+        ("get_record", Read, Allowed, |s| {
+            s.get_record(&app("billing"), "r").map(drop)
+        }),
+        ("get_record/access", Read, Access, |s| {
+            s.get_record(&stranger(), "r").map(drop)
+        }),
+        ("get_record/reader-purpose", Read, Purpose, |s| {
+            s.get_record(&app("marketing"), "r").map(drop)
+        }),
+        ("set_metadata", Write, Allowed, |s| {
+            s.set_metadata(&app("billing"), "k", meta("bob"))
+        }),
+        ("set_metadata/location", Write, Location, |s| {
+            s.set_metadata(&app("billing"), "k", us())
+        }),
+        ("set_metadata/access", Write, Access, |s| {
+            s.set_metadata(&stranger(), "k", meta("bob"))
+        }),
+        ("set_metadata/writer-purpose", Write, Purpose, |s| {
+            s.set_metadata(&app("billing"), "k", analytics_only())
+        }),
+        ("metadata", Read, Allowed, |s| {
+            s.metadata(&app("billing"), "k").map(drop)
+        }),
+        ("delete", Delete, Allowed, |s| {
+            s.delete(&app("billing"), "k").map(drop)
+        }),
+        ("delete/access", Delete, Access, |s| {
+            s.delete(&stranger(), "k").map(drop)
+        }),
+        ("scan", Read, Allowed, |s| {
+            s.scan(&app("billing"), "", 10).map(drop)
+        }),
+        ("right_of_access", RightsRequest, Allowed, |s| {
+            s.right_of_access(&app("billing"), "alice").map(drop)
+        }),
+        ("right_to_erasure", RightsRequest, Allowed, |s| {
+            s.right_to_erasure(&app("billing"), "alice").map(drop)
+        }),
+        ("right_to_portability", RightsRequest, Allowed, |s| {
+            s.right_to_portability(&app("billing"), "alice").map(drop)
+        }),
+        ("export_page", RightsRequest, Allowed, |s| {
+            s.export_page(&app("billing"), "alice", None, 1).map(drop)
+        }),
+        ("right_to_object", RightsRequest, Allowed, |s| {
+            s.right_to_object(&app("billing"), "alice", "billing")
+                .map(drop)
+        }),
+    ]
+}
+
+#[test]
+fn every_operation_is_counted_once_and_audited_once() {
+    for (name, operation, expect, run) in matrix() {
+        let (store, sink) = fixture();
+        let stats = store.stats();
+        let lines = sink.lines().len();
+        let keyspace = store.engine().canonical_state();
+        let postings = |store: &GdprStore| {
+            ["alice", "bob"].map(|subject| store.keys_of_subject(subject).unwrap())
+        };
+        let posted = postings(&store);
+
+        let result = run(&store);
+
+        match (expect, &result) {
+            (Expect::Allowed, Ok(()))
+            | (Expect::Location, Err(GdprError::LocationViolation { .. }))
+            | (Expect::Access, Err(GdprError::AccessDenied { .. }))
+            | (Expect::Purpose, Err(GdprError::PurposeViolation { .. })) => {}
+            _ => panic!("{name}: expected {expect:?}, got {result:?}"),
+        }
+        let allowed = u64::from(expect == Expect::Allowed);
+        let after = store.stats();
+        assert_eq!(after.allowed_ops, stats.allowed_ops + allowed, "{name}");
+        assert_eq!(after.denied_ops, stats.denied_ops + 1 - allowed, "{name}");
+        assert_eq!(after.audit_records, stats.audit_records + 1, "{name}");
+
+        // Read the sink as-is (no flush): under the strict policy the one
+        // record must already be there when the call returns.
+        let trail = sink.lines();
+        assert_eq!(trail.len(), lines + 1, "{name}: records in the sink");
+        let record = parse_chained_line(trail.last().unwrap()).unwrap().record;
+        assert_eq!(record.operation, operation, "{name}");
+        let outcome = if allowed == 1 {
+            Outcome::Allowed
+        } else {
+            Outcome::Denied
+        };
+        assert_eq!(record.outcome, outcome, "{name}");
+
+        if allowed == 0 {
+            assert_eq!(
+                store.engine().canonical_state(),
+                keyspace,
+                "{name}: keyspace"
+            );
+            assert_eq!(postings(&store), posted, "{name}: index");
+            let hot = store.hot_cache_stats();
+            assert_eq!(hot.admissions, stats.cache_admissions, "{name}: hot tier");
+            assert_eq!(
+                hot.invalidations, stats.cache_invalidations,
+                "{name}: hot tier"
+            );
+        }
+    }
+}
+
+#[test]
+fn rewriting_a_key_under_a_new_subject_moves_its_posting() {
+    // put k→alice, put k→bob, erase alice: bob's data must survive.
+    let store = GdprStore::open_in_memory(CompliancePolicy::strict()).unwrap();
+    store.grant(Grant::new("app", "billing"));
+    let ctx = app("billing");
+    store
+        .put(&ctx, "k", b"hers".to_vec(), meta("alice"))
+        .unwrap();
+    store.put(&ctx, "k", b"his".to_vec(), meta("bob")).unwrap();
+    assert!(store.keys_of_subject("alice").unwrap().is_empty());
+    let report = store.right_to_erasure(&ctx, "alice").unwrap();
+    assert!(report.erased_keys.is_empty(), "{report:?}");
+    assert_eq!(store.get(&ctx, "k").unwrap(), Some(b"his".to_vec()));
+    assert_eq!(store.keys_of_subject("bob").unwrap(), vec!["k"]);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Over a random mix of operations, contexts and metadata, every call
+    /// that ran the pipeline to an end is counted exactly once as allowed
+    /// or denied and leaves exactly one record, and the chain verifies.
+    #[test]
+    fn allowed_plus_denied_equals_operations_issued(
+        ops in proptest::collection::vec(((0u8..12, 0u8..4), (0u8..3, 0u8..4)), 1..80),
+    ) {
+        let store = GdprStore::open_in_memory(CompliancePolicy::strict()).unwrap();
+        store.grant(Grant::new("app", "billing"));
+        store.grant(Grant::new("app", "marketing"));
+        let control_plane = store.stats().audit_records;
+        let mut issued = 0u64;
+        for ((op, key), (who, shape)) in ops {
+            // Strings and records live in separate key spaces: a type
+            // clash is an engine error, not a compliance outcome.
+            let record_op = matches!(op, 2 | 3 | 6) || (op >= 7 && shape % 2 == 1);
+            let key = format!("{}:{key}", if record_op { "rec" } else { "str" });
+            let ctx = match who {
+                0 => stranger(),
+                1 => app("marketing"),
+                _ => app("billing"),
+            };
+            let subject = format!("subject:{}", shape % 2);
+            let stamp = match shape {
+                0 | 1 => meta(&subject),
+                2 => meta(&subject).with_location(Region::Us),
+                _ => PersonalMetadata::new(&subject).with_purpose("analytics"),
+            };
+            let result = match op {
+                0 | 1 => store.put(&ctx, &key, b"v".to_vec(), stamp),
+                2 => store.put_record(&ctx, &key, &fields(), stamp),
+                3 => store.update_record(&ctx, &key, &fields()),
+                4 | 5 => store.get(&ctx, &key).map(drop),
+                6 => store.get_record(&ctx, &key).map(drop),
+                7 => store.set_metadata(&ctx, &key, stamp),
+                8 => store.metadata(&ctx, &key).map(drop),
+                9 => store.delete(&ctx, &key).map(drop),
+                10 => store.scan(&ctx, "", 5).map(drop),
+                _ => store.right_to_erasure(&ctx, &subject).map(drop),
+            };
+            match result {
+                Ok(())
+                | Err(
+                    GdprError::AccessDenied { .. }
+                    | GdprError::PurposeViolation { .. }
+                    | GdprError::LocationViolation { .. },
+                ) => issued += 1,
+                // Neither allowed nor denied: the request itself was
+                // malformed (no such key, no metadata to update under).
+                Err(GdprError::NoSuchKey { .. } | GdprError::MissingMetadata { .. }) => {}
+                Err(other) => panic!("unexpected failure: {other}"),
+            }
+        }
+        let stats = store.stats();
+        prop_assert_eq!(stats.allowed_ops + stats.denied_ops, issued);
+        prop_assert_eq!(stats.audit_records, control_plane + issued);
+        let trail = store.audit_trail().unwrap();
+        prop_assert_eq!(trail.len() as u64, stats.audit_records);
+        let parsed = parse_trail(&trail.join("\n")).unwrap();
+        verify_trail(&parsed).unwrap();
+        let denied = parsed.iter().filter(|r| r.record.outcome == Outcome::Denied).count();
+        prop_assert_eq!(denied as u64, stats.denied_ops);
+    }
+}

@@ -13,9 +13,11 @@
 //! cargo build --release -p gdpr-server
 //! cargo run -p bench --release --bin conn_scaling \
 //!     [conns=100,1000,10000] [threadscap=1000] [hot=32] [hotops=4096] \
-//!     [latops=256] [transports=reactor,threads]
+//!     [latops=256] [transports=reactor,threads] [workers=0]
 //! ```
 //!
+//! `workers` is handed to the server as its `workers=` flag: the reactor's
+//! event-loop threads (0 = the server's default, `min(cores, shards)`).
 //! `threadscap` bounds the thread-per-connection sweep (10k OS threads on
 //! a small host is an eviction, not a measurement). Emits a human table
 //! and writes `BENCH_conn_scaling.json`; `host_cores` is recorded — on a
@@ -87,7 +89,7 @@ fn server_binary() -> std::path::PathBuf {
 /// Spawn a raw-engine server and return (child, addr) once it reports the
 /// port it bound. A drain thread keeps consuming the child's stdout so it
 /// never blocks on a full pipe.
-fn spawn_server(transport: &str, maxconns: usize) -> (Child, String) {
+fn spawn_server(transport: &str, maxconns: usize, workers: usize) -> (Child, String) {
     let mut child = Command::new(server_binary())
         .args([
             "addr=127.0.0.1:0",
@@ -97,6 +99,7 @@ fn spawn_server(transport: &str, maxconns: usize) -> (Child, String) {
             "readtimeout=600",
             &format!("transport={transport}"),
             &format!("maxconns={maxconns}"),
+            &format!("workers={workers}"),
         ])
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -140,11 +143,18 @@ fn roundtrip(stream: &mut TcpStream, request: &[u8], reply_len: usize) -> std::i
     stream.read_exact(&mut reply)
 }
 
-fn run_cell(transport: &'static str, n: usize, hot: usize, hotops: usize, latops: usize) -> Cell {
+fn run_cell(
+    transport: &'static str,
+    n: usize,
+    workers: usize,
+    hot: usize,
+    hotops: usize,
+    latops: usize,
+) -> Cell {
     // Thread-per-connection needs headroom above the sweep point; the
     // reactor cell runs with the cap off, its shipping default.
     let maxconns = if transport == "reactor" { 0 } else { n + 64 };
-    let (mut child, addr) = spawn_server(transport, maxconns);
+    let (mut child, addr) = spawn_server(transport, maxconns, workers);
     std::thread::sleep(Duration::from_millis(100));
     let rss_base = resident_bytes(child.id());
 
@@ -246,6 +256,7 @@ fn main() {
     let hot = arg_list(&args, "hot", &[32])[0];
     let hotops = arg_list(&args, "hotops", &[4_096])[0];
     let latops = arg_list(&args, "latops", &[256])[0];
+    let workers = arg_list(&args, "workers", &[0])[0];
     let transports: Vec<&'static str> = arg_str(&args, "transports")
         .unwrap_or("reactor,threads")
         .split(',')
@@ -264,7 +275,7 @@ fn main() {
     let cores = bench::host_cores();
     println!(
         "conn_scaling — idle-heavy connection sweep, conns={conns:?} (threads transport capped \
-         at {threads_cap}), hot={hot}, hotops={hotops}, cores={cores}"
+         at {threads_cap}), hot={hot}, hotops={hotops}, workers={workers}, cores={cores}"
     );
 
     let mut cells = Vec::new();
@@ -274,7 +285,7 @@ fn main() {
                 println!("  threads   conns={n:>6}  skipped (threadscap={threads_cap})");
                 continue;
             }
-            let cell = run_cell(transport, n, hot, hotops, latops);
+            let cell = run_cell(transport, n, workers, hot, hotops, latops);
             println!(
                 "  {:<8}  conns={:>6}  accept p50/p99 {:>5}/{:>6} µs   rss/conn {:>7} B   \
                  hot {:>8.0} ops/s   p99 {:>5} µs   errors {}",
@@ -311,17 +322,18 @@ fn main() {
         );
     }
 
-    let json = render_json(hot, hotops, &cells);
+    let json = render_json(hot, hotops, workers, &cells);
     std::fs::write("BENCH_conn_scaling.json", &json).expect("write BENCH_conn_scaling.json");
     println!("wrote BENCH_conn_scaling.json ({} cells)", cells.len());
 }
 
-fn render_json(hot: usize, hotops: usize, cells: &[Cell]) -> String {
+fn render_json(hot: usize, hotops: usize, workers: usize, cells: &[Cell]) -> String {
     let mut out = bench::json_envelope("conn_scaling");
     out.push_str("  \"transport\": \"tcp-loopback\",\n");
     out.push_str("  \"policy\": \"none\",\n");
     out.push_str(&format!("  \"hot_connections\": {hot},\n"));
     out.push_str(&format!("  \"hot_ops_per_connection\": {hotops},\n"));
+    out.push_str(&format!("  \"server_workers\": {workers},\n"));
     out.push_str("  \"cells\": [\n");
     for (i, cell) in cells.iter().enumerate() {
         out.push_str(&format!(

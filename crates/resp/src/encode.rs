@@ -1,53 +1,69 @@
 //! RESP2 encoding.
 
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
 
 use crate::Frame;
 
 /// Encode one frame to a standalone byte vector.
 #[must_use]
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(frame.wire_len());
+    let mut buf = Vec::with_capacity(frame.wire_len());
     encode_into(frame, &mut buf);
-    buf.to_vec()
+    buf
 }
 
-/// Encode one frame, appending to an existing buffer (used by the server
-/// loop to batch replies).
-pub fn encode_into(frame: &Frame, buf: &mut BytesMut) {
+/// Encode one frame, appending to an existing buffer: the server loops
+/// encode every reply of a batch straight into the connection's outbox.
+pub fn encode_into<B: BufMut>(frame: &Frame, buf: &mut B) {
     match frame {
-        Frame::Simple(s) => {
-            buf.put_u8(b'+');
-            buf.put_slice(s.as_bytes());
-            buf.put_slice(b"\r\n");
-        }
-        Frame::Error(s) => {
-            buf.put_u8(b'-');
-            buf.put_slice(s.as_bytes());
-            buf.put_slice(b"\r\n");
-        }
+        Frame::Simple(s) => put_line(buf, b'+', s.as_bytes()),
+        Frame::Error(s) => put_line(buf, b'-', s.as_bytes()),
         Frame::Integer(i) => {
             buf.put_u8(b':');
-            buf.put_slice(i.to_string().as_bytes());
-            buf.put_slice(b"\r\n");
+            if *i < 0 {
+                buf.put_u8(b'-');
+            }
+            put_decimal_line(buf, i.unsigned_abs());
         }
         Frame::Bulk(data) => {
             buf.put_u8(b'$');
-            buf.put_slice(data.len().to_string().as_bytes());
-            buf.put_slice(b"\r\n");
+            put_decimal_line(buf, data.len() as u64);
             buf.put_slice(data);
             buf.put_slice(b"\r\n");
         }
         Frame::Null => buf.put_slice(b"$-1\r\n"),
         Frame::Array(items) => {
             buf.put_u8(b'*');
-            buf.put_slice(items.len().to_string().as_bytes());
-            buf.put_slice(b"\r\n");
+            put_decimal_line(buf, items.len() as u64);
             for item in items {
                 encode_into(item, buf);
             }
         }
     }
+}
+
+fn put_line<B: BufMut>(buf: &mut B, tag: u8, text: &[u8]) {
+    buf.put_u8(tag);
+    buf.put_slice(text);
+    buf.put_slice(b"\r\n");
+}
+
+/// Append `value` in decimal followed by CRLF, formatted on the stack:
+/// every bulk and array header passes through here, so no `String`.
+fn put_decimal_line<B: BufMut>(buf: &mut B, mut value: u64) {
+    // 20 digits hold u64::MAX; the last two bytes are the CRLF.
+    let mut text = [0u8; 22];
+    text[20..].copy_from_slice(b"\r\n");
+    let mut start = 20;
+    loop {
+        start -= 1;
+        text[start] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    buf.put_slice(&text[start..]);
 }
 
 #[cfg(test)]
@@ -67,6 +83,13 @@ mod tests {
     fn integers() {
         assert_eq!(encode_frame(&Frame::Integer(42)), b":42\r\n");
         assert_eq!(encode_frame(&Frame::Integer(-7)), b":-7\r\n");
+        assert_eq!(encode_frame(&Frame::Integer(0)), b":0\r\n");
+        for i in [i64::MIN, i64::MAX] {
+            assert_eq!(
+                encode_frame(&Frame::Integer(i)),
+                format!(":{i}\r\n").into_bytes()
+            );
+        }
     }
 
     #[test]
@@ -95,6 +118,17 @@ mod tests {
             encode_frame(&frame),
             b"*3\r\n:1\r\n*1\r\n$1\r\nx\r\n$-1\r\n"
         );
+    }
+
+    #[test]
+    fn encode_into_appends_to_either_buffer_type() {
+        let frame = Frame::Array(vec![Frame::bulk("x"), Frame::Integer(-12), Frame::Null]);
+        let mut vec = b"+OK\r\n".to_vec();
+        let mut bytes_mut = bytes::BytesMut::from(&vec[..]);
+        encode_into(&frame, &mut vec);
+        encode_into(&frame, &mut bytes_mut);
+        assert_eq!(vec, [b"+OK\r\n", &encode_frame(&frame)[..]].concat());
+        assert_eq!(&bytes_mut[..], &vec[..]);
     }
 
     #[test]

@@ -17,9 +17,11 @@
 //! * `compliance` — 0 = raw engine (plain Redis surface only), 1 =
 //!   eventual policy, 2 = strict policy.
 //! * `transport` — `reactor` (default; also via `GDPR_TRANSPORT`): the
-//!   event-driven connection layer (epoll reactor + worker pool), or
-//!   `threads`: one OS thread per connection.
-//! * `workers` — reactor worker threads (0 = `min(cores, shards)`).
+//!   event-driven connection layer (symmetric epoll event loops that run
+//!   each request to completion), or `threads`: one OS thread per
+//!   connection.
+//! * `workers` — reactor event-loop threads (0 = `min(cores, shards)`);
+//!   each serves its share of the connections from read to reply.
 //! * `maxconns` — connection cap; over-limit clients receive a final
 //!   `-ERR max connections reached` frame. Defaults to unlimited (0) on
 //!   the reactor and 1024 on the threads transport.

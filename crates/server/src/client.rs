@@ -18,7 +18,7 @@ use kvstore::serialize::{decode_value, encode_value, Reader};
 use parking_lot::Mutex;
 use resp::command::GdprRequest;
 use resp::decode::Decoder;
-use resp::encode::encode_frame;
+use resp::encode::encode_into;
 use resp::Frame;
 use ycsb::concurrent::SharedKvInterface;
 use ycsb::WorkloadError;
@@ -101,7 +101,7 @@ impl TcpRemoteClient {
     pub fn send_batch(&mut self, frames: &[Frame]) -> Result<()> {
         let mut out = Vec::new();
         for frame in frames {
-            out.extend_from_slice(&encode_frame(frame));
+            encode_into(frame, &mut out);
         }
         self.requests += frames.len() as u64;
         self.stream.write_all(&out)?;

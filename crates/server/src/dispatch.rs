@@ -59,17 +59,17 @@ pub struct ClientStats {
     pub rejected_over_limit: u64,
     /// Connections closed for exceeding the idle timeout.
     pub idle_timeouts: u64,
-    /// Reactor event-loop wakeups (0 on the thread-per-connection
-    /// transport, which has no reactor).
+    /// Event-loop wakeups, summed over the reactor's loops (0 on the
+    /// thread-per-connection transport, which has no event loop).
     pub reactor_wakeups: u64,
-    /// High-water mark of the worker-pool queue depth (0 on the
-    /// thread-per-connection transport).
+    /// Most connections that held decoded-but-unexecuted frames on one
+    /// event loop at once (0 on the thread-per-connection transport).
     pub worker_queue_hwm: u64,
 }
 
-/// The shared atomic cells behind [`ClientStats`]. Both transports (and,
-/// for the reactor, its worker pool) update these through the dispatcher
-/// so the stats surfaces read one place regardless of transport.
+/// The shared atomic cells behind [`ClientStats`]. Both transports (for
+/// the reactor, every event loop) update these through the dispatcher so
+/// the stats surfaces read one place regardless of transport.
 #[derive(Debug, Default)]
 pub struct ClientStatsCells {
     connected: AtomicU64,
@@ -133,14 +133,18 @@ impl ClientStatsCells {
         self.idle_timeouts.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The reactor loop woke from its wait.
+    /// An event loop woke from its wait.
     pub fn reactor_wakeup(&self) {
         self.reactor_wakeups.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record an observed worker-queue depth; keeps the maximum.
+    /// Record how many connections hold unexecuted frames on one event
+    /// loop right now; keeps the maximum. Called once per batch, so the
+    /// shared cell is only written when the mark actually rises.
     pub fn observe_worker_queue_depth(&self, depth: u64) {
-        self.worker_queue_hwm.fetch_max(depth, Ordering::Relaxed);
+        if depth > self.worker_queue_hwm.load(Ordering::Relaxed) {
+            self.worker_queue_hwm.fetch_max(depth, Ordering::Relaxed);
+        }
     }
 }
 

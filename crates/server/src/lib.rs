@@ -15,10 +15,12 @@
 //!   incremental decoding, pipelined requests, connection limits,
 //!   read/write timeouts and graceful shutdown that drains in-flight
 //!   requests, served by either of two transports.
-//! * [`reactor`] — the default transport: a readiness-driven event loop
-//!   (epoll via the `polling` shim, `poll(2)` fallback) owning every
-//!   connection socket, plus a fixed worker pool executing dispatcher
-//!   batches — thousands of idle connections without one thread each.
+//! * [`reactor`] — the default transport: N symmetric readiness-driven
+//!   event loops (epoll via the `polling` shim, `poll(2)` fallback), each
+//!   owning its share of the connection sockets and running their
+//!   requests to completion — thousands of idle connections without one
+//!   thread each, and no hand-off between reading a request and
+//!   answering it.
 //! * [`client`] — a blocking [`client::TcpRemoteClient`] plus
 //!   [`client::TcpRemoteAdapter`], which implements
 //!   [`ycsb::concurrent::SharedKvInterface`] over a pool of real sockets

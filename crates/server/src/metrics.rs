@@ -7,7 +7,8 @@
 //!   [`crate::dispatch::Dispatcher::handle_frame`], which also feeds the
 //!   [`obs::Slowlog`]);
 //! * the connection-layer **stage histograms** the engine cannot see —
-//!   reactor worker-queue wait and replication apply time (the engine
+//!   the wait between decoding a batch and its event loop starting to
+//!   execute it, and replication apply time (the engine
 //!   keeps shard-lock hold and group-commit wait itself);
 //! * server identity (start time, transport label) for the `# Server`
 //!   `INFO` section.
@@ -122,7 +123,9 @@ pub struct ServerMetrics {
     /// Transport label, set once by the transport that binds.
     transport: OnceLock<&'static str>,
     families: [AtomicHistogram; CommandFamily::ALL.len()],
-    /// Time batches spend in the reactor → worker-pool queue.
+    /// Time from a batch being decoded to its first frame starting to
+    /// execute on its event loop (≈ 0 unless the loop is busy with
+    /// another connection).
     pub(crate) worker_queue_wait: AtomicHistogram,
     /// Time a replica spends applying one streamed journal record.
     pub(crate) repl_apply: AtomicHistogram,
@@ -186,7 +189,8 @@ impl ServerMetrics {
         self.families[family as usize].record(latency);
     }
 
-    /// Record how long one batch waited in the reactor → worker queue.
+    /// Record how long one decoded batch waited for its event loop to
+    /// start executing it.
     pub fn record_worker_queue_wait(&self, wait: Duration) {
         self.worker_queue_wait.record(wait);
     }

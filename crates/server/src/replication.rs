@@ -360,6 +360,10 @@ fn replicate_once(dispatcher: &Dispatcher, primary: &str, stop: &AtomicBool) -> 
             "primary did not open with FULLSYNC".to_string(),
         ));
     };
+    // Counted and marked attached before the snapshot lands, so nobody
+    // can read the synced keyspace next to gauges that predate the sync.
+    state.full_syncs.fetch_add(1, Ordering::SeqCst);
+    state.connected.store(true, Ordering::SeqCst);
     dispatcher
         .raw_engine()
         .restore_snapshot(&snapshot)
@@ -370,8 +374,6 @@ fn replicate_once(dispatcher: &Dispatcher, primary: &str, stop: &AtomicBool) -> 
     }
     state.applied_seq.store(last_seq, Ordering::SeqCst);
     state.primary_seq.store(last_seq, Ordering::SeqCst);
-    state.full_syncs.fetch_add(1, Ordering::Relaxed);
-    state.connected.store(true, Ordering::SeqCst);
 
     // Stream phase: apply records in sequence order as they are pushed.
     while !stop.load(Ordering::SeqCst) {

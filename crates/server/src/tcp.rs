@@ -1,11 +1,11 @@
 //! The RESP2 TCP front-end: one listener, two interchangeable transports.
 //!
 //! * [`Transport::Reactor`] (default) — the event-driven connection layer
-//!   in [`crate::reactor`]: a single readiness-polling thread owns the
-//!   listener and every non-blocking connection socket, and a fixed
-//!   worker pool executes [`Dispatcher`] batches. Thousands of mostly
-//!   idle connections cost one registered descriptor each instead of one
-//!   OS thread each.
+//!   in [`crate::reactor`]: N symmetric run-to-completion event loops,
+//!   each polling its own non-blocking connection sockets and executing
+//!   their [`Dispatcher`] batches itself; loop 0 also accepts and deals
+//!   the sockets out. Thousands of mostly idle connections cost one
+//!   registered descriptor each instead of one OS thread each.
 //! * [`Transport::Threads`] — the classic Redis-era shape kept as a
 //!   baseline and fallback: one accept thread, one OS thread per
 //!   connection, blocking reads with a short poll timeout so every
@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use resp::decode::Decoder;
-use resp::encode::encode_frame;
+use resp::encode::{encode_frame, encode_into};
 use resp::Frame;
 
 use crate::dispatch::{ClientStatsCells, Dispatcher, Session};
@@ -42,7 +42,7 @@ use crate::dispatch::{ClientStatsCells, Dispatcher, Session};
 /// Which connection layer serves the listener.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Transport {
-    /// Event-driven reactor + worker pool (see [`crate::reactor`]).
+    /// Run-to-completion event loops (see [`crate::reactor`]).
     #[default]
     Reactor,
     /// One OS thread per connection (the original transport).
@@ -93,8 +93,8 @@ pub struct ServerConfig {
     /// `0` means unlimited (useful on the reactor, whose per-connection
     /// cost is a registered descriptor rather than an OS thread).
     pub max_connections: usize,
-    /// Worker threads executing dispatcher batches on the reactor
-    /// transport; `0` sizes the pool automatically as
+    /// Event-loop threads of the reactor transport, each serving its
+    /// share of the connections from read to reply; `0` means
     /// `min(available cores, engine shards)`.
     pub workers: usize,
     /// Drop a connection after this long without receiving a complete
@@ -465,16 +465,14 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                                 shutdown_seen = true;
                             }
                             let reply = shared.dispatcher.handle_frame(&frame, &mut session);
-                            replies.extend_from_slice(&encode_frame(&reply));
+                            encode_into(&reply, &mut replies);
                         }
                         Ok(None) => break,
                         Err(e) => {
                             // Protocol error: answer with an error frame and
                             // drop the connection (the stream offset is
                             // unrecoverable).
-                            replies.extend_from_slice(&encode_frame(&Frame::Error(format!(
-                                "ERR {e}"
-                            ))));
+                            encode_into(&Frame::Error(format!("ERR {e}")), &mut replies);
                             let _ = stream.write_all(&replies);
                             return;
                         }
@@ -544,6 +542,7 @@ pub(crate) fn is_shutdown_command(frame: &Frame) -> bool {
 mod tests {
     use super::*;
     use crate::client::TcpRemoteClient;
+    use crate::reactor::{MAX_PENDING_FRAMES, TURN_FRAME_BUDGET};
     use kvstore::config::StoreConfig;
     use kvstore::store::KvStore;
 
@@ -552,27 +551,35 @@ mod tests {
         TcpServer::bind(dispatcher, "127.0.0.1:0", config).unwrap()
     }
 
-    /// Every transport-behavior test in this module runs against both
-    /// transports; `config.transport` is overridden per run.
-    fn for_both_transports(mut test: impl FnMut(Transport)) {
-        for transport in [Transport::Reactor, Transport::Threads] {
-            test(transport);
+    /// Every transport-behavior test in this module runs against the
+    /// reactor at one and at three event loops and against the threads
+    /// transport; a test overrides further fields of the config it gets.
+    fn for_each_transport(mut test: impl FnMut(ServerConfig, &str)) {
+        for (transport, workers) in [
+            (Transport::Reactor, 1),
+            (Transport::Reactor, 3),
+            (Transport::Threads, 0),
+        ] {
+            let config = ServerConfig {
+                transport,
+                workers,
+                ..ServerConfig::default()
+            };
+            test(config, &format!("{transport}, workers={workers}"));
         }
     }
 
     #[test]
     fn serves_basic_roundtrips_over_a_real_socket() {
-        for_both_transports(|transport| {
-            let server = kv_server(ServerConfig {
-                transport,
-                ..ServerConfig::default()
-            });
+        for_each_transport(|config, label| {
+            let transport = config.transport;
+            let server = kv_server(config);
             let mut client = TcpRemoteClient::connect(server.local_addr()).unwrap();
             client.set("k", b"v").unwrap();
             assert_eq!(client.get("k").unwrap(), Some(b"v".to_vec()));
             assert_eq!(client.get("missing").unwrap(), None);
             assert!(client.delete("k").unwrap());
-            assert_eq!(server.dispatcher().stats().requests, 4, "{transport}");
+            assert_eq!(server.dispatcher().stats().requests, 4, "{label}");
             assert_eq!(server.transport(), transport);
             server.shutdown();
         });
@@ -580,17 +587,14 @@ mod tests {
 
     #[test]
     fn pipelined_batch_returns_every_reply_in_order() {
-        for_both_transports(|transport| {
-            let server = kv_server(ServerConfig {
-                transport,
-                ..ServerConfig::default()
-            });
+        for_each_transport(|config, label| {
+            let server = kv_server(config);
             let mut client = TcpRemoteClient::connect(server.local_addr()).unwrap();
             let frames: Vec<Frame> = (0..50)
                 .map(|i| Frame::command(["SET", &format!("k{i}"), &format!("v{i}")]))
                 .collect();
             let replies = client.pipeline(&frames).unwrap();
-            assert_eq!(replies.len(), 50);
+            assert_eq!(replies.len(), 50, "{label}");
             assert!(replies.iter().all(|r| *r == Frame::Simple("OK".into())));
             let frames: Vec<Frame> = (0..50)
                 .map(|i| Frame::command(["GET", &format!("k{i}")]))
@@ -605,11 +609,10 @@ mod tests {
 
     #[test]
     fn connection_limit_rejects_excess_clients() {
-        for_both_transports(|transport| {
+        for_each_transport(|config, label| {
             let config = ServerConfig {
-                transport,
                 max_connections: 1,
-                ..ServerConfig::default()
+                ..config
             };
             let server = kv_server(config);
             let mut first = TcpRemoteClient::connect(server.local_addr()).unwrap();
@@ -619,21 +622,20 @@ mod tests {
             let err = second.ping().unwrap_err();
             assert!(
                 matches!(err, crate::ServerError::Server(ref m) if m.contains("max connections")),
-                "{transport}: {err}"
+                "{label}: {err}"
             );
-            assert_eq!(server.transport_stats().rejected, 1, "{transport}");
+            assert_eq!(server.transport_stats().rejected, 1, "{label}");
             server.shutdown();
         });
     }
 
     #[test]
     fn idle_connections_are_dropped_after_the_read_timeout() {
-        for_both_transports(|transport| {
+        for_each_transport(|config, label| {
             let config = ServerConfig {
-                transport,
                 read_timeout: Duration::from_millis(100),
                 poll_interval: Duration::from_millis(10),
-                ..ServerConfig::default()
+                ..config
             };
             let server = kv_server(config);
             let mut client = TcpRemoteClient::connect(server.local_addr()).unwrap();
@@ -641,7 +643,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(400));
             // The server has either sent the idle-timeout error or closed
             // the socket; either way the next roundtrip fails.
-            assert!(client.ping().is_err(), "{transport}");
+            assert!(client.ping().is_err(), "{label}");
             assert_eq!(server.dispatcher().client_stats().idle_timeouts, 1);
             server.shutdown();
         });
@@ -649,11 +651,10 @@ mod tests {
 
     #[test]
     fn oversized_frames_poison_only_their_connection() {
-        for_both_transports(|transport| {
+        for_each_transport(|config, label| {
             let config = ServerConfig {
-                transport,
                 max_frame_bytes: 1024,
-                ..ServerConfig::default()
+                ..config
             };
             let server = kv_server(config);
             let mut bad = TcpRemoteClient::connect(server.local_addr()).unwrap();
@@ -663,7 +664,7 @@ mod tests {
                 .unwrap_err();
             assert!(
                 matches!(err, crate::ServerError::Server(_)),
-                "{transport}: {err}"
+                "{label}: {err}"
             );
             // A fresh connection still works.
             let mut good = TcpRemoteClient::connect(server.local_addr()).unwrap();
@@ -674,27 +675,21 @@ mod tests {
 
     #[test]
     fn shutdown_command_stops_the_server() {
-        for_both_transports(|transport| {
-            let server = kv_server(ServerConfig {
-                transport,
-                ..ServerConfig::default()
-            });
+        for_each_transport(|config, label| {
+            let server = kv_server(config);
             let mut client = TcpRemoteClient::connect(server.local_addr()).unwrap();
             client.set("k", b"v").unwrap();
             client.shutdown_server().unwrap();
             server.wait_for_shutdown_request(Duration::from_millis(5));
-            assert!(server.is_shutdown_requested(), "{transport}");
+            assert!(server.is_shutdown_requested(), "{label}");
             server.shutdown();
         });
     }
 
     #[test]
     fn shutdown_drains_requests_already_on_the_wire() {
-        for_both_transports(|transport| {
-            let server = kv_server(ServerConfig {
-                transport,
-                ..ServerConfig::default()
-            });
+        for_each_transport(|config, label| {
+            let server = kv_server(config);
             let addr = server.local_addr();
             let mut client = TcpRemoteClient::connect(addr).unwrap();
             // Write a large pipelined batch and only then request
@@ -710,26 +705,117 @@ mod tests {
             std::thread::sleep(Duration::from_millis(50));
             server.request_shutdown();
             let replies = client.read_replies(frames.len()).unwrap();
-            assert_eq!(replies.len(), 200, "{transport}");
+            assert_eq!(replies.len(), 200, "{label}");
             assert!(replies.iter().all(|r| *r == Frame::Simple("OK".into())));
             server.shutdown();
         });
     }
 
+    fn reactor_server(workers: usize) -> TcpServerHandle {
+        kv_server(ServerConfig {
+            transport: Transport::Reactor,
+            workers,
+            ..ServerConfig::default()
+        })
+    }
+
+    #[test]
+    fn a_deep_pipeline_yields_to_its_neighbours_every_turn_budget() {
+        for workers in [1, 3] {
+            let server = reactor_server(workers);
+            let addr = server.local_addr();
+            let requests = || server.dispatcher().stats().requests;
+            // Sockets are dealt round-robin in accept order, so the
+            // streamer shares a loop with the connection accepted
+            // `workers` places after it and with none in between.
+            let mut streamer = TcpRemoteClient::connect(addr).unwrap();
+            let mut neighbours: Vec<TcpRemoteClient> = (0..workers)
+                .map(|_| TcpRemoteClient::connect(addr).unwrap())
+                .collect();
+            // A keyspace walk per frame: slow next to the PING round
+            // trips that sample the request counter below, tiny replies.
+            let keys: Vec<Frame> = (0..20_000)
+                .map(|i| Frame::command(["SET", &format!("key:{i}"), "v"]))
+                .collect();
+            streamer.pipeline(&keys).unwrap();
+            for neighbour in &mut neighbours {
+                neighbour.ping().unwrap();
+            }
+            let walk = vec![Frame::command(["KEYS", "nomatch*"]); MAX_PENDING_FRAMES];
+            let done = requests() + walk.len() as u64;
+            streamer.send_batch(&walk).unwrap();
+
+            // A neighbour on another loop waits for nothing but its own
+            // PING; the last one shares the streamer's loop and waits for
+            // the turn in progress when its PING arrived, no more.
+            for (i, neighbour) in neighbours.iter_mut().enumerate() {
+                let budget = TURN_FRAME_BUDGET as u64;
+                let bound = if i + 1 == workers {
+                    2 * budget
+                } else {
+                    budget / 4
+                };
+                let before = requests();
+                neighbour.ping().unwrap();
+                let waited = requests() - before;
+                assert!(before + waited < done, "workers={workers}: walk over");
+                assert!(
+                    waited <= bound,
+                    "workers={workers}, neighbour {i}: PING waited for {waited} frames"
+                );
+            }
+            // Hang up on the rest of the walk instead of waiting for it.
+            drop(streamer);
+            server.shutdown();
+        }
+    }
+
+    #[test]
+    fn shutdown_on_any_loop_answers_every_backlog_however_deep() {
+        for workers in [1, 3] {
+            let server = reactor_server(workers);
+            let addr = server.local_addr();
+            // Accepted first, second, third: loops 0, 1 and 2 of three.
+            let mut deep = TcpRemoteClient::connect(addr).unwrap();
+            let mut stopper = TcpRemoteClient::connect(addr).unwrap();
+            let mut bystander = TcpRemoteClient::connect(addr).unwrap();
+            for client in [&mut deep, &mut stopper, &mut bystander] {
+                client.ping().unwrap();
+            }
+            // Deeper than the backpressure cap plus a turn budget, in
+            // frames large enough that reads stop at the cap with the
+            // tail still unread on the socket when SHUTDOWN is executed.
+            let depth = MAX_PENDING_FRAMES + TURN_FRAME_BUDGET + 1000;
+            let value = "v".repeat(100);
+            let backlog: Vec<Frame> = (0..depth)
+                .map(|i| Frame::command(["SET", &format!("key:{i}"), &value]))
+                .collect();
+            let few: Vec<Frame> = (0..50).map(|_| Frame::command(["PING"])).collect();
+            deep.send_batch(&backlog).unwrap();
+            bystander.send_batch(&few).unwrap();
+            // From a second connection — on a loop other than 0 when
+            // there are three — while the backlog is being worked off.
+            stopper.shutdown_server().unwrap();
+
+            let replies = deep.read_replies(depth).unwrap();
+            assert_eq!(replies.len(), depth, "workers={workers}");
+            assert!(replies.iter().all(|r| *r == Frame::Simple("OK".into())));
+            assert_eq!(bystander.read_replies(few.len()).unwrap().len(), few.len());
+            server.shutdown();
+        }
+    }
+
     #[test]
     fn accept_after_shutdown_is_refused() {
-        for_both_transports(|transport| {
-            let server = kv_server(ServerConfig {
-                transport,
-                ..ServerConfig::default()
-            });
+        for_each_transport(|config, label| {
+            let server = kv_server(config);
             let addr = server.local_addr();
             server.shutdown();
             // The listener is gone; connecting now fails (or is dropped
             // immediately by the OS backlog).
             let client = TcpRemoteClient::connect(addr);
             if let Ok(mut c) = client {
-                assert!(c.ping().is_err(), "{transport}");
+                assert!(c.ping().is_err(), "{label}");
             }
         });
     }

@@ -101,6 +101,16 @@ impl BufMut for BytesMut {
     }
 }
 
+impl BufMut for Vec<u8> {
+    fn put_u8(&mut self, b: u8) {
+        self.push(b);
+    }
+
+    fn put_slice(&mut self, src: &[u8]) {
+        self.extend_from_slice(src);
+    }
+}
+
 impl Deref for BytesMut {
     type Target = [u8];
 
@@ -143,6 +153,14 @@ mod tests {
         buf.advance(3);
         assert_eq!(&buf[..], b"\r\n");
         assert_eq!(buf.to_vec(), b"\r\n".to_vec());
+    }
+
+    #[test]
+    fn vec_accepts_appended_bytes() {
+        let mut buf: Vec<u8> = Vec::new();
+        buf.put_u8(b'$');
+        buf.put_slice(b"-1\r\n");
+        assert_eq!(buf, b"$-1\r\n");
     }
 
     #[test]

@@ -1,7 +1,10 @@
-//! Connection-layer regression battery, run against BOTH transports:
-//! over-limit refusal with a final error frame, slow-loris idle
-//! enforcement, partial-frame-at-shutdown drain semantics, and the
-//! `# Clients` / `clients_*=` stats surfaces.
+//! Connection-layer regression battery, run against BOTH transports —
+//! the reactor at one and at three event loops: over-limit refusal with
+//! a final error frame, slow-loris idle enforcement,
+//! partial-frame-at-shutdown drain semantics, the `# Clients` /
+//! `clients_*=` stats surfaces, and what a loop of its own buys a
+//! connection (a neighbour's slow export does not delay it, a `SHUTDOWN`
+//! seen by any loop drains them all).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -20,13 +23,47 @@ use gdpr_storage::resp::command::GdprRequest;
 use gdpr_storage::resp::encode::encode_frame;
 use gdpr_storage::resp::Frame;
 
-const BOTH: [Transport; 2] = [Transport::Reactor, Transport::Threads];
+/// One way of serving: a transport and its `workers` setting (event
+/// loops on the reactor; the threads transport ignores it).
+#[derive(Clone, Copy)]
+struct Leg {
+    transport: Transport,
+    workers: usize,
+}
 
-fn kv_server(transport: Transport, mutate: impl FnOnce(&mut ServerConfig)) -> TcpServerHandle {
-    let mut config = ServerConfig {
-        transport,
-        ..ServerConfig::default()
-    };
+impl Leg {
+    const fn new(transport: Transport, workers: usize) -> Leg {
+        Leg { transport, workers }
+    }
+
+    fn config(self) -> ServerConfig {
+        ServerConfig {
+            transport: self.transport,
+            workers: self.workers,
+            ..ServerConfig::default()
+        }
+    }
+}
+
+impl std::fmt::Display for Leg {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}, workers={}", self.transport, self.workers)
+    }
+}
+
+const REACTOR_LEGS: [Leg; 2] = [
+    Leg::new(Transport::Reactor, 1),
+    Leg::new(Transport::Reactor, 3),
+];
+
+const BOTH: [Leg; 3] = [
+    REACTOR_LEGS[0],
+    REACTOR_LEGS[1],
+    Leg::new(Transport::Threads, 0),
+];
+
+fn kv_server(leg: Leg, mutate: impl FnOnce(&mut ServerConfig)) -> TcpServerHandle {
+    let mut config = leg.config();
     mutate(&mut config);
     let dispatcher = Dispatcher::kv(KvStore::open(StoreConfig::in_memory()).unwrap());
     TcpServer::bind(dispatcher, "127.0.0.1:0", config).unwrap()
@@ -46,8 +83,8 @@ fn eventually(what: &str, mut probe: impl FnMut() -> bool) {
 
 #[test]
 fn over_limit_clients_get_a_final_error_frame_then_the_slot_frees_up() {
-    for transport in BOTH {
-        let server = kv_server(transport, |c| c.max_connections = 2);
+    for leg in BOTH {
+        let server = kv_server(leg, |c| c.max_connections = 2);
         let addr = server.local_addr();
         let mut a = TcpRemoteClient::connect(addr).unwrap();
         let mut b = TcpRemoteClient::connect(addr).unwrap();
@@ -65,9 +102,9 @@ fn over_limit_clients_get_a_final_error_frame_then_the_slot_frees_up() {
         assert_eq!(
             String::from_utf8_lossy(&raw),
             "-ERR max connections reached\r\n",
-            "{transport}"
+            "{leg}"
         );
-        assert_eq!(server.transport_stats().rejected, 1, "{transport}");
+        assert_eq!(server.transport_stats().rejected, 1, "{leg}");
 
         // Closing one served connection frees the slot for a newcomer.
         drop(b);
@@ -83,8 +120,8 @@ fn over_limit_clients_get_a_final_error_frame_then_the_slot_frees_up() {
 
 #[test]
 fn slow_loris_trickler_is_timed_out_without_stalling_other_connections() {
-    for transport in BOTH {
-        let server = kv_server(transport, |c| {
+    for leg in BOTH {
+        let server = kv_server(leg, |c| {
             c.read_timeout = Duration::from_millis(200);
             c.poll_interval = Duration::from_millis(10);
         });
@@ -126,8 +163,8 @@ fn slow_loris_trickler_is_timed_out_without_stalling_other_connections() {
 
 #[test]
 fn shutdown_answers_the_complete_frame_and_drops_the_partial_one() {
-    for transport in BOTH {
-        let server = kv_server(transport, |_| {});
+    for leg in BOTH {
+        let server = kv_server(leg, |_| {});
         let addr = server.local_addr();
 
         // One complete SET plus the dangling prefix of a second frame in
@@ -147,18 +184,18 @@ fn shutdown_answers_the_complete_frame_and_drops_the_partial_one() {
             .unwrap();
         let mut raw = Vec::new();
         socket.read_to_end(&mut raw).unwrap();
-        assert_eq!(String::from_utf8_lossy(&raw), "+OK\r\n", "{transport}");
+        assert_eq!(String::from_utf8_lossy(&raw), "+OK\r\n", "{leg}");
         server.shutdown();
         assert!(
             started.elapsed() < Duration::from_secs(5),
-            "{transport}: drain hung on a partial frame"
+            "{leg}: drain hung on a partial frame"
         );
     }
 }
 
 #[test]
 fn client_counters_surface_in_info_and_gdpr_stats() {
-    for transport in BOTH {
+    for leg in BOTH {
         let store = Arc::new(
             GdprStore::open(
                 CompliancePolicy::eventual(),
@@ -171,10 +208,7 @@ fn client_counters_surface_in_info_and_gdpr_stats() {
         let server = TcpServer::bind(
             Dispatcher::gdpr(Arc::clone(&store)),
             "127.0.0.1:0",
-            ServerConfig {
-                transport,
-                ..ServerConfig::default()
-            },
+            leg.config(),
         )
         .unwrap();
         let mut client = TcpRemoteClient::connect(server.local_addr()).unwrap();
@@ -192,10 +226,7 @@ fn client_counters_surface_in_info_and_gdpr_stats() {
             "clients_rejected_over_limit:0",
             "clients_idle_timeouts:0",
         ] {
-            assert!(
-                info.contains(needle),
-                "{transport}: missing {needle}\n{info}"
-            );
+            assert!(info.contains(needle), "{leg}: missing {needle}\n{info}");
         }
 
         let stats: Vec<String> = match client.gdpr(&GdprRequest::Stats).unwrap() {
@@ -212,26 +243,105 @@ fn client_counters_surface_in_info_and_gdpr_stats() {
             stats
                 .iter()
                 .find_map(|l| l.strip_prefix(prefix))
-                .unwrap_or_else(|| panic!("{transport}: no {prefix} line in {stats:?}"))
+                .unwrap_or_else(|| panic!("{leg}: no {prefix} line in {stats:?}"))
                 .parse()
                 .unwrap()
         };
-        assert_eq!(line_value("clients_connected="), 1, "{transport}");
-        assert_eq!(line_value("clients_accepted="), 1, "{transport}");
+        assert_eq!(line_value("clients_connected="), 1, "{leg}");
+        assert_eq!(line_value("clients_accepted="), 1, "{leg}");
         let wakeups = line_value("clients_reactor_wakeups=");
         let queue_hwm = line_value("clients_worker_queue_hwm=");
-        match transport {
-            // The reactor woke for every accept/read/completion, and the
-            // worker queue carried at least one batch.
+        let queue_waits = server
+            .dispatcher()
+            .metrics()
+            .stage_snapshots()
+            .into_iter()
+            .find(|(stage, _)| *stage == "worker_queue_wait")
+            .map(|(_, waits)| waits.count())
+            .unwrap();
+        match leg.transport {
+            // Some loop woke for the accept and for every request; one
+            // connection was all that ever waited for its loop, once per
+            // batch it sent (AUTH, SET, INFO and this GDPR.STATS).
             Transport::Reactor => {
-                assert!(wakeups > 0, "{transport}");
-                assert!(queue_hwm >= 1, "{transport}");
+                assert!(wakeups >= 4, "{leg}");
+                assert_eq!(queue_hwm, 1, "{leg}");
+                assert_eq!(queue_waits, 4, "{leg}");
             }
-            // Thread-per-connection has neither a reactor nor a queue.
+            // Thread-per-connection has neither an event loop nor a
+            // ready list.
             Transport::Threads => {
-                assert_eq!(wakeups, 0, "{transport}");
-                assert_eq!(queue_hwm, 0, "{transport}");
+                assert_eq!(wakeups, 0, "{leg}");
+                assert_eq!(queue_hwm, 0, "{leg}");
+                assert_eq!(queue_waits, 0, "{leg}");
             }
+        }
+        server.shutdown();
+    }
+}
+
+#[test]
+fn a_slow_export_delays_only_the_connections_on_its_loop() {
+    for leg in REACTOR_LEGS {
+        let store = Arc::new(
+            GdprStore::open(
+                CompliancePolicy::eventual(),
+                StoreConfig::in_memory().aof_in_memory(),
+                Box::new(gdpr_storage::audit::sink::MemorySink::new()),
+            )
+            .unwrap(),
+        );
+        store.grant(Grant::new("app", "billing"));
+        let server = TcpServer::bind(Dispatcher::gdpr(store), "127.0.0.1:0", leg.config()).unwrap();
+        let addr = server.local_addr();
+        // Accepted first and second: loops 0 and 1 when there are three.
+        let mut exporter = TcpRemoteClient::connect(addr).unwrap();
+        let mut pinger = TcpRemoteClient::connect(addr).unwrap();
+        exporter.auth("app", "billing").unwrap();
+        pinger.ping().unwrap();
+
+        // A subject large enough that its monolithic export outlasts a
+        // PING round trip many times over.
+        let keys = 3000;
+        let puts: Vec<Frame> = (0..keys)
+            .map(|i| {
+                GdprRequest::Put {
+                    key: format!("user:big:{i}"),
+                    subject: "big".into(),
+                    purposes: vec!["billing".into()],
+                    value: vec![b'x'; 200],
+                    ttl_ms: None,
+                }
+                .to_frame()
+            })
+            .collect();
+        let stored = exporter.pipeline(&puts).unwrap();
+        assert!(stored.iter().all(|r| *r == Frame::Simple("OK".into())));
+
+        // Commands are timed into their family histogram when they
+        // complete, so the histograms' total counts completions.
+        let completed = || -> u64 {
+            let families = server.dispatcher().metrics().family_snapshots();
+            families.iter().map(|(_, family)| family.count()).sum()
+        };
+        let before = completed();
+        let export = GdprRequest::Export {
+            subject: "big".into(),
+            cursor: None,
+            count: None,
+        };
+        exporter.send_batch(&[export.to_frame()]).unwrap();
+        pinger.ping().unwrap();
+        if leg.workers > 1 {
+            // PONG came back from another loop with the export still
+            // running: only the PING has completed.
+            assert_eq!(completed() - before, 1, "{leg}");
+        }
+        // Sharing the one loop, the PING may have had to wait; either
+        // way both are answered.
+        match exporter.read_replies(1).unwrap().pop() {
+            Some(Frame::Bulk(document)) => assert!(document.len() > keys * 200, "{leg}"),
+            other => panic!("{leg}: unexpected {other:?}"),
         }
         server.shutdown();
     }

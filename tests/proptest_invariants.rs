@@ -14,9 +14,55 @@ use gdpr_storage::kvstore::config::StoreConfig;
 use gdpr_storage::kvstore::db::{glob_match, Db};
 use gdpr_storage::kvstore::store::KvStore;
 use gdpr_storage::resp::decode::decode_one;
-use gdpr_storage::resp::encode::encode_frame;
+use gdpr_storage::resp::encode::{encode_frame, encode_into};
 use gdpr_storage::resp::Frame;
 use proptest::prelude::*;
+
+// ---------------------------------------------------------------------------
+// RESP frames
+
+/// Frames nested up to `depth` arrays deep.
+fn frame_strategy(depth: u32) -> Box<dyn Strategy<Value = Frame>> {
+    let text = "[a-zA-Z0-9 .:-]{0,12}";
+    let leaf = prop_oneof![
+        text.prop_map(Frame::Simple),
+        text.prop_map(Frame::Error),
+        any::<i64>().prop_map(Frame::Integer),
+        Just(Frame::Integer(i64::MIN)),
+        proptest::collection::vec(any::<u8>(), 0..40).prop_map(Frame::Bulk),
+        Just(Frame::Null),
+    ];
+    if depth == 0 {
+        return Box::new(leaf);
+    }
+    Box::new(prop_oneof![
+        leaf,
+        proptest::collection::vec(frame_strategy(depth - 1), 0..5).prop_map(Frame::Array),
+    ])
+}
+
+/// RESP2 written the obvious way, one `to_string()` per number.
+fn reference_encode(frame: &Frame) -> Vec<u8> {
+    match frame {
+        Frame::Simple(s) => format!("+{s}\r\n").into_bytes(),
+        Frame::Error(s) => format!("-{s}\r\n").into_bytes(),
+        Frame::Integer(i) => format!(":{i}\r\n").into_bytes(),
+        Frame::Bulk(data) => {
+            let mut out = format!("${}\r\n", data.len()).into_bytes();
+            out.extend_from_slice(data);
+            out.extend_from_slice(b"\r\n");
+            out
+        }
+        Frame::Null => b"$-1\r\n".to_vec(),
+        Frame::Array(items) => {
+            let mut out = format!("*{}\r\n", items.len()).into_bytes();
+            for item in items {
+                out.extend_from_slice(&reference_encode(item));
+            }
+            out
+        }
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Keyspace vs model
@@ -168,6 +214,24 @@ proptest! {
         for frame in frames {
             prop_assert_eq!(decode_one(&encode_frame(&frame)).unwrap(), frame);
         }
+    }
+
+    /// Encoding straight into a caller's buffer — how the server loops
+    /// fill a connection's outbox — appends exactly the bytes of
+    /// `encode_frame`, which are the bytes a `to_string()`-built reference
+    /// encoder produces, for arbitrarily nested frames.
+    #[test]
+    fn resp_encoding_is_byte_identical_on_every_path(
+        frame in frame_strategy(3),
+        prefix in proptest::collection::vec(any::<u8>(), 0..16),
+    ) {
+        let standalone = encode_frame(&frame);
+        prop_assert_eq!(&standalone, &reference_encode(&frame));
+        let mut outbox = prefix.clone();
+        encode_into(&frame, &mut outbox);
+        prop_assert_eq!(&outbox[..prefix.len()], &prefix[..]);
+        prop_assert_eq!(&outbox[prefix.len()..], &standalone[..]);
+        prop_assert_eq!(decode_one(&standalone).unwrap(), frame);
     }
 
     /// GDPR metadata roundtrips for arbitrary contents.

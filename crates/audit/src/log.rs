@@ -35,6 +35,8 @@ pub struct AuditLog {
     policy: FlushPolicy,
     chain: Option<ChainState>,
     buffer: Vec<String>,
+    /// Lines the sink has taken but not yet synced.
+    unsynced: bool,
     next_sequence: u64,
     last_flush_ms: u64,
     stats: AuditLogStats,
@@ -50,6 +52,7 @@ impl AuditLog {
             policy,
             chain: Some(ChainState::new()),
             buffer: Vec::new(),
+            unsynced: false,
             next_sequence: 0,
             last_flush_ms: 0,
             stats: AuditLogStats::default(),
@@ -138,15 +141,27 @@ impl AuditLog {
     ///
     /// # Errors
     ///
-    /// Propagates sink errors.
+    /// Propagates sink errors. The lines the sink did not take stay
+    /// buffered, and a failed sync stays owed, so the next flush retries
+    /// both: no record is dropped because the sink was down.
     pub fn flush(&mut self) -> Result<()> {
-        if self.buffer.is_empty() {
+        if self.buffer.is_empty() && !self.unsynced {
             return Ok(());
         }
-        for line in self.buffer.drain(..) {
-            self.sink.write_line(&line)?;
+        let mut taken = 0;
+        let mut written = Ok(());
+        for line in &self.buffer {
+            written = self.sink.write_line(line);
+            if written.is_err() {
+                break;
+            }
+            taken += 1;
         }
+        self.buffer.drain(..taken);
+        self.unsynced |= taken > 0;
+        written?;
         self.sink.sync()?;
+        self.unsynced = false;
         self.stats.flushes += 1;
         Ok(())
     }

@@ -9,20 +9,32 @@
 use crate::chain::{verify_chain, ChainedRecord};
 use crate::log::parse_chained_line;
 use crate::record::{AuditRecord, Operation, Outcome};
+use crate::sink::trail_end;
 use crate::{AuditError, Result};
 
 /// Parse a whole trail (one record per line) into chained records.
 ///
+/// The text may be a trail file read while its [`crate::sink::FileSink`]
+/// is open, or after a crash: the trail ends behind the last newline that
+/// ends a line without a NUL, which is where a reopened sink goes on
+/// writing. Behind that lie the NULs of the extended file and what a crash
+/// tore. Of it, only an append that is whole but for its newline — it
+/// parses, and carries a chain digest if the line before it does — is
+/// kept.
+///
 /// # Errors
 ///
-/// Returns [`AuditError::Corrupt`] naming the first malformed line.
+/// Returns [`AuditError::Corrupt`] naming the first malformed line. A NUL
+/// inside the trail is one: a hole that lines were lost in, with whole
+/// lines behind it.
 pub fn parse_trail(text: &str) -> Result<Vec<ChainedRecord>> {
+    let (complete, rest) = text.split_at(trail_end(text.as_bytes()));
     let mut out = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
+    for (idx, line) in complete.lines().enumerate() {
         if line.is_empty() {
             continue;
         }
-        match parse_chained_line(line) {
+        match parse_chained_line(line).filter(|_| !line.contains('\0')) {
             Some(chained) => out.push(chained),
             None => {
                 return Err(AuditError::Corrupt(format!(
@@ -30,6 +42,13 @@ pub fn parse_trail(text: &str) -> Result<Vec<ChainedRecord>> {
                     idx + 1
                 )))
             }
+        }
+    }
+    let unfinished = rest.trim_end_matches('\0');
+    if let Some(last) = parse_chained_line(unfinished).filter(|_| !unfinished.contains('\0')) {
+        let chained = out.last().is_some_and(|prev| !prev.digest.is_empty());
+        if !last.digest.is_empty() || !chained {
+            out.push(last);
         }
     }
     Ok(out)
@@ -239,7 +258,7 @@ mod tests {
     #[test]
     fn corrupt_line_is_reported_with_its_number() {
         let mut text = build_trail();
-        text.push_str("\nthis is not a record");
+        text.push_str("\nthis is not a record\n");
         match parse_trail(&text) {
             Err(AuditError::Corrupt(msg)) => assert!(msg.contains("line 5")),
             other => panic!("expected Corrupt, got {other:?}"),
@@ -303,6 +322,56 @@ mod tests {
         let tampered = combined.replace("bob", "mallory");
         let trail = parse_trail(&tampered).unwrap();
         assert!(verify_trail_segments(&trail).is_err());
+    }
+
+    #[test]
+    fn an_open_or_torn_trail_parses_to_its_complete_lines() {
+        let whole = format!("{}\n", build_trail());
+        let records = parse_trail(&whole).unwrap();
+        let (head, last_line) = whole[..whole.len() - 1].rsplit_once('\n').unwrap();
+        // The file as a reader finds it while the sink is open.
+        assert_eq!(parse_trail(&format!("{whole}\0\0\0\0")).unwrap(), records);
+        // Every way the last line can be torn, with and without the tail
+        // behind it: the lines before it survive, and verify.
+        for cut in 0..last_line.len() {
+            for tail in ["", "\0\0\0"] {
+                let torn = format!("{head}\n{}{tail}", &last_line[..cut]);
+                let parsed = parse_trail(&torn).unwrap();
+                assert_eq!(parsed, records[..records.len() - 1], "cut {cut}");
+                verify_trail(&parsed).unwrap();
+            }
+        }
+        // Whole but for its newline: still a record.
+        assert_eq!(
+            parse_trail(&format!("{head}\n{last_line}")).unwrap(),
+            records
+        );
+        // Torn across a page of which only the second half landed: the
+        // newline is there, the line is not.
+        let (front, back) = last_line.split_at(last_line.len() / 2);
+        for torn in [
+            format!("{head}\n{front}\0\0\0{back}\n\0\0"),
+            format!("{head}\n\0\0\0{back}\n"),
+            format!("{head}\n{front}\0\0\0{back}\n{front}"),
+        ] {
+            assert_eq!(
+                parse_trail(&torn).unwrap(),
+                records[..records.len() - 1],
+                "{torn:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_hole_with_whole_lines_behind_it_is_corruption_not_the_end() {
+        let whole = format!("{}\n", build_trail());
+        let (first, rest) = whole.split_once('\n').unwrap();
+        let (second, rest) = rest.split_once('\n').unwrap();
+        let holed = format!("{first}\n{}\n{rest}", "\0".repeat(second.len()));
+        match parse_trail(&holed) {
+            Err(AuditError::Corrupt(msg)) => assert!(msg.contains("line 2"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 
     #[test]

@@ -188,11 +188,13 @@ impl AuditRecord {
         // The common case has nothing to escape; only allocate when a field
         // actually contains a special character.
         fn esc(s: &str) -> std::borrow::Cow<'_, str> {
-            if s.contains(['\\', '|', '\n']) {
+            // NUL too: in a trail file a line that holds one is a torn line.
+            if s.contains(['\\', '|', '\n', '\0']) {
                 std::borrow::Cow::Owned(
                     s.replace('\\', "\\\\")
                         .replace('|', "\\p")
-                        .replace('\n', "\\n"),
+                        .replace('\n', "\\n")
+                        .replace('\0', "\\0"),
                 )
             } else {
                 std::borrow::Cow::Borrowed(s)
@@ -229,6 +231,7 @@ impl AuditRecord {
         fn unesc(s: &str) -> String {
             s.replace("\\n", "\n")
                 .replace("\\p", "|")
+                .replace("\\0", "\0")
                 .replace("\\\\", "\\")
         }
         let parts: Vec<&str> = line.split('|').collect();
@@ -273,11 +276,11 @@ mod tests {
 
     #[test]
     fn roundtrip_with_escaping() {
-        let mut r = sample().detail("weird|detail\nwith newline \\ and backslash");
+        let mut r = sample().detail("weird|detail\nwith newline \\ and backslash, \0 too");
         r.actor = "pipe|actor".to_string();
         r.sequence = 1;
         let line = r.to_line();
-        assert!(!line.contains('\n'));
+        assert!(!line.contains(['\n', '\0']));
         assert_eq!(AuditRecord::from_line(&line).unwrap(), r);
     }
 

@@ -1,10 +1,11 @@
 //! Audit sinks: where trail lines are persisted.
 
-use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::fs::File;
+use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use extfile::ExtendedFile;
 use parking_lot::Mutex;
 
 use crate::Result;
@@ -112,25 +113,102 @@ impl AuditSink for MemorySink {
 }
 
 /// An append-only file sink with explicit fsync.
+///
+/// While the sink is open the file is longer than the trail: its length is
+/// extended ahead ([`extfile`]; sparse, never written), so the tail reads
+/// as NUL bytes. No line holds a NUL ([`crate::record::AuditRecord`]
+/// escapes it), so **the trail ends behind the last newline that ends a
+/// line without one** — the one rule by which this sink resumes and
+/// [`crate::reader::parse_trail`] reads the file. A clean close cuts the file back to the
+/// trail; after a crash the next open does, and with the tail drops what
+/// the crash tore: a last line that no newline ends, or one with a hole in
+/// it.
 #[derive(Debug)]
 pub struct FileSink {
     path: PathBuf,
-    file: File,
+    file: ExtendedFile,
+    /// The line being written, with its newline: one write per line.
+    line: Vec<u8>,
     stats: SinkStats,
 }
 
+/// Where the trail in `bytes` (which start at the start of a line) ends:
+/// behind the last newline that ends a line holding no NUL byte, 0 if there
+/// is none. What lies behind that is the extended tail of an open file, a
+/// line a crash tore a hole in, or an append that never got its newline.
+pub(crate) fn trail_end(bytes: &[u8]) -> usize {
+    let mut end = bytes.len();
+    while let Some(newline) = bytes[..end].iter().rposition(|b| *b == b'\n') {
+        let line_start = bytes[..newline]
+            .iter()
+            .rposition(|b| *b == b'\n')
+            .map_or(0, |previous| previous + 1);
+        if !bytes[line_start..newline].contains(&0) {
+            return newline + 1;
+        }
+        end = newline;
+    }
+    0
+}
+
+/// [`trail_end`] of the file, found from the back: O(tail), however long
+/// the trail is.
+fn find_trail_end(mut file: &File, len: u64) -> std::io::Result<u64> {
+    let mut read_back = |buf: &mut Vec<u8>, from: u64, to: u64| {
+        buf.resize((to - from) as usize, 0);
+        file.seek(SeekFrom::Start(from))?;
+        file.read_exact(buf)
+    };
+    // Step back over the extended tail in fixed blocks.
+    let mut buf = Vec::new();
+    let mut content_end = len;
+    while content_end > 0 {
+        let from = content_end.saturating_sub(64 << 10);
+        read_back(&mut buf, from, content_end)?;
+        match buf.iter().rposition(|b| *b != 0) {
+            Some(last) => {
+                content_end = from + last as u64 + 1;
+                break;
+            }
+            None => content_end = from,
+        }
+    }
+    // Then look at a window that ends there, widened until it holds the
+    // end of the trail: lines are short, the first one almost always does.
+    let mut window = 64 << 10;
+    loop {
+        let from = content_end.saturating_sub(window);
+        read_back(&mut buf, from, content_end)?;
+        // A window that does not begin the file begins inside a line.
+        let line_start = match buf.iter().position(|b| *b == b'\n') {
+            _ if from == 0 => 0,
+            Some(newline) => newline + 1,
+            None => buf.len(),
+        };
+        let end = trail_end(&buf[line_start..]);
+        if end > 0 || from == 0 {
+            return Ok(from + (line_start + end) as u64);
+        }
+        window *= 2;
+    }
+}
+
 impl FileSink {
-    /// Open (creating if necessary) a trail file at `path`.
+    /// Open (creating if necessary) a trail file at `path` and resume
+    /// where its trail ends.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from opening the file.
+    /// Propagates I/O errors from opening or reading the file.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let mut file = ExtendedFile::open(&path)?;
+        let end = find_trail_end(file.file(), file.end())?;
+        file.truncate(end)?;
         Ok(FileSink {
             path,
             file,
+            line: Vec::new(),
             stats: SinkStats::default(),
         })
     }
@@ -144,10 +222,12 @@ impl FileSink {
 
 impl AuditSink for FileSink {
     fn write_line(&mut self, line: &str) -> Result<()> {
-        self.file.write_all(line.as_bytes())?;
-        self.file.write_all(b"\n")?;
+        self.line.clear();
+        self.line.extend_from_slice(line.as_bytes());
+        self.line.push(b'\n');
+        self.file.append(&self.line)?;
         self.stats.lines += 1;
-        self.stats.bytes += line.len() as u64 + 1;
+        self.stats.bytes += self.line.len() as u64;
         Ok(())
     }
 
@@ -210,5 +290,83 @@ mod tests {
         let content = std::fs::read_to_string(&path).unwrap();
         assert_eq!(content, "first\nsecond\nthird\n");
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn file_sink_extends_ahead_and_resumes_behind_the_last_complete_line() {
+        let dir = std::env::temp_dir().join(format!("audit-sink-ahead-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("trail.log");
+        let _ = std::fs::remove_file(&path);
+        let mut s = FileSink::open(&path).unwrap();
+        s.write_line("first").unwrap();
+        s.sync().unwrap();
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            extfile::EXTENT_CHUNK
+        );
+        assert_eq!(s.stats().bytes, 6, "bytes written, not the file length");
+        let open = std::fs::read(&path).unwrap();
+        assert!(open.starts_with(b"first\n\0"), "a NUL ends the open trail");
+        drop(s);
+        assert_eq!(std::fs::read(&path).unwrap(), b"first\n", "clean close");
+
+        // What a crash leaves, for every way the next line can be torn: the
+        // whole lines, a fragment of the next one, the extended tail.
+        for torn in [
+            "",
+            "s",
+            "second",
+            "second\0\0half",
+            "sec\0\0ond\n",
+            "\0\0ond\n",
+        ] {
+            let mut crashed = format!("first\n{torn}").into_bytes();
+            crashed.resize(4096, 0);
+            std::fs::write(&path, &crashed).unwrap();
+            let mut s = FileSink::open(&path).unwrap();
+            s.write_line("next").unwrap();
+            drop(s);
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                b"first\nnext\n",
+                "torn {torn:?}"
+            );
+        }
+        // A fragment longer than the window `open` first looks at.
+        let long = "x".repeat(100 << 10);
+        for (crashed, trail) in [
+            (format!("first\n{long}\0\0"), "first\nnext\n".to_string()),
+            (
+                format!("first\n{long}\n\0\0"),
+                format!("first\n{long}\nnext\n"),
+            ),
+        ] {
+            std::fs::write(&path, crashed).unwrap();
+            let mut s = FileSink::open(&path).unwrap();
+            s.write_line("next").unwrap();
+            drop(s);
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), trail);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_trail_ends_behind_the_last_whole_line() {
+        for (bytes, end) in [
+            (&b""[..], 0),
+            (b"\0\0\0", 0),
+            (b"unfinished", 0),
+            (b"one\n", 4),
+            (b"one\ntwo\n\0\0", 8),
+            (b"one\ntw", 4),
+            (b"one\nt\0o\n\0", 4),
+            (b"\0ne\n", 0),
+            // A hole with whole lines behind it is not the end: the reader
+            // reports it.
+            (b"one\n\0\0\0\nthree\n", 14),
+        ] {
+            assert_eq!(trail_end(bytes), end, "{bytes:?}");
+        }
     }
 }

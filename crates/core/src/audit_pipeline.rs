@@ -50,10 +50,15 @@ impl AuditPipeline {
     /// Record one interaction, routed through the shard's buffer unless the
     /// policy is real-time. Recording into a buffer cannot fail; sink
     /// errors surface on flush.
-    pub fn emit(&self, shard: usize, record: AuditRecord) {
+    ///
+    /// # Errors
+    ///
+    /// Under a real-time policy, the sink error that kept the record from
+    /// becoming durable (the log keeps the line and retries it with the
+    /// next record).
+    pub fn emit(&self, shard: usize, record: AuditRecord) -> audit::Result<()> {
         if self.real_time {
-            let _ = self.log.lock().record(record);
-            return;
+            return self.log.lock().record(record).map(|_| ());
         }
         let drained = {
             let mut buffer = self.buffers[shard % self.buffers.len()].lock();
@@ -67,6 +72,7 @@ impl AuditPipeline {
         if let Some(records) = drained {
             self.append_batch(records);
         }
+        Ok(())
     }
 
     fn append_batch(&self, records: Vec<AuditRecord>) {
@@ -157,8 +163,8 @@ mod tests {
             4,
             true,
         );
-        pipeline.emit(0, record(1));
-        pipeline.emit(3, record(2));
+        pipeline.emit(0, record(1)).unwrap();
+        pipeline.emit(3, record(2)).unwrap();
         assert_eq!(
             view.lines().len(),
             2,
@@ -177,7 +183,7 @@ mod tests {
             false,
         );
         for i in 0..10 {
-            pipeline.emit(i % 4, record(i as u64));
+            pipeline.emit(i % 4, record(i as u64)).unwrap();
         }
         assert_eq!(pipeline.buffered(), 10);
         assert_eq!(view.lines().len(), 0);
@@ -200,7 +206,7 @@ mod tests {
             false,
         );
         for i in 0..MAX_BUFFERED_PER_SHARD as u64 + 5 {
-            pipeline.emit(0, record(i));
+            pipeline.emit(0, record(i)).unwrap();
         }
         assert!(
             pipeline.buffered() < MAX_BUFFERED_PER_SHARD,
@@ -222,7 +228,7 @@ mod tests {
             false,
         );
         for i in 0..20 {
-            pipeline.emit(i % 4, record(i as u64));
+            pipeline.emit(i % 4, record(i as u64)).unwrap();
         }
         let tip = pipeline.chain_tip().unwrap();
         assert!(!tip.is_empty());

@@ -12,7 +12,10 @@
 //! 2. **bracket** — the engine work under the key's index-segment lock:
 //!    `install` for writes, `purge` for removals (Articles 5(e)/13/17),
 //!    keeping the metadata indexes in step so subject rights are answered
-//!    without scanning (Articles 15/17/20/21).
+//!    without scanning (Articles 15/17/20/21). Everything a bracket writes
+//!    — value, retention deadline, metadata shadow — goes to the engine as
+//!    one batch: one journal frame, one durability wait, and after a crash
+//!    all of it or none.
 //! 3. **record** — `complete`: one `allowed_ops` increment and one audit
 //!    record (monitoring, Articles 30/33/34). Under real-time compliance
 //!    either outcome's record is durable before the call returns.
@@ -25,7 +28,7 @@ use audit::log::AuditLog;
 use audit::record::{AuditRecord, Operation, Outcome};
 use audit::sink::{AuditSink, MemorySink};
 use kvstore::clock::SharedClock;
-use kvstore::commands::Command;
+use kvstore::commands::{Command, Reply};
 use kvstore::config::StoreConfig;
 use kvstore::expire::CycleOutcome;
 use kvstore::object::Bytes;
@@ -41,8 +44,11 @@ use crate::metadata::PersonalMetadata;
 use crate::policy::CompliancePolicy;
 use crate::{GdprError, Result};
 
-/// Prefix under which metadata shadow records are stored in the engine.
-pub const META_PREFIX: &str = "__gdpr_meta__:";
+/// Prefix under which metadata shadow records are stored in the engine —
+/// the engine's own constant: its router places a shadow on the shard of
+/// the data key it describes, which is what lets a mutation bracket be one
+/// engine batch.
+pub use kvstore::shard::META_PREFIX;
 
 /// Who is asking, and why — attached to every operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -361,7 +367,9 @@ impl GdprStore {
 
     fn audit_acl_change(&self, actor: &str, purpose: &str, detail: &str) {
         let record = AuditRecord::new(self.now_ms(), actor, Operation::AccessControl);
-        self.emit_audit(record.purpose(purpose).detail(detail));
+        // `grant`/`revoke` have no error to return; an unwritten line stays
+        // buffered in the log and fails the next operation that records.
+        let _ = self.emit_audit(record.purpose(purpose).detail(detail));
     }
 
     /// Whether `actor` currently holds any unexpired grant for `purpose`
@@ -397,19 +405,19 @@ impl GdprStore {
         key.starts_with(META_PREFIX)
     }
 
-    fn emit_audit(&self, record: AuditRecord) {
+    /// Hand one record to the audit pipeline. Under a real-time audit
+    /// policy the record is on the sink, synced, when this returns `Ok`,
+    /// and a sink failure is returned; otherwise it is buffered.
+    fn emit_audit(&self, record: AuditRecord) -> Result<()> {
         // Under the unmodified policy nothing is monitored at all.
         if !self.policy.monitor_all_operations {
-            return;
+            return Ok(());
         }
         self.stats.audit_records.fetch_add(1, Ordering::Relaxed);
         // Keyed records buffer on the key's shard; keyless control-plane
         // records (grants, rights requests) ride on shard 0.
         let shard = record.key.as_deref().map_or(0, |key| self.kv.shard_of(key));
-        // An audit failure under strict compliance should fail the caller;
-        // we surface it lazily through flush errors. Recording into the
-        // buffer itself cannot fail for the provided sinks.
-        self.audit.emit(shard, record);
+        Ok(self.audit.emit(shard, record)?)
     }
 
     pub(crate) fn load_metadata(&self, key: &str) -> Result<Option<PersonalMetadata>> {
@@ -425,11 +433,24 @@ impl GdprStore {
         }
     }
 
-    pub(crate) fn store_metadata(&self, key: &str, meta: &PersonalMetadata) -> Result<()> {
-        self.kv.set(&Self::meta_key(key), meta.encode())?;
-        if let Some(at) = meta.expires_at_ms {
-            self.kv.expire_at(&Self::meta_key(key), at)?;
+    /// Append the engine commands that make `meta` the shadow record of
+    /// `key` (they route to `key`'s shard, so they can join its bracket's
+    /// batch).
+    fn push_shadow(batch: &mut Vec<Command>, key: &str, meta: &PersonalMetadata) {
+        let shadow = Self::meta_key(key);
+        batch.push(Command::Set {
+            key: shadow.clone(),
+            value: meta.encode(),
+        });
+        if let Some(at_ms) = meta.expires_at_ms {
+            batch.push(Command::ExpireAt { key: shadow, at_ms });
         }
+    }
+
+    pub(crate) fn store_metadata(&self, key: &str, meta: &PersonalMetadata) -> Result<()> {
+        let mut batch = Vec::with_capacity(2);
+        Self::push_shadow(&mut batch, key, meta);
+        self.kv.execute_batch(&batch)?;
         Ok(())
     }
 
@@ -596,26 +617,34 @@ impl GdprStore {
     /// metadata shadow, index posting and hot entry of `key` change
     /// together under the key's segment lock (segment → engine shard, the
     /// lock order of every bracket), so a concurrent erasure of the key
-    /// cannot interleave. `write` runs first: it puts the value in place
-    /// and yields the metadata now governing the key. With `restamp` that
-    /// metadata is new and becomes the key's shadow and posting; without,
-    /// it is the shadow already stored.
+    /// cannot interleave. `prepare` runs first, inside the bracket: it
+    /// yields the engine commands that put the value in place and the
+    /// metadata now governing the key. With `restamp` that metadata is new
+    /// and becomes the key's shadow and posting; without, it is the shadow
+    /// already stored. Value commands, deadline and shadow then reach the
+    /// engine as one batch.
     fn install(
         &self,
         key: &str,
         restamp: bool,
-        write: impl FnOnce() -> Result<Option<PersonalMetadata>>,
+        prepare: impl FnOnce() -> Result<(Vec<Command>, Option<PersonalMetadata>)>,
     ) -> Result<Option<PersonalMetadata>> {
         self.index.with_key_segment(key, |segment| {
-            let meta = write()?;
+            let (mut batch, meta) = prepare()?;
             if let Some(meta) = &meta {
-                if let Some(at) = meta.expires_at_ms {
-                    self.kv.expire_at(key, at)?;
+                if let Some(at_ms) = meta.expires_at_ms {
+                    batch.push(Command::ExpireAt {
+                        key: key.to_string(),
+                        at_ms,
+                    });
                 }
                 if restamp {
-                    self.store_metadata(key, meta)?;
-                    self.repost(segment, key, Some(meta));
+                    Self::push_shadow(&mut batch, key, meta);
                 }
+            }
+            self.kv.execute_batch(&batch)?;
+            if let (true, Some(meta)) = (restamp, &meta) {
+                self.repost(segment, key, Some(meta));
             }
             // Last step of the bracket: drop any hot entry and fence
             // in-flight admissions of the pre-write state.
@@ -633,16 +662,25 @@ impl GdprStore {
     /// re-created the key since — then only the hot entry is dropped.
     pub(crate) fn purge(&self, key: &str, engine_expired: bool) -> Result<bool> {
         self.index.with_key_segment(key, |segment| {
+            // The shadow goes with the value, even if its own TTL cycle has
+            // not caught it yet.
+            let shadow = Command::Del {
+                key: Self::meta_key(key),
+            };
             let removed = if engine_expired {
-                !self.kv.exists(key)?
+                let removed = !self.kv.exists(key)?;
+                if removed {
+                    self.kv.execute(shadow)?;
+                }
+                removed
             } else {
-                self.kv.delete(key)?
+                let value = Command::Del {
+                    key: key.to_string(),
+                };
+                self.kv.execute_batch(&[value, shadow])?[0] == Reply::Int(1)
             };
             let recreated = engine_expired && !removed;
             if !recreated {
-                // The shadow goes too, even if its own TTL cycle has not
-                // caught it yet.
-                self.kv.delete(&Self::meta_key(key))?;
                 self.repost(segment, key, None);
             }
             self.hot.invalidate(key);
@@ -661,11 +699,7 @@ impl GdprStore {
         if let Some(key) = op.key {
             record = record.key(key);
         }
-        self.emit_audit(record);
-        if self.policy.audit_flush.is_real_time() {
-            self.audit.flush()?;
-        }
-        Ok(())
+        self.emit_audit(record)
     }
 
     /// The success epilogue of every data-path operation and rights
@@ -695,8 +729,11 @@ impl GdprStore {
         self.resolve_retention(&mut meta);
         let detail = format!("SET {} bytes", value.len());
         let meta = self.install(key, true, || {
-            self.kv.set(key, value)?;
-            Ok(Some(meta))
+            let set = Command::Set {
+                key: key.to_string(),
+                value,
+            };
+            Ok((vec![set], Some(meta)))
         })?;
         self.complete(&op, subject_of(meta.as_ref()), &detail)
     }
@@ -717,8 +754,11 @@ impl GdprStore {
         self.authorize_write(&op, &meta)?;
         self.resolve_retention(&mut meta);
         let meta = self.install(key, true, || {
-            self.kv.hset_multi(key, fields)?;
-            Ok(Some(meta))
+            let hmset = Command::HSetMulti {
+                key: key.to_string(),
+                fields: fields.clone(),
+            };
+            Ok((vec![hmset], Some(meta)))
         })?;
         let detail = format!("HMSET {} fields", fields.len());
         self.complete(&op, subject_of(meta.as_ref()), &detail)
@@ -744,8 +784,11 @@ impl GdprStore {
             // update must not resurrect data for an erased subject. The
             // install restores the stored deadline on the data key.
             let meta = self.require_metadata(key)?;
-            self.kv.hset_multi(key, fields)?;
-            Ok(meta)
+            let hmset = Command::HSetMulti {
+                key: key.to_string(),
+                fields: fields.clone(),
+            };
+            Ok((vec![hmset], meta))
         })?;
         let detail = format!("HMSET {} fields (update)", fields.len());
         self.complete(&op, subject_of(meta.as_ref()), &detail)
@@ -872,15 +915,13 @@ impl GdprStore {
             if let Some(existing) = self.load_metadata(key)? {
                 meta.objections.extend(existing.objections);
             }
-            if meta.expires_at_ms.is_none() {
-                // Lifting retention must also clear the value key's old
-                // engine-level deadline, or the engine would still erase
-                // it while the metadata claims indefinite retention.
-                self.kv.execute(Command::Persist {
-                    key: key.to_string(),
-                })?;
-            }
-            Ok(Some(meta))
+            // Lifting retention must also clear the value key's old
+            // engine-level deadline, or the engine would still erase it
+            // while the metadata claims indefinite retention.
+            let lift = meta.expires_at_ms.is_none().then(|| Command::Persist {
+                key: key.to_string(),
+            });
+            Ok((lift.into_iter().collect(), Some(meta)))
         })?;
         self.complete(&op, subject_of(meta.as_ref()), "metadata replaced")
     }
@@ -994,7 +1035,7 @@ impl GdprStore {
                 AuditRecord::new(now, "retention-engine", Operation::Delete)
                     .key(key)
                     .detail("erased: retention period elapsed"),
-            );
+            )?;
         }
         if erased_data_keys > 0 {
             self.stats

@@ -193,13 +193,18 @@ impl AofLog {
     ///
     /// Propagates device I/O or encryption errors.
     pub fn append(&mut self, record: &[u8]) -> Result<()> {
-        self.append_unsynced(record)?;
-        self.maybe_fsync()?;
-        Ok(())
+        let mut framed = Vec::with_capacity(record.len() + 4);
+        put_bytes(&mut framed, record);
+        self.append_framed_unsynced(&framed, 1)?;
+        self.maybe_fsync()
     }
 
-    /// Append one record **without** applying the fsync policy, returning
-    /// the record's position (1-based count of records appended so far).
+    /// Append `records` records that are already framed (each
+    /// `u32 length || payload`, back to back in `framed`) in **one** device
+    /// append, **without** applying the fsync policy; returns the position
+    /// of the last one (1-based count of records appended so far). One
+    /// device append is one frame of a [`crate::device::FramedDevice`], so
+    /// after a crash the log holds all of them or none.
     ///
     /// The sharded journal uses this to decouple the append (which must
     /// happen under the owning shard's lock to preserve per-key order) from
@@ -208,14 +213,12 @@ impl AofLog {
     /// # Errors
     ///
     /// Propagates device I/O or encryption errors.
-    pub fn append_unsynced(&mut self, record: &[u8]) -> Result<u64> {
-        let mut framed = Vec::with_capacity(record.len() + 4);
-        put_bytes(&mut framed, record);
-        self.device.append(&framed)?;
-        self.stats.records_appended += 1;
+    pub fn append_framed_unsynced(&mut self, framed: &[u8], records: u64) -> Result<u64> {
+        self.device.append(framed)?;
+        self.stats.records_appended += records;
         self.stats.bytes_appended += framed.len() as u64;
-        self.live_records += 1;
-        self.unsynced_records += 1;
+        self.live_records += records;
+        self.unsynced_records += records;
         Ok(self.stats.records_appended)
     }
 

@@ -20,7 +20,11 @@
 //! * **group commit** for [`FsyncPolicy::Always`]: a per-segment committer
 //!   coalesces concurrent appends into one fsync that all blocked writers
 //!   observe (condvar ticket scheme with a bounded wait), so real-time
-//!   durability costs one fsync per *batch* instead of per record.
+//!   durability costs one fsync per *batch* instead of per record;
+//! * **one device append per call**: the records of one
+//!   [`ShardedAof::append_batch`] reach the segment's device together, as
+//!   one frame (encrypted, or checksummed) — a crash keeps all of them
+//!   or none.
 //!
 //! # On-disk layout (file persistence)
 //!
@@ -36,7 +40,11 @@
 //! complete segment set — in effect (new-epoch files that were staged but
 //! never committed are deleted on the next open). A pre-manifest
 //! single-file AOF found at `<path>` is detected and migrated into the
-//! segmented layout on open.
+//! segmented layout on open, and so is a segment set whose manifest is
+//! older than [`MANIFEST_VERSION`] or counts other than the current number
+//! of shards: its records are merged by sequence, routed through the
+//! current router and staged as the next epoch. Segment files are longer
+//! than their content while open (see [`crate::device`]).
 
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -50,20 +58,30 @@ use crate::aof::{AofLog, AofStats, FsyncPolicy};
 use crate::clock::SharedClock;
 use crate::commands::Command;
 use crate::config::{Persistence, StoreConfig};
-use crate::device::{EncryptedFileDevice, MemoryDevice, PlainFileDevice, StorageDevice};
+use crate::device::{
+    ChecksummedDevice, EncryptedFileDevice, MemoryDevice, PlainFileDevice, StorageDevice,
+};
 use crate::serialize::{put_u64, Reader};
 use crate::shard::ShardRouter;
 use crate::{Result, StoreError};
 
 /// File-format magic for the segment-set manifest.
 pub const MANIFEST_MAGIC: &[u8; 8] = b"GDPRAOFM";
-/// Manifest format version.
-pub const MANIFEST_VERSION: u64 = 1;
+/// Manifest format version. Version 1 named a segment set in which a
+/// metadata shadow record sat in the segment of its own key's hash, and in
+/// which an unencrypted segment file held bare records; since version 2 a
+/// shadow sits with the data key it describes (see [`crate::shard`]) and
+/// an unencrypted segment file holds checksummed frames (see
+/// [`crate::device`]).
+pub const MANIFEST_VERSION: u64 = 2;
 
 /// The segment-set manifest: which epoch's files are authoritative and how
 /// the writer's journal was laid out.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AofManifest {
+    /// The format version the segment set was laid out under; anything
+    /// older than [`MANIFEST_VERSION`] is re-sharded on open.
+    pub version: u64,
     /// Monotonic epoch; bumped by every segment-set rewrite. Only files of
     /// this epoch are part of the journal.
     pub epoch: u64,
@@ -79,7 +97,7 @@ impl AofManifest {
     fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(8 + 8 * (4 + self.record_counts.len()));
         out.extend_from_slice(MANIFEST_MAGIC);
-        put_u64(&mut out, MANIFEST_VERSION);
+        put_u64(&mut out, self.version);
         put_u64(&mut out, self.epoch);
         put_u64(&mut out, self.shard_hash_seed);
         put_u64(&mut out, self.record_counts.len() as u64);
@@ -99,7 +117,7 @@ impl AofManifest {
         }
         let mut reader = Reader::new(&bytes[MANIFEST_MAGIC.len()..]);
         let version = reader.get_u64(CTX)?;
-        if version != MANIFEST_VERSION {
+        if !(1..=MANIFEST_VERSION).contains(&version) {
             return Err(StoreError::Corrupt {
                 context: CTX,
                 detail: format!("unsupported manifest version {version}"),
@@ -125,6 +143,7 @@ impl AofManifest {
             });
         }
         Ok(AofManifest {
+            version,
             epoch,
             shard_hash_seed,
             record_counts,
@@ -151,8 +170,8 @@ enum SegmentBackend {
     /// rest still applies, so the crypto CPU cost stays measurable in
     /// isolation from disk latency.
     Memory { passphrase: Option<Vec<u8>> },
-    /// File-backed segments around the manifest at this path, optionally
-    /// sealed by the encrypting device.
+    /// File-backed segments around the manifest at this path: encrypted
+    /// frames with a passphrase, checksummed frames without.
     File {
         manifest: PathBuf,
         passphrase: Option<Vec<u8>>,
@@ -172,25 +191,27 @@ impl SegmentBackend {
         }
     }
 
+    /// The device of segment `idx` of `epoch`, laid out the current way.
     fn build_device(&self, epoch: u64, idx: usize) -> Result<Box<dyn StorageDevice>> {
-        Ok(match self {
-            SegmentBackend::Memory { passphrase } => match passphrase {
+        self.open_device(epoch, idx, MANIFEST_VERSION)
+    }
+
+    /// The device of a segment laid out by a writer of manifest `version`.
+    fn open_device(&self, epoch: u64, idx: usize, version: u64) -> Result<Box<dyn StorageDevice>> {
+        match self {
+            SegmentBackend::Memory { passphrase } => Ok(match passphrase {
                 None => Box::new(MemoryDevice::new()),
                 Some(pw) => Box::new(EncryptedFileDevice::new(MemoryDevice::new(), pw)?),
-            },
+            }),
             SegmentBackend::File {
                 manifest,
                 passphrase,
-            } => {
-                let path = segment_path(manifest, epoch, idx);
-                match passphrase {
-                    None => Box::new(PlainFileDevice::open(&path)?),
-                    Some(pw) => {
-                        Box::new(EncryptedFileDevice::new(PlainFileDevice::open(&path)?, pw)?)
-                    }
-                }
-            }
-        })
+            } => open_journal_file(
+                &segment_path(manifest, epoch, idx),
+                passphrase.as_deref(),
+                version,
+            ),
+        }
     }
 }
 
@@ -382,14 +403,8 @@ impl ShardedAof {
             SegmentBackend::File { manifest, .. } => match read_manifest(manifest)? {
                 Some(man) => {
                     cleanup_stale_segments(manifest, Some(man.epoch));
-                    let (loaded, logs) = load_segments(
-                        &backend,
-                        man.epoch,
-                        man.record_counts.len(),
-                        config.fsync,
-                        &clock,
-                    )?;
-                    if man.record_counts.len() == shard_count {
+                    let (loaded, logs) = load_segments(&backend, &man, config.fsync, &clock)?;
+                    if man.record_counts.len() == shard_count && man.version == MANIFEST_VERSION {
                         (
                             man.epoch,
                             LoadedJournal {
@@ -400,7 +415,8 @@ impl ShardedAof {
                         )
                     } else {
                         // The journal was written at a different shard
-                        // count: re-shard it into one segment per current
+                        // count, or under the routing of an older manifest
+                        // version: re-shard it into one segment per current
                         // shard, staged as a fresh epoch and committed by
                         // the atomic manifest rename (a crash mid-stage
                         // leaves the old set in effect; the stale files
@@ -524,17 +540,14 @@ impl ShardedAof {
     ///
     /// Propagates device I/O or encryption errors.
     pub fn append(&self, segment: usize, record: &[u8]) -> Result<Option<Ticket>> {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let wait = self.append_with_seq(segment, seq, record)?;
-        self.backlog_push(seq, record);
-        Ok(wait.map(|pos| Ticket {
-            waits: vec![(segment, pos)],
-        }))
+        self.append_batch(segment, std::iter::once(record))
     }
 
-    /// Append a batch of records to `segment` under one log-lock
-    /// acquisition (the tick path journals all of a shard's expiry
-    /// deletions this way). Same locking contract as [`Self::append`].
+    /// Append a batch of records to `segment` in one device append — one
+    /// frame on a journal file, so the batch is crash-atomic — with
+    /// one sequence number each and one ticket for all of them (a mutation
+    /// bracket, a shard's expiry deletions and eviction victims are
+    /// journaled this way). Same locking contract as [`Self::append`].
     ///
     /// # Errors
     ///
@@ -544,40 +557,28 @@ impl ShardedAof {
         segment: usize,
         records: impl Iterator<Item = &'a [u8]>,
     ) -> Result<Option<Ticket>> {
-        let seg = &self.segments[segment];
-        let mut log = seg.log.lock();
-        let mut last_pos = None;
-        let mirror = self.backlog_cap > 0 && self.tailers.load(Ordering::SeqCst) > 0;
-        let mut appended = Vec::new();
+        let mirror = self.mirroring();
+        let mut framed = Vec::new();
+        let mut mirrored = Vec::new();
+        let mut count = 0u64;
         for record in records {
             let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-            last_pos = Some(log.append_unsynced(&frame(seq, record))?);
+            put_framed(&mut framed, seq, record);
+            count += 1;
             if mirror {
-                appended.push((seq, record.to_vec()));
+                mirrored.push((seq, record.to_vec()));
             }
         }
-        for (seq, record) in appended {
+        if count == 0 {
+            return Ok(None);
+        }
+        let wait = self.append_framed(segment, &framed, count)?;
+        for (seq, record) in mirrored {
             self.backlog_push_owned(seq, record);
         }
-        let Some(pos) = last_pos else {
-            return Ok(None);
-        };
-        match self.policy {
-            FsyncPolicy::Always if self.group_commit => Ok(Some(Ticket {
-                waits: vec![(segment, pos)],
-            })),
-            FsyncPolicy::Always => {
-                log.fsync()?;
-                drop(log);
-                seg.mark_all_synced(pos);
-                Ok(None)
-            }
-            FsyncPolicy::EverySec => {
-                log.maybe_fsync()?;
-                Ok(None)
-            }
-            FsyncPolicy::Never => Ok(None),
-        }
+        Ok(wait.map(|pos| Ticket {
+            waits: vec![(segment, pos)],
+        }))
     }
 
     /// Append one record to **every** segment under a single global
@@ -590,15 +591,19 @@ impl ShardedAof {
     /// Propagates device I/O or encryption errors.
     pub fn append_broadcast(&self, record: &[u8]) -> Result<Option<Ticket>> {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+        let mut framed = Vec::with_capacity(12 + record.len());
+        put_framed(&mut framed, seq, record);
         let mut waits = Vec::new();
         for segment in 0..self.segments.len() {
-            if let Some(pos) = self.append_with_seq(segment, seq, record)? {
+            if let Some(pos) = self.append_framed(segment, &framed, 1)? {
                 waits.push((segment, pos));
             }
         }
         // One backlog copy for the whole broadcast: the stream replays it
         // once, the way merge-by-seq deduplicates the segment copies.
-        self.backlog_push(seq, record);
+        if self.mirroring() {
+            self.backlog_push_owned(seq, record.to_vec());
+        }
         Ok(if waits.is_empty() {
             None
         } else {
@@ -606,10 +611,13 @@ impl ShardedAof {
         })
     }
 
-    fn append_with_seq(&self, segment: usize, seq: u64, record: &[u8]) -> Result<Option<u64>> {
+    /// One device append of `records` framed records, then the fsync
+    /// policy: the position to wait on under group commit, `None` once
+    /// durability is settled here.
+    fn append_framed(&self, segment: usize, framed: &[u8], records: u64) -> Result<Option<u64>> {
         let seg = &self.segments[segment];
         let mut log = seg.log.lock();
-        let pos = log.append_unsynced(&frame(seq, record))?;
+        let pos = log.append_framed_unsynced(framed, records)?;
         match self.policy {
             FsyncPolicy::Always if self.group_commit => Ok(Some(pos)),
             FsyncPolicy::Always => {
@@ -657,15 +665,14 @@ impl ShardedAof {
         }
     }
 
-    fn backlog_push(&self, seq: u64, record: &[u8]) {
-        if self.backlog_cap == 0 || self.tailers.load(Ordering::SeqCst) == 0 {
-            return;
-        }
-        self.backlog_push_owned(seq, record.to_vec());
+    /// Whether appends are mirrored into the backlog right now (tailing is
+    /// configured and at least one stream is registered).
+    fn mirroring(&self) -> bool {
+        self.backlog_cap > 0 && self.tailers.load(Ordering::SeqCst) > 0
     }
 
     fn backlog_push_owned(&self, seq: u64, record: Vec<u8>) {
-        if self.backlog_cap == 0 || self.tailers.load(Ordering::SeqCst) == 0 {
+        if !self.mirroring() {
             return;
         }
         let mut inner = self.backlog.lock();
@@ -902,6 +909,7 @@ impl ShardedAof {
                 write_manifest(
                     manifest,
                     &AofManifest {
+                        version: MANIFEST_VERSION,
                         epoch: new_epoch,
                         shard_hash_seed: self.shard_hash_seed,
                         record_counts: framed_segments.iter().map(|f| f.len() as u64).collect(),
@@ -997,6 +1005,14 @@ impl ShardedAof {
     }
 }
 
+/// Append one segment record as the log stores it:
+/// `u32 length || global sequence (u64 LE) || payload`.
+fn put_framed(out: &mut Vec<u8>, seq: u64, record: &[u8]) {
+    out.extend_from_slice(&((8 + record.len()) as u32).to_le_bytes());
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(record);
+}
+
 /// Frame a record for a segment: `global sequence (u64 LE) || payload`.
 fn frame(seq: u64, record: &[u8]) -> Vec<u8> {
     let mut framed = Vec::with_capacity(8 + record.len());
@@ -1086,19 +1102,36 @@ fn cleanup_stale_segments(manifest: &Path, keep_epoch: Option<u64>) {
     }
 }
 
-/// Open and load every segment of `epoch`, in parallel when there is more
-/// than one. Returns the parsed `(sequence, payload)` streams and the live
-/// `AofLog` handles (positioned to append).
+/// Open a journal file the way a writer of manifest `version` laid it out:
+/// encrypted frames with a passphrase; without one, checksummed frames, or
+/// bare records before version 2 (and in a pre-manifest single-file AOF,
+/// `version` 0).
+fn open_journal_file(
+    path: &Path,
+    passphrase: Option<&[u8]>,
+    version: u64,
+) -> Result<Box<dyn StorageDevice>> {
+    let file = PlainFileDevice::open(path)?;
+    Ok(match passphrase {
+        Some(pw) => Box::new(EncryptedFileDevice::new(file, pw)?),
+        None if version >= 2 => Box::new(ChecksummedDevice::new(file)?),
+        None => Box::new(file),
+    })
+}
+
+/// Open and load every segment `manifest` names, in parallel when there is
+/// more than one. Returns the parsed `(sequence, payload)` streams and the
+/// live `AofLog` handles (positioned to append).
 #[allow(clippy::type_complexity)]
 fn load_segments(
     backend: &SegmentBackend,
-    epoch: u64,
-    count: usize,
+    manifest: &AofManifest,
     policy: FsyncPolicy,
     clock: &SharedClock,
 ) -> Result<(Vec<Vec<(u64, Vec<u8>)>>, Vec<AofLog>)> {
+    let count = manifest.record_counts.len();
     let load_one = |idx: usize| -> Result<(Vec<(u64, Vec<u8>)>, AofLog)> {
-        let device = backend.build_device(epoch, idx)?;
+        let device = backend.open_device(manifest.epoch, idx, manifest.version)?;
         let mut log = AofLog::new(device, policy, std::sync::Arc::clone(clock));
         let mut records = Vec::new();
         for raw in log.load()? {
@@ -1137,11 +1170,8 @@ fn load_legacy_file(path: &Path, config: &StoreConfig) -> Result<Vec<(u64, Vec<u
     if !path.exists() {
         return Ok(Vec::new());
     }
-    let inner = PlainFileDevice::open(path)?;
-    let device: Box<dyn StorageDevice> = match &config.encryption {
-        None => Box::new(inner),
-        Some(enc) => Box::new(EncryptedFileDevice::new(inner, &enc.passphrase)?),
-    };
+    let passphrase = config.encryption.as_ref().map(|e| e.passphrase.as_slice());
+    let device = open_journal_file(path, passphrase, 0)?;
     let mut log = AofLog::new(
         device,
         FsyncPolicy::Never,
@@ -1204,6 +1234,7 @@ fn migrate_records(
         write_manifest(
             manifest,
             &AofManifest {
+                version: MANIFEST_VERSION,
                 epoch,
                 shard_hash_seed: router.seed(),
                 record_counts: partitions.iter().map(|p| p.len() as u64).collect(),
@@ -1234,6 +1265,7 @@ mod tests {
     #[test]
     fn manifest_roundtrip() {
         let man = AofManifest {
+            version: MANIFEST_VERSION,
             epoch: 7,
             shard_hash_seed: 0xdead_beef,
             record_counts: vec![3, 0, 12, 5],
@@ -1620,10 +1652,12 @@ mod tests {
             aof.append(0, b"fine").unwrap();
             aof.fsync_all().unwrap();
         }
-        // A record too short to hold its sequence header.
+        // A record too short to hold its sequence header, in a frame that
+        // is whole.
         {
+            let file = PlainFileDevice::open(segment_path(&path, 1, 0)).unwrap();
             let mut log = AofLog::new(
-                Box::new(PlainFileDevice::open(segment_path(&path, 1, 0)).unwrap()),
+                Box::new(ChecksummedDevice::new(file).unwrap()),
                 FsyncPolicy::Never,
                 Arc::new(SimClock::new(0)),
             );

@@ -13,16 +13,20 @@
 //!
 //! 1. every operation is a [`Command`];
 //! 2. per-key commands lock **only the owning shard** and execute against
-//!    its [`Db`]; keyspace-wide commands (`KEYS`, `SCAN`, `DBSIZE`,
-//!    `FLUSHALL`) visit every shard and merge;
-//! 3. if the command is a write — or *any* command when read-logging is
-//!    enabled (the GDPR monitoring retrofit) — it is appended to the
-//!    **owning shard's own journal segment** ([`ShardedAof`]) while the
-//!    shard lock is held (so the journal order of each key matches its
-//!    apply order); durability then settles *after* the lock drops — under
-//!    `always` fsync a per-segment group committer coalesces concurrent
-//!    writers into one fsync, so persistence scales with the shard count
-//!    instead of re-serializing it;
+//!    its [`Db`] — one at a time, or several that share a shard as one
+//!    batch ([`KvStore::execute_batch`]; a metadata shadow shares its data
+//!    key's shard, so a compliance bracket is such a batch);
+//!    keyspace-wide commands (`KEYS`, `SCAN`, `DBSIZE`, `FLUSHALL`) visit
+//!    every shard and merge;
+//! 3. every write — or *any* command when read-logging is enabled (the
+//!    GDPR monitoring retrofit) — is appended to the **owning shard's own
+//!    journal segment** ([`ShardedAof`]) while the shard lock is held (so
+//!    the journal order of each key matches its apply order), a batch and
+//!    the evictions it caused in **one** device append; durability then
+//!    settles *after* the lock drops — under `always` fsync a per-segment
+//!    group committer coalesces concurrent writers into one fsync, so
+//!    persistence scales with the shard count instead of re-serializing
+//!    it;
 //! 4. time-driven work (active expiry per shard, the `everysec` fsync
 //!    timer of **every** segment, auto-rewrite) runs from
 //!    [`KvStore::tick`], which a server loop or benchmark calls
@@ -294,125 +298,201 @@ impl KvStore {
 
     /// Execute a command, journaling it according to the configuration.
     ///
-    /// Per-key commands lock only the owning shard; keyspace-wide commands
+    /// Per-key commands lock only the owning shard (they are the
+    /// one-element case of [`Self::execute_batch`]); keyspace-wide commands
     /// (`KEYS`, `SCAN`, `DBSIZE`, `FLUSHALL`) visit every shard.
     ///
     /// # Errors
     ///
     /// Propagates execution and persistence errors.
     pub fn execute(&self, command: Command) -> Result<Reply> {
+        if let Some(key) = command.primary_key() {
+            let shard_idx = self.inner.router.shard_of(key);
+            let mut only = None;
+            self.run_on_shard(shard_idx, std::slice::from_ref(&command), |reply| {
+                only = Some(reply);
+            })?;
+            return Ok(only.expect("a command that did not fail has replied"));
+        }
+
         let is_write = command.is_write();
         let journal = self.inner.aof.is_some() && (is_write || self.inner.config.log_reads);
-
-        let mut journaled = false;
         let mut ticket = None;
-        let mut evict_ticket = None;
-        let reply = match command.primary_key() {
-            Some(key) => {
-                let shard_idx = self.inner.router.shard_of(key);
-                let mut shard = self.inner.shards[shard_idx].lock();
-                let held = Instant::now();
-                if let Some(budget) = self.shard_mem_budget() {
-                    // `noeviction` rejects growth up front; a command that
-                    // can only shrink the keyspace is always allowed.
-                    if self.inner.config.eviction_policy == EvictionPolicy::Noeviction
-                        && command.may_grow_memory()
-                        && shard.db.mem_bytes() > budget
-                    {
-                        return Err(StoreError::Oom {
-                            used: shard.db.mem_bytes(),
-                            limit: budget,
-                        });
-                    }
+        let reply = {
+            let mut guards = self.lock_all_shards();
+            let reply = match &command {
+                Command::Keys { .. } | Command::Scan { .. } => {
+                    self.merge_key_query(&command, &mut guards)?
                 }
-                let reply = command.execute(&mut shard.db)?;
-                if journal {
-                    // Append to the owning shard's segment while the shard
-                    // is locked, so the journal order of this key matches
-                    // its apply order. Durability settles after unlock.
-                    if let Some(aof) = &self.inner.aof {
-                        ticket = aof.append(shard_idx, &command.encode())?;
-                    }
-                    journaled = true;
-                }
-                if is_write {
-                    // The sampled policies reclaim space right after the
-                    // write, under the same shard lock, and journal each
-                    // eviction as a DEL — so replicas and crash-replay see
-                    // the eviction at exactly this point of the key's
-                    // command stream and stay byte-convergent.
-                    evict_ticket = self.evict_to_budget(shard_idx, &mut shard)?;
-                }
-                drop(shard);
-                self.inner.shard_lock_hold.record(held.elapsed());
-                reply
-            }
-            None => {
-                let mut guards = self.lock_all_shards();
-                let reply = match &command {
-                    Command::Keys { .. } | Command::Scan { .. } => {
-                        self.merge_key_query(&command, &mut guards)?
-                    }
-                    Command::DbSize => Reply::Int(guards.iter().map(|g| g.db.len() as i64).sum()),
-                    _ => {
-                        // FLUSHALL and any future keyspace-wide write.
-                        let mut total = 0i64;
-                        let mut last = Reply::Ok;
-                        for guard in guards.iter_mut() {
-                            last = command.execute(&mut guard.db)?;
-                            if let Reply::Int(n) = last {
-                                total += n;
-                            }
-                        }
-                        if matches!(last, Reply::Int(_)) {
-                            Reply::Int(total)
-                        } else {
-                            last
+                Command::DbSize => Reply::Int(guards.iter().map(|g| g.db.len() as i64).sum()),
+                _ => {
+                    // FLUSHALL and any future keyspace-wide write.
+                    let mut total = 0i64;
+                    let mut last = Reply::Ok;
+                    for guard in guards.iter_mut() {
+                        last = command.execute(&mut guard.db)?;
+                        if let Reply::Int(n) = last {
+                            total += n;
                         }
                     }
-                };
-                if journal {
-                    // Keyspace-wide writes go to every segment under one
-                    // shared sequence number, while all shards are locked;
-                    // key-less reads (read-logging of KEYS/SCAN/DBSIZE)
-                    // need only one copy, kept in segment 0 — the same
-                    // convention the legacy-migration path uses.
-                    if let Some(aof) = &self.inner.aof {
-                        ticket = if is_write {
-                            aof.append_broadcast(&command.encode())?
-                        } else {
-                            aof.append(0, &command.encode())?
-                        };
+                    if matches!(last, Reply::Int(_)) {
+                        Reply::Int(total)
+                    } else {
+                        last
                     }
-                    journaled = true;
                 }
-                reply
+            };
+            if journal {
+                // Keyspace-wide writes go to every segment under one
+                // shared sequence number, while all shards are locked;
+                // key-less reads (read-logging of KEYS/SCAN/DBSIZE)
+                // need only one copy, kept in segment 0 — the same
+                // convention the legacy-migration path uses.
+                if let Some(aof) = &self.inner.aof {
+                    ticket = if is_write {
+                        aof.append_broadcast(&command.encode())?
+                    } else {
+                        aof.append(0, &command.encode())?
+                    };
+                }
             }
+            reply
         };
 
-        // With the shard lock(s) released, wait for durability (group
-        // commit coalesces us with every other writer of the segment).
+        // With the shard locks released, wait for durability.
         if let (Some(ticket), Some(aof)) = (ticket, &self.inner.aof) {
             aof.commit(ticket)?;
         }
-        if let (Some(ticket), Some(aof)) = (evict_ticket, &self.inner.aof) {
+        self.count_executed(
+            u64::from(!is_write),
+            u64::from(is_write),
+            u64::from(journal),
+        )?;
+        Ok(reply)
+    }
+
+    /// Execute `commands` — every one keyed, all owned by one shard — as a
+    /// unit: one shard-lock acquisition, one journal append (one frame on
+    /// the segment's device, so a crash keeps the whole batch or none of
+    /// it) and one group-commit wait. Replies, statistics, `maxmemory`
+    /// evictions and the replication stream are what issuing the commands
+    /// one by one would produce.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::InvalidCommand`], before anything executes, when a
+    /// command has no key or the keys do not share a shard. An execution
+    /// error ends the batch there: as when issued one by one, the commands
+    /// before it stay applied and journaled.
+    pub fn execute_batch(&self, commands: &[Command]) -> Result<Vec<Reply>> {
+        let Some(first) = commands.first() else {
+            return Ok(Vec::new());
+        };
+        let shard_of = |command: &Command| command.primary_key().map(|key| self.shard_of(key));
+        let shared = shard_of(first).filter(|idx| {
+            commands
+                .iter()
+                .all(|command| shard_of(command) == Some(*idx))
+        });
+        let Some(shard_idx) = shared else {
+            return Err(StoreError::InvalidCommand(
+                "a batch must hold keyed commands that share one shard".to_string(),
+            ));
+        };
+        let mut replies = Vec::with_capacity(commands.len());
+        self.run_on_shard(shard_idx, commands, |reply| replies.push(reply))?;
+        Ok(replies)
+    }
+
+    /// The one keyed execution path: run `commands` (all owned by shard
+    /// `shard_idx`) under one acquisition of its lock, journal what ran in
+    /// one append, wait for durability once.
+    fn run_on_shard(
+        &self,
+        shard_idx: usize,
+        commands: &[Command],
+        mut reply: impl FnMut(Reply),
+    ) -> Result<()> {
+        let aof = self.inner.aof.as_ref();
+        let log_reads = self.inner.config.log_reads;
+        // `noeviction` rejects growth up front; a command that can only
+        // shrink the keyspace is always allowed.
+        let growth_limit = self
+            .shard_mem_budget()
+            .filter(|_| self.inner.config.eviction_policy == EvictionPolicy::Noeviction);
+
+        let mut shard = self.inner.shards[shard_idx].lock();
+        let held = Instant::now();
+        // What the journal gets, in apply order: each command, and behind
+        // each write the victims its eviction pass shed.
+        let mut records: Vec<Vec<u8>> = Vec::new();
+        let (mut reads, mut writes, mut journaled) = (0u64, 0u64, 0u64);
+        let mut failure = None;
+        for command in commands {
+            let is_write = command.is_write();
+            let used = shard.db.mem_bytes();
+            if let Some(limit) = growth_limit.filter(|l| command.may_grow_memory() && used > *l) {
+                failure = Some(StoreError::Oom { used, limit });
+                break;
+            }
+            match command.execute(&mut shard.db) {
+                Ok(r) => reply(r),
+                Err(e) => {
+                    failure = Some(e);
+                    break;
+                }
+            }
+            if aof.is_some() && (is_write || log_reads) {
+                records.push(command.encode());
+                journaled += 1;
+            }
+            if is_write {
+                writes += 1;
+                // The sampled policies reclaim space right after the
+                // write, under the same shard lock, and journal each
+                // eviction as a DEL — so replicas and crash-replay see
+                // the eviction at exactly this point of the key's
+                // command stream and stay byte-convergent.
+                self.evict_to_budget(&mut shard, &mut records);
+            } else {
+                reads += 1;
+            }
+        }
+        // Append to the owning shard's segment while the shard is locked,
+        // so the journal order of its keys matches their apply order.
+        // Durability settles after unlock.
+        let ticket = match aof {
+            Some(aof) => aof.append_batch(shard_idx, records.iter().map(Vec::as_slice))?,
+            None => None,
+        };
+        drop(shard);
+        self.inner.shard_lock_hold.record(held.elapsed());
+
+        // With the shard lock released, wait for durability (group commit
+        // coalesces us with every other writer of the segment).
+        if let (Some(ticket), Some(aof)) = (ticket, aof) {
             aof.commit(ticket)?;
         }
+        self.count_executed(reads, writes, journaled)?;
+        failure.map_or(Ok(()), Err)
+    }
 
+    /// Account for executed commands, `journaled` of which reached the
+    /// journal, and let the auto-rewrite threshold see them.
+    fn count_executed(&self, reads: u64, writes: u64, journaled: u64) -> Result<()> {
         let counters = &self.inner.counters;
-        counters.commands.fetch_add(1, Ordering::Relaxed);
-        if is_write {
-            counters.writes.fetch_add(1, Ordering::Relaxed);
-        } else {
-            counters.reads.fetch_add(1, Ordering::Relaxed);
-        }
-        if journaled {
+        counters
+            .commands
+            .fetch_add(reads + writes, Ordering::Relaxed);
+        counters.reads.fetch_add(reads, Ordering::Relaxed);
+        counters.writes.fetch_add(writes, Ordering::Relaxed);
+        if journaled > 0 {
             counters
                 .records_since_rewrite
-                .fetch_add(1, Ordering::Relaxed);
+                .fetch_add(journaled, Ordering::Relaxed);
             self.maybe_auto_rewrite()?;
         }
-        Ok(reply)
+        Ok(())
     }
 
     /// Acquire every shard lock in ascending index order (the global lock
@@ -431,36 +511,26 @@ impl KvStore {
     }
 
     /// Evict sampled victims from the locked shard until it is back under
-    /// its budget (or nothing is left to evict), journaling each eviction
-    /// as a `DEL` in the shard's segment under the held lock. Returns the
-    /// durability ticket for the eviction batch, if any. No-op under
-    /// `noeviction` or without a `maxmemory` ceiling.
-    fn evict_to_budget(
-        &self,
-        shard_idx: usize,
-        shard: &mut Shard,
-    ) -> Result<Option<crate::sharded_aof::Ticket>> {
+    /// its budget (or nothing is left to evict), adding each eviction as a
+    /// `DEL` to `records`, the journal batch of the write that caused it.
+    /// No-op under `noeviction` or without a `maxmemory` ceiling.
+    fn evict_to_budget(&self, shard: &mut Shard, records: &mut Vec<Vec<u8>>) {
         let policy = self.inner.config.eviction_policy;
         if policy == EvictionPolicy::Noeviction {
-            return Ok(None);
+            return;
         }
         let Some(budget) = self.shard_mem_budget() else {
-            return Ok(None);
+            return;
         };
         let Shard { db, rng } = shard;
-        let mut dels: Vec<Vec<u8>> = Vec::new();
         while db.mem_bytes() > budget {
             match db.evict_one(rng, policy, EVICTION_SAMPLES) {
-                Some(victim) => dels.push(Command::Del { key: victim }.encode()),
+                Some(victim) if self.inner.aof.is_some() => {
+                    records.push(Command::Del { key: victim }.encode());
+                }
+                Some(_) => {}
                 None => break,
             }
-        }
-        if dels.is_empty() {
-            return Ok(None);
-        }
-        match &self.inner.aof {
-            Some(aof) => aof.append_batch(shard_idx, dels.iter().map(Vec::as_slice)),
-            None => Ok(None),
         }
     }
 
@@ -1499,6 +1569,149 @@ mod tests {
         assert_eq!(reopened.canonical_state(), canonical);
         assert_eq!(reopened.stats().db.evicted_keys, 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Two keys of `store` that live on different shards.
+    fn keys_on_two_shards(store: &KvStore) -> (String, String) {
+        let first = "key0".to_string();
+        let other = (1..)
+            .map(|i| format!("key{i}"))
+            .find(|key| store.shard_of(key) != store.shard_of(&first))
+            .unwrap();
+        (first, other)
+    }
+
+    fn set(key: &str, value: &[u8]) -> Command {
+        Command::Set {
+            key: key.to_string(),
+            value: value.to_vec(),
+        }
+    }
+
+    #[test]
+    fn a_batch_that_does_not_share_a_shard_is_rejected_before_anything_executes() {
+        let store = KvStore::open(StoreConfig::in_memory().aof_in_memory().shards(4)).unwrap();
+        let (here, there) = keys_on_two_shards(&store);
+        for batch in [
+            vec![set(&here, b"1"), set(&there, b"2")],
+            vec![set(&here, b"1"), Command::FlushAll],
+            vec![Command::DbSize],
+        ] {
+            let err = store.execute_batch(&batch).unwrap_err();
+            assert!(matches!(err, StoreError::InvalidCommand(_)), "{err}");
+        }
+        assert!(
+            store.is_empty(),
+            "the command before the stray one never ran"
+        );
+        assert_eq!(store.stats().commands_processed, 0);
+        assert_eq!(store.aof_stats().unwrap().records_appended, 0);
+        assert_eq!(store.execute_batch(&[]).unwrap(), Vec::<Reply>::new());
+    }
+
+    #[test]
+    fn a_batch_is_its_commands_issued_one_by_one_in_one_journal_frame() {
+        // Small enough a ceiling that the sampled evictor sheds keys in the
+        // middle of batches; a pinned clock, so that both stores see the
+        // same idle times and pick the same victims.
+        let open = || {
+            KvStore::open(
+                StoreConfig::in_memory()
+                    .clock(SimClock::new(1_000_000))
+                    .aof_in_memory()
+                    .encrypted(b"pw")
+                    .shards(4)
+                    .rng_seed(5)
+                    .log_reads(true)
+                    .max_memory(8 * 1024)
+                    .eviction_policy(EvictionPolicy::SampledLru),
+            )
+            .unwrap()
+        };
+        let (batched, single) = (open(), open());
+        let _streams = (
+            batched.begin_repl_stream().unwrap(),
+            single.begin_repl_stream().unwrap(),
+        );
+        let mut batches = 0;
+        for i in 0..120u64 {
+            let key = format!("user{i:03}");
+            // A value with its shadow: the router keeps them together.
+            let shadow = format!("{}{key}", crate::shard::META_PREFIX);
+            let bracket = vec![
+                set(&key, &[i as u8; 90]),
+                Command::ExpireAt {
+                    key: key.clone(),
+                    at_ms: 10_000_000_000_000 + i,
+                },
+                set(&shadow, b"subject=alice"),
+                Command::Get { key: key.clone() },
+                Command::Persist { key: key.clone() },
+                Command::Del {
+                    key: format!("user{:03}", i / 2),
+                },
+            ];
+            // The DEL names another key: keep the brackets that still
+            // share a shard, which is what a batch requires.
+            let shard = batched.shard_of(&key);
+            let bracket: Vec<Command> = bracket
+                .into_iter()
+                .filter(|c| batched.shard_of(c.primary_key().unwrap()) == shard)
+                .collect();
+            let replies = batched.execute_batch(&bracket).unwrap();
+            let one_by_one: Vec<Reply> = bracket
+                .iter()
+                .map(|c| single.execute(c.clone()).unwrap())
+                .collect();
+            assert_eq!(replies, one_by_one, "bracket {i}");
+            batches += 1;
+        }
+        let (a, b) = (batched.stats(), single.stats());
+        assert!(a.db.evicted_keys > 0, "the ceiling never bit: {a:?}");
+        assert_eq!(a.db, b.db, "keyspace counters, evictions included");
+        assert_eq!(
+            (a.commands_processed, a.reads, a.writes),
+            (b.commands_processed, b.reads, b.writes)
+        );
+        assert_eq!(a.aof.records_appended, b.aof.records_appended);
+        assert_eq!(a.aof.bytes_appended, b.aof.bytes_appended);
+        assert_eq!(batched.canonical_state(), single.canonical_state());
+        // The replication stream: same records under the same sequence
+        // numbers, eviction DELs where one-by-one execution puts them.
+        let tail = |store: &KvStore| {
+            let tail = store
+                .repl_tail(store.aof_epoch().unwrap(), 0, usize::MAX)
+                .unwrap();
+            assert!(!tail.lost && !tail.gapped);
+            tail.records
+        };
+        let stream = tail(&batched);
+        assert_eq!(stream.len() as u64, a.aof.records_appended);
+        assert_eq!(stream, tail(&single));
+        // What differs is the price: one device append — one frame — per
+        // batch instead of per command (a command's eviction victims ride
+        // in its frame either way).
+        assert_eq!(a.device.appends, batches);
+        assert_eq!(b.device.appends, b.commands_processed);
+        assert!(a.device.bytes_on_device < b.device.bytes_on_device);
+    }
+
+    #[test]
+    fn a_failing_command_ends_its_batch_and_keeps_what_ran_before_it() {
+        let store = KvStore::open(StoreConfig::in_memory().aof_in_memory()).unwrap();
+        let wrong_type = Command::HSet {
+            key: "s".to_string(),
+            field: "f".to_string(),
+            value: b"v".to_vec(),
+        };
+        let err = store
+            .execute_batch(&[set("s", b"1"), wrong_type, set("t", b"2")])
+            .unwrap_err();
+        assert!(matches!(err, StoreError::WrongType { .. }), "{err}");
+        assert_eq!(store.get("s").unwrap(), Some(b"1".to_vec()));
+        assert_eq!(store.get("t").unwrap(), None);
+        assert_eq!(store.aof_stats().unwrap().records_appended, 1);
+        assert_eq!(store.stats().writes, 1);
     }
 
     #[test]

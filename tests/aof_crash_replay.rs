@@ -2,7 +2,9 @@
 //! the engine without any clean shutdown, then a fresh engine must replay
 //! the segment set back to equivalent state — including when the shard
 //! count changed in between, when a segment-set swap was torn mid-rewrite,
-//! and while concurrent writers and rewriters were racing.
+//! while concurrent writers and rewriters were racing, when the crash tore
+//! the last append at any byte, and when the segment set predates shadow
+//! co-location.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -11,6 +13,7 @@ use gdpr_storage::kvstore::aof::FsyncPolicy;
 use gdpr_storage::kvstore::config::{EvictionPolicy, StoreConfig};
 use gdpr_storage::kvstore::sharded_aof::segment_path;
 use gdpr_storage::kvstore::store::KvStore;
+use gdpr_storage::kvstore::StoreError;
 
 fn test_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("gdpr-aofcrash-{}-{name}", std::process::id()));
@@ -433,5 +436,399 @@ fn eviction_deletes_replay_to_the_same_bounded_state() {
         digest_before,
         "replayed state must match the pre-crash bounded state"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// The crash-point battery: what a crash can leave of the last append.
+
+/// The file at `path` as a crash would leave it right now: read while its
+/// writer is still open, extended tail included.
+fn crash_image(path: &Path) -> Vec<u8> {
+    std::fs::read(path).unwrap()
+}
+
+/// Where each whole chunk (`u32 length || body`) of a segment image
+/// starts, then where the log ends: at the first zero length word.
+fn chunk_bounds(image: &[u8]) -> Vec<usize> {
+    let mut bounds = vec![0];
+    let mut pos = 0;
+    while let Some(header) = image.get(pos..pos + 4) {
+        let len = u32::from_le_bytes(header.try_into().unwrap()) as usize;
+        if len == 0 || pos + 4 + len > image.len() {
+            break;
+        }
+        pos += 4 + len;
+        bounds.push(pos);
+    }
+    bounds
+}
+
+fn log_end(image: &[u8]) -> usize {
+    *chunk_bounds(image).last().unwrap()
+}
+
+/// The byte offsets to cut a file at: every offset of its final append
+/// (`from..to`, where a cut loses the append) and a few inside and at the
+/// end of the extended tail behind it (where it does not).
+fn cut_points(from: usize, to: usize, file_len: usize) -> Vec<usize> {
+    assert!(from < to && to < file_len, "{from}..{to} of {file_len}");
+    let tail = [to, to + 1, to + 3, to + 4096, file_len - 1, file_len];
+    (from..to)
+        .chain(tail.into_iter().filter(|cut| *cut <= file_len))
+        .collect()
+}
+
+/// Write `image` cut at `cut` to `path`; with `refill`, re-extended to its
+/// old length with a hole — the torn append a crash leaves in a file that
+/// was extended ahead, where a plain cut is what one leaves at the end of
+/// an append-mode file. Returns whether the append that ends at `end`
+/// survived (a refilled cut through its trailing zero bytes cuts nothing).
+fn write_cut(path: &Path, image: &[u8], cut: usize, refill: bool, end: usize) -> bool {
+    std::fs::write(path, &image[..cut]).unwrap();
+    if refill {
+        let file = std::fs::OpenOptions::new().write(true).open(path).unwrap();
+        file.set_len(image.len() as u64).unwrap();
+    }
+    cut >= end || (refill && image[cut..end].iter().all(|byte| *byte == 0))
+}
+
+#[test]
+fn a_cut_anywhere_in_the_final_frame_loses_that_frame_and_nothing_else() {
+    for encrypted in [true, false] {
+        let dir = test_dir(&format!("cuts-{encrypted}"));
+        let path = dir.join("journal.aof");
+        let config = || {
+            let config = StoreConfig::with_aof(&path).fsync(FsyncPolicy::Always);
+            if encrypted {
+                config.encrypted(b"battery")
+            } else {
+                config
+            }
+        };
+        let segment = segment_path(&path, 1, 0);
+        let store = KvStore::open(config()).unwrap();
+        for i in 0..20 {
+            store
+                .set(&format!("kept{i:02}"), vec![i as u8; 40])
+                .unwrap();
+        }
+        let before = log_end(&crash_image(&segment));
+        store.set("last", b"the final append".to_vec()).unwrap();
+        let image = crash_image(&segment);
+        let end = log_end(&image);
+        assert!(image.len() > end, "the open segment is extended ahead");
+        drop(store);
+
+        for cut in cut_points(before, end, image.len()) {
+            for refill in [false, true] {
+                let whole = write_cut(&segment, &image, cut, refill, end);
+                let store = KvStore::open(config())
+                    .unwrap_or_else(|e| panic!("cut {cut} refill {refill}: {e}"));
+                assert_eq!(
+                    store.get("last").unwrap().is_some(),
+                    whole,
+                    "cut {cut} refill {refill}"
+                );
+                assert_eq!(store.len(), 20 + usize::from(whole));
+                assert_eq!(store.get("kept19").unwrap(), Some(vec![19; 40]));
+                // The log goes on where the surviving frames end.
+                store.set("after", b"crash".to_vec()).unwrap();
+                drop(store);
+                let reopened = KvStore::open(config()).unwrap();
+                assert_eq!(reopened.get("after").unwrap(), Some(b"crash".to_vec()));
+                assert_eq!(reopened.len(), 21 + usize::from(whole));
+            }
+        }
+
+        // Damage that is not at the end is not a torn append: a flipped
+        // byte in the body of the third frame, with valid frames behind
+        // it, fails the frame's tag or checksum.
+        let third_frame = chunk_bounds(&image)[2];
+        let mut damaged = image[..end].to_vec();
+        damaged[third_frame + 4 + 20] ^= 0x01;
+        std::fs::write(&segment, &damaged).unwrap();
+        match KvStore::open(config()) {
+            Err(StoreError::Corrupt { .. } | StoreError::Crypto(_)) => {}
+            other => panic!("a damaged frame before valid ones opened: {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn a_torn_bracket_leaves_value_and_shadow_or_neither_and_a_trail_that_verifies() {
+    use gdpr_storage::audit::log::AuditLog;
+    use gdpr_storage::audit::policy::FlushPolicy;
+    use gdpr_storage::audit::reader::{parse_trail, verify_trail, verify_trail_segments};
+    use gdpr_storage::audit::record::{AuditRecord, Operation};
+    use gdpr_storage::audit::sink::{FileSink, NullSink};
+    use gdpr_storage::gdpr_core::acl::Grant;
+    use gdpr_storage::gdpr_core::metadata::PersonalMetadata;
+    use gdpr_storage::gdpr_core::policy::CompliancePolicy;
+    use gdpr_storage::gdpr_core::store::{AccessContext, GdprStore};
+
+    const SHARDS: usize = 2;
+    // Strict, except that an erasure does not rewrite the journal: the
+    // rewrite would replace the segment whose last frame is under test.
+    // With and without encryption at rest: a bracket is one frame either
+    // way, sealed by a tag or by a checksum.
+    let policy = |encrypt_at_rest: bool| CompliancePolicy {
+        scrub_aof_on_erasure: false,
+        encrypt_at_rest,
+        ..CompliancePolicy::strict()
+    };
+    let ctx = AccessContext::new("app", "billing");
+    let meta = |subject: &str| PersonalMetadata::new(subject).with_purpose("billing");
+    type FinalOp = fn(&GdprStore, &AccessContext);
+    let final_ops: [(&str, FinalOp); 3] = [
+        ("put with retention", |store, ctx| {
+            let meta = PersonalMetadata::new("alice")
+                .with_purpose("billing")
+                .with_ttl_millis(3_600_000);
+            store.put(ctx, "last", b"v".to_vec(), meta).unwrap();
+        }),
+        ("delete", |store, ctx| {
+            assert!(store.delete(ctx, "user03").unwrap());
+        }),
+        ("set_metadata", |store, ctx| {
+            let meta = PersonalMetadata::new("bob").with_purpose("billing");
+            store.set_metadata(ctx, "user04", meta).unwrap();
+        }),
+    ];
+
+    let journals = [(true, "encrypted"), (false, "checksummed")];
+    for ((name, final_op), (encrypt, journal)) in final_ops
+        .into_iter()
+        .flat_map(|op| journals.map(|journal| (op, journal)))
+    {
+        let name = format!("{name}, {journal}");
+        let policy = || policy(encrypt);
+        let dir = test_dir("bracket-cuts");
+        let path = dir.join("journal.aof");
+        let trail_path = dir.join("audit.log");
+        let config = || StoreConfig::with_aof(&path).shards(SHARDS);
+        let segments: Vec<PathBuf> = (0..SHARDS).map(|i| segment_path(&path, 1, i)).collect();
+        let images = || -> Vec<Vec<u8>> { segments.iter().map(|s| crash_image(s)).collect() };
+
+        let sink = Box::new(FileSink::open(&trail_path).unwrap());
+        let store = GdprStore::open(policy(), config(), sink).unwrap();
+        store.grant(Grant::new("app", "billing"));
+        for i in 0..8 {
+            let subject = if i % 2 == 0 { "alice" } else { "bob" };
+            store
+                .put(&ctx, &format!("user{i:02}"), vec![i; 24], meta(subject))
+                .unwrap();
+        }
+        let before = images();
+        let trail_before = crash_image(&trail_path);
+        final_op(&store, &ctx);
+        let after = images();
+        let trail_after = crash_image(&trail_path);
+        drop(store);
+
+        // One bracket is one frame in one segment.
+        let touched: Vec<usize> = (0..SHARDS).filter(|i| before[*i] != after[*i]).collect();
+        assert_eq!(touched.len(), 1, "{name}: one segment took the bracket");
+        let (segment, image) = (&segments[touched[0]], &after[touched[0]]);
+        let (from, to) = (log_end(&before[touched[0]]), log_end(image));
+
+        for cut in cut_points(from, to, image.len()) {
+            let whole = write_cut(segment, image, cut, cut % 2 == 0, to);
+            let reopened = GdprStore::open(policy(), config(), Box::new(NullSink::new()))
+                .unwrap_or_else(|e| panic!("{name}, cut {cut}: {e}"));
+            reopened.grant(Grant::new("app", "billing"));
+            // Value and shadow, or neither.
+            let keys = reopened.engine().keys("*").unwrap();
+            for key in &keys {
+                let twin = match key.strip_prefix(gdpr_storage::gdpr_core::store::META_PREFIX) {
+                    Some(data) => data.to_string(),
+                    None => format!("{}{key}", gdpr_storage::gdpr_core::store::META_PREFIX),
+                };
+                assert!(keys.contains(&twin), "{name}, cut {cut}: {key} alone");
+            }
+            // The index the shadows rebuild and the values agree.
+            let mut listed = Vec::new();
+            for subject in ["alice", "bob"] {
+                for key in reopened.keys_of_subject(subject).unwrap() {
+                    assert!(
+                        reopened.get(&ctx, &key).unwrap().is_some(),
+                        "{name}, cut {cut}: {key} is posted but holds no value"
+                    );
+                    listed.push(key);
+                }
+            }
+            assert_eq!(listed.len(), reopened.len(), "{name}, cut {cut}");
+            // All of the bracket, or none of it.
+            match name.split(',').next().unwrap() {
+                "put with retention" => assert_eq!(listed.contains(&"last".to_string()), whole),
+                "delete" => assert_eq!(!listed.contains(&"user03".to_string()), whole),
+                _ => assert_eq!(
+                    reopened.keys_of_subject("bob").unwrap().len(),
+                    4 + usize::from(whole)
+                ),
+            }
+        }
+
+        // The same cuts through the trail's last line.
+        let ends_at = |trail: &[u8]| trail.iter().position(|b| *b == 0).unwrap();
+        let (from, to) = (ends_at(&trail_before), ends_at(&trail_after));
+        // Two pages of the extended tail are as good as all of it.
+        let trail_after = &trail_after[..to + 8192];
+        let whole = parse_trail(std::str::from_utf8(trail_after).unwrap()).unwrap();
+        // Beside the cuts, the line torn the other way round: its back on
+        // disk, newline and all, and a hole where its front should be.
+        let cuts = cut_points(from, to, trail_after.len());
+        let holes = [1, (to - from) / 2];
+        let shapes = cuts
+            .into_iter()
+            .map(|cut| (cut, 0))
+            .chain(holes.map(|hole| (from, hole)));
+        for (cut, hole) in shapes {
+            if hole == 0 {
+                write_cut(&trail_path, trail_after, cut, cut % 2 == 0, to);
+            } else {
+                let mut holed = trail_after[..to].to_vec();
+                holed[from..from + hole].fill(0);
+                write_cut(&trail_path, &holed, to, false, to);
+            }
+            let text = std::fs::read_to_string(&trail_path).unwrap();
+            let survived = parse_trail(&text).unwrap();
+            // Cut behind the digest, only the newline is missing.
+            let kept = whole.len() - usize::from(cut < to - 1);
+            assert_eq!(survived, whole[..kept], "{name}, trail cut {cut}");
+            verify_trail(&survived).unwrap();
+
+            // A reopened sink goes on behind the last complete line.
+            let sink = Box::new(FileSink::open(&trail_path).unwrap());
+            let mut log = AuditLog::new(sink, FlushPolicy::real_time());
+            log.record(AuditRecord::new(1, "restarted", Operation::Maintenance))
+                .unwrap();
+            drop(log);
+            let text = std::fs::read_to_string(&trail_path).unwrap();
+            assert!(!text.contains('\0'), "{name}, trail cut {cut}");
+            let resumed = parse_trail(&text).unwrap();
+            let complete = whole.len() - usize::from(cut < to);
+            assert_eq!(resumed.len(), complete + 1, "{name}, trail cut {cut}");
+            assert_eq!(resumed[..complete], whole[..complete]);
+            assert_eq!(verify_trail_segments(&resumed).unwrap(), 2);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Journals laid out before shadows were co-located (manifest version 1).
+
+#[test]
+fn a_version_1_segment_set_replays_through_the_router() {
+    use gdpr_storage::gdpr_core::store::META_PREFIX;
+    use gdpr_storage::kvstore::aof::AofLog;
+    use gdpr_storage::kvstore::clock::SystemClock;
+    use gdpr_storage::kvstore::commands::Command;
+    use gdpr_storage::kvstore::device::PlainFileDevice;
+    use gdpr_storage::kvstore::shard::{hash_key, DEFAULT_HASH_SEED};
+
+    const SHARDS: usize = 4;
+    let dir = test_dir("manifest-v1");
+    let path = dir.join("journal.aof");
+
+    // A history in which a key and its shadow interleave, so that replay
+    // is only right if it follows the global sequence across segments.
+    let mut history = Vec::new();
+    for i in 0..24 {
+        let key = format!("user{i:02}");
+        let shadow = format!("{META_PREFIX}{key}");
+        let set = |key: &str, value: &[u8]| Command::Set {
+            key: key.to_string(),
+            value: value.to_vec(),
+        };
+        history.push(set(&key, b"first"));
+        history.push(set(&shadow, b"subject=alice"));
+        history.push(set(&key, b"second"));
+        if i % 3 == 0 {
+            history.push(Command::ExpireAt {
+                key: key.clone(),
+                at_ms: 10_000_000_000_000,
+            });
+            history.push(Command::ExpireAt {
+                key: shadow.clone(),
+                at_ms: 10_000_000_000_000,
+            });
+        }
+        if i % 4 == 0 {
+            history.push(Command::Del { key });
+            history.push(Command::Del { key: shadow });
+        } else if i % 4 == 1 {
+            history.push(set(&shadow, b"subject=bob"));
+        }
+    }
+
+    // The parent's layout: every record in the segment of its *whole* key's
+    // hash, `sequence || command` in the journal's record framing, under a
+    // version-1 manifest.
+    let mut logs: Vec<AofLog> = (0..SHARDS)
+        .map(|idx| {
+            let device = PlainFileDevice::open(segment_path(&path, 1, idx)).unwrap();
+            AofLog::new(
+                Box::new(device),
+                FsyncPolicy::Never,
+                std::sync::Arc::new(SystemClock),
+            )
+        })
+        .collect();
+    let mut counts = [0u64; SHARDS];
+    let mut scattered = 0;
+    for (seq, command) in (1u64..).zip(&history) {
+        let key = command.primary_key().unwrap();
+        let segment = (hash_key(DEFAULT_HASH_SEED, key) & (SHARDS as u64 - 1)) as usize;
+        let data_key = key.strip_prefix(META_PREFIX).unwrap_or(key);
+        let data_segment = (hash_key(DEFAULT_HASH_SEED, data_key) & (SHARDS as u64 - 1)) as usize;
+        scattered += usize::from(segment != data_segment);
+        let mut record = seq.to_le_bytes().to_vec();
+        record.extend_from_slice(&command.encode());
+        logs[segment].append(&record).unwrap();
+        counts[segment] += 1;
+    }
+    assert!(scattered > 10, "the fixture must exercise the re-route");
+    for log in &mut logs {
+        log.fsync().unwrap();
+    }
+    drop(logs);
+    let mut manifest = b"GDPRAOFM".to_vec();
+    for word in [1, 1, DEFAULT_HASH_SEED, SHARDS as u64]
+        .into_iter()
+        .chain(counts)
+    {
+        manifest.extend_from_slice(&word.to_le_bytes());
+    }
+    std::fs::write(&path, manifest).unwrap();
+
+    // What the history amounts to.
+    let fresh = KvStore::open(StoreConfig::in_memory().shards(SHARDS)).unwrap();
+    for command in &history {
+        fresh.execute(command.clone()).unwrap();
+    }
+
+    let reopened = KvStore::open(StoreConfig::with_aof(&path).shards(SHARDS)).unwrap();
+    assert_eq!(state_digest(&reopened), state_digest(&fresh));
+    assert_eq!(
+        reopened.aof_epoch(),
+        Some(2),
+        "re-sharded into the next epoch under a current manifest"
+    );
+    // From here on the set is laid out for the router: value and shadow
+    // written together survive a reopen, which no longer re-shards.
+    let (key, shadow) = ("user99", format!("{META_PREFIX}user99"));
+    assert_eq!(reopened.shard_of(key), reopened.shard_of(&shadow));
+    reopened.set(key, b"v".to_vec()).unwrap();
+    reopened.set(&shadow, b"m".to_vec()).unwrap();
+    fresh.set(key, b"v".to_vec()).unwrap();
+    fresh.set(&shadow, b"m".to_vec()).unwrap();
+    reopened.fsync().unwrap();
+    drop(reopened);
+    let again = KvStore::open(StoreConfig::with_aof(&path).shards(SHARDS)).unwrap();
+    assert_eq!(again.aof_epoch(), Some(2));
+    assert_eq!(state_digest(&again), state_digest(&fresh));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -7,14 +7,16 @@
 //!   `denied_ops` increment, one `Denied` record naming the operation, and
 //!   keyspace, metadata index and hot cache exactly as they were;
 //! * under `CompliancePolicy::strict()` that record is in the sink before
-//!   the call returns.
+//!   the call returns — and when the sink cannot take it, the call returns
+//!   the audit error and the record is kept for the next flush.
 
 use std::collections::BTreeMap;
 
 use gdpr_storage::audit::log::parse_chained_line;
 use gdpr_storage::audit::reader::{parse_trail, verify_trail};
 use gdpr_storage::audit::record::{Operation, Outcome};
-use gdpr_storage::audit::sink::MemorySink;
+use gdpr_storage::audit::sink::{AuditSink, MemorySink, SinkStats};
+use gdpr_storage::audit::AuditError;
 use gdpr_storage::gdpr_core::acl::Grant;
 use gdpr_storage::gdpr_core::metadata::{PersonalMetadata, Region};
 use gdpr_storage::gdpr_core::policy::CompliancePolicy;
@@ -256,6 +258,100 @@ fn every_operation_is_counted_once_and_audited_once() {
                 "{name}: hot tier"
             );
         }
+    }
+}
+
+/// How a [`FlakySink`] is failing right now.
+const SINK_UP: u8 = 0;
+const SINK_REFUSES_WRITES: u8 = 1;
+const SINK_REFUSES_SYNCS: u8 = 2;
+
+/// A `MemorySink` the test can take down.
+#[derive(Debug)]
+struct FlakySink {
+    inner: MemorySink,
+    state: std::sync::Arc<std::sync::atomic::AtomicU8>,
+}
+
+impl FlakySink {
+    fn check(&self, failing: u8) -> gdpr_storage::audit::Result<()> {
+        if self.state.load(std::sync::atomic::Ordering::SeqCst) == failing {
+            return Err(AuditError::Io(std::io::Error::other("sink is down")));
+        }
+        Ok(())
+    }
+}
+
+impl AuditSink for FlakySink {
+    fn write_line(&mut self, line: &str) -> gdpr_storage::audit::Result<()> {
+        self.check(SINK_REFUSES_WRITES)?;
+        self.inner.write_line(line)
+    }
+
+    fn sync(&mut self) -> gdpr_storage::audit::Result<()> {
+        self.check(SINK_REFUSES_SYNCS)?;
+        self.inner.sync()
+    }
+
+    fn stats(&self) -> SinkStats {
+        self.inner.stats()
+    }
+}
+
+#[test]
+fn a_failed_audit_write_fails_the_operation_and_keeps_the_record() {
+    for outage in [SINK_REFUSES_WRITES, SINK_REFUSES_SYNCS] {
+        let inner = MemorySink::new();
+        let view = inner.share();
+        let state = std::sync::Arc::new(std::sync::atomic::AtomicU8::new(SINK_UP));
+        let sink = FlakySink {
+            inner,
+            state: std::sync::Arc::clone(&state),
+        };
+        let config = StoreConfig::in_memory().aof_in_memory().shards(2);
+        let store = GdprStore::open(CompliancePolicy::strict(), config, Box::new(sink)).unwrap();
+        store.grant(Grant::new("app", "billing"));
+        let billing = app("billing");
+        store
+            .put(&billing, "k", b"value".to_vec(), meta("alice"))
+            .unwrap();
+        let durable = view.lines().len();
+
+        // No durable evidence, no success: an allowed write, an allowed
+        // read and a denial all come back as the audit failure.
+        state.store(outage, std::sync::atomic::Ordering::SeqCst);
+        let failed: [(&str, Result<(), GdprError>); 3] = [
+            ("put", store.put(&billing, "n", b"v".to_vec(), meta("bob"))),
+            ("get", store.get(&billing, "k").map(drop)),
+            ("denied get", store.get(&stranger(), "k").map(drop)),
+        ];
+        for (name, result) in failed {
+            assert!(
+                matches!(result, Err(GdprError::Audit(AuditError::Io(_)))),
+                "{name} under outage {outage}: {result:?}"
+            );
+        }
+
+        // The sink recovers: the next operation succeeds and carries the
+        // three kept records out with it, once each, in order.
+        state.store(SINK_UP, std::sync::atomic::Ordering::SeqCst);
+        store.get(&billing, "k").unwrap();
+        let trail = view.lines();
+        assert_eq!(trail.len(), durable + 4, "outage {outage}");
+        assert_eq!(trail.len() as u64, store.stats().audit_records);
+        let parsed = parse_trail(&trail.join("\n")).unwrap();
+        verify_trail(&parsed).unwrap();
+        let outcomes: Vec<Outcome> = parsed[durable..].iter().map(|r| r.record.outcome).collect();
+        assert_eq!(
+            outcomes,
+            [
+                Outcome::Allowed,
+                Outcome::Allowed,
+                Outcome::Denied,
+                Outcome::Allowed
+            ],
+            "outage {outage}"
+        );
     }
 }
 

@@ -8,7 +8,9 @@
 //! * denied operations never mutate state (an actor without a grant leaves
 //!   no keys, no metadata and no index postings behind);
 //! * under the strict (real-time) policy the audit hash chain still
-//!   verifies end to end after concurrent emission.
+//!   verifies end to end after concurrent emission;
+//! * a value and its metadata shadow appear and disappear together, however
+//!   puts, erasures and deletes race.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -329,6 +331,82 @@ fn group_commit_under_compliance_hammering_keeps_state_and_journal_aligned() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn no_reader_sees_a_value_without_its_shadow_while_puts_race_erasures() {
+    // A bracket reaches the engine as one batch under one shard lock, so a
+    // reader that takes the same lock once — a two-GET batch — sees the
+    // value and the shadow of a key both present or both absent, never
+    // the half-written or half-erased state in between.
+    use gdpr_storage::gdpr_core::store::META_PREFIX;
+    use gdpr_storage::kvstore::commands::{Command, Reply};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Barrier;
+
+    const KEYS: usize = 16;
+    const ROUNDS: usize = 150;
+    let store = open_sharded(CompliancePolicy::eventual());
+    let key = |i: usize| format!("user:{}:k{i:02}", subject(0));
+    let done = AtomicBool::new(false);
+    let start = Barrier::new(4);
+    let observed = AtomicU64::new(0);
+
+    std::thread::scope(|scope| {
+        let (store, start, done, observed) = (&store, &start, &done, &observed);
+        scope.spawn(move || {
+            start.wait();
+            for round in 0..ROUNDS {
+                for i in 0..KEYS {
+                    let value = format!("r{round}").into_bytes();
+                    store.put(&ctx(), &key(i), value, meta(0)).unwrap();
+                }
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        scope.spawn(move || {
+            start.wait();
+            while !done.load(Ordering::SeqCst) {
+                store.right_to_erasure(&ctx(), &subject(0)).unwrap();
+            }
+        });
+        scope.spawn(move || {
+            start.wait();
+            let mut i = 0;
+            while !done.load(Ordering::SeqCst) {
+                store.delete(&ctx(), &key(i % KEYS)).unwrap();
+                i += 1;
+            }
+        });
+        scope.spawn(move || {
+            start.wait();
+            let mut i = 0;
+            while !done.load(Ordering::SeqCst) {
+                let data = key(i % KEYS);
+                let pair = [
+                    Command::Get { key: data.clone() },
+                    Command::Get {
+                        key: format!("{META_PREFIX}{data}"),
+                    },
+                ];
+                let replies = store.engine().execute_batch(&pair).unwrap();
+                let (value, shadow) = (replies[0] != Reply::Nil, replies[1] != Reply::Nil);
+                assert_eq!(value, shadow, "{data}: value {value}, shadow {shadow}");
+                observed.fetch_add(u64::from(value), Ordering::Relaxed);
+                i += 1;
+            }
+        });
+    });
+    assert!(
+        observed.load(Ordering::Relaxed) > 0,
+        "the reader never caught a key between a put and its erasure"
+    );
+    // And once the dust settles the index agrees with the keyspace.
+    let posted = store.keys_of_subject(&subject(0)).unwrap();
+    assert_eq!(posted.len(), store.len());
+    for key in posted {
+        assert!(store.get(&ctx(), &key).unwrap().is_some(), "{key}");
+    }
 }
 
 #[test]

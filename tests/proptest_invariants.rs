@@ -273,6 +273,20 @@ proptest! {
     /// The glob matcher agrees with simple oracle cases: a pattern equal to
     /// the text always matches, `*` always matches, and a pattern with a
     /// different first literal never matches.
+    /// A metadata shadow is routed to the shard of the data key it
+    /// describes, whatever the seed and the shard count.
+    #[test]
+    fn a_shadow_is_routed_with_its_data_key(
+        key in "[a-zA-Z0-9:_ -]{0,24}",
+        seed in any::<u64>(),
+        shards in 1usize..65,
+    ) {
+        use gdpr_storage::gdpr_core::store::META_PREFIX;
+        use gdpr_storage::kvstore::shard::ShardRouter;
+        let router = ShardRouter::new(shards, seed);
+        prop_assert_eq!(router.shard_of(&format!("{META_PREFIX}{key}")), router.shard_of(&key));
+    }
+
     #[test]
     fn glob_matcher_basic_laws(text in "[a-z]{0,12}") {
         prop_assert!(glob_match(&text, &text));

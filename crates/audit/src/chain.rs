@@ -6,7 +6,7 @@
 //! its predecessor; [`verify_chain`] re-walks the trail and reports the
 //! first break.
 
-use gdpr_crypto::sha256::{to_hex, Sha256};
+use gdpr_crypto::sha256::{digest_to_hex, to_hex, Sha256};
 
 use crate::record::AuditRecord;
 use crate::{AuditError, Result};
@@ -14,10 +14,13 @@ use crate::{AuditError, Result};
 /// Hex-encoded SHA-256 digest.
 pub type ChainDigest = String;
 
+/// What the digest that seeds an empty chain is the digest of.
+const GENESIS: &[u8] = b"gdpr-audit-chain-genesis";
+
 /// The digest that seeds an empty chain.
 #[must_use]
 pub fn genesis_digest() -> ChainDigest {
-    to_hex(&Sha256::digest(b"gdpr-audit-chain-genesis"))
+    to_hex(&Sha256::digest(GENESIS))
 }
 
 /// Compute the chained digest of `record` given its predecessor's digest.
@@ -33,11 +36,23 @@ pub fn chain_digest(previous: &str, record: &AuditRecord) -> ChainDigest {
 /// [`AuditRecord::to_line`] for the digest to match [`chain_digest`].
 #[must_use]
 pub fn chain_digest_line(previous: &str, line: &str) -> ChainDigest {
+    hex_str(&chain_digest_hex(previous.as_bytes(), line.as_bytes())).to_string()
+}
+
+/// A digest as the ASCII hex digits the trail carries.
+type HexDigest = [u8; 64];
+
+/// [`chain_digest_line`] without the allocation.
+fn chain_digest_hex(previous: &[u8], line: &[u8]) -> HexDigest {
     let mut hasher = Sha256::new();
-    hasher.update(previous.as_bytes());
+    hasher.update(previous);
     hasher.update(b"\n");
-    hasher.update(line.as_bytes());
-    to_hex(&hasher.finalize())
+    hasher.update(line);
+    digest_to_hex(&hasher.finalize())
+}
+
+fn hex_str(hex: &HexDigest) -> &str {
+    std::str::from_utf8(hex).expect("hex digits are ASCII")
 }
 
 /// A chained record as persisted: the record plus its digest.
@@ -52,7 +67,7 @@ pub struct ChainedRecord {
 /// An incremental chain builder used by the log writer.
 #[derive(Debug, Clone)]
 pub struct ChainState {
-    tip: ChainDigest,
+    tip: HexDigest,
     length: u64,
 }
 
@@ -67,21 +82,25 @@ impl ChainState {
     #[must_use]
     pub fn new() -> Self {
         ChainState {
-            tip: genesis_digest(),
+            tip: digest_to_hex(&Sha256::digest(GENESIS)),
             length: 0,
         }
     }
 
-    /// Resume a chain from a known tip (e.g. after reopening a trail file).
+    /// Resume a chain from a known tip (e.g. after reopening a trail
+    /// file); `None` if `tip` is not the 64 hex digits of a digest.
     #[must_use]
-    pub fn resume(tip: ChainDigest, length: u64) -> Self {
-        ChainState { tip, length }
+    pub fn resume(tip: &str, length: u64) -> Option<Self> {
+        let tip: HexDigest = tip.as_bytes().try_into().ok()?;
+        tip.iter()
+            .all(u8::is_ascii_hexdigit)
+            .then_some(ChainState { tip, length })
     }
 
     /// Current tip digest.
     #[must_use]
     pub fn tip(&self) -> &str {
-        &self.tip
+        hex_str(&self.tip)
     }
 
     /// Number of records folded into the chain.
@@ -98,19 +117,19 @@ impl ChainState {
 
     /// Fold a record into the chain, returning its digest.
     pub fn append(&mut self, record: &AuditRecord) -> ChainDigest {
-        self.append_line(&record.to_line())
+        self.append_line(&record.to_line()).to_string()
     }
 
-    /// Fold an already-serialized record line into the chain.
+    /// Fold an already-serialized record line into the chain; returns its
+    /// digest, the new tip.
     ///
     /// Byte-identical to [`Self::append`] when `line` came from
     /// [`AuditRecord::to_line`]; lets the writer serialize once for both
     /// the chain and the sink.
-    pub fn append_line(&mut self, line: &str) -> ChainDigest {
-        let digest = chain_digest_line(&self.tip, line);
-        self.tip = digest.clone();
+    pub fn append_line(&mut self, line: &str) -> &str {
+        self.tip = chain_digest_hex(&self.tip, line.as_bytes());
         self.length += 1;
-        digest
+        self.tip()
     }
 }
 
@@ -192,7 +211,9 @@ mod tests {
     fn resume_produces_identical_digests() {
         let full = build_chain(6);
         // Rebuild the last 3 records from a resumed state.
-        let mut resumed = ChainState::resume(full[2].digest.clone(), 3);
+        assert!(ChainState::resume("not a digest", 3).is_none());
+        assert!(ChainState::resume(&"g".repeat(64), 3).is_none());
+        let mut resumed = ChainState::resume(&full[2].digest, 3).unwrap();
         for (i, expected) in full.iter().enumerate().skip(3) {
             let digest = resumed.append(&record(i as u64));
             assert_eq!(digest, expected.digest);

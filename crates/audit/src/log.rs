@@ -1,11 +1,11 @@
 //! The audit log front object.
 //!
 //! [`AuditLog`] assigns sequence numbers, maintains the optional hash
-//! chain, buffers lines and flushes them to an [`AuditSink`] according to a
-//! [`FlushPolicy`]. For deployments that want the logging cost off the
-//! request path entirely (at the price of a wider evidence-loss window),
-//! [`AsyncAuditLog`] moves the sink behind a crossbeam channel and a
-//! background writer thread.
+//! chain, renders each line in place into one buffer and flushes that to an
+//! [`AuditSink`] according to a [`FlushPolicy`]. For deployments that want
+//! the logging cost off the request path entirely (at the price of a wider
+//! evidence-loss window), [`AsyncAuditLog`] moves the sink behind a
+//! crossbeam channel and a background writer thread.
 
 use std::thread::JoinHandle;
 
@@ -24,8 +24,29 @@ pub struct AuditLogStats {
     pub records: u64,
     /// Flush operations performed (each ends in a sink sync).
     pub flushes: u64,
-    /// Records currently buffered and therefore volatile.
+    /// Records accepted but not yet durable: every one since the last
+    /// successful sync, still in the log's buffer or already in the sink.
     pub buffered: usize,
+}
+
+/// How many bytes of rendered lines the log holds before it hands them to
+/// the sink without waiting for the flush policy. The policy still decides
+/// alone when the sink is synced; this only bounds the memory that a
+/// second of traffic takes.
+const HAND_OVER_BYTES: usize = 64 << 10;
+
+/// Render `record` as one trail line at the end of `out`: the record and,
+/// under a chain, `#` and the digest that chains the line onto its
+/// predecessor. Serialized exactly once: the chain hashes the bytes the
+/// sink will get.
+fn render_line(record: &AuditRecord, chain: Option<&mut ChainState>, out: &mut String) {
+    let start = out.len();
+    record.write_line(out);
+    if let Some(chain) = chain {
+        let digest = chain.append_line(&out[start..]);
+        out.push('#');
+        out.push_str(digest);
+    }
 }
 
 /// A synchronous audit log writing to a single sink.
@@ -34,9 +55,12 @@ pub struct AuditLog {
     sink: Box<dyn AuditSink>,
     policy: FlushPolicy,
     chain: Option<ChainState>,
-    buffer: Vec<String>,
-    /// Lines the sink has taken but not yet synced.
-    unsynced: bool,
+    /// The rendered lines the sink has not taken yet, a newline behind
+    /// each, in one contiguous buffer.
+    buffer: String,
+    /// Records accepted since the last successful sync: the lines in
+    /// `buffer` and those the sink has taken but not synced.
+    at_risk: usize,
     next_sequence: u64,
     last_flush_ms: u64,
     stats: AuditLogStats,
@@ -51,8 +75,8 @@ impl AuditLog {
             sink,
             policy,
             chain: Some(ChainState::new()),
-            buffer: Vec::new(),
-            unsynced: false,
+            buffer: String::new(),
+            at_risk: 0,
             next_sequence: 0,
             last_flush_ms: 0,
             stats: AuditLogStats::default(),
@@ -77,11 +101,11 @@ impl AuditLog {
         self.policy = policy;
     }
 
-    /// Activity counters (includes current buffer occupancy).
+    /// Activity counters (includes the records currently at risk).
     #[must_use]
     pub fn stats(&self) -> AuditLogStats {
         AuditLogStats {
-            buffered: self.buffer.len(),
+            buffered: self.at_risk,
             ..self.stats
         }
     }
@@ -102,39 +126,53 @@ impl AuditLog {
     ///
     /// # Errors
     ///
-    /// Propagates sink errors raised while flushing.
+    /// Propagates sink errors raised while flushing or handing lines over.
+    /// The record is accepted all the same: its line stays buffered and
+    /// goes out, in order, with the next flush that succeeds.
     pub fn record(&mut self, mut record: AuditRecord) -> Result<u64> {
         record.sequence = self.next_sequence;
         self.next_sequence += 1;
         self.stats.records += 1;
 
-        // Serialize exactly once: the same line feeds the chain digest and
-        // the sink, so this is byte-identical to hashing the record itself.
-        let mut line = record.to_line();
-        if let Some(chain) = &mut self.chain {
-            let digest = chain.append_line(&line);
-            line.push('#');
-            line.push_str(&digest);
-        }
-        let timestamp = record.timestamp_ms;
-        self.buffer.push(line);
+        render_line(&record, self.chain.as_mut(), &mut self.buffer);
+        self.buffer.push('\n');
+        self.at_risk += 1;
 
         match self.policy {
             FlushPolicy::Synchronous => self.flush()?,
             FlushPolicy::Periodic { interval_ms } => {
-                if timestamp.saturating_sub(self.last_flush_ms) >= interval_ms {
+                if record.timestamp_ms.saturating_sub(self.last_flush_ms) >= interval_ms {
                     self.flush()?;
-                    self.last_flush_ms = timestamp;
+                    self.last_flush_ms = record.timestamp_ms;
                 }
             }
             FlushPolicy::Batched { max_records } => {
-                if self.buffer.len() >= max_records {
+                if self.at_risk >= max_records {
                     self.flush()?;
                 }
             }
             FlushPolicy::Manual => {}
         }
+        if self.buffer.len() >= HAND_OVER_BYTES {
+            self.hand_over()?;
+        }
         Ok(record.sequence)
+    }
+
+    /// Give the sink every buffered line, in order, without syncing it.
+    /// The line the sink refuses, and those behind it, stay buffered.
+    fn hand_over(&mut self) -> Result<()> {
+        let mut taken = 0;
+        let mut written = Ok(());
+        for line in self.buffer.split_terminator('\n') {
+            written = self.sink.write_line(line);
+            if written.is_err() {
+                break;
+            }
+            taken += line.len() + 1;
+        }
+        self.buffer.drain(..taken);
+        written
     }
 
     /// Flush all buffered lines to the sink and sync it.
@@ -145,31 +183,21 @@ impl AuditLog {
     /// buffered, and a failed sync stays owed, so the next flush retries
     /// both: no record is dropped because the sink was down.
     pub fn flush(&mut self) -> Result<()> {
-        if self.buffer.is_empty() && !self.unsynced {
+        if self.at_risk == 0 {
             return Ok(());
         }
-        let mut taken = 0;
-        let mut written = Ok(());
-        for line in &self.buffer {
-            written = self.sink.write_line(line);
-            if written.is_err() {
-                break;
-            }
-            taken += 1;
-        }
-        self.buffer.drain(..taken);
-        self.unsynced |= taken > 0;
-        written?;
+        self.hand_over()?;
         self.sink.sync()?;
-        self.unsynced = false;
+        self.at_risk = 0;
         self.stats.flushes += 1;
         Ok(())
     }
 
-    /// Number of records accepted but not yet durable.
+    /// Number of records accepted but not yet durable: every one since
+    /// the last successful sync, whether the sink has its line or not.
     #[must_use]
     pub fn at_risk(&self) -> usize {
-        self.buffer.len()
+        self.at_risk
     }
 }
 
@@ -263,14 +291,8 @@ impl AsyncAuditLog {
     pub fn record(&mut self, mut record: AuditRecord) -> u64 {
         record.sequence = self.next_sequence;
         self.next_sequence += 1;
-        // Serialize exactly once: the same line feeds the chain digest and
-        // the sink, so this is byte-identical to hashing the record itself.
-        let mut line = record.to_line();
-        if let Some(chain) = &mut self.chain {
-            let digest = chain.append_line(&line);
-            line.push('#');
-            line.push_str(&digest);
-        }
+        let mut line = String::new();
+        render_line(&record, self.chain.as_mut(), &mut line);
         // A full queue blocks, which is the intended back-pressure.
         let _ = self.sender.send(WriterMessage::Line(line));
         record.sequence
@@ -368,6 +390,109 @@ mod tests {
         }
         assert_eq!(view.lines().len(), 2, "drop flushes the remainder");
     }
+
+    /// A `MemorySink` whose syncs fail while the flag is up.
+    #[derive(Debug)]
+    struct SyncFails {
+        inner: MemorySink,
+        down: std::sync::Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl AuditSink for SyncFails {
+        fn write_line(&mut self, line: &str) -> Result<()> {
+            self.inner.write_line(line)
+        }
+
+        fn sync(&mut self) -> Result<()> {
+            if self.down.load(std::sync::atomic::Ordering::SeqCst) {
+                return Err(std::io::Error::other("sink cannot sync").into());
+            }
+            self.inner.sync()
+        }
+
+        fn stats(&self) -> SinkStats {
+            self.inner.stats()
+        }
+    }
+
+    #[test]
+    fn evidence_at_risk_counts_every_line_since_the_last_successful_sync() {
+        let inner = MemorySink::new();
+        let view = inner.share();
+        let down = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let sink = SyncFails {
+            inner,
+            down: std::sync::Arc::clone(&down),
+        };
+        let mut log = AuditLog::new(Box::new(sink), FlushPolicy::Manual);
+        for ts in 0..10_000 {
+            log.record(rec(ts)).unwrap();
+        }
+        // The log hands lines over in 64 KiB runs: most are in the sink
+        // already, none is synced, all are at risk.
+        let handed_over = view.lines().len();
+        assert!((5_000..10_000).contains(&handed_over), "{handed_over}");
+        assert!(log.buffer.len() < HAND_OVER_BYTES);
+        assert_eq!(log.sink_stats().syncs, 0);
+        assert_eq!(log.at_risk(), 10_000);
+        assert_eq!(log.stats().buffered, 10_000);
+
+        // A sync that fails takes every line and leaves the count.
+        down.store(true, std::sync::atomic::Ordering::SeqCst);
+        assert!(log.flush().is_err());
+        assert_eq!(view.lines().len(), 10_000);
+        assert_eq!(log.at_risk(), 10_000);
+        log.record(rec(10_000)).unwrap();
+        assert_eq!(log.at_risk(), 10_001);
+
+        down.store(false, std::sync::atomic::Ordering::SeqCst);
+        log.flush().unwrap();
+        assert_eq!(log.at_risk(), 0);
+        assert_eq!(log.stats().buffered, 0);
+        assert_eq!(log.stats().flushes, 1);
+        let lines = view.lines();
+        assert_eq!(lines.len(), 10_001);
+        let chained: Vec<_> = lines
+            .iter()
+            .map(|l| parse_chained_line(l).unwrap())
+            .collect();
+        crate::chain::verify_chain(&chained).unwrap();
+    }
+
+    #[test]
+    fn the_rendered_trail_is_what_it_was_before_lines_were_rendered_in_place() {
+        // Written by the commit before this renderer, digests included.
+        let sink = MemorySink::new();
+        let view = sink.share();
+        let mut log = AuditLog::new(Box::new(sink), FlushPolicy::Manual);
+        log.record(rec(1_700_000_000_000)).unwrap();
+        log.record(
+            AuditRecord::new(1_700_000_000_001, "pipe|actor", Operation::RightsRequest)
+                .subject("subject-42")
+                .purpose("analytics")
+                .outcome(Outcome::Denied)
+                .detail("weird|detail\nwith newline \\ and backslash, \0 too"),
+        )
+        .unwrap();
+        log.record(AuditRecord::new(u64::MAX, "engine", Operation::Maintenance))
+            .unwrap();
+        log.flush().unwrap();
+        assert_eq!(view.lines(), GOLDEN_TRAIL);
+        let mut async_log = AsyncAuditLog::spawn(Box::new(MemorySink::new()), 4);
+        async_log.record(rec(1_700_000_000_000));
+        let (_, digest) = GOLDEN_TRAIL[0].rsplit_once('#').unwrap();
+        assert_eq!(async_log.chain.as_ref().unwrap().tip(), digest);
+    }
+
+    const GOLDEN_TRAIL: [&str; 3] = [
+        "0|1700000000000|tester|read|k|||allowed|\
+         #33a1898f682b2a1d9852c7267050364afb9faee0d2af9bbb9e46b6679826136d",
+        "1|1700000000001|pipe\\pactor|rights||subject-42|analytics|denied|\
+         weird\\pdetail\\nwith newline \\\\ and backslash, \\0 too\
+         #226effdeb933e9bfc027e4d8bf2f84aed64e81643d98ad0554dad3fe9448beeb",
+        "2|18446744073709551615|engine|maintenance||||allowed|\
+         #952709b8a7f465849172c61efbdb87b55853d6c163a2b3d311f1fb336a067862",
+    ];
 
     #[test]
     fn sequence_numbers_are_monotonic() {

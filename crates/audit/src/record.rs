@@ -184,42 +184,41 @@ impl AuditRecord {
     /// the trail files. Fields containing `|` or newlines are escaped.
     #[must_use]
     pub fn to_line(&self) -> String {
-        use std::fmt::Write as _;
-        // The common case has nothing to escape; only allocate when a field
-        // actually contains a special character.
-        fn esc(s: &str) -> std::borrow::Cow<'_, str> {
-            // NUL too: in a trail file a line that holds one is a torn line.
-            if s.contains(['\\', '|', '\n', '\0']) {
-                std::borrow::Cow::Owned(
-                    s.replace('\\', "\\\\")
-                        .replace('|', "\\p")
-                        .replace('\n', "\\n")
-                        .replace('\0', "\\0"),
-                )
-            } else {
-                std::borrow::Cow::Borrowed(s)
-            }
-        }
-        let key = self.key.as_deref().unwrap_or("");
-        let subject = self.subject.as_deref().unwrap_or("");
-        let purpose = self.purpose.as_deref().unwrap_or("");
-        let mut line = String::with_capacity(
-            48 + self.actor.len() + key.len() + subject.len() + purpose.len() + self.detail.len(),
-        );
-        let _ = write!(
-            line,
-            "{}|{}|{}|{}|{}|{}|{}|{}|{}",
-            self.sequence,
-            self.timestamp_ms,
-            esc(&self.actor),
-            self.operation.as_str(),
-            esc(key),
-            esc(subject),
-            esc(purpose),
-            self.outcome.as_str(),
-            esc(&self.detail),
-        );
+        let mut line = String::with_capacity(self.line_len_hint());
+        self.write_line(&mut line);
         line
+    }
+
+    /// [`Self::to_line`], rendered at the end of `out`: the log keeps its
+    /// unwritten lines in one buffer and renders each in place.
+    pub fn write_line(&self, out: &mut String) {
+        out.reserve(self.line_len_hint());
+        push_decimal(out, self.sequence);
+        out.push('|');
+        push_decimal(out, self.timestamp_ms);
+        out.push('|');
+        push_escaped(out, &self.actor);
+        out.push('|');
+        out.push_str(self.operation.as_str());
+        for field in [&self.key, &self.subject, &self.purpose] {
+            out.push('|');
+            push_escaped(out, field.as_deref().unwrap_or(""));
+        }
+        out.push('|');
+        out.push_str(self.outcome.as_str());
+        out.push('|');
+        push_escaped(out, &self.detail);
+    }
+
+    /// About how long the line is: exact but for the digits of the two
+    /// numbers and whatever needs escaping.
+    fn line_len_hint(&self) -> usize {
+        let optional = |field: &Option<String>| field.as_ref().map_or(0, String::len);
+        48 + self.actor.len()
+            + optional(&self.key)
+            + optional(&self.subject)
+            + optional(&self.purpose)
+            + self.detail.len()
     }
 
     /// Parse a line produced by [`Self::to_line`].
@@ -250,6 +249,40 @@ impl AuditRecord {
             outcome: Outcome::parse(parts[7])?,
             detail: unesc(parts[8]),
         })
+    }
+}
+
+/// Append `n` in decimal.
+fn push_decimal(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|d| char::from(*d)));
+}
+
+/// Append `field` with the separator, the line end, the escape character
+/// itself and NUL (in a trail file a line that holds one is a torn line)
+/// escaped. The common case has nothing to escape and is one copy.
+fn push_escaped(out: &mut String, field: &str) {
+    if !field.contains(['\\', '|', '\n', '\0']) {
+        out.push_str(field);
+        return;
+    }
+    for c in field.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '|' => out.push_str("\\p"),
+            '\n' => out.push_str("\\n"),
+            '\0' => out.push_str("\\0"),
+            c => out.push(c),
+        }
     }
 }
 

@@ -123,14 +123,25 @@ impl AuditSink for MemorySink {
 /// trail; after a crash the next open does, and with the tail drops what
 /// the crash tore: a last line that no newline ends, or one with a hole in
 /// it.
+///
+/// Lines are collected in a block and reach the file in **one positional
+/// write per block**: at [`AuditSink::sync`] (so a line synced is a line
+/// written, and under a real-time policy a block is one line), when the
+/// block passes 64 KiB, and when the sink is dropped. A crash can tear a
+/// block of many lines anywhere: by the rule above the whole lines ahead of
+/// the tear survive and the rest is dropped.
 #[derive(Debug)]
 pub struct FileSink {
     path: PathBuf,
     file: ExtendedFile,
-    /// The line being written, with its newline: one write per line.
-    line: Vec<u8>,
+    /// The lines taken and not yet written, each with its newline.
+    block: Vec<u8>,
     stats: SinkStats,
 }
+
+/// How many bytes of lines a [`FileSink`] collects before it writes them
+/// without being asked to sync.
+const BLOCK_BYTES: usize = 64 << 10;
 
 /// Where the trail in `bytes` (which start at the start of a line) ends:
 /// behind the last newline that ends a line holding no NUL byte, 0 if there
@@ -208,9 +219,18 @@ impl FileSink {
         Ok(FileSink {
             path,
             file,
-            line: Vec::new(),
+            block: Vec::new(),
             stats: SinkStats::default(),
         })
+    }
+
+    /// Write the collected block at the end of the trail.
+    fn write_block(&mut self) -> Result<()> {
+        if !self.block.is_empty() {
+            self.file.append(&self.block)?;
+            self.block.clear();
+        }
+        Ok(())
     }
 
     /// Path of the trail file.
@@ -222,16 +242,23 @@ impl FileSink {
 
 impl AuditSink for FileSink {
     fn write_line(&mut self, line: &str) -> Result<()> {
-        self.line.clear();
-        self.line.extend_from_slice(line.as_bytes());
-        self.line.push(b'\n');
-        self.file.append(&self.line)?;
+        let taken = self.block.len();
+        self.block.extend_from_slice(line.as_bytes());
+        self.block.push(b'\n');
+        if self.block.len() >= BLOCK_BYTES {
+            if let Err(e) = self.write_block() {
+                // Refused: the caller keeps this line and offers it again.
+                self.block.truncate(taken);
+                return Err(e);
+            }
+        }
         self.stats.lines += 1;
-        self.stats.bytes += self.line.len() as u64;
+        self.stats.bytes += line.len() as u64 + 1;
         Ok(())
     }
 
     fn sync(&mut self) -> Result<()> {
+        self.write_block()?;
         self.file.sync_data()?;
         self.stats.syncs += 1;
         Ok(())
@@ -239,6 +266,14 @@ impl AuditSink for FileSink {
 
     fn stats(&self) -> SinkStats {
         self.stats
+    }
+}
+
+impl Drop for FileSink {
+    fn drop(&mut self) {
+        // The lines taken are the sink's to write; errors cannot be
+        // reported from drop. The file then cuts itself back to the trail.
+        let _ = self.write_block();
     }
 }
 

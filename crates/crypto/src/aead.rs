@@ -45,10 +45,8 @@ impl ChaCha20Poly1305 {
 
     /// Derive the Poly1305 one-time key for a nonce (keystream block 0).
     fn one_time_key(&self, nonce: &[u8; NONCE_LEN]) -> [u8; 32] {
-        let mut cipher = ChaCha20::new(&self.key, nonce, 0);
-        let bytes = cipher.keystream_bytes(32);
         let mut key = [0u8; 32];
-        key.copy_from_slice(&bytes);
+        ChaCha20::new(&self.key, nonce, 0).apply_keystream(&mut key);
         key
     }
 
@@ -56,11 +54,26 @@ impl ChaCha20Poly1305 {
     /// `ciphertext || tag`.
     #[must_use]
     pub fn seal(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-        let mut out = plaintext.to_vec();
-        ChaCha20::new(&self.key, nonce, 1).apply_keystream(&mut out);
-        let tag = self.compute_tag(nonce, aad, &out);
-        out.extend_from_slice(&tag);
+        let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
+        self.seal_into(nonce, aad, plaintext, &mut out);
         out
+    }
+
+    /// [`Self::seal`], appending `ciphertext || tag` to `out`: a caller
+    /// that frames the sealed bytes builds its frame in one buffer.
+    pub fn seal_into(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        aad: &[u8],
+        plaintext: &[u8],
+        out: &mut Vec<u8>,
+    ) {
+        let start = out.len();
+        out.reserve(plaintext.len() + TAG_LEN);
+        out.extend_from_slice(plaintext);
+        ChaCha20::new(&self.key, nonce, 1).apply_keystream(&mut out[start..]);
+        let tag = self.compute_tag(nonce, aad, &out[start..]);
+        out.extend_from_slice(&tag);
     }
 
     /// Decrypt `sealed` (as produced by [`Self::seal`]), verifying the tag
@@ -76,20 +89,37 @@ impl ChaCha20Poly1305 {
         aad: &[u8],
         sealed: &[u8],
     ) -> Result<Vec<u8>, CryptoError> {
-        if sealed.len() < TAG_LEN {
+        let mut out = Vec::with_capacity(sealed.len().saturating_sub(TAG_LEN));
+        self.open_into(nonce, aad, sealed, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Self::open`], appending the plaintext to `out`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::open`]; `out` is then as it was.
+    pub fn open_into(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        aad: &[u8],
+        sealed: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<(), CryptoError> {
+        let Some((ciphertext, tag)) = sealed.split_last_chunk::<TAG_LEN>() else {
             return Err(CryptoError::TruncatedCiphertext {
                 got: sealed.len(),
                 need: TAG_LEN,
             });
-        }
-        let (ciphertext, tag) = sealed.split_at(sealed.len() - TAG_LEN);
+        };
         let expected = self.compute_tag(nonce, aad, ciphertext);
         if !crate::constant_time_eq(&expected, tag) {
             return Err(CryptoError::TagMismatch);
         }
-        let mut out = ciphertext.to_vec();
-        ChaCha20::new(&self.key, nonce, 1).apply_keystream(&mut out);
-        Ok(out)
+        let start = out.len();
+        out.extend_from_slice(ciphertext);
+        ChaCha20::new(&self.key, nonce, 1).apply_keystream(&mut out[start..]);
+        Ok(())
     }
 
     /// RFC 8439 tag computation: Poly1305 over `aad || pad || ct || pad ||
@@ -98,9 +128,9 @@ impl ChaCha20Poly1305 {
         let otk = self.one_time_key(nonce);
         let mut mac = Poly1305::new(&otk);
         mac.update(aad);
-        mac.update(&zero_pad(aad.len()));
+        mac.update(zero_pad(aad.len()));
         mac.update(ciphertext);
-        mac.update(&zero_pad(ciphertext.len()));
+        mac.update(zero_pad(ciphertext.len()));
         mac.update(&(aad.len() as u64).to_le_bytes());
         mac.update(&(ciphertext.len() as u64).to_le_bytes());
         mac.finalize()
@@ -108,13 +138,8 @@ impl ChaCha20Poly1305 {
 }
 
 /// Zero padding to the next 16-byte boundary, as required by the AEAD MAC.
-fn zero_pad(len: usize) -> Vec<u8> {
-    let rem = len % 16;
-    if rem == 0 {
-        Vec::new()
-    } else {
-        vec![0u8; 16 - rem]
-    }
+fn zero_pad(len: usize) -> &'static [u8] {
+    &[0u8; 16][..(16 - len % 16) % 16]
 }
 
 #[cfg(test)]

@@ -13,6 +13,15 @@ pub const NONCE_LEN: usize = 12;
 /// Keystream block length in bytes.
 pub const BLOCK_LEN: usize = 64;
 
+#[cfg(target_arch = "x86_64")]
+use crate::accel::chacha20_xor_blocks as xor_blocks_wide;
+
+/// No wide kernel on this architecture: nothing done.
+#[cfg(not(target_arch = "x86_64"))]
+fn xor_blocks_wide(_state: &mut [u32; 16], _data: &mut [u8]) -> usize {
+    0
+}
+
 /// The ChaCha20 quarter round, operating on four words of the state.
 #[inline]
 fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
@@ -106,22 +115,51 @@ impl ChaCha20 {
 
     /// XOR the keystream into `data` in place (encrypts or decrypts).
     pub fn apply_keystream(&mut self, data: &mut [u8]) {
-        for byte in data.iter_mut() {
-            if self.used == BLOCK_LEN {
-                self.next_block();
-            }
-            *byte ^= self.keystream[self.used];
-            self.used += 1;
+        self.apply(data, true);
+    }
+
+    /// [`Self::apply_keystream`] on the scalar block function alone: the
+    /// reference the wide kernel is tested against.
+    #[cfg(test)]
+    pub(crate) fn apply_keystream_scalar(&mut self, data: &mut [u8]) {
+        self.apply(data, false);
+    }
+
+    fn apply(&mut self, data: &mut [u8], wide: bool) {
+        // What is left of the current block first.
+        let left = (BLOCK_LEN - self.used).min(data.len());
+        let (head, mut rest) = data.split_at_mut(left);
+        xor(head, &self.keystream[self.used..self.used + left]);
+        self.used += left;
+        // The position is now block-aligned, or `rest` is empty: whole
+        // double blocks go to the wide kernel where the CPU has one. It
+        // advances the counter and leaves `used` at `BLOCK_LEN` (nothing
+        // left of a current block), as the scalar loop below does behind
+        // whole blocks.
+        if wide {
+            let done = xor_blocks_wide(&mut self.state, rest);
+            rest = &mut rest[done..];
+        }
+        for chunk in rest.chunks_mut(BLOCK_LEN) {
+            self.next_block();
+            xor(chunk, &self.keystream[..chunk.len()]);
+            self.used = chunk.len();
         }
     }
 
-    /// Produce `len` keystream bytes (used by the AEAD to derive the
-    /// Poly1305 one-time key from block 0).
+    /// Produce `len` keystream bytes.
     #[must_use]
     pub fn keystream_bytes(&mut self, len: usize) -> Vec<u8> {
         let mut out = vec![0u8; len];
         self.apply_keystream(&mut out);
         out
+    }
+}
+
+/// `data ^= keystream`, over slices of one length.
+fn xor(data: &mut [u8], keystream: &[u8]) {
+    for (byte, k) in data.iter_mut().zip(keystream) {
+        *byte ^= k;
     }
 }
 

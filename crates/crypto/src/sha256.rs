@@ -6,10 +6,12 @@
 
 /// Length of a SHA-256 digest in bytes.
 pub const DIGEST_LEN: usize = 32;
+/// Length of the block the compression function folds in.
+const BLOCK_LEN: usize = 64;
 
 /// Round constants (first 32 bits of the fractional parts of the cube roots
 /// of the first 64 primes).
-const K: [u32; 64] = [
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -42,7 +44,7 @@ const H0: [u32; 8] = [
 pub struct Sha256 {
     state: [u32; 8],
     /// Partially filled block.
-    buffer: [u8; 64],
+    buffer: [u8; BLOCK_LEN],
     buffer_len: usize,
     /// Total number of message bytes processed so far.
     total_len: u64,
@@ -54,13 +56,34 @@ impl Default for Sha256 {
     }
 }
 
+/// A compression function: folds a whole number of 64-byte blocks into the
+/// state.
+pub(crate) type Compress = fn(&mut [u32; 8], &[u8]);
+
+/// The compression function [`Sha256`] runs: the SHA-extension kernel
+/// where the CPU has it, the scalar reference elsewhere.
+fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+    if !compress_accelerated(state, blocks) {
+        compress_scalar(state, blocks);
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+use crate::accel::sha256_compress as compress_accelerated;
+
+/// No kernel on this architecture: nothing done.
+#[cfg(not(target_arch = "x86_64"))]
+fn compress_accelerated(_state: &mut [u32; 8], _blocks: &[u8]) -> bool {
+    false
+}
+
 impl Sha256 {
     /// Create a new hasher with the FIPS 180-4 initial state.
     #[must_use]
     pub fn new() -> Self {
         Sha256 {
             state: H0,
-            buffer: [0u8; 64],
+            buffer: [0u8; BLOCK_LEN],
             buffer_len: 0,
             total_len: 0,
         }
@@ -76,73 +99,71 @@ impl Sha256 {
 
     /// Absorb `data` into the hash state.
     pub fn update(&mut self, data: &[u8]) {
-        self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        let mut input = data;
-
-        // Fill the partial block first, if any.
-        if self.buffer_len > 0 {
-            let take = (64 - self.buffer_len).min(input.len());
-            self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&input[..take]);
-            self.buffer_len += take;
-            input = &input[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
-            }
-        }
-
-        // Process full blocks straight from the input.
-        while input.len() >= 64 {
-            let (block, rest) = input.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            input = rest;
-        }
-
-        // Stash the tail.
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffer_len = input.len();
-        }
+        self.update_with(data, compress);
     }
 
     /// Finish the hash and return the digest, consuming nothing (the hasher
     /// is taken by value conceptually; call on a clone to continue hashing).
     #[must_use]
-    pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
+    pub fn finalize(self) -> [u8; DIGEST_LEN] {
+        self.finalize_with(compress)
+    }
+
+    /// [`Self::update`] over a given compression function.
+    pub(crate) fn update_with(&mut self, data: &[u8], compress: Compress) {
+        self.total_len = self.total_len.wrapping_add(data.len() as u64);
+        let mut input = data;
+
+        // Fill the partial block first, if any.
+        if self.buffer_len > 0 {
+            let take = (BLOCK_LEN - self.buffer_len).min(input.len());
+            self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&input[..take]);
+            self.buffer_len += take;
+            input = &input[take..];
+            if self.buffer_len < BLOCK_LEN {
+                return;
+            }
+            compress(&mut self.state, &self.buffer);
+            self.buffer_len = 0;
+        }
+
+        // The whole blocks, as one run straight from the input.
+        let (blocks, tail) = input.split_at(input.len() - input.len() % BLOCK_LEN);
+        if !blocks.is_empty() {
+            compress(&mut self.state, blocks);
+        }
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.buffer_len = tail.len();
+    }
+
+    /// [`Self::finalize`] over a given compression function.
+    pub(crate) fn finalize_with(mut self, compress: Compress) -> [u8; DIGEST_LEN] {
         let bit_len = self.total_len.wrapping_mul(8);
 
-        // Padding: 0x80, zeros, then the 64-bit big-endian length.
-        self.raw_update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.raw_update(&[0]);
+        // Padding: 0x80, zeros, then the 64-bit big-endian length closing
+        // a block — this one if the length still fits, else the next.
+        self.buffer[self.buffer_len] = 0x80;
+        self.buffer[self.buffer_len + 1..].fill(0);
+        if self.buffer_len + 1 > BLOCK_LEN - 8 {
+            compress(&mut self.state, &self.buffer);
+            self.buffer.fill(0);
         }
-        self.raw_update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buffer_len, 0);
+        self.buffer[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buffer);
 
         let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    /// Update without touching `total_len` (used for padding only).
-    fn raw_update(&mut self, data: &[u8]) {
-        for &byte in data {
-            self.buffer[self.buffer_len] = byte;
-            self.buffer_len += 1;
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
-            }
-        }
-    }
-
-    fn compress(&mut self, block: &[u8; 64]) {
+/// The scalar compression function: the reference the accelerated kernel
+/// is tested against, and the one that runs where there is none.
+pub(crate) fn compress_scalar(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % BLOCK_LEN, 0);
+    for block in blocks.chunks_exact(BLOCK_LEN) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -156,7 +177,7 @@ impl Sha256 {
                 .wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
 
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
@@ -180,26 +201,35 @@ impl Sha256 {
             a = temp1.wrapping_add(temp2);
         }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (word, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *word = word.wrapping_add(add);
+        }
     }
 }
+
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
 
 /// Hex-encode a digest (or any byte slice); handy for audit-log chaining.
 #[must_use]
 pub fn to_hex(bytes: &[u8]) -> String {
     let mut s = String::with_capacity(bytes.len() * 2);
     for b in bytes {
-        s.push(char::from_digit(u32::from(b >> 4), 16).expect("nibble < 16"));
-        s.push(char::from_digit(u32::from(b & 0xf), 16).expect("nibble < 16"));
+        s.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
+        s.push(char::from(HEX_DIGITS[usize::from(b & 0xf)]));
     }
     s
+}
+
+/// Hex-encode a digest into a fixed array of ASCII digits: what
+/// [`to_hex`] returns, without the allocation.
+#[must_use]
+pub fn digest_to_hex(digest: &[u8; DIGEST_LEN]) -> [u8; 2 * DIGEST_LEN] {
+    let mut hex = [0u8; 2 * DIGEST_LEN];
+    for (pair, b) in hex.chunks_exact_mut(2).zip(digest) {
+        pair[0] = HEX_DIGITS[usize::from(b >> 4)];
+        pair[1] = HEX_DIGITS[usize::from(b & 0xf)];
+    }
+    hex
 }
 
 #[cfg(test)]
@@ -257,5 +287,10 @@ mod tests {
     fn to_hex_roundtrip_shape() {
         assert_eq!(to_hex(&[0x00, 0xff, 0x1a]), "00ff1a");
         assert_eq!(to_hex(&[]), "");
+        let digest = Sha256::digest(b"abc");
+        assert_eq!(
+            digest_to_hex(&digest).as_slice(),
+            to_hex(&digest).as_bytes()
+        );
     }
 }

@@ -17,7 +17,8 @@
 #![warn(missing_docs)]
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 /// How far ahead of its content an [`ExtendedFile`] extends the file
@@ -102,8 +103,9 @@ impl ExtendedFile {
             self.file.set_len(target)?;
             self.allocated = target;
         }
-        self.file.seek(SeekFrom::Start(self.end))?;
-        if let Err(e) = self.file.write_all(data) {
+        // Positional: no seek, and readers of `file()` may leave the cursor
+        // wherever they like.
+        if let Err(e) = self.file.write_all_at(data, self.end) {
             if self.file.set_len(self.end).is_ok() {
                 self.allocated = self.end;
             }

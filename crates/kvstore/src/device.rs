@@ -345,7 +345,8 @@ impl FrameSeal for AeadSeal {
         nonce[..8].copy_from_slice(&self.frame_counter.to_le_bytes());
         gdpr_crypto::fill_random(&mut nonce[8..]);
         frame.extend_from_slice(&nonce);
-        frame.extend_from_slice(&self.aead.seal(&nonce, b"kvstore-frame", payload));
+        self.aead
+            .seal_into(&nonce, b"kvstore-frame", payload, frame);
     }
 
     fn open(&self, body: &[u8], out: &mut Vec<u8>) -> Result<()> {
@@ -355,8 +356,7 @@ impl FrameSeal for AeadSeal {
                 detail: format!("frame of {} bytes cannot hold a nonce", body.len()),
             });
         };
-        out.extend_from_slice(&self.aead.open(nonce, b"kvstore-frame", sealed)?);
-        Ok(())
+        Ok(self.aead.open_into(nonce, b"kvstore-frame", sealed, out)?)
     }
 
     fn resume_after(&mut self, frames: u64) {

@@ -717,6 +717,98 @@ fn a_torn_bracket_leaves_value_and_shadow_or_neither_and_a_trail_that_verifies()
     }
 }
 
+#[test]
+fn a_cut_anywhere_in_a_block_of_lines_keeps_the_whole_lines_ahead_of_it() {
+    use gdpr_storage::audit::log::AuditLog;
+    use gdpr_storage::audit::policy::FlushPolicy;
+    use gdpr_storage::audit::reader::{parse_trail, verify_trail, verify_trail_segments};
+    use gdpr_storage::audit::record::{AuditRecord, Operation};
+    use gdpr_storage::audit::sink::{AuditSink, FileSink};
+
+    const PAGE: usize = 4096;
+    let dir = test_dir("block-cuts");
+    let trail_path = dir.join("audit.log");
+    let record = |i: u64| {
+        AuditRecord::new(1_700_000_000_000 + i, "app", Operation::Read)
+            .key(&format!("user{i:04}"))
+            .subject("alice")
+            .purpose("billing")
+            .detail("GET 24 bytes")
+    };
+
+    // Under an eventual policy a flush writes every line since the last
+    // one as one block. The last block here is five lines across a page
+    // boundary: a crash can leave any prefix of it (the file is extended
+    // ahead, so what is missing reads as zeros).
+    let sink = Box::new(FileSink::open(&trail_path).unwrap());
+    let mut log = AuditLog::new(sink, FlushPolicy::Manual);
+    let mut written = 0;
+    let mut flush_lines = |log: &mut AuditLog, lines: u64| {
+        for i in written..written + lines {
+            log.record(record(i)).unwrap();
+        }
+        written += lines;
+        log.flush().unwrap();
+        crash_image(&trail_path)
+    };
+    let trail_before = flush_lines(&mut log, 28);
+    let trail_after = flush_lines(&mut log, 5);
+    drop(log);
+    let ends_at = |trail: &[u8]| trail.iter().position(|b| *b == 0).unwrap();
+    let (from, to) = (ends_at(&trail_before), ends_at(&trail_after));
+    assert!(from < PAGE - 1 && PAGE + 1 < to, "block {from}..{to}");
+    let trail_after = &trail_after[..to + 2 * PAGE];
+    let whole = parse_trail(std::str::from_utf8(trail_after).unwrap()).unwrap();
+    assert_eq!(whole.len(), 33);
+    let line_ends: Vec<usize> = (0..to).filter(|at| trail_after[*at] == b'\n').collect();
+    assert!(line_ends.iter().filter(|end| **end >= from).count() >= 3);
+
+    for cut in cut_points(from, to, trail_after.len()) {
+        write_cut(&trail_path, trail_after, cut, true, to);
+        // What the reader keeps: the lines whose newline landed, and one
+        // that is whole but for its newline.
+        let text = std::fs::read_to_string(&trail_path).unwrap();
+        let survived = parse_trail(&text).unwrap();
+        let complete = line_ends.iter().filter(|end| **end < cut).count();
+        let kept = complete + usize::from(line_ends.contains(&cut));
+        assert_eq!(survived, whole[..kept], "cut {cut}");
+        verify_trail(&survived).unwrap();
+
+        // Where a reopened sink resumes: behind the last newline that
+        // landed, which is where the reader's whole lines end.
+        drop(FileSink::open(&trail_path).unwrap());
+        let resumed_at = std::fs::metadata(&trail_path).unwrap().len() as usize;
+        assert_eq!(resumed_at, line_ends[complete - 1] + 1, "cut {cut}");
+
+        // And it goes on from there without a gap or a hole.
+        let sink = Box::new(FileSink::open(&trail_path).unwrap());
+        let mut log = AuditLog::new(sink, FlushPolicy::every_second());
+        for i in 0..3 {
+            log.record(AuditRecord::new(i, "restarted", Operation::Maintenance))
+                .unwrap();
+        }
+        drop(log);
+        let text = std::fs::read_to_string(&trail_path).unwrap();
+        assert!(!text.contains('\0'), "cut {cut}");
+        let resumed = parse_trail(&text).unwrap();
+        assert_eq!(resumed.len(), complete + 3, "cut {cut}");
+        assert_eq!(resumed[..complete], whole[..complete]);
+        assert_eq!(verify_trail_segments(&resumed).unwrap(), 2);
+    }
+
+    // Lines a sink has taken are its to write: dropped with a block partly
+    // filled and never synced, it writes the block first.
+    std::fs::remove_file(&trail_path).unwrap();
+    let mut sink = FileSink::open(&trail_path).unwrap();
+    for line in ["one", "two", "three"] {
+        sink.write_line(line).unwrap();
+    }
+    assert_eq!(std::fs::metadata(&trail_path).unwrap().len(), 0);
+    drop(sink);
+    assert_eq!(std::fs::read(&trail_path).unwrap(), b"one\ntwo\nthree\n");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------------
 // Journals laid out before shadows were co-located (manifest version 1).
 

@@ -265,12 +265,17 @@ fn every_operation_is_counted_once_and_audited_once() {
 const SINK_UP: u8 = 0;
 const SINK_REFUSES_WRITES: u8 = 1;
 const SINK_REFUSES_SYNCS: u8 = 2;
+/// Takes six lines, refuses the seventh offered, and so on: every
+/// hand-over of more than six lines stops part-way.
+const SINK_REFUSES_EVERY_SEVENTH_WRITE: u8 = 3;
 
 /// A `MemorySink` the test can take down.
 #[derive(Debug)]
 struct FlakySink {
     inner: MemorySink,
     state: std::sync::Arc<std::sync::atomic::AtomicU8>,
+    /// Lines offered, refused ones included.
+    offered: u64,
 }
 
 impl FlakySink {
@@ -285,6 +290,10 @@ impl FlakySink {
 impl AuditSink for FlakySink {
     fn write_line(&mut self, line: &str) -> gdpr_storage::audit::Result<()> {
         self.check(SINK_REFUSES_WRITES)?;
+        self.offered += 1;
+        if self.offered.is_multiple_of(7) {
+            self.check(SINK_REFUSES_EVERY_SEVENTH_WRITE)?;
+        }
         self.inner.write_line(line)
     }
 
@@ -307,6 +316,7 @@ fn a_failed_audit_write_fails_the_operation_and_keeps_the_record() {
         let sink = FlakySink {
             inner,
             state: std::sync::Arc::clone(&state),
+            offered: 0,
         };
         let config = StoreConfig::in_memory().aof_in_memory().shards(2);
         let store = GdprStore::open(CompliancePolicy::strict(), config, Box::new(sink)).unwrap();
@@ -353,6 +363,78 @@ fn a_failed_audit_write_fails_the_operation_and_keeps_the_record() {
             "outage {outage}"
         );
     }
+}
+
+#[test]
+fn an_eventual_store_outlives_a_sink_outage_without_losing_or_repeating_a_line() {
+    use std::sync::atomic::Ordering::SeqCst;
+    let inner = MemorySink::new();
+    let view = inner.share();
+    let state = std::sync::Arc::new(std::sync::atomic::AtomicU8::new(SINK_UP));
+    let sink = FlakySink {
+        inner,
+        state: std::sync::Arc::clone(&state),
+        offered: 0,
+    };
+    let config = StoreConfig::in_memory().aof_in_memory().shards(2);
+    let store = GdprStore::open(CompliancePolicy::eventual(), config, Box::new(sink)).unwrap();
+    store.grant(Grant::new("app", "billing"));
+    let billing = app("billing");
+    store
+        .put(&billing, "k", b"value".to_vec(), meta("alice"))
+        .unwrap();
+    store.tick().unwrap();
+    let durable = view.lines().len();
+
+    // The sink goes down for far more than the 64 KiB of lines the log
+    // holds before it hands them over: emission stays infallible, every
+    // hand-over inside it fails, the lines pile up in the log.
+    state.store(SINK_REFUSES_WRITES, SeqCst);
+    for i in 0..1_500 {
+        let ctx = if i % 10 == 0 {
+            stranger()
+        } else {
+            app("billing")
+        };
+        let denied = store.get(&ctx, "k").is_err();
+        assert_eq!(denied, i % 10 == 0, "op {i}: only the stranger is refused");
+    }
+    for _ in 0..3 {
+        let flushed = store.tick();
+        assert!(
+            matches!(flushed, Err(GdprError::Audit(AuditError::Io(_)))),
+            "the flush reports the outage while it lasts: {flushed:?}"
+        );
+    }
+    assert_eq!(view.lines().len(), durable, "nothing got through");
+
+    // It comes back, badly: every hand-over stops at a refused line, which
+    // must stay at the head of what the next one offers.
+    state.store(SINK_REFUSES_EVERY_SEVENTH_WRITE, SeqCst);
+    let mut stopped = 0;
+    while store.tick().is_err() {
+        stopped += 1;
+        assert!(stopped < 1_000, "the flushes make no progress");
+    }
+    assert!(stopped > 100, "hand-overs stopped part-way: {stopped}");
+    state.store(SINK_UP, SeqCst);
+    store.get(&billing, "k").unwrap();
+    store.tick().unwrap();
+
+    // Every record once, in the order the log numbered them, chain whole.
+    let trail = view.lines();
+    assert_eq!(trail.len() as u64, store.stats().audit_records);
+    assert_eq!(trail.len(), durable + 1_501);
+    let parsed = parse_trail(&trail.join("\n")).unwrap();
+    verify_trail(&parsed).unwrap();
+    for (at, chained) in parsed.iter().enumerate() {
+        assert_eq!(chained.record.sequence, at as u64, "line {at}");
+    }
+    let denied = parsed
+        .iter()
+        .filter(|r| r.record.outcome == Outcome::Denied)
+        .count();
+    assert_eq!(denied, 150);
 }
 
 #[test]

@@ -5,11 +5,10 @@
 //! [`AuditSink`] according to a [`FlushPolicy`]. For deployments that want
 //! the logging cost off the request path entirely (at the price of a wider
 //! evidence-loss window), [`AsyncAuditLog`] moves the sink behind a
-//! crossbeam channel and a background writer thread.
+//! channel and a background writer thread.
 
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::thread::JoinHandle;
-
-use crossbeam::channel::{bounded, Sender};
 
 use crate::chain::{ChainState, ChainedRecord};
 use crate::policy::FlushPolicy;
@@ -242,7 +241,7 @@ enum WriterMessage {
 /// compliance.
 #[derive(Debug)]
 pub struct AsyncAuditLog {
-    sender: Sender<WriterMessage>,
+    sender: SyncSender<WriterMessage>,
     handle: Option<JoinHandle<()>>,
     next_sequence: u64,
     chain: Option<ChainState>,
@@ -262,7 +261,7 @@ impl AsyncAuditLog {
     /// Spawn the background writer over `sink`. `queue_depth` bounds the
     /// number of in-flight records.
     pub fn spawn(mut sink: Box<dyn AuditSink>, queue_depth: usize) -> Self {
-        let (sender, receiver) = bounded::<WriterMessage>(queue_depth.max(1));
+        let (sender, receiver) = sync_channel::<WriterMessage>(queue_depth.max(1));
         let handle = std::thread::spawn(move || {
             while let Ok(message) = receiver.recv() {
                 match message {

@@ -4,11 +4,15 @@
 //! decode the metadata shadow record, walk the ACL and check purposes
 //! before it may touch the value. For skewed (zipfian) read mixes most of
 //! that work is repeated on a handful of hot keys, so the store keeps a
-//! small per-segment **hot map** of fully-admitted `(value, metadata)`
-//! pairs in front of the pipeline. Admission is gated by a **TinyLFU**
-//! frequency filter (a count-min sketch with periodic halving, after
-//! Einziger et al.), so one-hit-wonder keys in the long tail cannot churn
-//! the resident set.
+//! small per-segment **slab** of fully-admitted `(value, metadata)` pairs
+//! in front of the pipeline: a key → slot map over a dense `Vec` of
+//! residents, so that a victim sample is a fixed number of indexed probes
+//! whatever the capacity. Admission is gated by a **TinyLFU** frequency
+//! filter (a count-min sketch with periodic halving, after Einziger et
+//! al.), so one-hit-wonder keys in the long tail cannot churn the resident
+//! set. A read that misses pays one key hash for the filter and, when the
+//! segment is full, the sample's counter loads; the entry — and the copy
+//! of the value in it — is built only once admission is decided.
 //!
 //! Correctness contract (the erasure-sensitive part):
 //!
@@ -32,12 +36,12 @@
 //!   metadata, so grant revocations and objections take effect
 //!   immediately.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use kvstore::object::Bytes;
-use kvstore::shard::ShardRouter;
+use kvstore::shard::{hash_key, ShardRouter};
 use parking_lot::Mutex;
 
 use crate::metadata::PersonalMetadata;
@@ -60,7 +64,7 @@ pub const HOT_CACHE_ENV: &str = "GDPR_HOT_CACHE";
 const SKETCH_ROWS: usize = 4;
 const DEFAULT_SEED: u64 = 0x0051_7f1f_u64;
 /// Residents examined per displacement attempt. A full min-frequency scan
-/// would make every refused admission O(capacity × rows) sketch hashes —
+/// would make every refused admission O(capacity × rows) counter loads —
 /// on a miss-heavy zipfian tail that costs more than the slow path the
 /// cache exists to avoid. A rotating sample keeps admission O(1) and
 /// deterministic while still finding a cold victim with high probability.
@@ -115,26 +119,33 @@ impl CountMinSketch {
         self.halvings
     }
 
-    /// Row-seeded FNV-1a slot for `key` in `row`.
-    fn slot(&self, row: usize, key: &str) -> usize {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325 ^ self.seed.rotate_left(row as u32 * 17);
-        // The row index participates in the stream, not just the seed, so
-        // the four row hashes of one key are pairwise independent.
-        hash ^= row as u64 + 1;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        for byte in key.as_bytes() {
-            hash ^= u64::from(*byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        (row as u64 * (self.width_mask + 1) + (hash & self.width_mask)) as usize
+    /// The one hash of `key` every row's counter is derived from. Callers
+    /// that come back to a key (the cache keeps it per resident and per
+    /// admission token) pass it to the `*_hashed` methods and never hash
+    /// the key again.
+    fn key_hash(&self, key: &str) -> u64 {
+        hash_key(self.seed, key)
+    }
+
+    /// Counter of `hash` in `row`. Each row reads its column from its own
+    /// 16 bits of the (avalanched) hash, so up to a width of 65 536 the
+    /// rows of a key are independent: two keys share all their counters
+    /// with probability width⁻⁴, as with a hash per row.
+    fn slot(&self, row: usize, hash: u64) -> usize {
+        let column = hash.rotate_right(16 * row as u32) & self.width_mask;
+        (row as u64 * (self.width_mask + 1) + column) as usize
     }
 
     /// Record one access of `key` and return its new estimate. Triggers a
     /// halving pass once `halve_every` increments have accumulated.
     pub fn increment(&mut self, key: &str) -> u32 {
+        self.increment_hashed(self.key_hash(key))
+    }
+
+    fn increment_hashed(&mut self, hash: u64) -> u32 {
         let mut estimate = u32::MAX;
         for row in 0..SKETCH_ROWS {
-            let slot = self.slot(row, key);
+            let slot = self.slot(row, hash);
             self.counters[slot] = self.counters[slot].saturating_add(1);
             estimate = estimate.min(self.counters[slot]);
         }
@@ -153,8 +164,12 @@ impl CountMinSketch {
     /// than the true count recorded since the last halving).
     #[must_use]
     pub fn estimate(&self, key: &str) -> u32 {
+        self.estimate_hashed(self.key_hash(key))
+    }
+
+    fn estimate_hashed(&self, hash: u64) -> u32 {
         (0..SKETCH_ROWS)
-            .map(|row| self.counters[self.slot(row, key)])
+            .map(|row| self.counters[self.slot(row, hash)])
             .min()
             .unwrap_or(0)
     }
@@ -250,8 +265,9 @@ pub struct HotEntry {
 #[derive(Debug, Clone, Copy)]
 pub struct AdmissionToken {
     epoch: u64,
-    /// The candidate's frequency estimate recorded at probe time, so
-    /// admission does not have to re-hash the key.
+    /// The candidate's sketch hash and the frequency estimate recorded at
+    /// probe time, so admission does not have to re-hash the key.
+    hash: u64,
     freq: u32,
 }
 
@@ -267,9 +283,25 @@ pub enum Probe {
     Miss(AdmissionToken),
 }
 
+/// One resident of a segment's slab.
+#[derive(Debug)]
+struct Resident {
+    /// Shared with the slot map, which finds the resident by it.
+    key: Arc<str>,
+    /// The key's sketch hash: a victim sample reads the resident's
+    /// frequency from the counters without touching the key.
+    hash: u64,
+    entry: HotEntry,
+}
+
 #[derive(Debug)]
 struct HotSegment {
-    map: BTreeMap<String, HotEntry>,
+    /// Key → position in `slots`.
+    index: HashMap<Arc<str>, usize>,
+    /// The residents, dense: removal swaps the last one into the hole, so
+    /// every index below `len` is occupied and a freed slot is the next
+    /// one filled.
+    slots: Vec<Resident>,
     sketch: CountMinSketch,
     /// Bumped on every invalidation (even of non-resident keys), so an
     /// in-flight miss cannot admit a value read before a racing mutation.
@@ -313,7 +345,8 @@ impl HotCache {
         let segments = (0..router.shard_count())
             .map(|i| {
                 Mutex::new(HotSegment {
-                    map: BTreeMap::new(),
+                    index: HashMap::new(),
+                    slots: Vec::new(),
                     sketch: CountMinSketch::new(
                         config.sketch_width,
                         config.halve_every,
@@ -348,13 +381,18 @@ impl HotCache {
     #[must_use]
     pub fn probe(&self, key: &str) -> Probe {
         if !self.config.enabled {
-            return Probe::Miss(AdmissionToken { epoch: 0, freq: 0 });
+            return Probe::Miss(AdmissionToken {
+                epoch: 0,
+                hash: 0,
+                freq: 0,
+            });
         }
         let mut segment = self.segments[self.router.shard_of(key)].lock();
-        let freq = segment.sketch.increment(key);
-        match segment.map.get(key) {
-            Some(entry) => {
-                let entry = entry.clone();
+        let hash = segment.sketch.key_hash(key);
+        let freq = segment.sketch.increment_hashed(hash);
+        match segment.index.get(key) {
+            Some(&slot) => {
+                let entry = segment.slots[slot].entry.clone();
                 drop(segment);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Probe::Hit(entry)
@@ -362,6 +400,7 @@ impl HotCache {
             None => {
                 let token = AdmissionToken {
                     epoch: segment.epoch,
+                    hash,
                     freq,
                 };
                 drop(segment);
@@ -379,6 +418,17 @@ impl HotCache {
     /// Admission is refused when the segment epoch moved past `token` — a
     /// mutation raced the read. Returns whether the entry is now resident.
     pub fn admit(&self, key: &str, entry: HotEntry, token: AdmissionToken) -> bool {
+        self.admit_with(key, token, || entry)
+    }
+
+    /// [`Self::admit`], with the entry built by `build` only once admission
+    /// is decided: a refused candidate costs no copy of its value.
+    pub fn admit_with(
+        &self,
+        key: &str,
+        token: AdmissionToken,
+        build: impl FnOnce() -> HotEntry,
+    ) -> bool {
         if !self.config.enabled {
             return false;
         }
@@ -386,40 +436,55 @@ impl HotCache {
         if segment.epoch != token.epoch {
             return false;
         }
-        if segment.map.contains_key(key) {
+        if segment.index.contains_key(key) {
             // A concurrent read of the same key admitted it first; both
             // observed the same epoch, so both values are current.
             return true;
         }
-        if segment.map.len() >= self.config.capacity_per_segment {
+        let segment = &mut *segment;
+        let len = segment.slots.len();
+        let slot = if len < self.config.capacity_per_segment {
+            len
+        } else {
             // A candidate seen once can never beat a resident (ties are
             // refused), so the long zipfian tail of one-hit wonders skips
-            // the victim sample — and its sketch hashing — entirely.
-            if token.freq <= 1 {
+            // the victim sample entirely.
+            if token.freq <= 1 || len == 0 {
                 return false;
             }
-            let segment = &mut *segment;
-            let len = segment.map.len();
             let start = (segment.victim_cursor % len as u64) as usize;
             segment.victim_cursor = segment.victim_cursor.wrapping_add(VICTIM_SAMPLE as u64);
-            let sketch = &segment.sketch;
-            let (victim_freq, victim) = segment
-                .map
-                .keys()
-                .cycle()
-                .skip(start)
-                .take(VICTIM_SAMPLE.min(len))
-                .map(|resident| (sketch.estimate(resident), resident))
+            let (victim_freq, _, victim) = (0..VICTIM_SAMPLE.min(len))
+                .map(|step| {
+                    let slot = (start + step) % len;
+                    let sampled = &segment.slots[slot];
+                    (
+                        segment.sketch.estimate_hashed(sampled.hash),
+                        &sampled.key,
+                        slot,
+                    )
+                })
                 .min()
                 .expect("full segment has a victim");
             if token.freq <= victim_freq {
                 return false;
             }
-            let victim = victim.clone();
-            segment.map.remove(&victim);
+            victim
+        };
+        let key: Arc<str> = Arc::from(key);
+        let admitted = Resident {
+            key: Arc::clone(&key),
+            hash: token.hash,
+            entry: build(),
+        };
+        match segment.slots.get_mut(slot) {
+            Some(victim) => {
+                segment.index.remove(&victim.key);
+                *victim = admitted;
+            }
+            None => segment.slots.push(admitted),
         }
-        segment.map.insert(key.to_string(), entry);
-        drop(segment);
+        segment.index.insert(key, slot);
         self.admissions.fetch_add(1, Ordering::Relaxed);
         true
     }
@@ -433,11 +498,18 @@ impl HotCache {
         }
         let mut segment = self.segments[self.router.shard_of(key)].lock();
         segment.epoch += 1;
-        let removed = segment.map.remove(key).is_some();
-        drop(segment);
-        if removed {
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
+        let Some(slot) = segment.index.remove(key) else {
+            return;
+        };
+        segment.slots.swap_remove(slot);
+        // The last resident now sits in the freed slot (unless it was the
+        // one removed).
+        if let Some(moved) = segment.slots.get(slot) {
+            let moved = Arc::clone(&moved.key);
+            segment.index.insert(moved, slot);
         }
+        drop(segment);
+        self.invalidations.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Drop every resident entry (FLUSHALL, index rebuilds).
@@ -449,8 +521,9 @@ impl HotCache {
         for segment in &self.segments {
             let mut segment = segment.lock();
             segment.epoch += 1;
-            removed += segment.map.len() as u64;
-            segment.map.clear();
+            removed += segment.slots.len() as u64;
+            segment.slots.clear();
+            segment.index.clear();
         }
         self.invalidations.fetch_add(removed, Ordering::Relaxed);
     }
@@ -458,7 +531,7 @@ impl HotCache {
     /// Number of resident entries across all segments.
     #[must_use]
     pub fn resident(&self) -> usize {
-        self.segments.iter().map(|s| s.lock().map.len()).sum()
+        self.segments.iter().map(|s| s.lock().slots.len()).sum()
     }
 
     /// Counter snapshot.
@@ -583,6 +656,145 @@ mod tests {
         assert!(admitted, "frequent key must displace the cold resident");
         assert!(matches!(cache.probe("hot"), Probe::Hit(_)));
         assert!(matches!(cache.probe("cold"), Probe::Miss(_)));
+    }
+
+    /// The slab of every segment, in slot order.
+    fn residents(cache: &HotCache) -> Vec<Vec<String>> {
+        let keys = |segment: &Mutex<HotSegment>| {
+            let segment = segment.lock();
+            let keys: Vec<String> = segment.slots.iter().map(|r| r.key.to_string()).collect();
+            // The slot map and the slab describe the same residents.
+            assert_eq!(segment.index.len(), keys.len());
+            for (slot, key) in keys.iter().enumerate() {
+                assert_eq!(segment.index.get(key.as_str()), Some(&slot), "{key}");
+            }
+            keys
+        };
+        cache.segments.iter().map(keys).collect()
+    }
+
+    /// A fixed pseudo-random history over 200 keys, skewed towards the low
+    /// ones, with an invalidation every seventh step; `check` runs after
+    /// every step.
+    fn replay(cache: &HotCache, mut check: impl FnMut(&HotCache)) {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for step in 0..20_000u64 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let draw = state >> 33;
+            let key = format!("key{:03}", (draw % 200).min(draw % 37));
+            if step % 7 == 0 {
+                cache.invalidate(&key);
+            } else if let Probe::Miss(token) = cache.probe(&key) {
+                cache.admit(&key, entry(key.as_bytes()), token);
+            }
+            check(cache);
+        }
+    }
+
+    #[test]
+    fn same_seed_and_history_give_the_same_slab() {
+        let (a, b) = (cache(16), cache(16));
+        replay(&a, |_| {});
+        replay(&b, |_| {});
+        assert_eq!(residents(&a), residents(&b));
+        assert_eq!(a.stats(), b.stats());
+        assert!(a.stats().admissions > 32, "{:?}", a.stats());
+    }
+
+    #[test]
+    fn residency_never_exceeds_capacity() {
+        let cache = cache(16);
+        let mut fullest = 0;
+        replay(&cache, |cache| {
+            for segment in &cache.segments {
+                assert!(segment.lock().slots.len() <= 16);
+            }
+            fullest = fullest.max(cache.resident());
+        });
+        assert_eq!(fullest, 2 * 16, "the history fills both segments");
+    }
+
+    #[test]
+    fn a_scan_over_cold_keys_does_not_evict_a_hot_set() {
+        // Four segments, as the engine's default four shards give: the scan
+        // then stays inside two aging windows per segment (past that, a set
+        // nobody reads any more is meant to age out). Fill every segment,
+        // then read every resident 100 times in all.
+        let cache = HotCache::new(
+            HotCacheConfig::default().capacity_per_segment(64),
+            ShardRouter::new(4, 7),
+        );
+        let mut hot = Vec::new();
+        for i in 0.. {
+            if cache.resident() == 4 * 64 {
+                break;
+            }
+            let key = format!("hot{i:03}");
+            if let Probe::Miss(token) = cache.probe(&key) {
+                if cache.admit(&key, entry(key.as_bytes()), token) {
+                    hot.push(key);
+                }
+            }
+        }
+        for _ in 1..100 {
+            for key in &hot {
+                assert!(matches!(cache.probe(key), Probe::Hit(_)), "{key}");
+            }
+        }
+        let resident_before = residents(&cache);
+        for i in 0..50_000 {
+            let key = format!("cold{i:05}");
+            let Probe::Miss(token) = cache.probe(&key) else {
+                panic!("{key} was never admitted");
+            };
+            assert!(
+                !cache.admit_with(&key, token, || panic!("built an entry for refused {key}")),
+                "{key} displaced a hot key"
+            );
+        }
+        assert_eq!(residents(&cache), resident_before);
+        for key in &hot {
+            assert!(matches!(cache.probe(key), Probe::Hit(_)), "{key}");
+        }
+    }
+
+    #[test]
+    fn invalidating_a_resident_frees_its_slot_for_reuse() {
+        let cache = HotCache::new(
+            HotCacheConfig::default().capacity_per_segment(3),
+            ShardRouter::new(1, 7),
+        );
+        for key in ["a", "b", "c"] {
+            force_in(&cache, key, key.as_bytes());
+        }
+        // The last resident moves into the freed slot.
+        cache.invalidate("a");
+        assert_eq!(
+            residents(&cache),
+            vec![vec!["c".to_string(), "b".to_string()]]
+        );
+        // A segment with room admits outright: the first offer of a key
+        // seen once takes the free slot, and nobody is displaced.
+        let Probe::Miss(token) = cache.probe("d") else {
+            panic!("cold probe must miss");
+        };
+        assert!(cache.admit("d", entry(b"d"), token));
+        assert_eq!(cache.resident(), 3);
+        for key in ["b", "c", "d"] {
+            match cache.probe(key) {
+                Probe::Hit(e) => assert_eq!(e.value, key.as_bytes().to_vec()),
+                Probe::Miss(_) => panic!("{key} lost its slot"),
+            }
+        }
+        assert!(matches!(cache.probe("a"), Probe::Miss(_)));
+        // Removing the resident in the last slot moves nothing.
+        cache.invalidate("d");
+        assert_eq!(
+            residents(&cache),
+            vec![vec!["c".to_string(), "b".to_string()]]
+        );
     }
 
     #[test]

@@ -183,7 +183,14 @@ impl PersonalMetadata {
     /// Serialize into the shadow-record byte form.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        // Sized up front: the record moves into the keyspace as it is, so
+        // it should neither grow by doubling nor carry spare capacity.
+        let sets = [&self.purposes, &self.objections, &self.recipients];
+        let strings = self.subject.len() + self.origin.len() + self.location.as_str().len();
+        let items = |set: &BTreeSet<String>| set.iter().map(|item| 4 + item.len()).sum::<usize>();
+        let set_bytes: usize = sets.iter().map(|set| 8 + items(set)).sum();
+        let deadline = if self.expires_at_ms.is_some() { 9 } else { 1 };
+        let mut out = Vec::with_capacity(3 * 4 + strings + 8 + deadline + 1 + set_bytes);
         put_str(&mut out, &self.subject);
         put_str(&mut out, &self.origin);
         put_str(&mut out, self.location.as_str());
@@ -196,12 +203,13 @@ impl PersonalMetadata {
             None => out.push(0),
         }
         out.push(u8::from(self.automated_decisions));
-        for set in [&self.purposes, &self.objections, &self.recipients] {
+        for set in sets {
             put_u64(&mut out, set.len() as u64);
             for item in set {
                 put_str(&mut out, item);
             }
         }
+        debug_assert_eq!(out.len(), out.capacity());
         out
     }
 

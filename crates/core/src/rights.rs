@@ -21,7 +21,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 
 use audit::record::Operation;
-use kvstore::object::Bytes;
+use kvstore::object::{Bytes, Value};
+use kvstore::store::ValuePart;
 
 use crate::export::{self, ExportCursor, ExportPage};
 use crate::metadata::PersonalMetadata;
@@ -107,11 +108,12 @@ impl GdprStore {
     /// or past its retention deadline — the engine expires lazily on read)
     /// yields no item.
     ///
-    /// The per-key value and shadow reads are batched by index segment:
-    /// keys are grouped with [`crate::index::ShardedMetadataIndex::shard_of`]
-    /// and each group is read under a single segment-lock acquisition (the
-    /// same segment → engine lock order every mutation bracket uses)
-    /// instead of paying one bracket per item.
+    /// The per-key reads — one engine visit each, value and shadow
+    /// together — are batched by index segment: keys are grouped with
+    /// [`crate::index::ShardedMetadataIndex::shard_of`] and each group is
+    /// read under a single segment-lock acquisition (the same segment →
+    /// engine lock order every mutation bracket uses) instead of paying
+    /// one bracket per item.
     fn load_items(&self, keys: &[String]) -> Result<Vec<SubjectDataItem>> {
         let mut by_shard: Vec<Vec<&str>> = vec![Vec::new(); self.index.segment_count()];
         for key in keys {
@@ -124,14 +126,17 @@ impl GdprStore {
             }
             self.index.with_segment(shard, |_segment| -> Result<()> {
                 for &key in group {
-                    let Some(metadata) = self.load_metadata(key)? else {
+                    // One engine visit per key: the shadow, and the value
+                    // in whichever of its two shapes it has.
+                    let read = self.kv.read(key, ValuePart::Fetch, true)?;
+                    let Some(shadow) = read.shadow else {
                         continue;
                     };
-                    let fields = self.kv.hgetall(key).ok().flatten();
-                    let value = if fields.is_some() {
-                        None
-                    } else {
-                        self.kv.get(key)?
+                    let metadata = Self::decode_shadow(key, &shadow)?;
+                    let (value, fields) = match read.value {
+                        Some(Value::Hash(fields)) => (None, Some(fields)),
+                        Some(other) => (Some(other.into_string(key)?), None),
+                        None => (None, None),
                     };
                     items.push(SubjectDataItem {
                         key: key.to_string(),
@@ -502,6 +507,69 @@ mod tests {
             !json.contains("bob@example.com"),
             "other subjects' data must not leak"
         );
+    }
+
+    #[test]
+    fn one_export_carries_strings_and_records_and_surfaces_engine_errors() {
+        use kvstore::commands::Command;
+
+        let store = store_with_data(CompliancePolicy::strict());
+        let alice = PersonalMetadata::new("alice").with_purpose("billing");
+        let profile = BTreeMap::from([
+            ("city".to_string(), b"Paris".to_vec()),
+            ("name".to_string(), b"Alice".to_vec()),
+        ]);
+        store
+            .put_record(&ctx(), "user:alice:profile", &profile, alice)
+            .unwrap();
+
+        // Both shapes of value, each read whole by its one visit.
+        let report = store.right_of_access(&ctx(), "alice").unwrap();
+        let shapes: Vec<_> = report
+            .items
+            .iter()
+            .map(|item| {
+                (
+                    item.key.as_str(),
+                    item.value.is_some(),
+                    item.fields.as_ref(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            shapes,
+            vec![
+                ("user:alice:address", true, None),
+                ("user:alice:email", true, None),
+                ("user:alice:profile", false, Some(&profile)),
+            ]
+        );
+        let json = store.right_to_portability(&ctx(), "alice").unwrap();
+        assert!(json.contains("alice@example.com") && json.contains("Paris"));
+        assert!(json.contains("\"item_count\":3"), "{json}");
+
+        // An engine error is the request's error, not an item left out or
+        // exported without its value: here a key whose value the engine
+        // holds as a set, which no export shape can carry.
+        let stray = "user:alice:email";
+        store.kv.delete(stray).unwrap();
+        let sadd = Command::SAdd {
+            key: stray.to_string(),
+            member: b"member".to_vec(),
+        };
+        store.kv.execute(sadd).unwrap();
+        for result in [
+            store.right_to_portability(&ctx(), "alice").map(drop),
+            store.right_of_access(&ctx(), "alice").map(drop),
+        ] {
+            assert!(
+                matches!(
+                    result,
+                    Err(GdprError::Store(kvstore::StoreError::WrongType { .. }))
+                ),
+                "{result:?}"
+            );
+        }
     }
 
     #[test]

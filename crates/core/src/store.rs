@@ -31,8 +31,8 @@ use kvstore::clock::SharedClock;
 use kvstore::commands::{Command, Reply};
 use kvstore::config::StoreConfig;
 use kvstore::expire::CycleOutcome;
-use kvstore::object::Bytes;
-use kvstore::store::KvStore;
+use kvstore::object::{Bytes, Value};
+use kvstore::store::{KeyRead, KvStore, ValuePart};
 use parking_lot::RwLock;
 
 use crate::acl::{AccessController, AccessDecision, Grant};
@@ -420,17 +420,40 @@ impl GdprStore {
         Ok(self.audit.emit(shard, record)?)
     }
 
+    pub(crate) fn decode_shadow(key: &str, shadow: &[u8]) -> Result<PersonalMetadata> {
+        PersonalMetadata::decode(shadow).ok_or_else(|| GdprError::CorruptMetadata {
+            key: key.to_string(),
+            detail: format!("{} bytes", shadow.len()),
+        })
+    }
+
+    /// Every read of a key's shadow record — alone, or with the value it
+    /// describes — is this one engine visit, so what it returns is a pair
+    /// some single mutation bracket wrote. A shadow found beside no value
+    /// describes nothing and is not decoded.
+    fn visit(&self, key: &str, value: ValuePart) -> Result<(KeyRead, Option<PersonalMetadata>)> {
+        let mut read = self.kv.read(key, value, true)?;
+        let governs = value == ValuePart::Skip || read.exists;
+        let shadow = read.shadow.take().filter(|_| governs);
+        let meta = shadow.map(|bytes| Self::decode_shadow(key, &bytes));
+        Ok((read, meta.transpose()?))
+    }
+
     pub(crate) fn load_metadata(&self, key: &str) -> Result<Option<PersonalMetadata>> {
-        match self.kv.get(&Self::meta_key(key))? {
-            Some(bytes) => match PersonalMetadata::decode(&bytes) {
-                Some(meta) => Ok(Some(meta)),
-                None => Err(GdprError::CorruptMetadata {
-                    key: key.to_string(),
-                    detail: format!("{} bytes", bytes.len()),
-                }),
-            },
-            None => Ok(None),
+        Ok(self.visit(key, ValuePart::Skip)?.1)
+    }
+
+    /// `key`'s typed value and the metadata governing a read of it, from
+    /// one engine visit: the metadata is required while the key holds a
+    /// value, and nothing (not an error) once it does not.
+    fn load_governed(&self, key: &str) -> Result<(Option<Value>, Option<PersonalMetadata>)> {
+        let (read, meta) = self.visit(key, ValuePart::Fetch)?;
+        if read.exists && meta.is_none() && self.policy.enforce_purpose_limitation {
+            return Err(GdprError::MissingMetadata {
+                key: key.to_string(),
+            });
         }
+        Ok((read.value, meta))
     }
 
     /// Append the engine commands that make `meta` the shadow record of
@@ -450,7 +473,7 @@ impl GdprStore {
     pub(crate) fn store_metadata(&self, key: &str, meta: &PersonalMetadata) -> Result<()> {
         let mut batch = Vec::with_capacity(2);
         Self::push_shadow(&mut batch, key, meta);
-        self.kv.execute_batch(&batch)?;
+        self.kv.execute_batch(batch)?;
         Ok(())
     }
 
@@ -461,15 +484,6 @@ impl GdprStore {
                 key: key.to_string(),
             }),
             None => Ok(None),
-        }
-    }
-
-    /// The metadata governing a read of `key`: required while the key
-    /// holds a value, absent (not an error) once it does not.
-    fn metadata_if_stored(&self, key: &str) -> Result<Option<PersonalMetadata>> {
-        match self.kv.exists(key)? {
-            true => self.require_metadata(key),
-            false => Ok(None),
         }
     }
 
@@ -642,7 +656,7 @@ impl GdprStore {
                     Self::push_shadow(&mut batch, key, meta);
                 }
             }
-            self.kv.execute_batch(&batch)?;
+            self.kv.execute_batch(batch)?;
             if let (true, Some(meta)) = (restamp, &meta) {
                 self.repost(segment, key, Some(meta));
             }
@@ -677,7 +691,7 @@ impl GdprStore {
                 let value = Command::Del {
                     key: key.to_string(),
                 };
-                self.kv.execute_batch(&[value, shadow])?[0] == Reply::Int(1)
+                self.kv.execute_batch(vec![value, shadow])?[0] == Reply::Int(1)
             };
             let recreated = engine_expired && !removed;
             if !recreated {
@@ -835,18 +849,20 @@ impl GdprStore {
                         None
                     }
                 };
-                let meta = self.metadata_if_stored(key)?.map(Arc::new);
+                // One engine visit: the value comes with the metadata that
+                // governs it, and is dropped unseen if that refuses.
+                let (value, meta) = self.load_governed(key)?;
+                let meta = meta.map(Arc::new);
                 self.authorize_read(&op, meta.as_deref())?;
-                let value = self.kv.get(key)?;
+                let value = value.map(|value| value.into_string(key)).transpose()?;
                 if let (Some(value), Some(token)) = (&value, token) {
                     // TinyLFU decides residency; the token refuses
                     // admission if any mutation bracket on this segment
                     // ran since the probe.
-                    let entry = HotEntry {
+                    self.hot.admit_with(key, token, || HotEntry {
                         value: value.clone(),
                         meta: meta.clone(),
-                    };
-                    self.hot.admit(key, entry, token);
+                    });
                 }
                 (value, meta)
             }
@@ -867,9 +883,9 @@ impl GdprStore {
         key: &str,
     ) -> Result<Option<BTreeMap<String, Bytes>>> {
         let op = self.begin(Operation::Read, ctx, Some(key));
-        let meta = self.metadata_if_stored(key)?;
+        let (value, meta) = self.load_governed(key)?;
         self.authorize_read(&op, meta.as_ref())?;
-        let record = self.kv.hgetall(key)?;
+        let record = value.map(|value| value.into_hash(key)).transpose()?;
         self.complete(&op, subject_of(meta.as_ref()), "HGETALL")?;
         Ok(record)
     }
@@ -905,14 +921,15 @@ impl GdprStore {
         self.authorize_write(&op, &meta)?;
         self.resolve_retention(&mut meta);
         let meta = self.install(key, true, || {
-            if !self.kv.exists(key)? {
+            // Article 21: objections outlive metadata replacement. Re-read
+            // inside the bracket so a racing objection cannot be lost.
+            let (read, existing) = self.visit(key, ValuePart::Exists)?;
+            if !read.exists {
                 return Err(GdprError::NoSuchKey {
                     key: key.to_string(),
                 });
             }
-            // Article 21: objections outlive metadata replacement. Re-read
-            // inside the bracket so a racing objection cannot be lost.
-            if let Some(existing) = self.load_metadata(key)? {
+            if let Some(existing) = existing {
                 meta.objections.extend(existing.objections);
             }
             // Lifting retention must also clear the value key's old

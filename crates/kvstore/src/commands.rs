@@ -16,6 +16,20 @@ use crate::object::Bytes;
 use crate::serialize::{put_bytes, put_str, put_u64, Reader};
 use crate::{Result, StoreError};
 
+/// Journal opcodes of the commands that are a key and nothing else, which
+/// the engine also journals from a borrowed key ([`encode_keyed`]): a
+/// logged read, an eviction's or an expiry's `DEL`.
+pub(crate) const OP_GET: u8 = 0x02;
+pub(crate) const OP_DEL: u8 = 0x03;
+pub(crate) const OP_EXISTS: u8 = 0x04;
+
+/// Append the journal record of the `opcode` command on `key` — what
+/// [`Command::encode_into`] writes for it — without building the command.
+pub(crate) fn encode_keyed(out: &mut Vec<u8>, opcode: u8, key: &str) {
+    out.push(opcode);
+    put_str(out, key);
+}
+
 /// A command accepted by the engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -248,58 +262,57 @@ impl Command {
         }
     }
 
-    /// Execute the command against a database.
+    /// Execute the command against a database, consuming it: the payload
+    /// of a write moves into the keyspace.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::WrongType`] when a command is applied to a key
     /// of the wrong type.
-    pub fn execute(&self, db: &mut Db) -> Result<Reply> {
+    pub fn execute(self, db: &mut Db) -> Result<Reply> {
         match self {
             Command::Set { key, value } => {
-                db.set(key, value.clone());
+                db.set(&key, value);
                 Ok(Reply::Ok)
             }
-            Command::Get { key } => Ok(match db.get(key)? {
+            Command::Get { key } => Ok(match db.get(&key)? {
                 Some(v) => Reply::Bytes(v),
                 None => Reply::Nil,
             }),
-            Command::Del { key } => Ok(Reply::Int(i64::from(db.delete(key)))),
-            Command::Exists { key } => Ok(Reply::Int(i64::from(db.exists(key)))),
+            Command::Del { key } => Ok(Reply::Int(i64::from(db.delete(&key)))),
+            Command::Exists { key } => Ok(Reply::Int(i64::from(db.exists(&key)))),
             Command::ExpireAt { key, at_ms } => {
-                Ok(Reply::Int(i64::from(db.expire_at(key, *at_ms))))
+                Ok(Reply::Int(i64::from(db.expire_at(&key, at_ms))))
             }
             Command::Expire { key, ttl_ms } => {
-                Ok(Reply::Int(i64::from(db.expire_in_millis(key, *ttl_ms))))
+                Ok(Reply::Int(i64::from(db.expire_in_millis(&key, ttl_ms))))
             }
-            Command::Ttl { key } => Ok(match db.ttl_millis(key) {
+            Command::Ttl { key } => Ok(match db.ttl_millis(&key) {
                 Some(ms) => Reply::Int(ms as i64),
                 None => Reply::Nil,
             }),
-            Command::Persist { key } => Ok(Reply::Int(i64::from(db.persist(key)))),
+            Command::Persist { key } => Ok(Reply::Int(i64::from(db.persist(&key)))),
             Command::HSet { key, field, value } => {
-                Ok(Reply::Int(i64::from(db.hset(key, field, value.clone())?)))
+                Ok(Reply::Int(i64::from(db.hset(&key, &field, value)?)))
             }
             Command::HSetMulti { key, fields } => {
-                Ok(Reply::Int(db.hset_multi(key, fields)? as i64))
+                Ok(Reply::Int(db.hset_multi(&key, fields)? as i64))
             }
-            Command::HGet { key, field } => Ok(match db.hget(key, field)? {
+            Command::HGet { key, field } => Ok(match db.hget(&key, &field)? {
                 Some(v) => Reply::Bytes(v),
                 None => Reply::Nil,
             }),
-            Command::HGetAll { key } => Ok(match db.hgetall(key)? {
+            Command::HGetAll { key } => Ok(match db.hgetall(&key)? {
                 Some(map) => Reply::Map(map),
                 None => Reply::Nil,
             }),
-            Command::HDel { key, field } => Ok(Reply::Int(i64::from(db.hdel(key, field)?))),
-            Command::SAdd { key, member } => {
-                Ok(Reply::Int(i64::from(db.sadd(key, member.clone())?)))
-            }
-            Command::SRem { key, member } => Ok(Reply::Int(i64::from(db.srem(key, member)?))),
-            Command::SMembers { key } => Ok(Reply::Array(db.smembers(key)?)),
-            Command::Keys { pattern } => Ok(Reply::StringArray(db.keys(pattern))),
+            Command::HDel { key, field } => Ok(Reply::Int(i64::from(db.hdel(&key, &field)?))),
+            Command::SAdd { key, member } => Ok(Reply::Int(i64::from(db.sadd(&key, member)?))),
+            Command::SRem { key, member } => Ok(Reply::Int(i64::from(db.srem(&key, &member)?))),
+            Command::SMembers { key } => Ok(Reply::Array(db.smembers(&key)?)),
+            Command::Keys { pattern } => Ok(Reply::StringArray(db.keys(&pattern))),
             Command::Scan { start, count } => {
-                Ok(Reply::StringArray(db.scan_range(start, *count as usize)))
+                Ok(Reply::StringArray(db.scan_range(&start, count as usize)))
             }
             Command::DbSize => Ok(Reply::Int(db.len() as i64)),
             Command::FlushAll => Ok(Reply::Int(db.flush_all() as i64)),
@@ -310,98 +323,95 @@ impl Command {
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// [`Self::encode`], appending to `out`: the journal builds a batch of
+    /// records in one buffer.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Command::Set { key, value } => {
                 out.push(0x01);
-                put_str(&mut out, key);
-                put_bytes(&mut out, value);
+                put_str(out, key);
+                put_bytes(out, value);
             }
-            Command::Get { key } => {
-                out.push(0x02);
-                put_str(&mut out, key);
-            }
-            Command::Del { key } => {
-                out.push(0x03);
-                put_str(&mut out, key);
-            }
-            Command::Exists { key } => {
-                out.push(0x04);
-                put_str(&mut out, key);
-            }
+            Command::Get { key } => encode_keyed(out, OP_GET, key),
+            Command::Del { key } => encode_keyed(out, OP_DEL, key),
+            Command::Exists { key } => encode_keyed(out, OP_EXISTS, key),
             Command::ExpireAt { key, at_ms } => {
                 out.push(0x05);
-                put_str(&mut out, key);
-                put_u64(&mut out, *at_ms);
+                put_str(out, key);
+                put_u64(out, *at_ms);
             }
             Command::Expire { key, ttl_ms } => {
                 out.push(0x06);
-                put_str(&mut out, key);
-                put_u64(&mut out, *ttl_ms);
+                put_str(out, key);
+                put_u64(out, *ttl_ms);
             }
             Command::Ttl { key } => {
                 out.push(0x07);
-                put_str(&mut out, key);
+                put_str(out, key);
             }
             Command::Persist { key } => {
                 out.push(0x08);
-                put_str(&mut out, key);
+                put_str(out, key);
             }
             Command::HSet { key, field, value } => {
                 out.push(0x09);
-                put_str(&mut out, key);
-                put_str(&mut out, field);
-                put_bytes(&mut out, value);
+                put_str(out, key);
+                put_str(out, field);
+                put_bytes(out, value);
             }
             Command::HSetMulti { key, fields } => {
                 out.push(0x0a);
-                put_str(&mut out, key);
-                put_u64(&mut out, fields.len() as u64);
+                put_str(out, key);
+                put_u64(out, fields.len() as u64);
                 for (f, v) in fields {
-                    put_str(&mut out, f);
-                    put_bytes(&mut out, v);
+                    put_str(out, f);
+                    put_bytes(out, v);
                 }
             }
             Command::HGet { key, field } => {
                 out.push(0x0b);
-                put_str(&mut out, key);
-                put_str(&mut out, field);
+                put_str(out, key);
+                put_str(out, field);
             }
             Command::HGetAll { key } => {
                 out.push(0x0c);
-                put_str(&mut out, key);
+                put_str(out, key);
             }
             Command::HDel { key, field } => {
                 out.push(0x0d);
-                put_str(&mut out, key);
-                put_str(&mut out, field);
+                put_str(out, key);
+                put_str(out, field);
             }
             Command::SAdd { key, member } => {
                 out.push(0x0e);
-                put_str(&mut out, key);
-                put_bytes(&mut out, member);
+                put_str(out, key);
+                put_bytes(out, member);
             }
             Command::SRem { key, member } => {
                 out.push(0x0f);
-                put_str(&mut out, key);
-                put_bytes(&mut out, member);
+                put_str(out, key);
+                put_bytes(out, member);
             }
             Command::SMembers { key } => {
                 out.push(0x10);
-                put_str(&mut out, key);
+                put_str(out, key);
             }
             Command::Keys { pattern } => {
                 out.push(0x11);
-                put_str(&mut out, pattern);
+                put_str(out, pattern);
             }
             Command::Scan { start, count } => {
                 out.push(0x12);
-                put_str(&mut out, start);
-                put_u64(&mut out, *count);
+                put_str(out, start);
+                put_u64(out, *count);
             }
             Command::DbSize => out.push(0x13),
             Command::FlushAll => out.push(0x14),
         }
-        out
     }
 
     /// Decode a command previously produced by [`Self::encode`].
@@ -418,13 +428,13 @@ impl Command {
                 key: r.get_str(CTX)?,
                 value: r.get_bytes(CTX)?,
             },
-            0x02 => Command::Get {
+            OP_GET => Command::Get {
                 key: r.get_str(CTX)?,
             },
-            0x03 => Command::Del {
+            OP_DEL => Command::Del {
                 key: r.get_str(CTX)?,
             },
-            0x04 => Command::Exists {
+            OP_EXISTS => Command::Exists {
                 key: r.get_str(CTX)?,
             },
             0x05 => Command::ExpireAt {

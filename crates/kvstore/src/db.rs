@@ -260,6 +260,12 @@ impl Db {
     /// Returns `true` if the key was expired and removed by this call.
     pub fn expire_if_needed(&mut self, key: &str) -> bool {
         let now = self.now_millis();
+        self.expire_if_due(key, now)
+    }
+
+    /// [`Self::expire_if_needed`] against a clock reading the caller
+    /// already took.
+    fn expire_if_due(&mut self, key: &str, now: UnixMillis) -> bool {
         match self.expires.get(key) {
             Some(&at) if at <= now => {
                 self.remove_key(key, RemovalCause::LazyExpiry);
@@ -272,7 +278,10 @@ impl Db {
     // ----- string commands -------------------------------------------------
 
     /// Set `key` to a string value, clearing any previous TTL (Redis `SET`).
-    pub fn set(&mut self, key: &str, value: Bytes) {
+    /// The value is the caller's buffer moved in, so its spare capacity is
+    /// given back first: the keyspace holds what `mem_bytes` counts.
+    pub fn set(&mut self, key: &str, mut value: Bytes) {
+        value.shrink_to_fit();
         self.set_value(key, Value::Str(value));
     }
 
@@ -300,42 +309,42 @@ impl Db {
         self.dirty += 1;
     }
 
+    /// Look `key` up on behalf of a read (Redis' `lookupKeyRead`): lazy
+    /// expiry first, then the access-time touch and the keyspace hit or
+    /// miss. Every whole-value read goes through here, so a value costs
+    /// the same bookkeeping whichever call fetched it.
+    pub fn lookup_read(&mut self, key: &str) -> Option<&Value> {
+        let now = self.now_millis();
+        self.expire_if_due(key, now);
+        match self.dict.get_mut(key) {
+            Some(obj) => {
+                obj.touch(now);
+                self.stats.keyspace_hits += 1;
+                Some(&obj.value)
+            }
+            None => {
+                self.stats.keyspace_misses += 1;
+                None
+            }
+        }
+    }
+
     /// Get the string value of `key` (Redis `GET`).
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::WrongType`] if the key holds a non-string.
     pub fn get(&mut self, key: &str) -> Result<Option<Bytes>> {
-        self.expire_if_needed(key);
-        let now = self.now_millis();
-        match self.dict.get_mut(key) {
-            Some(obj) => {
-                obj.touch(now);
-                self.stats.keyspace_hits += 1;
-                match &obj.value {
-                    Value::Str(b) => Ok(Some(b.clone())),
-                    other => Err(StoreError::WrongType {
-                        key: key.to_string(),
-                        actual: other.type_name(),
-                        expected: "string",
-                    }),
-                }
-            }
-            None => {
-                self.stats.keyspace_misses += 1;
-                Ok(None)
-            }
+        match self.lookup_read(key) {
+            Some(Value::Str(b)) => Ok(Some(b.clone())),
+            Some(other) => Err(other.wrong_type(key, "string")),
+            None => Ok(None),
         }
     }
 
     /// Fetch the full typed value of a key, if present.
     pub fn get_value(&mut self, key: &str) -> Option<Value> {
-        self.expire_if_needed(key);
-        let now = self.now_millis();
-        self.dict.get_mut(key).map(|obj| {
-            obj.touch(now);
-            obj.value.clone()
-        })
+        self.lookup_read(key).cloned()
     }
 
     /// Whether `key` exists (after lazy expiry).
@@ -375,7 +384,8 @@ impl Db {
     /// # Errors
     ///
     /// Returns [`StoreError::WrongType`] if the key holds a non-hash.
-    pub fn hset(&mut self, key: &str, field: &str, value: Bytes) -> Result<bool> {
+    pub fn hset(&mut self, key: &str, field: &str, mut value: Bytes) -> Result<bool> {
+        value.shrink_to_fit();
         self.expire_if_needed(key);
         let now = self.now_millis();
         let value_len = value.len();
@@ -410,10 +420,10 @@ impl Db {
 
     /// Set many fields at once (Redis `HMSET`). Returns the number of new
     /// fields.
-    pub fn hset_multi(&mut self, key: &str, fields: &BTreeMap<String, Bytes>) -> Result<usize> {
+    pub fn hset_multi(&mut self, key: &str, fields: BTreeMap<String, Bytes>) -> Result<usize> {
         let mut created = 0;
         for (f, v) in fields {
-            if self.hset(key, f, v.clone())? {
+            if self.hset(key, &f, v)? {
                 created += 1;
             }
         }
@@ -453,25 +463,10 @@ impl Db {
 
     /// Get all fields of a hash (Redis `HGETALL`).
     pub fn hgetall(&mut self, key: &str) -> Result<Option<BTreeMap<String, Bytes>>> {
-        self.expire_if_needed(key);
-        let now = self.now_millis();
-        match self.dict.get_mut(key) {
-            Some(obj) => {
-                obj.touch(now);
-                self.stats.keyspace_hits += 1;
-                match &obj.value {
-                    Value::Hash(map) => Ok(Some(map.clone())),
-                    other => Err(StoreError::WrongType {
-                        key: key.to_string(),
-                        actual: other.type_name(),
-                        expected: "hash",
-                    }),
-                }
-            }
-            None => {
-                self.stats.keyspace_misses += 1;
-                Ok(None)
-            }
+        match self.lookup_read(key) {
+            Some(Value::Hash(map)) => Ok(Some(map.clone())),
+            Some(other) => Err(other.wrong_type(key, "hash")),
+            None => Ok(None),
         }
     }
 
@@ -513,7 +508,8 @@ impl Db {
 
     /// Add a member to the set at `key` (Redis `SADD`). Returns `true` if
     /// newly added.
-    pub fn sadd(&mut self, key: &str, member: Bytes) -> Result<bool> {
+    pub fn sadd(&mut self, key: &str, mut member: Bytes) -> Result<bool> {
+        member.shrink_to_fit();
         self.expire_if_needed(key);
         let now = self.now_millis();
         let member_len = member.len();

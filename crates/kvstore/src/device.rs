@@ -435,8 +435,15 @@ pub struct FramedDevice<D: TruncatableDevice, S: FrameSeal> {
     /// takes them or a write outdates them — recovery opens the frames
     /// once.
     opened_payload: Option<Vec<u8>>,
+    /// The frame of the append in progress; kept between appends so that
+    /// sealing allocates nothing.
+    frame: Vec<u8>,
     stats: DeviceStats,
 }
+
+/// The frame buffer is kept from one append to the next up to this
+/// capacity: a rewrite's one huge frame must not stay allocated.
+const RETAINED_FRAME_BYTES: usize = 64 << 10;
 
 /// Framed, authenticated encryption — the LUKS simulation:
 /// `u32 frame_len || 12-byte nonce || ciphertext || 16-byte tag`.
@@ -491,6 +498,7 @@ impl<D: TruncatableDevice, S: FrameSeal> FramedDevice<D, S> {
             seal,
             logical_len: 0,
             opened_payload: None,
+            frame: Vec::new(),
             stats: DeviceStats::default(),
         };
         let raw = device.inner.read_all()?;
@@ -503,13 +511,22 @@ impl<D: TruncatableDevice, S: FrameSeal> FramedDevice<D, S> {
         Ok(device)
     }
 
-    fn encode_frame(&mut self, payload: &[u8]) -> Vec<u8> {
-        let mut frame = Vec::with_capacity(4 + payload.len() + 28);
-        frame.extend_from_slice(&[0; 4]);
-        self.seal.seal(payload, &mut frame);
-        let body_len = (frame.len() - 4) as u32;
-        frame[..4].copy_from_slice(&body_len.to_le_bytes());
-        frame
+    /// Build the frame of `payload` in `self.frame`, the one buffer every
+    /// append seals into.
+    fn encode_frame(&mut self, payload: &[u8]) {
+        self.frame.clear();
+        self.frame.extend_from_slice(&[0; 4]);
+        self.seal.seal(payload, &mut self.frame);
+        let body_len = (self.frame.len() - 4) as u32;
+        self.frame[..4].copy_from_slice(&body_len.to_le_bytes());
+    }
+
+    /// Done with the frame: keep the buffer for the next append unless it
+    /// grew past [`RETAINED_FRAME_BYTES`].
+    fn release_frame(&mut self) {
+        if self.frame.capacity() > RETAINED_FRAME_BYTES {
+            self.frame = Vec::new();
+        }
     }
 
     /// Open the frames of `raw`; returns the payloads and how many bytes
@@ -553,13 +570,14 @@ impl<D: TruncatableDevice, S: FrameSeal> FramedDevice<D, S> {
 
 impl<D: TruncatableDevice, S: FrameSeal> StorageDevice for FramedDevice<D, S> {
     fn append(&mut self, data: &[u8]) -> Result<()> {
-        let frame = self.encode_frame(data);
-        self.inner.append(&frame)?;
+        self.encode_frame(data);
+        self.inner.append(&self.frame)?;
         self.opened_payload = None;
         self.logical_len += data.len() as u64;
         self.stats.appends += 1;
         self.stats.bytes_written += data.len() as u64;
-        self.stats.bytes_on_device += frame.len() as u64;
+        self.stats.bytes_on_device += self.frame.len() as u64;
+        self.release_frame();
         Ok(())
     }
 
@@ -578,12 +596,13 @@ impl<D: TruncatableDevice, S: FrameSeal> StorageDevice for FramedDevice<D, S> {
     }
 
     fn replace(&mut self, data: &[u8]) -> Result<()> {
-        let frame = self.encode_frame(data);
-        self.inner.replace(&frame)?;
+        self.encode_frame(data);
+        self.inner.replace(&self.frame)?;
         self.opened_payload = None;
         self.logical_len = data.len() as u64;
         self.stats.bytes_written += data.len() as u64;
-        self.stats.bytes_on_device = frame.len() as u64;
+        self.stats.bytes_on_device = self.frame.len() as u64;
+        self.release_frame();
         Ok(())
     }
 

@@ -7,6 +7,8 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+use crate::{Result, StoreError};
+
 /// Raw byte payload stored under a key or hash field.
 pub type Bytes = Vec<u8>;
 
@@ -50,6 +52,41 @@ impl Value {
             Value::Hash(_) => "hash",
             Value::List(_) => "list",
             Value::Set(_) => "set",
+        }
+    }
+
+    /// The [`StoreError::WrongType`] an operation expecting `expected` gets
+    /// on `key`, which holds this value.
+    #[must_use]
+    pub fn wrong_type(&self, key: &str, expected: &'static str) -> StoreError {
+        StoreError::WrongType {
+            key: key.to_string(),
+            actual: self.type_name(),
+            expected,
+        }
+    }
+
+    /// The payload of a string value read from `key`.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::WrongType`] when the value is not a string.
+    pub fn into_string(self, key: &str) -> Result<Bytes> {
+        match self {
+            Value::Str(bytes) => Ok(bytes),
+            other => Err(other.wrong_type(key, "string")),
+        }
+    }
+
+    /// The fields of a hash value read from `key`.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::WrongType`] when the value is not a hash.
+    pub fn into_hash(self, key: &str) -> Result<BTreeMap<String, Bytes>> {
+        match self {
+            Value::Hash(fields) => Ok(fields),
+            other => Err(other.wrong_type(key, "hash")),
         }
     }
 

@@ -308,6 +308,94 @@ struct BacklogInner {
     start_seq: u64,
 }
 
+/// What a record carries in front of its payload in a segment:
+/// `u32 length || global sequence (u64 LE)`, the length covering sequence
+/// and payload.
+const RECORD_HEADER: usize = 12;
+
+/// A [`RecordBatch`] keeps its buffer from one append to the next, up to
+/// this capacity: one oversized batch must not pin its size for good.
+const RETAINED_BATCH_BYTES: usize = 64 << 10;
+
+/// Records on their way into one segment, laid out in one buffer exactly
+/// as the segment stores them, so that [`ShardedAof::append_batch`] hands
+/// the device what was encoded, with no record copied in between. The
+/// sequence numbers are stamped in by the append.
+#[derive(Debug, Default)]
+pub struct RecordBatch {
+    framed: Vec<u8>,
+    records: u64,
+}
+
+/// A position in a [`RecordBatch`] to [`RecordBatch::rewind`] to.
+#[derive(Debug, Clone, Copy)]
+pub struct BatchMark {
+    bytes: usize,
+    records: u64,
+}
+
+impl RecordBatch {
+    /// Whether the batch holds no record.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.records == 0
+    }
+
+    /// Add the record whose payload `encode` appends to the buffer it is
+    /// handed.
+    pub fn push_with(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
+        let start = self.framed.len();
+        self.framed.extend_from_slice(&[0; RECORD_HEADER]);
+        encode(&mut self.framed);
+        let length = (self.framed.len() - start - 4) as u32;
+        self.framed[start..start + 4].copy_from_slice(&length.to_le_bytes());
+        self.records += 1;
+    }
+
+    /// Add a record that is already encoded.
+    pub fn push(&mut self, record: &[u8]) {
+        self.push_with(|framed| framed.extend_from_slice(record));
+    }
+
+    /// Where the batch ends now.
+    #[must_use]
+    pub fn mark(&self) -> BatchMark {
+        BatchMark {
+            bytes: self.framed.len(),
+            records: self.records,
+        }
+    }
+
+    /// Drop every record added since `mark` was taken.
+    pub fn rewind(&mut self, mark: BatchMark) {
+        self.framed.truncate(mark.bytes);
+        self.records = mark.records;
+    }
+
+    /// Number the records from `first_seq` up, in place, and show each
+    /// `(sequence, payload)` to `visit`.
+    fn stamp(&mut self, first_seq: u64, mut visit: impl FnMut(u64, &[u8])) {
+        let mut seq = first_seq;
+        let mut rest = self.framed.as_mut_slice();
+        while let Some((length, tail)) = rest.split_first_chunk_mut::<4>() {
+            let (record, next) = tail.split_at_mut(u32::from_le_bytes(*length) as usize);
+            record[..8].copy_from_slice(&seq.to_le_bytes());
+            visit(seq, &record[8..]);
+            seq += 1;
+            rest = next;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.records = 0;
+        if self.framed.capacity() > RETAINED_BATCH_BYTES {
+            self.framed = Vec::new();
+        } else {
+            self.framed.clear();
+        }
+    }
+}
+
 /// A durability ticket: the segment positions a writer must observe synced
 /// before its command can be acknowledged. Only issued under
 /// `FsyncPolicy::Always` with group commit enabled; other policies settle
@@ -540,39 +628,36 @@ impl ShardedAof {
     ///
     /// Propagates device I/O or encryption errors.
     pub fn append(&self, segment: usize, record: &[u8]) -> Result<Option<Ticket>> {
-        self.append_batch(segment, std::iter::once(record))
+        let mut batch = RecordBatch::default();
+        batch.push(record);
+        self.append_batch(segment, &mut batch)
     }
 
-    /// Append a batch of records to `segment` in one device append — one
-    /// frame on a journal file, so the batch is crash-atomic — with
+    /// Append the records of `batch` to `segment` in one device append —
+    /// one frame on a journal file, so the batch is crash-atomic — with
     /// one sequence number each and one ticket for all of them (a mutation
     /// bracket, a shard's expiry deletions and eviction victims are
-    /// journaled this way). Same locking contract as [`Self::append`].
+    /// journaled this way). The batch comes back empty, its buffer kept
+    /// for the next one. Same locking contract as [`Self::append`].
     ///
     /// # Errors
     ///
     /// Propagates device I/O or encryption errors.
-    pub fn append_batch<'a>(
-        &self,
-        segment: usize,
-        records: impl Iterator<Item = &'a [u8]>,
-    ) -> Result<Option<Ticket>> {
+    pub fn append_batch(&self, segment: usize, batch: &mut RecordBatch) -> Result<Option<Ticket>> {
+        if batch.is_empty() {
+            return Ok(None);
+        }
+        let first_seq = self.next_seq.fetch_add(batch.records, Ordering::Relaxed);
         let mirror = self.mirroring();
-        let mut framed = Vec::new();
         let mut mirrored = Vec::new();
-        let mut count = 0u64;
-        for record in records {
-            let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-            put_framed(&mut framed, seq, record);
-            count += 1;
+        batch.stamp(first_seq, |seq, record| {
             if mirror {
                 mirrored.push((seq, record.to_vec()));
             }
-        }
-        if count == 0 {
-            return Ok(None);
-        }
-        let wait = self.append_framed(segment, &framed, count)?;
+        });
+        let appended = self.append_framed(segment, &batch.framed, batch.records);
+        batch.clear();
+        let wait = appended?;
         for (seq, record) in mirrored {
             self.backlog_push_owned(seq, record);
         }
@@ -591,11 +676,12 @@ impl ShardedAof {
     /// Propagates device I/O or encryption errors.
     pub fn append_broadcast(&self, record: &[u8]) -> Result<Option<Ticket>> {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let mut framed = Vec::with_capacity(12 + record.len());
-        put_framed(&mut framed, seq, record);
+        let mut batch = RecordBatch::default();
+        batch.push(record);
+        batch.stamp(seq, |_, _| {});
         let mut waits = Vec::new();
         for segment in 0..self.segments.len() {
-            if let Some(pos) = self.append_framed(segment, &framed, 1)? {
+            if let Some(pos) = self.append_framed(segment, &batch.framed, 1)? {
                 waits.push((segment, pos));
             }
         }
@@ -1003,14 +1089,6 @@ impl ShardedAof {
         }
         total
     }
-}
-
-/// Append one segment record as the log stores it:
-/// `u32 length || global sequence (u64 LE) || payload`.
-fn put_framed(out: &mut Vec<u8>, seq: u64, record: &[u8]) {
-    out.extend_from_slice(&((8 + record.len()) as u32).to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(record);
 }
 
 /// Frame a record for a segment: `global sequence (u64 LE) || payload`.

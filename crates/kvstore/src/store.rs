@@ -11,11 +11,15 @@
 //! decides the owning shard, so operations on different shards execute in
 //! parallel:
 //!
-//! 1. every operation is a [`Command`];
+//! 1. every operation is a [`Command`], or — for the reads on the request
+//!    path — a [`KvStore::read`]: the same visit from a borrowed key, which
+//!    builds no command and can fetch a key's value and its metadata
+//!    shadow together;
 //! 2. per-key commands lock **only the owning shard** and execute against
 //!    its [`Db`] — one at a time, or several that share a shard as one
 //!    batch ([`KvStore::execute_batch`]; a metadata shadow shares its data
-//!    key's shard, so a compliance bracket is such a batch);
+//!    key's shard, so a compliance bracket is such a batch, and a read of
+//!    value and shadow sees what one bracket wrote);
 //!    keyspace-wide commands (`KEYS`, `SCAN`, `DBSIZE`, `FLUSHALL`) visit
 //!    every shard and merge;
 //! 3. every write — or *any* command when read-logging is enabled (the
@@ -54,13 +58,13 @@ use rand::SeedableRng;
 
 use crate::aof::AofStats;
 use crate::clock::{SharedClock, UnixMillis};
-use crate::commands::{Command, Reply};
+use crate::commands::{encode_keyed, Command, Reply, OP_DEL, OP_EXISTS, OP_GET};
 use crate::config::{EvictionPolicy, StoreConfig};
 use crate::db::{Db, DbStats};
 use crate::expire::{run_expire_cycle, CycleOutcome};
-use crate::object::Bytes;
-use crate::shard::ShardRouter;
-use crate::sharded_aof::{LoadedJournal, ReplTail, ReplWatermark, ShardedAof};
+use crate::object::{Bytes, Value};
+use crate::shard::{ShardRouter, META_PREFIX};
+use crate::sharded_aof::{LoadedJournal, RecordBatch, ReplTail, ReplWatermark, ShardedAof};
 use crate::snapshot;
 use crate::stats::EngineStats;
 use crate::ttl_wheel::DeadlineIndexStats;
@@ -70,10 +74,38 @@ use crate::{Result, StoreError};
 /// (Redis' `maxmemory-samples` default).
 const EVICTION_SAMPLES: usize = 5;
 
-/// One slice of the keyspace: a dictionary plus its expiry-sampling RNG.
+/// One slice of the keyspace: a dictionary plus its expiry-sampling RNG,
+/// and the two buffers a visit reuses instead of allocating.
 struct Shard {
     db: Db,
     rng: StdRng,
+    /// The records of the visit in progress, on their way to the shard's
+    /// journal segment.
+    journal: RecordBatch,
+    /// Where [`KvStore::read`] spells out a metadata shadow's key.
+    shadow_key: String,
+}
+
+/// What [`KvStore::read`] looks at under the key itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ValuePart {
+    /// Nothing: the visit is for the shadow alone.
+    Skip,
+    /// Whether the key holds a value (`EXISTS`).
+    Exists,
+    /// The typed value (`GET`, whatever the type).
+    Fetch,
+}
+
+/// What one [`KvStore::read`] visit found.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct KeyRead {
+    /// Whether the key holds a value (`false` when the visit did not look).
+    pub exists: bool,
+    /// The key's value, when the visit fetched it.
+    pub value: Option<Value>,
+    /// The key's metadata shadow record, when the visit asked for it.
+    pub shadow: Option<Bytes>,
 }
 
 /// RAII registration of a replication stream (see
@@ -156,13 +188,15 @@ impl KvStore {
                     Some(seed) => StdRng::seed_from_u64(seed.wrapping_add(idx as u64)),
                     None => StdRng::from_entropy(),
                 },
+                journal: RecordBatch::default(),
+                shadow_key: String::new(),
             })
             .collect();
 
         let aof = match ShardedAof::open(&config, &router)? {
             Some((aof, loaded)) => {
                 let partitions = Self::partition_journal(loaded, &router)?;
-                Self::replay(&partitions, &mut shards)?;
+                Self::replay(partitions, &mut shards)?;
                 Some(aof)
             }
             None => None,
@@ -241,8 +275,8 @@ impl KvStore {
 
     /// Rebuild every shard from its partition — in parallel when there is
     /// more than one.
-    fn replay(partitions: &[Vec<Command>], shards: &mut [Shard]) -> Result<()> {
-        fn apply(shard: &mut Shard, commands: &[Command]) -> Result<()> {
+    fn replay(partitions: Vec<Vec<Command>>, shards: &mut [Shard]) -> Result<()> {
+        fn apply(shard: &mut Shard, commands: Vec<Command>) -> Result<()> {
             for cmd in commands {
                 cmd.execute(&mut shard.db)?;
             }
@@ -309,7 +343,7 @@ impl KvStore {
         if let Some(key) = command.primary_key() {
             let shard_idx = self.inner.router.shard_of(key);
             let mut only = None;
-            self.run_on_shard(shard_idx, std::slice::from_ref(&command), |reply| {
+            self.run_on_shard(shard_idx, std::iter::once(command), |reply| {
                 only = Some(reply);
             })?;
             return Ok(only.expect("a command that did not fail has replied"));
@@ -330,7 +364,7 @@ impl KvStore {
                     let mut total = 0i64;
                     let mut last = Reply::Ok;
                     for guard in guards.iter_mut() {
-                        last = command.execute(&mut guard.db)?;
+                        last = command.clone().execute(&mut guard.db)?;
                         if let Reply::Int(n) = last {
                             total += n;
                         }
@@ -384,7 +418,7 @@ impl KvStore {
     /// command has no key or the keys do not share a shard. An execution
     /// error ends the batch there: as when issued one by one, the commands
     /// before it stay applied and journaled.
-    pub fn execute_batch(&self, commands: &[Command]) -> Result<Vec<Reply>> {
+    pub fn execute_batch(&self, commands: Vec<Command>) -> Result<Vec<Reply>> {
         let Some(first) = commands.first() else {
             return Ok(Vec::new());
         };
@@ -406,11 +440,14 @@ impl KvStore {
 
     /// The one keyed execution path: run `commands` (all owned by shard
     /// `shard_idx`) under one acquisition of its lock, journal what ran in
-    /// one append, wait for durability once.
+    /// one append, wait for durability once. A command is encoded into the
+    /// shard's journal batch first and consumed by its execution, so the
+    /// payload of a write is copied into the journal and moved into the
+    /// keyspace.
     fn run_on_shard(
         &self,
         shard_idx: usize,
-        commands: &[Command],
+        commands: impl IntoIterator<Item = Command>,
         mut reply: impl FnMut(Reply),
     ) -> Result<()> {
         let aof = self.inner.aof.as_ref();
@@ -421,11 +458,11 @@ impl KvStore {
             .shard_mem_budget()
             .filter(|_| self.inner.config.eviction_policy == EvictionPolicy::Noeviction);
 
-        let mut shard = self.inner.shards[shard_idx].lock();
+        let mut guard = self.inner.shards[shard_idx].lock();
         let held = Instant::now();
-        // What the journal gets, in apply order: each command, and behind
-        // each write the victims its eviction pass shed.
-        let mut records: Vec<Vec<u8>> = Vec::new();
+        let shard = &mut *guard;
+        // The journal gets, in apply order: each command, and behind each
+        // write the victims its eviction pass shed.
         let (mut reads, mut writes, mut journaled) = (0u64, 0u64, 0u64);
         let mut failure = None;
         for command in commands {
@@ -435,17 +472,23 @@ impl KvStore {
                 failure = Some(StoreError::Oom { used, limit });
                 break;
             }
+            let before = shard.journal.mark();
+            let journal = aof.is_some() && (is_write || log_reads);
+            if journal {
+                shard
+                    .journal
+                    .push_with(|record| command.encode_into(record));
+            }
             match command.execute(&mut shard.db) {
                 Ok(r) => reply(r),
                 Err(e) => {
+                    // A command that failed is not journaled.
+                    shard.journal.rewind(before);
                     failure = Some(e);
                     break;
                 }
             }
-            if aof.is_some() && (is_write || log_reads) {
-                records.push(command.encode());
-                journaled += 1;
-            }
+            journaled += u64::from(journal);
             if is_write {
                 writes += 1;
                 // The sampled policies reclaim space right after the
@@ -453,28 +496,108 @@ impl KvStore {
                 // eviction as a DEL — so replicas and crash-replay see
                 // the eviction at exactly this point of the key's
                 // command stream and stay byte-convergent.
-                self.evict_to_budget(&mut shard, &mut records);
+                self.evict_to_budget(shard);
             } else {
                 reads += 1;
             }
         }
-        // Append to the owning shard's segment while the shard is locked,
-        // so the journal order of its keys matches their apply order.
-        // Durability settles after unlock.
+        self.finish_visit(shard_idx, guard, held, reads, writes, journaled)?;
+        failure.map_or(Ok(()), Err)
+    }
+
+    /// The end of every keyed visit: append what it journaled to the
+    /// shard's segment while the shard is still locked (so the journal
+    /// order of its keys matches their apply order), unlock, and only then
+    /// wait for durability — group commit coalesces the wait with every
+    /// other writer of the segment.
+    fn finish_visit(
+        &self,
+        shard_idx: usize,
+        mut shard: MutexGuard<'_, Shard>,
+        held: Instant,
+        reads: u64,
+        writes: u64,
+        journaled: u64,
+    ) -> Result<()> {
+        let aof = self.inner.aof.as_ref();
         let ticket = match aof {
-            Some(aof) => aof.append_batch(shard_idx, records.iter().map(Vec::as_slice))?,
+            Some(aof) => aof.append_batch(shard_idx, &mut shard.journal)?,
             None => None,
         };
         drop(shard);
         self.inner.shard_lock_hold.record(held.elapsed());
-
-        // With the shard lock released, wait for durability (group commit
-        // coalesces us with every other writer of the segment).
         if let (Some(ticket), Some(aof)) = (ticket, aof) {
             aof.commit(ticket)?;
         }
-        self.count_executed(reads, writes, journaled)?;
-        failure.map_or(Ok(()), Err)
+        self.count_executed(reads, writes, journaled)
+    }
+
+    /// Read `key` in one visit of its shard: one lock acquisition, nothing
+    /// allocated for the key, no [`Command`] built. `value` says what to
+    /// look at under the key itself; with `shadow` the metadata shadow
+    /// record stored beside it (`META_PREFIX` + `key`, on the same shard)
+    /// is fetched under the same lock, so the pair is one that a single
+    /// mutation bracket wrote. Each key looked at is one read, with its own
+    /// lazy expiry, access-time touch and hit-or-miss count, and under
+    /// read-logging its own journal record — `GET` for a fetch, `EXISTS`
+    /// for a probe — as if it had been issued alone.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::WrongType`] for a shadow that is not a string, and
+    /// persistence errors from journaling the read.
+    pub fn read(&self, key: &str, value: ValuePart, shadow: bool) -> Result<KeyRead> {
+        let journal = self.inner.aof.is_some() && self.inner.config.log_reads;
+        let shard_idx = self.inner.router.shard_of(key);
+        let mut guard = self.inner.shards[shard_idx].lock();
+        let held = Instant::now();
+        let Shard {
+            db,
+            journal: records,
+            shadow_key,
+            ..
+        } = &mut *guard;
+
+        let mut read = KeyRead::default();
+        let (mut reads, mut journaled) = (0u64, 0u64);
+        // One key looked at: one read, and under read-logging one record.
+        let mut looked_at = |opcode: u8, key: &str| {
+            reads += 1;
+            if journal {
+                records.push_with(|record| encode_keyed(record, opcode, key));
+                journaled += 1;
+            }
+        };
+        match value {
+            ValuePart::Skip => {}
+            ValuePart::Exists => {
+                read.exists = db.exists(key);
+                looked_at(OP_EXISTS, key);
+            }
+            ValuePart::Fetch => {
+                read.value = db.get_value(key);
+                read.exists = read.value.is_some();
+                looked_at(OP_GET, key);
+            }
+        }
+        let mut failure = None;
+        if shadow {
+            shadow_key.clear();
+            shadow_key.push_str(META_PREFIX);
+            shadow_key.push_str(key);
+            match db.lookup_read(shadow_key) {
+                Some(Value::Str(bytes)) => read.shadow = Some(bytes.clone()),
+                Some(other) => failure = Some(other.wrong_type(shadow_key, "string")),
+                None => {}
+            }
+            // As on the command path, a read that failed is neither
+            // counted nor journaled.
+            if failure.is_none() {
+                looked_at(OP_GET, shadow_key);
+            }
+        }
+        self.finish_visit(shard_idx, guard, held, reads, 0, journaled)?;
+        failure.map_or(Ok(read), Err)
     }
 
     /// Account for executed commands, `journaled` of which reached the
@@ -512,9 +635,9 @@ impl KvStore {
 
     /// Evict sampled victims from the locked shard until it is back under
     /// its budget (or nothing is left to evict), adding each eviction as a
-    /// `DEL` to `records`, the journal batch of the write that caused it.
+    /// `DEL` to the shard's journal batch, behind the write that caused it.
     /// No-op under `noeviction` or without a `maxmemory` ceiling.
-    fn evict_to_budget(&self, shard: &mut Shard, records: &mut Vec<Vec<u8>>) {
+    fn evict_to_budget(&self, shard: &mut Shard) {
         let policy = self.inner.config.eviction_policy;
         if policy == EvictionPolicy::Noeviction {
             return;
@@ -522,11 +645,13 @@ impl KvStore {
         let Some(budget) = self.shard_mem_budget() else {
             return;
         };
-        let Shard { db, rng } = shard;
+        let Shard {
+            db, rng, journal, ..
+        } = shard;
         while db.mem_bytes() > budget {
             match db.evict_one(rng, policy, EVICTION_SAMPLES) {
                 Some(victim) if self.inner.aof.is_some() => {
-                    records.push(Command::Del { key: victim }.encode());
+                    journal.push_with(|record| encode_keyed(record, OP_DEL, &victim));
                 }
                 Some(_) => {}
                 None => break,
@@ -541,7 +666,7 @@ impl KvStore {
     ) -> Result<Reply> {
         let mut merged: Vec<String> = Vec::new();
         for guard in guards.iter_mut() {
-            if let Reply::StringArray(keys) = command.execute(&mut guard.db)? {
+            if let Reply::StringArray(keys) = command.clone().execute(&mut guard.db)? {
                 merged.extend(keys);
             }
         }
@@ -591,11 +716,8 @@ impl KvStore {
 
     /// Read a string key.
     pub fn get(&self, key: &str) -> Result<Option<Bytes>> {
-        Ok(self
-            .execute(Command::Get {
-                key: key.to_string(),
-            })?
-            .into_bytes())
+        let value = self.read(key, ValuePart::Fetch, false)?.value;
+        value.map(|value| value.into_string(key)).transpose()
     }
 
     /// Delete a key; returns whether it existed.
@@ -620,9 +742,7 @@ impl KvStore {
 
     /// Whether the key exists.
     pub fn exists(&self, key: &str) -> Result<bool> {
-        Ok(self.execute(Command::Exists {
-            key: key.to_string(),
-        })? == Reply::Int(1))
+        Ok(self.read(key, ValuePart::Exists, false)?.exists)
     }
 
     /// Set a TTL relative to now.
@@ -766,7 +886,7 @@ impl KvStore {
 
         for (shard_idx, shard) in self.inner.shards.iter().enumerate() {
             let mut shard = shard.lock();
-            let Shard { db, rng } = &mut *shard;
+            let Shard { db, rng, .. } = &mut *shard;
             let outcome = run_expire_cycle(db, mode, &expire_cfg, rng);
 
             // Propagate expiry deletions into this shard's journal segment
@@ -774,15 +894,13 @@ impl KvStore {
             // log-lock acquisition for the whole batch) so that replaying
             // it cannot resurrect erased personal data.
             let mut ticket = None;
-            if !outcome.removed.is_empty() {
-                if let Some(aof) = &self.inner.aof {
-                    let records: Vec<Vec<u8>> = outcome
-                        .removed
-                        .iter()
-                        .map(|key| Command::Del { key: key.clone() }.encode())
-                        .collect();
-                    ticket = aof.append_batch(shard_idx, records.iter().map(Vec::as_slice))?;
+            if let Some(aof) = &self.inner.aof {
+                for key in &outcome.removed {
+                    shard
+                        .journal
+                        .push_with(|record| encode_keyed(record, OP_DEL, key));
                 }
+                ticket = aof.append_batch(shard_idx, &mut shard.journal)?;
             }
             drop(shard);
             if let (Some(ticket), Some(aof)) = (ticket, &self.inner.aof) {
@@ -1597,7 +1715,7 @@ mod tests {
             vec![set(&here, b"1"), Command::FlushAll],
             vec![Command::DbSize],
         ] {
-            let err = store.execute_batch(&batch).unwrap_err();
+            let err = store.execute_batch(batch).unwrap_err();
             assert!(matches!(err, StoreError::InvalidCommand(_)), "{err}");
         }
         assert!(
@@ -1606,7 +1724,10 @@ mod tests {
         );
         assert_eq!(store.stats().commands_processed, 0);
         assert_eq!(store.aof_stats().unwrap().records_appended, 0);
-        assert_eq!(store.execute_batch(&[]).unwrap(), Vec::<Reply>::new());
+        assert_eq!(
+            store.execute_batch(Vec::new()).unwrap(),
+            Vec::<Reply>::new()
+        );
     }
 
     #[test]
@@ -1658,7 +1779,7 @@ mod tests {
                 .into_iter()
                 .filter(|c| batched.shard_of(c.primary_key().unwrap()) == shard)
                 .collect();
-            let replies = batched.execute_batch(&bracket).unwrap();
+            let replies = batched.execute_batch(bracket.clone()).unwrap();
             let one_by_one: Vec<Reply> = bracket
                 .iter()
                 .map(|c| single.execute(c.clone()).unwrap())
@@ -1696,6 +1817,156 @@ mod tests {
         assert!(a.device.bytes_on_device < b.device.bytes_on_device);
     }
 
+    /// Engine visits so far: every keyed visit samples `shard_lock_hold`
+    /// exactly once.
+    fn visits(store: &KvStore) -> u64 {
+        store.stage_latencies()[0].1.count()
+    }
+
+    #[test]
+    fn a_read_is_one_visit_whatever_it_looks_at() {
+        let store = KvStore::open(StoreConfig::in_memory().shards(4)).unwrap();
+        let shadow = format!("{META_PREFIX}k");
+        store
+            .execute_batch(vec![set("k", b"value"), set(&shadow, b"subject=alice")])
+            .unwrap();
+        let hash = Command::HSet {
+            key: "h".to_string(),
+            field: "f".to_string(),
+            value: b"v".to_vec(),
+        };
+        store.execute(hash).unwrap();
+        let (before, visited) = (store.stats(), visits(&store));
+
+        let pair = store.read("k", ValuePart::Fetch, true).unwrap();
+        assert_eq!(pair.value, Some(Value::Str(b"value".to_vec())));
+        assert_eq!(pair.shadow, Some(b"subject=alice".to_vec()));
+        assert!(pair.exists);
+        assert_eq!(visits(&store), visited + 1, "value and shadow: one visit");
+        let after = store.stats();
+        assert_eq!(after.reads, before.reads + 2, "two keys looked at");
+        assert_eq!(after.db.keyspace_hits, before.db.keyspace_hits + 2);
+
+        // The value comes back typed: a hash is not an error here.
+        let typed = store.read("h", ValuePart::Fetch, true).unwrap();
+        assert!(matches!(typed.value, Some(Value::Hash(_))));
+        assert_eq!(typed.shadow, None);
+        // Only the shadow; only whether the key is there.
+        let alone = store.read("k", ValuePart::Skip, true).unwrap();
+        assert_eq!((alone.exists, alone.value.is_some()), (false, false));
+        assert_eq!(alone.shadow, Some(b"subject=alice".to_vec()));
+        let probe = store.read("k", ValuePart::Exists, false).unwrap();
+        assert_eq!(
+            (probe.exists, probe.value, probe.shadow),
+            (true, None, None)
+        );
+        let absent = store.read("nobody", ValuePart::Fetch, true).unwrap();
+        assert_eq!(absent, KeyRead::default());
+        assert_eq!(visits(&store), visited + 5);
+
+        // `get` and `exists` are such visits too.
+        assert_eq!(store.get("k").unwrap(), Some(b"value".to_vec()));
+        assert!(store.exists("k").unwrap());
+        assert!(matches!(
+            store.get("h"),
+            Err(StoreError::WrongType {
+                expected: "string",
+                ..
+            })
+        ));
+        assert_eq!(visits(&store), visited + 8);
+    }
+
+    #[test]
+    fn a_shadow_that_is_not_a_string_fails_the_read_uncounted() {
+        let store =
+            KvStore::open(StoreConfig::in_memory().aof_in_memory().log_reads(true)).unwrap();
+        let broken = Command::SAdd {
+            key: format!("{META_PREFIX}k"),
+            member: b"m".to_vec(),
+        };
+        store.execute_batch(vec![set("k", b"v"), broken]).unwrap();
+        let before = (store.stats(), store.aof_stats().unwrap().records_appended);
+        let err = store.read("k", ValuePart::Fetch, true).unwrap_err();
+        assert!(
+            matches!(err, StoreError::WrongType { actual: "set", .. }),
+            "{err}"
+        );
+        // As when a batch ends in a failing command: what ran before it —
+        // the read of the value — is counted and journaled, the failure is
+        // not.
+        assert_eq!(store.stats().reads, before.0.reads + 1);
+        assert_eq!(store.aof_stats().unwrap().records_appended, before.1 + 1);
+    }
+
+    #[test]
+    fn read_logging_journals_a_read_visit_as_the_commands_it_stands_for() {
+        // The paper's monitoring retrofit: with `log_reads` every read is a
+        // journal record. The borrowed-key visit must leave the records the
+        // command path leaves — `GET` for a fetch, `EXISTS` for a probe,
+        // value before shadow, the pair in one frame.
+        let open = || {
+            let store = KvStore::open(
+                StoreConfig::in_memory()
+                    .aof_in_memory()
+                    .shards(4)
+                    .log_reads(true),
+            )
+            .unwrap();
+            let shadow = format!("{META_PREFIX}k");
+            store
+                .execute_batch(vec![set("k", b"value"), set(&shadow, b"meta")])
+                .unwrap();
+            store
+        };
+        let (visit, command) = (open(), open());
+        let _streams = (
+            visit.begin_repl_stream().unwrap(),
+            command.begin_repl_stream().unwrap(),
+        );
+        let get = |key: &str| Command::Get {
+            key: key.to_string(),
+        };
+
+        visit.get("k").unwrap();
+        visit.exists("k").unwrap();
+        visit.get("absent").unwrap();
+        visit.read("k", ValuePart::Fetch, true).unwrap();
+        visit.read("k", ValuePart::Skip, true).unwrap();
+
+        command.execute(get("k")).unwrap();
+        let exists = Command::Exists {
+            key: "k".to_string(),
+        };
+        command.execute(exists).unwrap();
+        command.execute(get("absent")).unwrap();
+        let shadow = format!("{META_PREFIX}k");
+        command.execute_batch(vec![get("k"), get(&shadow)]).unwrap();
+        command.execute(get(&shadow)).unwrap();
+
+        // The stream starts behind the two records `open` wrote.
+        let tail = |store: &KvStore| {
+            let tail = store
+                .repl_tail(store.aof_epoch().unwrap(), 2, usize::MAX)
+                .unwrap();
+            assert!(!tail.lost && !tail.gapped);
+            tail.records
+        };
+        assert_eq!(tail(&visit).len(), 6);
+        assert_eq!(tail(&visit), tail(&command));
+        let (a, b) = (visit.stats(), command.stats());
+        assert_eq!(a.aof.records_appended, b.aof.records_appended);
+        assert_eq!(a.aof.bytes_appended, b.aof.bytes_appended);
+        assert_eq!(a.device.appends, b.device.appends, "the pair is one frame");
+        assert_eq!((a.reads, a.db), (b.reads, b.db));
+
+        // Without read-logging a read leaves the journal alone.
+        let quiet = KvStore::open(StoreConfig::in_memory().aof_in_memory()).unwrap();
+        quiet.set("k", b"v".to_vec()).unwrap();
+        quiet.read("k", ValuePart::Fetch, true).unwrap();
+        assert_eq!(quiet.aof_stats().unwrap().records_appended, 1);
+    }
+
     #[test]
     fn a_failing_command_ends_its_batch_and_keeps_what_ran_before_it() {
         let store = KvStore::open(StoreConfig::in_memory().aof_in_memory()).unwrap();
@@ -1705,7 +1976,7 @@ mod tests {
             value: b"v".to_vec(),
         };
         let err = store
-            .execute_batch(&[set("s", b"1"), wrong_type, set("t", b"2")])
+            .execute_batch(vec![set("s", b"1"), wrong_type, set("t", b"2")])
             .unwrap_err();
         assert!(matches!(err, StoreError::WrongType { .. }), "{err}");
         assert_eq!(store.get("s").unwrap(), Some(b"1".to_vec()));

@@ -31,40 +31,36 @@ impl WireCommand {
         }
     }
 
-    /// Parse a decoded RESP frame into a command.
+    /// Parse a decoded RESP frame into a command, taking the frame's
+    /// arguments over: no argument is copied.
     ///
     /// # Errors
     ///
     /// Returns [`RespError::InvalidCommand`] if the frame is not a
     /// non-empty array of bulk strings.
-    pub fn from_frame(frame: &Frame) -> Result<Self, RespError> {
+    pub fn from_frame(frame: Frame) -> Result<Self, RespError> {
         let Frame::Array(items) = frame else {
             return Err(RespError::InvalidCommand(
                 "command must be an array".to_string(),
             ));
         };
-        if items.is_empty() {
+        let mut parts = items.into_iter().map(|item| match item {
+            Frame::Bulk(b) => Ok(b),
+            Frame::Simple(s) => Ok(s.into_bytes()),
+            other => Err(RespError::InvalidCommand(format!(
+                "command arguments must be bulk strings, got {other:?}"
+            ))),
+        });
+        let Some(name_bytes) = parts.next() else {
             return Err(RespError::InvalidCommand("empty command array".to_string()));
-        }
-        let mut parts = Vec::with_capacity(items.len());
-        for item in items {
-            match item {
-                Frame::Bulk(b) => parts.push(b.clone()),
-                Frame::Simple(s) => parts.push(s.clone().into_bytes()),
-                other => {
-                    return Err(RespError::InvalidCommand(format!(
-                        "command arguments must be bulk strings, got {other:?}"
-                    )))
-                }
-            }
-        }
-        let name_bytes = parts.remove(0);
-        let name = String::from_utf8(name_bytes).map_err(|_| {
+        };
+        let mut name = String::from_utf8(name_bytes?).map_err(|_| {
             RespError::InvalidCommand("command name is not valid utf-8".to_string())
         })?;
+        name.make_ascii_uppercase();
         Ok(WireCommand {
-            name: name.to_ascii_uppercase(),
-            args: parts,
+            name,
+            args: parts.collect::<Result<_, _>>()?,
         })
     }
 
@@ -120,6 +116,22 @@ impl WireCommand {
             .get(i)
             .map(Vec::as_slice)
             .ok_or_else(|| RespError::InvalidCommand(format!("{} missing argument {i}", self.name)))
+    }
+
+    /// Take argument `i` out of the command — the payload a write moves
+    /// into the store — leaving an empty argument in its place.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RespError::InvalidCommand`] if the argument is missing.
+    pub fn take_arg(&mut self, i: usize) -> Result<Vec<u8>, RespError> {
+        match self.args.get_mut(i) {
+            Some(arg) => Ok(std::mem::take(arg)),
+            None => Err(RespError::InvalidCommand(format!(
+                "{} missing argument {i}",
+                self.name
+            ))),
+        }
     }
 
     /// The first argument upper-cased — the subcommand of container
@@ -257,7 +269,8 @@ impl GdprRequest {
         name.starts_with("GDPR.")
     }
 
-    /// Parse a [`WireCommand`] into a GDPR request.
+    /// Parse a [`WireCommand`] into a GDPR request, moving the value of a
+    /// `GDPR.PUT` out of it ([`WireCommand::take_arg`]).
     ///
     /// Returns `None` when the command is not a `GDPR.*` command at all
     /// (the caller should fall through to the plain Redis surface).
@@ -267,18 +280,18 @@ impl GdprRequest {
     /// Returns [`RespError::InvalidCommand`] (inside `Some`) for a
     /// `GDPR.*` command with an unknown name, wrong arity or malformed
     /// arguments.
-    pub fn from_wire(cmd: &WireCommand) -> Option<Result<Self, RespError>> {
+    pub fn from_wire(cmd: &mut WireCommand) -> Option<Result<Self, RespError>> {
         if !Self::is_gdpr_command(&cmd.name) {
             return None;
         }
         Some(Self::parse_gdpr(cmd))
     }
 
-    fn parse_gdpr(cmd: &WireCommand) -> Result<Self, RespError> {
+    fn parse_gdpr(cmd: &mut WireCommand) -> Result<Self, RespError> {
         let arity = |need: &str| {
+            let name = &cmd.name;
             RespError::InvalidCommand(format!(
-                "wrong number of arguments for '{}' (usage: {} {need})",
-                cmd.name, cmd.name
+                "wrong number of arguments for '{name}' (usage: {name} {need})"
             ))
         };
         let request = match cmd.name.as_str() {
@@ -302,12 +315,12 @@ impl GdprRequest {
                     key: cmd.arg_str(0)?.to_string(),
                     subject: cmd.arg_str(1)?.to_string(),
                     purposes: purposes_from_arg(cmd.arg_str(2)?),
-                    value: cmd.arg_bytes(3)?.to_vec(),
                     ttl_ms: if cmd.arity() == 5 {
                         Some(cmd.arg_u64(4)?)
                     } else {
                         None
                     },
+                    value: cmd.take_arg(3)?,
                 }
             }
             "GDPR.GETMETA" => {
@@ -489,7 +502,7 @@ mod tests {
     #[test]
     fn parse_basic_command() {
         let frame = Frame::command(["set", "key", "value"]);
-        let cmd = WireCommand::from_frame(&frame).unwrap();
+        let cmd = WireCommand::from_frame(frame).unwrap();
         assert_eq!(cmd.name, "SET");
         assert_eq!(cmd.arity(), 2);
         assert_eq!(cmd.arg_str(0).unwrap(), "key");
@@ -500,7 +513,7 @@ mod tests {
     fn roundtrip_to_frame() {
         let cmd = WireCommand::new("hset", vec![b"h".to_vec(), b"f".to_vec(), b"v".to_vec()]);
         let frame = cmd.to_frame();
-        let parsed = WireCommand::from_frame(&frame).unwrap();
+        let parsed = WireCommand::from_frame(frame).unwrap();
         assert_eq!(parsed, cmd);
         assert_eq!(parsed.name, "HSET");
     }
@@ -515,15 +528,15 @@ mod tests {
 
     #[test]
     fn rejects_non_array_and_empty() {
-        assert!(WireCommand::from_frame(&Frame::Integer(1)).is_err());
-        assert!(WireCommand::from_frame(&Frame::Array(vec![])).is_err());
-        assert!(WireCommand::from_frame(&Frame::Array(vec![Frame::Integer(3)])).is_err());
+        assert!(WireCommand::from_frame(Frame::Integer(1)).is_err());
+        assert!(WireCommand::from_frame(Frame::Array(vec![])).is_err());
+        assert!(WireCommand::from_frame(Frame::Array(vec![Frame::Integer(3)])).is_err());
     }
 
     #[test]
     fn simple_string_arguments_accepted() {
         let frame = Frame::Array(vec![Frame::Simple("PING".into())]);
-        let cmd = WireCommand::from_frame(&frame).unwrap();
+        let cmd = WireCommand::from_frame(frame).unwrap();
         assert_eq!(cmd.name, "PING");
         assert_eq!(cmd.arity(), 0);
     }
@@ -595,37 +608,37 @@ mod tests {
     #[test]
     fn gdpr_requests_roundtrip_through_the_wire_form() {
         for request in all_gdpr_requests() {
-            let wire = request.to_wire();
+            let mut wire = request.to_wire();
             assert!(GdprRequest::is_gdpr_command(&wire.name), "{wire:?}");
-            let reparsed = GdprRequest::from_wire(&wire)
+            let reparsed = GdprRequest::from_wire(&mut wire)
                 .expect("GDPR command recognised")
                 .expect("GDPR command parses");
             assert_eq!(reparsed, request);
             // And through a full frame encode/parse cycle.
-            let cmd = WireCommand::from_frame(&request.to_frame()).unwrap();
-            assert_eq!(GdprRequest::from_wire(&cmd).unwrap().unwrap(), request);
+            let mut cmd = WireCommand::from_frame(request.to_frame()).unwrap();
+            assert_eq!(GdprRequest::from_wire(&mut cmd).unwrap().unwrap(), request);
         }
     }
 
     #[test]
     fn non_gdpr_commands_fall_through() {
-        let cmd = WireCommand::new("SET", vec![b"k".to_vec(), b"v".to_vec()]);
-        assert!(GdprRequest::from_wire(&cmd).is_none());
+        let mut cmd = WireCommand::new("SET", vec![b"k".to_vec(), b"v".to_vec()]);
+        assert!(GdprRequest::from_wire(&mut cmd).is_none());
         assert!(!GdprRequest::is_gdpr_command("GET"));
     }
 
     #[test]
     fn gdpr_parse_errors() {
         // Unknown GDPR command.
-        let cmd = WireCommand::new("GDPR.NOPE", vec![]);
-        assert!(GdprRequest::from_wire(&cmd).unwrap().is_err());
+        let mut cmd = WireCommand::new("GDPR.NOPE", vec![]);
+        assert!(GdprRequest::from_wire(&mut cmd).unwrap().is_err());
         // Wrong arity.
-        let cmd = WireCommand::new("GDPR.AUTH", vec![b"app".to_vec()]);
-        assert!(GdprRequest::from_wire(&cmd).unwrap().is_err());
-        let cmd = WireCommand::new("GDPR.STATS", vec![b"extra".to_vec()]);
-        assert!(GdprRequest::from_wire(&cmd).unwrap().is_err());
+        let mut cmd = WireCommand::new("GDPR.AUTH", vec![b"app".to_vec()]);
+        assert!(GdprRequest::from_wire(&mut cmd).unwrap().is_err());
+        let mut cmd = WireCommand::new("GDPR.STATS", vec![b"extra".to_vec()]);
+        assert!(GdprRequest::from_wire(&mut cmd).unwrap().is_err());
         // Bad TTL argument.
-        let cmd = WireCommand::new(
+        let mut cmd = WireCommand::new(
             "GDPR.PUT",
             vec![
                 b"k".to_vec(),
@@ -635,25 +648,25 @@ mod tests {
                 b"soon".to_vec(),
             ],
         );
-        assert!(GdprRequest::from_wire(&cmd).unwrap().is_err());
+        assert!(GdprRequest::from_wire(&mut cmd).unwrap().is_err());
     }
 
     #[test]
     fn paged_export_parse_errors() {
         // Wrong keyword in the CURSOR slot.
-        let cmd = WireCommand::new(
+        let mut cmd = WireCommand::new(
             "GDPR.EXPORT",
             vec![b"alice".to_vec(), b"PAGE".to_vec(), b"0".to_vec()],
         );
-        assert!(GdprRequest::from_wire(&cmd).unwrap().is_err());
+        assert!(GdprRequest::from_wire(&mut cmd).unwrap().is_err());
         // COUNT requires CURSOR first (arity 3 with COUNT keyword fails).
-        let cmd = WireCommand::new(
+        let mut cmd = WireCommand::new(
             "GDPR.EXPORT",
             vec![b"alice".to_vec(), b"COUNT".to_vec(), b"10".to_vec()],
         );
-        assert!(GdprRequest::from_wire(&cmd).unwrap().is_err());
+        assert!(GdprRequest::from_wire(&mut cmd).unwrap().is_err());
         // Non-numeric COUNT.
-        let cmd = WireCommand::new(
+        let mut cmd = WireCommand::new(
             "GDPR.EXPORT",
             vec![
                 b"alice".to_vec(),
@@ -663,9 +676,9 @@ mod tests {
                 b"many".to_vec(),
             ],
         );
-        assert!(GdprRequest::from_wire(&cmd).unwrap().is_err());
+        assert!(GdprRequest::from_wire(&mut cmd).unwrap().is_err());
         // Dangling arity (4 args).
-        let cmd = WireCommand::new(
+        let mut cmd = WireCommand::new(
             "GDPR.EXPORT",
             vec![
                 b"alice".to_vec(),
@@ -674,14 +687,14 @@ mod tests {
                 b"COUNT".to_vec(),
             ],
         );
-        assert!(GdprRequest::from_wire(&cmd).unwrap().is_err());
+        assert!(GdprRequest::from_wire(&mut cmd).unwrap().is_err());
         // Keywords are case-insensitive.
-        let cmd = WireCommand::new(
+        let mut cmd = WireCommand::new(
             "GDPR.EXPORT",
             vec![b"alice".to_vec(), b"cursor".to_vec(), b"0".to_vec()],
         );
         assert_eq!(
-            GdprRequest::from_wire(&cmd).unwrap().unwrap(),
+            GdprRequest::from_wire(&mut cmd).unwrap().unwrap(),
             GdprRequest::Export {
                 subject: "alice".into(),
                 cursor: Some("0".into()),
@@ -698,7 +711,9 @@ mod tests {
             purposes: Vec::new(),
             ttl_ms: None,
         };
-        let reparsed = GdprRequest::from_wire(&request.to_wire()).unwrap().unwrap();
+        let reparsed = GdprRequest::from_wire(&mut request.to_wire())
+            .unwrap()
+            .unwrap();
         assert_eq!(reparsed, request);
     }
 }

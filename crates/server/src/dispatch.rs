@@ -432,18 +432,28 @@ impl Dispatcher {
         hex
     }
 
-    /// Handle one decoded request frame and produce the reply frame.
+    /// Handle one decoded request frame and produce the reply frame: a
+    /// copy of `frame` goes through [`Self::handle_owned_frame`]. The
+    /// transports own the frames they decode and call that directly.
+    pub fn handle_frame(&self, frame: &Frame, session: &mut Session) -> Frame {
+        self.handle_owned_frame(frame.clone(), session)
+    }
+
+    /// Handle one decoded request frame, taking it over: the arguments
+    /// move into the parsed command, and the payload of a write moves on
+    /// into the store.
     ///
     /// This is the observability interception point: every parsed
     /// command is timed into its family histogram and, over the
-    /// configured threshold, captured into the `SLOWLOG` ring.
-    pub fn handle_frame(&self, frame: &Frame, session: &mut Session) -> Frame {
+    /// configured threshold, captured into the `SLOWLOG` ring (a payload
+    /// that moved into the store shows there as an empty argument).
+    pub fn handle_owned_frame(&self, frame: Frame, session: &mut Session) -> Frame {
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
         let started = Instant::now();
         let (reply, timed) = match WireCommand::from_frame(frame) {
-            Ok(cmd) => {
+            Ok(mut cmd) => {
                 let family = CommandFamily::classify(&cmd.name);
-                (self.dispatch(&cmd, session), Some((family, cmd)))
+                (self.dispatch(&mut cmd, session), Some((family, cmd)))
             }
             Err(e) => (Frame::Error(format!("ERR {e}")), None),
         };
@@ -511,8 +521,9 @@ impl Dispatcher {
         }
     }
 
-    /// Handle one parsed wire command.
-    pub fn dispatch(&self, cmd: &WireCommand, session: &mut Session) -> Frame {
+    /// Handle one parsed wire command; a write takes its payload out of
+    /// `cmd` ([`WireCommand::take_arg`]).
+    pub fn dispatch(&self, cmd: &mut WireCommand, session: &mut Session) -> Frame {
         // Protocol-level commands, identical for both engines.
         match cmd.name.as_str() {
             "PING" => return Frame::Simple("PONG".to_string()),
@@ -567,7 +578,7 @@ impl Dispatcher {
                 Engine::Kv(_) => {
                     Frame::Error("ERR compliance layer not enabled on this server".to_string())
                 }
-                Engine::Gdpr(store) => dispatch_gdpr(self, store, &request, session),
+                Engine::Gdpr(store) => dispatch_gdpr(self, store, request, session),
             };
         }
         match &self.engine {
@@ -610,7 +621,8 @@ fn is_write_command(name: &str) -> bool {
     )
 }
 
-/// Translate a plain Redis wire command into an engine command.
+/// Translate a plain Redis wire command into an engine command, moving
+/// the values it carries out of it.
 ///
 /// This is the mapping formerly private to `netsim::server`; it is shared
 /// here so the simulated and TCP servers accept exactly the same surface.
@@ -619,177 +631,180 @@ fn is_write_command(name: &str) -> bool {
 ///
 /// Returns a ready-to-send RESP error message for unknown commands, bad
 /// arity and malformed arguments.
-pub fn translate(cmd: &WireCommand) -> std::result::Result<Command, String> {
-    let arity_err = |need: usize| {
+pub fn translate(cmd: &mut WireCommand) -> std::result::Result<Command, String> {
+    fn arity_err(cmd: &WireCommand, need: usize) -> std::result::Result<Command, String> {
         Err(format!(
             "ERR wrong number of arguments for '{}' ({} given, {need} needed)",
             cmd.name,
             cmd.arity()
         ))
-    };
-    let s = |i: usize| {
+    }
+    fn text(cmd: &WireCommand, i: usize) -> std::result::Result<String, String> {
         cmd.arg_str(i)
             .map(str::to_string)
             .map_err(|e| format!("ERR {e}"))
-    };
-    let b = |i: usize| {
-        cmd.arg_bytes(i)
-            .map(<[u8]>::to_vec)
-            .map_err(|e| format!("ERR {e}"))
-    };
-    let n = |i: usize| cmd.arg_u64(i).map_err(|e| format!("ERR {e}"));
+    }
+    // A value is moved out of the command, not copied.
+    fn payload(cmd: &mut WireCommand, i: usize) -> std::result::Result<Vec<u8>, String> {
+        cmd.take_arg(i).map_err(|e| format!("ERR {e}"))
+    }
+    fn number(cmd: &WireCommand, i: usize) -> std::result::Result<u64, String> {
+        cmd.arg_u64(i).map_err(|e| format!("ERR {e}"))
+    }
 
     let command = match cmd.name.as_str() {
         "SET" => {
             if cmd.arity() != 2 {
-                return arity_err(2);
+                return arity_err(cmd, 2);
             }
             Command::Set {
-                key: s(0)?,
-                value: b(1)?,
+                key: text(cmd, 0)?,
+                value: payload(cmd, 1)?,
             }
         }
         "GET" => {
             if cmd.arity() != 1 {
-                return arity_err(1);
+                return arity_err(cmd, 1);
             }
-            Command::Get { key: s(0)? }
+            Command::Get { key: text(cmd, 0)? }
         }
         "DEL" | "UNLINK" => {
             if cmd.arity() != 1 {
-                return arity_err(1);
+                return arity_err(cmd, 1);
             }
-            Command::Del { key: s(0)? }
+            Command::Del { key: text(cmd, 0)? }
         }
         "EXISTS" => {
             if cmd.arity() != 1 {
-                return arity_err(1);
+                return arity_err(cmd, 1);
             }
-            Command::Exists { key: s(0)? }
+            Command::Exists { key: text(cmd, 0)? }
         }
         "PEXPIRE" => {
             if cmd.arity() != 2 {
-                return arity_err(2);
+                return arity_err(cmd, 2);
             }
             Command::Expire {
-                key: s(0)?,
-                ttl_ms: n(1)?,
+                key: text(cmd, 0)?,
+                ttl_ms: number(cmd, 1)?,
             }
         }
         "EXPIRE" => {
             if cmd.arity() != 2 {
-                return arity_err(2);
+                return arity_err(cmd, 2);
             }
             Command::Expire {
-                key: s(0)?,
-                ttl_ms: n(1)? * 1_000,
+                key: text(cmd, 0)?,
+                ttl_ms: number(cmd, 1)? * 1_000,
             }
         }
         "PEXPIREAT" => {
             if cmd.arity() != 2 {
-                return arity_err(2);
+                return arity_err(cmd, 2);
             }
             Command::ExpireAt {
-                key: s(0)?,
-                at_ms: n(1)?,
+                key: text(cmd, 0)?,
+                at_ms: number(cmd, 1)?,
             }
         }
         "PTTL" | "TTL" => {
             if cmd.arity() != 1 {
-                return arity_err(1);
+                return arity_err(cmd, 1);
             }
-            Command::Ttl { key: s(0)? }
+            Command::Ttl { key: text(cmd, 0)? }
         }
         "PERSIST" => {
             if cmd.arity() != 1 {
-                return arity_err(1);
+                return arity_err(cmd, 1);
             }
-            Command::Persist { key: s(0)? }
+            Command::Persist { key: text(cmd, 0)? }
         }
         "HSET" => {
             if cmd.arity() != 3 {
-                return arity_err(3);
+                return arity_err(cmd, 3);
             }
             Command::HSet {
-                key: s(0)?,
-                field: s(1)?,
-                value: b(2)?,
+                key: text(cmd, 0)?,
+                field: text(cmd, 1)?,
+                value: payload(cmd, 2)?,
             }
         }
         "HMSET" => {
             if cmd.arity() < 3 || cmd.arity().is_multiple_of(2) {
-                return arity_err(3);
+                return arity_err(cmd, 3);
             }
-            let key = s(0)?;
+            let key = text(cmd, 0)?;
             let mut fields = BTreeMap::new();
             let mut i = 1;
             while i < cmd.arity() {
-                fields.insert(s(i)?, b(i + 1)?);
+                fields.insert(text(cmd, i)?, payload(cmd, i + 1)?);
                 i += 2;
             }
             Command::HSetMulti { key, fields }
         }
         "HGET" => {
             if cmd.arity() != 2 {
-                return arity_err(2);
+                return arity_err(cmd, 2);
             }
             Command::HGet {
-                key: s(0)?,
-                field: s(1)?,
+                key: text(cmd, 0)?,
+                field: text(cmd, 1)?,
             }
         }
         "HGETALL" => {
             if cmd.arity() != 1 {
-                return arity_err(1);
+                return arity_err(cmd, 1);
             }
-            Command::HGetAll { key: s(0)? }
+            Command::HGetAll { key: text(cmd, 0)? }
         }
         "HDEL" => {
             if cmd.arity() != 2 {
-                return arity_err(2);
+                return arity_err(cmd, 2);
             }
             Command::HDel {
-                key: s(0)?,
-                field: s(1)?,
+                key: text(cmd, 0)?,
+                field: text(cmd, 1)?,
             }
         }
         "SADD" => {
             if cmd.arity() != 2 {
-                return arity_err(2);
+                return arity_err(cmd, 2);
             }
             Command::SAdd {
-                key: s(0)?,
-                member: b(1)?,
+                key: text(cmd, 0)?,
+                member: payload(cmd, 1)?,
             }
         }
         "SREM" => {
             if cmd.arity() != 2 {
-                return arity_err(2);
+                return arity_err(cmd, 2);
             }
             Command::SRem {
-                key: s(0)?,
-                member: b(1)?,
+                key: text(cmd, 0)?,
+                member: payload(cmd, 1)?,
             }
         }
         "SMEMBERS" => {
             if cmd.arity() != 1 {
-                return arity_err(1);
+                return arity_err(cmd, 1);
             }
-            Command::SMembers { key: s(0)? }
+            Command::SMembers { key: text(cmd, 0)? }
         }
         "KEYS" => {
             if cmd.arity() != 1 {
-                return arity_err(1);
+                return arity_err(cmd, 1);
             }
-            Command::Keys { pattern: s(0)? }
+            Command::Keys {
+                pattern: text(cmd, 0)?,
+            }
         }
         "SCAN" => {
             if cmd.arity() != 2 {
-                return arity_err(2);
+                return arity_err(cmd, 2);
             }
             Command::Scan {
-                start: s(0)?,
-                count: n(1)?,
+                start: text(cmd, 0)?,
+                count: number(cmd, 1)?,
             }
         }
         "DBSIZE" => Command::DbSize,
@@ -859,8 +874,8 @@ fn store_err_frame(e: &kvstore::StoreError) -> Frame {
 }
 
 /// The session context, or the ready-to-send `NOAUTH` error.
-fn require_ctx(session: &Session) -> std::result::Result<AccessContext, Frame> {
-    session.ctx.clone().ok_or_else(|| {
+fn require_ctx(session: &Session) -> std::result::Result<&AccessContext, Frame> {
+    session.ctx.as_ref().ok_or_else(|| {
         Frame::Error("NOAUTH authenticate with GDPR.AUTH actor purpose first".to_string())
     })
 }
@@ -914,25 +929,25 @@ fn metadata_frame(meta: &PersonalMetadata) -> Frame {
 fn dispatch_gdpr(
     dispatcher: &Dispatcher,
     store: &GdprStore,
-    request: &GdprRequest,
+    request: GdprRequest,
     session: &mut Session,
 ) -> Frame {
     match request {
         GdprRequest::Auth { actor, purpose } => {
-            if !store.has_grant(actor, purpose) {
+            if !store.has_grant(&actor, &purpose) {
                 return Frame::Error(format!(
                     "ERR no grant covers actor {actor:?} purpose {purpose:?}"
                 ));
             }
-            session.ctx = Some(AccessContext::new(actor, purpose));
+            session.ctx = Some(AccessContext { actor, purpose });
             Frame::Simple("OK".to_string())
         }
         GdprRequest::Grant { actor, purpose } => {
-            store.grant(Grant::new(actor, purpose));
+            store.grant(Grant::new(&actor, &purpose));
             Frame::Simple("OK".to_string())
         }
         GdprRequest::Revoke { actor, purpose } => {
-            Frame::Integer(store.revoke(actor, purpose) as i64)
+            Frame::Integer(store.revoke(&actor, &purpose) as i64)
         }
         GdprRequest::Stats => {
             let stats = store.stats();
@@ -1034,15 +1049,15 @@ fn dispatch_gdpr(
         }
         // Everything else acts on personal data (listing a subject's keys
         // reveals where it lives) and needs an authenticated session.
-        _ => match require_ctx(session) {
-            Ok(ctx) => dispatch_gdpr_data(store, request, &ctx),
+        request => match require_ctx(session) {
+            Ok(ctx) => dispatch_gdpr_data(store, request, ctx),
             Err(noauth) => noauth,
         },
     }
 }
 
 /// The `GDPR.*` requests that run under the session's access context.
-fn dispatch_gdpr_data(store: &GdprStore, request: &GdprRequest, ctx: &AccessContext) -> Frame {
+fn dispatch_gdpr_data(store: &GdprStore, request: GdprRequest, ctx: &AccessContext) -> Frame {
     let ok = |result: gdpr_core::Result<()>| match result {
         Ok(()) => Frame::Simple("OK".to_string()),
         Err(e) => gdpr_err(&e),
@@ -1055,10 +1070,10 @@ fn dispatch_gdpr_data(store: &GdprStore, request: &GdprRequest, ctx: &AccessCont
             value,
             ttl_ms,
         } => {
-            let meta = metadata_from_request(subject, purposes, *ttl_ms);
-            ok(store.put(ctx, key, value.clone(), meta))
+            let meta = metadata_from_request(&subject, &purposes, ttl_ms);
+            ok(store.put(ctx, &key, value, meta))
         }
-        GdprRequest::GetMeta { key } => match store.metadata(ctx, key) {
+        GdprRequest::GetMeta { key } => match store.metadata(ctx, &key) {
             Ok(Some(meta)) => metadata_frame(&meta),
             Ok(None) => Frame::Null,
             Err(e) => gdpr_err(&e),
@@ -1069,14 +1084,14 @@ fn dispatch_gdpr_data(store: &GdprStore, request: &GdprRequest, ctx: &AccessCont
             purposes,
             ttl_ms,
         } => {
-            let meta = metadata_from_request(subject, purposes, *ttl_ms);
-            ok(store.set_metadata(ctx, key, meta))
+            let meta = metadata_from_request(&subject, &purposes, ttl_ms);
+            ok(store.set_metadata(ctx, &key, meta))
         }
-        GdprRequest::KeysOf { subject } => match store.keys_of_subject(subject) {
+        GdprRequest::KeysOf { subject } => match store.keys_of_subject(&subject) {
             Ok(keys) => string_array_frame(keys),
             Err(e) => gdpr_err(&e),
         },
-        GdprRequest::Erase { subject } => match store.right_to_erasure(ctx, subject) {
+        GdprRequest::Erase { subject } => match store.right_to_erasure(ctx, &subject) {
             Ok(report) => Frame::Integer(report.erased_keys.len() as i64),
             Err(e) => gdpr_err(&e),
         },
@@ -1086,16 +1101,16 @@ fn dispatch_gdpr_data(store: &GdprStore, request: &GdprRequest, ctx: &AccessCont
             count,
         } => match cursor {
             // Monolithic form: one bulk reply with the whole document.
-            None => match store.right_to_portability(ctx, subject) {
+            None => match store.right_to_portability(ctx, &subject) {
                 Ok(json) => Frame::Bulk(json.into_bytes()),
                 Err(e) => gdpr_err(&e),
             },
             // Paged form: `[next_cursor, chunk]`, SCAN-style ("0" ends).
-            Some(token) => match ExportCursor::parse(token) {
+            Some(token) => match ExportCursor::parse(&token) {
                 None => Frame::Error("ERR invalid export cursor".to_string()),
                 Some(resume) => {
                     let count = count.map_or(DEFAULT_EXPORT_PAGE_ITEMS, |n| n as usize);
-                    match store.export_page(ctx, subject, resume.as_ref(), count) {
+                    match store.export_page(ctx, &subject, resume.as_ref(), count) {
                         Ok(page) => Frame::Array(vec![
                             Frame::Bulk(
                                 page.next_cursor
@@ -1110,7 +1125,7 @@ fn dispatch_gdpr_data(store: &GdprStore, request: &GdprRequest, ctx: &AccessCont
             },
         },
         GdprRequest::Object { subject, purpose } => {
-            match store.right_to_object(ctx, subject, purpose) {
+            match store.right_to_object(ctx, &subject, &purpose) {
                 Ok(report) => Frame::Integer(report.updated_keys.len() as i64),
                 Err(e) => gdpr_err(&e),
             }
@@ -1124,7 +1139,7 @@ fn dispatch_gdpr_data(store: &GdprStore, request: &GdprRequest, ctx: &AccessCont
 /// Execute a plain Redis command against the compliance layer: the subset
 /// the remote YCSB adapter needs, each call running through access
 /// control, purpose limitation, metadata and audit.
-fn dispatch_gdpr_kv(store: &GdprStore, cmd: &WireCommand, session: &mut Session) -> Frame {
+fn dispatch_gdpr_kv(store: &GdprStore, cmd: &mut WireCommand, session: &Session) -> Frame {
     // Commands that need no access context.
     if cmd.name == "DBSIZE" {
         return Frame::Integer(store.len() as i64);
@@ -1133,17 +1148,20 @@ fn dispatch_gdpr_kv(store: &GdprStore, cmd: &WireCommand, session: &mut Session)
         Ok(ctx) => ctx,
         Err(e) => return e,
     };
-    let arg = |i: usize| cmd.arg_str(i).map_err(|e| format!("ERR {e}"));
+    fn arg(cmd: &WireCommand, i: usize) -> std::result::Result<&str, String> {
+        cmd.arg_str(i).map_err(|e| format!("ERR {e}"))
+    }
     let result: std::result::Result<Frame, String> = (|| {
         let frame = match cmd.name.as_str() {
             "SET" => {
                 if cmd.arity() != 2 {
                     return Err(format!("ERR wrong number of arguments for '{}'", cmd.name));
                 }
-                let key = arg(0)?;
-                let value = cmd.arg_bytes(1).map_err(|e| format!("ERR {e}"))?.to_vec();
+                // The value moves out of the command and on into the store.
+                let value = cmd.take_arg(1).map_err(|e| format!("ERR {e}"))?;
+                let key = arg(cmd, 0)?;
                 store
-                    .put(&ctx, key, value, default_metadata(key, &ctx))
+                    .put(ctx, key, value, default_metadata(key, ctx))
                     .map_err(|e| gdpr_err_string(&e))?;
                 Frame::Simple("OK".to_string())
             }
@@ -1151,7 +1169,10 @@ fn dispatch_gdpr_kv(store: &GdprStore, cmd: &WireCommand, session: &mut Session)
                 if cmd.arity() != 1 {
                     return Err(format!("ERR wrong number of arguments for '{}'", cmd.name));
                 }
-                match store.get(&ctx, arg(0)?).map_err(|e| gdpr_err_string(&e))? {
+                match store
+                    .get(ctx, arg(cmd, 0)?)
+                    .map_err(|e| gdpr_err_string(&e))?
+                {
                     Some(value) => Frame::Bulk(value),
                     None => Frame::Null,
                 }
@@ -1161,7 +1182,7 @@ fn dispatch_gdpr_kv(store: &GdprStore, cmd: &WireCommand, session: &mut Session)
                     return Err(format!("ERR wrong number of arguments for '{}'", cmd.name));
                 }
                 let existed = store
-                    .delete(&ctx, arg(0)?)
+                    .delete(ctx, arg(cmd, 0)?)
                     .map_err(|e| gdpr_err_string(&e))?;
                 Frame::Integer(i64::from(existed))
             }
@@ -1169,12 +1190,12 @@ fn dispatch_gdpr_kv(store: &GdprStore, cmd: &WireCommand, session: &mut Session)
                 if cmd.arity() < 3 || cmd.arity().is_multiple_of(2) {
                     return Err(format!("ERR wrong number of arguments for '{}'", cmd.name));
                 }
-                let key = arg(0)?;
+                let key = arg(cmd, 0)?;
                 let mut fields = BTreeMap::new();
                 let mut i = 1;
                 while i < cmd.arity() {
                     fields.insert(
-                        arg(i)?.to_string(),
+                        arg(cmd, i)?.to_string(),
                         cmd.arg_bytes(i + 1)
                             .map_err(|e| format!("ERR {e}"))?
                             .to_vec(),
@@ -1182,7 +1203,7 @@ fn dispatch_gdpr_kv(store: &GdprStore, cmd: &WireCommand, session: &mut Session)
                     i += 2;
                 }
                 store
-                    .put_record(&ctx, key, &fields, default_metadata(key, &ctx))
+                    .put_record(ctx, key, &fields, default_metadata(key, ctx))
                     .map_err(|e| gdpr_err_string(&e))?;
                 Frame::Simple("OK".to_string())
             }
@@ -1191,7 +1212,7 @@ fn dispatch_gdpr_kv(store: &GdprStore, cmd: &WireCommand, session: &mut Session)
                     return Err(format!("ERR wrong number of arguments for '{}'", cmd.name));
                 }
                 match store
-                    .get_record(&ctx, arg(0)?)
+                    .get_record(ctx, arg(cmd, 0)?)
                     .map_err(|e| gdpr_err_string(&e))?
                 {
                     Some(map) => reply_to_frame(Reply::Map(map)),
@@ -1204,7 +1225,7 @@ fn dispatch_gdpr_kv(store: &GdprStore, cmd: &WireCommand, session: &mut Session)
                 }
                 let count = cmd.arg_u64(1).map_err(|e| format!("ERR {e}"))? as usize;
                 let keys = store
-                    .scan(&ctx, arg(0)?, count)
+                    .scan(ctx, arg(cmd, 0)?, count)
                     .map_err(|e| gdpr_err_string(&e))?;
                 string_array_frame(keys)
             }

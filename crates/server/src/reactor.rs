@@ -15,7 +15,7 @@
 //!   round-robin to the loops through a per-loop inbox plus
 //!   [`polling::Poller::notify`]. A connection stays on its loop for life;
 //! * a loop **runs every request to completion**: it reads, decodes with
-//!   the incremental [`Decoder`], executes [`Dispatcher::handle_frame`]
+//!   the incremental [`Decoder`], executes [`Dispatcher::handle_owned_frame`]
 //!   itself, encodes the reply straight into the connection's outbox and
 //!   writes it at once. There is no hand-off to another thread, and
 //!   write-readiness is armed only after a write returned `WouldBlock`;
@@ -558,7 +558,7 @@ impl EventLoop {
         let turn = conn.pending.len().min(TURN_FRAME_BUDGET);
         for frame in conn.pending.drain(..turn) {
             shutdown_seen |= is_shutdown_command(&frame);
-            let reply = dispatcher.handle_frame(&frame, &mut conn.session);
+            let reply = dispatcher.handle_owned_frame(frame, &mut conn.session);
             encode_into(&reply, &mut conn.outbox);
         }
         conn.queued = !conn.pending.is_empty();

@@ -464,7 +464,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                             if is_shutdown_command(&frame) {
                                 shutdown_seen = true;
                             }
-                            let reply = shared.dispatcher.handle_frame(&frame, &mut session);
+                            let reply = shared.dispatcher.handle_owned_frame(frame, &mut session);
                             encode_into(&reply, &mut replies);
                         }
                         Ok(None) => break,

@@ -261,6 +261,74 @@ fn every_operation_is_counted_once_and_audited_once() {
     }
 }
 
+/// Engine visits so far: every keyed visit of a shard — a read, a command,
+/// a batch — samples `shard_lock_hold` exactly once.
+fn engine_visits(store: &GdprStore) -> u64 {
+    store.engine().stage_latencies()[0].1.count()
+}
+
+#[test]
+fn a_read_visits_the_engine_once_per_key() {
+    use gdpr_storage::gdpr_core::hot_cache::HotCacheConfig;
+
+    let (mut store, _sink) = fixture();
+    // A fresh, empty hot tier, whatever `GDPR_HOT_CACHE` says.
+    store.set_hot_cache(HotCacheConfig::default());
+    let billing = app("billing");
+    let visits_of = |run: &dyn Fn()| {
+        let before = engine_visits(&store);
+        run();
+        engine_visits(&store) - before
+    };
+
+    // A miss reads value and shadow in one visit (and is admitted: the
+    // tier has room); the hit that follows touches no shard at all.
+    let reads = store.engine().stats().reads;
+    assert_eq!(visits_of(&|| drop(store.get(&billing, "c").unwrap())), 1);
+    assert_eq!(store.engine().stats().reads, reads + 2, "value + shadow");
+    assert_eq!(visits_of(&|| drop(store.get(&billing, "c").unwrap())), 0);
+    assert_eq!(store.hot_cache_stats().hits, 1);
+
+    assert_eq!(
+        visits_of(&|| drop(store.get_record(&billing, "r").unwrap())),
+        1
+    );
+    assert_eq!(
+        visits_of(&|| drop(store.metadata(&billing, "k").unwrap())),
+        1
+    );
+    // Alice owns `c`, `k` and `r`; the index names them without a visit.
+    let export = || drop(store.right_to_portability(&billing, "alice").unwrap());
+    assert_eq!(visits_of(&export), 3);
+    let access = || drop(store.right_of_access(&billing, "alice").unwrap());
+    assert_eq!(visits_of(&access), 3);
+    // A write's checks are one visit each — before the bracket, inside
+    // it — and the bracket's batch is the third.
+    let restamp = || store.set_metadata(&billing, "k", meta("alice")).unwrap();
+    assert_eq!(visits_of(&restamp), 3);
+    let update = || store.update_record(&billing, "r", &fields()).unwrap();
+    assert_eq!(visits_of(&update), 3);
+    // Per key, an objection reads the shadow and writes it back.
+    let object = || drop(store.right_to_object(&billing, "alice", "ads").unwrap());
+    assert_eq!(visits_of(&object), 3 * 2);
+
+    // A refused read made its one visit and kept nothing of it: no value
+    // comes back, and none went into the hot tier — the next read of `k`
+    // is a miss again.
+    let hot = store.hot_cache_stats();
+    let refused = || {
+        let result = store.get(&stranger(), "k");
+        assert!(
+            matches!(result, Err(GdprError::AccessDenied { .. })),
+            "{result:?}"
+        );
+    };
+    assert_eq!(visits_of(&refused), 1);
+    assert_eq!(store.hot_cache_stats().admissions, hot.admissions);
+    assert_eq!(visits_of(&|| drop(store.get(&billing, "k").unwrap())), 1);
+    assert_eq!(store.hot_cache_stats().misses, hot.misses + 2);
+}
+
 /// How a [`FlakySink`] is failing right now.
 const SINK_UP: u8 = 0;
 const SINK_REFUSES_WRITES: u8 = 1;

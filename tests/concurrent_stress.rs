@@ -336,11 +336,11 @@ fn group_commit_under_compliance_hammering_keeps_state_and_journal_aligned() {
 #[test]
 fn no_reader_sees_a_value_without_its_shadow_while_puts_race_erasures() {
     // A bracket reaches the engine as one batch under one shard lock, so a
-    // reader that takes the same lock once — a two-GET batch — sees the
-    // value and the shadow of a key both present or both absent, never
-    // the half-written or half-erased state in between.
-    use gdpr_storage::gdpr_core::store::META_PREFIX;
-    use gdpr_storage::kvstore::commands::{Command, Reply};
+    // reader that takes the same lock once — the engine's one-visit read
+    // of a key and its shadow — sees the value and the shadow of a key
+    // both present or both absent, never the half-written or half-erased
+    // state in between.
+    use gdpr_storage::kvstore::store::ValuePart;
     use std::sync::atomic::AtomicBool;
     use std::sync::Barrier;
 
@@ -383,14 +383,8 @@ fn no_reader_sees_a_value_without_its_shadow_while_puts_race_erasures() {
             let mut i = 0;
             while !done.load(Ordering::SeqCst) {
                 let data = key(i % KEYS);
-                let pair = [
-                    Command::Get { key: data.clone() },
-                    Command::Get {
-                        key: format!("{META_PREFIX}{data}"),
-                    },
-                ];
-                let replies = store.engine().execute_batch(&pair).unwrap();
-                let (value, shadow) = (replies[0] != Reply::Nil, replies[1] != Reply::Nil);
+                let read = store.engine().read(&data, ValuePart::Fetch, true).unwrap();
+                let (value, shadow) = (read.value.is_some(), read.shadow.is_some());
                 assert_eq!(value, shadow, "{data}: value {value}, shadow {shadow}");
                 observed.fetch_add(u64::from(value), Ordering::Relaxed);
                 i += 1;
@@ -406,6 +400,71 @@ fn no_reader_sees_a_value_without_its_shadow_while_puts_race_erasures() {
     assert_eq!(posted.len(), store.len());
     for key in posted {
         assert!(store.get(&ctx(), &key).unwrap().is_some(), "{key}");
+    }
+}
+
+#[test]
+fn a_read_is_authorised_against_the_metadata_of_the_value_it_returns() {
+    // A writer flips one key between subject A (value tagged `A:`) and
+    // subject B (value tagged `B:`). A reader granted subject A alone may
+    // be refused, but a value it is handed must be an `A:` value: value and
+    // shadow come from one engine visit, under the shard lock a put writes
+    // both under. (Read in two visits, the shadow of the A generation can
+    // authorise the value of the B generation.) Runs once with the hot tier
+    // and once without: a resident entry must be such a pair too.
+    use gdpr_storage::gdpr_core::hot_cache::HotCacheConfig;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Barrier;
+
+    const FLIPS: usize = 30_000;
+    for hot in [true, false] {
+        let mut store = open_sharded(CompliancePolicy::eventual());
+        store.set_hot_cache(HotCacheConfig::default().enabled(hot));
+        store.grant(Grant::new("reader", "service").for_subject("A"));
+        let owned_by = |subject: &str| {
+            PersonalMetadata::new(subject)
+                .with_purpose("service")
+                .with_location(Region::Eu)
+        };
+        let done = AtomicBool::new(false);
+        let start = Barrier::new(2);
+        let (mut served, mut refused) = (0u64, 0u64);
+
+        std::thread::scope(|scope| {
+            let (store, start, done) = (&store, &start, &done);
+            scope.spawn(move || {
+                start.wait();
+                for flip in 0..FLIPS {
+                    let subject = if flip % 2 == 0 { "A" } else { "B" };
+                    let value = format!("{subject}:{flip}").into_bytes();
+                    store
+                        .put(&ctx(), "shared", value, owned_by(subject))
+                        .unwrap();
+                }
+                done.store(true, Ordering::SeqCst);
+            });
+            let reader = AccessContext::new("reader", "service");
+            start.wait();
+            while !done.load(Ordering::SeqCst) {
+                match store.get(&reader, "shared") {
+                    Ok(Some(value)) => {
+                        assert!(
+                            value.starts_with(b"A:"),
+                            "hot={hot}: a reader granted subject A was served {:?}",
+                            String::from_utf8_lossy(&value)
+                        );
+                        served += 1;
+                    }
+                    Ok(None) => {}
+                    Err(GdprError::AccessDenied { .. }) => refused += 1,
+                    Err(other) => panic!("hot={hot}: {other}"),
+                }
+            }
+        });
+        assert!(
+            served > 0 && refused > 0,
+            "hot={hot}: the reader never saw both generations ({served} served, {refused} refused)"
+        );
     }
 }
 

@@ -1,5 +1,5 @@
 //! Ablation: cost of maintaining and querying the GDPR metadata — the
-//! shadow-record encoding and the subject/purpose inverted indexes
+//! metadata encoding and the subject/purpose inverted indexes
 //! (DESIGN.md §5.4, paper §5.1 "efficient metadata indexing").
 
 use std::time::Duration;

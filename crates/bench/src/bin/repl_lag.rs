@@ -12,8 +12,8 @@
 //!   acknowledged write on the primary until the replica's applied
 //!   sequence reaches the primary watermark (p50/p99 over bursts);
 //! * erasure propagation: the time from `GDPR.ERASE` returning on the
-//!   primary until every erased key *and its metadata shadow* is gone on
-//!   the replica.
+//!   primary until every erased key, metadata and all, is gone on the
+//!   replica.
 //!
 //! Usage:
 //!
@@ -178,12 +178,12 @@ fn main() {
                 .unwrap_or(false)
                 && replica
                     .raw_engine()
-                    .get("__gdpr_meta__:user:burst:000:0000")
+                    .get("user:burst:000:0000")
                     .map(|v| v.is_none())
                     .unwrap_or(false)
         });
         // The compliance window: ERASE issued on the primary → last copy
-        // (value, metadata shadow, index posting) gone on the replica.
+        // (entry with its metadata, index posting) gone on the replica.
         let erase_ms = erase_start.elapsed().as_secs_f64() * 1e3;
 
         burst_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());

@@ -1,8 +1,8 @@
 //! TinyLFU-admitted hot-read cache in front of the compliance pipeline.
 //!
-//! The paper's compliance features tax every read: a `GET` must load and
-//! decode the metadata shadow record, walk the ACL and check purposes
-//! before it may touch the value. For skewed (zipfian) read mixes most of
+//! The paper's compliance features tax every read: a `GET` must load the
+//! key's metadata, walk the ACL and check purposes before it may touch the
+//! value. For skewed (zipfian) read mixes most of
 //! that work is repeated on a handful of hot keys, so the store keeps a
 //! small per-segment **slab** of fully-admitted `(value, metadata)` pairs
 //! in front of the pipeline: a key → slot map over a dense `Vec` of
@@ -43,8 +43,6 @@ use std::sync::Arc;
 use kvstore::object::Bytes;
 use kvstore::shard::{hash_key, ShardRouter};
 use parking_lot::Mutex;
-
-use crate::metadata::PersonalMetadata;
 
 /// Default number of resident entries per segment. At ~a few hundred
 /// bytes per entry a full segment stays around 100 KiB — big enough to
@@ -248,16 +246,16 @@ impl HotCacheConfig {
 
 /// A fully-admitted hot entry: the value together with the metadata the
 /// compliance checks need, so a hit re-runs access-control and purpose
-/// checks without touching the engine's metadata shadow.
+/// checks without touching the engine.
 #[derive(Debug, Clone)]
 pub struct HotEntry {
     /// The cached value bytes.
     pub value: Bytes,
-    /// The cached metadata (`None` when the key legitimately has no
-    /// shadow record under a lax policy). Shared via `Arc` so a hit
-    /// clones a pointer, not the metadata's purpose/objection sets —
-    /// that clone would cost as much as the decode the cache avoids.
-    pub meta: Option<Arc<PersonalMetadata>>,
+    /// The cached encoded metadata (`None` when the key legitimately has
+    /// none under a lax policy), read through a
+    /// [`crate::metadata::MetaView`]. The engine entry's own bytes,
+    /// shared: caching them costs a pointer, and a hit clones a pointer.
+    pub meta: Option<Arc<[u8]>>,
 }
 
 /// Proof of the segment state a missing read observed; admission with a

@@ -129,7 +129,7 @@ struct Posting {
 
 /// In-memory inverted indexes over the GDPR metadata.
 ///
-/// The index is rebuildable from the metadata shadow records (see
+/// The index is rebuildable from the metadata the engine's entries carry (see
 /// [`crate::store::GdprStore::rebuild_index`]), so it does not need its own
 /// persistence.
 #[derive(Debug, Clone, Default)]
@@ -411,7 +411,7 @@ impl ShardedMetadataIndex {
     /// Run `f` while holding the lock of `key`'s segment.
     ///
     /// This is the per-key **mutation bracket** of the compliance layer:
-    /// the store updates engine value, metadata shadow and index posting
+    /// the store updates the engine entry (value and metadata) and index posting
     /// for one key inside this critical section, so a concurrent erasure
     /// and a concurrent put of the same key serialize against each other
     /// (no resurrection of erased data, no index postings pointing at

@@ -127,7 +127,7 @@ pub enum GdprError {
     },
     /// Personal data was stored without the metadata GDPR requires.
     MissingMetadata {
-        /// Key that has no metadata shadow record.
+        /// Key that has no metadata.
         key: String,
     },
     /// A malformed metadata record was encountered.

@@ -5,8 +5,9 @@
 //! (transfer restrictions) all require the store to know, for every piece
 //! of personal data: whose it is, why it may be processed, who received it,
 //! how long it may be kept, and where it may live. [`PersonalMetadata`]
-//! carries exactly those attributes and serializes into a compact shadow
-//! record the engine stores alongside the value.
+//! carries exactly those attributes and serializes into a compact record
+//! the engine stores in the value's own entry; [`MetaView`] answers a
+//! read's questions from that record without decoding it.
 
 use std::collections::BTreeSet;
 
@@ -180,7 +181,7 @@ impl PersonalMetadata {
         self.objections.insert(purpose.to_string())
     }
 
-    /// Serialize into the shadow-record byte form.
+    /// Serialize into the byte form the engine entry keeps.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         // Sized up front: the record moves into the keyspace as it is, so
@@ -213,7 +214,7 @@ impl PersonalMetadata {
         out
     }
 
-    /// Decode the shadow-record byte form.
+    /// Decode the byte form [`Self::encode`] writes.
     ///
     /// Returns `None` if the buffer is malformed.
     #[must_use]
@@ -261,6 +262,84 @@ impl PersonalMetadata {
             automated_decisions,
         })
     }
+}
+
+/// A borrowed view of the byte form [`PersonalMetadata::encode`] writes:
+/// what authorizing a read asks of a key's metadata — whose data it is,
+/// whether a purpose may process it, until when — answered in place,
+/// without the allocations of a decode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MetaView<'a> {
+    subject: &'a str,
+    expires_at_ms: Option<u64>,
+    /// The encoded purpose and objection sets: a count, then the items.
+    purposes: &'a [u8],
+    objections: &'a [u8],
+}
+
+const VIEW_CTX: &str = "gdpr metadata view";
+
+impl<'a> MetaView<'a> {
+    /// View `bytes`, after checking they are laid out as
+    /// [`PersonalMetadata::encode`] lays them out. Returns `None` if they
+    /// are not.
+    #[must_use]
+    pub fn parse(bytes: &'a [u8]) -> Option<Self> {
+        let mut r = Reader::new(bytes);
+        let mut text = || std::str::from_utf8(r.get_slice(VIEW_CTX).ok()?).ok();
+        let subject = text()?;
+        text()?; // origin
+        Region::parse(text()?)?;
+        r.get_u64(VIEW_CTX).ok()?; // created_at_ms
+        let expires_at_ms = match r.get_u8(VIEW_CTX).ok()? {
+            1 => Some(r.get_u64(VIEW_CTX).ok()?),
+            0 => None,
+            _ => return None,
+        };
+        if r.get_u8(VIEW_CTX).ok()? > 1 {
+            return None;
+        }
+        // Purposes, objections, recipients.
+        let mut sets = [&bytes[..0]; 3];
+        for set in &mut sets {
+            *set = &bytes[bytes.len() - r.remaining()..];
+            for _ in 0..r.get_u64(VIEW_CTX).ok()? {
+                r.get_slice(VIEW_CTX).ok()?;
+            }
+        }
+        r.is_at_end().then_some(MetaView {
+            subject,
+            expires_at_ms,
+            purposes: sets[0],
+            objections: sets[1],
+        })
+    }
+
+    /// The data subject the value is about.
+    #[must_use]
+    pub fn subject(&self) -> &'a str {
+        self.subject
+    }
+
+    /// The absolute retention deadline, if any.
+    #[must_use]
+    pub fn expires_at_ms(&self) -> Option<u64> {
+        self.expires_at_ms
+    }
+
+    /// [`PersonalMetadata::allows_purpose`], on the encoded sets.
+    #[must_use]
+    pub fn allows_purpose(&self, purpose: &str) -> bool {
+        set_contains(self.purposes, purpose) && !set_contains(self.objections, purpose)
+    }
+}
+
+/// Whether the encoded set at the front of `set` (checked by
+/// [`MetaView::parse`]) holds `item`.
+fn set_contains(set: &[u8], item: &str) -> bool {
+    let mut r = Reader::new(set);
+    let items = r.get_u64(VIEW_CTX).unwrap_or(0);
+    (0..items).any(|_| r.get_slice(VIEW_CTX).is_ok_and(|s| s == item.as_bytes()))
 }
 
 #[cfg(test)]
@@ -316,6 +395,34 @@ mod tests {
         // Objection against a whitelisted purpose blocks it.
         let m2 = sample().with_objection("analytics");
         assert!(!m2.allows_purpose("analytics"));
+    }
+
+    #[test]
+    fn the_view_answers_what_the_decode_answers() {
+        let mut objected = sample().with_objection("analytics");
+        objected.created_at_ms = 7;
+        let minimal = PersonalMetadata::new("bob");
+        for meta in [sample(), objected, minimal] {
+            let encoded = meta.encode();
+            let view = MetaView::parse(&encoded).unwrap();
+            assert_eq!(view.subject(), meta.subject);
+            assert_eq!(view.expires_at_ms(), meta.expires_at_ms);
+            for purpose in ["billing", "analytics", "marketing", "profiling", ""] {
+                assert_eq!(
+                    view.allows_purpose(purpose),
+                    meta.allows_purpose(purpose),
+                    "{purpose}"
+                );
+            }
+        }
+        // Whatever the decode refuses, the view refuses.
+        let encoded = sample().encode();
+        for cut in 0..encoded.len() {
+            assert!(MetaView::parse(&encoded[..cut]).is_none(), "cut {cut}");
+        }
+        let mut extended = encoded;
+        extended.push(0);
+        assert!(MetaView::parse(&extended).is_none());
     }
 
     #[test]

@@ -93,7 +93,7 @@ impl GdprStore {
             return Ok(self.index.keys_of_subject(subject));
         }
         let mut keys = Vec::new();
-        self.for_each_shadow(|key, meta| {
+        self.for_each_governed(|key, meta| {
             if meta.subject == subject {
                 keys.push(key.to_string());
             }
@@ -108,8 +108,8 @@ impl GdprStore {
     /// or past its retention deadline — the engine expires lazily on read)
     /// yields no item.
     ///
-    /// The per-key reads — one engine visit each, value and shadow
-    /// together — are batched by index segment: keys are grouped with
+    /// The per-key reads — one engine visit each, value and metadata from
+    /// one entry — are batched by index segment: keys are grouped with
     /// [`crate::index::ShardedMetadataIndex::shard_of`] and each group is
     /// read under a single segment-lock acquisition (the same segment →
     /// engine lock order every mutation bracket uses) instead of paying
@@ -126,13 +126,13 @@ impl GdprStore {
             }
             self.index.with_segment(shard, |_segment| -> Result<()> {
                 for &key in group {
-                    // One engine visit per key: the shadow, and the value
+                    // One engine visit per key: the metadata, and the value
                     // in whichever of its two shapes it has.
-                    let read = self.kv.read(key, ValuePart::Fetch, true)?;
-                    let Some(shadow) = read.shadow else {
+                    let read = self.kv.read(key, ValuePart::Fetch)?;
+                    let Some(encoded) = read.governed else {
                         continue;
                     };
-                    let metadata = Self::decode_shadow(key, &shadow)?;
+                    let metadata = Self::decode_metadata(key, &encoded)?;
                     let (value, fields) = match read.value {
                         Some(Value::Hash(fields)) => (None, Some(fields)),
                         Some(other) => (Some(other.into_string(key)?), None),
@@ -341,7 +341,7 @@ impl GdprStore {
         };
         let mut updated = Vec::new();
         for key in self.keys_of_subject(subject)? {
-            // Bracketed read-modify-write of the metadata shadow, so a
+            // Bracketed read-modify-write of the key's metadata, so a
             // racing put/erasure of the same key cannot interleave with
             // the objection.
             let objected = self
@@ -549,8 +549,8 @@ mod tests {
         assert!(json.contains("\"item_count\":3"), "{json}");
 
         // An engine error is the request's error, not an item left out or
-        // exported without its value: here a key whose value the engine
-        // holds as a set, which no export shape can carry.
+        // exported without its value: here a key of alice's whose value the
+        // engine holds as a set, which no export shape can carry.
         let stray = "user:alice:email";
         store.kv.delete(stray).unwrap();
         let sadd = Command::SAdd {
@@ -558,6 +558,11 @@ mod tests {
             member: b"member".to_vec(),
         };
         store.kv.execute(sadd).unwrap();
+        let govern = Command::Govern {
+            key: stray.to_string(),
+            governed: PersonalMetadata::new("alice").encode().into(),
+        };
+        store.kv.execute(govern).unwrap();
         for result in [
             store.right_to_portability(&ctx(), "alice").map(drop),
             store.right_of_access(&ctx(), "alice").map(drop),

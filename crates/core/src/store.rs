@@ -12,10 +12,12 @@
 //! 2. **bracket** — the engine work under the key's index-segment lock:
 //!    `install` for writes, `purge` for removals (Articles 5(e)/13/17),
 //!    keeping the metadata indexes in step so subject rights are answered
-//!    without scanning (Articles 15/17/20/21). Everything a bracket writes
-//!    — value, retention deadline, metadata shadow — goes to the engine as
-//!    one batch: one journal frame, one durability wait, and after a crash
-//!    all of it or none.
+//!    without scanning (Articles 15/17/20/21). A key's value and its
+//!    encoded metadata are one engine entry, written by one record (a
+//!    put's `SETGOVERNED`, a re-stamp's `GOVERN`) and read, expired,
+//!    evicted and deleted together; the records a bracket writes — with
+//!    the retention deadline — go to the engine as one batch: one journal
+//!    frame, one durability wait, and after a crash all of it or none.
 //! 3. **record** — `complete`: one `allowed_ops` increment and one audit
 //!    record (monitoring, Articles 30/33/34). Under real-time compliance
 //!    either outcome's record is durable before the call returns.
@@ -31,7 +33,7 @@ use kvstore::clock::SharedClock;
 use kvstore::commands::{Command, Reply};
 use kvstore::config::StoreConfig;
 use kvstore::expire::CycleOutcome;
-use kvstore::object::{Bytes, Value};
+use kvstore::object::Bytes;
 use kvstore::store::{KeyRead, KvStore, ValuePart};
 use parking_lot::RwLock;
 
@@ -40,15 +42,9 @@ use crate::audit_pipeline::AuditPipeline;
 use crate::hot_cache::{HotCache, HotCacheConfig, HotCacheStats, HotEntry, Probe};
 use crate::index::{MetadataIndex, ShardedMetadataIndex};
 use crate::location::LocationInventory;
-use crate::metadata::PersonalMetadata;
+use crate::metadata::{MetaView, PersonalMetadata};
 use crate::policy::CompliancePolicy;
 use crate::{GdprError, Result};
-
-/// Prefix under which metadata shadow records are stored in the engine —
-/// the engine's own constant: its router places a shadow on the shard of
-/// the data key it describes, which is what lets a mutation bracket be one
-/// engine batch.
-pub use kvstore::shard::META_PREFIX;
 
 /// Who is asking, and why — attached to every operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -129,8 +125,19 @@ pub(crate) struct Op<'a> {
 }
 
 /// The subject an audit record names for a key that may have no metadata.
-fn subject_of(meta: Option<&PersonalMetadata>) -> &str {
-    meta.map_or("", |m| m.subject.as_str())
+fn subject_of<'a>(meta: Option<&MetaView<'a>>) -> &'a str {
+    meta.map_or("", MetaView::subject)
+}
+
+/// Append the command that gives `key` the retention deadline `at_ms`,
+/// when there is one.
+fn push_deadline(batch: &mut Vec<Command>, key: &str, at_ms: Option<u64>) {
+    if let Some(at_ms) = at_ms {
+        batch.push(Command::ExpireAt {
+            key: key.to_string(),
+            at_ms,
+        });
+    }
 }
 
 /// The GDPR-compliant store.
@@ -280,14 +287,12 @@ impl GdprStore {
     /// active expiry — into hot-cache invalidation. The engine fires the
     /// listener while the owning shard's lock is still held, so the stale
     /// entry is gone (and in-flight admissions are epoch-fenced) before
-    /// any later read can observe the removal. A removed metadata shadow
-    /// invalidates the primary key it guards. This is what lets a cache
+    /// any later read can observe the removal. This is what lets a cache
     /// hit skip engine revalidation entirely.
     fn hook_engine_invalidation(kv: &KvStore, hot: &Arc<HotCache>) {
         let cache = Arc::clone(hot);
         kv.set_removal_listener(Some(Arc::new(move |key: &str, _cause| {
-            let primary = key.strip_prefix(META_PREFIX).unwrap_or(key);
-            cache.invalidate(primary);
+            cache.invalidate(key);
         })));
     }
 
@@ -395,16 +400,6 @@ impl GdprStore {
 
     // ---- internal helpers ---------------------------------------------------
 
-    pub(crate) fn meta_key(key: &str) -> String {
-        format!("{META_PREFIX}{key}")
-    }
-
-    /// Whether a key is a metadata shadow record.
-    #[must_use]
-    pub fn is_meta_key(key: &str) -> bool {
-        key.starts_with(META_PREFIX)
-    }
-
     /// Hand one record to the audit pipeline. Under a real-time audit
     /// policy the record is on the sink, synced, when this returns `Ok`,
     /// and a sink failure is returned; otherwise it is buffered.
@@ -420,65 +415,60 @@ impl GdprStore {
         Ok(self.audit.emit(shard, record)?)
     }
 
-    pub(crate) fn decode_shadow(key: &str, shadow: &[u8]) -> Result<PersonalMetadata> {
-        PersonalMetadata::decode(shadow).ok_or_else(|| GdprError::CorruptMetadata {
+    fn corrupt(key: &str, encoded: &[u8]) -> GdprError {
+        GdprError::CorruptMetadata {
             key: key.to_string(),
-            detail: format!("{} bytes", shadow.len()),
-        })
+            detail: format!("{} bytes", encoded.len()),
+        }
     }
 
-    /// Every read of a key's shadow record — alone, or with the value it
-    /// describes — is this one engine visit, so what it returns is a pair
-    /// some single mutation bracket wrote. A shadow found beside no value
-    /// describes nothing and is not decoded.
-    fn visit(&self, key: &str, value: ValuePart) -> Result<(KeyRead, Option<PersonalMetadata>)> {
-        let mut read = self.kv.read(key, value, true)?;
-        let governs = value == ValuePart::Skip || read.exists;
-        let shadow = read.shadow.take().filter(|_| governs);
-        let meta = shadow.map(|bytes| Self::decode_shadow(key, &bytes));
-        Ok((read, meta.transpose()?))
+    pub(crate) fn decode_metadata(key: &str, encoded: &[u8]) -> Result<PersonalMetadata> {
+        PersonalMetadata::decode(encoded).ok_or_else(|| Self::corrupt(key, encoded))
+    }
+
+    /// The view a read authorizes through, of `key`'s encoded metadata.
+    fn view<'a>(key: &str, encoded: Option<&'a [u8]>) -> Result<Option<MetaView<'a>>> {
+        encoded
+            .map(|bytes| MetaView::parse(bytes).ok_or_else(|| Self::corrupt(key, bytes)))
+            .transpose()
+    }
+
+    /// `key`'s encoded metadata, from one engine visit that fetches no
+    /// value.
+    fn governed(&self, key: &str) -> Result<Option<Arc<[u8]>>> {
+        Ok(self.kv.read(key, ValuePart::Exists)?.governed)
     }
 
     pub(crate) fn load_metadata(&self, key: &str) -> Result<Option<PersonalMetadata>> {
-        Ok(self.visit(key, ValuePart::Skip)?.1)
+        self.governed(key)?
+            .map(|encoded| Self::decode_metadata(key, &encoded))
+            .transpose()
     }
 
-    /// `key`'s typed value and the metadata governing a read of it, from
-    /// one engine visit: the metadata is required while the key holds a
-    /// value, and nothing (not an error) once it does not.
-    fn load_governed(&self, key: &str) -> Result<(Option<Value>, Option<PersonalMetadata>)> {
-        let (read, meta) = self.visit(key, ValuePart::Fetch)?;
-        if read.exists && meta.is_none() && self.policy.enforce_purpose_limitation {
+    /// `key`'s entry — typed value and the encoded metadata governing a
+    /// read of it — from one lookup: the metadata is required while the
+    /// key holds a value.
+    fn load_governed(&self, key: &str) -> Result<KeyRead> {
+        let read = self.kv.read(key, ValuePart::Fetch)?;
+        if read.exists && read.governed.is_none() && self.policy.enforce_purpose_limitation {
             return Err(GdprError::MissingMetadata {
                 key: key.to_string(),
             });
         }
-        Ok((read.value, meta))
+        Ok(read)
     }
 
-    /// Append the engine commands that make `meta` the shadow record of
-    /// `key` (they route to `key`'s shard, so they can join its bracket's
-    /// batch).
-    fn push_shadow(batch: &mut Vec<Command>, key: &str, meta: &PersonalMetadata) {
-        let shadow = Self::meta_key(key);
-        batch.push(Command::Set {
-            key: shadow.clone(),
-            value: meta.encode(),
-        });
-        if let Some(at_ms) = meta.expires_at_ms {
-            batch.push(Command::ExpireAt { key: shadow, at_ms });
-        }
-    }
-
+    /// Make `meta` the metadata of `key`'s entry (its value untouched).
     pub(crate) fn store_metadata(&self, key: &str, meta: &PersonalMetadata) -> Result<()> {
-        let mut batch = Vec::with_capacity(2);
-        Self::push_shadow(&mut batch, key, meta);
-        self.kv.execute_batch(batch)?;
+        self.kv.execute(Command::Govern {
+            key: key.to_string(),
+            governed: meta.encode().into(),
+        })?;
         Ok(())
     }
 
-    fn require_metadata(&self, key: &str) -> Result<Option<PersonalMetadata>> {
-        match self.load_metadata(key)? {
+    fn require_metadata(&self, key: &str) -> Result<Option<Arc<[u8]>>> {
+        match self.governed(key)? {
             Some(meta) => Ok(Some(meta)),
             None if self.policy.enforce_purpose_limitation => Err(GdprError::MissingMetadata {
                 key: key.to_string(),
@@ -487,21 +477,17 @@ impl GdprStore {
         }
     }
 
-    /// Every metadata shadow record in the engine, as `(data key,
-    /// metadata)` — the full scan behind index rebuilds, the location
-    /// inventory and the unindexed subject lookup.
-    pub(crate) fn for_each_shadow(
+    /// Every governed entry of the engine, as `(key, metadata)` — the full
+    /// walk behind index rebuilds, the location inventory and the
+    /// unindexed subject lookup.
+    pub(crate) fn for_each_governed(
         &self,
         mut visit: impl FnMut(&str, PersonalMetadata),
     ) -> Result<()> {
-        for meta_key in self.kv.keys(&format!("{META_PREFIX}*"))? {
-            let data_key = meta_key.strip_prefix(META_PREFIX).unwrap_or(&meta_key);
-            // A shadow can expire between the listing and the read.
-            if let Some(meta) = self.load_metadata(data_key)? {
-                visit(data_key, meta);
-            }
-        }
-        Ok(())
+        self.kv.for_each_governed(|key, encoded| {
+            visit(key, Self::decode_metadata(key, encoded)?);
+            Ok(())
+        })
     }
 
     /// Resolve the retention deadline carried in freshly supplied metadata:
@@ -604,94 +590,69 @@ impl GdprStore {
     /// Authorize using data stored under `meta` (a key without metadata
     /// has nothing to check): access control, then the purpose must be
     /// whitelisted and not objected to (Articles 5/21).
-    fn authorize_read(&self, op: &Op<'_>, meta: Option<&PersonalMetadata>) -> Result<()> {
+    fn authorize_read(&self, op: &Op<'_>, meta: Option<&MetaView<'_>>) -> Result<()> {
         let Some(meta) = meta else {
             return Ok(());
         };
-        self.authorize_access(op, &meta.subject)?;
+        self.authorize_access(op, meta.subject())?;
         if self.policy.enforce_purpose_limitation && !meta.allows_purpose(op.purpose) {
-            return Err(self.deny_purpose(op, &meta.subject));
+            return Err(self.deny_purpose(op, meta.subject()));
         }
         Ok(())
     }
 
     /// Bring `key`'s index posting (and through it the subject-presence
-    /// bit) in line with its shadow record; `None` when the shadow is gone.
-    fn repost(&self, segment: &mut MetadataIndex, key: &str, shadow: Option<&PersonalMetadata>) {
+    /// bit) in line with its metadata; `None` when the key has none.
+    fn repost(&self, segment: &mut MetadataIndex, key: &str, meta: Option<&PersonalMetadata>) {
         if !self.policy.maintain_indexes {
             return;
         }
-        match shadow {
+        match meta {
             Some(meta) => segment.insert(key, &meta.subject, meta.purposes.iter().cloned()),
             None => segment.remove(key),
         }
     }
 
-    /// The install bracket behind every write: value, retention deadline,
-    /// metadata shadow, index posting and hot entry of `key` change
-    /// together under the key's segment lock (segment → engine shard, the
-    /// lock order of every bracket), so a concurrent erasure of the key
-    /// cannot interleave. `prepare` runs first, inside the bracket: it
-    /// yields the engine commands that put the value in place and the
-    /// metadata now governing the key. With `restamp` that metadata is new
-    /// and becomes the key's shadow and posting; without, it is the shadow
-    /// already stored. Value commands, deadline and shadow then reach the
-    /// engine as one batch.
-    fn install(
+    /// The install bracket behind every write: value, metadata, retention
+    /// deadline, index posting and hot entry of `key` change together
+    /// under the key's segment lock (segment → engine shard, the lock order
+    /// of every bracket), so a concurrent erasure of the key cannot
+    /// interleave. `prepare` runs first, inside the bracket, and fills the
+    /// batch the engine then runs as one visit; `restamp`, when given, is
+    /// the new metadata the batch stores, and becomes the key's posting.
+    fn install<R>(
         &self,
         key: &str,
-        restamp: bool,
-        prepare: impl FnOnce() -> Result<(Vec<Command>, Option<PersonalMetadata>)>,
-    ) -> Result<Option<PersonalMetadata>> {
+        restamp: Option<&PersonalMetadata>,
+        prepare: impl FnOnce(&mut Vec<Command>) -> Result<R>,
+    ) -> Result<R> {
         self.index.with_key_segment(key, |segment| {
-            let (mut batch, meta) = prepare()?;
-            if let Some(meta) = &meta {
-                if let Some(at_ms) = meta.expires_at_ms {
-                    batch.push(Command::ExpireAt {
-                        key: key.to_string(),
-                        at_ms,
-                    });
-                }
-                if restamp {
-                    Self::push_shadow(&mut batch, key, meta);
-                }
-            }
+            let mut batch = Vec::with_capacity(2);
+            let prepared = prepare(&mut batch)?;
             self.kv.execute_batch(batch)?;
-            if let (true, Some(meta)) = (restamp, &meta) {
-                self.repost(segment, key, Some(meta));
+            if restamp.is_some() {
+                self.repost(segment, key, restamp);
             }
             // Last step of the bracket: drop any hot entry and fence
             // in-flight admissions of the pre-write state.
             self.hot.invalidate(key);
-            Ok(meta)
+            Ok(prepared)
         })
     }
 
     /// The purge bracket behind every removal (`DEL`, erasure, retention):
-    /// value, shadow, posting and hot entry of `key` go together, so an
+    /// the entry, posting and hot entry of `key` go together, so an
     /// in-flight write cannot resurrect erased data and no later read is
     /// served a cached copy. Returns whether a value was removed.
     /// `engine_expired` is the retention path: the engine removed the
-    /// value when its deadline fired, and a concurrent put may have
+    /// entry when its deadline fired, and a concurrent put may have
     /// re-created the key since — then only the hot entry is dropped.
     pub(crate) fn purge(&self, key: &str, engine_expired: bool) -> Result<bool> {
         self.index.with_key_segment(key, |segment| {
-            // The shadow goes with the value, even if its own TTL cycle has
-            // not caught it yet.
-            let shadow = Command::Del {
-                key: Self::meta_key(key),
-            };
             let removed = if engine_expired {
-                let removed = !self.kv.exists(key)?;
-                if removed {
-                    self.kv.execute(shadow)?;
-                }
-                removed
+                !self.kv.exists(key)?
             } else {
-                let value = Command::Del {
-                    key: key.to_string(),
-                };
-                self.kv.execute_batch(vec![value, shadow])?[0] == Reply::Int(1)
+                self.kv.delete(key)?
             };
             let recreated = engine_expired && !removed;
             if !recreated {
@@ -742,14 +703,16 @@ impl GdprStore {
         self.authorize_write(&op, &meta)?;
         self.resolve_retention(&mut meta);
         let detail = format!("SET {} bytes", value.len());
-        let meta = self.install(key, true, || {
-            let set = Command::Set {
+        self.install(key, Some(&meta), |batch| {
+            batch.push(Command::SetGoverned {
                 key: key.to_string(),
                 value,
-            };
-            Ok((vec![set], Some(meta)))
+                governed: meta.encode().into(),
+            });
+            push_deadline(batch, key, meta.expires_at_ms);
+            Ok(())
         })?;
-        self.complete(&op, subject_of(meta.as_ref()), &detail)
+        self.complete(&op, &meta.subject, &detail)
     }
 
     /// Store a multi-field record (the YCSB record shape) with metadata.
@@ -767,15 +730,20 @@ impl GdprStore {
         let op = self.begin(Operation::Write, ctx, Some(key));
         self.authorize_write(&op, &meta)?;
         self.resolve_retention(&mut meta);
-        let meta = self.install(key, true, || {
-            let hmset = Command::HSetMulti {
+        self.install(key, Some(&meta), |batch| {
+            batch.push(Command::HSetMulti {
                 key: key.to_string(),
                 fields: fields.clone(),
-            };
-            Ok((vec![hmset], Some(meta)))
+            });
+            batch.push(Command::Govern {
+                key: key.to_string(),
+                governed: meta.encode().into(),
+            });
+            push_deadline(batch, key, meta.expires_at_ms);
+            Ok(())
         })?;
         let detail = format!("HMSET {} fields", fields.len());
-        self.complete(&op, subject_of(meta.as_ref()), &detail)
+        self.complete(&op, &meta.subject, &detail)
     }
 
     /// Update fields of an existing record, re-using its stored metadata.
@@ -791,21 +759,25 @@ impl GdprStore {
         fields: &BTreeMap<String, Bytes>,
     ) -> Result<()> {
         let op = self.begin(Operation::Write, ctx, Some(key));
-        self.authorize_read(&op, self.require_metadata(key)?.as_ref())?;
-        let meta = self.install(key, false, || {
+        let stored = self.require_metadata(key)?;
+        self.authorize_read(&op, Self::view(key, stored.as_deref())?.as_ref())?;
+        let stored = self.install(key, None, |batch| {
             // Re-check inside the bracket: an erasure may have removed the
             // key (and its metadata) between the check above and now; the
             // update must not resurrect data for an erased subject. The
-            // install restores the stored deadline on the data key.
-            let meta = self.require_metadata(key)?;
-            let hmset = Command::HSetMulti {
+            // stored deadline is restored on the key.
+            let stored = self.require_metadata(key)?;
+            batch.push(Command::HSetMulti {
                 key: key.to_string(),
                 fields: fields.clone(),
-            };
-            Ok((vec![hmset], meta))
+            });
+            let view = Self::view(key, stored.as_deref())?;
+            push_deadline(batch, key, view.and_then(|v| v.expires_at_ms()));
+            Ok(stored)
         })?;
         let detail = format!("HMSET {} fields (update)", fields.len());
-        self.complete(&op, subject_of(meta.as_ref()), &detail)
+        let view = Self::view(key, stored.as_deref())?;
+        self.complete(&op, subject_of(view.as_ref()), &detail)
     }
 
     /// Read the string value stored under `key`.
@@ -828,47 +800,49 @@ impl GdprStore {
         // same authorize and record stages — on the cached metadata, so
         // revocations and objections are never bypassed — and the trail
         // does not depend on cache state.
-        let live = |entry: &HotEntry| {
-            let deadline = entry.meta.as_ref().and_then(|m| m.expires_at_ms);
-            deadline.is_none_or(|at| op.now < at)
-        };
-        let (value, meta) = match self.hot.probe(key) {
-            Probe::Hit(entry) if live(&entry) => {
-                self.authorize_read(&op, entry.meta.as_deref())?;
-                (Some(entry.value), entry.meta)
-            }
-            probe => {
-                let token = match probe {
-                    Probe::Miss(token) => Some(token),
-                    // Retention elapsed under the resident entry; drop it.
-                    // The authoritative path below lazily expires the
-                    // shadow and applies the policy's missing-metadata
-                    // behavior.
-                    Probe::Hit(_) => {
-                        self.hot.invalidate(key);
-                        None
-                    }
-                };
-                // One engine visit: the value comes with the metadata that
-                // governs it, and is dropped unseen if that refuses.
-                let (value, meta) = self.load_governed(key)?;
-                let meta = meta.map(Arc::new);
-                self.authorize_read(&op, meta.as_deref())?;
-                let value = value.map(|value| value.into_string(key)).transpose()?;
-                if let (Some(value), Some(token)) = (&value, token) {
-                    // TinyLFU decides residency; the token refuses
-                    // admission if any mutation bracket on this segment
-                    // ran since the probe.
-                    self.hot.admit_with(key, token, || HotEntry {
-                        value: value.clone(),
-                        meta: meta.clone(),
-                    });
+        let token = match self.hot.probe(key) {
+            Probe::Hit(HotEntry { value, meta }) => {
+                let view = Self::view(key, meta.as_deref())?;
+                let deadline = view.and_then(|v| v.expires_at_ms());
+                if deadline.is_none_or(|at| op.now < at) {
+                    self.authorize_read(&op, view.as_ref())?;
+                    return self.served(&op, view.as_ref(), Some(value));
                 }
-                (value, meta)
+                // Retention elapsed under the resident entry; drop it. The
+                // authoritative path below lazily expires the entry.
+                self.hot.invalidate(key);
+                None
             }
+            Probe::Miss(token) => Some(token),
         };
+        // One engine visit: the value comes with the metadata that governs
+        // it, and is dropped unseen if that refuses.
+        let KeyRead {
+            value, governed, ..
+        } = self.load_governed(key)?;
+        let view = Self::view(key, governed.as_deref())?;
+        self.authorize_read(&op, view.as_ref())?;
+        let value = value.map(|value| value.into_string(key)).transpose()?;
+        if let (Some(value), Some(token)) = (&value, token) {
+            // TinyLFU decides residency; the token refuses admission if any
+            // mutation bracket on this segment ran since the probe.
+            self.hot.admit_with(key, token, || HotEntry {
+                value: value.clone(),
+                meta: governed.clone(),
+            });
+        }
+        self.served(&op, view.as_ref(), value)
+    }
+
+    /// The end of an authorized `get`: recorded, then handed out.
+    fn served(
+        &self,
+        op: &Op<'_>,
+        meta: Option<&MetaView<'_>>,
+        value: Option<Bytes>,
+    ) -> Result<Option<Bytes>> {
         let detail = format!("GET {} bytes", value.as_ref().map_or(0, Vec::len));
-        self.complete(&op, subject_of(meta.as_deref()), &detail)?;
+        self.complete(op, subject_of(meta), &detail)?;
         Ok(value)
     }
 
@@ -883,16 +857,19 @@ impl GdprStore {
         key: &str,
     ) -> Result<Option<BTreeMap<String, Bytes>>> {
         let op = self.begin(Operation::Read, ctx, Some(key));
-        let (value, meta) = self.load_governed(key)?;
-        self.authorize_read(&op, meta.as_ref())?;
+        let KeyRead {
+            value, governed, ..
+        } = self.load_governed(key)?;
+        let view = Self::view(key, governed.as_deref())?;
+        self.authorize_read(&op, view.as_ref())?;
         let record = value.map(|value| value.into_hash(key)).transpose()?;
-        self.complete(&op, subject_of(meta.as_ref()), "HGETALL")?;
+        self.complete(&op, subject_of(view.as_ref()), "HGETALL")?;
         Ok(record)
     }
 
     /// Replace the GDPR metadata of an existing key (subject transfer,
     /// purpose re-consent, retention change) without rewriting its value.
-    /// The metadata shadow record, the key's retention deadline and the
+    /// The metadata in the key's entry, its retention deadline and the
     /// subject/purpose index postings change together under the key's
     /// segment lock.
     ///
@@ -915,32 +892,48 @@ impl GdprStore {
         mut meta: PersonalMetadata,
     ) -> Result<()> {
         let op = self.begin(Operation::Write, ctx, Some(key));
-        if let Some(existing) = self.load_metadata(key)? {
-            self.authorize_access(&op, &existing.subject)?;
+        if let Some(stored) = self.governed(key)? {
+            let current = Self::view(key, Some(&stored))?;
+            self.authorize_access(&op, subject_of(current.as_ref()))?;
         }
         self.authorize_write(&op, &meta)?;
         self.resolve_retention(&mut meta);
-        let meta = self.install(key, true, || {
+        self.install(key, Some(&meta), |batch| {
             // Article 21: objections outlive metadata replacement. Re-read
             // inside the bracket so a racing objection cannot be lost.
-            let (read, existing) = self.visit(key, ValuePart::Exists)?;
+            let read = self.kv.read(key, ValuePart::Exists)?;
             if !read.exists {
                 return Err(GdprError::NoSuchKey {
                     key: key.to_string(),
                 });
             }
-            if let Some(existing) = existing {
-                meta.objections.extend(existing.objections);
-            }
-            // Lifting retention must also clear the value key's old
-            // engine-level deadline, or the engine would still erase it
-            // while the metadata claims indefinite retention.
-            let lift = meta.expires_at_ms.is_none().then(|| Command::Persist {
+            let stored = read
+                .governed
+                .map(|encoded| Self::decode_metadata(key, &encoded));
+            let governed = match stored.transpose()? {
+                Some(stored) if !stored.objections.is_subset(&meta.objections) => {
+                    let mut kept = meta.clone();
+                    kept.objections.extend(stored.objections);
+                    kept.encode()
+                }
+                _ => meta.encode(),
+            };
+            batch.push(Command::Govern {
                 key: key.to_string(),
+                governed: governed.into(),
             });
-            Ok((lift.into_iter().collect(), Some(meta)))
+            // Lifting retention must also clear the key's old engine-level
+            // deadline, or the engine would still erase it while the
+            // metadata claims indefinite retention.
+            if meta.expires_at_ms.is_none() {
+                batch.push(Command::Persist {
+                    key: key.to_string(),
+                });
+            }
+            push_deadline(batch, key, meta.expires_at_ms);
+            Ok(())
         })?;
-        self.complete(&op, subject_of(meta.as_ref()), "metadata replaced")
+        self.complete(&op, &meta.subject, "metadata replaced")
     }
 
     /// Read the GDPR metadata of a key (itself an audited read).
@@ -952,7 +945,8 @@ impl GdprStore {
         let _timed = self.rights_timing.getmeta.start_timer();
         let op = self.begin(Operation::Read, ctx, Some(key));
         let meta = self.load_metadata(key)?;
-        self.complete(&op, subject_of(meta.as_ref()), "metadata read")?;
+        let subject = meta.as_ref().map_or("", |m| m.subject.as_str());
+        self.complete(&op, subject, "metadata read")?;
         Ok(meta)
     }
 
@@ -963,9 +957,10 @@ impl GdprStore {
     /// Returns access violations and storage errors.
     pub fn delete(&self, ctx: &AccessContext, key: &str) -> Result<bool> {
         let op = self.begin(Operation::Delete, ctx, Some(key));
-        let meta = self.load_metadata(key)?;
+        let stored = self.governed(key)?;
+        let meta = Self::view(key, stored.as_deref())?;
         if let Some(meta) = &meta {
-            self.authorize_access(&op, &meta.subject)?;
+            self.authorize_access(&op, meta.subject())?;
         }
         let existed = self.purge(key, false)?;
         if existed && self.policy.scrub_aof_on_erasure {
@@ -980,55 +975,25 @@ impl GdprStore {
         Ok(existed)
     }
 
-    /// Ordered scan of up to `count` *data* keys starting at `start`
-    /// (metadata shadow keys are filtered out).
+    /// Ordered scan of up to `count` keys starting at `start`.
     ///
     /// # Errors
     ///
     /// Returns storage errors.
     pub fn scan(&self, ctx: &AccessContext, start: &str, count: usize) -> Result<Vec<String>> {
         let op = self.begin(Operation::Read, ctx, None);
-        // Shadow keys form one contiguous `__gdpr_meta__:` block in key
-        // order, so a fixed over-fetch cannot compensate for them (a scan
-        // landing inside the block would return short). Page through the
-        // engine until `count` data keys are collected or the keyspace is
-        // exhausted.
-        let mut keys: Vec<String> = Vec::with_capacity(count);
-        let mut cursor = start.to_string();
-        let batch_size = count.clamp(16, 4_096);
-        while keys.len() < count {
-            let raw = self.kv.scan(&cursor, batch_size)?;
-            let exhausted = raw.len() < batch_size;
-            if let Some(last) = raw.last() {
-                // Smallest string strictly greater than `last`.
-                cursor = format!("{last}\u{0}");
-            }
-            keys.extend(
-                raw.into_iter()
-                    .filter(|k| !Self::is_meta_key(k))
-                    .take(count - keys.len()),
-            );
-            if exhausted {
-                break;
-            }
-        }
+        let keys = self.kv.scan(start, count)?;
         self.complete(&op, "", &format!("SCAN {} keys", keys.len()))?;
         Ok(keys)
     }
 
-    /// Number of data keys currently stored (excluding metadata shadows).
+    /// Number of keys currently stored.
     #[must_use]
     pub fn len(&self) -> usize {
-        let total = self.kv.len();
-        let metas = self
-            .kv
-            .keys(&format!("{META_PREFIX}*"))
-            .map(|v| v.len())
-            .unwrap_or(0);
-        total.saturating_sub(metas)
+        self.kv.len()
     }
 
-    /// Whether the store holds no data keys.
+    /// Whether the store holds no keys.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -1044,9 +1009,7 @@ impl GdprStore {
     pub fn tick(&self) -> Result<CycleOutcome> {
         let outcome = self.kv.tick()?;
         let now = self.now_ms();
-        let mut erased_data_keys = 0u64;
-        for key in outcome.removed.iter().filter(|k| !Self::is_meta_key(k)) {
-            erased_data_keys += 1;
+        for key in &outcome.removed {
             self.purge(key, true)?;
             self.emit_audit(
                 AuditRecord::new(now, "retention-engine", Operation::Delete)
@@ -1054,10 +1017,10 @@ impl GdprStore {
                     .detail("erased: retention period elapsed"),
             )?;
         }
-        if erased_data_keys > 0 {
+        if !outcome.removed.is_empty() {
             self.stats
                 .erased_by_retention
-                .fetch_add(erased_data_keys, Ordering::Relaxed);
+                .fetch_add(outcome.removed.len() as u64, Ordering::Relaxed);
             if self.policy.scrub_aof_on_erasure {
                 self.kv.rewrite_aof()?;
             }
@@ -1069,18 +1032,18 @@ impl GdprStore {
         Ok(outcome)
     }
 
-    /// Rebuild the in-memory metadata indexes from the shadow records
-    /// (after recovery from the AOF, for example).
+    /// Rebuild the in-memory metadata indexes from the metadata the
+    /// engine's entries carry (after recovery from the AOF, for example).
     ///
     /// # Errors
     ///
-    /// Returns corruption errors from undecodable shadow records.
+    /// Returns corruption errors from undecodable metadata.
     pub fn rebuild_index(&self) -> Result<()> {
         if !self.policy.maintain_indexes {
             return Ok(());
         }
         self.index.clear();
-        self.for_each_shadow(|key, meta| {
+        self.for_each_governed(|key, meta| {
             self.index.insert(key, &meta.subject, meta.purposes);
         })
     }
@@ -1090,11 +1053,13 @@ impl GdprStore {
     /// The record is an *engine* command (the primary already ran the
     /// compliance checks before journaling it), so it executes directly on
     /// the engine — but the metadata index must stay coherent: when the
-    /// record touches a metadata shadow key, the engine write and the index
-    /// posting change together under the data key's segment lock, exactly
+    /// record can change what governs its key, the engine write and the
+    /// index posting change together under the key's segment lock, exactly
     /// as the install and purge brackets pair them on the primary. This is
     /// how an erasure on the primary removes both the value *and the
-    /// postings* on every replica.
+    /// postings* on every replica. The posting follows from the record
+    /// itself; only a field or member removal that may have emptied the
+    /// key looks at the entry again.
     ///
     /// # Errors
     ///
@@ -1106,29 +1071,47 @@ impl GdprStore {
             self.hot.clear();
             return Ok(());
         }
-        let Some(touched) = cmd.primary_key().map(str::to_string) else {
+        let Some(key) = cmd.primary_key().map(str::to_string) else {
             self.kv.execute(cmd)?;
             return Ok(());
         };
-        match touched.strip_prefix(META_PREFIX) {
-            Some(data_key) => self.index.with_key_segment(data_key, |segment| {
-                self.kv.execute(cmd)?;
-                if self.policy.maintain_indexes {
-                    let shadow = self.load_metadata(data_key)?;
-                    self.repost(segment, data_key, shadow.as_ref());
-                }
-                self.hot.invalidate(data_key);
-                Ok(())
-            }),
-            None => {
-                // A replicated write to a data key (including the
-                // primary's journaled eviction DELs) must push the old
-                // value out of the replica's hot tier.
-                self.kv.execute(cmd)?;
-                self.hot.invalidate(&touched);
-                Ok(())
-            }
+        /// What the record does to the key's posting.
+        enum Posting {
+            Keep,
+            Stamp(PersonalMetadata),
+            Clear,
+            ClearIfGone,
         }
+        let posting = match &cmd {
+            _ if !self.policy.maintain_indexes => Posting::Keep,
+            Command::SetGoverned { governed, .. } | Command::Govern { governed, .. } => {
+                Posting::Stamp(Self::decode_metadata(&key, governed)?)
+            }
+            Command::Set { .. } | Command::Del { .. } => Posting::Clear,
+            // A field or member removal that empties the key takes its
+            // entry, metadata and all.
+            Command::HDel { .. } | Command::SRem { .. } => Posting::ClearIfGone,
+            _ => Posting::Keep,
+        };
+        self.index.with_key_segment(&key, |segment| {
+            let reply = self.kv.execute(cmd)?;
+            match posting {
+                // A re-stamp of a missing key stamps nothing.
+                Posting::Stamp(meta) if reply != Reply::Int(0) => {
+                    self.repost(segment, &key, Some(&meta));
+                }
+                Posting::Clear => self.repost(segment, &key, None),
+                Posting::ClearIfGone if !self.kv.exists(&key)? => {
+                    self.repost(segment, &key, None);
+                }
+                _ => {}
+            }
+            // Any replicated write to a key (including the primary's
+            // journaled eviction DELs) pushes the old value out of the
+            // replica's hot tier.
+            self.hot.invalidate(&key);
+            Ok(())
+        })
     }
 
     /// Per-region inventory of stored personal data (Article 46 reporting).
@@ -1138,7 +1121,7 @@ impl GdprStore {
     /// Returns storage or corruption errors.
     pub fn location_inventory(&self) -> Result<LocationInventory> {
         let mut inventory = LocationInventory::new();
-        self.for_each_shadow(|_, meta| inventory.add(meta.location))?;
+        self.for_each_governed(|_, meta| inventory.add(meta.location))?;
         Ok(inventory)
     }
 }
@@ -1262,7 +1245,7 @@ mod tests {
         let stored = store.load_metadata("k").unwrap().unwrap();
         assert_eq!(stored.expires_at_ms, Some(1_005_000));
         assert_eq!(stored.created_at_ms, 1_000_000);
-        // After the TTL the engine erases both key and shadow.
+        // After the TTL the engine erases the key, metadata and all.
         clock.advance_millis(6_000);
         store.tick().unwrap();
         assert_eq!(store.get(&ctx(), "k").unwrap(), None);
@@ -1317,18 +1300,20 @@ mod tests {
                 .put(&ctx(), &format!("user:{i}"), b"v".to_vec(), meta())
                 .unwrap();
         }
+        // Metadata lives in its key's entry: no key of its own to list.
         let keys = store.scan(&ctx(), "", 100).unwrap();
-        assert_eq!(keys.len(), 5);
-        assert!(keys.iter().all(|k| !GdprStore::is_meta_key(k)));
+        let data: Vec<String> = (0..5).map(|i| format!("user:{i}")).collect();
+        assert_eq!(keys, data);
         assert_eq!(store.len(), 5);
+        assert_eq!(store.engine().len(), 5);
     }
 
     #[test]
     fn scan_pages_past_a_large_shadow_key_block() {
-        // `__gdpr_meta__:` shadows sort before `user:` data keys, so a scan
-        // from "" first walks a contiguous block of shadow keys as large as
-        // the dataset itself; the scan must page past it rather than return
-        // short.
+        // Before metadata moved into its key's entry, shadow keys sorted
+        // ahead of `user:` data keys in one block as large as the dataset,
+        // and a scan from "" had to page past it. A scan still returns
+        // exactly `count` keys in order, and stops cleanly at exhaustion.
         let store = permissive_store();
         for i in 0..300 {
             store
@@ -1336,11 +1321,52 @@ mod tests {
                 .unwrap();
         }
         let keys = store.scan(&ctx(), "", 100).unwrap();
-        assert_eq!(keys.len(), 100, "scan starved by the shadow-key block");
+        assert_eq!(keys.len(), 100);
         assert!(keys.iter().all(|k| k.starts_with("user:")));
         assert_eq!(keys[0], "user:0000");
         // Scanning everything also works, and stops cleanly at exhaustion.
         assert_eq!(store.scan(&ctx(), "", 10_000).unwrap().len(), 300);
+    }
+
+    #[test]
+    fn len_is_the_engine_key_count_through_put_erasure_and_expiry() {
+        let clock = SimClock::new(1_000_000);
+        let store = GdprStore::open(
+            CompliancePolicy::strict(),
+            StoreConfig::in_memory()
+                .aof_in_memory()
+                .shards(4)
+                .clock(clock.clone()),
+            Box::new(MemorySink::new()),
+        )
+        .unwrap();
+        store.grant(Grant::new("app", "billing"));
+        let owned_by = |subject: &str| PersonalMetadata::new(subject).with_purpose("billing");
+        for i in 0..4 {
+            let key = format!("alice:{i}");
+            store
+                .put(&ctx(), &key, b"v".to_vec(), owned_by("alice"))
+                .unwrap();
+        }
+        for i in 0..2 {
+            let fleeting = owned_by("bob").with_ttl_millis(5_000);
+            store
+                .put(&ctx(), &format!("bob:{i}"), b"v".to_vec(), fleeting)
+                .unwrap();
+        }
+        store
+            .put(&ctx(), "carol:0", b"v".to_vec(), owned_by("carol"))
+            .unwrap();
+        let counts = |store: &GdprStore| (store.len(), store.engine().len());
+        assert_eq!(counts(&store), (7, 7));
+        store.right_to_erasure(&ctx(), "alice").unwrap();
+        assert_eq!(counts(&store), (3, 3));
+        clock.advance_millis(6_000);
+        store.tick().unwrap();
+        assert_eq!(counts(&store), (1, 1));
+        store.delete(&ctx(), "carol:0").unwrap();
+        assert_eq!(counts(&store), (0, 0));
+        assert!(store.is_empty());
     }
 
     #[test]

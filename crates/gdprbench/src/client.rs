@@ -83,7 +83,7 @@ pub fn classify_gdpr_error(error: &GdprError) -> Outcome {
 
 /// Build the metadata a `Put`/`SetMeta` op carries — the exact
 /// construction the wire dispatcher uses for `GDPR.PUT`/`GDPR.SETMETA`,
-/// so in-process and wire runs stamp identical shadow records.
+/// so in-process and wire runs stamp identical metadata.
 fn metadata_for(subject: &str, purposes: &[String]) -> PersonalMetadata {
     let mut meta = PersonalMetadata::new(subject);
     for purpose in purposes {

@@ -45,7 +45,7 @@ pub enum GdprOp {
         /// Key to read.
         key: String,
     },
-    /// Metadata shadow-record read (`GDPR.GETMETA`).
+    /// Metadata read (`GDPR.GETMETA`).
     GetMeta {
         /// Key whose metadata is read.
         key: String,

@@ -9,6 +9,7 @@
 //! monitoring retrofit relies on.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::clock::UnixMillis;
 use crate::db::Db;
@@ -150,6 +151,22 @@ pub enum Command {
     DbSize,
     /// Remove every key.
     FlushAll,
+    /// Set a string key and the bytes that govern it, as one entry.
+    SetGoverned {
+        /// Key to write.
+        key: String,
+        /// Value to store.
+        value: Bytes,
+        /// The entry's governing bytes.
+        governed: Arc<[u8]>,
+    },
+    /// Replace the governing bytes of an existing key.
+    Govern {
+        /// Key whose entry is re-governed.
+        key: String,
+        /// The entry's new governing bytes.
+        governed: Arc<[u8]>,
+    },
 }
 
 /// The result of executing a [`Command`].
@@ -190,6 +207,8 @@ impl Command {
                 | Command::SAdd { .. }
                 | Command::SRem { .. }
                 | Command::FlushAll
+                | Command::SetGoverned { .. }
+                | Command::Govern { .. }
         )
     }
 
@@ -205,6 +224,8 @@ impl Command {
                 | Command::HSet { .. }
                 | Command::HSetMulti { .. }
                 | Command::SAdd { .. }
+                | Command::SetGoverned { .. }
+                | Command::Govern { .. }
         )
     }
 
@@ -232,6 +253,8 @@ impl Command {
             Command::Scan { .. } => "SCAN",
             Command::DbSize => "DBSIZE",
             Command::FlushAll => "FLUSHALL",
+            Command::SetGoverned { .. } => "SETGOVERNED",
+            Command::Govern { .. } => "GOVERN",
         }
     }
 
@@ -255,7 +278,9 @@ impl Command {
             | Command::HDel { key, .. }
             | Command::SAdd { key, .. }
             | Command::SRem { key, .. }
-            | Command::SMembers { key } => Some(key),
+            | Command::SMembers { key }
+            | Command::SetGoverned { key, .. }
+            | Command::Govern { key, .. } => Some(key),
             Command::Keys { .. } | Command::Scan { .. } | Command::DbSize | Command::FlushAll => {
                 None
             }
@@ -316,6 +341,17 @@ impl Command {
             }
             Command::DbSize => Ok(Reply::Int(db.len() as i64)),
             Command::FlushAll => Ok(Reply::Int(db.flush_all() as i64)),
+            Command::SetGoverned {
+                key,
+                value,
+                governed,
+            } => {
+                db.set_governed(&key, value, Some(governed));
+                Ok(Reply::Ok)
+            }
+            Command::Govern { key, governed } => {
+                Ok(Reply::Int(i64::from(db.govern(&key, governed))))
+            }
         }
     }
 
@@ -411,6 +447,21 @@ impl Command {
             }
             Command::DbSize => out.push(0x13),
             Command::FlushAll => out.push(0x14),
+            Command::SetGoverned {
+                key,
+                value,
+                governed,
+            } => {
+                out.push(0x15);
+                put_str(out, key);
+                put_bytes(out, value);
+                put_bytes(out, governed);
+            }
+            Command::Govern { key, governed } => {
+                out.push(0x16);
+                put_str(out, key);
+                put_bytes(out, governed);
+            }
         }
     }
 
@@ -498,6 +549,15 @@ impl Command {
             },
             0x13 => Command::DbSize,
             0x14 => Command::FlushAll,
+            0x15 => Command::SetGoverned {
+                key: r.get_str(CTX)?,
+                value: r.get_bytes(CTX)?,
+                governed: r.get_slice(CTX)?.into(),
+            },
+            0x16 => Command::Govern {
+                key: r.get_str(CTX)?,
+                governed: r.get_slice(CTX)?.into(),
+            },
             other => {
                 return Err(StoreError::Corrupt {
                     context: CTX,
@@ -604,6 +664,15 @@ mod tests {
             },
             Command::DbSize,
             Command::FlushAll,
+            Command::SetGoverned {
+                key: "g".into(),
+                value: b"v".to_vec(),
+                governed: Arc::from(&b"subject"[..]),
+            },
+            Command::Govern {
+                key: "g".into(),
+                governed: Arc::from(&b"other subject"[..]),
+            },
         ]
     }
 

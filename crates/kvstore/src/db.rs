@@ -7,12 +7,13 @@
 //! decoding problem can occur.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 use rand::Rng;
 
 use crate::clock::{SharedClock, UnixMillis};
 use crate::config::EvictionPolicy;
-use crate::object::{entry_footprint, Bytes, Object, Value};
+use crate::object::{Bytes, Object, Value};
 use crate::ttl_wheel::{
     build_deadline_index, DeadlineIndex, DeadlineIndexKind, DeadlineIndexStats,
 };
@@ -71,7 +72,7 @@ pub struct DbStats {
     /// Total write operations applied.
     pub writes: u64,
     /// Approximate resident bytes of the keyspace — a live gauge, summed
-    /// from [`entry_footprint`] deltas at every mutation. This is what the
+    /// from [`Object::footprint`] deltas at every mutation. This is what the
     /// `maxmemory` budget is enforced against.
     pub mem_bytes: u64,
 }
@@ -226,7 +227,7 @@ impl Db {
     fn remove_key(&mut self, key: &str, cause: RemovalCause) -> Option<Object> {
         let removed = self.dict.remove(key);
         if let Some(obj) = &removed {
-            self.mem_sub(entry_footprint(key, &obj.value));
+            self.mem_sub(obj.footprint(key));
             self.sorted_keys.remove(key);
             self.unindex_key(key);
             self.unindex_expiry(key);
@@ -277,50 +278,83 @@ impl Db {
 
     // ----- string commands -------------------------------------------------
 
-    /// Set `key` to a string value, clearing any previous TTL (Redis `SET`).
-    /// The value is the caller's buffer moved in, so its spare capacity is
-    /// given back first: the keyspace holds what `mem_bytes` counts.
-    pub fn set(&mut self, key: &str, mut value: Bytes) {
-        value.shrink_to_fit();
-        self.set_value(key, Value::Str(value));
+    /// Set `key` to a string value, clearing any previous TTL and
+    /// governing bytes (Redis `SET`). The value is the caller's buffer
+    /// moved in, so its spare capacity is given back first: the keyspace
+    /// holds what `mem_bytes` counts.
+    pub fn set(&mut self, key: &str, value: Bytes) {
+        self.set_governed(key, value, None);
     }
 
-    /// Set `key` to an arbitrary typed value, clearing any previous TTL.
-    pub fn set_value(&mut self, key: &str, value: Value) {
+    /// [`Self::set`], with `governed` as the entry's governing bytes: the
+    /// value and what governs it are written as one entry.
+    pub fn set_governed(&mut self, key: &str, mut value: Bytes, governed: Option<Arc<[u8]>>) {
+        value.shrink_to_fit();
+        self.set_entry(key, Value::Str(value), governed);
+    }
+
+    /// Make `value` and `governed` the entry at `key`, clearing any
+    /// previous TTL.
+    pub(crate) fn set_entry(&mut self, key: &str, value: Value, governed: Option<Arc<[u8]>>) {
         let now = self.now_millis();
         self.unindex_expiry(key);
-        let new_size = entry_footprint(key, &value);
         match self.dict.get_mut(key) {
             Some(obj) => {
-                let old_size = entry_footprint(key, &obj.value);
+                let old_size = obj.footprint(key);
                 obj.value = value;
+                obj.governed = governed;
                 obj.mark_written(now);
+                let new_size = obj.footprint(key);
                 self.mem_sub(old_size);
                 self.mem_add(new_size);
             }
             None => {
-                self.dict.insert(key.to_string(), Object::new(value, now));
+                let obj = Object {
+                    governed,
+                    ..Object::new(value, now)
+                };
+                self.mem_add(obj.footprint(key));
+                self.dict.insert(key.to_string(), obj);
                 self.sorted_keys.insert(key.to_string());
                 self.index_key(key);
-                self.mem_add(new_size);
             }
         }
         self.stats.writes += 1;
         self.dirty += 1;
     }
 
+    /// Replace the governing bytes of the entry at `key`, leaving its
+    /// value and TTL alone. Returns `false` (and changes nothing) when the
+    /// key does not exist.
+    pub fn govern(&mut self, key: &str, governed: Arc<[u8]>) -> bool {
+        self.expire_if_needed(key);
+        let now = self.now_millis();
+        let Some(obj) = self.dict.get_mut(key) else {
+            return false;
+        };
+        let old_size = obj.footprint(key);
+        obj.governed = Some(governed);
+        obj.mark_written(now);
+        let new_size = obj.footprint(key);
+        self.mem_sub(old_size);
+        self.mem_add(new_size);
+        self.stats.writes += 1;
+        self.dirty += 1;
+        true
+    }
+
     /// Look `key` up on behalf of a read (Redis' `lookupKeyRead`): lazy
     /// expiry first, then the access-time touch and the keyspace hit or
     /// miss. Every whole-value read goes through here, so a value costs
     /// the same bookkeeping whichever call fetched it.
-    pub fn lookup_read(&mut self, key: &str) -> Option<&Value> {
+    pub fn lookup_read(&mut self, key: &str) -> Option<&Object> {
         let now = self.now_millis();
         self.expire_if_due(key, now);
         match self.dict.get_mut(key) {
             Some(obj) => {
                 obj.touch(now);
                 self.stats.keyspace_hits += 1;
-                Some(&obj.value)
+                Some(obj)
             }
             None => {
                 self.stats.keyspace_misses += 1;
@@ -329,28 +363,29 @@ impl Db {
         }
     }
 
+    /// The entry at `key` after lazy expiry, with no access-time touch and
+    /// no hit or miss counted (Redis `EXISTS`).
+    pub fn lookup(&mut self, key: &str) -> Option<&Object> {
+        self.expire_if_needed(key);
+        self.dict.get(key)
+    }
+
     /// Get the string value of `key` (Redis `GET`).
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::WrongType`] if the key holds a non-string.
     pub fn get(&mut self, key: &str) -> Result<Option<Bytes>> {
-        match self.lookup_read(key) {
+        match self.lookup_read(key).map(|obj| &obj.value) {
             Some(Value::Str(b)) => Ok(Some(b.clone())),
             Some(other) => Err(other.wrong_type(key, "string")),
             None => Ok(None),
         }
     }
 
-    /// Fetch the full typed value of a key, if present.
-    pub fn get_value(&mut self, key: &str) -> Option<Value> {
-        self.lookup_read(key).cloned()
-    }
-
     /// Whether `key` exists (after lazy expiry).
     pub fn exists(&mut self, key: &str) -> bool {
-        self.expire_if_needed(key);
-        self.dict.contains_key(key)
+        self.lookup(key).is_some()
     }
 
     /// Delete a key (Redis `DEL`/`UNLINK`). Returns `true` if it existed.
@@ -463,7 +498,7 @@ impl Db {
 
     /// Get all fields of a hash (Redis `HGETALL`).
     pub fn hgetall(&mut self, key: &str) -> Result<Option<BTreeMap<String, Bytes>>> {
-        match self.lookup_read(key) {
+        match self.lookup_read(key).map(|obj| &obj.value) {
             Some(Value::Hash(map)) => Ok(Some(map.clone())),
             Some(other) => Err(other.wrong_type(key, "hash")),
             None => Ok(None),
@@ -805,6 +840,11 @@ impl Db {
     pub fn iter(&self) -> impl Iterator<Item = (&String, &Object)> {
         self.dict.iter()
     }
+
+    /// Remove `key` as an explicit delete would, handing back its entry.
+    pub(crate) fn take(&mut self, key: &str) -> Option<Object> {
+        self.remove_key(key, RemovalCause::Explicit)
+    }
 }
 
 /// Minimal glob matcher supporting `*` (any run) and `?` (any single char),
@@ -1070,6 +1110,34 @@ mod tests {
         db.srem("s", b"mmm").unwrap();
         assert_eq!(db.mem_bytes(), one - 2);
         db.delete("k");
+        assert_eq!(db.mem_bytes(), 0);
+    }
+
+    #[test]
+    fn governing_bytes_live_and_die_with_their_entry() {
+        use crate::object::PER_KEY_OVERHEAD;
+        let (mut db, _) = sim_db();
+        let charged = |payload: usize| (PER_KEY_OVERHEAD + 1 + payload) as u64;
+        let governed = |bytes: &[u8]| Some(Arc::<[u8]>::from(bytes));
+        db.set_governed("k", b"abcd".to_vec(), governed(b"meta"));
+        assert_eq!(db.mem_bytes(), charged(4 + 4));
+        assert_eq!(db.lookup("k").unwrap().governed, governed(b"meta"));
+        // Re-governing leaves value and TTL alone; a plain SET clears it.
+        db.expire_in_millis("k", 1_000);
+        assert!(db.govern("k", Arc::from(&b"longer"[..])));
+        assert_eq!(db.mem_bytes(), charged(4 + 6));
+        assert_eq!(db.get("k").unwrap(), Some(b"abcd".to_vec()));
+        assert!(db.ttl_millis("k").is_some());
+        db.hset("h", "f", b"v".to_vec()).unwrap();
+        assert!(db.govern("h", Arc::from(&b"meta"[..])));
+        db.hset("h", "g", b"w".to_vec()).unwrap();
+        assert_eq!(db.lookup("h").unwrap().governed, governed(b"meta"));
+        db.set("k", b"abcd".to_vec());
+        assert_eq!(db.lookup("k").unwrap().governed, None);
+        assert!(!db.govern("absent", Arc::from(&b"meta"[..])));
+        assert!(!db.exists("absent"));
+        db.delete("k");
+        db.delete("h");
         assert_eq!(db.mem_bytes(), 0);
     }
 

@@ -6,6 +6,7 @@
 //! the command surface and for the metadata indexes of `gdpr-core`).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 use crate::{Result, StoreError};
 
@@ -34,8 +35,7 @@ pub fn entry_footprint(key: &str, value: &Value) -> usize {
 pub enum Value {
     /// A binary-safe string (the default YCSB record encoding).
     Str(Bytes),
-    /// A field → value map (used for multi-field YCSB records and for the
-    /// GDPR per-key metadata shadow records).
+    /// A field → value map (used for multi-field YCSB records).
     Hash(BTreeMap<String, Bytes>),
     /// An ordered list.
     List(VecDeque<Bytes>),
@@ -144,11 +144,17 @@ impl From<&str> for Value {
 /// Redis attaches an LRU/LFU field and an encoding to every `robj`; we keep
 /// the pieces that matter for the paper's experiments (access tracking for
 /// the audit path and a version counter used by the AOF rewrite to detect
-/// concurrent mutation).
+/// concurrent mutation), and the bytes that govern the value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Object {
     /// The stored value.
     pub value: Value,
+    /// What governs the value, opaque to the engine (the compliance layer
+    /// keeps a key's encoded GDPR metadata here). It lives and dies with
+    /// the value: every read, journal record, rewrite, snapshot, eviction
+    /// and deletion of the entry carries both or neither. Shared, so a
+    /// read hands it out without copying it.
+    pub governed: Option<Arc<[u8]>>,
     /// Milliseconds timestamp of the last access (read or write).
     pub last_access_ms: u64,
     /// Monotonically increasing per-key version, bumped on every write.
@@ -161,9 +167,17 @@ impl Object {
     pub fn new(value: Value, now_ms: u64) -> Self {
         Object {
             value,
+            governed: None,
             last_access_ms: now_ms,
             version: 1,
         }
+    }
+
+    /// What the memory accounting charges for this object stored under
+    /// `key`: [`entry_footprint`] plus the governing bytes.
+    #[must_use]
+    pub fn footprint(&self, key: &str) -> usize {
+        entry_footprint(key, &self.value) + self.governed.as_ref().map_or(0, |g| g.len())
     }
 
     /// Record a read access.

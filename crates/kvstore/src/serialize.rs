@@ -73,10 +73,15 @@ impl<'a> Reader<'a> {
 
     /// Read a `u32` length prefix followed by that many bytes.
     pub fn get_bytes(&mut self, context: &'static str) -> Result<Bytes> {
+        Ok(self.get_slice(context)?.to_vec())
+    }
+
+    /// [`Self::get_bytes`], borrowed from the buffer.
+    pub fn get_slice(&mut self, context: &'static str) -> Result<&'a [u8]> {
         let len_bytes = self.take(4, context)?;
         let len =
             u32::from_le_bytes([len_bytes[0], len_bytes[1], len_bytes[2], len_bytes[3]]) as usize;
-        Ok(self.take(len, context)?.to_vec())
+        self.take(len, context)
     }
 
     /// Read a length-prefixed UTF-8 string.

@@ -5,11 +5,6 @@
 //! operations on different shards proceed in parallel. Routing is a seeded
 //! FNV-1a hash of the key masked down to the shard count — cheap, stable
 //! within a process, and uniform enough for YCSB-style key populations.
-//!
-//! One key family is routed by another key's hash: a metadata shadow
-//! record (`META_PREFIX` + data key) lives on the shard of the data key it
-//! describes, so a value and its shadow share a shard lock, a journal
-//! segment and — written together — one journal frame.
 
 /// Routes keys to shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,11 +12,6 @@ pub struct ShardRouter {
     mask: u64,
     seed: u64,
 }
-
-/// Prefix of the engine keys under which the compliance layer keeps each
-/// data key's metadata shadow record. The router strips it, so a shadow
-/// is co-located with its data key.
-pub const META_PREFIX: &str = "__gdpr_meta__:";
 
 /// Default hash seed (an arbitrary odd 64-bit constant). Deterministic so
 /// that replay partitioning and tests are reproducible.
@@ -53,12 +43,10 @@ impl ShardRouter {
         self.seed
     }
 
-    /// The shard owning `key`: the hash of the key, or for a metadata
-    /// shadow the hash of the data key it describes.
+    /// The shard owning `key`.
     #[must_use]
     pub fn shard_of(&self, key: &str) -> usize {
-        let routed = key.strip_prefix(META_PREFIX).unwrap_or(key);
-        (hash_key(self.seed, routed) & self.mask) as usize
+        (hash_key(self.seed, key) & self.mask) as usize
     }
 }
 
@@ -133,23 +121,6 @@ mod tests {
         assert!(
             moved > 500,
             "different seeds should reshuffle most keys, moved {moved}"
-        );
-    }
-
-    #[test]
-    fn a_shadow_lives_on_its_data_keys_shard() {
-        let router = ShardRouter::new(8, DEFAULT_HASH_SEED);
-        let mut moved = 0;
-        for i in 0..1_000 {
-            let key = format!("user{i:08}");
-            let shadow = format!("{META_PREFIX}{key}");
-            assert_eq!(router.shard_of(&shadow), router.shard_of(&key));
-            let by_own_hash = (hash_key(router.seed(), &shadow) & 7) as usize;
-            moved += usize::from(by_own_hash != router.shard_of(&shadow));
-        }
-        assert!(
-            moved > 700,
-            "the whole-key hash would scatter them: {moved}"
         );
     }
 

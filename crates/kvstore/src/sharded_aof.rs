@@ -39,11 +39,11 @@
 //! a rewrite leaves the old epoch's manifest — and therefore the old,
 //! complete segment set — in effect (new-epoch files that were staged but
 //! never committed are deleted on the next open). A pre-manifest
-//! single-file AOF found at `<path>` is detected and migrated into the
-//! segmented layout on open, and so is a segment set whose manifest is
-//! older than [`MANIFEST_VERSION`] or counts other than the current number
-//! of shards: its records are merged by sequence, routed through the
-//! current router and staged as the next epoch. Segment files are longer
+//! single-file AOF found at `<path>`, and a segment set whose manifest is
+//! older than [`MANIFEST_VERSION`] or laid out for another router, is read
+//! but not appended to ([`LoadedJournal::needs_rewrite`]): the engine
+//! replays its records through the current router and rewrites the set as
+//! the next epoch before anything is appended. Segment files are longer
 //! than their content while open (see [`crate::device`]).
 
 use std::collections::VecDeque;
@@ -56,7 +56,6 @@ use parking_lot::Mutex;
 
 use crate::aof::{AofLog, AofStats, FsyncPolicy};
 use crate::clock::SharedClock;
-use crate::commands::Command;
 use crate::config::{Persistence, StoreConfig};
 use crate::device::{
     ChecksummedDevice, EncryptedFileDevice, MemoryDevice, PlainFileDevice, StorageDevice,
@@ -67,13 +66,12 @@ use crate::{Result, StoreError};
 
 /// File-format magic for the segment-set manifest.
 pub const MANIFEST_MAGIC: &[u8; 8] = b"GDPRAOFM";
-/// Manifest format version. Version 1 named a segment set in which a
-/// metadata shadow record sat in the segment of its own key's hash, and in
-/// which an unencrypted segment file held bare records; since version 2 a
-/// shadow sits with the data key it describes (see [`crate::shard`]) and
-/// an unencrypted segment file holds checksummed frames (see
-/// [`crate::device`]).
-pub const MANIFEST_VERSION: u64 = 2;
+/// Manifest format version. Before version 3 a governed key was two
+/// entries, its value and a metadata shadow (see [`crate::legacy`]); since
+/// version 3 the governing bytes travel in the entry's own records. Before
+/// version 2 an unencrypted segment file held bare records; since then it
+/// holds checksummed frames (see [`crate::device`]).
+pub const MANIFEST_VERSION: u64 = 3;
 
 /// The segment-set manifest: which epoch's files are authoritative and how
 /// the writer's journal was laid out.
@@ -414,6 +412,9 @@ pub struct LoadedJournal {
     pub segments: Vec<Vec<(u64, Vec<u8>)>>,
     /// The shard-router seed the writer used.
     pub writer_seed: u64,
+    /// The manifest version the writer laid the records out under (0 for
+    /// a pre-manifest single-file AOF).
+    pub writer_version: u64,
 }
 
 impl LoadedJournal {
@@ -421,7 +422,19 @@ impl LoadedJournal {
         LoadedJournal {
             segments: (0..segments).map(|_| Vec::new()).collect(),
             writer_seed,
+            writer_version: MANIFEST_VERSION,
         }
+    }
+
+    /// Whether the records must be rewritten once replayed: they were laid
+    /// out for another shard count or router seed, or by a writer older
+    /// than [`MANIFEST_VERSION`]. Until the rewrite commits, the journal
+    /// has nowhere to append.
+    #[must_use]
+    pub fn needs_rewrite(&self, router: &ShardRouter) -> bool {
+        self.writer_version < MANIFEST_VERSION
+            || self.segments.len() != router.shard_count()
+            || self.writer_seed != router.seed()
     }
 }
 
@@ -454,15 +467,16 @@ pub struct ShardedAof {
 }
 
 impl ShardedAof {
-    /// Open (or create, or migrate) the journal for `config`, with one
-    /// segment per shard of `router`. Returns `None` when persistence is
-    /// disabled; otherwise the journal plus every record recovered from it,
-    /// still in the writer's segment layout (see [`LoadedJournal`]).
+    /// Open (or create) the journal for `config`, with one segment per
+    /// shard of `router`. Returns `None` when persistence is disabled;
+    /// otherwise the journal plus every record recovered from it, still in
+    /// the writer's segment layout (see [`LoadedJournal`]). When the
+    /// records [need a rewrite](LoadedJournal::needs_rewrite) — a
+    /// pre-manifest single-file AOF, an older manifest version, another
+    /// shard layout — the caller must [`Self::rewrite`] before appending.
     ///
     /// Segments are loaded and decoded in parallel when there is more than
-    /// one. A pre-manifest single-file AOF at the configured path is
-    /// migrated into the segmented layout (its records routed through the
-    /// current router) before this returns.
+    /// one.
     ///
     /// # Errors
     ///
@@ -477,89 +491,75 @@ impl ShardedAof {
         let shard_count = router.shard_count();
         let clock = std::sync::Arc::clone(&config.clock);
 
+        let fresh = |epoch: u64| -> Result<Vec<AofLog>> {
+            (0..shard_count)
+                .map(|idx| {
+                    backend
+                        .build_device(epoch, idx)
+                        .map(|d| AofLog::new(d, config.fsync, std::sync::Arc::clone(&clock)))
+                })
+                .collect()
+        };
         let (epoch, loaded, logs) = match &backend {
-            SegmentBackend::Memory { .. } => {
-                let logs = (0..shard_count)
-                    .map(|idx| {
-                        backend
-                            .build_device(1, idx)
-                            .map(|d| AofLog::new(d, config.fsync, std::sync::Arc::clone(&clock)))
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                (1, LoadedJournal::empty(shard_count, router.seed()), logs)
-            }
+            SegmentBackend::Memory { .. } => (
+                1,
+                LoadedJournal::empty(shard_count, router.seed()),
+                fresh(1)?,
+            ),
             SegmentBackend::File { manifest, .. } => match read_manifest(manifest)? {
                 Some(man) => {
                     cleanup_stale_segments(manifest, Some(man.epoch));
-                    let (loaded, logs) = load_segments(&backend, &man, config.fsync, &clock)?;
-                    if man.record_counts.len() == shard_count && man.version == MANIFEST_VERSION {
-                        (
-                            man.epoch,
-                            LoadedJournal {
-                                segments: loaded,
-                                writer_seed: man.shard_hash_seed,
-                            },
-                            logs,
-                        )
-                    } else {
-                        // The journal was written at a different shard
-                        // count, or under the routing of an older manifest
-                        // version: re-shard it into one segment per current
-                        // shard, staged as a fresh epoch and committed by
-                        // the atomic manifest rename (a crash mid-stage
-                        // leaves the old set in effect; the stale files
-                        // are cleaned on the next open). Without this,
-                        // appends to shards beyond the old segment count
-                        // would have nowhere to go.
-                        drop(logs);
-                        let mut merged: Vec<(u64, Vec<u8>)> =
-                            loaded.into_iter().flatten().collect();
-                        merged.sort_by_key(|(seq, _)| *seq);
-                        // Broadcast records carry one shared sequence
-                        // number per writer segment; keep a single copy
-                        // (migration re-broadcasts key-less writes).
-                        merged.dedup_by_key(|(seq, _)| *seq);
-                        let new_epoch = man.epoch + 1;
-                        let (partitions, logs) = migrate_records(
-                            &backend,
-                            merged,
-                            router,
-                            config.fsync,
-                            &clock,
-                            new_epoch,
-                        )?;
-                        for idx in 0..man.record_counts.len() {
-                            let _ = std::fs::remove_file(segment_path(manifest, man.epoch, idx));
-                        }
-                        (
-                            new_epoch,
-                            LoadedJournal {
-                                segments: partitions,
-                                writer_seed: router.seed(),
-                            },
-                            logs,
-                        )
-                    }
+                    let (segments, logs) = load_segments(&backend, &man, config.fsync, &clock)?;
+                    let loaded = LoadedJournal {
+                        segments,
+                        writer_seed: man.shard_hash_seed,
+                        writer_version: man.version,
+                    };
+                    (man.epoch, loaded, logs)
+                }
+                None if manifest.exists() => {
+                    // A pre-manifest single-file AOF: one stream, numbered
+                    // in read order, laid out by "version 0". The rewrite
+                    // that relays it out replaces the file by a manifest.
+                    cleanup_stale_segments(manifest, None);
+                    let loaded = LoadedJournal {
+                        segments: vec![load_legacy_file(manifest, config)?],
+                        writer_seed: router.seed(),
+                        writer_version: 0,
+                    };
+                    (0, loaded, Vec::new())
                 }
                 None => {
-                    // No manifest. Either a fresh journal, or a pre-manifest
-                    // single-file AOF to migrate. Stage the segmented layout
-                    // at epoch 1 either way; any stale segment files from an
-                    // interrupted earlier attempt are removed first.
+                    // A fresh journal: an empty epoch-1 set, committed
+                    // before anything is appended to it. Stale segment
+                    // files of an interrupted earlier attempt go first.
                     cleanup_stale_segments(manifest, None);
-                    let legacy = load_legacy_file(manifest, config)?;
-                    let (loaded, logs) =
-                        migrate_records(&backend, legacy, router, config.fsync, &clock, 1)?;
-                    (
-                        1,
-                        LoadedJournal {
-                            segments: loaded,
-                            writer_seed: router.seed(),
+                    let logs = fresh(1)?;
+                    write_manifest(
+                        manifest,
+                        &AofManifest {
+                            version: MANIFEST_VERSION,
+                            epoch: 1,
+                            shard_hash_seed: router.seed(),
+                            record_counts: vec![0; shard_count],
                         },
-                        logs,
-                    )
+                    )?;
+                    (1, LoadedJournal::empty(shard_count, router.seed()), logs)
                 }
             },
+        };
+        // A set laid out for another router, or by an older writer, is read
+        // but never appended to: the opener replays it and rewrites it
+        // before any append, and the rewrite swaps these placeholders for
+        // the segments it commits.
+        let logs = if loaded.needs_rewrite(router) {
+            let placeholder = || {
+                let device: Box<dyn StorageDevice> = Box::new(MemoryDevice::new());
+                AofLog::new(device, config.fsync, std::sync::Arc::clone(&clock))
+            };
+            (0..shard_count).map(|_| placeholder()).collect()
+        } else {
+            logs
         };
 
         let next_seq = loaded
@@ -1242,12 +1242,9 @@ fn load_segments(
     Ok((loaded, logs))
 }
 
-/// Load a pre-manifest single-file AOF at `path`, if one exists, assigning
-/// sequence numbers in read order.
+/// Load the pre-manifest single-file AOF at `path`, assigning sequence
+/// numbers in read order.
 fn load_legacy_file(path: &Path, config: &StoreConfig) -> Result<Vec<(u64, Vec<u8>)>> {
-    if !path.exists() {
-        return Ok(Vec::new());
-    }
     let passphrase = config.encryption.as_ref().map(|e| e.passphrase.as_slice());
     let device = open_journal_file(path, passphrase, 0)?;
     let mut log = AofLog::new(
@@ -1263,69 +1260,11 @@ fn load_legacy_file(path: &Path, config: &StoreConfig) -> Result<Vec<(u64, Vec<u
         .collect())
 }
 
-/// Build the epoch-1 segment set, routing `records` (a legacy single-file
-/// stream, possibly empty) through the current router. Writes the segment
-/// files and commits the manifest, so the migration is complete — and the
-/// legacy file replaced — before the engine starts appending.
-#[allow(clippy::type_complexity)]
-fn migrate_records(
-    backend: &SegmentBackend,
-    records: Vec<(u64, Vec<u8>)>,
-    router: &ShardRouter,
-    policy: FsyncPolicy,
-    clock: &SharedClock,
-    epoch: u64,
-) -> Result<(Vec<Vec<(u64, Vec<u8>)>>, Vec<AofLog>)> {
-    let shard_count = router.shard_count();
-    let mut partitions: Vec<Vec<(u64, Vec<u8>)>> = (0..shard_count).map(|_| Vec::new()).collect();
-    for (seq, record) in records {
-        let cmd = Command::decode(&record)?;
-        match cmd.primary_key() {
-            Some(key) => partitions[router.shard_of(key)].push((seq, record)),
-            // Keyspace-wide writes are broadcast (replay deduplicates by
-            // sequence); key-less read-log records live in segment 0.
-            None if cmd.is_write() => {
-                for partition in &mut partitions {
-                    partition.push((seq, record.clone()));
-                }
-            }
-            None => partitions[0].push((seq, record)),
-        }
-    }
-
-    let mut logs = Vec::with_capacity(shard_count);
-    for (idx, partition) in partitions.iter().enumerate() {
-        if let SegmentBackend::File { manifest, .. } = backend {
-            let _ = std::fs::remove_file(segment_path(manifest, epoch, idx));
-        }
-        let device = backend.build_device(epoch, idx)?;
-        let mut log = AofLog::new(device, policy, std::sync::Arc::clone(clock));
-        let framed: Vec<Vec<u8>> = partition
-            .iter()
-            .map(|(seq, record)| frame(*seq, record))
-            .collect();
-        log.rewrite(framed.iter().map(Vec::as_slice))?;
-        logs.push(log);
-    }
-
-    if let SegmentBackend::File { manifest, .. } = backend {
-        write_manifest(
-            manifest,
-            &AofManifest {
-                version: MANIFEST_VERSION,
-                epoch,
-                shard_hash_seed: router.seed(),
-                record_counts: partitions.iter().map(|p| p.len() as u64).collect(),
-            },
-        )?;
-    }
-    Ok((partitions, logs))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::clock::SimClock;
+    use crate::commands::Command;
     use std::sync::Arc;
 
     fn test_dir(label: &str) -> PathBuf {
@@ -1574,18 +1513,24 @@ mod tests {
         let config = file_config(&path, 4, FsyncPolicy::Never);
         let router = ShardRouter::new(4, config.shard_hash_seed);
         let (aof, loaded) = ShardedAof::open(&config, &router).unwrap().unwrap();
+        // One stream in read order, for the engine to replay through its
+        // router; nothing is committed before the rewrite that follows.
+        assert_eq!(loaded.writer_version, 0);
+        assert!(loaded.needs_rewrite(&router));
+        let seqs: Vec<u64> = loaded.segments.iter().flatten().map(|r| r.0).collect();
+        assert_eq!(seqs, (1..=10).collect::<Vec<u64>>());
+        assert!(read_manifest(&path).unwrap().is_none());
+        // The rewrite replaces the legacy file by a manifest of epoch 1.
+        aof.rewrite(&[vec![b"survivor".to_vec()], vec![], vec![], vec![]])
+            .unwrap();
         assert_eq!(aof.epoch(), 1);
-        let total: usize = loaded.segments.iter().map(Vec::len).sum();
-        // 8 sets + FLUSHALL broadcast into 4 segments + 1 set.
-        assert_eq!(total, 8 + 4 + 1);
-        // The legacy file was replaced by a manifest.
         let manifest = read_manifest(&path).unwrap().unwrap();
-        assert_eq!(manifest.record_counts.len(), 4);
-        // The broadcast carries one shared sequence in every segment.
-        let flushall_seq = 9u64;
-        for records in &loaded.segments {
-            assert!(records.iter().any(|(seq, _)| *seq == flushall_seq));
-        }
+        assert_eq!(manifest.version, MANIFEST_VERSION);
+        assert_eq!(manifest.record_counts, vec![1, 0, 0, 0]);
+        drop(aof);
+        let (_aof, reloaded) = ShardedAof::open(&config, &router).unwrap().unwrap();
+        assert!(!reloaded.needs_rewrite(&router));
+        assert_eq!(reloaded.segments[0], vec![(1u64, b"survivor".to_vec())]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

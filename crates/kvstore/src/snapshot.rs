@@ -1,19 +1,44 @@
 //! Point-in-time snapshots (the RDB analogue).
 //!
-//! A snapshot captures every key, its value and its expiration deadline.
-//! The engine uses snapshots for two things: explicit persistence
-//! (`SAVE`-style), and as the surviving-state source for AOF rewrites
-//! (`BGREWRITEAOF` regenerates the log from the live dataset, which is also
-//! the moment deleted personal data finally disappears from persistent
-//! media — the §4.3 discussion of the paper).
+//! A snapshot captures every key, its expiration deadline, its value and
+//! the bytes governing it. The engine uses snapshots for two things:
+//! explicit persistence (`SAVE`-style, and a replica's full sync), and as
+//! the surviving-state source for AOF rewrites (`BGREWRITEAOF` regenerates
+//! the log from the live dataset, which is also the moment deleted personal
+//! data finally disappears from persistent media — the §4.3 discussion of
+//! the paper).
 
 use crate::commands::Command;
 use crate::db::Db;
-use crate::serialize::{decode_value, encode_value, put_str, put_u64, Reader};
+use crate::object::Object;
+use crate::serialize::{decode_value, encode_value, put_bytes, put_str, put_u64, Reader};
 use crate::{Result, StoreError};
 
-/// File-format magic for snapshots.
-const MAGIC: &[u8; 8] = b"GDPRKV01";
+/// File-format magic for snapshots (version 2: every entry carries its
+/// governing bytes).
+const MAGIC: &[u8; 8] = b"GDPRKV02";
+
+/// Append the snapshot form of `object` stored under `key` — deadline,
+/// value, governing bytes — behind the key. The same bytes render the
+/// entry in [`crate::store::KvStore::canonical_state`].
+pub(crate) fn encode_entry(out: &mut Vec<u8>, db: &Db, key: &str, object: &Object) {
+    put_str(out, key);
+    match db.expire_deadline(key) {
+        Some(at) => {
+            out.push(1);
+            put_u64(out, at);
+        }
+        None => out.push(0),
+    }
+    encode_value(out, &object.value);
+    match &object.governed {
+        Some(governed) => {
+            out.push(1);
+            put_bytes(out, governed);
+        }
+        None => out.push(0),
+    }
+}
 
 /// Serialize the whole keyspace (including TTL deadlines) to bytes.
 #[must_use]
@@ -32,15 +57,7 @@ pub fn save_shards_to_bytes(dbs: &[&Db]) -> Vec<u8> {
     put_u64(&mut out, total as u64);
     for db in dbs {
         for (key, object) in db.iter() {
-            put_str(&mut out, key);
-            match db.expire_deadline(key) {
-                Some(at) => {
-                    out.push(1);
-                    put_u64(&mut out, at);
-                }
-                None => out.push(0),
-            }
-            encode_value(&mut out, &object.value);
+            encode_entry(&mut out, db, key, object);
         }
     }
     out
@@ -54,11 +71,21 @@ pub fn save_shards_to_bytes(dbs: &[&Db]) -> Vec<u8> {
 pub fn rewrite_commands(db: &Db) -> Vec<Command> {
     let mut commands = Vec::new();
     for (key, object) in db.iter() {
+        // A governed string is one record; any other governed value is
+        // followed by the record that re-governs it.
+        let mut governed = object.governed.clone();
         match &object.value {
             crate::object::Value::Str(b) => {
-                commands.push(Command::Set {
-                    key: key.clone(),
-                    value: b.clone(),
+                commands.push(match governed.take() {
+                    Some(governed) => Command::SetGoverned {
+                        key: key.clone(),
+                        value: b.clone(),
+                        governed,
+                    },
+                    None => Command::Set {
+                        key: key.clone(),
+                        value: b.clone(),
+                    },
                 });
             }
             crate::object::Value::Hash(map) => {
@@ -88,6 +115,12 @@ pub fn rewrite_commands(db: &Db) -> Vec<Command> {
                     });
                 }
             }
+        }
+        if let Some(governed) = governed {
+            commands.push(Command::Govern {
+                key: key.clone(),
+                governed,
+            });
         }
         if let Some(at) = db.expire_deadline(key) {
             commands.push(Command::ExpireAt {
@@ -140,8 +173,12 @@ where
             None
         };
         let value = decode_value(&mut reader, CTX)?;
+        let governed = match reader.get_u8(CTX)? {
+            1 => Some(reader.get_slice(CTX)?.into()),
+            _ => None,
+        };
         let db = &mut dbs[route(&key)];
-        db.set_value(&key, value);
+        db.set_entry(&key, value, governed);
         if let Some(at) = deadline {
             db.expire_at(&key, at);
         }

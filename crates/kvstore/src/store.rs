@@ -13,13 +13,12 @@
 //!
 //! 1. every operation is a [`Command`], or — for the reads on the request
 //!    path — a [`KvStore::read`]: the same visit from a borrowed key, which
-//!    builds no command and can fetch a key's value and its metadata
-//!    shadow together;
+//!    builds no command and returns a key's value together with the bytes
+//!    that govern it, both from the one entry that holds them;
 //! 2. per-key commands lock **only the owning shard** and execute against
-//!    its [`Db`] — one at a time, or several that share a shard as one
-//!    batch ([`KvStore::execute_batch`]; a metadata shadow shares its data
-//!    key's shard, so a compliance bracket is such a batch, and a read of
-//!    value and shadow sees what one bracket wrote);
+//!    its [`Db`] — one at a time, or several on one key (or on keys that
+//!    share a shard) as one batch ([`KvStore::execute_batch`]; a
+//!    compliance bracket is such a batch);
 //!    keyspace-wide commands (`KEYS`, `SCAN`, `DBSIZE`, `FLUSHALL`) visit
 //!    every shard and merge;
 //! 3. every write — or *any* command when read-logging is enabled (the
@@ -38,7 +37,9 @@
 //! 5. on open, journal segments are loaded in parallel and their records
 //!    merged by global sequence number, then routed through the current
 //!    [`ShardRouter`] — so a journal written with M shards replays
-//!    correctly into N shards, the way snapshots already do.
+//!    correctly into N shards, the way snapshots already do — and a set
+//!    laid out any other way is rewritten (after a
+//!    [legacy fold](crate::legacy) when it predates governed entries).
 //!
 //! Lock order (deadlock freedom): shard locks are only ever taken in
 //! ascending index order, and a segment's log lock is only taken while
@@ -63,8 +64,10 @@ use crate::config::{EvictionPolicy, StoreConfig};
 use crate::db::{Db, DbStats};
 use crate::expire::{run_expire_cycle, CycleOutcome};
 use crate::object::{Bytes, Value};
-use crate::shard::{ShardRouter, META_PREFIX};
-use crate::sharded_aof::{LoadedJournal, RecordBatch, ReplTail, ReplWatermark, ShardedAof};
+use crate::shard::ShardRouter;
+use crate::sharded_aof::{
+    LoadedJournal, RecordBatch, ReplTail, ReplWatermark, ShardedAof, MANIFEST_VERSION,
+};
 use crate::snapshot;
 use crate::stats::EngineStats;
 use crate::ttl_wheel::DeadlineIndexStats;
@@ -75,37 +78,33 @@ use crate::{Result, StoreError};
 const EVICTION_SAMPLES: usize = 5;
 
 /// One slice of the keyspace: a dictionary plus its expiry-sampling RNG,
-/// and the two buffers a visit reuses instead of allocating.
+/// and the buffer a visit reuses instead of allocating.
 struct Shard {
     db: Db,
     rng: StdRng,
     /// The records of the visit in progress, on their way to the shard's
     /// journal segment.
     journal: RecordBatch,
-    /// Where [`KvStore::read`] spells out a metadata shadow's key.
-    shadow_key: String,
 }
 
-/// What [`KvStore::read`] looks at under the key itself.
+/// How much of an entry a [`KvStore::read`] takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ValuePart {
-    /// Nothing: the visit is for the shadow alone.
-    Skip,
-    /// Whether the key holds a value (`EXISTS`).
+    /// Whether the key holds a value, and what governs it (`EXISTS`).
     Exists,
-    /// The typed value (`GET`, whatever the type).
+    /// The typed value too (`GET`, whatever the type).
     Fetch,
 }
 
 /// What one [`KvStore::read`] visit found.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KeyRead {
-    /// Whether the key holds a value (`false` when the visit did not look).
+    /// Whether the key holds a value.
     pub exists: bool,
     /// The key's value, when the visit fetched it.
     pub value: Option<Value>,
-    /// The key's metadata shadow record, when the visit asked for it.
-    pub shadow: Option<Bytes>,
+    /// The bytes governing the value, shared with the entry.
+    pub governed: Option<Arc<[u8]>>,
 }
 
 /// RAII registration of a replication stream (see
@@ -170,7 +169,10 @@ impl std::fmt::Debug for KvStore {
 impl KvStore {
     /// Open an engine with the given configuration, replaying any existing
     /// journal (segments loaded in parallel, records routed through the
-    /// current router, shards rebuilt in parallel).
+    /// current router, shards rebuilt in parallel). A journal laid out for
+    /// another router or by an older writer is rewritten before this
+    /// returns; one from before governed entries is folded first (see
+    /// [`crate::legacy`]).
     ///
     /// # Errors
     ///
@@ -189,14 +191,20 @@ impl KvStore {
                     None => StdRng::from_entropy(),
                 },
                 journal: RecordBatch::default(),
-                shadow_key: String::new(),
             })
             .collect();
 
+        let mut relayout = false;
         let aof = match ShardedAof::open(&config, &router)? {
             Some((aof, loaded)) => {
+                relayout = loaded.needs_rewrite(&router);
+                let legacy = loaded.writer_version < MANIFEST_VERSION;
                 let partitions = Self::partition_journal(loaded, &router)?;
                 Self::replay(partitions, &mut shards)?;
+                if legacy {
+                    let mut dbs: Vec<&mut Db> = shards.iter_mut().map(|s| &mut s.db).collect();
+                    crate::legacy::fold_shadows(&mut dbs, |key| router.shard_of(key));
+                }
                 Some(aof)
             }
             None => None,
@@ -210,10 +218,14 @@ impl KvStore {
             counters: EngineCounters::default(),
             shard_lock_hold: AtomicHistogram::new(),
         };
-        Ok(KvStore {
+        let store = KvStore {
             inner: Arc::new(inner),
             clock,
-        })
+        };
+        if relayout {
+            store.rewrite_aof()?;
+        }
+        Ok(store)
     }
 
     /// Route recovered journal records to the shards that own them now.
@@ -532,21 +544,19 @@ impl KvStore {
         self.count_executed(reads, writes, journaled)
     }
 
-    /// Read `key` in one visit of its shard: one lock acquisition, nothing
-    /// allocated for the key, no [`Command`] built. `value` says what to
-    /// look at under the key itself; with `shadow` the metadata shadow
-    /// record stored beside it (`META_PREFIX` + `key`, on the same shard)
-    /// is fetched under the same lock, so the pair is one that a single
-    /// mutation bracket wrote. Each key looked at is one read, with its own
-    /// lazy expiry, access-time touch and hit-or-miss count, and under
-    /// read-logging its own journal record — `GET` for a fetch, `EXISTS`
-    /// for a probe — as if it had been issued alone.
+    /// Read `key` in one visit of its shard: one lock acquisition, one
+    /// dictionary lookup, nothing allocated for the key, no [`Command`]
+    /// built. The value (when `part` fetches it) and the bytes governing it
+    /// come from the one entry that holds both, so they are what a single
+    /// write left there. The visit is one read, with lazy expiry, and —
+    /// for a fetch — the access-time touch and hit-or-miss count of `GET`;
+    /// under read-logging it journals the record its command would: `GET`
+    /// for a fetch, `EXISTS` for a probe.
     ///
     /// # Errors
     ///
-    /// [`StoreError::WrongType`] for a shadow that is not a string, and
-    /// persistence errors from journaling the read.
-    pub fn read(&self, key: &str, value: ValuePart, shadow: bool) -> Result<KeyRead> {
+    /// Persistence errors from journaling the read.
+    pub fn read(&self, key: &str, part: ValuePart) -> Result<KeyRead> {
         let journal = self.inner.aof.is_some() && self.inner.config.log_reads;
         let shard_idx = self.inner.router.shard_of(key);
         let mut guard = self.inner.shards[shard_idx].lock();
@@ -554,50 +564,57 @@ impl KvStore {
         let Shard {
             db,
             journal: records,
-            shadow_key,
             ..
         } = &mut *guard;
 
-        let mut read = KeyRead::default();
-        let (mut reads, mut journaled) = (0u64, 0u64);
-        // One key looked at: one read, and under read-logging one record.
-        let mut looked_at = |opcode: u8, key: &str| {
-            reads += 1;
-            if journal {
-                records.push_with(|record| encode_keyed(record, opcode, key));
-                journaled += 1;
-            }
+        let (entry, opcode) = match part {
+            ValuePart::Exists => (db.lookup(key), OP_EXISTS),
+            ValuePart::Fetch => (db.lookup_read(key), OP_GET),
         };
-        match value {
-            ValuePart::Skip => {}
-            ValuePart::Exists => {
-                read.exists = db.exists(key);
-                looked_at(OP_EXISTS, key);
-            }
-            ValuePart::Fetch => {
-                read.value = db.get_value(key);
-                read.exists = read.value.is_some();
-                looked_at(OP_GET, key);
+        let read = KeyRead {
+            exists: entry.is_some(),
+            value: entry
+                .filter(|_| part == ValuePart::Fetch)
+                .map(|obj| obj.value.clone()),
+            governed: entry.and_then(|obj| obj.governed.clone()),
+        };
+        if journal {
+            records.push_with(|record| encode_keyed(record, opcode, key));
+        }
+        self.finish_visit(shard_idx, guard, held, 1, 0, u64::from(journal))?;
+        Ok(read)
+    }
+
+    /// Show `visit` every live entry that carries governing bytes, with
+    /// them: each shard's entries are collected under its lock and visited
+    /// after it is released, so `visit` may take locks of its own.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `visit` returns, which ends the walk.
+    pub fn for_each_governed<E>(
+        &self,
+        mut visit: impl FnMut(&str, &[u8]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        let now = self.clock.now_millis();
+        for shard in &self.inner.shards {
+            let governed: Vec<(String, Arc<[u8]>)> = {
+                let shard = shard.lock();
+                let live = |key: &str| shard.db.expire_deadline(key).is_none_or(|at| now < at);
+                shard
+                    .db
+                    .iter()
+                    .filter(|(key, _)| live(key))
+                    .filter_map(|(key, obj)| {
+                        Some((key.clone(), Arc::clone(obj.governed.as_ref()?)))
+                    })
+                    .collect()
+            };
+            for (key, bytes) in &governed {
+                visit(key, bytes)?;
             }
         }
-        let mut failure = None;
-        if shadow {
-            shadow_key.clear();
-            shadow_key.push_str(META_PREFIX);
-            shadow_key.push_str(key);
-            match db.lookup_read(shadow_key) {
-                Some(Value::Str(bytes)) => read.shadow = Some(bytes.clone()),
-                Some(other) => failure = Some(other.wrong_type(shadow_key, "string")),
-                None => {}
-            }
-            // As on the command path, a read that failed is neither
-            // counted nor journaled.
-            if failure.is_none() {
-                looked_at(OP_GET, shadow_key);
-            }
-        }
-        self.finish_visit(shard_idx, guard, held, reads, 0, journaled)?;
-        failure.map_or(Ok(read), Err)
+        Ok(())
     }
 
     /// Account for executed commands, `journaled` of which reached the
@@ -716,7 +733,7 @@ impl KvStore {
 
     /// Read a string key.
     pub fn get(&self, key: &str) -> Result<Option<Bytes>> {
-        let value = self.read(key, ValuePart::Fetch, false)?.value;
+        let value = self.read(key, ValuePart::Fetch)?.value;
         value.map(|value| value.into_string(key)).transpose()
     }
 
@@ -742,7 +759,7 @@ impl KvStore {
 
     /// Whether the key exists.
     pub fn exists(&self, key: &str) -> Result<bool> {
-        Ok(self.read(key, ValuePart::Exists, false)?.exists)
+        Ok(self.read(key, ValuePart::Exists)?.exists)
     }
 
     /// Set a TTL relative to now.
@@ -1052,34 +1069,22 @@ impl KvStore {
             .map(|aof| aof.tail_since(epoch, after_seq, max))
     }
 
-    /// A canonical byte rendering of the whole keyspace: every key in
-    /// lexicographic order with its encoded value and absolute expiry
-    /// deadline. Two stores hold equivalent state iff these bytes are
-    /// equal — the primary/replica convergence check (shard count and
-    /// journal layout do not influence it).
+    /// A canonical byte rendering of the whole keyspace: every entry in
+    /// lexicographic key order, as a snapshot encodes it — key, absolute
+    /// expiry deadline, value, governing bytes. Two stores hold equivalent
+    /// state iff these bytes are equal — the primary/replica convergence
+    /// check (shard count and journal layout do not influence it).
     #[must_use]
     pub fn canonical_state(&self) -> Vec<u8> {
-        use std::collections::BTreeMap;
         let guards = self.lock_all_shards();
-        let mut entries: BTreeMap<String, Vec<u8>> = BTreeMap::new();
-        for guard in &guards {
-            for (key, object) in guard.db.iter() {
-                let mut encoded = Vec::new();
-                match guard.db.expire_deadline(key) {
-                    Some(at) => {
-                        encoded.push(1);
-                        encoded.extend_from_slice(&at.to_le_bytes());
-                    }
-                    None => encoded.push(0),
-                }
-                crate::serialize::encode_value(&mut encoded, &object.value);
-                entries.insert(key.clone(), encoded);
-            }
-        }
+        let mut entries: Vec<(&String, &Db, &crate::object::Object)> = guards
+            .iter()
+            .flat_map(|guard| guard.db.iter().map(|(key, obj)| (key, &guard.db, obj)))
+            .collect();
+        entries.sort_unstable_by_key(|(key, _, _)| *key);
         let mut out = Vec::new();
-        for (key, encoded) in entries {
-            crate::serialize::put_str(&mut out, &key);
-            out.extend_from_slice(&encoded);
+        for (key, db, object) in entries {
+            snapshot::encode_entry(&mut out, db, key, object);
         }
         out
     }
@@ -1757,15 +1762,20 @@ mod tests {
         let mut batches = 0;
         for i in 0..120u64 {
             let key = format!("user{i:03}");
-            // A value with its shadow: the router keeps them together.
-            let shadow = format!("{}{key}", crate::shard::META_PREFIX);
             let bracket = vec![
-                set(&key, &[i as u8; 90]),
+                Command::SetGoverned {
+                    key: key.clone(),
+                    value: vec![i as u8; 90],
+                    governed: Arc::from(&b"subject=alice"[..]),
+                },
                 Command::ExpireAt {
                     key: key.clone(),
                     at_ms: 10_000_000_000_000 + i,
                 },
-                set(&shadow, b"subject=alice"),
+                Command::Govern {
+                    key: key.clone(),
+                    governed: Arc::from(&b"subject=bob"[..]),
+                },
                 Command::Get { key: key.clone() },
                 Command::Persist { key: key.clone() },
                 Command::Del {
@@ -1826,9 +1836,13 @@ mod tests {
     #[test]
     fn a_read_is_one_visit_whatever_it_looks_at() {
         let store = KvStore::open(StoreConfig::in_memory().shards(4)).unwrap();
-        let shadow = format!("{META_PREFIX}k");
+        let governed: Arc<[u8]> = Arc::from(&b"subject=alice"[..]);
         store
-            .execute_batch(vec![set("k", b"value"), set(&shadow, b"subject=alice")])
+            .execute(Command::SetGoverned {
+                key: "k".to_string(),
+                value: b"value".to_vec(),
+                governed: Arc::clone(&governed),
+            })
             .unwrap();
         let hash = Command::HSet {
             key: "h".to_string(),
@@ -1838,31 +1852,32 @@ mod tests {
         store.execute(hash).unwrap();
         let (before, visited) = (store.stats(), visits(&store));
 
-        let pair = store.read("k", ValuePart::Fetch, true).unwrap();
-        assert_eq!(pair.value, Some(Value::Str(b"value".to_vec())));
-        assert_eq!(pair.shadow, Some(b"subject=alice".to_vec()));
-        assert!(pair.exists);
-        assert_eq!(visits(&store), visited + 1, "value and shadow: one visit");
+        let entry = store.read("k", ValuePart::Fetch).unwrap();
+        assert_eq!(entry.value, Some(Value::Str(b"value".to_vec())));
+        assert_eq!(entry.governed, Some(Arc::clone(&governed)));
+        assert!(entry.exists);
+        assert_eq!(
+            visits(&store),
+            visited + 1,
+            "value and governance: one visit"
+        );
         let after = store.stats();
-        assert_eq!(after.reads, before.reads + 2, "two keys looked at");
-        assert_eq!(after.db.keyspace_hits, before.db.keyspace_hits + 2);
+        assert_eq!(after.reads, before.reads + 1, "one key looked at");
+        assert_eq!(after.db.keyspace_hits, before.db.keyspace_hits + 1);
 
         // The value comes back typed: a hash is not an error here.
-        let typed = store.read("h", ValuePart::Fetch, true).unwrap();
+        let typed = store.read("h", ValuePart::Fetch).unwrap();
         assert!(matches!(typed.value, Some(Value::Hash(_))));
-        assert_eq!(typed.shadow, None);
-        // Only the shadow; only whether the key is there.
-        let alone = store.read("k", ValuePart::Skip, true).unwrap();
-        assert_eq!((alone.exists, alone.value.is_some()), (false, false));
-        assert_eq!(alone.shadow, Some(b"subject=alice".to_vec()));
-        let probe = store.read("k", ValuePart::Exists, false).unwrap();
+        assert_eq!(typed.governed, None);
+        // Only whether the key is there, and what governs it.
+        let probe = store.read("k", ValuePart::Exists).unwrap();
         assert_eq!(
-            (probe.exists, probe.value, probe.shadow),
-            (true, None, None)
+            (probe.exists, probe.value, probe.governed),
+            (true, None, Some(governed))
         );
-        let absent = store.read("nobody", ValuePart::Fetch, true).unwrap();
+        let absent = store.read("nobody", ValuePart::Fetch).unwrap();
         assert_eq!(absent, KeyRead::default());
-        assert_eq!(visits(&store), visited + 5);
+        assert_eq!(visits(&store), visited + 4);
 
         // `get` and `exists` are such visits too.
         assert_eq!(store.get("k").unwrap(), Some(b"value".to_vec()));
@@ -1874,37 +1889,15 @@ mod tests {
                 ..
             })
         ));
-        assert_eq!(visits(&store), visited + 8);
-    }
-
-    #[test]
-    fn a_shadow_that_is_not_a_string_fails_the_read_uncounted() {
-        let store =
-            KvStore::open(StoreConfig::in_memory().aof_in_memory().log_reads(true)).unwrap();
-        let broken = Command::SAdd {
-            key: format!("{META_PREFIX}k"),
-            member: b"m".to_vec(),
-        };
-        store.execute_batch(vec![set("k", b"v"), broken]).unwrap();
-        let before = (store.stats(), store.aof_stats().unwrap().records_appended);
-        let err = store.read("k", ValuePart::Fetch, true).unwrap_err();
-        assert!(
-            matches!(err, StoreError::WrongType { actual: "set", .. }),
-            "{err}"
-        );
-        // As when a batch ends in a failing command: what ran before it —
-        // the read of the value — is counted and journaled, the failure is
-        // not.
-        assert_eq!(store.stats().reads, before.0.reads + 1);
-        assert_eq!(store.aof_stats().unwrap().records_appended, before.1 + 1);
+        assert_eq!(visits(&store), visited + 7);
     }
 
     #[test]
     fn read_logging_journals_a_read_visit_as_the_commands_it_stands_for() {
         // The paper's monitoring retrofit: with `log_reads` every read is a
         // journal record. The borrowed-key visit must leave the records the
-        // command path leaves — `GET` for a fetch, `EXISTS` for a probe,
-        // value before shadow, the pair in one frame.
+        // command path leaves — `GET` for a fetch, `EXISTS` for a probe —
+        // and one per read, governed or not.
         let open = || {
             let store = KvStore::open(
                 StoreConfig::in_memory()
@@ -1913,9 +1906,12 @@ mod tests {
                     .log_reads(true),
             )
             .unwrap();
-            let shadow = format!("{META_PREFIX}k");
             store
-                .execute_batch(vec![set("k", b"value"), set(&shadow, b"meta")])
+                .execute(Command::SetGoverned {
+                    key: "k".to_string(),
+                    value: b"value".to_vec(),
+                    governed: Arc::from(&b"meta"[..]),
+                })
                 .unwrap();
             store
         };
@@ -1931,40 +1927,95 @@ mod tests {
         visit.get("k").unwrap();
         visit.exists("k").unwrap();
         visit.get("absent").unwrap();
-        visit.read("k", ValuePart::Fetch, true).unwrap();
-        visit.read("k", ValuePart::Skip, true).unwrap();
+        visit.read("k", ValuePart::Fetch).unwrap();
+        visit.read("k", ValuePart::Exists).unwrap();
 
-        command.execute(get("k")).unwrap();
-        let exists = Command::Exists {
+        let exists = || Command::Exists {
             key: "k".to_string(),
         };
-        command.execute(exists).unwrap();
+        command.execute(get("k")).unwrap();
+        command.execute(exists()).unwrap();
         command.execute(get("absent")).unwrap();
-        let shadow = format!("{META_PREFIX}k");
-        command.execute_batch(vec![get("k"), get(&shadow)]).unwrap();
-        command.execute(get(&shadow)).unwrap();
+        command.execute(get("k")).unwrap();
+        command.execute(exists()).unwrap();
 
-        // The stream starts behind the two records `open` wrote.
+        // The stream starts behind the record `open` wrote.
         let tail = |store: &KvStore| {
             let tail = store
-                .repl_tail(store.aof_epoch().unwrap(), 2, usize::MAX)
+                .repl_tail(store.aof_epoch().unwrap(), 1, usize::MAX)
                 .unwrap();
             assert!(!tail.lost && !tail.gapped);
             tail.records
         };
-        assert_eq!(tail(&visit).len(), 6);
+        assert_eq!(tail(&visit).len(), 5);
         assert_eq!(tail(&visit), tail(&command));
         let (a, b) = (visit.stats(), command.stats());
         assert_eq!(a.aof.records_appended, b.aof.records_appended);
         assert_eq!(a.aof.bytes_appended, b.aof.bytes_appended);
-        assert_eq!(a.device.appends, b.device.appends, "the pair is one frame");
+        assert_eq!(a.device.appends, b.device.appends);
         assert_eq!((a.reads, a.db), (b.reads, b.db));
 
         // Without read-logging a read leaves the journal alone.
         let quiet = KvStore::open(StoreConfig::in_memory().aof_in_memory()).unwrap();
         quiet.set("k", b"v".to_vec()).unwrap();
-        quiet.read("k", ValuePart::Fetch, true).unwrap();
+        quiet.read("k", ValuePart::Fetch).unwrap();
         assert_eq!(quiet.aof_stats().unwrap().records_appended, 1);
+    }
+
+    #[test]
+    fn governing_bytes_travel_with_their_entry_through_every_copy() {
+        let dir = std::env::temp_dir().join(format!("kvstore-governed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("governed.aof");
+        let meta = |subject: &str| -> Arc<[u8]> { Arc::from(subject.as_bytes()) };
+        let governed_of =
+            |store: &KvStore, key: &str| store.read(key, ValuePart::Exists).unwrap().governed;
+        let canonical = {
+            let store = KvStore::open(StoreConfig::with_aof(&path).shards(4)).unwrap();
+            let replies = store
+                .execute_batch(vec![
+                    Command::SetGoverned {
+                        key: "s".to_string(),
+                        value: b"v".to_vec(),
+                        governed: meta("alice"),
+                    },
+                    Command::ExpireAt {
+                        key: "s".to_string(),
+                        at_ms: 10_000_000_000_000,
+                    },
+                ])
+                .unwrap();
+            assert_eq!(replies, vec![Reply::Ok, Reply::Int(1)]);
+            store.hset("h", "f", b"v".to_vec()).unwrap();
+            let govern = |key: &str| Command::Govern {
+                key: key.to_string(),
+                governed: meta("bob"),
+            };
+            assert_eq!(store.execute(govern("h")).unwrap(), Reply::Int(1));
+            assert_eq!(store.execute(govern("absent")).unwrap(), Reply::Int(0));
+            assert!(!store.exists("absent").unwrap());
+            store.set("plain", b"v".to_vec()).unwrap();
+            store.execute(govern("plain")).unwrap();
+            store.set("plain", b"w".to_vec()).unwrap();
+            assert_eq!(governed_of(&store, "plain"), None, "SET clears it");
+            store.fsync().unwrap();
+
+            // A snapshot carries it, to any shard count.
+            let copy = KvStore::open(StoreConfig::in_memory().shards(2)).unwrap();
+            copy.restore_snapshot(&store.snapshot()).unwrap();
+            assert_eq!(copy.canonical_state(), store.canonical_state());
+            store.canonical_state()
+        };
+        // So does the journal: replayed at another shard count (which
+        // rewrites it) and again from the rewritten set.
+        for shards in [2, 2, 8] {
+            let reopened = KvStore::open(StoreConfig::with_aof(&path).shards(shards)).unwrap();
+            assert_eq!(reopened.canonical_state(), canonical, "{shards} shards");
+            assert_eq!(governed_of(&reopened, "s"), Some(meta("alice")));
+            assert_eq!(governed_of(&reopened, "h"), Some(meta("bob")));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -191,7 +191,7 @@ pub enum GdprRequest {
         /// Optional retention TTL in milliseconds.
         ttl_ms: Option<u64>,
     },
-    /// `GDPR.GETMETA key` — read the metadata shadow record of a key.
+    /// `GDPR.GETMETA key` — read the metadata of a key.
     GetMeta {
         /// Key whose metadata is read.
         key: String,

@@ -419,7 +419,7 @@ impl Dispatcher {
 
     /// Hex SHA-256 over the engine's canonical keyspace rendering — the
     /// `DIGEST` wire command. Two servers hold equivalent state (keys,
-    /// values, absolute expiry deadlines, metadata shadow records) iff
+    /// values, absolute expiry deadlines, the metadata in each entry) iff
     /// their digests are equal, regardless of shard count or journal
     /// layout; CI's replication smoke compares primary and replica with it.
     #[must_use]
@@ -1465,6 +1465,9 @@ mod tests {
             d.handle_frame(&put.to_frame(), &mut session),
             Frame::Simple("OK".into())
         );
+        // A key and its metadata are one key.
+        let dbsize = |session: &mut Session| d.handle_frame(&Frame::command(["DBSIZE"]), session);
+        assert_eq!(dbsize(&mut session), Frame::Integer(1));
 
         // Metadata read.
         match d.handle_frame(
@@ -1556,6 +1559,7 @@ mod tests {
             ),
             Frame::Array(vec![])
         );
+        assert_eq!(dbsize(&mut session), Frame::Integer(0));
 
         // Stats surface: the compliance counters plus the per-segment
         // journal lines (the in-memory store persists to an in-memory AOF).

@@ -14,7 +14,8 @@
 //! Prints `crash_writer: N writes acknowledged` on success. In `verify`
 //! mode it reads the batch back instead (against a server reopened on the
 //! crashed journal) and fails unless every key (`cw000`, `cw001`, …, each
-//! holding its own index as ASCII) replayed intact. In `digest` mode it
+//! holding its own index as ASCII) replayed intact, with its metadata
+//! (subject: the key; purpose: `smoke-testing`). In `digest` mode it
 //! prints the server's `DIGEST` reply — the canonical keyspace SHA-256 —
 //! on a line of its own, so a harness can compare a primary and a replica
 //! for byte-equivalent state. In `wait-applied` mode it polls `INFO`
@@ -108,12 +109,24 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     if verify {
         for i in 0..count {
-            let value = client.get(&format!("cw{i:03}"))?;
+            let key = format!("cw{i:03}");
+            let value = client.get(&key)?;
             if value.as_deref() != Some(format!("{i}").as_bytes()) {
-                return Err(format!("key cw{i:03} did not replay: {value:?}").into());
+                return Err(format!("key {key} did not replay: {value:?}").into());
+            }
+            let meta = client.gdpr(&GdprRequest::GetMeta { key: key.clone() })?;
+            let expected = [format!("subject={key}"), "purposes=smoke-testing".into()];
+            let replayed = match &meta {
+                Frame::Array(items) => expected
+                    .iter()
+                    .all(|line| items.contains(&Frame::Bulk(line.as_bytes().to_vec()))),
+                _ => false,
+            };
+            if !replayed {
+                return Err(format!("metadata of {key} did not replay: {meta:?}").into());
             }
         }
-        println!("crash_writer: {count} keys verified");
+        println!("crash_writer: {count} keys and their metadata verified");
         return Ok(());
     }
 

@@ -3,8 +3,8 @@
 //! the segment set back to equivalent state — including when the shard
 //! count changed in between, when a segment-set swap was torn mid-rewrite,
 //! while concurrent writers and rewriters were racing, when the crash tore
-//! the last append at any byte, and when the segment set predates shadow
-//! co-location.
+//! the last append at any byte, and when the segment set predates governed
+//! entries (a key's metadata kept as a "shadow" key of its own).
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -12,7 +12,7 @@ use std::path::{Path, PathBuf};
 use gdpr_storage::kvstore::aof::FsyncPolicy;
 use gdpr_storage::kvstore::config::{EvictionPolicy, StoreConfig};
 use gdpr_storage::kvstore::sharded_aof::segment_path;
-use gdpr_storage::kvstore::store::KvStore;
+use gdpr_storage::kvstore::store::{KvStore, ValuePart};
 use gdpr_storage::kvstore::StoreError;
 
 fn test_dir(name: &str) -> PathBuf {
@@ -23,8 +23,9 @@ fn test_dir(name: &str) -> PathBuf {
 }
 
 /// The canonical state of a store: every key (sorted) with its value
-/// fields and TTL deadline. Two stores replaying the same journal must
-/// produce byte-for-byte identical digests regardless of shard count.
+/// fields, governing bytes and TTL deadline. Two stores replaying the same
+/// journal must produce byte-for-byte identical digests regardless of
+/// shard count.
 fn state_digest(store: &KvStore) -> Vec<u8> {
     let mut map: BTreeMap<String, Vec<u8>> = BTreeMap::new();
     for key in store.keys("*").unwrap() {
@@ -42,6 +43,10 @@ fn state_digest(store: &KvStore) -> Vec<u8> {
             }
         } else {
             panic!("key {key} is neither string nor hash");
+        }
+        if let Some(governed) = store.read(&key, ValuePart::Exists).unwrap().governed {
+            entry.extend_from_slice(b"governed:");
+            entry.extend_from_slice(&governed);
         }
         if let Some(ttl) = store.ttl(&key).unwrap() {
             // Remaining TTL is measured against the wall clock, so digest
@@ -581,7 +586,11 @@ fn a_torn_bracket_leaves_value_and_shadow_or_neither_and_a_trail_that_verifies()
     let ctx = AccessContext::new("app", "billing");
     let meta = |subject: &str| PersonalMetadata::new(subject).with_purpose("billing");
     type FinalOp = fn(&GdprStore, &AccessContext);
-    let final_ops: [(&str, FinalOp); 3] = [
+    let final_ops: [(&str, FinalOp); 4] = [
+        ("put", |store, ctx| {
+            let meta = PersonalMetadata::new("alice").with_purpose("billing");
+            store.put(ctx, "last", b"v".to_vec(), meta).unwrap();
+        }),
         ("put with retention", |store, ctx| {
             let meta = PersonalMetadata::new("alice")
                 .with_purpose("billing")
@@ -638,16 +647,12 @@ fn a_torn_bracket_leaves_value_and_shadow_or_neither_and_a_trail_that_verifies()
             let reopened = GdprStore::open(policy(), config(), Box::new(NullSink::new()))
                 .unwrap_or_else(|e| panic!("{name}, cut {cut}: {e}"));
             reopened.grant(Grant::new("app", "billing"));
-            // Value and shadow, or neither.
-            let keys = reopened.engine().keys("*").unwrap();
-            for key in &keys {
-                let twin = match key.strip_prefix(gdpr_storage::gdpr_core::store::META_PREFIX) {
-                    Some(data) => data.to_string(),
-                    None => format!("{}{key}", gdpr_storage::gdpr_core::store::META_PREFIX),
-                };
-                assert!(keys.contains(&twin), "{name}, cut {cut}: {key} alone");
+            // Value and metadata, or neither: every key's entry holds both.
+            for key in reopened.engine().keys("*").unwrap() {
+                let entry = reopened.engine().read(&key, ValuePart::Fetch).unwrap();
+                assert!(entry.governed.is_some(), "{name}, cut {cut}: {key} alone");
             }
-            // The index the shadows rebuild and the values agree.
+            // The index the entries rebuild and the values agree.
             let mut listed = Vec::new();
             for subject in ["alice", "bob"] {
                 for key in reopened.keys_of_subject(subject).unwrap() {
@@ -661,7 +666,9 @@ fn a_torn_bracket_leaves_value_and_shadow_or_neither_and_a_trail_that_verifies()
             assert_eq!(listed.len(), reopened.len(), "{name}, cut {cut}");
             // All of the bracket, or none of it.
             match name.split(',').next().unwrap() {
-                "put with retention" => assert_eq!(listed.contains(&"last".to_string()), whole),
+                "put" | "put with retention" => {
+                    assert_eq!(listed.contains(&"last".to_string()), whole);
+                }
                 "delete" => assert_eq!(!listed.contains(&"user03".to_string()), whole),
                 _ => assert_eq!(
                     reopened.keys_of_subject("bob").unwrap().len(),
@@ -810,15 +817,16 @@ fn a_cut_anywhere_in_a_block_of_lines_keeps_the_whole_lines_ahead_of_it() {
 }
 
 // ---------------------------------------------------------------------------
-// Journals laid out before shadows were co-located (manifest version 1).
+// Journals laid out before governed entries (manifest versions 1 and 2),
+// which kept a key's metadata as a shadow key of its own.
 
 #[test]
 fn a_version_1_segment_set_replays_through_the_router() {
-    use gdpr_storage::gdpr_core::store::META_PREFIX;
     use gdpr_storage::kvstore::aof::AofLog;
     use gdpr_storage::kvstore::clock::SystemClock;
     use gdpr_storage::kvstore::commands::Command;
     use gdpr_storage::kvstore::device::PlainFileDevice;
+    use gdpr_storage::kvstore::legacy::META_PREFIX;
     use gdpr_storage::kvstore::shard::{hash_key, DEFAULT_HASH_SEED};
 
     const SHARDS: usize = 4;
@@ -896,31 +904,228 @@ fn a_version_1_segment_set_replays_through_the_router() {
     }
     std::fs::write(&path, manifest).unwrap();
 
-    // What the history amounts to.
+    // What the history amounts to, folded: every surviving shadow becomes
+    // the governing bytes of its data key's entry.
     let fresh = KvStore::open(StoreConfig::in_memory().shards(SHARDS)).unwrap();
     for command in &history {
         fresh.execute(command.clone()).unwrap();
     }
+    for shadow in fresh.keys(&format!("{META_PREFIX}*")).unwrap() {
+        let governed = fresh.get(&shadow).unwrap().unwrap();
+        fresh.delete(&shadow).unwrap();
+        let key = shadow[META_PREFIX.len()..].to_string();
+        let govern = Command::Govern {
+            key,
+            governed: governed.into(),
+        };
+        fresh.execute(govern).unwrap();
+    }
+    assert!(fresh.keys(&format!("{META_PREFIX}*")).unwrap().is_empty());
 
     let reopened = KvStore::open(StoreConfig::with_aof(&path).shards(SHARDS)).unwrap();
     assert_eq!(state_digest(&reopened), state_digest(&fresh));
     assert_eq!(
         reopened.aof_epoch(),
         Some(2),
-        "re-sharded into the next epoch under a current manifest"
+        "rewritten into the next epoch under a current manifest"
     );
-    // From here on the set is laid out for the router: value and shadow
-    // written together survive a reopen, which no longer re-shards.
-    let (key, shadow) = ("user99", format!("{META_PREFIX}user99"));
-    assert_eq!(reopened.shard_of(key), reopened.shard_of(&shadow));
-    reopened.set(key, b"v".to_vec()).unwrap();
-    reopened.set(&shadow, b"m".to_vec()).unwrap();
-    fresh.set(key, b"v".to_vec()).unwrap();
-    fresh.set(&shadow, b"m".to_vec()).unwrap();
+    // From here on the set is current: an entry written with its governing
+    // bytes survives a reopen, which no longer rewrites.
+    let put = Command::SetGoverned {
+        key: "user99".to_string(),
+        value: b"v".to_vec(),
+        governed: b"m".to_vec().into(),
+    };
+    reopened.execute(put.clone()).unwrap();
+    fresh.execute(put).unwrap();
     reopened.fsync().unwrap();
     drop(reopened);
     let again = KvStore::open(StoreConfig::with_aof(&path).shards(SHARDS)).unwrap();
     assert_eq!(again.aof_epoch(), Some(2));
     assert_eq!(state_digest(&again), state_digest(&fresh));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_version_2_journal_folds_its_shadows_once_and_serves_what_a_native_one_does() {
+    use gdpr_storage::audit::sink::NullSink;
+    use gdpr_storage::gdpr_core::acl::Grant;
+    use gdpr_storage::gdpr_core::metadata::PersonalMetadata;
+    use gdpr_storage::gdpr_core::policy::CompliancePolicy;
+    use gdpr_storage::gdpr_core::store::{AccessContext, GdprStore};
+    use gdpr_storage::kvstore::clock::SimClock;
+    use gdpr_storage::kvstore::legacy::META_PREFIX;
+
+    const KEYS: usize = 12;
+    let now = 1_700_000_000_000u64;
+    let dir = test_dir("fold-v2");
+    let (legacy_path, native_path) = (dir.join("legacy.aof"), dir.join("native.aof"));
+    let config = |path: &Path| {
+        StoreConfig::with_aof(path)
+            .shards(2)
+            .clock(SimClock::new(now))
+            .encrypted(b"fold")
+    };
+    let ctx = AccessContext::new("app", "billing");
+    let key = |i: usize| format!("user{i:02}");
+    let value = |i: usize| vec![i as u8; 16];
+    let stamp = |i: usize| {
+        let subject = if i.is_multiple_of(2) { "alice" } else { "bob" };
+        let meta = PersonalMetadata::new(subject)
+            .with_purpose("billing")
+            .with_recipient("payments-inc");
+        if i.is_multiple_of(3) {
+            meta.with_expiry_at(now + 3_600_000)
+        } else {
+            meta
+        }
+    };
+    let open = |path: &Path| {
+        let store = GdprStore::open(
+            CompliancePolicy::eventual(),
+            config(path),
+            Box::new(NullSink::new()),
+        )
+        .unwrap();
+        store.grant(Grant::new("app", "billing"));
+        store
+    };
+
+    // Written natively...
+    {
+        let native = open(&native_path);
+        for i in 0..KEYS {
+            native.put(&ctx, &key(i), value(i), stamp(i)).unwrap();
+        }
+        native.engine().fsync().unwrap();
+    }
+    // ...and in the old layout, through a raw engine, as a version-2
+    // bracket wrote it: value, deadline, shadow, the shadow's own deadline.
+    {
+        let raw = KvStore::open(config(&legacy_path)).unwrap();
+        for i in 0..KEYS {
+            let (key, shadow) = (key(i), format!("{META_PREFIX}{}", key(i)));
+            let mut meta = stamp(i);
+            meta.created_at_ms = now;
+            raw.set(&key, value(i)).unwrap();
+            raw.set(&shadow, meta.encode()).unwrap();
+            if let Some(at) = meta.expires_at_ms {
+                raw.expire_at(&key, at).unwrap();
+                raw.expire_at(&shadow, at).unwrap();
+            }
+        }
+        raw.fsync().unwrap();
+    }
+    let mut manifest = std::fs::read(&legacy_path).unwrap();
+    manifest[8..16].copy_from_slice(&2u64.to_le_bytes());
+    std::fs::write(&legacy_path, manifest).unwrap();
+
+    let (legacy, native) = (open(&legacy_path), open(&native_path));
+    assert!(legacy
+        .engine()
+        .keys(&format!("{META_PREFIX}*"))
+        .unwrap()
+        .is_empty());
+    assert_eq!(
+        legacy.engine().canonical_state(),
+        native.engine().canonical_state()
+    );
+    for i in 0..KEYS {
+        let key = key(i);
+        assert_eq!(legacy.get(&ctx, &key).unwrap(), Some(value(i)), "{key}");
+        assert_eq!(
+            legacy.metadata(&ctx, &key).unwrap(),
+            native.metadata(&ctx, &key).unwrap(),
+            "{key}"
+        );
+    }
+    for subject in ["alice", "bob"] {
+        let keys = legacy.keys_of_subject(subject).unwrap();
+        assert_eq!(keys.len(), KEYS / 2, "{subject}");
+        assert_eq!(keys, native.keys_of_subject(subject).unwrap());
+        assert_eq!(
+            legacy.right_to_portability(&ctx, subject).unwrap(),
+            native.right_to_portability(&ctx, subject).unwrap()
+        );
+    }
+
+    // Folded once: a second reopen changes nothing.
+    let (epoch, state) = (
+        legacy.engine().aof_epoch(),
+        legacy.engine().canonical_state(),
+    );
+    assert_eq!(epoch, Some(2), "one rewrite");
+    drop(legacy);
+    let again = open(&legacy_path);
+    assert_eq!(again.engine().aof_epoch(), epoch);
+    assert_eq!(again.engine().canonical_state(), state);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_key_keeps_its_metadata_when_reopened_at_another_shard_count() {
+    use gdpr_storage::audit::sink::NullSink;
+    use gdpr_storage::gdpr_core::acl::Grant;
+    use gdpr_storage::gdpr_core::metadata::PersonalMetadata;
+    use gdpr_storage::gdpr_core::policy::CompliancePolicy;
+    use gdpr_storage::gdpr_core::store::{AccessContext, GdprStore};
+
+    let ctx = AccessContext::new("app", "billing");
+    for (write_shards, reopen_shards) in [(4usize, 1usize), (1, 8), (2, 4)] {
+        let dir = test_dir(&format!("meta-{write_shards}-{reopen_shards}"));
+        let path = dir.join("journal.aof");
+        let open = |shards: usize| {
+            let config = StoreConfig::with_aof(&path).shards(shards);
+            let store = GdprStore::open(
+                CompliancePolicy::eventual(),
+                config,
+                Box::new(NullSink::new()),
+            )
+            .unwrap();
+            store.grant(Grant::new("app", "billing"));
+            store
+        };
+        let keys: Vec<String> = (0..40).map(|i| format!("user{i:02}")).collect();
+        let written: Vec<_> = {
+            let store = open(write_shards);
+            for (i, key) in keys.iter().enumerate() {
+                let subject = ["alice", "bob", "carol"][i % 3];
+                let mut meta = PersonalMetadata::new(subject)
+                    .with_purpose("billing")
+                    .with_purpose("marketing");
+                if i % 5 == 0 {
+                    meta = meta.with_ttl_millis(3_600_000);
+                }
+                store.put(&ctx, key, vec![i as u8; 32], meta).unwrap();
+            }
+            let carol = PersonalMetadata::new("carol").with_purpose("billing");
+            store.set_metadata(&ctx, "user01", carol).unwrap();
+            store.right_to_object(&ctx, "alice", "marketing").unwrap();
+            store.delete(&ctx, "user02").unwrap();
+            store.engine().fsync().unwrap();
+            keys.iter()
+                .map(|key| store.metadata(&ctx, key).unwrap())
+                .collect()
+            // "Crash": dropped without a clean close.
+        };
+
+        let store = open(reopen_shards);
+        let name = format!("{write_shards} -> {reopen_shards} shards");
+        for (key, meta) in keys.iter().zip(&written) {
+            assert_eq!(&store.metadata(&ctx, key).unwrap(), meta, "{name}: {key}");
+            let value = store.get(&ctx, key).unwrap();
+            assert_eq!(value.is_some(), meta.is_some(), "{name}: {key}");
+        }
+        assert_eq!(store.len(), 39, "{name}");
+        for subject in ["alice", "bob", "carol"] {
+            let posted = store.keys_of_subject(subject).unwrap();
+            let owned = keys
+                .iter()
+                .zip(&written)
+                .filter(|(_, meta)| meta.as_ref().is_some_and(|m| m.subject == subject))
+                .count();
+            assert_eq!(posted.len(), owned, "{name}: {subject}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

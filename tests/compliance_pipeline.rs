@@ -281,11 +281,11 @@ fn a_read_visits_the_engine_once_per_key() {
         engine_visits(&store) - before
     };
 
-    // A miss reads value and shadow in one visit (and is admitted: the
-    // tier has room); the hit that follows touches no shard at all.
+    // A miss reads value and metadata from one entry in one visit (and is
+    // admitted: the tier has room); the hit that follows touches no shard.
     let reads = store.engine().stats().reads;
     assert_eq!(visits_of(&|| drop(store.get(&billing, "c").unwrap())), 1);
-    assert_eq!(store.engine().stats().reads, reads + 2, "value + shadow");
+    assert_eq!(store.engine().stats().reads, reads + 1, "one key looked at");
     assert_eq!(visits_of(&|| drop(store.get(&billing, "c").unwrap())), 0);
     assert_eq!(store.hot_cache_stats().hits, 1);
 
@@ -308,7 +308,7 @@ fn a_read_visits_the_engine_once_per_key() {
     assert_eq!(visits_of(&restamp), 3);
     let update = || store.update_record(&billing, "r", &fields()).unwrap();
     assert_eq!(visits_of(&update), 3);
-    // Per key, an objection reads the shadow and writes it back.
+    // Per key, an objection reads the metadata and writes it back.
     let object = || drop(store.right_to_object(&billing, "alice", "ads").unwrap());
     assert_eq!(visits_of(&object), 3 * 2);
 
@@ -327,6 +327,173 @@ fn a_read_visits_the_engine_once_per_key() {
     assert_eq!(store.hot_cache_stats().admissions, hot.admissions);
     assert_eq!(visits_of(&|| drop(store.get(&billing, "k").unwrap())), 1);
     assert_eq!(store.hot_cache_stats().misses, hot.misses + 2);
+
+    // Under read-logging that visit is one journaled `GET`.
+    let config = StoreConfig::in_memory().aof_in_memory().log_reads(true);
+    let logged = GdprStore::open(
+        CompliancePolicy::strict(),
+        config,
+        Box::new(MemorySink::new()),
+    );
+    let logged = logged.unwrap();
+    logged.grant(Grant::new("app", "billing"));
+    logged
+        .put(&billing, "k", b"value".to_vec(), meta("alice"))
+        .unwrap();
+    let journaled = || logged.aof_stats().unwrap().records_appended;
+    let before = journaled();
+    assert_eq!(logged.get(&billing, "k").unwrap(), Some(b"value".to_vec()));
+    assert_eq!(journaled(), before + 1);
+}
+
+/// How a key's metadata was named before it moved into the key's entry:
+/// since then, an ordinary key like any other.
+const LEGACY_SHADOW_PREFIX: &str = "__gdpr_meta__:";
+
+#[test]
+fn a_key_named_like_a_legacy_shadow_cannot_touch_another_keys_metadata() {
+    use gdpr_storage::kvstore::shard::hash_key;
+
+    let config = StoreConfig::in_memory().aof_in_memory().shards(4);
+    let store = GdprStore::open(
+        CompliancePolicy::strict(),
+        config,
+        Box::new(MemorySink::new()),
+    );
+    let store = store.unwrap();
+    store.grant(Grant::new("app", "billing"));
+    // Granted `marketing` only, on any subject's data.
+    store.grant(Grant::new("mallory", "marketing"));
+    let mallory = AccessContext::new("mallory", "marketing");
+
+    // A victim whose old shadow key shares a shard with that key's own
+    // shadow: a routing that co-locates a shadow with its data key sent
+    // both writes of a put on the old shadow key to one shard (about one
+    // key in four here), so the put went through.
+    let router = store.engine().router();
+    let mask = router.shard_count() as u64 - 1;
+    let shard = |key: &str| hash_key(router.seed(), key) & mask;
+    let victim = (0..)
+        .map(|i| format!("victim{i}"))
+        .find(|v| shard(v) == shard(&format!("{LEGACY_SHADOW_PREFIX}{v}")))
+        .unwrap();
+    store
+        .put(&app("billing"), &victim, b"secret".to_vec(), meta("alice"))
+        .unwrap();
+
+    // Mallory stores, as data of their own, metadata whitelisting their
+    // purpose under the victim's old shadow key...
+    let forged = PersonalMetadata::new("mallory").with_purpose("marketing");
+    let shadow = format!("{LEGACY_SHADOW_PREFIX}{victim}");
+    store
+        .put(&mallory, &shadow, forged.encode(), forged.clone())
+        .unwrap();
+    // ...and is refused the victim's value all the same.
+    let refused = |store: &GdprStore| {
+        let result = store.get(&mallory, &victim);
+        assert!(
+            matches!(result, Err(GdprError::PurposeViolation { .. })),
+            "{result:?}"
+        );
+    };
+    refused(&store);
+    let stored = store.metadata(&app("billing"), &victim).unwrap().unwrap();
+    assert_eq!(stored.subject, "alice");
+    // Deleting the key strips nothing either.
+    assert!(store.delete(&mallory, &shadow).unwrap());
+    refused(&store);
+    assert_eq!(
+        store.get(&app("billing"), &victim).unwrap(),
+        Some(b"secret".to_vec())
+    );
+    assert_eq!(store.keys_of_subject("alice").unwrap(), vec![victim]);
+}
+
+#[test]
+fn a_current_journal_holding_a_key_named_like_a_shadow_reopens_untouched() {
+    let dir = std::env::temp_dir().join(format!("gdpr-pipeline-shadowlike-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("journal.aof");
+    let open = || {
+        let config = StoreConfig::with_aof(&path).shards(2);
+        let store = GdprStore::open(
+            CompliancePolicy::strict(),
+            config,
+            Box::new(MemorySink::new()),
+        );
+        let store = store.unwrap();
+        store.grant(Grant::new("app", "billing"));
+        store.grant(Grant::new("mallory", "marketing"));
+        store
+    };
+    let forged = PersonalMetadata::new("mallory").with_purpose("marketing");
+    let shadow = format!("{LEGACY_SHADOW_PREFIX}x");
+    let epoch = {
+        let store = open();
+        store
+            .put(&app("billing"), "x", b"v".to_vec(), meta("alice"))
+            .unwrap();
+        let mallory = AccessContext::new("mallory", "marketing");
+        store
+            .put(&mallory, &shadow, forged.encode(), forged.clone())
+            .unwrap();
+        store.engine().aof_epoch()
+    };
+    // The fold runs for journals older than governed entries only: this
+    // one reopens as it was written.
+    let store = open();
+    assert_eq!(store.engine().aof_epoch(), epoch, "no rewrite on reopen");
+    assert_eq!(store.len(), 2);
+    let stored = store.metadata(&app("billing"), "x").unwrap().unwrap();
+    assert_eq!(stored.subject, "alice");
+    let mallory = AccessContext::new("mallory", "marketing");
+    assert_eq!(store.get(&mallory, &shadow).unwrap(), Some(forged.encode()));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn eviction_takes_a_value_and_its_metadata_together() {
+    use gdpr_storage::kvstore::config::EvictionPolicy;
+
+    const BUDGET: u64 = 16 * 1024;
+    // Each put costs its entry ~250 B of the budget: 4x over it.
+    const KEYS: usize = 4 * BUDGET as usize / 250;
+    for policy in [EvictionPolicy::SampledRandom, EvictionPolicy::SampledLru] {
+        let config = StoreConfig::in_memory()
+            .aof_in_memory()
+            .shards(2)
+            .rng_seed(3)
+            .max_memory(BUDGET)
+            .eviction_policy(policy);
+        let store = GdprStore::open(
+            CompliancePolicy::eventual(),
+            config,
+            Box::new(MemorySink::new()),
+        );
+        let store = store.unwrap();
+        store.grant(Grant::new("app", "billing"));
+        let billing = app("billing");
+        let key = |i: usize| format!("user:{i:04}");
+        for i in 0..KEYS {
+            store
+                .put(&billing, &key(i), vec![b'x'; 100], meta("alice"))
+                .unwrap();
+        }
+        let evicted = store.engine().stats().db.evicted_keys;
+        assert!(evicted as usize > KEYS / 2, "{policy}: {evicted} evicted");
+
+        let mut present = 0;
+        for i in 0..KEYS {
+            let value = store.get(&billing, &key(i));
+            let value = value.unwrap_or_else(|e| panic!("{policy}, {}: {e}", key(i)));
+            let meta = store.metadata(&billing, &key(i)).unwrap();
+            assert_eq!(meta.is_some(), value.is_some(), "{policy}, {}", key(i));
+            present += usize::from(value.is_some());
+        }
+        assert!(present > 0, "{policy}");
+        assert_eq!(present, store.len(), "{policy}");
+    }
 }
 
 /// How a [`FlakySink`] is failing right now.

@@ -9,8 +9,8 @@
 //!   no keys, no metadata and no index postings behind);
 //! * under the strict (real-time) policy the audit hash chain still
 //!   verifies end to end after concurrent emission;
-//! * a value and its metadata shadow appear and disappear together, however
-//!   puts, erasures and deletes race.
+//! * a value and its metadata appear and disappear together, however puts,
+//!   erasures and deletes race.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -335,11 +335,10 @@ fn group_commit_under_compliance_hammering_keeps_state_and_journal_aligned() {
 
 #[test]
 fn no_reader_sees_a_value_without_its_shadow_while_puts_race_erasures() {
-    // A bracket reaches the engine as one batch under one shard lock, so a
-    // reader that takes the same lock once — the engine's one-visit read
-    // of a key and its shadow — sees the value and the shadow of a key
-    // both present or both absent, never the half-written or half-erased
-    // state in between.
+    // A key's value and metadata are one engine entry, written by one
+    // record and removed by one, so the engine's one-visit read of a key
+    // sees both present or both absent, never a half-written or
+    // half-erased state in between.
     use gdpr_storage::kvstore::store::ValuePart;
     use std::sync::atomic::AtomicBool;
     use std::sync::Barrier;
@@ -383,9 +382,9 @@ fn no_reader_sees_a_value_without_its_shadow_while_puts_race_erasures() {
             let mut i = 0;
             while !done.load(Ordering::SeqCst) {
                 let data = key(i % KEYS);
-                let read = store.engine().read(&data, ValuePart::Fetch, true).unwrap();
-                let (value, shadow) = (read.value.is_some(), read.shadow.is_some());
-                assert_eq!(value, shadow, "{data}: value {value}, shadow {shadow}");
+                let read = store.engine().read(&data, ValuePart::Fetch).unwrap();
+                let (value, meta) = (read.value.is_some(), read.governed.is_some());
+                assert_eq!(value, meta, "{data}: value {value}, metadata {meta}");
                 observed.fetch_add(u64::from(value), Ordering::Relaxed);
                 i += 1;
             }
@@ -408,10 +407,10 @@ fn a_read_is_authorised_against_the_metadata_of_the_value_it_returns() {
     // A writer flips one key between subject A (value tagged `A:`) and
     // subject B (value tagged `B:`). A reader granted subject A alone may
     // be refused, but a value it is handed must be an `A:` value: value and
-    // shadow come from one engine visit, under the shard lock a put writes
-    // both under. (Read in two visits, the shadow of the A generation can
-    // authorise the value of the B generation.) Runs once with the hot tier
-    // and once without: a resident entry must be such a pair too.
+    // metadata come from the one entry a put writes both into. (Read from
+    // two places, the metadata of the A generation could authorise the
+    // value of the B generation.) Runs once with the hot tier and once
+    // without: a resident entry must be such a pair too.
     use gdpr_storage::gdpr_core::hot_cache::HotCacheConfig;
     use std::sync::atomic::AtomicBool;
     use std::sync::Barrier;

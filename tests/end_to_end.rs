@@ -81,7 +81,7 @@ fn full_lifecycle_with_file_persistence_and_recovery() {
     }
 
     // Phase 2: reopen — the engine replays its (encrypted) AOF, the index
-    // is rebuilt from the metadata shadow records.
+    // is rebuilt from the metadata in the replayed entries.
     {
         let store = open_store(&dir, CompliancePolicy::strict());
         assert_eq!(store.len(), 49, "state must survive a restart");

@@ -6,7 +6,7 @@
 //! * **no resurrection**: once a subject's erasure has *returned*, no
 //!   subsequent purpose-checked read may serve that subject's data;
 //! * **no orphans**: after the storm, every subject-to-keys index posting
-//!   is gone and the keyspace (values *and* metadata shadow records) is
+//!   is gone and the keyspace (values *and* their metadata) is
 //!   empty — an erased subject must not leave index litter behind.
 //!
 //! Two variants: erasures issued in-process, and erasures issued over live
@@ -103,8 +103,8 @@ fn run_storm(store: &Arc<GdprStore>, erase: impl FnOnce(&[AtomicBool]) + Send) {
     });
     assert_eq!(violations, 0, "processor reads served erased data");
 
-    // No orphans: every index posting gone, keyspace (values + shadow
-    // metadata records) completely empty.
+    // No orphans: every index posting gone, keyspace (values and their
+    // metadata) completely empty.
     for s in 0..SUBJECTS {
         let keys = store
             .keys_of_subject(&subject_name(s))

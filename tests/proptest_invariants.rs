@@ -1,5 +1,6 @@
 //! Property-based tests over the core data structures and invariants:
-//! the keyspace behaves like a model map, serialization layers roundtrip,
+//! the keyspace behaves like a model map (an entry's governing bytes
+//! living and dying with its value), serialization layers roundtrip,
 //! the AOF replays to the same state, expiry never leaves overdue keys
 //! under the strict policy, and the crypto layer always roundtrips.
 
@@ -71,6 +72,7 @@ fn reference_encode(frame: &Frame) -> Vec<u8> {
 #[derive(Debug, Clone)]
 enum Op {
     Set(String, Vec<u8>),
+    Govern(String, Vec<u8>),
     Del(String),
     ExpireFar(String),
     Persist(String),
@@ -88,6 +90,11 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             proptest::collection::vec(any::<u8>(), 0..32)
         )
             .prop_map(|(k, v)| Op::Set(k, v)),
+        (
+            key_strategy(),
+            proptest::collection::vec(any::<u8>(), 0..16)
+        )
+            .prop_map(|(k, g)| Op::Govern(k, g)),
         key_strategy().prop_map(Op::Del),
         key_strategy().prop_map(Op::ExpireFar),
         key_strategy().prop_map(Op::Persist),
@@ -98,22 +105,34 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The keyspace agrees with a plain HashMap model under any sequence of
-    /// sets, deletes, (non-elapsing) expirations and persists.
+    /// sets, re-governings, deletes, (non-elapsing) expirations and
+    /// persists: an entry's governing bytes exist exactly while its value
+    /// does, and a plain set clears them.
     #[test]
     fn db_matches_model(ops in proptest::collection::vec(op_strategy(), 1..120)) {
         let clock = SimClock::new(1_000_000);
         let mut db = Db::new(Arc::new(clock));
         let mut model: HashMap<String, Vec<u8>> = HashMap::new();
+        let mut governance: HashMap<String, Vec<u8>> = HashMap::new();
 
         for op in &ops {
             match op {
                 Op::Set(k, v) => {
                     db.set(k, v.clone());
                     model.insert(k.clone(), v.clone());
+                    governance.remove(k);
+                }
+                Op::Govern(k, g) => {
+                    let governed = db.govern(k, g.clone().into());
+                    prop_assert_eq!(governed, model.contains_key(k));
+                    if governed {
+                        governance.insert(k.clone(), g.clone());
+                    }
                 }
                 Op::Del(k) => {
                     let existed = db.delete(k);
                     prop_assert_eq!(existed, model.remove(k).is_some());
+                    governance.remove(k);
                 }
                 Op::ExpireFar(k) => {
                     // A TTL far in the future never elapses during the test,
@@ -130,6 +149,8 @@ proptest! {
         prop_assert_eq!(db.len(), model.len());
         for (k, v) in &model {
             prop_assert_eq!(db.get(k).unwrap(), Some(v.clone()));
+            let governed = db.lookup(k).and_then(|entry| entry.governed.clone());
+            prop_assert_eq!(governed.as_deref(), governance.get(k).map(Vec::as_slice));
         }
         // Scan returns exactly the model's keys, sorted.
         let mut expected: Vec<String> = model.keys().cloned().collect();
@@ -145,6 +166,10 @@ proptest! {
         for op in &ops {
             match op {
                 Op::Set(k, v) => store.set(k, v.clone()).unwrap(),
+                Op::Govern(k, g) => {
+                    let govern = Command::Govern { key: k.clone(), governed: g.clone().into() };
+                    store.execute(govern).unwrap();
+                }
                 Op::Del(k) => { store.delete(k).unwrap(); }
                 Op::ExpireFar(k) => { store.expire_at(k, 10_000_000_000_000).unwrap(); }
                 Op::Persist(k) => {
@@ -160,6 +185,7 @@ proptest! {
         for key in store.keys("*").unwrap() {
             prop_assert_eq!(replayed.get(&key).unwrap(), store.get(&key).unwrap());
         }
+        prop_assert_eq!(replayed.canonical_state(), store.canonical_state());
     }
 
     /// Strict expiry leaves no overdue key behind, no matter how TTLs are
@@ -196,7 +222,9 @@ proptest! {
             Command::Set { key: key.clone(), value: value.clone() },
             Command::Get { key: key.clone() },
             Command::ExpireAt { key: key.clone(), at_ms: ttl },
-            Command::HSet { key: key.clone(), field: key.clone(), value },
+            Command::HSet { key: key.clone(), field: key.clone(), value: value.clone() },
+            Command::SetGoverned { key: key.clone(), value: value.clone(), governed: value.clone().into() },
+            Command::Govern { key: key.clone(), governed: value.into() },
         ] {
             let decoded = Command::decode(&cmd.encode()).unwrap();
             prop_assert_eq!(decoded, cmd);
@@ -273,20 +301,6 @@ proptest! {
     /// The glob matcher agrees with simple oracle cases: a pattern equal to
     /// the text always matches, `*` always matches, and a pattern with a
     /// different first literal never matches.
-    /// A metadata shadow is routed to the shard of the data key it
-    /// describes, whatever the seed and the shard count.
-    #[test]
-    fn a_shadow_is_routed_with_its_data_key(
-        key in "[a-zA-Z0-9:_ -]{0,24}",
-        seed in any::<u64>(),
-        shards in 1usize..65,
-    ) {
-        use gdpr_storage::gdpr_core::store::META_PREFIX;
-        use gdpr_storage::kvstore::shard::ShardRouter;
-        let router = ShardRouter::new(shards, seed);
-        prop_assert_eq!(router.shard_of(&format!("{META_PREFIX}{key}")), router.shard_of(&key));
-    }
-
     #[test]
     fn glob_matcher_basic_laws(text in "[a-z]{0,12}") {
         prop_assert!(glob_match(&text, &text));

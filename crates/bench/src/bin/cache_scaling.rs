@@ -66,8 +66,7 @@ fn open_store(shards: usize, hotcache: bool) -> GdprStore {
         Box::new(audit::sink::NullSink::new()),
     )
     .expect("open GDPR store");
-    // Pin the cache state explicitly so the run is reproducible no matter
-    // what GDPR_HOT_CACHE says in the environment.
+    // Pin the cache state explicitly: the sweep compares on against off.
     store.set_hot_cache(HotCacheConfig::default().enabled(hotcache));
     store.grant(Grant::new(ACTOR, PURPOSE));
     store

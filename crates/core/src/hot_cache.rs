@@ -55,9 +55,6 @@ pub const DEFAULT_SKETCH_WIDTH: usize = 1024;
 /// Default number of sketch increments between halvings (the TinyLFU
 /// "reset" aging window).
 pub const DEFAULT_HALVE_EVERY: u64 = 16_384;
-/// Environment variable gating the cache (`off`/`0`/`false`/`no` disable
-/// it; anything else, including unset, enables it).
-pub const HOT_CACHE_ENV: &str = "GDPR_HOT_CACHE";
 
 const SKETCH_ROWS: usize = 4;
 const DEFAULT_SEED: u64 = 0x0051_7f1f_u64;
@@ -207,24 +204,6 @@ impl HotCacheConfig {
     pub fn disabled() -> Self {
         HotCacheConfig {
             enabled: false,
-            ..HotCacheConfig::default()
-        }
-    }
-
-    /// The default configuration, with the master switch taken from the
-    /// [`HOT_CACHE_ENV`] environment variable (`off`/`0`/`false`/`no`
-    /// disable; unset or anything else enables).
-    #[must_use]
-    pub fn from_env_or_default() -> Self {
-        let enabled = match std::env::var(HOT_CACHE_ENV) {
-            Ok(value) => !matches!(
-                value.trim().to_ascii_lowercase().as_str(),
-                "off" | "0" | "false" | "no"
-            ),
-            Err(_) => true,
-        };
-        HotCacheConfig {
-            enabled,
             ..HotCacheConfig::default()
         }
     }

@@ -224,10 +224,7 @@ impl GdprStore {
             policy.audit_flush.is_real_time(),
         );
 
-        let hot = Arc::new(HotCache::new(
-            HotCacheConfig::from_env_or_default(),
-            kv.router(),
-        ));
+        let hot = Arc::new(HotCache::new(HotCacheConfig::default(), kv.router()));
         Self::hook_engine_invalidation(&kv, &hot);
         let store = GdprStore {
             index: ShardedMetadataIndex::new(kv.router()),
@@ -1532,7 +1529,6 @@ mod tests {
 
     #[test]
     fn hot_cache_serves_repeated_gets_and_invalidates_on_mutation() {
-        // Explicitly on: the suite also runs with GDPR_HOT_CACHE=off.
         let mut store = permissive_store();
         store.set_hot_cache(HotCacheConfig::default());
         assert!(store.hot_cache_enabled());

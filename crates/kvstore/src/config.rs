@@ -149,7 +149,7 @@ impl Default for StoreConfig {
             encryption: None,
             expiry_mode: ExpiryMode::LazyProbabilistic,
             active_expire: ActiveExpireConfig::default(),
-            deadline_index: DeadlineIndexKind::from_env_or_default(),
+            deadline_index: DeadlineIndexKind::default(),
             aof_rewrite_threshold_records: 0,
             aof_group_commit: true,
             aof_group_commit_wait_ms: 2,
@@ -313,17 +313,7 @@ mod tests {
         assert!(!c.log_reads);
         assert!(c.encryption.is_none());
         assert_eq!(c.expiry_mode, ExpiryMode::LazyProbabilistic);
-        // Independent re-derivation (not a call to from_env_or_default,
-        // which is what Default uses — that comparison would be a
-        // tautology): the wheel unless GDPR_TTL_INDEX selects otherwise.
-        let expected = std::env::var("GDPR_TTL_INDEX")
-            .ok()
-            .and_then(|label| DeadlineIndexKind::parse(label.trim()))
-            .unwrap_or(DeadlineIndexKind::Wheel);
-        assert_eq!(
-            c.deadline_index, expected,
-            "the default strict-expiry index is the wheel, overridable via GDPR_TTL_INDEX"
-        );
+        assert_eq!(c.deadline_index, DeadlineIndexKind::Wheel);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Aggregated engine statistics (the `INFO` analogue).
+//! Aggregated engine statistics.
 
 use crate::aof::AofStats;
 use crate::config::EvictionPolicy;
@@ -63,67 +63,6 @@ impl EngineStats {
             self.aof.fsyncs as f64 / self.commands_processed as f64
         }
     }
-
-    /// A compact multi-line rendering in the spirit of `INFO`.
-    #[must_use]
-    pub fn render(&self) -> String {
-        format!(
-            "# Stats\n\
-             commands_processed:{}\nreads:{}\nwrites:{}\n\
-             keyspace_hits:{}\nkeyspace_misses:{}\n\
-             expired_keys:{}\ndeleted_keys:{}\nevicted_keys:{}\n\
-             mem_bytes:{}\nmaxmemory:{}\nmaxmemory_policy:{}\n\
-             expire_cycles:{}\nkeys_expired_by_cycles:{}\n\
-             deadline_index:{}\nttl_entries:{}\nttl_inserts:{}\nttl_reschedules:{}\n\
-             ttl_removes:{}\nttl_fired:{}\nwheel_cascades:{}\nwheel_stale_dropped:{}\n\
-             wheel_overflow_entries:{}\nwheel_ready_entries:{}\nwheel_level_entries:{}\n\
-             aof_segments:{}\naof_records:{}\naof_fsyncs:{}\naof_rewrites:{}\nauto_rewrites:{}\n\
-             aof_unsynced_records:{}\naof_group_commits:{}\naof_group_commit_records:{}\n\
-             aof_max_group_commit_batch:{}\n\
-             device_bytes_written:{}\ndevice_bytes_on_device:{}\ndevice_syncs:{}\n",
-            self.commands_processed,
-            self.reads,
-            self.writes,
-            self.db.keyspace_hits,
-            self.db.keyspace_misses,
-            self.db.expired_keys,
-            self.db.deleted_keys,
-            self.db.evicted_keys,
-            self.db.mem_bytes,
-            self.max_memory,
-            self.eviction_policy,
-            self.expire_cycles,
-            self.keys_expired_by_cycles,
-            self.deadline_index.kind,
-            self.deadline_index.entries,
-            self.deadline_index.inserts,
-            self.deadline_index.reschedules,
-            self.deadline_index.removes,
-            self.deadline_index.fired,
-            self.deadline_index.cascades,
-            self.deadline_index.stale_dropped,
-            self.deadline_index.overflow_entries,
-            self.deadline_index.ready_entries,
-            self.deadline_index
-                .level_entries
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join("/"),
-            self.aof_segments,
-            self.aof.records_appended,
-            self.aof.fsyncs,
-            self.aof.rewrites,
-            self.auto_rewrites,
-            self.aof.unsynced_records,
-            self.aof.group_commits,
-            self.aof.group_commit_records,
-            self.aof.max_group_commit_batch,
-            self.device.bytes_written,
-            self.device.bytes_on_device,
-            self.device.syncs,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -146,32 +85,5 @@ mod tests {
         s.commands_processed = 10;
         s.aof.fsyncs = 10;
         assert!((s.fsyncs_per_command() - 1.0).abs() < f64::EPSILON);
-    }
-
-    #[test]
-    fn render_contains_every_counter_name() {
-        let text = EngineStats::default().render();
-        for field in [
-            "commands_processed",
-            "keyspace_hits",
-            "expired_keys",
-            "evicted_keys",
-            "mem_bytes",
-            "maxmemory:0",
-            "maxmemory_policy:noeviction",
-            "deadline_index:wheel",
-            "ttl_entries",
-            "wheel_cascades",
-            "wheel_stale_dropped",
-            "wheel_overflow_entries",
-            "wheel_level_entries",
-            "aof_segments",
-            "aof_fsyncs",
-            "aof_unsynced_records",
-            "aof_group_commits",
-            "device_bytes_written",
-        ] {
-            assert!(text.contains(field), "missing {field}");
-        }
     }
 }

@@ -67,38 +67,13 @@ pub enum DeadlineIndexKind {
 }
 
 impl DeadlineIndexKind {
-    /// Stable lowercase label (used by `INFO`, `GDPR.STATS` and CLI flags).
+    /// Stable lowercase label (the `ttl_index` stats row).
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
             DeadlineIndexKind::Wheel => "wheel",
             DeadlineIndexKind::BTree => "btree",
         }
-    }
-
-    /// Parse a CLI/config label; `None` for anything unknown.
-    #[must_use]
-    pub fn parse(label: &str) -> Option<Self> {
-        match label {
-            "wheel" => Some(DeadlineIndexKind::Wheel),
-            "btree" => Some(DeadlineIndexKind::BTree),
-            _ => None,
-        }
-    }
-
-    /// The default index kind honoring the `GDPR_TTL_INDEX` environment
-    /// variable (`wheel` or `btree`), read once per process. This is what
-    /// `StoreConfig::default()` uses, so CI can run the whole test suite
-    /// as a matrix over both deadline indexes without touching every test.
-    #[must_use]
-    pub fn from_env_or_default() -> Self {
-        static FROM_ENV: std::sync::OnceLock<DeadlineIndexKind> = std::sync::OnceLock::new();
-        *FROM_ENV.get_or_init(|| {
-            std::env::var("GDPR_TTL_INDEX")
-                .ok()
-                .and_then(|label| DeadlineIndexKind::parse(label.trim()))
-                .unwrap_or_default()
-        })
     }
 }
 
@@ -643,10 +618,8 @@ mod tests {
     #[test]
     fn kind_labels_roundtrip() {
         for kind in [DeadlineIndexKind::Wheel, DeadlineIndexKind::BTree] {
-            assert_eq!(DeadlineIndexKind::parse(kind.label()), Some(kind));
             assert_eq!(format!("{kind}"), kind.label());
         }
-        assert_eq!(DeadlineIndexKind::parse("heap"), None);
         assert_eq!(DeadlineIndexKind::default(), DeadlineIndexKind::Wheel);
     }
 

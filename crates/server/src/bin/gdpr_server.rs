@@ -7,7 +7,7 @@
 //! gdpr-server [addr=127.0.0.1:6379] [shards=1] [fsync=everysec]
 //!             [compliance=1] [transport=reactor|threads] [workers=0]
 //!             [maxconns=0|N] [readtimeout=secs] [aof=mem|none|<path>]
-//!             [groupcommit=1] [gcwait=2] [index=wheel|btree]
+//!             [groupcommit=1] [gcwait=2]
 //!             [replicaof=host:port] [backlog=records]
 //!             [grant=actor:purpose[,actor:purpose...]] [duration=secs]
 //!             [metrics=host:port] [slowlog=micros] [slowlogmax=N]
@@ -37,9 +37,6 @@
 //! * `groupcommit` — 1 (default) batches concurrent `always` fsyncs per
 //!   segment; 0 reverts to one fsync per record.
 //! * `gcwait` — group-commit follower wait bound in milliseconds.
-//! * `index` — deadline index serving strict expiry: `wheel` (default,
-//!   the hierarchical timer wheel — O(1) TTL insert/reschedule) or
-//!   `btree` (the original O(log n) index, kept as a baseline).
 //! * `replicaof` — follow a primary at `host:port`: full-sync on connect,
 //!   then apply its journal stream; writes to this server are rejected
 //!   with a redirect error. Replication lag is in `INFO`/`GDPR.STATS`.
@@ -66,8 +63,7 @@
 //!   commands get Redis' `-OOM` reply), `lru` (sampled least-recently
 //!   accessed) or `random` (sampled random).
 //! * `hotcache` — 1 (default) enables the compliance layer's TinyLFU
-//!   hot-read cache, 0 disables it; overrides the `GDPR_HOT_CACHE`
-//!   environment variable. Ignored with `compliance=0` (the raw engine
+//!   hot-read cache, 0 disables it. Ignored with `compliance=0` (the raw engine
 //!   has no compliance slow path to cache around).
 //!
 //! An argument that is not one of the keys above, or whose value does not
@@ -105,7 +101,6 @@ const KNOWN_FLAGS: &[&str] = &[
     "aof",
     "groupcommit",
     "gcwait",
-    "index",
     "replicaof",
     "backlog",
     "grant",
@@ -187,13 +182,6 @@ fn main() {
         .unwrap_or(FsyncPolicy::EverySec);
 
     let group_commit = arg_u64(&args, "groupcommit").unwrap_or(1) != 0;
-    let index = arg_with(
-        &args,
-        "index",
-        kvstore::ttl_wheel::DeadlineIndexKind::parse,
-        "wheel|btree",
-    )
-    .unwrap_or_default();
     let max_memory = arg_u64(&args, "maxmemory").unwrap_or(0);
     let evict = arg_with(
         &args,
@@ -206,7 +194,6 @@ fn main() {
         .shards(shards)
         .fsync(fsync)
         .group_commit(group_commit)
-        .deadline_index(index)
         .max_memory(max_memory)
         .eviction_policy(evict);
     if let Some(wait_ms) = arg_u64(&args, "gcwait") {
@@ -227,8 +214,7 @@ fn main() {
     let dispatcher = if compliance == 0 {
         let store = KvStore::open(config).expect("open storage engine");
         println!(
-            "gdpr-server: raw engine, {shards} shard(s), fsync {fsync:?}, group commit {}, \
-             ttl index {index}",
+            "gdpr-server: raw engine, {shards} shard(s), fsync {fsync:?}, group commit {}",
             if group_commit { "on" } else { "off" }
         );
         Dispatcher::kv(store)
@@ -240,14 +226,11 @@ fn main() {
         };
         policy.journal_fsync = fsync;
         println!(
-            "gdpr-server: compliance policy '{}', {shards} shard(s), fsync {fsync:?}, \
-             ttl index {index}",
+            "gdpr-server: compliance policy '{}', {shards} shard(s), fsync {fsync:?}",
             policy.name
         );
         let mut store =
             GdprStore::open(policy, config, Box::new(NullSink::new())).expect("open GDPR store");
-        // The flag overrides GDPR_HOT_CACHE; no flag keeps the
-        // environment's (or default-on) choice made at open.
         if let Some(hotcache) = arg_u64(&args, "hotcache") {
             store.set_hot_cache(
                 gdpr_core::hot_cache::HotCacheConfig::default().enabled(hotcache != 0),

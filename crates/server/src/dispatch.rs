@@ -80,24 +80,6 @@ pub struct ClientStatsCells {
     worker_queue_hwm: AtomicU64,
 }
 
-/// The single source of truth for connection-layer metric names: every
-/// surface that renders them — `INFO`'s `# Clients` section, the
-/// `clients_*` lines of `GDPR.STATS`, the Prometheus exposition — walks
-/// this table, so the three can never drift in name or order again.
-/// Entries are `(name, is_gauge, accessor)`.
-pub(crate) type ClientStatField = (&'static str, bool, fn(&ClientStats) -> u64);
-
-pub(crate) const CLIENT_STAT_FIELDS: &[ClientStatField] = &[
-    ("clients_connected", true, |c| c.connected),
-    ("clients_accepted", false, |c| c.accepted),
-    ("clients_rejected_over_limit", false, |c| {
-        c.rejected_over_limit
-    }),
-    ("clients_idle_timeouts", false, |c| c.idle_timeouts),
-    ("clients_reactor_wakeups", false, |c| c.reactor_wakeups),
-    ("clients_worker_queue_hwm", true, |c| c.worker_queue_hwm),
-];
-
 impl ClientStatsCells {
     /// A consistent-enough snapshot (individual relaxed loads).
     #[must_use]
@@ -303,118 +285,6 @@ impl Dispatcher {
                 .map(|o| o.removed.len() as u64)
                 .map_err(|e| e.to_string()),
         }
-    }
-
-    /// Render the `INFO` reply: server identity, engine counters, the
-    /// per-segment journal section (the paper's risk-window metric
-    /// observable per shard over the wire), on a compliance engine the
-    /// GDPR counters, and the latency percentiles of every live
-    /// histogram.
-    #[must_use]
-    pub fn render_info(&self) -> String {
-        let engine = self.raw_engine();
-        let mut out = format!(
-            "# Server\nversion:{}\npid:{}\nuptime_seconds:{}\ntransport:{}\nshards:{}\n\
-             host_cores:{}\nengine:{}\n",
-            env!("CARGO_PKG_VERSION"),
-            std::process::id(),
-            self.metrics.uptime_seconds(),
-            self.metrics.transport(),
-            engine.shard_count(),
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            match &self.engine {
-                Engine::Kv(_) => "kv",
-                Engine::Gdpr(_) => "gdpr",
-            },
-        );
-        let engine_stats = engine.stats();
-        out.push_str(&engine_stats.render());
-        // `# Memory`: the bounded-memory story in one section — live
-        // footprint vs the configured ceiling, the evictor's work so far,
-        // and (on a compliance engine) the hot-read cache counters.
-        out.push_str(&format!(
-            "# Memory\nmem_bytes:{}\nmaxmemory:{}\nmaxmemory_policy:{}\nevicted_keys:{}\n",
-            engine_stats.db.mem_bytes,
-            engine_stats.max_memory,
-            engine_stats.eviction_policy,
-            engine_stats.db.evicted_keys,
-        ));
-        if let Some(store) = self.gdpr_store() {
-            let cache = store.hot_cache_stats();
-            out.push_str(&format!(
-                "hot_cache_enabled:{}\ncache_hits:{}\ncache_misses:{}\n\
-                 cache_admissions:{}\ncache_invalidations:{}\n",
-                u8::from(store.hot_cache_enabled()),
-                cache.hits,
-                cache.misses,
-                cache.admissions,
-                cache.invalidations,
-            ));
-        }
-        if let Some(segments) = engine.aof_segment_stats() {
-            out.push_str("# AofSegments\n");
-            out.push_str(&format!(
-                "aof_epoch:{}\n",
-                engine.aof_epoch().unwrap_or_default()
-            ));
-            for (idx, seg) in segments.iter().enumerate() {
-                out.push_str(&format!(
-                    "aof_seg{idx}:records={},fsyncs={},unsynced={},group_commits={},\
-                     group_commit_records={},max_batch={}\n",
-                    seg.records_appended,
-                    seg.fsyncs,
-                    seg.unsynced_records,
-                    seg.group_commits,
-                    seg.group_commit_records,
-                    seg.max_group_commit_batch,
-                ));
-            }
-        }
-        if let Some(store) = self.gdpr_store() {
-            let stats = store.stats();
-            out.push_str(&format!(
-                "# Gdpr\nallowed_ops:{}\ndenied_ops:{}\naudit_records:{}\n\
-                 erased_by_request:{}\nerased_by_retention:{}\n",
-                stats.allowed_ops,
-                stats.denied_ops,
-                stats.audit_records,
-                stats.erased_by_request,
-                stats.erased_by_retention,
-            ));
-        }
-        let clients = self.clients.snapshot();
-        out.push_str("# Clients\n");
-        for (name, _, get) in CLIENT_STAT_FIELDS {
-            out.push_str(&format!("{name}:{}\n", get(&clients)));
-        }
-        let repl = self.repl.info();
-        out.push_str("# Replication\n");
-        if repl.is_replica {
-            out.push_str(&format!(
-                "role:replica\nprimary:{}\nrepl_connected:{}\nrepl_applied_seq:{}\n\
-                 repl_primary_seq:{}\nrepl_lag_records:{}\nrepl_full_syncs:{}\n\
-                 repl_records_applied:{}\n",
-                repl.primary_addr.as_deref().unwrap_or("?"),
-                u8::from(repl.connected),
-                repl.applied_seq,
-                repl.primary_seq,
-                repl.lag_records,
-                repl.full_syncs,
-                repl.records_applied,
-            ));
-        } else {
-            out.push_str(&format!(
-                "role:primary\nconnected_replicas:{}\nrepl_records_streamed:{}\n\
-                 repl_lost_streams:{}\n",
-                repl.connected_replicas, repl.records_streamed, repl.lost_streams,
-            ));
-        }
-        out.push_str("# Latency\n");
-        for line in self.latency_lines(':') {
-            out.push_str(&line);
-            out.push('\n');
-        }
-        out
     }
 
     /// Hex SHA-256 over the engine's canonical keyspace rendering — the
@@ -924,8 +794,8 @@ fn metadata_frame(meta: &PersonalMetadata) -> Frame {
 }
 
 /// Execute a `GDPR.*` request against the compliance layer. Takes the
-/// dispatcher itself so the `GDPR.STATS` arm can render the shared
-/// client-stat table and latency report alongside the store's counters.
+/// dispatcher itself so the `GDPR.STATS` arm can render the server-wide
+/// stats table and latency report.
 fn dispatch_gdpr(
     dispatcher: &Dispatcher,
     store: &GdprStore,
@@ -949,104 +819,7 @@ fn dispatch_gdpr(
         GdprRequest::Revoke { actor, purpose } => {
             Frame::Integer(store.revoke(&actor, &purpose) as i64)
         }
-        GdprRequest::Stats => {
-            let stats = store.stats();
-            let mut lines = vec![
-                format!("allowed_ops={}", stats.allowed_ops),
-                format!("denied_ops={}", stats.denied_ops),
-                format!("audit_records={}", stats.audit_records),
-                format!("erased_by_request={}", stats.erased_by_request),
-                format!("erased_by_retention={}", stats.erased_by_retention),
-                // The hot-read cache: hit rate tells how much of the GET
-                // load the compliance fast path absorbs; invalidations are
-                // the erasure-correctness work it performed.
-                format!("cache_hits={}", stats.cache_hits),
-                format!("cache_misses={}", stats.cache_misses),
-                format!("cache_admissions={}", stats.cache_admissions),
-                format!("cache_invalidations={}", stats.cache_invalidations),
-            ];
-            // One engine aggregation pass serves both the deadline-index
-            // lines and the journal lines below.
-            let engine = store.engine().stats();
-            // Bounded-memory accounting: the live footprint against the
-            // configured ceiling, and the sampled evictor's counter.
-            lines.push(format!("mem_bytes={}", engine.db.mem_bytes));
-            lines.push(format!("mem_maxmemory={}", engine.max_memory));
-            lines.push(format!("mem_maxmemory_policy={}", engine.eviction_policy));
-            lines.push(format!("mem_evicted_keys={}", engine.db.evicted_keys));
-            // The strict-expiry deadline index (retention timeliness is a
-            // compliance metric): wheel occupancy and cascade counters, or
-            // the BTree baseline's entry count.
-            let ttl = engine.deadline_index;
-            lines.push(format!("ttl_index={}", ttl.kind));
-            lines.push(format!("ttl_entries={}", ttl.entries));
-            lines.push(format!("ttl_fired={}", ttl.fired));
-            lines.push(format!("ttl_wheel_cascades={}", ttl.cascades));
-            lines.push(format!("ttl_wheel_stale_dropped={}", ttl.stale_dropped));
-            lines.push(format!("ttl_wheel_overflow={}", ttl.overflow_entries));
-            // The journaling cost the paper measures, observable per shard:
-            // aggregate first (reusing the engine pass above), then one
-            // line per segment.
-            if engine.aof_segments > 0 {
-                let total = engine.aof;
-                let segments = store.aof_segment_stats().unwrap_or_default();
-                lines.push(format!("aof_segments={}", segments.len()));
-                lines.push(format!("aof_records={}", total.records_appended));
-                lines.push(format!("aof_fsyncs={}", total.fsyncs));
-                lines.push(format!("aof_unsynced_records={}", total.unsynced_records));
-                lines.push(format!("aof_group_commits={}", total.group_commits));
-                lines.push(format!(
-                    "aof_group_commit_avg_batch={:.2}",
-                    total.avg_group_commit_batch().unwrap_or(0.0)
-                ));
-                for (idx, seg) in segments.iter().enumerate() {
-                    lines.push(format!(
-                        "aof_seg{idx}=records:{},fsyncs:{},unsynced:{},group_commits:{},max_batch:{}",
-                        seg.records_appended,
-                        seg.fsyncs,
-                        seg.unsynced_records,
-                        seg.group_commits,
-                        seg.max_group_commit_batch,
-                    ));
-                }
-            }
-            // The connection layer: fan-in capacity bounds how many
-            // subjects can exercise their rights concurrently. Names come
-            // from the same descriptor table INFO renders, so the two
-            // surfaces cannot drift.
-            let c = dispatcher.clients.snapshot();
-            for (name, _, get) in CLIENT_STAT_FIELDS {
-                lines.push(format!("{name}={}", get(&c)));
-            }
-            // Replication: erasure timeliness is only as good as the lag
-            // of the worst copy, so the propagation gauges are compliance
-            // metrics in their own right.
-            let info = dispatcher.repl.info();
-            if info.is_replica {
-                lines.push("repl_role=replica".to_string());
-                lines.push(format!(
-                    "repl_primary={}",
-                    info.primary_addr.as_deref().unwrap_or("?")
-                ));
-                lines.push(format!("repl_connected={}", u8::from(info.connected)));
-                lines.push(format!("repl_applied_seq={}", info.applied_seq));
-                lines.push(format!("repl_lag_records={}", info.lag_records));
-                lines.push(format!("repl_full_syncs={}", info.full_syncs));
-                lines.push(format!("repl_records_applied={}", info.records_applied));
-            } else {
-                lines.push("repl_role=primary".to_string());
-                lines.push(format!(
-                    "repl_connected_replicas={}",
-                    info.connected_replicas
-                ));
-                lines.push(format!("repl_records_streamed={}", info.records_streamed));
-                lines.push(format!("repl_lost_streams={}", info.lost_streams));
-            }
-            // The same latency report INFO's # Latency section renders,
-            // with this surface's `=` separator.
-            lines.extend(dispatcher.latency_lines('='));
-            string_array_frame(lines)
-        }
+        GdprRequest::Stats => string_array_frame(dispatcher.stats_lines()),
         // Everything else acts on personal data (listing a subject's keys
         // reveals where it lives) and needs an authenticated session.
         request => match require_ctx(session) {
@@ -1573,31 +1346,26 @@ mod tests {
                         other => panic!("unexpected {other:?}"),
                     })
                     .collect();
-                assert!(text.iter().any(|l| l.starts_with("allowed_ops=")));
-                let expected_index = format!(
-                    "ttl_index={}",
-                    kvstore::ttl_wheel::DeadlineIndexKind::from_env_or_default()
-                );
-                assert!(text.contains(&expected_index), "{text:?}");
-                assert!(text.iter().any(|l| l.starts_with("ttl_entries=")));
-                assert!(text
-                    .iter()
-                    .any(|l| l.starts_with("ttl_wheel_stale_dropped=")));
-                assert!(text.iter().any(|l| l == "aof_segments=1"), "{text:?}");
-                assert!(text.iter().any(|l| l.starts_with("aof_unsynced_records=")));
-                assert!(text.iter().any(|l| l.starts_with("aof_seg0=records:")));
-                // Bounded-memory and hot-cache accounting ride along.
-                assert!(text.iter().any(|l| l.starts_with("mem_bytes=")), "{text:?}");
-                assert!(text.contains(&"mem_maxmemory=0".to_string()), "{text:?}");
-                assert!(
-                    text.contains(&"mem_maxmemory_policy=noeviction".to_string()),
-                    "{text:?}"
-                );
-                assert!(text.iter().any(|l| l.starts_with("mem_evicted_keys=")));
-                assert!(text.iter().any(|l| l.starts_with("cache_hits=")));
-                assert!(text.iter().any(|l| l.starts_with("cache_misses=")));
-                assert!(text.iter().any(|l| l.starts_with("cache_admissions=")));
-                assert!(text.iter().any(|l| l.starts_with("cache_invalidations=")));
+                for needle in [
+                    "gdpr_allowed_ops=",
+                    "ttl_index=wheel",
+                    "ttl_entries=",
+                    "ttl_wheel_stale_dropped=",
+                    "aof_segments=1",
+                    "aof_unsynced_records=",
+                    "aof_seg0=records=",
+                    "mem_bytes=",
+                    "maxmemory=0",
+                    "maxmemory_policy=noeviction",
+                    "evicted_keys=",
+                    "gdpr_cache_hits=",
+                    "gdpr_cache_invalidations=",
+                ] {
+                    assert!(
+                        text.iter().any(|l| l.starts_with(needle)),
+                        "{needle}: {text:?}"
+                    );
+                }
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1615,30 +1383,28 @@ mod tests {
             Frame::Bulk(bytes) => String::from_utf8(bytes).unwrap(),
             other => panic!("unexpected {other:?}"),
         };
-        let index_line = format!(
-            "deadline_index:{}",
-            kvstore::ttl_wheel::DeadlineIndexKind::from_env_or_default()
-        );
         for needle in [
             "# Stats",
-            index_line.as_str(),
-            "ttl_entries:",
-            "wheel_cascades:",
+            "engine_commands_processed:",
+            "# Expiry",
+            "ttl_index:wheel",
+            "ttl_wheel_cascades:",
+            "# Aof",
             "aof_segments:",
             "aof_group_commits:",
-            "# AofSegments",
+            "aof_epoch:",
             "aof_seg0:records=",
             "# Memory",
             "mem_bytes:",
             "maxmemory_policy:noeviction",
-            "hot_cache_enabled:",
-            "cache_hits:",
-            "cache_invalidations:",
             "# Gdpr",
-            "allowed_ops:",
+            "gdpr_allowed_ops:",
+            "gdpr_hot_cache_enabled:",
+            "gdpr_cache_hits:",
+            "gdpr_cache_invalidations:",
             "# Replication",
-            "role:primary",
-            "connected_replicas:0",
+            "repl_role:primary",
+            "repl_connected_replicas:0",
         ] {
             assert!(info.contains(needle), "INFO missing {needle}: {info}");
         }

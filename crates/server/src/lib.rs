@@ -21,6 +21,8 @@
 //!   requests to completion — thousands of idle connections without one
 //!   thread each, and no hand-off between reading a request and
 //!   answering it.
+//! * [`stats`] — the one stats table `INFO`, `GDPR.STATS` and `/metrics`
+//!   render: every exported counter named once.
 //! * [`client`] — a blocking [`client::TcpRemoteClient`] plus
 //!   [`client::TcpRemoteAdapter`], which implements
 //!   [`ycsb::concurrent::SharedKvInterface`] over a pool of real sockets
@@ -39,6 +41,7 @@ pub mod metrics;
 pub mod metrics_http;
 pub mod reactor;
 pub mod replication;
+pub mod stats;
 pub mod tcp;
 
 use std::error::Error;

@@ -13,10 +13,10 @@
 //! * server identity (start time, transport label) for the `# Server`
 //!   `INFO` section.
 //!
-//! [`Dispatcher::render_prometheus`] renders all of it — plus every
-//! pre-existing counter surface (engine, GDPR, clients, replication) —
-//! as one Prometheus text-exposition document for the `/metrics`
-//! listener in [`crate::metrics_http`].
+//! [`Dispatcher::render_prometheus`] renders the histograms and every
+//! numeric row of the stats table ([`crate::stats`]) as one Prometheus
+//! text-exposition document for the `/metrics` listener in
+//! [`crate::metrics_http`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -24,7 +24,8 @@ use std::time::{Duration, Instant};
 
 use obs::{AtomicHistogram, LatencyHistogram, PromWriter, Slowlog};
 
-use crate::dispatch::{Dispatcher, CLIENT_STAT_FIELDS};
+use crate::dispatch::Dispatcher;
+use crate::stats::StatValue;
 
 /// Default `SLOWLOG` threshold: 10 ms, Redis'
 /// `slowlog-log-slower-than` default.
@@ -256,32 +257,23 @@ impl Dispatcher {
         lines
     }
 
-    /// Render the full Prometheus text-exposition document: the latency
-    /// histograms plus every counter the text surfaces (`INFO`,
-    /// `GDPR.STATS`) already expose — engine, journal, TTL index, GDPR,
-    /// clients and replication — under the same names those surfaces use.
+    /// Render the full Prometheus text-exposition document: every numeric
+    /// row of [`Dispatcher::stat_rows`] as a counter or gauge under its
+    /// table name, then the latency histograms.
     #[must_use]
     pub fn render_prometheus(&self) -> String {
         let metrics = self.metrics();
         metrics.scrapes.fetch_add(1, Ordering::Relaxed);
-        let transport = metrics.transport();
         let mut w = PromWriter::new();
-
-        // --- server identity -------------------------------------------------
-        w.gauge(
-            "gdpr_server_uptime_seconds",
-            "Seconds since the server started.",
-            &[],
-            metrics.uptime_seconds(),
-        );
-        w.counter(
-            "gdpr_server_metrics_scrapes",
-            "Prometheus scrapes served (this one included).",
-            &[],
-            metrics.scrapes.load(Ordering::Relaxed),
-        );
-
-        // --- latency histograms ----------------------------------------------
+        for row in self.stat_rows() {
+            let labels = row.label.as_slice();
+            match row.value {
+                StatValue::Counter(v) => w.counter(&row.name, row.help, labels, v),
+                StatValue::Gauge(v) => w.gauge(&row.name, row.help, labels, v),
+                StatValue::Text(_) => {}
+            }
+        }
+        let transport = metrics.transport();
         for (family, hist) in metrics.family_snapshots() {
             w.histogram(
                 "gdpr_server_command_latency_seconds",
@@ -313,297 +305,6 @@ impl Dispatcher {
                 &hist,
             );
         }
-
-        // --- dispatcher + slowlog --------------------------------------------
-        let dispatch = self.stats();
-        w.counter(
-            "gdpr_server_requests",
-            "Requests handled (including errors).",
-            &[],
-            dispatch.requests,
-        );
-        w.counter(
-            "gdpr_server_request_errors",
-            "Requests answered with an error reply.",
-            &[],
-            dispatch.errors,
-        );
-        w.gauge(
-            "gdpr_server_slowlog_len",
-            "Entries currently retained in the SLOWLOG ring.",
-            &[],
-            metrics.slowlog.len() as u64,
-        );
-
-        // --- connection layer (same descriptor table as INFO/GDPR.STATS) -----
-        let clients = self.client_stats();
-        for (name, is_gauge, get) in CLIENT_STAT_FIELDS {
-            let help = "Connection-layer counter; see the # Clients INFO section.";
-            if *is_gauge {
-                w.gauge(name, help, &[], get(&clients));
-            } else {
-                w.counter(name, help, &[], get(&clients));
-            }
-        }
-
-        // --- engine ----------------------------------------------------------
-        let engine = self.raw_engine().stats();
-        let counters: &[(&str, &str, u64)] = &[
-            (
-                "engine_commands_processed",
-                "Commands executed by the storage engine.",
-                engine.commands_processed,
-            ),
-            ("engine_reads", "Read commands executed.", engine.reads),
-            ("engine_writes", "Write commands executed.", engine.writes),
-            (
-                "keyspace_hits",
-                "Lookups that found a live key.",
-                engine.db.keyspace_hits,
-            ),
-            (
-                "keyspace_misses",
-                "Lookups that missed.",
-                engine.db.keyspace_misses,
-            ),
-            (
-                "expired_keys",
-                "Keys removed by expiry.",
-                engine.db.expired_keys,
-            ),
-            (
-                "deleted_keys",
-                "Keys removed by explicit deletion.",
-                engine.db.deleted_keys,
-            ),
-            (
-                "expire_cycles",
-                "Active-expiry cycles run.",
-                engine.expire_cycles,
-            ),
-            (
-                "ttl_inserts",
-                "Deadline-index insertions.",
-                engine.deadline_index.inserts,
-            ),
-            (
-                "ttl_fired",
-                "Deadlines fired by the index.",
-                engine.deadline_index.fired,
-            ),
-            (
-                "ttl_wheel_cascades",
-                "Timer-wheel level cascades.",
-                engine.deadline_index.cascades,
-            ),
-            (
-                "ttl_wheel_stale_dropped",
-                "Stale wheel entries dropped lazily.",
-                engine.deadline_index.stale_dropped,
-            ),
-            (
-                "aof_records",
-                "Records appended to the journal.",
-                engine.aof.records_appended,
-            ),
-            ("aof_fsyncs", "Journal fsyncs issued.", engine.aof.fsyncs),
-            (
-                "aof_rewrites",
-                "Journal rewrites completed.",
-                engine.aof.rewrites,
-            ),
-            (
-                "aof_group_commits",
-                "Group-commit fsync batches.",
-                engine.aof.group_commits,
-            ),
-            (
-                "aof_group_commit_records",
-                "Records covered by group commits.",
-                engine.aof.group_commit_records,
-            ),
-            (
-                "device_bytes_written",
-                "Bytes written to the storage device.",
-                engine.device.bytes_written,
-            ),
-            (
-                "device_syncs",
-                "Device sync operations.",
-                engine.device.syncs,
-            ),
-        ];
-        for (name, help, value) in counters {
-            w.counter(name, help, &[], *value);
-        }
-        let gauges: &[(&str, &str, u64)] = &[
-            (
-                "ttl_entries",
-                "Live entries in the deadline index.",
-                engine.deadline_index.entries,
-            ),
-            (
-                "aof_segments",
-                "Journal segments (one per shard).",
-                engine.aof_segments,
-            ),
-            (
-                "aof_unsynced_records",
-                "Appended records not yet durable (the crash-loss window).",
-                engine.aof.unsynced_records,
-            ),
-            (
-                "device_bytes_on_device",
-                "Bytes currently occupying the device.",
-                engine.device.bytes_on_device,
-            ),
-        ];
-        for (name, help, value) in gauges {
-            w.gauge(name, help, &[], *value);
-        }
-        // Bounded-memory accounting: the live footprint against the
-        // configured ceiling, and the evictor's counter labelled with the
-        // policy that produced the evictions.
-        w.gauge(
-            "mem_bytes",
-            "Approximate bytes resident in the keyspace.",
-            &[],
-            engine.db.mem_bytes,
-        );
-        w.gauge(
-            "maxmemory",
-            "Configured maxmemory ceiling in bytes (0 = unlimited).",
-            &[],
-            engine.max_memory,
-        );
-        w.counter(
-            "evicted_keys",
-            "Keys evicted to stay under maxmemory.",
-            &[("policy", engine.eviction_policy.label())],
-            engine.db.evicted_keys,
-        );
-
-        // --- compliance layer ------------------------------------------------
-        if let Some(store) = self.gdpr_store() {
-            let stats = store.stats();
-            let gdpr: &[(&str, &str, u64)] = &[
-                (
-                    "gdpr_allowed_ops",
-                    "Operations admitted by the compliance checks.",
-                    stats.allowed_ops,
-                ),
-                (
-                    "gdpr_denied_ops",
-                    "Operations rejected by the compliance checks.",
-                    stats.denied_ops,
-                ),
-                (
-                    "gdpr_audit_records",
-                    "Audit records emitted.",
-                    stats.audit_records,
-                ),
-                (
-                    "gdpr_erased_by_request",
-                    "Keys erased through the right to be forgotten.",
-                    stats.erased_by_request,
-                ),
-                (
-                    "gdpr_erased_by_retention",
-                    "Keys erased because retention elapsed.",
-                    stats.erased_by_retention,
-                ),
-                (
-                    "gdpr_cache_hits",
-                    "GETs served from the TinyLFU hot-read cache.",
-                    stats.cache_hits,
-                ),
-                (
-                    "gdpr_cache_misses",
-                    "GETs that took the full compliance slow path.",
-                    stats.cache_misses,
-                ),
-                (
-                    "gdpr_cache_admissions",
-                    "Values admitted into the hot tier by TinyLFU.",
-                    stats.cache_admissions,
-                ),
-                (
-                    "gdpr_cache_invalidations",
-                    "Hot entries dropped by mutation, erasure or expiry.",
-                    stats.cache_invalidations,
-                ),
-            ];
-            for (name, help, value) in gdpr {
-                w.counter(name, help, &[], *value);
-            }
-            w.gauge(
-                "gdpr_hot_cache_enabled",
-                "1 while the TinyLFU hot-read cache is enabled.",
-                &[],
-                u64::from(store.hot_cache_enabled()),
-            );
-        }
-
-        // --- replication -----------------------------------------------------
-        let repl = self.replication().info();
-        if repl.is_replica {
-            w.gauge(
-                "repl_connected",
-                "1 while the replica's stream to its primary is up.",
-                &[],
-                u64::from(repl.connected),
-            );
-            w.gauge(
-                "repl_applied_seq",
-                "Last journal sequence applied locally.",
-                &[],
-                repl.applied_seq,
-            );
-            w.gauge(
-                "repl_primary_seq",
-                "Primary's journal sequence as last advertised.",
-                &[],
-                repl.primary_seq,
-            );
-            w.gauge(
-                "repl_lag_records",
-                "Records the replica is behind its primary.",
-                &[],
-                repl.lag_records,
-            );
-            w.counter(
-                "repl_full_syncs",
-                "Full resynchronisations performed.",
-                &[],
-                repl.full_syncs,
-            );
-            w.counter(
-                "repl_records_applied",
-                "Streamed records applied.",
-                &[],
-                repl.records_applied,
-            );
-        } else {
-            w.gauge(
-                "repl_connected_replicas",
-                "Replication streams currently attached.",
-                &[],
-                repl.connected_replicas as u64,
-            );
-            w.counter(
-                "repl_records_streamed",
-                "Journal records streamed to replicas.",
-                &[],
-                repl.records_streamed,
-            );
-            w.counter(
-                "repl_lost_streams",
-                "Replica streams dropped (backlog overrun or error).",
-                &[],
-                repl.lost_streams,
-            );
-        }
-
         w.finish()
     }
 }

@@ -22,7 +22,8 @@ fn a_bad_flag_is_named_and_exits_2() {
         "shards=two",
         "compliance=3",
         "transport=fibers",
-        "index=heap",
+        // The deadline index is no longer a choice.
+        "index=btree",
         "evict=lfu",
         "slowlog=fast",
         // An unknown key must not be silently ignored.
@@ -49,7 +50,6 @@ fn every_documented_flag_is_accepted() {
         "aof=mem",
         "groupcommit=1",
         "gcwait=1",
-        "index=btree",
         "backlog=16",
         "grant=app:billing,ops:support",
         "duration=1",

@@ -62,6 +62,19 @@ fn info_text(client: &mut TcpRemoteClient) -> String {
     }
 }
 
+fn gdpr_stats_lines(client: &mut TcpRemoteClient) -> Vec<String> {
+    match client.gdpr(&GdprRequest::Stats).unwrap() {
+        Frame::Array(items) => items
+            .into_iter()
+            .map(|f| match f {
+                Frame::Bulk(b) => String::from_utf8(b).unwrap(),
+                other => panic!("unexpected stats item {other:?}"),
+            })
+            .collect(),
+        other => panic!("GDPR.STATS returned {other:?}"),
+    }
+}
+
 /// One parsed Prometheus sample: metric name, the raw label string
 /// (normalized to `""` when absent), and the value.
 struct Sample {
@@ -272,16 +285,7 @@ fn prometheus_scrape_parses_and_matches_gdpr_stats() {
     assert_eq!(erased, 0);
 
     // GDPR.STATS reports the same histograms as `latency_*=` lines.
-    let stats_lines: Vec<String> = match client.gdpr(&GdprRequest::Stats).unwrap() {
-        Frame::Array(items) => items
-            .into_iter()
-            .map(|f| match f {
-                Frame::Bulk(b) => String::from_utf8(b).unwrap(),
-                other => panic!("unexpected stats item {other:?}"),
-            })
-            .collect(),
-        other => panic!("GDPR.STATS returned {other:?}"),
-    };
+    let stats_lines = gdpr_stats_lines(&mut client);
     let stats_reads = stats_latency_count(&stats_lines, "latency_cmd_read=");
     let stats_writes = stats_latency_count(&stats_lines, "latency_cmd_write=");
     let stats_rights = stats_latency_count(&stats_lines, "latency_cmd_gdpr_right=");
@@ -327,6 +331,149 @@ fn prometheus_scrape_parses_and_matches_gdpr_stats() {
     assert!(samples
         .iter()
         .any(|s| s.name == "engine_commands_processed"));
+
+    metrics.shutdown();
+    server.shutdown();
+}
+
+/// `(name, value)` pairs of `lines`, split at the first `sep`; panics on
+/// a line without one.
+fn name_values<'a>(lines: impl Iterator<Item = &'a str>, sep: char) -> Vec<(&'a str, &'a str)> {
+    lines
+        .map(|l| {
+            l.split_once(sep)
+                .unwrap_or_else(|| panic!("no {sep:?} in {l:?}"))
+        })
+        .collect()
+}
+
+fn assert_unique(surface: &str, pairs: &[(&str, &str)]) {
+    let mut seen = HashSet::new();
+    for (name, _) in pairs {
+        assert!(seen.insert(*name), "{surface} lists {name} twice");
+    }
+}
+
+#[test]
+fn info_gdpr_stats_and_metrics_render_one_table() {
+    let store = Arc::new(
+        GdprStore::open(
+            CompliancePolicy::eventual(),
+            StoreConfig::in_memory().aof_in_memory().shards(2),
+            Box::new(audit::sink::NullSink::new()),
+        )
+        .unwrap(),
+    );
+    let dispatcher = Dispatcher::gdpr(store).with_metrics(Arc::new(ServerMetrics::new(-1, 16)));
+    let server = TcpServer::bind(dispatcher, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let metrics = MetricsServer::start("127.0.0.1:0", server.dispatcher().clone()).unwrap();
+    let mut client = TcpRemoteClient::connect(server.local_addr()).unwrap();
+
+    // Mixed traffic: plain KV reads, writes and deletes, GDPR
+    // puts with retention, a denied put, and the subject rights.
+    client
+        .roundtrip(&Frame::command(["GDPR.GRANT", "app", "billing"]))
+        .unwrap();
+    client.auth("app", "billing").unwrap();
+    for i in 0..6 {
+        client.set(&format!("k{i}"), b"v").unwrap();
+        client.get(&format!("k{i}")).unwrap();
+        client.get(&format!("k{i}")).unwrap();
+    }
+    client.delete("k0").unwrap();
+    for i in 0..4 {
+        let put = GdprRequest::Put {
+            key: format!("alice:{i}"),
+            subject: "alice".into(),
+            purposes: vec!["billing".into()],
+            value: b"x".to_vec(),
+            ttl_ms: Some(60_000),
+        };
+        assert_eq!(client.gdpr(&put).unwrap(), Frame::Simple("OK".into()));
+    }
+    // A put whose purposes exclude the session's is denied.
+    let denied = GdprRequest::Put {
+        key: "bob:0".into(),
+        subject: "bob".into(),
+        purposes: vec!["marketing".into()],
+        value: b"y".to_vec(),
+        ttl_ms: None,
+    };
+    assert!(client.gdpr(&denied).is_err());
+    client.export_subject("alice").unwrap();
+    assert_eq!(client.erase_subject("alice").unwrap(), 4);
+    client.tick().unwrap();
+
+    // Traffic has stopped: read the three surfaces.
+    let info = info_text(&mut client);
+    let stats = gdpr_stats_lines(&mut client);
+    let response = http_get(metrics.local_addr(), "/metrics");
+    let (_, body) = response.split_once("\r\n\r\n").expect("header split");
+    let samples = parse_prometheus(body);
+
+    // INFO minus its headers and its `# Server` identity lines.
+    let mut in_server = false;
+    let info_rows: Vec<&str> = info
+        .lines()
+        .filter(|l| {
+            if let Some(section) = l.strip_prefix("# ") {
+                in_server = section == "Server";
+                return false;
+            }
+            !in_server
+        })
+        .collect();
+    let info_pairs = name_values(info_rows.into_iter(), ':');
+    let stats_pairs = name_values(stats.iter().map(String::as_str), '=');
+    assert_unique("INFO", &info_pairs);
+    assert_unique("GDPR.STATS", &stats_pairs);
+    let info_names: HashSet<&str> = info_pairs.iter().map(|(n, _)| *n).collect();
+    let stats_names: HashSet<&str> = stats_pairs.iter().map(|(n, _)| *n).collect();
+    assert_eq!(
+        info_names, stats_names,
+        "INFO and GDPR.STATS name sets differ"
+    );
+
+    // Every numeric row is a /metrics series with the same value, apart
+    // from the readings the scrape itself or the clock moves.
+    let moving = [
+        "gdpr_server_uptime_seconds",
+        "gdpr_server_metrics_scrapes",
+        "clients_reactor_wakeups",
+    ];
+    let mut numeric = 0;
+    for (name, value) in &stats_pairs {
+        let Ok(value) = value.parse::<u64>() else {
+            continue;
+        };
+        numeric += 1;
+        let sample = samples
+            .iter()
+            .find(|s| s.name == *name)
+            .unwrap_or_else(|| panic!("{name} missing from /metrics"));
+        if !moving.contains(name) {
+            assert_eq!(sample.value as u64, value, "{name}");
+        }
+    }
+    assert!(numeric > 50, "only {numeric} numeric rows");
+    // The traffic above moved the rows it should have.
+    let value = |name: &str| {
+        stats_pairs
+            .iter()
+            .find(|(n, _)| *n == name)
+            .and_then(|(_, v)| v.parse::<u64>().ok())
+            .unwrap_or_else(|| panic!("{name} not numeric in GDPR.STATS"))
+    };
+    assert_eq!(value("gdpr_erased_by_request"), 4);
+    assert!(value("gdpr_denied_ops") >= 1);
+    assert!(value("engine_writes") >= 10);
+    assert!(value("aof_records") > 0);
+    assert!(value("gdpr_cache_hits") > 0);
+    assert!(stats_names.contains("aof_seg1"), "{stats:?}");
+    // The one labelled row keeps its label.
+    assert!(samples
+        .iter()
+        .any(|s| s.name == "evicted_keys" && s.labels == "policy=\"noeviction\""));
 
     metrics.shutdown();
     server.shutdown();

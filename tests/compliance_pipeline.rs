@@ -272,7 +272,7 @@ fn a_read_visits_the_engine_once_per_key() {
     use gdpr_storage::gdpr_core::hot_cache::HotCacheConfig;
 
     let (mut store, _sink) = fixture();
-    // A fresh, empty hot tier, whatever `GDPR_HOT_CACHE` says.
+    // A fresh, empty hot tier.
     store.set_hot_cache(HotCacheConfig::default());
     let billing = app("billing");
     let visits_of = |run: &dyn Fn()| {

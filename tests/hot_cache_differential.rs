@@ -368,8 +368,8 @@ proptest! {
 
 const BOTH: [Transport; 2] = [Transport::Reactor, Transport::Threads];
 
-/// A live GDPR server with the hot cache force-enabled (regardless of
-/// `GDPR_HOT_CACHE` in the environment) and a simulated retention clock.
+/// A live GDPR server with the hot cache force-enabled and a simulated
+/// retention clock.
 fn hot_gdpr_server(transport: Transport, clock: SimClock) -> (TcpServerHandle, Arc<GdprStore>) {
     let mut store = GdprStore::open(
         CompliancePolicy::eventual(),

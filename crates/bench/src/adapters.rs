@@ -1,98 +1,37 @@
-//! [`ycsb::client::KvInterface`] adapters for every layer of the stack.
+//! [`ycsb::client::KvInterface`] adapters for the Figure 1 configurations.
 //!
-//! * [`EmbeddedAdapter`] — the raw engine (Figure 1's "Unmodified" and the
-//!   AOF fsync configurations);
 //! * [`GdprAdapter`] — the full compliance layer (metadata, ACL, audit);
 //! * [`RemoteAdapter`] — the simulated network path with the optional
-//!   TLS-style channel (Figure 1's "LUKS + TLS" configuration runs the
-//!   engine on an encrypted device *behind* this adapter).
+//!   TLS-style channel, in front of the raw engine (Figure 1's
+//!   "unmodified", AOF and "LUKS + TLS" configurations).
 
 use std::collections::BTreeMap;
 
 use gdpr_core::acl::Grant;
 use gdpr_core::metadata::PersonalMetadata;
 use gdpr_core::store::{AccessContext, GdprStore};
-use kvstore::store::KvStore;
+use kvstore::object::Value;
+use kvstore::serialize::{decode_value, encode_value, Reader};
 use netsim::client::RemoteClient;
 use ycsb::client::KvInterface;
-use ycsb::concurrent::SharedKvInterface;
 use ycsb::{Result, WorkloadError};
 
-// The single-blob field codec lives with the TCP client so the simulated
-// and real remote adapters share one wire representation by construction.
-pub use gdpr_server::client::{decode_fields, encode_fields};
-
-// ---------------------------------------------------------------------------
-
-/// YCSB directly against the embedded engine.
-#[derive(Debug)]
-pub struct EmbeddedAdapter {
-    store: KvStore,
+/// Serialize a YCSB field map into the single opaque blob that travels as
+/// a `SET` value.
+#[must_use]
+pub fn encode_fields(fields: &BTreeMap<String, Vec<u8>>) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_value(&mut out, &Value::Hash(fields.clone()));
+    out
 }
 
-impl EmbeddedAdapter {
-    /// Wrap an opened engine.
-    #[must_use]
-    pub fn new(store: KvStore) -> Self {
-        EmbeddedAdapter { store }
-    }
-
-    /// The wrapped engine.
-    #[must_use]
-    pub fn store(&self) -> &KvStore {
-        &self.store
-    }
-}
-
-impl KvInterface for EmbeddedAdapter {
-    fn insert(&mut self, key: &str, fields: &BTreeMap<String, Vec<u8>>) -> Result<()> {
-        SharedKvInterface::insert(self, key, fields)
-    }
-
-    fn read(&mut self, key: &str) -> Result<Option<BTreeMap<String, Vec<u8>>>> {
-        SharedKvInterface::read(self, key)
-    }
-
-    fn update(&mut self, key: &str, fields: &BTreeMap<String, Vec<u8>>) -> Result<()> {
-        SharedKvInterface::update(self, key, fields)
-    }
-
-    fn scan(&mut self, start_key: &str, count: usize) -> Result<Vec<String>> {
-        SharedKvInterface::scan(self, start_key, count)
-    }
-
-    fn tick(&mut self) -> Result<()> {
-        SharedKvInterface::tick(self)
-    }
-}
-
-/// The engine handle is internally synchronized (sharded locks), so the
-/// same adapter also serves the multi-threaded driver.
-impl SharedKvInterface for EmbeddedAdapter {
-    fn insert(&self, key: &str, fields: &BTreeMap<String, Vec<u8>>) -> Result<()> {
-        self.store
-            .hset_multi(key, fields)
-            .map_err(WorkloadError::new)
-    }
-
-    fn read(&self, key: &str) -> Result<Option<BTreeMap<String, Vec<u8>>>> {
-        self.store.hgetall(key).map_err(WorkloadError::new)
-    }
-
-    fn update(&self, key: &str, fields: &BTreeMap<String, Vec<u8>>) -> Result<()> {
-        self.store
-            .hset_multi(key, fields)
-            .map_err(WorkloadError::new)
-    }
-
-    fn scan(&self, start_key: &str, count: usize) -> Result<Vec<String>> {
-        self.store
-            .scan(start_key, count)
-            .map_err(WorkloadError::new)
-    }
-
-    fn tick(&self) -> Result<()> {
-        self.store.tick().map(|_| ()).map_err(WorkloadError::new)
+/// Decode a blob produced by [`encode_fields`].
+#[must_use]
+pub fn decode_fields(bytes: &[u8]) -> Option<BTreeMap<String, Vec<u8>>> {
+    let mut reader = Reader::new(bytes);
+    match decode_value(&mut reader, "ycsb record").ok()? {
+        Value::Hash(map) => Some(map),
+        _ => None,
     }
 }
 
@@ -134,54 +73,30 @@ impl GdprAdapter {
 
 impl KvInterface for GdprAdapter {
     fn insert(&mut self, key: &str, fields: &BTreeMap<String, Vec<u8>>) -> Result<()> {
-        SharedKvInterface::insert(self, key, fields)
-    }
-
-    fn read(&mut self, key: &str) -> Result<Option<BTreeMap<String, Vec<u8>>>> {
-        SharedKvInterface::read(self, key)
-    }
-
-    fn update(&mut self, key: &str, fields: &BTreeMap<String, Vec<u8>>) -> Result<()> {
-        SharedKvInterface::update(self, key, fields)
-    }
-
-    fn scan(&mut self, start_key: &str, count: usize) -> Result<Vec<String>> {
-        SharedKvInterface::scan(self, start_key, count)
-    }
-
-    fn tick(&mut self) -> Result<()> {
-        SharedKvInterface::tick(self)
-    }
-}
-
-/// The compliance layer takes `&self` throughout (sharded engine, sharded
-/// index segments, atomic counters), so it serves concurrent clients too.
-impl SharedKvInterface for GdprAdapter {
-    fn insert(&self, key: &str, fields: &BTreeMap<String, Vec<u8>>) -> Result<()> {
         self.store
             .put_record(&self.ctx, key, fields, self.metadata_for(key))
             .map_err(WorkloadError::new)
     }
 
-    fn read(&self, key: &str) -> Result<Option<BTreeMap<String, Vec<u8>>>> {
+    fn read(&mut self, key: &str) -> Result<Option<BTreeMap<String, Vec<u8>>>> {
         self.store
             .get_record(&self.ctx, key)
             .map_err(WorkloadError::new)
     }
 
-    fn update(&self, key: &str, fields: &BTreeMap<String, Vec<u8>>) -> Result<()> {
+    fn update(&mut self, key: &str, fields: &BTreeMap<String, Vec<u8>>) -> Result<()> {
         self.store
             .update_record(&self.ctx, key, fields)
             .map_err(WorkloadError::new)
     }
 
-    fn scan(&self, start_key: &str, count: usize) -> Result<Vec<String>> {
+    fn scan(&mut self, start_key: &str, count: usize) -> Result<Vec<String>> {
         self.store
             .scan(&self.ctx, start_key, count)
             .map_err(WorkloadError::new)
     }
 
-    fn tick(&self) -> Result<()> {
+    fn tick(&mut self) -> Result<()> {
         self.store.tick().map(|_| ()).map_err(WorkloadError::new)
     }
 }
@@ -255,6 +170,7 @@ mod tests {
     use super::*;
     use gdpr_core::policy::CompliancePolicy;
     use kvstore::config::StoreConfig;
+    use kvstore::store::KvStore;
     use netsim::link::LinkConfig;
     use netsim::server::RespKvServer;
     use ycsb::client::Driver;
@@ -272,23 +188,6 @@ mod tests {
         let f = fields();
         assert_eq!(decode_fields(&encode_fields(&f)).unwrap(), f);
         assert!(decode_fields(b"garbage").is_none());
-    }
-
-    #[test]
-    fn embedded_adapter_supports_all_operations() {
-        let adapter = EmbeddedAdapter::new(KvStore::open(StoreConfig::in_memory()).unwrap());
-        adapter.insert("user1", &fields()).unwrap();
-        assert_eq!(adapter.read("user1").unwrap().unwrap().len(), 2);
-        let mut update = BTreeMap::new();
-        update.insert("field0".to_string(), b"new".to_vec());
-        adapter.update("user1", &update).unwrap();
-        assert_eq!(
-            adapter.read("user1").unwrap().unwrap()["field0"],
-            b"new".to_vec()
-        );
-        assert_eq!(adapter.scan("user", 10).unwrap(), vec!["user1"]);
-        adapter.tick().unwrap();
-        assert_eq!(adapter.store().len(), 1);
     }
 
     #[test]

@@ -6,18 +6,20 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run -p bench --release --bin fig1_throughput [records=N] [ops=N] [realistic=1]
+//! cargo run -p bench --release --bin fig1_throughput [records=N] [ops=N] [realistic=1] [seed=N]
 //! ```
 //!
 //! `realistic=1` makes the simulated link impose its modelled transfer
 //! time, which pulls the unmodified baseline down to testbed-like
-//! throughput (at the cost of a longer run).
+//! throughput (at the cost of a longer run). Any other argument, or a
+//! value that is not an unsigned integer, is printed back and the process
+//! exits with status 2.
 
 use bench::fig1::{render_table, run_figure1, Fig1Config, Fig1Params};
-use bench::{arg_value, cleanup_scratch, scratch_dir};
+use bench::{arg_value, args_or_exit, cleanup_scratch, scratch_dir};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = args_or_exit(&["records", "ops", "realistic", "seed"]);
     let params = Fig1Params {
         record_count: arg_value(&args, "records").unwrap_or(5_000),
         operation_count: arg_value(&args, "ops").unwrap_or(10_000),

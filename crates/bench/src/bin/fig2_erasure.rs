@@ -12,12 +12,15 @@
 //! ```text
 //! cargo run -p bench --release --bin fig2_erasure [seed=N]
 //! ```
+//!
+//! Any other argument, or a seed that is not an unsigned integer, is
+//! printed back and the process exits with status 2.
 
-use bench::arg_value;
 use bench::fig2::{render_table, run_figure2};
+use bench::{arg_value, args_or_exit};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = args_or_exit(&["seed"]);
     let seed = arg_value(&args, "seed").unwrap_or(7);
 
     println!("Figure 2 reproduction — erasure delay of expired keys (20% of keys expire at +5min)");

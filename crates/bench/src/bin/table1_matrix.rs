@@ -7,11 +7,15 @@
 //! ```text
 //! cargo run -p bench --release --bin table1_matrix
 //! ```
+//!
+//! It takes no arguments: any argument is printed back and the process
+//! exits with status 2.
 
 use gdpr_core::compliance::assess;
 use gdpr_core::policy::CompliancePolicy;
 
 fn main() {
+    let _ = bench::args_or_exit(&[]);
     println!("Table 1 reproduction — GDPR articles, storage features, and per-policy support\n");
     for policy in [
         CompliancePolicy::unmodified(),

@@ -1,10 +1,10 @@
-//! Shared plumbing for the benchmark harness: store adapters that let the
-//! YCSB driver run against every configuration of the reproduction, and
-//! the experiment runners behind the `fig1_*` / `fig2_*` binaries.
+//! The paper reproductions: store adapters that let the YCSB driver run
+//! against every configuration of Figure 1, and the experiment runners
+//! behind the `fig1_throughput` and `fig2_erasure` binaries.
 //!
-//! Every table and figure of the paper maps to a binary in `src/bin/` (see
-//! DESIGN.md §4); the Criterion benches under `benches/` cover the same
-//! code paths at micro scale plus the ablations listed in DESIGN.md §5.
+//! Each measured artefact of the paper maps to one binary in `src/bin/`:
+//! `fig1_throughput` (Figure 1), `fig2_erasure` (Figure 2) and
+//! `table1_matrix` (Table 1).
 
 pub mod adapters;
 pub mod fig1;
@@ -27,58 +27,45 @@ pub fn cleanup_scratch(dir: &std::path::Path) {
     let _ = std::fs::remove_dir_all(dir);
 }
 
-/// Schema version stamped into every `BENCH_*.json` envelope. Bump when
-/// the shared envelope fields change shape so downstream tooling can
-/// dispatch on it.
-pub const BENCH_SCHEMA_VERSION: u32 = 1;
-
-/// Logical cores on the host (1 when undetectable). Recorded in every
-/// benchmark artefact: scaling sweeps are meaningless without knowing
-/// how much hardware parallelism the run actually had.
-#[must_use]
-pub fn host_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// CPU seconds this process has consumed (user + system), or `None` when
-/// the platform does not expose `/proc/self/stat`.
+/// Check the `key=value` arguments of a paper binary: every key must be
+/// one of `known` and every value an unsigned integer. The error names the
+/// first argument that is not, as `bad argument "key=value": why`.
 ///
-/// On shared hosts wall-clock throughput is dominated by stolen CPU — a
-/// noisy neighbour can halve a round's rate without the code under test
-/// changing at all. Process CPU time only accrues while the benchmark is
-/// actually running, so ops per CPU-second is stable where ops per
-/// wall-second is not.
-#[must_use]
-pub fn process_cpu_seconds() -> Option<f64> {
-    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
-    // Field 2 (comm) may contain spaces; everything after the closing
-    // paren is fixed-position. utime and stime are fields 14 and 15
-    // (1-based), i.e. indices 11 and 12 after the paren.
-    let rest = stat.rsplit_once(')')?.1;
-    let mut fields = rest.split_ascii_whitespace();
-    let utime: f64 = fields.nth(11)?.parse().ok()?;
-    let stime: f64 = fields.next()?.parse().ok()?;
-    // USER_HZ is 100 on every Linux configuration Rust targets.
-    Some((utime + stime) / 100.0)
+/// # Errors
+///
+/// Returns the message for the first refused argument.
+pub fn check_args(args: &[String], known: &[&str]) -> Result<(), String> {
+    for arg in args {
+        let why = match arg.split_once('=') {
+            Some((key, _)) if !known.contains(&key) => "unknown key",
+            None => "not key=value",
+            Some((_, value)) if value.parse::<u64>().is_err() => "want an unsigned integer",
+            Some(_) => continue,
+        };
+        let takes = if known.is_empty() {
+            "takes no arguments".to_string()
+        } else {
+            format!("takes {}", known.join(", "))
+        };
+        return Err(format!("bad argument {arg:?}: {why} ({takes})"));
+    }
+    Ok(())
 }
 
-/// Opening lines of a `BENCH_*.json` document: the common envelope every
-/// harness binary shares (`schema_version`, `bench` name, `host_cores`).
-/// Callers append their bench-specific fields and the `cells` array, then
-/// close the object.
+/// The running binary's arguments once [`check_args`] accepts them. A
+/// refused argument is printed on stderr and the process exits with
+/// status 2, so a typo such as `record=100` never runs the defaults.
 #[must_use]
-pub fn json_envelope(bench: &str) -> String {
-    format!(
-        "{{\n  \"schema_version\": {BENCH_SCHEMA_VERSION},\n  \"bench\": \"{bench}\",\n  \
-         \"host_cores\": {},\n",
-        host_cores()
-    )
+pub fn args_or_exit(known: &[&str]) -> Vec<String> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(message) = check_args(&args, known) {
+        eprintln!("{message}");
+        std::process::exit(2);
+    }
+    args
 }
 
-/// Parse `key=value` style command-line overrides used by the harness
-/// binaries (e.g. `records=100000 ops=200000`).
+/// The value of a `key=value` override (e.g. `records=100000`), if given.
 #[must_use]
 pub fn arg_value(args: &[String], key: &str) -> Option<u64> {
     args.iter().find_map(|a| {
@@ -100,26 +87,25 @@ mod tests {
     }
 
     #[test]
-    fn json_envelope_carries_shared_fields() {
-        let head = json_envelope("unit_test");
-        assert!(head.starts_with("{\n"));
-        assert!(head.contains(&format!("\"schema_version\": {BENCH_SCHEMA_VERSION}")));
-        assert!(head.contains("\"bench\": \"unit_test\""));
-        assert!(head.contains(&format!("\"host_cores\": {}", host_cores())));
-        assert!(head.ends_with(",\n"), "caller appends more fields");
-    }
-
-    #[test]
     fn arg_value_parses_overrides() {
-        let args: Vec<String> = vec![
-            "records=1000".into(),
-            "ops=5".into(),
-            "junk".into(),
-            "bad=x".into(),
-        ];
+        let known = ["records", "ops", "missing"];
+        let args: Vec<String> = vec!["records=1000".into(), "ops=5".into()];
+        assert_eq!(check_args(&args, &known), Ok(()));
         assert_eq!(arg_value(&args, "records"), Some(1000));
         assert_eq!(arg_value(&args, "ops"), Some(5));
         assert_eq!(arg_value(&args, "missing"), None);
-        assert_eq!(arg_value(&args, "bad"), None);
+        // A bare word, an unknown key, a mistyped key and an unparseable
+        // value are each refused by name.
+        for bad in ["junk", "bad=x", "record=100", "ops=x"] {
+            let mut with_bad = args.clone();
+            with_bad.push(bad.to_string());
+            let err = check_args(&with_bad, &known).unwrap_err();
+            assert!(err.starts_with(&format!("bad argument {bad:?}")), "{err}");
+        }
+        // A binary that takes no arguments refuses any.
+        assert!(check_args(&args, &[])
+            .unwrap_err()
+            .contains("takes no arguments"));
+        assert_eq!(check_args(&[], &[]), Ok(()));
     }
 }

@@ -39,8 +39,8 @@
 //!   serialized write-through, because durable-before-acknowledge is that
 //!   policy's defining guarantee.
 //!
-//! `ycsb::concurrent::ConcurrentDriver` (via the `bench` crate's
-//! `shard_scaling` binary) measures the resulting shard × thread scaling.
+//! `tests/concurrent_stress.rs` races puts, gets, erasures and objections
+//! on one store and checks the index, audit chain and values afterwards.
 //!
 //! # Quick start
 //!

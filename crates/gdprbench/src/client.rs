@@ -38,9 +38,8 @@ pub trait GdprBenchClient {
     fn apply(&mut self, op: &GdprOp) -> Outcome;
 }
 
-/// Produces connections for driver threads. `connect` is called once per
-/// thread; implementations authenticate the connection for their
-/// configured actor/purpose before returning it.
+/// Produces driving connections. Implementations authenticate each
+/// connection for their configured actor/purpose before returning it.
 pub trait ClientFactory: Sync {
     /// Open (and authenticate) one driving connection.
     ///
@@ -374,7 +373,7 @@ impl GdprBenchClient for NetsimClient {
 // Live TCP
 
 /// Factory for real socket connections to a running TCP server. Each
-/// driver thread gets its own connection, authenticated on connect.
+/// `connect` opens a new connection, authenticated on connect.
 #[derive(Debug, Clone)]
 pub struct TcpFactory {
     addr: SocketAddr,

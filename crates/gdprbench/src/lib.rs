@@ -34,8 +34,8 @@
 //! * [`ops`] — the op/outcome model and the seeded generator;
 //! * [`client`] — the transport abstraction (in-process [`GdprStore`],
 //!   netsim, live TCP) with uniform outcome classification;
-//! * [`runner`] — the multi-threaded driver with per-right
-//!   [`obs::hist::LatencyHistogram`] stats.
+//! * [`runner`] — [`drive`], which applies an op stream over one
+//!   connection and returns the per-op outcomes.
 //!
 //! [`GdprStore`]: gdpr_core::store::GdprStore
 
@@ -46,5 +46,5 @@ pub mod spec;
 
 pub use client::{ClientFactory, GdprBenchClient, InProcessFactory, NetsimFactory, TcpFactory};
 pub use ops::{GdprOp, Outcome};
-pub use runner::{RunSummary, Runner};
+pub use runner::drive;
 pub use spec::{BenchSpec, Role};

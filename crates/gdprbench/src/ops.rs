@@ -86,7 +86,7 @@ pub enum GdprOp {
 }
 
 impl GdprOp {
-    /// The right/op label the per-right latency histograms key on.
+    /// The right/op label (`keysof`, `export`, `erase`, …).
     #[must_use]
     pub fn right(&self) -> &'static str {
         match self {

@@ -1,318 +1,40 @@
-//! The multi-threaded workload driver.
+//! The driver: one connection, ops applied in order.
 //!
-//! A [`Runner`] takes a [`BenchSpec`] and a [`ClientFactory`], expands the
-//! spec to its op stream, splits the stream round-robin across driver
-//! threads (thread `t` executes indices `i` where `i % threads == t`) and
-//! merges per-thread latency histograms afterwards. The split is purely a
-//! routing decision: the generated stream is identical for every thread
-//! count, and with `capture_outcomes` the per-op [`Outcome`] vector is
-//! reassembled in original op order so differential harnesses can compare
-//! runs op-by-op regardless of how many threads drove them.
-
-use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
-
-use obs::hist::LatencyHistogram;
+//! [`drive`] returns the per-op [`Outcome`] vector in op order, which is
+//! what the differential batteries compare across transports and shard
+//! counts.
 
 use crate::client::ClientFactory;
-use crate::ops::{self, GdprOp, Outcome};
-use crate::spec::BenchSpec;
+use crate::ops::{GdprOp, Outcome};
 
-/// Aggregated result of one phase (load or transactions).
-#[derive(Debug)]
-pub struct RunSummary {
-    /// Workload label (`customer`, …, or `load`).
-    pub workload: String,
-    /// Phase label: `load` or `run`.
-    pub phase: &'static str,
-    /// Operations executed.
-    pub operations: u64,
-    /// Compliance denials observed.
-    pub denials: u64,
-    /// Non-compliance failures observed.
-    pub failures: u64,
-    /// Wall-clock time for the whole phase.
-    pub elapsed: Duration,
-    /// Latencies across all ops.
-    pub overall: LatencyHistogram,
-    /// Latencies keyed by right/op label (`keysof`, `export`, `erase`, …).
-    pub per_right: BTreeMap<&'static str, LatencyHistogram>,
-    /// Per-op outcomes in original op order (only when capturing).
-    pub outcomes: Option<Vec<Outcome>>,
-}
-
-impl RunSummary {
-    /// Ops per second over the phase's wall-clock time.
-    #[must_use]
-    pub fn throughput(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.operations as f64 / secs
-    }
-}
-
-/// Drives op streams against a store through a [`ClientFactory`].
-#[derive(Debug, Clone)]
-pub struct Runner {
-    threads: usize,
-    capture_outcomes: bool,
-}
-
-impl Default for Runner {
-    fn default() -> Self {
-        Runner::new(1)
-    }
-}
-
-impl Runner {
-    /// A runner with `threads` driver threads (clamped to ≥ 1).
-    #[must_use]
-    pub fn new(threads: usize) -> Self {
-        Runner {
-            threads: threads.max(1),
-            capture_outcomes: false,
-        }
-    }
-
-    /// Builder-style: also capture the per-op outcome vector (costs one
-    /// `Vec<Outcome>` per run; differential harnesses want it, benchmarks
-    /// don't).
-    #[must_use]
-    pub fn capture_outcomes(mut self, capture: bool) -> Self {
-        self.capture_outcomes = capture;
-        self
-    }
-
-    /// Run the load phase: every record `Put` exactly once.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connection failures from the factory.
-    pub fn run_load(
-        &self,
-        spec: &BenchSpec,
-        factory: &dyn ClientFactory,
-    ) -> Result<RunSummary, String> {
-        self.drive("load", "load", ops::load_ops(spec), factory)
-    }
-
-    /// Run the transaction phase: the spec's role mix.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connection failures from the factory.
-    pub fn run_transactions(
-        &self,
-        spec: &BenchSpec,
-        factory: &dyn ClientFactory,
-    ) -> Result<RunSummary, String> {
-        self.drive(spec.role.name(), "run", ops::transaction_ops(spec), factory)
-    }
-
-    /// Execute a pre-expanded op stream (used by the differential battery
-    /// to drive hand-built streams).
-    ///
-    /// # Errors
-    ///
-    /// Propagates connection failures from the factory.
-    pub fn run_ops(
-        &self,
-        workload: &str,
-        ops: Vec<GdprOp>,
-        factory: &dyn ClientFactory,
-    ) -> Result<RunSummary, String> {
-        self.drive(workload, "run", ops, factory)
-    }
-
-    fn drive(
-        &self,
-        workload: &str,
-        phase: &'static str,
-        ops: Vec<GdprOp>,
-        factory: &dyn ClientFactory,
-    ) -> Result<RunSummary, String> {
-        let threads = self.threads.min(ops.len().max(1));
-        let capture = self.capture_outcomes;
-        let started = Instant::now();
-        let results: Vec<Result<ThreadResult, String>> = std::thread::scope(|scope| {
-            let ops = &ops;
-            let mut handles = Vec::with_capacity(threads);
-            for t in 0..threads {
-                handles.push(scope.spawn(move || {
-                    let mut client = factory.connect()?;
-                    let mut local = ThreadResult::new(capture);
-                    for (i, op) in ops.iter().enumerate().skip(t).step_by(threads) {
-                        let begin = Instant::now();
-                        let outcome = client.apply(op);
-                        let latency = begin.elapsed();
-                        local.overall.record(latency);
-                        local
-                            .per_right
-                            .entry(op.right())
-                            .or_default()
-                            .record(latency);
-                        match outcome {
-                            Outcome::Ok(_) => {}
-                            Outcome::Denied => local.denials += 1,
-                            Outcome::Failed => local.failures += 1,
-                        }
-                        if let Some(captured) = &mut local.outcomes {
-                            captured.push((i, outcome));
-                        }
-                    }
-                    Ok(local)
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|_| Err("driver thread panicked".into()))
-                })
-                .collect()
-        });
-        let elapsed = started.elapsed();
-
-        let mut overall = LatencyHistogram::new();
-        let mut per_right: BTreeMap<&'static str, LatencyHistogram> = BTreeMap::new();
-        let mut denials = 0u64;
-        let mut failures = 0u64;
-        let mut indexed: Vec<(usize, Outcome)> = Vec::new();
-        for result in results {
-            let local = result?;
-            overall.merge(&local.overall);
-            for (right, hist) in &local.per_right {
-                per_right.entry(right).or_default().merge(hist);
-            }
-            denials += local.denials;
-            failures += local.failures;
-            if let Some(captured) = local.outcomes {
-                indexed.extend(captured);
-            }
-        }
-        let outcomes = if capture {
-            indexed.sort_unstable_by_key(|(i, _)| *i);
-            Some(indexed.into_iter().map(|(_, o)| o).collect())
-        } else {
-            None
-        };
-        Ok(RunSummary {
-            workload: workload.to_string(),
-            phase,
-            operations: ops.len() as u64,
-            denials,
-            failures,
-            elapsed,
-            overall,
-            per_right,
-            outcomes,
-        })
-    }
-}
-
-struct ThreadResult {
-    overall: LatencyHistogram,
-    per_right: BTreeMap<&'static str, LatencyHistogram>,
-    denials: u64,
-    failures: u64,
-    outcomes: Option<Vec<(usize, Outcome)>>,
-}
-
-impl ThreadResult {
-    fn new(capture: bool) -> Self {
-        ThreadResult {
-            overall: LatencyHistogram::new(),
-            per_right: BTreeMap::new(),
-            denials: 0,
-            failures: 0,
-            outcomes: capture.then(Vec::new),
-        }
-    }
+/// Apply `ops` in order over one connection from `factory` and return
+/// each op's [`Outcome`], index for index.
+///
+/// # Errors
+///
+/// Propagates the factory's connection failure.
+pub fn drive(ops: &[GdprOp], factory: &dyn ClientFactory) -> Result<Vec<Outcome>, String> {
+    let mut client = factory.connect()?;
+    Ok(ops.iter().map(|op| client.apply(op)).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::{GdprBenchClient, InProcessFactory};
-    use crate::spec::Role;
-    use gdpr_core::acl::Grant;
-    use gdpr_core::policy::CompliancePolicy;
-    use gdpr_core::store::GdprStore;
-    use kvstore::config::StoreConfig;
-    use std::sync::Arc;
-
-    fn store() -> Arc<GdprStore> {
-        let store = GdprStore::open(
-            CompliancePolicy::eventual(),
-            StoreConfig::in_memory().aof_in_memory().shards(2),
-            Box::new(audit::sink::NullSink::new()),
-        )
-        .expect("store opens");
-        for (actor, purpose) in BenchSpec::grants() {
-            store.grant(Grant::new(actor, purpose));
-        }
-        Arc::new(store)
-    }
-
-    #[test]
-    fn load_then_run_produces_per_right_histograms() {
-        let store = store();
-        let spec = BenchSpec::new(Role::Regulator, 8, 3, 200).seed(9);
-        let runner = Runner::new(2);
-        let load = runner
-            .run_load(&spec, &InProcessFactory::for_load(Arc::clone(&store)))
-            .expect("load runs");
-        assert_eq!(load.operations, spec.record_count());
-        assert_eq!(load.denials, 0, "loader must never be denied");
-        assert_eq!(load.failures, 0);
-        let run = runner
-            .run_transactions(&spec, &InProcessFactory::for_role(store, Role::Regulator))
-            .expect("txns run");
-        assert_eq!(run.operations, 200);
-        assert_eq!(run.overall.count(), 200);
-        assert!(run.per_right.contains_key("keysof"));
-        assert!(run.per_right.contains_key("stats"));
-        let per_right_total: u64 = run.per_right.values().map(LatencyHistogram::count).sum();
-        assert_eq!(per_right_total, 200);
-        assert!(run.throughput() > 0.0);
-    }
-
-    #[test]
-    fn captured_outcomes_are_thread_count_invariant() {
-        // A read-only role: with no state mutation in the mix, the outcome
-        // stream is a pure function of the op stream, so any thread count
-        // must reassemble the identical vector.
-        let spec = BenchSpec::new(Role::Processor, 6, 2, 150).seed(3);
-        let mut streams = Vec::new();
-        for threads in [1usize, 3] {
-            let store = store();
-            let runner = Runner::new(threads).capture_outcomes(true);
-            runner
-                .run_load(&spec, &InProcessFactory::for_load(Arc::clone(&store)))
-                .expect("load runs");
-            let run = runner
-                .run_transactions(&spec, &InProcessFactory::for_role(store, Role::Processor))
-                .expect("txns run");
-            streams.push(run.outcomes.expect("captured"));
-        }
-        assert_eq!(
-            streams[0], streams[1],
-            "outcome stream must not depend on thread count"
-        );
-    }
+    use crate::client::GdprBenchClient;
+    use crate::ops::load_ops;
+    use crate::spec::{BenchSpec, Role};
 
     #[test]
     fn factory_connect_failure_propagates() {
         struct Refuses;
-        impl crate::client::ClientFactory for Refuses {
+        impl ClientFactory for Refuses {
             fn connect(&self) -> Result<Box<dyn GdprBenchClient + Send>, String> {
                 Err("nope".into())
             }
         }
         let spec = BenchSpec::new(Role::Processor, 2, 2, 10);
-        let err = Runner::new(1).run_load(&spec, &Refuses).unwrap_err();
+        let err = drive(&load_ops(&spec), &Refuses).unwrap_err();
         assert!(err.contains("nope"));
     }
 }

@@ -1,48 +1,20 @@
 //! Blocking client side of the TCP data path.
 //!
 //! [`TcpRemoteClient`] is the real-socket sibling of
-//! `netsim::client::RemoteClient`: one connection, RESPframing both ways,
-//! explicit pipelining. [`TcpRemoteAdapter`] lifts it to
-//! [`SharedKvInterface`] over a pool of connections, so
-//! [`ycsb::concurrent::ConcurrentDriver`] can drive a live server from
-//! many client threads — the deployment shape the paper's YCSB + Redis
-//! (+ Stunnel) measurements used.
+//! `netsim::client::RemoteClient`: one connection, RESP framing both ways,
+//! explicit pipelining, and typed wrappers for the plain Redis commands
+//! and the `GDPR.*` surface.
 
-use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use kvstore::object::Value;
-use kvstore::serialize::{decode_value, encode_value, Reader};
-use parking_lot::Mutex;
 use resp::command::GdprRequest;
 use resp::decode::Decoder;
 use resp::encode::encode_into;
 use resp::Frame;
-use ycsb::concurrent::SharedKvInterface;
-use ycsb::WorkloadError;
 
 use crate::{Result, ServerError};
-
-/// Serialize a YCSB field map into the single opaque blob that travels as
-/// a `SET` value (shared with the simulated path via `bench::adapters`).
-#[must_use]
-pub fn encode_fields(fields: &BTreeMap<String, Vec<u8>>) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_value(&mut out, &Value::Hash(fields.clone()));
-    out
-}
-
-/// Decode a blob produced by [`encode_fields`].
-#[must_use]
-pub fn decode_fields(bytes: &[u8]) -> Option<BTreeMap<String, Vec<u8>>> {
-    let mut reader = Reader::new(bytes);
-    match decode_value(&mut reader, "ycsb record").ok()? {
-        Value::Hash(map) => Some(map),
-        _ => None,
-    }
-}
 
 /// A blocking RESP2 client over one TCP connection.
 #[derive(Debug)]
@@ -386,214 +358,5 @@ impl TcpRemoteClient {
             }
             cursor = next;
         }
-    }
-}
-
-/// How a [`TcpRemoteAdapter`] authenticates the connections it opens.
-#[derive(Debug, Clone)]
-pub struct AdapterAuth {
-    /// Actor presented in `GDPR.AUTH`.
-    pub actor: String,
-    /// Purpose presented in `GDPR.AUTH`.
-    pub purpose: String,
-}
-
-/// [`SharedKvInterface`] over a pool of real TCP connections.
-///
-/// Each driver thread borrows a pooled connection per operation (creating
-/// one on first use), so M client threads fan out over up to M sockets —
-/// the same shape as M YCSB client threads against a live Redis.
-#[derive(Debug)]
-pub struct TcpRemoteAdapter {
-    addr: SocketAddr,
-    auth: Option<AdapterAuth>,
-    connect_timeout: Duration,
-    pool: Mutex<Vec<TcpRemoteClient>>,
-}
-
-impl TcpRemoteAdapter {
-    /// Create an adapter for a plain (raw-engine) server.
-    ///
-    /// # Errors
-    ///
-    /// Returns address-resolution errors.
-    pub fn connect(addr: impl ToSocketAddrs) -> Result<Self> {
-        let addr = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| ServerError::Server("address resolves to nothing".to_string()))?;
-        Ok(TcpRemoteAdapter {
-            addr,
-            auth: None,
-            connect_timeout: Duration::from_secs(5),
-            pool: Mutex::new(Vec::new()),
-        })
-    }
-
-    /// Builder-style: authenticate every pooled connection with
-    /// `GDPR.AUTH actor purpose` (required against a compliance server).
-    #[must_use]
-    pub fn with_auth(mut self, actor: &str, purpose: &str) -> Self {
-        self.auth = Some(AdapterAuth {
-            actor: actor.to_string(),
-            purpose: purpose.to_string(),
-        });
-        self
-    }
-
-    /// The server address the adapter drives.
-    #[must_use]
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Number of idle pooled connections.
-    #[must_use]
-    pub fn pooled_connections(&self) -> usize {
-        self.pool.lock().len()
-    }
-
-    fn checkout(&self) -> Result<TcpRemoteClient> {
-        if let Some(client) = self.pool.lock().pop() {
-            return Ok(client);
-        }
-        let mut client = TcpRemoteClient::connect_timeout(&self.addr, self.connect_timeout)?;
-        if let Some(auth) = &self.auth {
-            client.auth(&auth.actor, &auth.purpose)?;
-        }
-        Ok(client)
-    }
-
-    /// Run `f` on a pooled connection. The connection returns to the pool
-    /// on success and on clean RESP error replies (the stream stays in
-    /// sync — one reply per request); it is discarded only on transport
-    /// or protocol errors, where the stream offset is suspect.
-    fn with_conn<R>(&self, f: impl FnOnce(&mut TcpRemoteClient) -> Result<R>) -> Result<R> {
-        let mut client = self.checkout()?;
-        let result = f(&mut client);
-        if matches!(&result, Ok(_) | Err(ServerError::Server(_))) {
-            self.pool.lock().push(client);
-        }
-        result
-    }
-}
-
-fn to_workload_error(e: ServerError) -> WorkloadError {
-    WorkloadError::new(e)
-}
-
-impl SharedKvInterface for TcpRemoteAdapter {
-    fn insert(&self, key: &str, fields: &BTreeMap<String, Vec<u8>>) -> ycsb::Result<()> {
-        self.with_conn(|c| c.set(key, &encode_fields(fields)))
-            .map_err(to_workload_error)
-    }
-
-    fn read(&self, key: &str) -> ycsb::Result<Option<BTreeMap<String, Vec<u8>>>> {
-        let bytes = self.with_conn(|c| c.get(key)).map_err(to_workload_error)?;
-        Ok(bytes.as_deref().and_then(decode_fields))
-    }
-
-    fn update(&self, key: &str, fields: &BTreeMap<String, Vec<u8>>) -> ycsb::Result<()> {
-        // The single-blob encoding forces the same read-merge-write the
-        // simulated remote adapter performs.
-        self.with_conn(|c| {
-            let mut merged = c
-                .get(key)?
-                .as_deref()
-                .and_then(decode_fields)
-                .unwrap_or_default();
-            for (f, v) in fields {
-                merged.insert(f.clone(), v.clone());
-            }
-            c.set(key, &encode_fields(&merged))
-        })
-        .map_err(to_workload_error)
-    }
-
-    fn scan(&self, start_key: &str, count: usize) -> ycsb::Result<Vec<String>> {
-        self.with_conn(|c| c.scan(start_key, count))
-            .map_err(to_workload_error)
-    }
-
-    fn tick(&self) -> ycsb::Result<()> {
-        self.with_conn(|c| c.tick().map(|_| ()))
-            .map_err(to_workload_error)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::dispatch::Dispatcher;
-    use crate::tcp::{ServerConfig, TcpServer};
-    use gdpr_core::acl::Grant;
-    use gdpr_core::policy::CompliancePolicy;
-    use gdpr_core::store::GdprStore;
-    use kvstore::config::StoreConfig;
-    use kvstore::store::KvStore;
-    use std::sync::Arc;
-
-    fn fields() -> BTreeMap<String, Vec<u8>> {
-        let mut f = BTreeMap::new();
-        f.insert("field0".to_string(), b"v0".to_vec());
-        f.insert("field1".to_string(), b"v1".to_vec());
-        f
-    }
-
-    #[test]
-    fn field_blob_roundtrip() {
-        let f = fields();
-        assert_eq!(decode_fields(&encode_fields(&f)).unwrap(), f);
-        assert!(decode_fields(b"garbage").is_none());
-    }
-
-    #[test]
-    fn adapter_drives_a_raw_engine_server() {
-        let server = TcpServer::bind(
-            Dispatcher::kv(KvStore::open(StoreConfig::in_memory()).unwrap()),
-            "127.0.0.1:0",
-            ServerConfig::default(),
-        )
-        .unwrap();
-        let adapter = TcpRemoteAdapter::connect(server.local_addr()).unwrap();
-        adapter.insert("user1", &fields()).unwrap();
-        assert_eq!(adapter.read("user1").unwrap().unwrap().len(), 2);
-        let mut update = BTreeMap::new();
-        update.insert("field0".to_string(), b"new".to_vec());
-        adapter.update("user1", &update).unwrap();
-        assert_eq!(
-            adapter.read("user1").unwrap().unwrap()["field0"],
-            b"new".to_vec()
-        );
-        assert_eq!(adapter.scan("user", 10).unwrap(), vec!["user1"]);
-        adapter.tick().unwrap();
-        assert!(adapter.pooled_connections() >= 1);
-        server.shutdown();
-    }
-
-    #[test]
-    fn adapter_authenticates_against_a_compliance_server() {
-        let store = Arc::new(GdprStore::open_in_memory(CompliancePolicy::eventual()).unwrap());
-        store.grant(Grant::new("ycsb", "benchmarking"));
-        let server = TcpServer::bind(
-            Dispatcher::gdpr(Arc::clone(&store)),
-            "127.0.0.1:0",
-            ServerConfig::default(),
-        )
-        .unwrap();
-        let adapter = TcpRemoteAdapter::connect(server.local_addr())
-            .unwrap()
-            .with_auth("ycsb", "benchmarking");
-        adapter.insert("user1", &fields()).unwrap();
-        assert_eq!(adapter.read("user1").unwrap().unwrap().len(), 2);
-        // Compliance really ran: the key is indexed under its subject.
-        assert_eq!(store.keys_of_subject("user1").unwrap(), vec!["user1"]);
-        // Without auth, operations are refused — and the clean RESP error
-        // keeps the (still in-sync) connection in the pool rather than
-        // forcing a reconnect per denial.
-        let unauthenticated = TcpRemoteAdapter::connect(server.local_addr()).unwrap();
-        assert!(unauthenticated.insert("user2", &fields()).is_err());
-        assert_eq!(unauthenticated.pooled_connections(), 1);
-        server.shutdown();
     }
 }

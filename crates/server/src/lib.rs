@@ -23,11 +23,8 @@
 //!   answering it.
 //! * [`stats`] — the one stats table `INFO`, `GDPR.STATS` and `/metrics`
 //!   render: every exported counter named once.
-//! * [`client`] — a blocking [`client::TcpRemoteClient`] plus
-//!   [`client::TcpRemoteAdapter`], which implements
-//!   [`ycsb::concurrent::SharedKvInterface`] over a pool of real sockets
-//!   so [`ycsb::concurrent::ConcurrentDriver`] can drive the server with
-//!   many client threads.
+//! * [`client`] — [`client::TcpRemoteClient`], a blocking client over one
+//!   connection with explicit pipelining and the `GDPR.*` calls.
 //!
 //! The `gdpr-server` binary ties it together: `cargo run -p gdpr-server --
 //! addr=127.0.0.1:6379 shards=4 compliance=1`.

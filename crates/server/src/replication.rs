@@ -24,8 +24,8 @@
 //!   postings* on the replica within the propagation window;
 //! * replicas serve reads and reject writes with a redirect error; their
 //!   lag (primary watermark minus applied sequence) is on the wire via
-//!   `INFO` and `GDPR.STATS`, and `bench repl_lag` measures the
-//!   propagation window end to end.
+//!   `INFO` and `GDPR.STATS`, and `tests/replication.rs` checks erasure
+//!   propagation end to end.
 //!
 //! A primary that cannot serve a replica's cursor any more — the bounded
 //! in-memory backlog was overrun, or a journal rewrite renumbered the

@@ -10,19 +10,18 @@
 //! * the **core workload** model — record/operation counts, field
 //!   count/length, operation mix, scan lengths — and the standard workload
 //!   presets A–F in [`workload`];
-//! * a **driver** that runs a load phase and a transaction phase against
-//!   anything implementing [`client::KvInterface`], collecting throughput
-//!   and latency percentiles in [`stats`].
+//! * a single-threaded **driver** that runs a load phase and a transaction
+//!   phase against anything implementing [`client::KvInterface`],
+//!   collecting throughput and latency percentiles in [`stats`].
 //!
-//! The crate is deliberately storage-agnostic: adapters for the embedded
-//! engine, the GDPR layer and the simulated network client live next to the
-//! benchmark harness, not here.
+//! The crate is deliberately storage-agnostic: the adapters for the GDPR
+//! layer and the simulated network client live next to the paper
+//! reproductions in the `bench` crate, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod concurrent;
 pub mod generator;
 pub mod stats;
 pub mod workload;

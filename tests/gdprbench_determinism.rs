@@ -16,7 +16,7 @@ use gdpr_storage::gdpr_core::policy::CompliancePolicy;
 use gdpr_storage::gdpr_core::store::GdprStore;
 use gdpr_storage::gdpr_server::dispatch::Dispatcher;
 use gdpr_storage::gdprbench::ops::{load_ops, transaction_ops};
-use gdpr_storage::gdprbench::{BenchSpec, InProcessFactory, Role, Runner};
+use gdpr_storage::gdprbench::{drive, BenchSpec, InProcessFactory, Role};
 use gdpr_storage::kvstore::clock::SimClock;
 use gdpr_storage::kvstore::config::StoreConfig;
 use proptest::prelude::*;
@@ -89,22 +89,18 @@ fn run_on_shards(
     String,
 ) {
     let store = open_store(shards);
-    let runner = Runner::new(1).capture_outcomes(true);
-    let load = runner
-        .run_load(spec, &InProcessFactory::for_load(Arc::clone(&store)))
-        .expect("load runs");
-    let txn = runner
-        .run_transactions(
-            spec,
-            &InProcessFactory::for_role(Arc::clone(&store), spec.role),
-        )
-        .expect("txns run");
-    let digest = Dispatcher::gdpr(store).state_digest_hex();
-    (
-        load.outcomes.expect("captured"),
-        txn.outcomes.expect("captured"),
-        digest,
+    let load = drive(
+        &load_ops(spec),
+        &InProcessFactory::for_load(Arc::clone(&store)),
     )
+    .expect("load runs");
+    let txn = drive(
+        &transaction_ops(spec),
+        &InProcessFactory::for_role(Arc::clone(&store), spec.role),
+    )
+    .expect("txns run");
+    let digest = Dispatcher::gdpr(store).state_digest_hex();
+    (load, txn, digest)
 }
 
 #[test]

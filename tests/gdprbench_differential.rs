@@ -28,8 +28,9 @@ use gdpr_storage::gdpr_core::store::GdprStore;
 use gdpr_storage::gdpr_server::client::TcpRemoteClient;
 use gdpr_storage::gdpr_server::dispatch::Dispatcher;
 use gdpr_storage::gdpr_server::tcp::{ServerConfig, TcpServer, Transport};
+use gdpr_storage::gdprbench::ops::{load_ops, transaction_ops};
 use gdpr_storage::gdprbench::{
-    BenchSpec, ClientFactory, InProcessFactory, NetsimFactory, Outcome, Role, Runner, TcpFactory,
+    drive, BenchSpec, ClientFactory, InProcessFactory, NetsimFactory, Outcome, Role, TcpFactory,
 };
 use gdpr_storage::kvstore::clock::SimClock;
 use gdpr_storage::kvstore::config::StoreConfig;
@@ -80,21 +81,14 @@ fn drive_leg(
     role_factory: impl Fn(Role) -> Box<dyn ClientFactory>,
     digest_fn: impl FnOnce() -> String,
 ) -> LegResult {
-    let runner = Runner::new(1).capture_outcomes(true);
     let all = specs();
-    let load = runner
-        .run_load(&all[0], load_factory)
-        .expect("load runs")
-        .outcomes
-        .expect("captured");
-    let mut phases = Vec::new();
-    for spec in &all {
-        let factory = role_factory(spec.role);
-        let run = runner
-            .run_transactions(spec, factory.as_ref())
-            .expect("txns run");
-        phases.push(run.outcomes.expect("captured"));
-    }
+    let load = drive(&load_ops(&all[0]), load_factory).expect("load runs");
+    let phases = all
+        .iter()
+        .map(|spec| {
+            drive(&transaction_ops(spec), role_factory(spec.role).as_ref()).expect("txns run")
+        })
+        .collect();
     LegResult {
         load,
         phases,

@@ -10,30 +10,11 @@ use std::collections::BTreeMap;
 use gdpr_core::acl::Grant;
 use gdpr_core::metadata::PersonalMetadata;
 use gdpr_core::store::{AccessContext, GdprStore};
-use kvstore::object::Value;
-use kvstore::serialize::{decode_value, encode_value, Reader};
 use netsim::client::RemoteClient;
 use ycsb::client::KvInterface;
 use ycsb::{Result, WorkloadError};
 
-/// Serialize a YCSB field map into the single opaque blob that travels as
-/// a `SET` value.
-#[must_use]
-pub fn encode_fields(fields: &BTreeMap<String, Vec<u8>>) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_value(&mut out, &Value::Hash(fields.clone()));
-    out
-}
-
-/// Decode a blob produced by [`encode_fields`].
-#[must_use]
-pub fn decode_fields(bytes: &[u8]) -> Option<BTreeMap<String, Vec<u8>>> {
-    let mut reader = Reader::new(bytes);
-    match decode_value(&mut reader, "ycsb record").ok()? {
-        Value::Hash(map) => Some(map),
-        _ => None,
-    }
-}
+pub use netsim::client::{decode_fields, encode_fields};
 
 // ---------------------------------------------------------------------------
 

@@ -12,7 +12,14 @@
 //!
 //! Everything happens in-process, so the CPU costs (encoding, encryption)
 //! are real while the wire is modelled.
+//!
+//! A YCSB record travels as one opaque `SET` value: [`encode_fields`]
+//! packs its field map into that blob and [`decode_fields`] unpacks it.
 
+use std::collections::BTreeMap;
+
+use kvstore::object::Value;
+use kvstore::serialize::{decode_value, encode_value, Reader};
 use resp::decode::decode_one;
 use resp::encode::encode_frame;
 use resp::Frame;
@@ -21,6 +28,25 @@ use crate::link::{Link, LinkConfig, LinkStats};
 use crate::secure::{SecureChannel, SecureEndpoint};
 use crate::server::RespKvServer;
 use crate::{NetError, Result};
+
+/// Serialize a YCSB field map into the single opaque blob that travels as
+/// a `SET` value.
+#[must_use]
+pub fn encode_fields(fields: &BTreeMap<String, Vec<u8>>) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_value(&mut out, &Value::Hash(fields.clone()));
+    out
+}
+
+/// Decode a blob produced by [`encode_fields`].
+#[must_use]
+pub fn decode_fields(bytes: &[u8]) -> Option<BTreeMap<String, Vec<u8>>> {
+    let mut reader = Reader::new(bytes);
+    match decode_value(&mut reader, "ycsb record").ok()? {
+        Value::Hash(map) => Some(map),
+        _ => None,
+    }
+}
 
 /// A client connected to a [`RespKvServer`] through the simulated network.
 #[derive(Debug)]
@@ -200,6 +226,15 @@ mod tests {
 
     fn server() -> RespKvServer {
         RespKvServer::new(KvStore::open(StoreConfig::in_memory()).unwrap())
+    }
+
+    #[test]
+    fn field_blob_roundtrip() {
+        let mut f = BTreeMap::new();
+        f.insert("field0".to_string(), b"v0".to_vec());
+        f.insert("field1".to_string(), b"v1".to_vec());
+        assert_eq!(decode_fields(&encode_fields(&f)).unwrap(), f);
+        assert!(decode_fields(b"garbage").is_none());
     }
 
     #[test]

@@ -2,13 +2,9 @@
 //!
 //! [`AuditLog`] assigns sequence numbers, maintains the optional hash
 //! chain, renders each line in place into one buffer and flushes that to an
-//! [`AuditSink`] according to a [`FlushPolicy`]. For deployments that want
-//! the logging cost off the request path entirely (at the price of a wider
-//! evidence-loss window), [`AsyncAuditLog`] moves the sink behind a
-//! channel and a background writer thread.
-
-use std::sync::mpsc::{sync_channel, SyncSender};
-use std::thread::JoinHandle;
+//! [`AuditSink`] according to a [`FlushPolicy`]. Callers that want the
+//! sink's cost off their critical section batch through per-shard buffers
+//! in front of it (the compliance pipeline does).
 
 use crate::chain::{ChainState, ChainedRecord};
 use crate::policy::FlushPolicy;
@@ -93,11 +89,6 @@ impl AuditLog {
     #[must_use]
     pub fn policy(&self) -> FlushPolicy {
         self.policy
-    }
-
-    /// Change the flush policy at runtime.
-    pub fn set_policy(&mut self, policy: FlushPolicy) {
-        self.policy = policy;
     }
 
     /// Activity counters (includes the records currently at risk).
@@ -221,102 +212,6 @@ pub fn parse_chained_line(line: &str) -> Option<ChainedRecord> {
             record,
             digest: String::new(),
         }),
-    }
-}
-
-// ---------------------------------------------------------------------------
-
-enum WriterMessage {
-    Line(String),
-    Flush,
-    Shutdown,
-}
-
-/// An audit log whose sink runs on a background thread.
-///
-/// Records are handed over through a bounded channel, so a slow disk
-/// back-pressures the caller instead of growing memory without bound. The
-/// loss window is "whatever is still in the channel plus the writer's
-/// buffer", which is why this variant only qualifies as *eventual*
-/// compliance.
-#[derive(Debug)]
-pub struct AsyncAuditLog {
-    sender: SyncSender<WriterMessage>,
-    handle: Option<JoinHandle<()>>,
-    next_sequence: u64,
-    chain: Option<ChainState>,
-}
-
-impl std::fmt::Debug for WriterMessage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WriterMessage::Line(_) => f.write_str("Line"),
-            WriterMessage::Flush => f.write_str("Flush"),
-            WriterMessage::Shutdown => f.write_str("Shutdown"),
-        }
-    }
-}
-
-impl AsyncAuditLog {
-    /// Spawn the background writer over `sink`. `queue_depth` bounds the
-    /// number of in-flight records.
-    pub fn spawn(mut sink: Box<dyn AuditSink>, queue_depth: usize) -> Self {
-        let (sender, receiver) = sync_channel::<WriterMessage>(queue_depth.max(1));
-        let handle = std::thread::spawn(move || {
-            while let Ok(message) = receiver.recv() {
-                match message {
-                    WriterMessage::Line(line) => {
-                        let _ = sink.write_line(&line);
-                    }
-                    WriterMessage::Flush => {
-                        let _ = sink.sync();
-                    }
-                    WriterMessage::Shutdown => {
-                        let _ = sink.sync();
-                        break;
-                    }
-                }
-            }
-        });
-        AsyncAuditLog {
-            sender,
-            handle: Some(handle),
-            next_sequence: 0,
-            chain: Some(ChainState::new()),
-        }
-    }
-
-    /// Record one interaction; returns the assigned sequence number.
-    pub fn record(&mut self, mut record: AuditRecord) -> u64 {
-        record.sequence = self.next_sequence;
-        self.next_sequence += 1;
-        let mut line = String::new();
-        render_line(&record, self.chain.as_mut(), &mut line);
-        // A full queue blocks, which is the intended back-pressure.
-        let _ = self.sender.send(WriterMessage::Line(line));
-        record.sequence
-    }
-
-    /// Ask the writer to sync its sink.
-    pub fn request_flush(&self) {
-        let _ = self.sender.send(WriterMessage::Flush);
-    }
-
-    /// Shut the writer down, waiting for all queued records to be written.
-    pub fn shutdown(mut self) {
-        let _ = self.sender.send(WriterMessage::Shutdown);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for AsyncAuditLog {
-    fn drop(&mut self) {
-        let _ = self.sender.send(WriterMessage::Shutdown);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
     }
 }
 
@@ -477,10 +372,6 @@ mod tests {
             .unwrap();
         log.flush().unwrap();
         assert_eq!(view.lines(), GOLDEN_TRAIL);
-        let mut async_log = AsyncAuditLog::spawn(Box::new(MemorySink::new()), 4);
-        async_log.record(rec(1_700_000_000_000));
-        let (_, digest) = GOLDEN_TRAIL[0].rsplit_once('#').unwrap();
-        assert_eq!(async_log.chain.as_ref().unwrap().tip(), digest);
     }
 
     const GOLDEN_TRAIL: [&str; 3] = [
@@ -532,42 +423,5 @@ mod tests {
         let parsed = parse_chained_line(&line).unwrap();
         assert!(parsed.digest.is_empty());
         assert_eq!(parsed.record.timestamp_ms, 7);
-    }
-
-    #[test]
-    fn policy_can_be_changed_at_runtime() {
-        let sink = MemorySink::new();
-        let view = sink.share();
-        let mut log = AuditLog::new(Box::new(sink), FlushPolicy::Manual);
-        log.record(rec(1)).unwrap();
-        assert_eq!(view.lines().len(), 0);
-        log.set_policy(FlushPolicy::Synchronous);
-        assert!(log.policy().is_real_time());
-        log.record(rec(2)).unwrap();
-        assert_eq!(
-            view.lines().len(),
-            2,
-            "flush drains earlier buffered records too"
-        );
-    }
-
-    #[test]
-    fn async_log_writes_everything_by_shutdown() {
-        let sink = MemorySink::new();
-        let view = sink.share();
-        let mut log = AsyncAuditLog::spawn(Box::new(sink), 64);
-        for ts in 0..100 {
-            log.record(rec(ts));
-        }
-        log.request_flush();
-        log.shutdown();
-        assert_eq!(view.lines().len(), 100);
-        // Chain verifies across the async path too.
-        let chained: Vec<_> = view
-            .lines()
-            .iter()
-            .map(|l| parse_chained_line(l).unwrap())
-            .collect();
-        assert!(crate::chain::verify_chain(&chained).is_ok());
     }
 }

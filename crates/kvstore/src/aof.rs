@@ -151,11 +151,6 @@ impl AofLog {
         self.policy
     }
 
-    /// Change the fsync policy at runtime (Redis `CONFIG SET appendfsync`).
-    pub fn set_policy(&mut self, policy: FsyncPolicy) {
-        self.policy = policy;
-    }
-
     /// Activity counters (with the live unsynced-records gauge filled in).
     #[must_use]
     pub fn stats(&self) -> AofStats {
@@ -418,17 +413,6 @@ mod tests {
         assert_eq!(log.load().unwrap(), survivors);
         assert_eq!(log.stats().rewrites, 1);
         assert_eq!(log.stats().records_compacted_away, 7);
-    }
-
-    #[test]
-    fn policy_can_change_at_runtime() {
-        let mut log = mem_log(FsyncPolicy::Never, SimClock::new(0));
-        log.append(b"a").unwrap();
-        assert_eq!(log.stats().fsyncs, 0);
-        log.set_policy(FsyncPolicy::Always);
-        assert_eq!(log.policy(), FsyncPolicy::Always);
-        log.append(b"b").unwrap();
-        assert_eq!(log.stats().fsyncs, 1);
     }
 
     #[test]

@@ -106,14 +106,6 @@ pub struct StoreConfig {
     /// Trigger an automatic AOF rewrite once the log holds at least this
     /// many records more than after the previous rewrite (0 disables).
     pub aof_rewrite_threshold_records: u64,
-    /// Under `fsync=always`, coalesce concurrent appends to the same AOF
-    /// segment into one group-commit fsync that all blocked writers
-    /// observe. Disabling reverts to one fsync per record (the paper's
-    /// unbatched real-time compliance point).
-    pub aof_group_commit: bool,
-    /// Bounded wait (milliseconds) a group-commit follower sleeps before
-    /// re-checking whether it must take over as leader.
-    pub aof_group_commit_wait_ms: u64,
     /// Maximum journal records retained in the in-memory replication
     /// backlog that connected replicas tail (0 disables tailing; a replica
     /// that falls further behind than this is forced into a full resync).
@@ -151,8 +143,6 @@ impl Default for StoreConfig {
             active_expire: ActiveExpireConfig::default(),
             deadline_index: DeadlineIndexKind::default(),
             aof_rewrite_threshold_records: 0,
-            aof_group_commit: true,
-            aof_group_commit_wait_ms: 2,
             repl_backlog_records: 65_536,
             clock: Arc::new(SystemClock),
             rng_seed: None,
@@ -248,21 +238,6 @@ impl StoreConfig {
         self
     }
 
-    /// Builder-style: enable or disable group-commit batching of `always`
-    /// fsyncs.
-    #[must_use]
-    pub fn group_commit(mut self, enabled: bool) -> Self {
-        self.aof_group_commit = enabled;
-        self
-    }
-
-    /// Builder-style: the bounded group-commit follower wait.
-    #[must_use]
-    pub fn group_commit_wait_ms(mut self, millis: u64) -> Self {
-        self.aof_group_commit_wait_ms = millis;
-        self
-    }
-
     /// Builder-style: cap the in-memory replication backlog (records).
     #[must_use]
     pub fn repl_backlog(mut self, records: u64) -> Self {
@@ -343,18 +318,6 @@ mod tests {
         assert_eq!(c.rng_seed, Some(7));
         assert_eq!(c.aof_rewrite_threshold_records, 1_000);
         assert_eq!(c.clock.now_millis(), 5);
-    }
-
-    #[test]
-    fn group_commit_builders() {
-        let c = StoreConfig::default();
-        assert!(c.aof_group_commit, "group commit is on by default");
-        assert_eq!(c.aof_group_commit_wait_ms, 2);
-        let c = StoreConfig::in_memory()
-            .group_commit(false)
-            .group_commit_wait_ms(7);
-        assert!(!c.aof_group_commit);
-        assert_eq!(c.aof_group_commit_wait_ms, 7);
     }
 
     #[test]

@@ -840,11 +840,6 @@ impl Db {
     pub fn iter(&self) -> impl Iterator<Item = (&String, &Object)> {
         self.dict.iter()
     }
-
-    /// Remove `key` as an explicit delete would, handing back its entry.
-    pub(crate) fn take(&mut self, key: &str) -> Option<Object> {
-        self.remove_key(key, RemovalCause::Explicit)
-    }
 }
 
 /// Minimal glob matcher supporting `*` (any run) and `?` (any single char),

@@ -51,7 +51,6 @@ pub mod config;
 pub mod db;
 pub mod device;
 pub mod expire;
-pub mod legacy;
 pub mod object;
 pub mod serialize;
 pub mod shard;

@@ -20,7 +20,8 @@
 //! * **group commit** for [`FsyncPolicy::Always`]: a per-segment committer
 //!   coalesces concurrent appends into one fsync that all blocked writers
 //!   observe (condvar ticket scheme with a bounded wait), so real-time
-//!   durability costs one fsync per *batch* instead of per record;
+//!   durability costs one fsync per *batch* instead of per record (with one
+//!   writer, a batch is one record);
 //! * **one device append per call**: the records of one
 //!   [`ShardedAof::append_batch`] reach the segment's device together, as
 //!   one frame (encrypted, or checksummed) — a crash keeps all of them
@@ -38,13 +39,14 @@
 //! The manifest is replaced via write-to-temp + rename, so a crash during
 //! a rewrite leaves the old epoch's manifest — and therefore the old,
 //! complete segment set — in effect (new-epoch files that were staged but
-//! never committed are deleted on the next open). A pre-manifest
-//! single-file AOF found at `<path>`, and a segment set whose manifest is
-//! older than [`MANIFEST_VERSION`] or laid out for another router, is read
-//! but not appended to ([`LoadedJournal::needs_rewrite`]): the engine
-//! replays its records through the current router and rewrites the set as
-//! the next epoch before anything is appended. Segment files are longer
-//! than their content while open (see [`crate::device`]).
+//! never committed are deleted on the next open). A file at `<path>` that
+//! is not a version-[`MANIFEST_VERSION`] manifest (bad magic, empty,
+//! truncated, an older version) is refused, and the open touches no file.
+//! A segment set laid out for another router is read but not appended to
+//! ([`LoadedJournal::needs_rewrite`]): the engine replays its records
+//! through the current router and rewrites the set as the next epoch
+//! before anything is appended. Segment files are longer than their
+//! content while open (see [`crate::device`]).
 
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -66,19 +68,23 @@ use crate::{Result, StoreError};
 
 /// File-format magic for the segment-set manifest.
 pub const MANIFEST_MAGIC: &[u8; 8] = b"GDPRAOFM";
-/// Manifest format version. Before version 3 a governed key was two
-/// entries, its value and a metadata shadow (see [`crate::legacy`]); since
-/// version 3 the governing bytes travel in the entry's own records. Before
-/// version 2 an unencrypted segment file held bare records; since then it
-/// holds checksummed frames (see [`crate::device`]).
+/// Manifest format version, the only one [`ShardedAof::open`] reads: a
+/// governed key's metadata travels in its entry's own records, and an
+/// unencrypted segment file holds checksummed frames (see
+/// [`crate::device`]).
 pub const MANIFEST_VERSION: u64 = 3;
+
+/// How long a group-commit follower sleeps before it re-checks whether it
+/// must take over as leader: a guard against a lost wakeup or a leader
+/// that died, not a batching window.
+const FOLLOWER_WAIT: Duration = Duration::from_millis(2);
 
 /// The segment-set manifest: which epoch's files are authoritative and how
 /// the writer's journal was laid out.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AofManifest {
-    /// The format version the segment set was laid out under; anything
-    /// older than [`MANIFEST_VERSION`] is re-sharded on open.
+    /// The format version the segment set was laid out under; always
+    /// [`MANIFEST_VERSION`] once decoded.
     pub version: u64,
     /// Monotonic epoch; bumped by every segment-set rewrite. Only files of
     /// this epoch are part of the journal.
@@ -110,15 +116,20 @@ impl AofManifest {
         if bytes.len() < MANIFEST_MAGIC.len() || &bytes[..MANIFEST_MAGIC.len()] != MANIFEST_MAGIC {
             return Err(StoreError::Corrupt {
                 context: CTX,
-                detail: "bad magic".to_string(),
+                detail: format!(
+                    "bad magic {:?}",
+                    String::from_utf8_lossy(&bytes[..bytes.len().min(MANIFEST_MAGIC.len())])
+                ),
             });
         }
         let mut reader = Reader::new(&bytes[MANIFEST_MAGIC.len()..]);
         let version = reader.get_u64(CTX)?;
-        if !(1..=MANIFEST_VERSION).contains(&version) {
+        if version != MANIFEST_VERSION {
             return Err(StoreError::Corrupt {
                 context: CTX,
-                detail: format!("unsupported manifest version {version}"),
+                detail: format!(
+                    "manifest version {version}; this build reads version {MANIFEST_VERSION} only"
+                ),
             });
         }
         let epoch = reader.get_u64(CTX)?;
@@ -189,13 +200,8 @@ impl SegmentBackend {
         }
     }
 
-    /// The device of segment `idx` of `epoch`, laid out the current way.
+    /// The device of segment `idx` of `epoch`.
     fn build_device(&self, epoch: u64, idx: usize) -> Result<Box<dyn StorageDevice>> {
-        self.open_device(epoch, idx, MANIFEST_VERSION)
-    }
-
-    /// The device of a segment laid out by a writer of manifest `version`.
-    fn open_device(&self, epoch: u64, idx: usize, version: u64) -> Result<Box<dyn StorageDevice>> {
         match self {
             SegmentBackend::Memory { passphrase } => Ok(match passphrase {
                 None => Box::new(MemoryDevice::new()),
@@ -204,11 +210,7 @@ impl SegmentBackend {
             SegmentBackend::File {
                 manifest,
                 passphrase,
-            } => open_journal_file(
-                &segment_path(manifest, epoch, idx),
-                passphrase.as_deref(),
-                version,
-            ),
+            } => open_journal_file(&segment_path(manifest, epoch, idx), passphrase.as_deref()),
         }
     }
 }
@@ -396,8 +398,8 @@ impl RecordBatch {
 
 /// A durability ticket: the segment positions a writer must observe synced
 /// before its command can be acknowledged. Only issued under
-/// `FsyncPolicy::Always` with group commit enabled; other policies settle
-/// durability inside the append itself.
+/// `FsyncPolicy::Always`; other policies settle durability inside the
+/// append itself.
 #[derive(Debug)]
 pub struct Ticket {
     waits: Vec<(usize, u64)>,
@@ -412,9 +414,6 @@ pub struct LoadedJournal {
     pub segments: Vec<Vec<(u64, Vec<u8>)>>,
     /// The shard-router seed the writer used.
     pub writer_seed: u64,
-    /// The manifest version the writer laid the records out under (0 for
-    /// a pre-manifest single-file AOF).
-    pub writer_version: u64,
 }
 
 impl LoadedJournal {
@@ -422,19 +421,15 @@ impl LoadedJournal {
         LoadedJournal {
             segments: (0..segments).map(|_| Vec::new()).collect(),
             writer_seed,
-            writer_version: MANIFEST_VERSION,
         }
     }
 
     /// Whether the records must be rewritten once replayed: they were laid
-    /// out for another shard count or router seed, or by a writer older
-    /// than [`MANIFEST_VERSION`]. Until the rewrite commits, the journal
-    /// has nowhere to append.
+    /// out for another shard count or router seed. Until the rewrite
+    /// commits, the journal has nowhere to append.
     #[must_use]
     pub fn needs_rewrite(&self, router: &ShardRouter) -> bool {
-        self.writer_version < MANIFEST_VERSION
-            || self.segments.len() != router.shard_count()
-            || self.writer_seed != router.seed()
+        self.segments.len() != router.shard_count() || self.writer_seed != router.seed()
     }
 }
 
@@ -445,8 +440,6 @@ pub struct ShardedAof {
     segments: Vec<Segment>,
     backend: SegmentBackend,
     policy: FsyncPolicy,
-    group_commit: bool,
-    group_wait: Duration,
     clock: SharedClock,
     shard_hash_seed: u64,
     /// Next global record sequence number.
@@ -471,8 +464,7 @@ impl ShardedAof {
     /// shard of `router`. Returns `None` when persistence is disabled;
     /// otherwise the journal plus every record recovered from it, still in
     /// the writer's segment layout (see [`LoadedJournal`]). When the
-    /// records [need a rewrite](LoadedJournal::needs_rewrite) — a
-    /// pre-manifest single-file AOF, an older manifest version, another
+    /// records [need a rewrite](LoadedJournal::needs_rewrite) — another
     /// shard layout — the caller must [`Self::rewrite`] before appending.
     ///
     /// Segments are loaded and decoded in parallel when there is more than
@@ -480,7 +472,10 @@ impl ShardedAof {
     ///
     /// # Errors
     ///
-    /// Returns configuration, I/O, decryption or corruption errors.
+    /// Returns configuration, I/O, decryption or corruption errors. A file
+    /// at the manifest path that is not a version-[`MANIFEST_VERSION`]
+    /// manifest is [`StoreError::Corrupt`], naming the path and the bad
+    /// magic or version; no file is deleted, renamed or written first.
     pub fn open(
         config: &StoreConfig,
         router: &ShardRouter,
@@ -513,21 +508,8 @@ impl ShardedAof {
                     let loaded = LoadedJournal {
                         segments,
                         writer_seed: man.shard_hash_seed,
-                        writer_version: man.version,
                     };
                     (man.epoch, loaded, logs)
-                }
-                None if manifest.exists() => {
-                    // A pre-manifest single-file AOF: one stream, numbered
-                    // in read order, laid out by "version 0". The rewrite
-                    // that relays it out replaces the file by a manifest.
-                    cleanup_stale_segments(manifest, None);
-                    let loaded = LoadedJournal {
-                        segments: vec![load_legacy_file(manifest, config)?],
-                        writer_seed: router.seed(),
-                        writer_version: 0,
-                    };
-                    (0, loaded, Vec::new())
                 }
                 None => {
                     // A fresh journal: an empty epoch-1 set, committed
@@ -548,10 +530,9 @@ impl ShardedAof {
                 }
             },
         };
-        // A set laid out for another router, or by an older writer, is read
-        // but never appended to: the opener replays it and rewrites it
-        // before any append, and the rewrite swaps these placeholders for
-        // the segments it commits.
+        // A set laid out for another router is read but never appended
+        // to: the opener replays it and rewrites it before any append, and
+        // the rewrite swaps these placeholders for the segments it commits.
         let logs = if loaded.needs_rewrite(router) {
             let placeholder = || {
                 let device: Box<dyn StorageDevice> = Box::new(MemoryDevice::new());
@@ -574,8 +555,6 @@ impl ShardedAof {
             segments: logs.into_iter().map(Segment::new).collect(),
             backend,
             policy: config.fsync,
-            group_commit: config.aof_group_commit,
-            group_wait: Duration::from_millis(config.aof_group_commit_wait_ms.max(1)),
             clock,
             shard_hash_seed: router.seed(),
             next_seq: AtomicU64::new(next_seq),
@@ -612,17 +591,11 @@ impl ShardedAof {
         self.policy
     }
 
-    /// Whether `always` appends go through the group committer.
-    #[must_use]
-    pub fn group_commit_enabled(&self) -> bool {
-        self.group_commit
-    }
-
     /// Append one record to `segment` (the owning shard's index). Must be
     /// called while holding that shard's lock so journal order matches
     /// apply order. Returns a durability ticket when the caller must
-    /// [`Self::commit`] after releasing the shard lock (only under `always`
-    /// with group commit); all other policies settle durability here.
+    /// [`Self::commit`] after releasing the shard lock (only under
+    /// `always`); all other policies settle durability here.
     ///
     /// # Errors
     ///
@@ -705,13 +678,7 @@ impl ShardedAof {
         let mut log = seg.log.lock();
         let pos = log.append_framed_unsynced(framed, records)?;
         match self.policy {
-            FsyncPolicy::Always if self.group_commit => Ok(Some(pos)),
-            FsyncPolicy::Always => {
-                log.fsync()?;
-                drop(log);
-                seg.mark_all_synced(pos);
-                Ok(None)
-            }
+            FsyncPolicy::Always => Ok(Some(pos)),
             FsyncPolicy::EverySec => {
                 log.maybe_fsync()?;
                 Ok(None)
@@ -860,7 +827,7 @@ impl ShardedAof {
                 // timeout we re-check and may take over as leader.
                 let (guard, _timeout) = seg
                     .commit_cond
-                    .wait_timeout(st, self.group_wait)
+                    .wait_timeout(st, FOLLOWER_WAIT)
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
                 st = guard;
                 continue;
@@ -1112,18 +1079,22 @@ fn unframe(record: &[u8]) -> Result<(u64, Vec<u8>)> {
     Ok((u64::from_le_bytes(seq), record[8..].to_vec()))
 }
 
-/// Read and parse the manifest, `Ok(None)` when the path holds no manifest
-/// (missing file, empty file, or a pre-manifest single-file AOF).
+/// Read and parse the manifest, `Ok(None)` when there is no file at
+/// `path`. Any file there that does not decode — bad magic, empty,
+/// truncated, another version — is an error naming `path`.
 fn read_manifest(path: &Path) -> Result<Option<AofManifest>> {
     let bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e.into()),
     };
-    if bytes.len() < MANIFEST_MAGIC.len() || &bytes[..MANIFEST_MAGIC.len()] != MANIFEST_MAGIC {
-        return Ok(None);
-    }
-    AofManifest::decode(&bytes).map(Some)
+    AofManifest::decode(&bytes).map(Some).map_err(|e| match e {
+        StoreError::Corrupt { context, detail } => StoreError::Corrupt {
+            context,
+            detail: format!("{}: {detail}", path.display()),
+        },
+        other => other,
+    })
 }
 
 /// Persist the manifest via write-to-temp + rename (the atomic switch the
@@ -1141,8 +1112,8 @@ fn write_manifest(path: &Path, manifest: &AofManifest) -> Result<()> {
 }
 
 /// Remove segment files that do not belong to `keep_epoch` (all of them
-/// when `None`) — leftovers of an interrupted segment-set swap or of a
-/// pre-manifest migration. Best-effort: cleanup failures are not fatal.
+/// when `None`) — leftovers of an interrupted segment-set swap or of an
+/// interrupted fresh start. Best-effort: cleanup failures are not fatal.
 fn cleanup_stale_segments(manifest: &Path, keep_epoch: Option<u64>) {
     let Some(parent) = manifest.parent() else {
         return;
@@ -1180,20 +1151,13 @@ fn cleanup_stale_segments(manifest: &Path, keep_epoch: Option<u64>) {
     }
 }
 
-/// Open a journal file the way a writer of manifest `version` laid it out:
-/// encrypted frames with a passphrase; without one, checksummed frames, or
-/// bare records before version 2 (and in a pre-manifest single-file AOF,
-/// `version` 0).
-fn open_journal_file(
-    path: &Path,
-    passphrase: Option<&[u8]>,
-    version: u64,
-) -> Result<Box<dyn StorageDevice>> {
+/// Open a journal file: encrypted frames with a passphrase, checksummed
+/// frames without.
+fn open_journal_file(path: &Path, passphrase: Option<&[u8]>) -> Result<Box<dyn StorageDevice>> {
     let file = PlainFileDevice::open(path)?;
     Ok(match passphrase {
         Some(pw) => Box::new(EncryptedFileDevice::new(file, pw)?),
-        None if version >= 2 => Box::new(ChecksummedDevice::new(file)?),
-        None => Box::new(file),
+        None => Box::new(ChecksummedDevice::new(file)?),
     })
 }
 
@@ -1209,7 +1173,7 @@ fn load_segments(
 ) -> Result<(Vec<Vec<(u64, Vec<u8>)>>, Vec<AofLog>)> {
     let count = manifest.record_counts.len();
     let load_one = |idx: usize| -> Result<(Vec<(u64, Vec<u8>)>, AofLog)> {
-        let device = backend.open_device(manifest.epoch, idx, manifest.version)?;
+        let device = backend.build_device(manifest.epoch, idx)?;
         let mut log = AofLog::new(device, policy, std::sync::Arc::clone(clock));
         let mut records = Vec::new();
         for raw in log.load()? {
@@ -1242,24 +1206,6 @@ fn load_segments(
     Ok((loaded, logs))
 }
 
-/// Load the pre-manifest single-file AOF at `path`, assigning sequence
-/// numbers in read order.
-fn load_legacy_file(path: &Path, config: &StoreConfig) -> Result<Vec<(u64, Vec<u8>)>> {
-    let passphrase = config.encryption.as_ref().map(|e| e.passphrase.as_slice());
-    let device = open_journal_file(path, passphrase, 0)?;
-    let mut log = AofLog::new(
-        device,
-        FsyncPolicy::Never,
-        std::sync::Arc::clone(&config.clock),
-    );
-    Ok(log
-        .load()?
-        .into_iter()
-        .enumerate()
-        .map(|(i, record)| (i as u64 + 1, record))
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1290,6 +1236,12 @@ mod tests {
         let decoded = AofManifest::decode(&man.encode()).unwrap();
         assert_eq!(decoded, man);
         assert!(AofManifest::decode(b"NOTMAGIC").is_err());
+        let older = AofManifest {
+            version: 2,
+            ..man.clone()
+        };
+        let err = AofManifest::decode(&older.encode()).unwrap_err();
+        assert!(err.to_string().contains("manifest version 2"), "{err}");
         let mut trailing = man.encode();
         trailing.push(9);
         assert!(AofManifest::decode(&trailing).is_err());
@@ -1375,25 +1327,6 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_disabled_fsyncs_inline() {
-        let clock = SimClock::new(0);
-        let config = StoreConfig::in_memory()
-            .aof_in_memory()
-            .fsync(FsyncPolicy::Always)
-            .group_commit(false)
-            .clock(clock);
-        let router = ShardRouter::new(1, config.shard_hash_seed);
-        let (aof, _) = ShardedAof::open(&config, &router).unwrap().unwrap();
-        for i in 0..5u8 {
-            assert!(aof.append(0, &[i]).unwrap().is_none());
-        }
-        let stats = aof.stats();
-        assert_eq!(stats.fsyncs, 5, "one fsync per record without batching");
-        assert_eq!(stats.group_commits, 0);
-        assert_eq!(stats.unsynced_records, 0);
-    }
-
-    #[test]
     fn everysec_serviced_by_maybe_fsync_all() {
         let clock = SimClock::new(0);
         let config = StoreConfig::in_memory()
@@ -1473,64 +1406,6 @@ mod tests {
             !segment_path(&path, 2, 0).exists(),
             "staged files of the torn swap are cleaned up"
         );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn legacy_single_file_is_migrated() {
-        let dir = test_dir("legacy");
-        let path = dir.join("j.aof");
-        // Write an old-layout journal: raw framed commands, no manifest,
-        // no sequence numbers.
-        {
-            let device = PlainFileDevice::open(&path).unwrap();
-            let mut log = AofLog::new(
-                Box::new(device),
-                FsyncPolicy::Never,
-                Arc::new(SimClock::new(0)),
-            );
-            for i in 0..8 {
-                log.append(
-                    &Command::Set {
-                        key: format!("k{i}"),
-                        value: vec![i as u8],
-                    }
-                    .encode(),
-                )
-                .unwrap();
-            }
-            log.append(&Command::FlushAll.encode()).unwrap();
-            log.append(
-                &Command::Set {
-                    key: "survivor".to_string(),
-                    value: b"v".to_vec(),
-                }
-                .encode(),
-            )
-            .unwrap();
-            log.fsync().unwrap();
-        }
-        let config = file_config(&path, 4, FsyncPolicy::Never);
-        let router = ShardRouter::new(4, config.shard_hash_seed);
-        let (aof, loaded) = ShardedAof::open(&config, &router).unwrap().unwrap();
-        // One stream in read order, for the engine to replay through its
-        // router; nothing is committed before the rewrite that follows.
-        assert_eq!(loaded.writer_version, 0);
-        assert!(loaded.needs_rewrite(&router));
-        let seqs: Vec<u64> = loaded.segments.iter().flatten().map(|r| r.0).collect();
-        assert_eq!(seqs, (1..=10).collect::<Vec<u64>>());
-        assert!(read_manifest(&path).unwrap().is_none());
-        // The rewrite replaces the legacy file by a manifest of epoch 1.
-        aof.rewrite(&[vec![b"survivor".to_vec()], vec![], vec![], vec![]])
-            .unwrap();
-        assert_eq!(aof.epoch(), 1);
-        let manifest = read_manifest(&path).unwrap().unwrap();
-        assert_eq!(manifest.version, MANIFEST_VERSION);
-        assert_eq!(manifest.record_counts, vec![1, 0, 0, 0]);
-        drop(aof);
-        let (_aof, reloaded) = ShardedAof::open(&config, &router).unwrap().unwrap();
-        assert!(!reloaded.needs_rewrite(&router));
-        assert_eq!(reloaded.segments[0], vec![(1u64, b"survivor".to_vec())]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

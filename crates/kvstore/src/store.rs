@@ -38,8 +38,8 @@
 //!    merged by global sequence number, then routed through the current
 //!    [`ShardRouter`] — so a journal written with M shards replays
 //!    correctly into N shards, the way snapshots already do — and a set
-//!    laid out any other way is rewritten (after a
-//!    [legacy fold](crate::legacy) when it predates governed entries).
+//!    laid out any other way is rewritten. A journal older than
+//!    [`MANIFEST_VERSION`](crate::sharded_aof::MANIFEST_VERSION) is refused.
 //!
 //! Lock order (deadlock freedom): shard locks are only ever taken in
 //! ascending index order, and a segment's log lock is only taken while
@@ -65,9 +65,7 @@ use crate::db::{Db, DbStats};
 use crate::expire::{run_expire_cycle, CycleOutcome};
 use crate::object::{Bytes, Value};
 use crate::shard::ShardRouter;
-use crate::sharded_aof::{
-    LoadedJournal, RecordBatch, ReplTail, ReplWatermark, ShardedAof, MANIFEST_VERSION,
-};
+use crate::sharded_aof::{LoadedJournal, RecordBatch, ReplTail, ReplWatermark, ShardedAof};
 use crate::snapshot;
 use crate::stats::EngineStats;
 use crate::ttl_wheel::DeadlineIndexStats;
@@ -170,14 +168,16 @@ impl KvStore {
     /// Open an engine with the given configuration, replaying any existing
     /// journal (segments loaded in parallel, records routed through the
     /// current router, shards rebuilt in parallel). A journal laid out for
-    /// another router or by an older writer is rewritten before this
-    /// returns; one from before governed entries is folded first (see
-    /// [`crate::legacy`]).
+    /// another router is rewritten before this returns.
     ///
     /// # Errors
     ///
     /// Returns configuration, I/O, decryption or corruption errors
-    /// encountered while opening or replaying persistence.
+    /// encountered while opening or replaying persistence. A manifest
+    /// that is damaged or older than
+    /// [`MANIFEST_VERSION`](crate::sharded_aof::MANIFEST_VERSION) is
+    /// refused before any journal file is touched (see
+    /// [`ShardedAof::open`]).
     pub fn open(config: StoreConfig) -> Result<Self> {
         let clock = Arc::clone(&config.clock);
         let router = ShardRouter::new(config.shards, config.shard_hash_seed);
@@ -198,13 +198,8 @@ impl KvStore {
         let aof = match ShardedAof::open(&config, &router)? {
             Some((aof, loaded)) => {
                 relayout = loaded.needs_rewrite(&router);
-                let legacy = loaded.writer_version < MANIFEST_VERSION;
                 let partitions = Self::partition_journal(loaded, &router)?;
                 Self::replay(partitions, &mut shards)?;
-                if legacy {
-                    let mut dbs: Vec<&mut Db> = shards.iter_mut().map(|s| &mut s.db).collect();
-                    crate::legacy::fold_shadows(&mut dbs, |key| router.shard_of(key));
-                }
                 Some(aof)
             }
             None => None,
@@ -238,10 +233,7 @@ impl KvStore {
     /// copies) and each record is re-routed through the current router.
     fn partition_journal(loaded: LoadedJournal, router: &ShardRouter) -> Result<Vec<Vec<Command>>> {
         let shard_count = router.shard_count();
-        let same_layout =
-            loaded.segments.len() == shard_count && loaded.writer_seed == router.seed();
-
-        if same_layout {
+        if !loaded.needs_rewrite(router) {
             let mut partitions = Vec::with_capacity(shard_count);
             for records in loaded.segments {
                 let mut commands = Vec::with_capacity(records.len());
@@ -392,8 +384,7 @@ impl KvStore {
                 // Keyspace-wide writes go to every segment under one
                 // shared sequence number, while all shards are locked;
                 // key-less reads (read-logging of KEYS/SCAN/DBSIZE)
-                // need only one copy, kept in segment 0 — the same
-                // convention the legacy-migration path uses.
+                // need only one copy, kept in segment 0.
                 if let Some(aof) = &self.inner.aof {
                     ticket = if is_write {
                         aof.append_broadcast(&command.encode())?

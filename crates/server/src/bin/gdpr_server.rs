@@ -7,7 +7,6 @@
 //! gdpr-server [addr=127.0.0.1:6379] [shards=1] [fsync=everysec]
 //!             [compliance=1] [transport=reactor|threads] [workers=0]
 //!             [maxconns=0|N] [readtimeout=secs] [aof=mem|none|<path>]
-//!             [groupcommit=1] [gcwait=2]
 //!             [replicaof=host:port] [backlog=records]
 //!             [grant=actor:purpose[,actor:purpose...]] [duration=secs]
 //!             [metrics=host:port] [slowlog=micros] [slowlogmax=N]
@@ -16,10 +15,9 @@
 //!
 //! * `compliance` — 0 = raw engine (plain Redis surface only), 1 =
 //!   eventual policy, 2 = strict policy.
-//! * `transport` — `reactor` (default; also via `GDPR_TRANSPORT`): the
-//!   event-driven connection layer (symmetric epoll event loops that run
-//!   each request to completion), or `threads`: one OS thread per
-//!   connection.
+//! * `transport` — `reactor` (default): the event-driven connection layer
+//!   (symmetric epoll event loops that run each request to completion),
+//!   or `threads`: one OS thread per connection.
 //! * `workers` — reactor event-loop threads (0 = `min(cores, shards)`);
 //!   each serves its share of the connections from read to reply.
 //! * `maxconns` — connection cap; over-limit clients receive a final
@@ -28,15 +26,15 @@
 //! * `readtimeout` — idle timeout in seconds, measured from the last
 //!   *complete* request frame (default 30).
 //! * `fsync` — `always`, `everysec` or `none` (journal fsync policy).
-//!   With per-shard journal segments and group commit, `fsync=always` is
-//!   now a viable serving configuration: concurrent connections share
-//!   fsyncs instead of re-serializing on one journal writer.
+//!   Under `fsync=always` each journal segment's group committer lets
+//!   concurrent connections share fsyncs instead of re-serializing on one
+//!   journal writer; with one writer it is one fsync per record.
 //! * `aof` — `mem` (default: in-memory journal), `none`, or a file path
 //!   (the path becomes the segment-set manifest; segments live next to
-//!   it as `<path>.e<epoch>.s<shard>`).
-//! * `groupcommit` — 1 (default) batches concurrent `always` fsyncs per
-//!   segment; 0 reverts to one fsync per record.
-//! * `gcwait` — group-commit follower wait bound in milliseconds.
+//!   it as `<path>.e<epoch>.s<shard>`). A journal that cannot be opened
+//!   (a damaged manifest, one older than version 3) is refused: the
+//!   server prints `gdpr-server: cannot open journal <path>: <error>`,
+//!   touches no file and exits with status 1.
 //! * `replicaof` — follow a primary at `host:port`: full-sync on connect,
 //!   then apply its journal stream; writes to this server are rejected
 //!   with a redirect error. Replication lag is in `INFO`/`GDPR.STATS`.
@@ -99,8 +97,6 @@ const KNOWN_FLAGS: &[&str] = &[
     "maxconns",
     "readtimeout",
     "aof",
-    "groupcommit",
-    "gcwait",
     "replicaof",
     "backlog",
     "grant",
@@ -117,6 +113,13 @@ const KNOWN_FLAGS: &[&str] = &[
 fn reject(arg: &str, why: &str) -> ! {
     eprintln!("gdpr-server: bad argument {arg:?}: {why}");
     std::process::exit(2);
+}
+
+/// Refuse to serve a journal the engine cannot open (damaged, or from an
+/// older format): print why and exit 1. The engine has touched no file.
+fn cannot_open(journal: &str, error: impl std::fmt::Display) -> ! {
+    eprintln!("gdpr-server: cannot open journal {journal}: {error}");
+    std::process::exit(1);
 }
 
 fn arg_str<'a>(args: &'a [String], key: &str) -> Option<&'a str> {
@@ -158,8 +161,8 @@ fn main() {
     let shards = arg_u64(&args, "shards").unwrap_or(1) as usize;
     let parse_level = |v: &str| v.parse().ok().filter(|level: &u64| *level <= 2);
     let compliance = arg_with(&args, "compliance", parse_level, "0|1|2").unwrap_or(1);
-    let transport = arg_with(&args, "transport", Transport::parse, "reactor|threads")
-        .unwrap_or_else(Transport::from_env_or_default);
+    let transport =
+        arg_with(&args, "transport", Transport::parse, "reactor|threads").unwrap_or_default();
     // The reactor holds a connection for the cost of one descriptor, so
     // its default is uncapped; thread-per-connection defaults to 1024.
     let max_connections = arg_u64(&args, "maxconns").unwrap_or(match transport {
@@ -181,7 +184,6 @@ fn main() {
     let fsync = arg_with(&args, "fsync", parse_fsync, "always|everysec|none")
         .unwrap_or(FsyncPolicy::EverySec);
 
-    let group_commit = arg_u64(&args, "groupcommit").unwrap_or(1) != 0;
     let max_memory = arg_u64(&args, "maxmemory").unwrap_or(0);
     let evict = arg_with(
         &args,
@@ -193,16 +195,13 @@ fn main() {
     let mut config = StoreConfig::in_memory()
         .shards(shards)
         .fsync(fsync)
-        .group_commit(group_commit)
         .max_memory(max_memory)
         .eviction_policy(evict);
-    if let Some(wait_ms) = arg_u64(&args, "gcwait") {
-        config = config.group_commit_wait_ms(wait_ms);
-    }
     if let Some(records) = arg_u64(&args, "backlog") {
         config = config.repl_backlog(records);
     }
-    match arg_str(&args, "aof").unwrap_or("mem") {
+    let journal = arg_str(&args, "aof").unwrap_or("mem");
+    match journal {
         "mem" => config = config.aof_in_memory(),
         "none" => {}
         path => config.persistence = kvstore::config::Persistence::AofFile(path.into()),
@@ -212,11 +211,8 @@ fn main() {
     }
 
     let dispatcher = if compliance == 0 {
-        let store = KvStore::open(config).expect("open storage engine");
-        println!(
-            "gdpr-server: raw engine, {shards} shard(s), fsync {fsync:?}, group commit {}",
-            if group_commit { "on" } else { "off" }
-        );
+        let store = KvStore::open(config).unwrap_or_else(|e| cannot_open(journal, e));
+        println!("gdpr-server: raw engine, {shards} shard(s), fsync {fsync:?}");
         Dispatcher::kv(store)
     } else {
         let mut policy = if compliance == 2 {
@@ -229,8 +225,8 @@ fn main() {
             "gdpr-server: compliance policy '{}', {shards} shard(s), fsync {fsync:?}",
             policy.name
         );
-        let mut store =
-            GdprStore::open(policy, config, Box::new(NullSink::new())).expect("open GDPR store");
+        let mut store = GdprStore::open(policy, config, Box::new(NullSink::new()))
+            .unwrap_or_else(|e| cannot_open(journal, e));
         if let Some(hotcache) = arg_u64(&args, "hotcache") {
             store.set_hot_cache(
                 gdpr_core::hot_cache::HotCacheConfig::default().enabled(hotcache != 0),

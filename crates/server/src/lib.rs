@@ -16,7 +16,7 @@
 //!   read/write timeouts and graceful shutdown that drains in-flight
 //!   requests, served by either of two transports.
 //! * [`reactor`] — the default transport: N symmetric readiness-driven
-//!   event loops (epoll via the `polling` shim, `poll(2)` fallback), each
+//!   event loops (epoll via the `polling` shim), each
 //!   owning its share of the connection sockets and running their
 //!   requests to completion — thousands of idle connections without one
 //!   thread each, and no hand-off between reading a request and

@@ -8,7 +8,7 @@
 //! serves them the way Redis does, once per core:
 //!
 //! * each **event loop** is one thread with its own level-triggered
-//!   [`polling::Poller`] (epoll on Linux, `poll(2)` elsewhere) and its own
+//!   [`polling::Poller`] (epoll) and its own
 //!   non-blocking connection sockets. There are `min(cores, engine
 //!   shards)` loops unless [`ServerConfig::workers`] says otherwise;
 //! * **loop 0** also owns the listener and deals accepted sockets
@@ -780,11 +780,10 @@ mod tests {
 
     #[test]
     fn transport_default_is_reactor() {
-        // GDPR_TRANSPORT is unset in unit tests unless CI injects it; the
-        // parse table is what this pins down.
         assert_eq!(Transport::parse("reactor"), Some(Transport::Reactor));
         assert_eq!(Transport::parse("threads"), Some(Transport::Threads));
         assert_eq!(Transport::parse("bogus"), None);
         assert_eq!(Transport::default(), Transport::Reactor);
+        assert_eq!(ServerConfig::default().transport, Transport::Reactor);
     }
 }

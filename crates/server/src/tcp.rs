@@ -21,10 +21,8 @@
 //! answers every request whose bytes already reached the server, then
 //! closes. [`TcpServerHandle::shutdown`] joins all transport threads.
 //!
-//! The transport is selected by [`ServerConfig::transport`], whose
-//! default honors the `GDPR_TRANSPORT` environment variable
-//! (`reactor`/`threads`) — which is how the integration suites run
-//! unmodified against both implementations.
+//! The transport is selected by [`ServerConfig::transport`] (default: the
+//! reactor); the integration suites pin each transport explicitly.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -59,18 +57,6 @@ impl Transport {
             _ => None,
         }
     }
-
-    /// The default transport, honoring the `GDPR_TRANSPORT` environment
-    /// variable so whole test suites can be pointed at either
-    /// implementation without touching code.
-    #[must_use]
-    pub fn from_env_or_default() -> Self {
-        std::env::var("GDPR_TRANSPORT")
-            .ok()
-            .as_deref()
-            .and_then(Transport::parse)
-            .unwrap_or_default()
-    }
 }
 
 impl std::fmt::Display for Transport {
@@ -85,8 +71,7 @@ impl std::fmt::Display for Transport {
 /// Tunables of the TCP front-end, shared by both transports.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// The connection layer to serve with (default: `GDPR_TRANSPORT` env
-    /// var, else the reactor).
+    /// The connection layer to serve with (default: the reactor).
     pub transport: Transport,
     /// Maximum concurrently served connections; further clients receive a
     /// final `-ERR max connections reached` frame and are disconnected.
@@ -118,7 +103,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            transport: Transport::from_env_or_default(),
+            transport: Transport::default(),
             max_connections: 1024,
             workers: 0,
             read_timeout: Duration::from_secs(30),

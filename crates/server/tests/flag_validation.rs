@@ -1,5 +1,6 @@
 //! `gdpr-server` must refuse a mistyped flag instead of starting with a
-//! weaker configuration than the operator asked for.
+//! weaker configuration than the operator asked for, and a journal it
+//! cannot open instead of starting empty.
 
 use std::process::Command;
 
@@ -22,8 +23,10 @@ fn a_bad_flag_is_named_and_exits_2() {
         "shards=two",
         "compliance=3",
         "transport=fibers",
-        // The deadline index is no longer a choice.
+        // The deadline index and group commit are no longer choices.
         "index=btree",
+        "groupcommit=1",
+        "gcwait=1",
         "evict=lfu",
         "slowlog=fast",
         // An unknown key must not be silently ignored.
@@ -48,8 +51,6 @@ fn every_documented_flag_is_accepted() {
         "maxconns=8",
         "readtimeout=5",
         "aof=mem",
-        "groupcommit=1",
-        "gcwait=1",
         "backlog=16",
         "grant=app:billing,ops:support",
         "duration=1",
@@ -61,4 +62,25 @@ fn every_documented_flag_is_accepted() {
         "hotcache=0",
     ]);
     assert_eq!(code, Some(0), "{stderr}");
+}
+
+#[test]
+fn a_journal_it_cannot_open_is_refused_with_status_1() {
+    let dir = std::env::temp_dir().join(format!("gdpr-server-refuse-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let manifest = dir.join("j.aof");
+    let damaged = b"FDPRAOFM not a manifest".to_vec();
+    std::fs::write(&manifest, &damaged).unwrap();
+    for compliance in ["compliance=0", "compliance=1"] {
+        let aof = format!("aof={}", manifest.display());
+        let (code, stderr) = run(&["addr=127.0.0.1:0", "duration=1", compliance, &aof]);
+        assert_eq!(code, Some(1), "{compliance}: {stderr}");
+        let want = format!("gdpr-server: cannot open journal {}: ", manifest.display());
+        assert!(stderr.starts_with(&want), "{compliance}: {stderr}");
+        assert!(stderr.contains("bad magic"), "{compliance}: {stderr}");
+        assert_eq!(std::fs::read(&manifest).unwrap(), damaged);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "no file added");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

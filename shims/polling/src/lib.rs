@@ -1,20 +1,17 @@
-//! Offline stand-in for the `polling` crate: portable readiness polling
+//! Offline stand-in for the `polling` crate: `epoll(7)` readiness polling
 //! over raw syscalls, plus the one rlimit helper a 10k-connection server
-//! needs.
+//! needs. Linux only.
 //!
 //! The build container has no registry access, so this shim provides the
 //! small readiness-API surface the reactor transport in `gdpr-server`
 //! consumes:
 //!
 //! * [`Poller`] — add/modify/delete interest in file descriptors and
-//!   [`Poller::wait`] for readiness events, **level-triggered** on both
-//!   backends (an event keeps firing while the condition holds, so a
-//!   partially drained socket is re-reported on the next wait);
-//! * two backends behind one API: `epoll(7)` on Linux (O(ready) wakeups,
-//!   the backend that makes 10k mostly-idle connections cheap) and a
-//!   portable `poll(2)` fallback (O(registered) per wait) so the crate
-//!   builds and the reactor runs on any Unix — selectable explicitly or
-//!   via `GDPR_POLL_BACKEND=epoll|poll` for differential testing;
+//!   [`Poller::wait`] for readiness events, **level-triggered** (an event
+//!   keeps firing while the condition holds, so a partially drained socket
+//!   is re-reported on the next wait); interest lives in the kernel, so a
+//!   wait costs O(ready), which is what makes 10k mostly-idle connections
+//!   cheap;
 //! * [`Poller::notify`] — wake a blocked [`Poller::wait`] from another
 //!   thread (worker threads use it to hand completed batches back to the
 //!   reactor), implemented as a self-pipe with a coalescing flag: one
@@ -27,7 +24,9 @@
 //! All unsafe syscall FFI in the workspace is confined to this crate; the
 //! server crate itself stays `#![forbid(unsafe_code)]`.
 
-use std::collections::HashMap;
+#[cfg(not(target_os = "linux"))]
+compile_error!("the polling shim is Linux-only: it is built on epoll(7)");
+
 use std::io::{self, Read, Write};
 use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -81,40 +80,6 @@ impl Event {
     }
 }
 
-/// Which kernel interface backs a [`Poller`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// `epoll(7)`: interest lives in the kernel, waits cost O(ready).
-    /// Linux only.
-    Epoll,
-    /// `poll(2)`: the interest set is rebuilt and scanned every wait —
-    /// O(registered) — but works on every Unix.
-    Poll,
-}
-
-impl Backend {
-    /// The default backend for this platform, honoring the
-    /// `GDPR_POLL_BACKEND` environment variable (`epoll` or `poll`).
-    #[must_use]
-    pub fn from_env_or_default() -> Self {
-        match std::env::var("GDPR_POLL_BACKEND").as_deref() {
-            Ok("poll") => Backend::Poll,
-            Ok("epoll") => default_backend(),
-            _ => default_backend(),
-        }
-    }
-}
-
-#[cfg(target_os = "linux")]
-fn default_backend() -> Backend {
-    Backend::Epoll
-}
-
-#[cfg(not(target_os = "linux"))]
-fn default_backend() -> Backend {
-    Backend::Poll
-}
-
 /// The key space is the caller's except for this reserved value, which
 /// tags the internal wake pipe.
 const WAKE_KEY: u64 = u64::MAX;
@@ -125,7 +90,7 @@ const WAKE_KEY: u64 = u64::MAX;
 /// reactor thread, while [`Poller::notify`] is safe from any thread.
 #[derive(Debug)]
 pub struct Poller {
-    backend: BackendImpl,
+    epoll: epoll::Epoll,
     wake_reader: Mutex<std::io::PipeReader>,
     wake_writer: std::io::PipeWriter,
     /// Coalesces notifies: a byte is written only on a clear → set
@@ -134,64 +99,23 @@ pub struct Poller {
     notified: AtomicBool,
 }
 
-#[derive(Debug)]
-enum BackendImpl {
-    #[cfg(target_os = "linux")]
-    Epoll(epoll::Epoll),
-    Poll(pollfallback::PollSet),
-}
-
 impl Poller {
-    /// Create a poller on the platform-default backend (see
-    /// [`Backend::from_env_or_default`]).
+    /// Create a poller over a fresh epoll instance.
     ///
     /// # Errors
     ///
-    /// Propagates backend-creation syscall failures.
+    /// Propagates `epoll_create1` and `pipe` failures.
     pub fn new() -> io::Result<Self> {
-        Poller::with_backend(Backend::from_env_or_default())
-    }
-
-    /// Create a poller on an explicit backend. Requesting
-    /// [`Backend::Epoll`] off Linux falls back to `poll(2)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates backend-creation syscall failures.
-    pub fn with_backend(backend: Backend) -> io::Result<Self> {
         let (wake_reader, wake_writer) = std::io::pipe()?;
-        let backend = match backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll => BackendImpl::Epoll(epoll::Epoll::new()?),
-            _ => BackendImpl::Poll(pollfallback::PollSet::new()),
-        };
         let poller = Poller {
-            backend,
+            epoll: epoll::Epoll::new()?,
             wake_reader: Mutex::new(wake_reader),
             wake_writer,
             notified: AtomicBool::new(false),
         };
         let wake_fd = poller.wake_reader.lock().expect("wake lock").as_raw_fd();
-        poller.register_raw(
-            wake_fd,
-            WAKE_KEY,
-            Event {
-                key: 0,
-                readable: true,
-                writable: false,
-            },
-        )?;
+        poller.epoll.add(wake_fd, WAKE_KEY, Event::readable(0))?;
         Ok(poller)
-    }
-
-    /// The backend actually in use.
-    #[must_use]
-    pub fn backend(&self) -> Backend {
-        match &self.backend {
-            #[cfg(target_os = "linux")]
-            BackendImpl::Epoll(_) => Backend::Epoll,
-            BackendImpl::Poll(_) => Backend::Poll,
-        }
     }
 
     /// Register interest in `source` under `event.key`.
@@ -201,18 +125,7 @@ impl Poller {
     /// Propagates `epoll_ctl` failures (e.g. the descriptor is already
     /// registered).
     pub fn add(&self, source: &impl AsRawFd, event: Event) -> io::Result<()> {
-        self.register_raw(source.as_raw_fd(), event.key as u64, event)
-    }
-
-    fn register_raw(&self, fd: RawFd, key: u64, event: Event) -> io::Result<()> {
-        match &self.backend {
-            #[cfg(target_os = "linux")]
-            BackendImpl::Epoll(ep) => ep.add(fd, key, event),
-            BackendImpl::Poll(ps) => {
-                ps.add(fd, key, event);
-                Ok(())
-            }
-        }
+        self.epoll.add(source.as_raw_fd(), event.key as u64, event)
     }
 
     /// Change the interest set of an already registered descriptor.
@@ -222,11 +135,8 @@ impl Poller {
     /// Propagates `epoll_ctl` failures (e.g. the descriptor was never
     /// registered).
     pub fn modify(&self, source: &impl AsRawFd, event: Event) -> io::Result<()> {
-        match &self.backend {
-            #[cfg(target_os = "linux")]
-            BackendImpl::Epoll(ep) => ep.modify(source.as_raw_fd(), event.key as u64, event),
-            BackendImpl::Poll(ps) => ps.modify(source.as_raw_fd(), event.key as u64, event),
-        }
+        self.epoll
+            .modify(source.as_raw_fd(), event.key as u64, event)
     }
 
     /// Remove a descriptor from the interest set. Call *before* closing
@@ -236,14 +146,7 @@ impl Poller {
     ///
     /// Propagates `epoll_ctl` failures.
     pub fn delete(&self, source: &impl AsRawFd) -> io::Result<()> {
-        match &self.backend {
-            #[cfg(target_os = "linux")]
-            BackendImpl::Epoll(ep) => ep.delete(source.as_raw_fd()),
-            BackendImpl::Poll(ps) => {
-                ps.delete(source.as_raw_fd());
-                Ok(())
-            }
-        }
+        self.epoll.delete(source.as_raw_fd())
     }
 
     /// Block until at least one registered descriptor is ready, the
@@ -261,11 +164,7 @@ impl Poller {
             Some(d) => c_int::try_from(d.as_millis()).unwrap_or(c_int::MAX),
         };
         let mut woke = false;
-        match &self.backend {
-            #[cfg(target_os = "linux")]
-            BackendImpl::Epoll(ep) => ep.wait(events, timeout_ms, &mut woke)?,
-            BackendImpl::Poll(ps) => ps.wait(events, timeout_ms, &mut woke)?,
-        }
+        self.epoll.wait(events, timeout_ms, &mut woke)?;
         if woke {
             self.drain_wake();
         }
@@ -295,7 +194,6 @@ impl Poller {
     }
 }
 
-#[cfg(target_os = "linux")]
 mod epoll {
     use super::{c_int, io, Event, RawFd, WAKE_KEY};
     use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
@@ -434,146 +332,8 @@ mod epoll {
     }
 }
 
-mod pollfallback {
-    use super::{c_int, io, Event, HashMap, Mutex, RawFd, WAKE_KEY};
-
-    const POLLIN: i16 = 0x001;
-    const POLLOUT: i16 = 0x004;
-    const POLLERR: i16 = 0x008;
-    const POLLHUP: i16 = 0x010;
-    const POLLNVAL: i16 = 0x020;
-
-    /// Mirrors `struct pollfd`.
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: c_int,
-        events: i16,
-        revents: i16,
-    }
-
-    #[cfg(target_os = "linux")]
-    type NfdsT = core::ffi::c_ulong;
-    #[cfg(not(target_os = "linux"))]
-    type NfdsT = core::ffi::c_uint;
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: c_int) -> c_int;
-    }
-
-    /// The interest set, rebuilt into a `pollfd` array every wait.
-    #[derive(Debug)]
-    pub(super) struct PollSet {
-        interest: Mutex<HashMap<RawFd, (u64, bool, bool)>>,
-    }
-
-    impl PollSet {
-        pub(super) fn new() -> Self {
-            PollSet {
-                interest: Mutex::new(HashMap::new()),
-            }
-        }
-
-        pub(super) fn add(&self, fd: RawFd, key: u64, event: Event) {
-            self.interest
-                .lock()
-                .expect("poll interest lock")
-                .insert(fd, (key, event.readable, event.writable));
-        }
-
-        pub(super) fn modify(&self, fd: RawFd, key: u64, event: Event) -> io::Result<()> {
-            match self
-                .interest
-                .lock()
-                .expect("poll interest lock")
-                .get_mut(&fd)
-            {
-                Some(entry) => {
-                    *entry = (key, event.readable, event.writable);
-                    Ok(())
-                }
-                None => Err(io::Error::new(
-                    io::ErrorKind::NotFound,
-                    "descriptor is not registered",
-                )),
-            }
-        }
-
-        pub(super) fn delete(&self, fd: RawFd) {
-            self.interest
-                .lock()
-                .expect("poll interest lock")
-                .remove(&fd);
-        }
-
-        pub(super) fn wait(
-            &self,
-            out: &mut Vec<Event>,
-            timeout_ms: c_int,
-            woke: &mut bool,
-        ) -> io::Result<()> {
-            let (mut fds, keys): (Vec<PollFd>, Vec<u64>) = {
-                let interest = self.interest.lock().expect("poll interest lock");
-                let mut fds = Vec::with_capacity(interest.len());
-                let mut keys = Vec::with_capacity(interest.len());
-                for (&fd, &(key, readable, writable)) in interest.iter() {
-                    let mut events = 0i16;
-                    if readable {
-                        events |= POLLIN;
-                    }
-                    if writable {
-                        events |= POLLOUT;
-                    }
-                    fds.push(PollFd {
-                        fd,
-                        events,
-                        revents: 0,
-                    });
-                    keys.push(key);
-                }
-                (fds, keys)
-            };
-            let n = loop {
-                // SAFETY: the fds buffer is valid and its length is passed
-                // as nfds; poll writes only to revents within bounds.
-                let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as NfdsT, timeout_ms) };
-                if rc >= 0 {
-                    break rc as usize;
-                }
-                let err = io::Error::last_os_error();
-                if err.kind() != io::ErrorKind::Interrupted {
-                    return Err(err);
-                }
-            };
-            if n == 0 {
-                return Ok(());
-            }
-            for (pfd, &key) in fds.iter().zip(keys.iter()) {
-                let revents = pfd.revents;
-                if revents == 0 {
-                    continue;
-                }
-                if key == WAKE_KEY {
-                    *woke = true;
-                    continue;
-                }
-                let fatal = revents & (POLLERR | POLLHUP | POLLNVAL) != 0;
-                out.push(Event {
-                    key: key as usize,
-                    readable: revents & POLLIN != 0 || fatal,
-                    writable: revents & POLLOUT != 0 || fatal,
-                });
-            }
-            Ok(())
-        }
-    }
-}
-
 /// `RLIMIT_NOFILE` for [`raise_nofile_limit`].
-#[cfg(target_os = "linux")]
 const RLIMIT_NOFILE: c_int = 7;
-#[cfg(not(target_os = "linux"))]
-const RLIMIT_NOFILE: c_int = 8;
 
 #[repr(C)]
 struct Rlimit {
@@ -624,14 +384,6 @@ mod tests {
     use std::sync::Arc;
     use std::time::Instant;
 
-    fn backends() -> Vec<Backend> {
-        if cfg!(target_os = "linux") {
-            vec![Backend::Epoll, Backend::Poll]
-        } else {
-            vec![Backend::Poll]
-        }
-    }
-
     fn connected_pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
@@ -641,120 +393,106 @@ mod tests {
 
     #[test]
     fn reports_read_readiness_with_the_registered_key() {
-        for backend in backends() {
-            let poller = Poller::with_backend(backend).unwrap();
-            let (client, server) = connected_pair();
-            server.set_nonblocking(true).unwrap();
-            poller.add(&server, Event::readable(7)).unwrap();
-            let mut events = Vec::new();
-            // Nothing to read yet: the wait times out empty.
-            let n = poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .unwrap();
-            assert_eq!(n, 0, "{backend:?}");
-            (&client).write_all(b"x").unwrap();
-            let n = poller
-                .wait(&mut events, Some(Duration::from_secs(2)))
-                .unwrap();
-            assert_eq!(n, 1, "{backend:?}");
-            assert_eq!(events[0].key, 7);
-            assert!(events[0].readable);
-        }
+        let poller = Poller::new().unwrap();
+        let (client, server) = connected_pair();
+        server.set_nonblocking(true).unwrap();
+        poller.add(&server, Event::readable(7)).unwrap();
+        let mut events = Vec::new();
+        // Nothing to read yet: the wait times out empty.
+        let n = poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
+        assert_eq!(n, 0);
+        (&client).write_all(b"x").unwrap();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_secs(2)))
+            .unwrap();
+        assert_eq!(n, 1);
+        assert_eq!(events[0].key, 7);
+        assert!(events[0].readable);
     }
 
     #[test]
     fn level_triggered_until_drained_and_modify_changes_interest() {
-        for backend in backends() {
-            let poller = Poller::with_backend(backend).unwrap();
-            let (client, server) = connected_pair();
-            server.set_nonblocking(true).unwrap();
-            poller.add(&server, Event::readable(3)).unwrap();
-            (&client).write_all(b"abc").unwrap();
-            let mut events = Vec::new();
-            // Unread data keeps firing (level-triggered).
-            for _ in 0..2 {
-                poller
-                    .wait(&mut events, Some(Duration::from_secs(2)))
-                    .unwrap();
-                assert!(
-                    events.iter().any(|e| e.key == 3 && e.readable),
-                    "{backend:?}"
-                );
-            }
-            // A fresh socket is immediately writable once we ask for it.
-            poller.modify(&server, Event::all(3)).unwrap();
+        let poller = Poller::new().unwrap();
+        let (client, server) = connected_pair();
+        server.set_nonblocking(true).unwrap();
+        poller.add(&server, Event::readable(3)).unwrap();
+        (&client).write_all(b"abc").unwrap();
+        let mut events = Vec::new();
+        // Unread data keeps firing (level-triggered).
+        for _ in 0..2 {
             poller
                 .wait(&mut events, Some(Duration::from_secs(2)))
                 .unwrap();
-            assert!(
-                events.iter().any(|e| e.key == 3 && e.writable),
-                "{backend:?}"
-            );
-            // Dropping write interest silences it again once drained.
-            let mut buf = [0u8; 8];
-            let _ = (&server).read(&mut buf);
-            poller.modify(&server, Event::readable(3)).unwrap();
-            let n = poller
-                .wait(&mut events, Some(Duration::from_millis(20)))
-                .unwrap();
-            assert_eq!(n, 0, "{backend:?}");
+            assert!(events.iter().any(|e| e.key == 3 && e.readable));
         }
+        // A fresh socket is immediately writable once we ask for it.
+        poller.modify(&server, Event::all(3)).unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(2)))
+            .unwrap();
+        assert!(events.iter().any(|e| e.key == 3 && e.writable));
+        // Dropping write interest silences it again once drained.
+        let mut buf = [0u8; 8];
+        let _ = (&server).read(&mut buf);
+        poller.modify(&server, Event::readable(3)).unwrap();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_millis(20)))
+            .unwrap();
+        assert_eq!(n, 0);
     }
 
     #[test]
     fn delete_stops_reporting() {
-        for backend in backends() {
-            let poller = Poller::with_backend(backend).unwrap();
-            let (client, server) = connected_pair();
-            server.set_nonblocking(true).unwrap();
-            poller.add(&server, Event::readable(9)).unwrap();
-            (&client).write_all(b"x").unwrap();
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(2)))
-                .unwrap();
-            assert_eq!(events.len(), 1);
-            poller.delete(&server).unwrap();
-            let n = poller
-                .wait(&mut events, Some(Duration::from_millis(20)))
-                .unwrap();
-            assert_eq!(n, 0, "{backend:?}");
-        }
+        let poller = Poller::new().unwrap();
+        let (client, server) = connected_pair();
+        server.set_nonblocking(true).unwrap();
+        poller.add(&server, Event::readable(9)).unwrap();
+        (&client).write_all(b"x").unwrap();
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(2)))
+            .unwrap();
+        assert_eq!(events.len(), 1);
+        poller.delete(&server).unwrap();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_millis(20)))
+            .unwrap();
+        assert_eq!(n, 0);
     }
 
     #[test]
     fn notify_wakes_a_blocked_wait_from_another_thread() {
-        for backend in backends() {
-            let poller = Arc::new(Poller::with_backend(backend).unwrap());
-            let notifier = Arc::clone(&poller);
-            let handle = std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(50));
-                notifier.notify();
-            });
-            let mut events = Vec::new();
-            let start = Instant::now();
-            let n = poller
-                .wait(&mut events, Some(Duration::from_secs(10)))
-                .unwrap();
-            assert!(
-                start.elapsed() < Duration::from_secs(5),
-                "{backend:?}: notify did not wake the wait"
-            );
-            // The wake itself is internal: no user event is surfaced.
-            assert_eq!(n, 0, "{backend:?}");
-            handle.join().unwrap();
-            // Coalesced notifies do not leave stale wakeups behind.
-            poller.notify();
-            poller.notify();
-            poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .unwrap();
-            let start = Instant::now();
-            poller
-                .wait(&mut events, Some(Duration::from_millis(50)))
-                .unwrap();
-            assert!(start.elapsed() >= Duration::from_millis(40), "{backend:?}");
-        }
+        let poller = Arc::new(Poller::new().unwrap());
+        let notifier = Arc::clone(&poller);
+        let handle = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            notifier.notify();
+        });
+        let mut events = Vec::new();
+        let start = Instant::now();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_secs(10)))
+            .unwrap();
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "notify did not wake the wait"
+        );
+        // The wake itself is internal: no user event is surfaced.
+        assert_eq!(n, 0);
+        handle.join().unwrap();
+        // Coalesced notifies do not leave stale wakeups behind.
+        poller.notify();
+        poller.notify();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
+        let start = Instant::now();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(50)))
+            .unwrap();
+        assert!(start.elapsed() >= Duration::from_millis(40));
     }
 
     #[test]
@@ -768,64 +506,60 @@ mod tests {
         const NOTIFIERS: usize = 4;
         const ROUNDS: usize = 20_000;
         const STALL: Duration = Duration::from_secs(5);
-        for backend in backends() {
-            let poller = Poller::with_backend(backend).unwrap();
-            let posted: Vec<AtomicBool> = (0..NOTIFIERS).map(|_| AtomicBool::new(false)).collect();
-            let abort = AtomicBool::new(false);
-            let acked = AtomicUsize::new(0);
-            let mut stalled = false;
-            std::thread::scope(|scope| {
-                for flag in &posted {
-                    let (poller, abort) = (&poller, &abort);
-                    scope.spawn(move || {
-                        for _ in 0..ROUNDS {
-                            flag.store(true, Ordering::SeqCst);
-                            poller.notify();
-                            while flag.load(Ordering::SeqCst) {
-                                if abort.load(Ordering::SeqCst) {
-                                    return;
-                                }
-                                std::thread::yield_now();
+        let poller = Poller::new().unwrap();
+        let posted: Vec<AtomicBool> = (0..NOTIFIERS).map(|_| AtomicBool::new(false)).collect();
+        let abort = AtomicBool::new(false);
+        let acked = AtomicUsize::new(0);
+        let mut stalled = false;
+        std::thread::scope(|scope| {
+            for flag in &posted {
+                let (poller, abort) = (&poller, &abort);
+                scope.spawn(move || {
+                    for _ in 0..ROUNDS {
+                        flag.store(true, Ordering::SeqCst);
+                        poller.notify();
+                        while flag.load(Ordering::SeqCst) {
+                            if abort.load(Ordering::SeqCst) {
+                                return;
                             }
-                        }
-                    });
-                }
-                let mut events = Vec::new();
-                while acked.load(Ordering::SeqCst) < NOTIFIERS * ROUNDS {
-                    let start = Instant::now();
-                    poller.wait(&mut events, Some(STALL)).unwrap();
-                    if start.elapsed() >= STALL {
-                        stalled = true;
-                        abort.store(true, Ordering::SeqCst);
-                        break;
-                    }
-                    for flag in &posted {
-                        if flag.swap(false, Ordering::SeqCst) {
-                            acked.fetch_add(1, Ordering::SeqCst);
+                            std::thread::yield_now();
                         }
                     }
+                });
+            }
+            let mut events = Vec::new();
+            while acked.load(Ordering::SeqCst) < NOTIFIERS * ROUNDS {
+                let start = Instant::now();
+                poller.wait(&mut events, Some(STALL)).unwrap();
+                if start.elapsed() >= STALL {
+                    stalled = true;
+                    abort.store(true, Ordering::SeqCst);
+                    break;
                 }
-            });
-            assert!(
-                !stalled,
-                "{backend:?}: a notify was lost after {} acks; the wait slept through posted work",
-                acked.load(Ordering::SeqCst)
-            );
-        }
+                for flag in &posted {
+                    if flag.swap(false, Ordering::SeqCst) {
+                        acked.fetch_add(1, Ordering::SeqCst);
+                    }
+                }
+            }
+        });
+        assert!(
+            !stalled,
+            "a notify was lost after {} acks; the wait slept through posted work",
+            acked.load(Ordering::SeqCst)
+        );
     }
 
     #[test]
     fn timeout_expires_with_no_events() {
-        for backend in backends() {
-            let poller = Poller::with_backend(backend).unwrap();
-            let mut events = Vec::new();
-            let start = Instant::now();
-            let n = poller
-                .wait(&mut events, Some(Duration::from_millis(30)))
-                .unwrap();
-            assert_eq!(n, 0);
-            assert!(start.elapsed() >= Duration::from_millis(25), "{backend:?}");
-        }
+        let poller = Poller::new().unwrap();
+        let mut events = Vec::new();
+        let start = Instant::now();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_millis(30)))
+            .unwrap();
+        assert_eq!(n, 0);
+        assert!(start.elapsed() >= Duration::from_millis(25));
     }
 
     #[test]
@@ -834,18 +568,5 @@ mod tests {
         assert!(current >= 64);
         let again = raise_nofile_limit(current).unwrap();
         assert!(again >= current);
-    }
-
-    #[test]
-    fn env_selects_the_fallback_backend() {
-        // Do not mutate the environment (other tests run concurrently);
-        // just pin the explicit constructors.
-        let poller = Poller::with_backend(Backend::Poll).unwrap();
-        assert_eq!(poller.backend(), Backend::Poll);
-        #[cfg(target_os = "linux")]
-        {
-            let poller = Poller::with_backend(Backend::Epoll).unwrap();
-            assert_eq!(poller.backend(), Backend::Epoll);
-        }
     }
 }

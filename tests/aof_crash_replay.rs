@@ -2,9 +2,9 @@
 //! the engine without any clean shutdown, then a fresh engine must replay
 //! the segment set back to equivalent state — including when the shard
 //! count changed in between, when a segment-set swap was torn mid-rewrite,
-//! while concurrent writers and rewriters were racing, when the crash tore
-//! the last append at any byte, and when the segment set predates governed
-//! entries (a key's metadata kept as a "shadow" key of its own).
+//! while concurrent writers and rewriters were racing, and when the crash
+//! tore the last append at any byte. A manifest that is damaged or older
+//! than the current format is refused, and no file is touched.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -352,55 +352,74 @@ fn stale_deadline_entries_do_not_resurrect_after_cross_shard_replay() {
     }
 }
 
+/// Name → SHA-256 of every file in `dir`.
+fn file_digests(dir: &Path) -> BTreeMap<String, [u8; 32]> {
+    use gdpr_storage::gdpr_crypto::sha256::Sha256;
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let entry = entry.unwrap();
+            let name = entry.file_name().to_string_lossy().into_owned();
+            (name, Sha256::digest(&std::fs::read(entry.path()).unwrap()))
+        })
+        .collect()
+}
+
 #[test]
-fn legacy_single_file_journal_migrates_on_open() {
-    let dir = test_dir("legacy-migrate");
+fn a_damaged_or_older_manifest_is_refused_and_no_file_is_touched() {
+    let dir = test_dir("refuse");
     let path = dir.join("journal.aof");
-    // Produce a legacy single-file AOF with the old framing by writing it
-    // directly (raw length-prefixed command records, no manifest, no
-    // sequence numbers).
+    let config = || StoreConfig::with_aof(&path).shards(2);
     {
-        use gdpr_storage::kvstore::aof::AofLog;
-        use gdpr_storage::kvstore::clock::SystemClock;
-        use gdpr_storage::kvstore::commands::Command;
-        use gdpr_storage::kvstore::device::PlainFileDevice;
-        let mut log = AofLog::new(
-            Box::new(PlainFileDevice::open(&path).unwrap()),
-            FsyncPolicy::Never,
-            std::sync::Arc::new(SystemClock),
-        );
-        for i in 0..30 {
-            log.append(
-                &Command::Set {
-                    key: format!("old{i:02}"),
-                    value: vec![i as u8],
-                }
-                .encode(),
-            )
-            .unwrap();
+        let store = KvStore::open(config()).unwrap();
+        for i in 0..100 {
+            store.set(&format!("key{i:03}"), vec![i as u8; 8]).unwrap();
         }
-        log.append(
-            &Command::Del {
-                key: "old00".to_string(),
-            }
-            .encode(),
-        )
-        .unwrap();
-        log.fsync().unwrap();
+        store.fsync().unwrap();
     }
-    let store = KvStore::open(StoreConfig::with_aof(&path).shards(4)).unwrap();
-    assert_eq!(store.len(), 29, "legacy records replay through the router");
-    assert_eq!(store.get("old00").unwrap(), None);
-    assert_eq!(store.get("old29").unwrap(), Some(vec![29]));
-    // The layout is migrated: the path now holds a manifest and new
-    // appends survive a reopen of the segmented layout.
-    store.set("new-key", b"fresh".to_vec()).unwrap();
-    store.fsync().unwrap();
+    let saved: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| {
+            let file = entry.unwrap().path();
+            let bytes = std::fs::read(&file).unwrap();
+            (file, bytes)
+        })
+        .collect();
+    assert_eq!(saved.len(), 3, "the manifest and two segments");
+    let restore = || {
+        for (file, bytes) in &saved {
+            std::fs::write(file, bytes).unwrap();
+        }
+    };
+
+    type Damage = fn(&mut Vec<u8>);
+    let damages: [(&str, Damage, &str); 4] = [
+        ("byte 0 flipped", |m| m[0] ^= 1, "bad magic"),
+        ("empty", |m| m.clear(), "bad magic"),
+        ("cut to 12 bytes", |m| m.truncate(12), "only 4 remain"),
+        (
+            "version 2",
+            |m| m[8..16].copy_from_slice(&2u64.to_le_bytes()),
+            "manifest version 2",
+        ),
+    ];
+    for (case, damage, why) in damages {
+        restore();
+        let mut manifest = std::fs::read(&path).unwrap();
+        damage(&mut manifest);
+        std::fs::write(&path, manifest).unwrap();
+        let before = file_digests(&dir);
+        let err = KvStore::open(config()).expect_err(case).to_string();
+        assert!(err.contains(&path.display().to_string()), "{case}: {err}");
+        assert!(err.contains(why), "{case}: {err}");
+        assert_eq!(file_digests(&dir), before, "{case}: a file was touched");
+    }
+
+    restore();
+    let store = KvStore::open(config()).unwrap();
+    assert_eq!(store.len(), 100);
+    assert_eq!(store.get("key099").unwrap(), Some(vec![99; 8]));
     drop(store);
-    assert!(segment_path(Path::new(&path), 1, 0).exists());
-    let reopened = KvStore::open(StoreConfig::with_aof(&path).shards(2)).unwrap();
-    assert_eq!(reopened.len(), 30);
-    assert_eq!(reopened.get("new-key").unwrap(), Some(b"fresh".to_vec()));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -813,252 +832,6 @@ fn a_cut_anywhere_in_a_block_of_lines_keeps_the_whole_lines_ahead_of_it() {
     assert_eq!(std::fs::metadata(&trail_path).unwrap().len(), 0);
     drop(sink);
     assert_eq!(std::fs::read(&trail_path).unwrap(), b"one\ntwo\nthree\n");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-// ---------------------------------------------------------------------------
-// Journals laid out before governed entries (manifest versions 1 and 2),
-// which kept a key's metadata as a shadow key of its own.
-
-#[test]
-fn a_version_1_segment_set_replays_through_the_router() {
-    use gdpr_storage::kvstore::aof::AofLog;
-    use gdpr_storage::kvstore::clock::SystemClock;
-    use gdpr_storage::kvstore::commands::Command;
-    use gdpr_storage::kvstore::device::PlainFileDevice;
-    use gdpr_storage::kvstore::legacy::META_PREFIX;
-    use gdpr_storage::kvstore::shard::{hash_key, DEFAULT_HASH_SEED};
-
-    const SHARDS: usize = 4;
-    let dir = test_dir("manifest-v1");
-    let path = dir.join("journal.aof");
-
-    // A history in which a key and its shadow interleave, so that replay
-    // is only right if it follows the global sequence across segments.
-    let mut history = Vec::new();
-    for i in 0..24 {
-        let key = format!("user{i:02}");
-        let shadow = format!("{META_PREFIX}{key}");
-        let set = |key: &str, value: &[u8]| Command::Set {
-            key: key.to_string(),
-            value: value.to_vec(),
-        };
-        history.push(set(&key, b"first"));
-        history.push(set(&shadow, b"subject=alice"));
-        history.push(set(&key, b"second"));
-        if i % 3 == 0 {
-            history.push(Command::ExpireAt {
-                key: key.clone(),
-                at_ms: 10_000_000_000_000,
-            });
-            history.push(Command::ExpireAt {
-                key: shadow.clone(),
-                at_ms: 10_000_000_000_000,
-            });
-        }
-        if i % 4 == 0 {
-            history.push(Command::Del { key });
-            history.push(Command::Del { key: shadow });
-        } else if i % 4 == 1 {
-            history.push(set(&shadow, b"subject=bob"));
-        }
-    }
-
-    // The parent's layout: every record in the segment of its *whole* key's
-    // hash, `sequence || command` in the journal's record framing, under a
-    // version-1 manifest.
-    let mut logs: Vec<AofLog> = (0..SHARDS)
-        .map(|idx| {
-            let device = PlainFileDevice::open(segment_path(&path, 1, idx)).unwrap();
-            AofLog::new(
-                Box::new(device),
-                FsyncPolicy::Never,
-                std::sync::Arc::new(SystemClock),
-            )
-        })
-        .collect();
-    let mut counts = [0u64; SHARDS];
-    let mut scattered = 0;
-    for (seq, command) in (1u64..).zip(&history) {
-        let key = command.primary_key().unwrap();
-        let segment = (hash_key(DEFAULT_HASH_SEED, key) & (SHARDS as u64 - 1)) as usize;
-        let data_key = key.strip_prefix(META_PREFIX).unwrap_or(key);
-        let data_segment = (hash_key(DEFAULT_HASH_SEED, data_key) & (SHARDS as u64 - 1)) as usize;
-        scattered += usize::from(segment != data_segment);
-        let mut record = seq.to_le_bytes().to_vec();
-        record.extend_from_slice(&command.encode());
-        logs[segment].append(&record).unwrap();
-        counts[segment] += 1;
-    }
-    assert!(scattered > 10, "the fixture must exercise the re-route");
-    for log in &mut logs {
-        log.fsync().unwrap();
-    }
-    drop(logs);
-    let mut manifest = b"GDPRAOFM".to_vec();
-    for word in [1, 1, DEFAULT_HASH_SEED, SHARDS as u64]
-        .into_iter()
-        .chain(counts)
-    {
-        manifest.extend_from_slice(&word.to_le_bytes());
-    }
-    std::fs::write(&path, manifest).unwrap();
-
-    // What the history amounts to, folded: every surviving shadow becomes
-    // the governing bytes of its data key's entry.
-    let fresh = KvStore::open(StoreConfig::in_memory().shards(SHARDS)).unwrap();
-    for command in &history {
-        fresh.execute(command.clone()).unwrap();
-    }
-    for shadow in fresh.keys(&format!("{META_PREFIX}*")).unwrap() {
-        let governed = fresh.get(&shadow).unwrap().unwrap();
-        fresh.delete(&shadow).unwrap();
-        let key = shadow[META_PREFIX.len()..].to_string();
-        let govern = Command::Govern {
-            key,
-            governed: governed.into(),
-        };
-        fresh.execute(govern).unwrap();
-    }
-    assert!(fresh.keys(&format!("{META_PREFIX}*")).unwrap().is_empty());
-
-    let reopened = KvStore::open(StoreConfig::with_aof(&path).shards(SHARDS)).unwrap();
-    assert_eq!(state_digest(&reopened), state_digest(&fresh));
-    assert_eq!(
-        reopened.aof_epoch(),
-        Some(2),
-        "rewritten into the next epoch under a current manifest"
-    );
-    // From here on the set is current: an entry written with its governing
-    // bytes survives a reopen, which no longer rewrites.
-    let put = Command::SetGoverned {
-        key: "user99".to_string(),
-        value: b"v".to_vec(),
-        governed: b"m".to_vec().into(),
-    };
-    reopened.execute(put.clone()).unwrap();
-    fresh.execute(put).unwrap();
-    reopened.fsync().unwrap();
-    drop(reopened);
-    let again = KvStore::open(StoreConfig::with_aof(&path).shards(SHARDS)).unwrap();
-    assert_eq!(again.aof_epoch(), Some(2));
-    assert_eq!(state_digest(&again), state_digest(&fresh));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn a_version_2_journal_folds_its_shadows_once_and_serves_what_a_native_one_does() {
-    use gdpr_storage::audit::sink::NullSink;
-    use gdpr_storage::gdpr_core::acl::Grant;
-    use gdpr_storage::gdpr_core::metadata::PersonalMetadata;
-    use gdpr_storage::gdpr_core::policy::CompliancePolicy;
-    use gdpr_storage::gdpr_core::store::{AccessContext, GdprStore};
-    use gdpr_storage::kvstore::clock::SimClock;
-    use gdpr_storage::kvstore::legacy::META_PREFIX;
-
-    const KEYS: usize = 12;
-    let now = 1_700_000_000_000u64;
-    let dir = test_dir("fold-v2");
-    let (legacy_path, native_path) = (dir.join("legacy.aof"), dir.join("native.aof"));
-    let config = |path: &Path| {
-        StoreConfig::with_aof(path)
-            .shards(2)
-            .clock(SimClock::new(now))
-            .encrypted(b"fold")
-    };
-    let ctx = AccessContext::new("app", "billing");
-    let key = |i: usize| format!("user{i:02}");
-    let value = |i: usize| vec![i as u8; 16];
-    let stamp = |i: usize| {
-        let subject = if i.is_multiple_of(2) { "alice" } else { "bob" };
-        let meta = PersonalMetadata::new(subject)
-            .with_purpose("billing")
-            .with_recipient("payments-inc");
-        if i.is_multiple_of(3) {
-            meta.with_expiry_at(now + 3_600_000)
-        } else {
-            meta
-        }
-    };
-    let open = |path: &Path| {
-        let store = GdprStore::open(
-            CompliancePolicy::eventual(),
-            config(path),
-            Box::new(NullSink::new()),
-        )
-        .unwrap();
-        store.grant(Grant::new("app", "billing"));
-        store
-    };
-
-    // Written natively...
-    {
-        let native = open(&native_path);
-        for i in 0..KEYS {
-            native.put(&ctx, &key(i), value(i), stamp(i)).unwrap();
-        }
-        native.engine().fsync().unwrap();
-    }
-    // ...and in the old layout, through a raw engine, as a version-2
-    // bracket wrote it: value, deadline, shadow, the shadow's own deadline.
-    {
-        let raw = KvStore::open(config(&legacy_path)).unwrap();
-        for i in 0..KEYS {
-            let (key, shadow) = (key(i), format!("{META_PREFIX}{}", key(i)));
-            let mut meta = stamp(i);
-            meta.created_at_ms = now;
-            raw.set(&key, value(i)).unwrap();
-            raw.set(&shadow, meta.encode()).unwrap();
-            if let Some(at) = meta.expires_at_ms {
-                raw.expire_at(&key, at).unwrap();
-                raw.expire_at(&shadow, at).unwrap();
-            }
-        }
-        raw.fsync().unwrap();
-    }
-    let mut manifest = std::fs::read(&legacy_path).unwrap();
-    manifest[8..16].copy_from_slice(&2u64.to_le_bytes());
-    std::fs::write(&legacy_path, manifest).unwrap();
-
-    let (legacy, native) = (open(&legacy_path), open(&native_path));
-    assert!(legacy
-        .engine()
-        .keys(&format!("{META_PREFIX}*"))
-        .unwrap()
-        .is_empty());
-    assert_eq!(
-        legacy.engine().canonical_state(),
-        native.engine().canonical_state()
-    );
-    for i in 0..KEYS {
-        let key = key(i);
-        assert_eq!(legacy.get(&ctx, &key).unwrap(), Some(value(i)), "{key}");
-        assert_eq!(
-            legacy.metadata(&ctx, &key).unwrap(),
-            native.metadata(&ctx, &key).unwrap(),
-            "{key}"
-        );
-    }
-    for subject in ["alice", "bob"] {
-        let keys = legacy.keys_of_subject(subject).unwrap();
-        assert_eq!(keys.len(), KEYS / 2, "{subject}");
-        assert_eq!(keys, native.keys_of_subject(subject).unwrap());
-        assert_eq!(
-            legacy.right_to_portability(&ctx, subject).unwrap(),
-            native.right_to_portability(&ctx, subject).unwrap()
-        );
-    }
-
-    // Folded once: a second reopen changes nothing.
-    let (epoch, state) = (
-        legacy.engine().aof_epoch(),
-        legacy.engine().canonical_state(),
-    );
-    assert_eq!(epoch, Some(2), "one rewrite");
-    drop(legacy);
-    let again = open(&legacy_path);
-    assert_eq!(again.engine().aof_epoch(), epoch);
-    assert_eq!(again.engine().canonical_state(), state);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

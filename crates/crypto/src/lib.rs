@@ -82,7 +82,6 @@ pub mod chacha20;
 mod differential;
 pub mod hmac;
 pub mod kdf;
-pub mod keyring;
 pub mod poly1305;
 pub mod sha256;
 
@@ -112,10 +111,6 @@ pub enum CryptoError {
         /// Number of bytes expected.
         expected: usize,
     },
-    /// A requested key identifier does not exist in the keyring.
-    UnknownKey(u64),
-    /// The key for this identifier has been destroyed (crypto-erasure).
-    KeyDestroyed(u64),
 }
 
 impl fmt::Display for CryptoError {
@@ -138,8 +133,6 @@ impl fmt::Display for CryptoError {
                     "invalid {what} length: got {got} bytes, expected {expected}"
                 )
             }
-            CryptoError::UnknownKey(id) => write!(f, "unknown key id {id}"),
-            CryptoError::KeyDestroyed(id) => write!(f, "key id {id} has been destroyed"),
         }
     }
 }
@@ -210,8 +203,6 @@ mod tests {
                 got: 5,
                 expected: 32,
             },
-            CryptoError::UnknownKey(9),
-            CryptoError::KeyDestroyed(9),
         ];
         for e in errors {
             assert!(!e.to_string().is_empty());

@@ -3,13 +3,17 @@
 //! Redis clients send every command as an array of bulk strings
 //! (`*3\r\n$3\r\nSET\r\n…`). [`WireCommand`] is that representation with
 //! the command name normalised to upper case; the shared dispatcher (used
-//! by both the simulated `netsim` server and the real TCP server) maps it
-//! onto the engine's typed command set.
+//! by both the simulated `netsim` server and the real TCP server) looks
+//! the name up in the server's command table, which declares every
+//! command once: its arity, flags and metrics family.
 //!
 //! [`GdprRequest`] extends the wire surface beyond plain Redis commands:
 //! it gives every GDPR operation of the compliance layer (session auth,
 //! grants, metadata get/set, subject rights) a `GDPR.*` command form, so
 //! remote clients can exercise the full compliance surface over a socket.
+//! It is the client encoding ([`GdprRequest::to_wire`]) and the decoder
+//! the server runs once the table has accepted a `GDPR.*` row
+//! ([`GdprRequest::from_wire`]).
 
 use crate::{Frame, RespError};
 
@@ -153,7 +157,6 @@ impl WireCommand {
 /// [`GdprRequest::from_wire`] round-trip, so client and server agree on
 /// the encoding by construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
 pub enum GdprRequest {
     /// `GDPR.AUTH actor purpose` — bind this connection to an access
     /// context (actor + declared processing purpose).
@@ -263,42 +266,20 @@ fn purposes_from_arg(arg: &str) -> Vec<String> {
 }
 
 impl GdprRequest {
-    /// Whether a command name belongs to the GDPR wire surface.
-    #[must_use]
-    pub fn is_gdpr_command(name: &str) -> bool {
-        name.starts_with("GDPR.")
-    }
-
-    /// Parse a [`WireCommand`] into a GDPR request, moving the value of a
-    /// `GDPR.PUT` out of it ([`WireCommand::take_arg`]).
+    /// Decode a `GDPR.*` [`WireCommand`] into its request, moving the
+    /// value of a `GDPR.PUT` out of it ([`WireCommand::take_arg`]).
     ///
-    /// Returns `None` when the command is not a `GDPR.*` command at all
-    /// (the caller should fall through to the plain Redis surface).
+    /// The server's command table has checked the argument count before
+    /// this runs; what is checked here is the arguments' shapes: text,
+    /// integers, and `GDPR.EXPORT`'s `CURSOR`/`COUNT` keywords.
     ///
     /// # Errors
     ///
-    /// Returns [`RespError::InvalidCommand`] (inside `Some`) for a
-    /// `GDPR.*` command with an unknown name, wrong arity or malformed
-    /// arguments.
-    pub fn from_wire(cmd: &mut WireCommand) -> Option<Result<Self, RespError>> {
-        if !Self::is_gdpr_command(&cmd.name) {
-            return None;
-        }
-        Some(Self::parse_gdpr(cmd))
-    }
-
-    fn parse_gdpr(cmd: &mut WireCommand) -> Result<Self, RespError> {
-        let arity = |need: &str| {
-            let name = &cmd.name;
-            RespError::InvalidCommand(format!(
-                "wrong number of arguments for '{name}' (usage: {name} {need})"
-            ))
-        };
+    /// Returns [`RespError::InvalidCommand`] for a name that is no
+    /// `GDPR.*` command, a missing argument or a malformed one.
+    pub fn from_wire(cmd: &mut WireCommand) -> Result<Self, RespError> {
         let request = match cmd.name.as_str() {
             "GDPR.AUTH" | "GDPR.GRANT" | "GDPR.REVOKE" => {
-                if cmd.arity() != 2 {
-                    return Err(arity("actor purpose"));
-                }
                 let actor = cmd.arg_str(0)?.to_string();
                 let purpose = cmd.arg_str(1)?.to_string();
                 match cmd.name.as_str() {
@@ -307,49 +288,31 @@ impl GdprRequest {
                     _ => GdprRequest::Revoke { actor, purpose },
                 }
             }
-            "GDPR.PUT" => {
-                if cmd.arity() != 4 && cmd.arity() != 5 {
-                    return Err(arity("key subject purposes value [ttl_ms]"));
-                }
-                GdprRequest::Put {
-                    key: cmd.arg_str(0)?.to_string(),
-                    subject: cmd.arg_str(1)?.to_string(),
-                    purposes: purposes_from_arg(cmd.arg_str(2)?),
-                    ttl_ms: if cmd.arity() == 5 {
-                        Some(cmd.arg_u64(4)?)
-                    } else {
-                        None
-                    },
-                    value: cmd.take_arg(3)?,
-                }
-            }
-            "GDPR.GETMETA" => {
-                if cmd.arity() != 1 {
-                    return Err(arity("key"));
-                }
-                GdprRequest::GetMeta {
-                    key: cmd.arg_str(0)?.to_string(),
-                }
-            }
-            "GDPR.SETMETA" => {
-                if cmd.arity() != 3 && cmd.arity() != 4 {
-                    return Err(arity("key subject purposes [ttl_ms]"));
-                }
-                GdprRequest::SetMeta {
-                    key: cmd.arg_str(0)?.to_string(),
-                    subject: cmd.arg_str(1)?.to_string(),
-                    purposes: purposes_from_arg(cmd.arg_str(2)?),
-                    ttl_ms: if cmd.arity() == 4 {
-                        Some(cmd.arg_u64(3)?)
-                    } else {
-                        None
-                    },
-                }
-            }
+            "GDPR.PUT" => GdprRequest::Put {
+                key: cmd.arg_str(0)?.to_string(),
+                subject: cmd.arg_str(1)?.to_string(),
+                purposes: purposes_from_arg(cmd.arg_str(2)?),
+                ttl_ms: if cmd.arity() > 4 {
+                    Some(cmd.arg_u64(4)?)
+                } else {
+                    None
+                },
+                value: cmd.take_arg(3)?,
+            },
+            "GDPR.GETMETA" => GdprRequest::GetMeta {
+                key: cmd.arg_str(0)?.to_string(),
+            },
+            "GDPR.SETMETA" => GdprRequest::SetMeta {
+                key: cmd.arg_str(0)?.to_string(),
+                subject: cmd.arg_str(1)?.to_string(),
+                purposes: purposes_from_arg(cmd.arg_str(2)?),
+                ttl_ms: if cmd.arity() > 3 {
+                    Some(cmd.arg_u64(3)?)
+                } else {
+                    None
+                },
+            },
             "GDPR.KEYSOF" | "GDPR.ERASE" => {
-                if cmd.arity() != 1 {
-                    return Err(arity("subject"));
-                }
                 let subject = cmd.arg_str(0)?.to_string();
                 match cmd.name.as_str() {
                     "GDPR.KEYSOF" => GdprRequest::KeysOf { subject },
@@ -357,45 +320,35 @@ impl GdprRequest {
                 }
             }
             "GDPR.EXPORT" => {
-                if cmd.arity() != 1 && cmd.arity() != 3 && cmd.arity() != 5 {
-                    return Err(arity("subject [CURSOR cursor [COUNT n]]"));
-                }
-                let subject = cmd.arg_str(0)?.to_string();
-                let mut cursor = None;
-                let mut count = None;
-                if cmd.arity() >= 3 {
-                    if !cmd.arg_str(1)?.eq_ignore_ascii_case("CURSOR") {
-                        return Err(arity("subject [CURSOR cursor [COUNT n]]"));
-                    }
-                    cursor = Some(cmd.arg_str(2)?.to_string());
-                }
-                if cmd.arity() == 5 {
-                    if !cmd.arg_str(3)?.eq_ignore_ascii_case("COUNT") {
-                        return Err(arity("subject [CURSOR cursor [COUNT n]]"));
-                    }
-                    count = Some(cmd.arg_u64(4)?);
+                // `subject`, then `CURSOR c`, then `COUNT n`, each pair
+                // optional; keywords in any case.
+                let keyword_at = |i: usize, word: &str| {
+                    cmd.arg_str(i)
+                        .is_ok_and(|arg| arg.eq_ignore_ascii_case(word))
+                };
+                let paged = cmd.arity() >= 3 && keyword_at(1, "CURSOR");
+                let counted = paged && cmd.arity() >= 5 && keyword_at(3, "COUNT");
+                if cmd.arity() != 1 + 2 * usize::from(paged) + 2 * usize::from(counted) {
+                    return Err(RespError::InvalidCommand(format!(
+                        "syntax error in '{}'",
+                        cmd.name
+                    )));
                 }
                 GdprRequest::Export {
-                    subject,
-                    cursor,
-                    count,
-                }
-            }
-            "GDPR.OBJECT" => {
-                if cmd.arity() != 2 {
-                    return Err(arity("subject purpose"));
-                }
-                GdprRequest::Object {
                     subject: cmd.arg_str(0)?.to_string(),
-                    purpose: cmd.arg_str(1)?.to_string(),
+                    cursor: if paged {
+                        Some(cmd.arg_str(2)?.to_string())
+                    } else {
+                        None
+                    },
+                    count: if counted { Some(cmd.arg_u64(4)?) } else { None },
                 }
             }
-            "GDPR.STATS" => {
-                if cmd.arity() != 0 {
-                    return Err(arity(""));
-                }
-                GdprRequest::Stats
-            }
+            "GDPR.OBJECT" => GdprRequest::Object {
+                subject: cmd.arg_str(0)?.to_string(),
+                purpose: cmd.arg_str(1)?.to_string(),
+            },
+            "GDPR.STATS" => GdprRequest::Stats,
             other => {
                 return Err(RespError::InvalidCommand(format!(
                     "unknown GDPR command '{other}'"
@@ -608,35 +561,25 @@ mod tests {
     #[test]
     fn gdpr_requests_roundtrip_through_the_wire_form() {
         for request in all_gdpr_requests() {
-            let mut wire = request.to_wire();
-            assert!(GdprRequest::is_gdpr_command(&wire.name), "{wire:?}");
-            let reparsed = GdprRequest::from_wire(&mut wire)
-                .expect("GDPR command recognised")
-                .expect("GDPR command parses");
+            let reparsed = GdprRequest::from_wire(&mut request.to_wire()).unwrap();
             assert_eq!(reparsed, request);
             // And through a full frame encode/parse cycle.
             let mut cmd = WireCommand::from_frame(request.to_frame()).unwrap();
-            assert_eq!(GdprRequest::from_wire(&mut cmd).unwrap().unwrap(), request);
+            assert_eq!(GdprRequest::from_wire(&mut cmd).unwrap(), request);
         }
     }
 
     #[test]
-    fn non_gdpr_commands_fall_through() {
-        let mut cmd = WireCommand::new("SET", vec![b"k".to_vec(), b"v".to_vec()]);
-        assert!(GdprRequest::from_wire(&mut cmd).is_none());
-        assert!(!GdprRequest::is_gdpr_command("GET"));
-    }
-
-    #[test]
     fn gdpr_parse_errors() {
-        // Unknown GDPR command.
-        let mut cmd = WireCommand::new("GDPR.NOPE", vec![]);
-        assert!(GdprRequest::from_wire(&mut cmd).unwrap().is_err());
-        // Wrong arity.
+        // Unknown GDPR command, and a plain command.
+        for name in ["GDPR.NOPE", "SET"] {
+            let mut cmd = WireCommand::new(name, vec![b"k".to_vec(), b"v".to_vec()]);
+            assert!(GdprRequest::from_wire(&mut cmd).is_err());
+        }
+        // A missing argument. (The argument counts are the server's
+        // command table's to check, before a request is decoded.)
         let mut cmd = WireCommand::new("GDPR.AUTH", vec![b"app".to_vec()]);
-        assert!(GdprRequest::from_wire(&mut cmd).unwrap().is_err());
-        let mut cmd = WireCommand::new("GDPR.STATS", vec![b"extra".to_vec()]);
-        assert!(GdprRequest::from_wire(&mut cmd).unwrap().is_err());
+        assert!(GdprRequest::from_wire(&mut cmd).is_err());
         // Bad TTL argument.
         let mut cmd = WireCommand::new(
             "GDPR.PUT",
@@ -648,7 +591,7 @@ mod tests {
                 b"soon".to_vec(),
             ],
         );
-        assert!(GdprRequest::from_wire(&mut cmd).unwrap().is_err());
+        assert!(GdprRequest::from_wire(&mut cmd).is_err());
     }
 
     #[test]
@@ -658,13 +601,13 @@ mod tests {
             "GDPR.EXPORT",
             vec![b"alice".to_vec(), b"PAGE".to_vec(), b"0".to_vec()],
         );
-        assert!(GdprRequest::from_wire(&mut cmd).unwrap().is_err());
+        assert!(GdprRequest::from_wire(&mut cmd).is_err());
         // COUNT requires CURSOR first (arity 3 with COUNT keyword fails).
         let mut cmd = WireCommand::new(
             "GDPR.EXPORT",
             vec![b"alice".to_vec(), b"COUNT".to_vec(), b"10".to_vec()],
         );
-        assert!(GdprRequest::from_wire(&mut cmd).unwrap().is_err());
+        assert!(GdprRequest::from_wire(&mut cmd).is_err());
         // Non-numeric COUNT.
         let mut cmd = WireCommand::new(
             "GDPR.EXPORT",
@@ -676,7 +619,7 @@ mod tests {
                 b"many".to_vec(),
             ],
         );
-        assert!(GdprRequest::from_wire(&mut cmd).unwrap().is_err());
+        assert!(GdprRequest::from_wire(&mut cmd).is_err());
         // Dangling arity (4 args).
         let mut cmd = WireCommand::new(
             "GDPR.EXPORT",
@@ -687,14 +630,14 @@ mod tests {
                 b"COUNT".to_vec(),
             ],
         );
-        assert!(GdprRequest::from_wire(&mut cmd).unwrap().is_err());
+        assert!(GdprRequest::from_wire(&mut cmd).is_err());
         // Keywords are case-insensitive.
         let mut cmd = WireCommand::new(
             "GDPR.EXPORT",
             vec![b"alice".to_vec(), b"cursor".to_vec(), b"0".to_vec()],
         );
         assert_eq!(
-            GdprRequest::from_wire(&mut cmd).unwrap().unwrap(),
+            GdprRequest::from_wire(&mut cmd).unwrap(),
             GdprRequest::Export {
                 subject: "alice".into(),
                 cursor: Some("0".into()),
@@ -711,9 +654,7 @@ mod tests {
             purposes: Vec::new(),
             ttl_ms: None,
         };
-        let reparsed = GdprRequest::from_wire(&mut request.to_wire())
-            .unwrap()
-            .unwrap();
+        let reparsed = GdprRequest::from_wire(&mut request.to_wire()).unwrap();
         assert_eq!(reparsed, request);
     }
 }

@@ -13,6 +13,12 @@
 //!   and the `GDPR.*` commands (see [`resp::command::GdprRequest`])
 //!   expose grants, session auth, metadata get/set and the Chapter 3
 //!   subject rights on the wire.
+//!
+//! What a command is comes from the command table (`commands.rs`), looked
+//! up once per request: the row gives the arity check, the replica
+//! redirect, the engine and `NOAUTH` gates and the latency family, and a
+//! `match` on the row's handler id runs it. Nothing in this file matches
+//! on a command name.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,6 +35,9 @@ use kvstore::store::KvStore;
 use resp::command::{GdprRequest, WireCommand};
 use resp::Frame;
 
+use crate::commands::{
+    self, arg, expiry, number, payload, text, Cmd, CommandSpec, AUTH, COMPLIANCE, KV, WRITE,
+};
 use crate::metrics::{CommandFamily, ServerMetrics};
 use crate::replication::ReplicationState;
 
@@ -313,17 +322,26 @@ impl Dispatcher {
     /// move into the parsed command, and the payload of a write moves on
     /// into the store.
     ///
-    /// This is the observability interception point: every parsed
-    /// command is timed into its family histogram and, over the
-    /// configured threshold, captured into the `SLOWLOG` ring (a payload
-    /// that moved into the store shows there as an empty argument).
+    /// The command name is looked up once, in the command table
+    /// (`commands.rs`). Its row gives the checks the request passes and
+    /// the handler it runs, and the family it is timed into. This is the
+    /// observability interception point: every parsed command is timed
+    /// into its family histogram (an unknown name into `other`) and,
+    /// over the configured threshold, captured into the `SLOWLOG` ring (a
+    /// payload that moved into the store shows there as an empty
+    /// argument).
     pub fn handle_owned_frame(&self, frame: Frame, session: &mut Session) -> Frame {
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
         let started = Instant::now();
         let (reply, timed) = match WireCommand::from_frame(frame) {
             Ok(mut cmd) => {
-                let family = CommandFamily::classify(&cmd.name);
-                (self.dispatch(&mut cmd, session), Some((family, cmd)))
+                let spec = commands::lookup(&cmd.name);
+                let reply = match spec {
+                    Some(spec) => self.dispatch(spec, &mut cmd, session),
+                    None => Frame::Error(format!("ERR unknown command '{}'", cmd.name)),
+                };
+                let family = spec.map_or(CommandFamily::Other, |spec| spec.family);
+                (reply, Some((family, cmd)))
             }
             Err(e) => (Frame::Error(format!("ERR {e}")), None),
         };
@@ -391,297 +409,165 @@ impl Dispatcher {
         }
     }
 
-    /// Handle one parsed wire command; a write takes its payload out of
-    /// `cmd` ([`WireCommand::take_arg`]).
-    pub fn dispatch(&self, cmd: &mut WireCommand, session: &mut Session) -> Frame {
-        // Protocol-level commands, identical for both engines.
-        match cmd.name.as_str() {
-            "PING" => return Frame::Simple("PONG".to_string()),
-            "INFO" => return Frame::Bulk(self.render_info().into_bytes()),
-            "SLOWLOG" => return self.slowlog_command(cmd),
-            // SHUTDOWN is acknowledged here; the transport layer watches
-            // for the name and begins its graceful shutdown after the
-            // reply is flushed.
-            "SHUTDOWN" => return Frame::Simple("OK".to_string()),
-            "TICK" => {
-                return match self.tick() {
-                    Ok(removed) => Frame::Integer(removed as i64),
-                    Err(e) => Frame::Error(format!("ERR {e}")),
-                }
-            }
-            // On the compliance engine the digest summarizes every
-            // subject's data and metadata, and computing it serializes the
-            // whole keyspace under all shard locks — an authenticated
-            // session is required (the raw engine has no auth concept).
-            "DIGEST" => {
-                if self.gdpr_store().is_some() && session.context().is_none() {
-                    return Frame::Error(
-                        "NOAUTH authenticate with GDPR.AUTH actor purpose first".to_string(),
-                    );
-                }
-                return Frame::Bulk(self.state_digest_hex().into_bytes());
-            }
-            // The TCP transport intercepts REPLSYNC before dispatch and
-            // turns the connection into a replication stream; seeing it
-            // here means the front-end cannot serve one (netsim).
-            "REPLSYNC" => {
-                return Frame::Error("ERR REPLSYNC is only served on the TCP transport".to_string())
-            }
-            _ => {}
+    /// Run one command by its table row: the arity check, the replica
+    /// redirect, the engine and auth gates, then the row's handler. A
+    /// write takes its payload out of `cmd` ([`WireCommand::take_arg`]).
+    fn dispatch(&self, spec: &CommandSpec, cmd: &mut WireCommand, session: &mut Session) -> Frame {
+        if !(spec.min_args..=spec.max_args).contains(&cmd.arity()) {
+            return Frame::Error(spec.arity_error());
         }
         // A replica serves reads and redirects every data write to its
-        // primary. GDPR.GRANT / GDPR.REVOKE stay local: grants are
-        // node-local control-plane state (each replica authenticates its
-        // own readers), not replicated data.
-        if self.repl.is_replica() && is_write_command(&cmd.name) {
+        // primary.
+        if spec.has(WRITE) && self.repl.is_replica() {
             return Frame::Error(format!(
                 "READONLY replica; write commands must go to the primary at {}",
                 self.repl.primary_addr().unwrap_or_else(|| "?".to_string())
             ));
         }
-        if let Some(parsed) = GdprRequest::from_wire(cmd) {
-            let request = match parsed {
-                Ok(request) => request,
-                Err(e) => return Frame::Error(format!("ERR {e}")),
-            };
-            return match &self.engine {
-                Engine::Kv(_) => {
-                    Frame::Error("ERR compliance layer not enabled on this server".to_string())
-                }
-                Engine::Gdpr(store) => dispatch_gdpr(self, store, request, session),
-            };
-        }
         match &self.engine {
-            Engine::Kv(store) => match translate(cmd) {
+            Engine::Kv(_) if !spec.has(KV) => {
+                return Frame::Error("ERR compliance layer not enabled on this server".to_string())
+            }
+            Engine::Gdpr(_) if !spec.has(COMPLIANCE) => {
+                return Frame::Error(format!(
+                    "ERR command '{}' is not available under the compliance layer",
+                    spec.name
+                ))
+            }
+            Engine::Gdpr(_) if spec.has(AUTH) && session.ctx.is_none() => {
+                return Frame::Error(NOAUTH.to_string())
+            }
+            _ => {}
+        }
+        match (spec.id, &self.engine) {
+            (Cmd::Ping, _) => Frame::Simple("PONG".to_string()),
+            (Cmd::Info, _) => Frame::Bulk(self.render_info().into_bytes()),
+            (Cmd::Slowlog, _) => self.slowlog_command(cmd),
+            // SHUTDOWN is acknowledged here; the transport layer watches
+            // for the name and begins its graceful shutdown after the
+            // reply is flushed.
+            (Cmd::Shutdown, _) => Frame::Simple("OK".to_string()),
+            (Cmd::Tick, _) => match self.tick() {
+                Ok(removed) => Frame::Integer(removed as i64),
+                Err(e) => Frame::Error(format!("ERR {e}")),
+            },
+            // On the compliance engine the digest summarizes every
+            // subject's data and metadata, and computing it serializes the
+            // whole keyspace under all shard locks — hence its `auth` flag
+            // (the raw engine has no auth concept).
+            (Cmd::Digest, _) => Frame::Bulk(self.state_digest_hex().into_bytes()),
+            // The TCP transport intercepts REPLSYNC before dispatch and
+            // turns the connection into a replication stream; seeing it
+            // here means the front-end cannot serve one (netsim).
+            (Cmd::Replsync, _) => {
+                Frame::Error("ERR REPLSYNC is only served on the TCP transport".to_string())
+            }
+            (_, Engine::Kv(store)) => match kv_command(spec, cmd, store) {
                 Ok(command) => match store.execute(command) {
                     Ok(reply) => reply_to_frame(reply),
                     Err(e) => store_err_frame(&e),
                 },
                 Err(message) => Frame::Error(message),
             },
-            Engine::Gdpr(store) => dispatch_gdpr_kv(store, cmd, session),
+            (Cmd::Gdpr, Engine::Gdpr(store)) => match GdprRequest::from_wire(cmd) {
+                Ok(request) => dispatch_gdpr(self, store, request, session),
+                Err(e) => Frame::Error(format!("ERR {e}")),
+            },
+            (_, Engine::Gdpr(store)) => {
+                compliance_command(store, spec, cmd, session).unwrap_or_else(Frame::Error)
+            }
         }
     }
 }
 
-/// Whether a wire command mutates data (and must therefore be redirected
-/// to the primary when this server is a replica). `GDPR.GRANT`/`REVOKE`
-/// are deliberately absent: ACL state is node-local.
-fn is_write_command(name: &str) -> bool {
-    matches!(
-        name,
-        "SET"
-            | "DEL"
-            | "UNLINK"
-            | "EXPIRE"
-            | "PEXPIRE"
-            | "PEXPIREAT"
-            | "PERSIST"
-            | "HSET"
-            | "HMSET"
-            | "HDEL"
-            | "SADD"
-            | "SREM"
-            | "FLUSHALL"
-            | "FLUSHDB"
-            | "GDPR.PUT"
-            | "GDPR.SETMETA"
-            | "GDPR.ERASE"
-            | "GDPR.OBJECT"
-    )
-}
-
-/// Translate a plain Redis wire command into an engine command, moving
-/// the values it carries out of it.
-///
-/// This is the mapping formerly private to `netsim::server`; it is shared
-/// here so the simulated and TCP servers accept exactly the same surface.
+/// The raw-engine command of a row the table serves there, with the
+/// values it carries moved out of `cmd`.
 ///
 /// # Errors
 ///
-/// Returns a ready-to-send RESP error message for unknown commands, bad
-/// arity and malformed arguments.
-pub fn translate(cmd: &mut WireCommand) -> std::result::Result<Command, String> {
-    fn arity_err(cmd: &WireCommand, need: usize) -> std::result::Result<Command, String> {
-        Err(format!(
-            "ERR wrong number of arguments for '{}' ({} given, {need} needed)",
-            cmd.name,
-            cmd.arity()
-        ))
-    }
-    fn text(cmd: &WireCommand, i: usize) -> std::result::Result<String, String> {
-        cmd.arg_str(i)
-            .map(str::to_string)
-            .map_err(|e| format!("ERR {e}"))
-    }
-    // A value is moved out of the command, not copied.
-    fn payload(cmd: &mut WireCommand, i: usize) -> std::result::Result<Vec<u8>, String> {
-        cmd.take_arg(i).map_err(|e| format!("ERR {e}"))
-    }
-    fn number(cmd: &WireCommand, i: usize) -> std::result::Result<u64, String> {
-        cmd.arg_u64(i).map_err(|e| format!("ERR {e}"))
-    }
-
-    let command = match cmd.name.as_str() {
-        "SET" => {
-            if cmd.arity() != 2 {
-                return arity_err(cmd, 2);
-            }
-            Command::Set {
-                key: text(cmd, 0)?,
-                value: payload(cmd, 1)?,
-            }
-        }
-        "GET" => {
-            if cmd.arity() != 1 {
-                return arity_err(cmd, 1);
-            }
-            Command::Get { key: text(cmd, 0)? }
-        }
-        "DEL" | "UNLINK" => {
-            if cmd.arity() != 1 {
-                return arity_err(cmd, 1);
-            }
-            Command::Del { key: text(cmd, 0)? }
-        }
-        "EXISTS" => {
-            if cmd.arity() != 1 {
-                return arity_err(cmd, 1);
-            }
-            Command::Exists { key: text(cmd, 0)? }
-        }
-        "PEXPIRE" => {
-            if cmd.arity() != 2 {
-                return arity_err(cmd, 2);
-            }
-            Command::Expire {
-                key: text(cmd, 0)?,
-                ttl_ms: number(cmd, 1)?,
-            }
-        }
-        "EXPIRE" => {
-            if cmd.arity() != 2 {
-                return arity_err(cmd, 2);
-            }
-            Command::Expire {
-                key: text(cmd, 0)?,
-                ttl_ms: number(cmd, 1)? * 1_000,
-            }
-        }
-        "PEXPIREAT" => {
-            if cmd.arity() != 2 {
-                return arity_err(cmd, 2);
-            }
-            Command::ExpireAt {
-                key: text(cmd, 0)?,
-                at_ms: number(cmd, 1)?,
-            }
-        }
-        "PTTL" | "TTL" => {
-            if cmd.arity() != 1 {
-                return arity_err(cmd, 1);
-            }
-            Command::Ttl { key: text(cmd, 0)? }
-        }
-        "PERSIST" => {
-            if cmd.arity() != 1 {
-                return arity_err(cmd, 1);
-            }
-            Command::Persist { key: text(cmd, 0)? }
-        }
-        "HSET" => {
-            if cmd.arity() != 3 {
-                return arity_err(cmd, 3);
-            }
-            Command::HSet {
-                key: text(cmd, 0)?,
-                field: text(cmd, 1)?,
-                value: payload(cmd, 2)?,
-            }
-        }
-        "HMSET" => {
-            if cmd.arity() < 3 || cmd.arity().is_multiple_of(2) {
-                return arity_err(cmd, 3);
-            }
-            let key = text(cmd, 0)?;
-            let mut fields = BTreeMap::new();
-            let mut i = 1;
-            while i < cmd.arity() {
-                fields.insert(text(cmd, i)?, payload(cmd, i + 1)?);
-                i += 2;
-            }
+/// Returns a ready-to-send RESP error message for a malformed argument.
+fn kv_command(
+    spec: &CommandSpec,
+    cmd: &mut WireCommand,
+    store: &KvStore,
+) -> std::result::Result<Command, String> {
+    let now = || store.clock().now_millis();
+    Ok(match spec.id {
+        Cmd::Set => Command::Set {
+            key: text(cmd, 0)?,
+            value: payload(cmd, 1)?,
+        },
+        Cmd::Get => Command::Get { key: text(cmd, 0)? },
+        Cmd::Del => Command::Del { key: text(cmd, 0)? },
+        Cmd::Exists => Command::Exists { key: text(cmd, 0)? },
+        Cmd::Expire => Command::Expire {
+            key: text(cmd, 0)?,
+            ttl_ms: expiry(cmd, 1, 1_000, now())?,
+        },
+        Cmd::PExpire => Command::Expire {
+            key: text(cmd, 0)?,
+            ttl_ms: expiry(cmd, 1, 1, now())?,
+        },
+        Cmd::PExpireAt => Command::ExpireAt {
+            key: text(cmd, 0)?,
+            at_ms: expiry(cmd, 1, 1, 0)?,
+        },
+        Cmd::Ttl => Command::Ttl { key: text(cmd, 0)? },
+        Cmd::Persist => Command::Persist { key: text(cmd, 0)? },
+        Cmd::HSet => Command::HSet {
+            key: text(cmd, 0)?,
+            field: text(cmd, 1)?,
+            value: payload(cmd, 2)?,
+        },
+        Cmd::HMSet => {
+            let (key, fields) = hash_fields(spec, cmd)?;
             Command::HSetMulti { key, fields }
         }
-        "HGET" => {
-            if cmd.arity() != 2 {
-                return arity_err(cmd, 2);
-            }
-            Command::HGet {
-                key: text(cmd, 0)?,
-                field: text(cmd, 1)?,
-            }
-        }
-        "HGETALL" => {
-            if cmd.arity() != 1 {
-                return arity_err(cmd, 1);
-            }
-            Command::HGetAll { key: text(cmd, 0)? }
-        }
-        "HDEL" => {
-            if cmd.arity() != 2 {
-                return arity_err(cmd, 2);
-            }
-            Command::HDel {
-                key: text(cmd, 0)?,
-                field: text(cmd, 1)?,
-            }
-        }
-        "SADD" => {
-            if cmd.arity() != 2 {
-                return arity_err(cmd, 2);
-            }
-            Command::SAdd {
-                key: text(cmd, 0)?,
-                member: payload(cmd, 1)?,
-            }
-        }
-        "SREM" => {
-            if cmd.arity() != 2 {
-                return arity_err(cmd, 2);
-            }
-            Command::SRem {
-                key: text(cmd, 0)?,
-                member: payload(cmd, 1)?,
-            }
-        }
-        "SMEMBERS" => {
-            if cmd.arity() != 1 {
-                return arity_err(cmd, 1);
-            }
-            Command::SMembers { key: text(cmd, 0)? }
-        }
-        "KEYS" => {
-            if cmd.arity() != 1 {
-                return arity_err(cmd, 1);
-            }
-            Command::Keys {
-                pattern: text(cmd, 0)?,
-            }
-        }
-        "SCAN" => {
-            if cmd.arity() != 2 {
-                return arity_err(cmd, 2);
-            }
-            Command::Scan {
-                start: text(cmd, 0)?,
-                count: number(cmd, 1)?,
-            }
-        }
-        "DBSIZE" => Command::DbSize,
-        "FLUSHALL" | "FLUSHDB" => Command::FlushAll,
-        other => return Err(format!("ERR unknown command '{other}'")),
-    };
-    Ok(command)
+        Cmd::HGet => Command::HGet {
+            key: text(cmd, 0)?,
+            field: text(cmd, 1)?,
+        },
+        Cmd::HGetAll => Command::HGetAll { key: text(cmd, 0)? },
+        Cmd::HDel => Command::HDel {
+            key: text(cmd, 0)?,
+            field: text(cmd, 1)?,
+        },
+        Cmd::SAdd => Command::SAdd {
+            key: text(cmd, 0)?,
+            member: payload(cmd, 1)?,
+        },
+        Cmd::SRem => Command::SRem {
+            key: text(cmd, 0)?,
+            member: payload(cmd, 1)?,
+        },
+        Cmd::SMembers => Command::SMembers { key: text(cmd, 0)? },
+        Cmd::Keys => Command::Keys {
+            pattern: text(cmd, 0)?,
+        },
+        Cmd::Scan => Command::Scan {
+            start: text(cmd, 0)?,
+            count: number(cmd, 1)?,
+        },
+        Cmd::DbSize => Command::DbSize,
+        Cmd::FlushAll => Command::FlushAll,
+        other => unreachable!("the table serves {other:?} off the raw engine"),
+    })
+}
+
+/// `HMSET`'s key and field/value map, the values moved out of `cmd`.
+fn hash_fields(
+    spec: &CommandSpec,
+    cmd: &mut WireCommand,
+) -> std::result::Result<(String, BTreeMap<String, Vec<u8>>), String> {
+    if cmd.arity().is_multiple_of(2) {
+        return Err(spec.arity_error());
+    }
+    let key = text(cmd, 0)?;
+    let mut fields = BTreeMap::new();
+    for i in (1..cmd.arity()).step_by(2) {
+        fields.insert(text(cmd, i)?, payload(cmd, i + 1)?);
+    }
+    Ok((key, fields))
 }
 
 /// Convert an engine reply into a RESP frame.
@@ -743,11 +629,12 @@ fn store_err_frame(e: &kvstore::StoreError) -> Frame {
     }
 }
 
+/// The refusal of an `auth` command on a session `GDPR.AUTH` has not bound.
+const NOAUTH: &str = "NOAUTH authenticate with GDPR.AUTH actor purpose first";
+
 /// The session context, or the ready-to-send `NOAUTH` error.
-fn require_ctx(session: &Session) -> std::result::Result<&AccessContext, Frame> {
-    session.ctx.as_ref().ok_or_else(|| {
-        Frame::Error("NOAUTH authenticate with GDPR.AUTH actor purpose first".to_string())
-    })
+fn require_ctx(session: &Session) -> std::result::Result<&AccessContext, String> {
+    session.ctx.as_ref().ok_or_else(|| NOAUTH.to_string())
 }
 
 /// Metadata attached to data written through the plain Redis surface on
@@ -824,7 +711,7 @@ fn dispatch_gdpr(
         // reveals where it lives) and needs an authenticated session.
         request => match require_ctx(session) {
             Ok(ctx) => dispatch_gdpr_data(store, request, ctx),
-            Err(noauth) => noauth,
+            Err(noauth) => Frame::Error(noauth),
         },
     }
 }
@@ -903,122 +790,68 @@ fn dispatch_gdpr_data(store: &GdprStore, request: GdprRequest, ctx: &AccessConte
                 Err(e) => gdpr_err(&e),
             }
         }
-        // `GdprRequest` is non-exhaustive: a newer wire surface than this
-        // server understands is a protocol error, not a panic.
-        _ => Frame::Error("ERR unsupported GDPR command".to_string()),
+        GdprRequest::Auth { .. }
+        | GdprRequest::Grant { .. }
+        | GdprRequest::Revoke { .. }
+        | GdprRequest::Stats => unreachable!("served by dispatch_gdpr"),
     }
 }
 
-/// Execute a plain Redis command against the compliance layer: the subset
-/// the remote YCSB adapter needs, each call running through access
-/// control, purpose limitation, metadata and audit.
-fn dispatch_gdpr_kv(store: &GdprStore, cmd: &mut WireCommand, session: &Session) -> Frame {
-    // Commands that need no access context.
-    if cmd.name == "DBSIZE" {
-        return Frame::Integer(store.len() as i64);
+/// Run a plain command on the compliance layer: each data command runs
+/// through access control, purpose limitation, metadata and audit.
+///
+/// # Errors
+///
+/// Returns a ready-to-send RESP error message for a malformed argument or
+/// a compliance-layer failure.
+fn compliance_command(
+    store: &GdprStore,
+    spec: &CommandSpec,
+    cmd: &mut WireCommand,
+    session: &Session,
+) -> std::result::Result<Frame, String> {
+    if spec.id == Cmd::DbSize {
+        return Ok(Frame::Integer(store.len() as i64));
     }
-    let ctx = match require_ctx(session) {
-        Ok(ctx) => ctx,
-        Err(e) => return e,
-    };
-    fn arg(cmd: &WireCommand, i: usize) -> std::result::Result<&str, String> {
-        cmd.arg_str(i).map_err(|e| format!("ERR {e}"))
-    }
-    let result: std::result::Result<Frame, String> = (|| {
-        let frame = match cmd.name.as_str() {
-            "SET" => {
-                if cmd.arity() != 2 {
-                    return Err(format!("ERR wrong number of arguments for '{}'", cmd.name));
-                }
-                // The value moves out of the command and on into the store.
-                let value = cmd.take_arg(1).map_err(|e| format!("ERR {e}"))?;
-                let key = arg(cmd, 0)?;
-                store
-                    .put(ctx, key, value, default_metadata(key, ctx))
-                    .map_err(|e| gdpr_err_string(&e))?;
-                Frame::Simple("OK".to_string())
-            }
-            "GET" => {
-                if cmd.arity() != 1 {
-                    return Err(format!("ERR wrong number of arguments for '{}'", cmd.name));
-                }
-                match store
-                    .get(ctx, arg(cmd, 0)?)
-                    .map_err(|e| gdpr_err_string(&e))?
-                {
-                    Some(value) => Frame::Bulk(value),
-                    None => Frame::Null,
-                }
-            }
-            "DEL" | "UNLINK" => {
-                if cmd.arity() != 1 {
-                    return Err(format!("ERR wrong number of arguments for '{}'", cmd.name));
-                }
-                let existed = store
-                    .delete(ctx, arg(cmd, 0)?)
-                    .map_err(|e| gdpr_err_string(&e))?;
-                Frame::Integer(i64::from(existed))
-            }
-            "HMSET" => {
-                if cmd.arity() < 3 || cmd.arity().is_multiple_of(2) {
-                    return Err(format!("ERR wrong number of arguments for '{}'", cmd.name));
-                }
-                let key = arg(cmd, 0)?;
-                let mut fields = BTreeMap::new();
-                let mut i = 1;
-                while i < cmd.arity() {
-                    fields.insert(
-                        arg(cmd, i)?.to_string(),
-                        cmd.arg_bytes(i + 1)
-                            .map_err(|e| format!("ERR {e}"))?
-                            .to_vec(),
-                    );
-                    i += 2;
-                }
-                store
-                    .put_record(ctx, key, &fields, default_metadata(key, ctx))
-                    .map_err(|e| gdpr_err_string(&e))?;
-                Frame::Simple("OK".to_string())
-            }
-            "HGETALL" => {
-                if cmd.arity() != 1 {
-                    return Err(format!("ERR wrong number of arguments for '{}'", cmd.name));
-                }
-                match store
-                    .get_record(ctx, arg(cmd, 0)?)
-                    .map_err(|e| gdpr_err_string(&e))?
-                {
-                    Some(map) => reply_to_frame(Reply::Map(map)),
-                    None => Frame::Null,
-                }
-            }
-            "SCAN" => {
-                if cmd.arity() != 2 {
-                    return Err(format!("ERR wrong number of arguments for '{}'", cmd.name));
-                }
-                let count = cmd.arg_u64(1).map_err(|e| format!("ERR {e}"))? as usize;
-                let keys = store
-                    .scan(ctx, arg(cmd, 0)?, count)
-                    .map_err(|e| gdpr_err_string(&e))?;
-                string_array_frame(keys)
-            }
-            other => {
-                return Err(format!(
-                    "ERR command '{other}' is not available under the compliance layer"
-                ))
-            }
-        };
-        Ok(frame)
-    })();
-    match result {
-        Ok(frame) => frame,
-        Err(message) => Frame::Error(message),
-    }
+    let ctx = require_ctx(session)?;
+    let err = |e: gdpr_core::GdprError| gdpr_err_string(&e);
+    Ok(match spec.id {
+        Cmd::Set => {
+            let value = payload(cmd, 1)?;
+            let key = arg(cmd, 0)?;
+            store
+                .put(ctx, key, value, default_metadata(key, ctx))
+                .map_err(err)?;
+            Frame::Simple("OK".to_string())
+        }
+        Cmd::Get => store
+            .get(ctx, arg(cmd, 0)?)
+            .map_err(err)?
+            .map_or(Frame::Null, Frame::Bulk),
+        Cmd::Del => Frame::Integer(i64::from(store.delete(ctx, arg(cmd, 0)?).map_err(err)?)),
+        Cmd::HMSet => {
+            let (key, fields) = hash_fields(spec, cmd)?;
+            store
+                .put_record(ctx, &key, &fields, default_metadata(&key, ctx))
+                .map_err(err)?;
+            Frame::Simple("OK".to_string())
+        }
+        Cmd::HGetAll => store
+            .get_record(ctx, arg(cmd, 0)?)
+            .map_err(err)?
+            .map_or(Frame::Null, |map| reply_to_frame(Reply::Map(map))),
+        Cmd::Scan => {
+            let count = number(cmd, 1)? as usize;
+            string_array_frame(store.scan(ctx, arg(cmd, 0)?, count).map_err(err)?)
+        }
+        other => unreachable!("the table serves {other:?} off the compliance engine"),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commands::COMMANDS;
     use gdpr_core::policy::CompliancePolicy;
     use kvstore::config::StoreConfig;
 
@@ -1485,6 +1318,137 @@ mod tests {
         }
         assert_eq!(d.stats().errors, 4);
         assert_eq!(d.stats().requests, 4);
+    }
+
+    /// `name` with `args` placeholder arguments.
+    fn request(name: &str, args: usize) -> Frame {
+        let mut parts = vec![name.to_string()];
+        parts.extend((0..args).map(|i| i.to_string()));
+        Frame::command(parts)
+    }
+
+    #[test]
+    fn unknown_names_are_refused_and_timed_as_other() {
+        let (gdpr, _) = gdpr_dispatcher();
+        for d in [kv_dispatcher(), gdpr] {
+            let mut session = Session::new();
+            for name in ["BOGUS", "GDPR.NOPE", "MGET"] {
+                assert_eq!(
+                    d.handle_frame(&Frame::command([name]), &mut session),
+                    Frame::Error(format!("ERR unknown command '{name}'"))
+                );
+            }
+            let snapshots = d.metrics().family_snapshots();
+            let (label, other) = snapshots.last().unwrap();
+            assert_eq!((*label, other.count()), ("other", 3));
+        }
+    }
+
+    #[test]
+    fn every_form_outside_a_commands_arity_is_refused_on_both_engines() {
+        let (gdpr, _) = gdpr_dispatcher();
+        for d in [kv_dispatcher(), gdpr] {
+            let mut session = Session::new();
+            for spec in &COMMANDS {
+                let mut outside = Vec::new();
+                if spec.min_args > 0 {
+                    outside.push(spec.min_args - 1);
+                }
+                if spec.max_args != usize::MAX {
+                    outside.push(spec.max_args + 1);
+                }
+                for args in outside {
+                    assert_eq!(
+                        d.handle_frame(&request(spec.name, args), &mut session),
+                        Frame::Error(spec.arity_error()),
+                        "{} with {args} arguments",
+                        spec.name
+                    );
+                }
+            }
+            // The forms the GDPR request parser refused by arity before
+            // the table existed.
+            for (frame, usage) in [
+                (
+                    Frame::command(["GDPR.AUTH", "app"]),
+                    "GDPR.AUTH actor purpose",
+                ),
+                (Frame::command(["GDPR.STATS", "extra"]), "GDPR.STATS"),
+            ] {
+                match d.handle_frame(&frame, &mut session) {
+                    Frame::Error(m) => assert!(m.ends_with(&format!("(usage: {usage})")), "{m}"),
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_command_is_served_on_the_engines_its_flags_name() {
+        let kv = kv_dispatcher();
+        let (gdpr, _) = gdpr_dispatcher();
+        let mut kv_session = Session::new();
+        let mut gdpr_session = authed_session(&gdpr);
+        for spec in &COMMANDS {
+            let frame = request(spec.name, spec.min_args);
+            match kv.handle_frame(&frame, &mut kv_session) {
+                Frame::Error(m) if m == "ERR compliance layer not enabled on this server" => {
+                    assert!(!spec.has(KV), "{}", spec.name);
+                }
+                _ => assert!(spec.has(KV), "{}", spec.name),
+            }
+            let refusal = format!(
+                "ERR command '{}' is not available under the compliance layer",
+                spec.name
+            );
+            match gdpr.handle_frame(&frame, &mut gdpr_session) {
+                Frame::Error(m) if m == refusal => assert!(!spec.has(COMPLIANCE), "{}", spec.name),
+                _ => assert!(spec.has(COMPLIANCE), "{}", spec.name),
+            }
+        }
+        // Without a session the compliance engine answers NOAUTH exactly
+        // for the `auth` rows it serves.
+        let mut anonymous = Session::new();
+        for spec in COMMANDS.iter().filter(|s| s.has(COMPLIANCE)) {
+            let reply = gdpr.handle_frame(&request(spec.name, spec.min_args), &mut anonymous);
+            let noauth = matches!(&reply, Frame::Error(m) if m.starts_with("NOAUTH"));
+            assert_eq!(noauth, spec.has(AUTH), "{}: {reply:?}", spec.name);
+        }
+    }
+
+    #[test]
+    fn an_expiry_past_the_i64_range_is_refused_and_the_deadline_kept() {
+        let d = kv_dispatcher();
+        let mut session = Session::new();
+        let mut send = |parts: [&str; 3]| d.handle_frame(&Frame::command(parts), &mut session);
+        assert_eq!(send(["SET", "k", "v"]), Frame::Simple("OK".into()));
+        assert_eq!(send(["PEXPIRE", "k", "600000"]), Frame::Integer(1));
+        for (name, arg) in [
+            // × 1 000 overflows a u64.
+            ("EXPIRE", "18446744073709552"),
+            ("PEXPIRE", "18446744073709551615"),
+            ("PEXPIREAT", "9223372036854775808"),
+        ] {
+            assert_eq!(
+                send([name, "k", arg]),
+                Frame::Error(format!("ERR invalid expire time in '{name}' command"))
+            );
+            match d.handle_frame(&Frame::command(["PTTL", "k"]), &mut Session::new()) {
+                Frame::Integer(ms) => assert!((590_000..=600_000).contains(&ms), "{name}: {ms}"),
+                other => panic!("{name}: unexpected {other:?}"),
+            }
+        }
+        // The furthest deadline that fits is taken.
+        let mut session = Session::new();
+        let mut send = |parts: [&str; 3]| d.handle_frame(&Frame::command(parts), &mut session);
+        assert_eq!(
+            send(["PEXPIREAT", "k", "9223372036854775807"]),
+            Frame::Integer(1)
+        );
+        assert!(matches!(
+            d.handle_frame(&Frame::command(["PTTL", "k"]), &mut Session::new()),
+            Frame::Integer(ms) if ms > 0
+        ));
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //!   front-ends cannot drift. It serves either the raw [`kvstore`] engine
 //!   or the full [`gdpr_core`] compliance layer, including the `GDPR.*`
 //!   wire surface (session auth, grants, metadata get/set, subject
-//!   rights).
+//!   rights). Every command it accepts is declared once, in the
+//!   private `commands` table: name, usage, arity, flags and metrics
+//!   family.
 //! * [`tcp`] — the RESP2 server facade over `std::net::TcpListener`:
 //!   incremental decoding, pipelined requests, connection limits,
 //!   read/write timeouts and graceful shutdown that drains in-flight
@@ -33,6 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod commands;
 pub mod dispatch;
 pub mod metrics;
 pub mod metrics_http;

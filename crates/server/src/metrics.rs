@@ -37,10 +37,11 @@ pub const DEFAULT_SLOWLOG_MAX_LEN: usize = 128;
 /// histogram per command name (bounded label cardinality for Prometheus)
 /// but fine enough to separate the paper's cost centres: plain reads,
 /// journaled writes, keyspace scans, expiry management, GDPR data-path
-/// commands and GDPR rights.
+/// commands and GDPR rights. Each command's family is a column of the
+/// server's command table (`commands.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommandFamily {
-    /// Per-key reads (`GET`, `HGETALL`, `SISMEMBER`, …).
+    /// Per-key reads (`GET`, `HGETALL`, …).
     Read,
     /// Data writes (`SET`, `DEL`, `HSET`, `SADD`, `FLUSHALL`, …).
     Write,
@@ -48,7 +49,7 @@ pub enum CommandFamily {
     Scan,
     /// Expiry management (`EXPIRE`, `PEXPIREAT`, `TTL`, `PERSIST`, …).
     Expire,
-    /// GDPR data path (`GDPR.PUT`, `GDPR.GET`, `GDPR.SETMETA`, …).
+    /// GDPR data path (`GDPR.PUT`, `GDPR.SETMETA`).
     GdprData,
     /// GDPR subject rights (`GDPR.ERASE`, `GDPR.EXPORT`, `GDPR.KEYSOF`,
     /// `GDPR.GETMETA`, `GDPR.OBJECT`) — the rights also record into
@@ -57,7 +58,8 @@ pub enum CommandFamily {
     /// Protocol and introspection (`PING`, `INFO`, `SLOWLOG`, `TICK`,
     /// `DIGEST`, `GDPR.AUTH`, `GDPR.STATS`, …).
     Admin,
-    /// Anything unrecognised (still timed; the reply is an error).
+    /// A name the command table does not hold (still timed; the reply is
+    /// an error).
     Other,
 }
 
@@ -73,31 +75,6 @@ impl CommandFamily {
         CommandFamily::Admin,
         CommandFamily::Other,
     ];
-
-    /// The family of an upper-cased wire command name.
-    #[must_use]
-    pub fn classify(name: &str) -> Self {
-        match name {
-            "GET" | "MGET" | "EXISTS" | "TYPE" | "STRLEN" | "HGET" | "HGETALL" | "HLEN"
-            | "SMEMBERS" | "SISMEMBER" | "SCARD" => CommandFamily::Read,
-            "SET" | "SETEX" | "PSETEX" | "APPEND" | "INCR" | "DECR" | "INCRBY" | "DECRBY"
-            | "DEL" | "UNLINK" | "HSET" | "HMSET" | "HDEL" | "SADD" | "SREM" | "FLUSHALL"
-            | "FLUSHDB" => CommandFamily::Write,
-            "KEYS" | "SCAN" | "DBSIZE" => CommandFamily::Scan,
-            "EXPIRE" | "PEXPIRE" | "EXPIREAT" | "PEXPIREAT" | "PERSIST" | "TTL" | "PTTL" => {
-                CommandFamily::Expire
-            }
-            "GDPR.PUT" | "GDPR.GET" | "GDPR.DEL" | "GDPR.SETMETA" => CommandFamily::GdprData,
-            "GDPR.ERASE" | "GDPR.EXPORT" | "GDPR.KEYSOF" | "GDPR.GETMETA" | "GDPR.OBJECT" => {
-                CommandFamily::GdprRight
-            }
-            "PING" | "INFO" | "SHUTDOWN" | "TICK" | "DIGEST" | "REPLSYNC" | "SLOWLOG" => {
-                CommandFamily::Admin
-            }
-            other if other.starts_with("GDPR.") => CommandFamily::Admin,
-            _ => CommandFamily::Other,
-        }
-    }
 
     /// The stable label value (`family="…"`, `latency_cmd_…`).
     #[must_use]
@@ -312,22 +289,6 @@ impl Dispatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn classify_covers_the_wire_surface() {
-        assert_eq!(CommandFamily::classify("GET"), CommandFamily::Read);
-        assert_eq!(CommandFamily::classify("SET"), CommandFamily::Write);
-        assert_eq!(CommandFamily::classify("KEYS"), CommandFamily::Scan);
-        assert_eq!(CommandFamily::classify("PEXPIREAT"), CommandFamily::Expire);
-        assert_eq!(CommandFamily::classify("GDPR.PUT"), CommandFamily::GdprData);
-        assert_eq!(
-            CommandFamily::classify("GDPR.ERASE"),
-            CommandFamily::GdprRight
-        );
-        assert_eq!(CommandFamily::classify("SLOWLOG"), CommandFamily::Admin);
-        assert_eq!(CommandFamily::classify("GDPR.AUTH"), CommandFamily::Admin);
-        assert_eq!(CommandFamily::classify("BOGUS"), CommandFamily::Other);
-    }
 
     #[test]
     fn family_labels_are_unique() {

@@ -16,7 +16,7 @@ pub enum StorageFeature {
     TimelyDeletion,
     /// Audit trail of all data- and control-path interactions.
     MonitoringLogging,
-    /// Secondary indexes over metadata (subject, purpose, expiry).
+    /// Secondary indexes over metadata (subject → keys, expiry deadlines).
     MetadataIndexing,
     /// Fine-grained, dynamic access control.
     AccessControl,

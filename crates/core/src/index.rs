@@ -1,24 +1,30 @@
-//! Secondary metadata indexes (Articles 15, 17, 20, 21).
+//! The subject index (Articles 15, 17, 20, 21).
 //!
 //! The data-subject rights all start with the same query: *find every key
-//! that belongs to this person* (or: that is processed under this purpose).
-//! Stock key-value stores can only answer that with a full scan; the paper
-//! lists "Metadata indexing" as a required storage feature and "efficient
-//! metadata indexing" as an open research challenge (§5.1). The compliance
-//! layer maintains two inverted indexes — subject → keys and purpose →
-//! keys — updated on every write and erase.
+//! that belongs to this person*. Stock key-value stores can only answer
+//! that with a full scan; the paper lists "Metadata indexing" as a required
+//! storage feature and "efficient metadata indexing" as an open research
+//! challenge (§5.1). The compliance layer keeps one inverted index,
+//! subject → keys, updated on every write and erase.
+//!
+//! Each key is stored once per segment: the subject's key list, the reverse
+//! map from key to posting and — when the subject is the key itself, as it
+//! is for every plain `SET` on the compliance engine — the subject name all
+//! share one allocation.
 //!
 //! [`ShardedMetadataIndex`] splits the postings into per-shard segments
 //! aligned with the engine's key routing, so per-key maintenance (the hot
 //! path: every `put`/`delete`) only locks the owning segment, while
 //! cross-shard queries (`right_to_erasure`, `right_of_access`, …) merge
-//! over all segments.
+//! over the segments that hold the subject.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use kvstore::shard::{hash_key, ShardRouter};
-use parking_lot::Mutex;
+use kvstore::store::KvStore;
+use parking_lot::{Mutex, MutexGuard};
 
 /// Number of independently locked stripes in a [`SubjectPresence`] map.
 /// Presence updates ride inside the per-key mutation bracket, so the
@@ -106,62 +112,63 @@ impl SubjectPresence {
             None => Vec::new(),
         }
     }
+}
 
-    /// The presence bitmap for `subject`: bit `shard % 64` is set when the
-    /// shard may hold postings for the subject.
-    #[must_use]
-    pub fn shard_mask(&self, subject: &str) -> u64 {
-        self.shards_with(subject)
-            .into_iter()
-            .fold(0u64, |mask, shard| mask | (1u64 << (shard % 64)))
+/// The keys of one subject in one segment: the first held inline (a
+/// subject usually owns one key per segment), the rest in a `Vec`. A key's
+/// slot is its position in that order: 0 for `first`, `i + 1` for
+/// `rest[i]`.
+#[derive(Debug, Clone)]
+struct SubjectKeys {
+    first: Arc<str>,
+    rest: Vec<Arc<str>>,
+}
+
+impl SubjectKeys {
+    fn iter(&self) -> impl Iterator<Item = &Arc<str>> {
+        std::iter::once(&self.first).chain(&self.rest)
+    }
+
+    /// Take the key at `slot` out by moving the last key into its place;
+    /// returns the key that moved, if one did. The subject keeps at least
+    /// one key: the caller drops a one-key subject whole.
+    fn swap_remove(&mut self, slot: usize) -> Option<Arc<str>> {
+        let last = self.rest.pop()?;
+        let hole = match slot {
+            0 => &mut self.first,
+            _ => self.rest.get_mut(slot - 1)?,
+        };
+        *hole = Arc::clone(&last);
+        Some(last)
     }
 }
 
-/// What one key is posted under: the reverse of the two inverted indexes,
-/// so maintenance touches only that key's own posting lists. The strings
-/// are the ones the forward maps already hold, and keys with the same
-/// purpose whitelist share one list.
+/// Where one key is posted: its subject (the forward map's own copy of the
+/// name) and its slot in that subject's [`SubjectKeys`].
 #[derive(Debug, Clone)]
 struct Posting {
     subject: Arc<str>,
-    purposes: Arc<[Arc<str>]>,
+    slot: u32,
 }
 
-/// In-memory inverted indexes over the GDPR metadata.
+/// One segment of the subject index.
 ///
 /// The index is rebuildable from the metadata the engine's entries carry (see
 /// [`crate::store::GdprStore::rebuild_index`]), so it does not need its own
 /// persistence.
 #[derive(Debug, Clone, Default)]
 pub struct MetadataIndex {
-    by_subject: BTreeMap<Arc<str>, BTreeSet<Arc<str>>>,
-    by_purpose: BTreeMap<Arc<str>, BTreeSet<Arc<str>>>,
-    /// key → the subject and purposes it is currently posted under. A key
-    /// has at most one posting: [`Self::insert`] retires the previous one,
-    /// and [`Self::remove`] costs O(that key's lists), not O(subjects).
+    by_subject: HashMap<Arc<str>, SubjectKeys>,
+    /// key → the subject it is posted under and its slot there, so a key
+    /// leaves its subject in O(1). A key has at most one posting:
+    /// [`Self::insert`] retires the previous one.
     by_key: HashMap<Arc<str>, Posting>,
-    /// The distinct purpose lists the postings of `by_key` point at (a
-    /// handful per deployment, against one small allocation per key).
-    purpose_lists: HashSet<Arc<[Arc<str>]>>,
-    /// Number of index mutations performed (used by the ablation bench).
-    updates: u64,
     /// Set when this index is a segment of a [`ShardedMetadataIndex`]:
     /// `(shard id, total shards, shared presence map)`. Mutations then
     /// keep the presence map in sync — the caller already holds this
     /// segment's lock, so subject arrival/departure here is exactly the
     /// first/last posting transition.
     presence: Option<(usize, usize, Arc<SubjectPresence>)>,
-}
-
-/// The shared copy of `name` a forward map already keys on, or a new one.
-fn interned(map: &BTreeMap<Arc<str>, BTreeSet<Arc<str>>>, name: &str) -> Arc<str> {
-    map.get_key_value(name)
-        .map_or_else(|| Arc::from(name), |(shared, _)| Arc::clone(shared))
-}
-
-fn strings(set: Option<&BTreeSet<Arc<str>>>) -> Vec<String> {
-    set.map(|s| s.iter().map(|k| k.to_string()).collect())
-        .unwrap_or_default()
 }
 
 impl MetadataIndex {
@@ -171,162 +178,93 @@ impl MetadataIndex {
         Self::default()
     }
 
-    /// Index `key` as belonging to `subject` with the given purposes,
-    /// replacing whatever the key was posted under before: a key whose
-    /// owner changed must leave the old subject's postings, or that
-    /// subject's erasure would reach the new owner's data.
-    pub fn insert(&mut self, key: &str, subject: &str, purposes: impl IntoIterator<Item = String>) {
-        self.updates += 1;
-        let purposes: Vec<String> = purposes.into_iter().collect();
-        // Rewriting a key under unchanged metadata is the common overwrite;
-        // its postings are already in place.
-        let unchanged = self.by_key.get(key).is_some_and(|old| {
-            &*old.subject == subject && old.purposes.iter().map(|p| &**p).eq(&purposes)
-        });
-        if unchanged {
+    /// Index `key` as belonging to `subject`, replacing whatever the key
+    /// was posted under before: a key whose owner changed must leave the
+    /// old subject's postings, or that subject's erasure would reach the
+    /// new owner's data.
+    pub fn insert(&mut self, key: &str, subject: &str) {
+        // Rewriting a key under an unchanged subject is the common
+        // overwrite; its posting is already in place.
+        if self
+            .by_key
+            .get(key)
+            .is_some_and(|old| &*old.subject == subject)
+        {
             return;
         }
         let key = match self.by_key.remove_entry(key) {
             Some((key, old)) => {
-                self.retire(&key, &old);
+                self.retire(&old);
                 key
             }
             None => Arc::from(key),
         };
-        let subject_is_new = !self.by_subject.contains_key(subject);
-        let subject = interned(&self.by_subject, subject);
-        self.by_subject
-            .entry(Arc::clone(&subject))
-            .or_default()
-            .insert(Arc::clone(&key));
-        let purposes: Vec<Arc<str>> = purposes
-            .iter()
-            .map(|purpose| {
-                let purpose = interned(&self.by_purpose, purpose);
-                self.by_purpose
-                    .entry(Arc::clone(&purpose))
-                    .or_default()
-                    .insert(Arc::clone(&key));
-                purpose
-            })
-            .collect();
-        let purposes = self.shared_list(purposes);
-        if subject_is_new {
-            if let Some((shard, shards, presence)) = &self.presence {
-                presence.note_added(&subject, *shard, *shards);
+        let subject = match self.by_subject.get_key_value(subject) {
+            Some((shared, _)) => Arc::clone(shared),
+            None if subject == &*key => Arc::clone(&key),
+            None => Arc::from(subject),
+        };
+        let slot = match self.by_subject.entry(Arc::clone(&subject)) {
+            Entry::Occupied(mut keys) => {
+                let keys = keys.get_mut();
+                keys.rest.push(Arc::clone(&key));
+                keys.rest.len()
             }
-        }
-        self.by_key.insert(key, Posting { subject, purposes });
-    }
-
-    /// The shared copy of this purpose list.
-    fn shared_list(&mut self, purposes: Vec<Arc<str>>) -> Arc<[Arc<str>]> {
-        if let Some(list) = self.purpose_lists.get(purposes.as_slice()) {
-            return Arc::clone(list);
-        }
-        let list: Arc<[Arc<str>]> = purposes.into();
-        self.purpose_lists.insert(Arc::clone(&list));
-        list
-    }
-
-    /// Forget `list` if the posting handing it back was its last user
-    /// (the other reference is the table's own).
-    fn release_list(&mut self, list: &Arc<[Arc<str>]>) {
-        if Arc::strong_count(list) == 2 {
-            self.purpose_lists.remove(&**list);
-        }
-    }
-
-    /// Take `key` out of the lists `posting` (already out of `by_key`)
-    /// names; a subject whose last key this was leaves the segment (and
-    /// the presence map).
-    fn retire(&mut self, key: &str, posting: &Posting) {
-        if let Some(keys) = self.by_subject.get_mut(&*posting.subject) {
-            keys.remove(key);
-            if keys.is_empty() {
-                self.by_subject.remove(&*posting.subject);
-                if let Some((shard, _, presence)) = &self.presence {
-                    presence.note_removed(&posting.subject, *shard);
+            Entry::Vacant(vacant) => {
+                if let Some((shard, shards, presence)) = &self.presence {
+                    presence.note_added(&subject, *shard, *shards);
                 }
+                vacant.insert(SubjectKeys {
+                    first: Arc::clone(&key),
+                    rest: Vec::new(),
+                });
+                0
             }
-        }
-        for purpose in posting.purposes.iter() {
-            self.drop_purpose_posting(key, purpose);
-        }
-        self.release_list(&posting.purposes);
+        };
+        let slot = u32::try_from(slot).expect("fewer than 2^32 keys per subject and segment");
+        self.by_key.insert(key, Posting { subject, slot });
     }
 
-    fn drop_purpose_posting(&mut self, key: &str, purpose: &str) {
-        if let Some(keys) = self.by_purpose.get_mut(purpose) {
-            keys.remove(key);
-            if keys.is_empty() {
-                self.by_purpose.remove(purpose);
+    /// Take a key (already out of `by_key`) out of its subject's keys; a
+    /// subject whose last key this was leaves the segment (and the
+    /// presence map).
+    fn retire(&mut self, posting: &Posting) {
+        let Some(keys) = self.by_subject.get_mut(&*posting.subject) else {
+            return;
+        };
+        if keys.rest.is_empty() {
+            self.by_subject.remove(&*posting.subject);
+            if let Some((shard, _, presence)) = &self.presence {
+                presence.note_removed(&posting.subject, *shard);
+            }
+        } else if let Some(moved) = keys.swap_remove(posting.slot as usize) {
+            if let Some(moved) = self.by_key.get_mut(&*moved) {
+                moved.slot = posting.slot;
             }
         }
     }
 
-    /// Remove `key` from every posting list.
+    /// Remove `key`'s posting.
     pub fn remove(&mut self, key: &str) {
-        self.updates += 1;
-        if let Some((key, posting)) = self.by_key.remove_entry(key) {
-            self.retire(&key, &posting);
+        if let Some(posting) = self.by_key.remove(key) {
+            self.retire(&posting);
         }
     }
 
-    /// Remove `key` from one purpose's posting list (used when an objection
-    /// is recorded against that purpose).
-    pub fn remove_purpose(&mut self, key: &str, purpose: &str) {
-        self.updates += 1;
-        let listed = self
-            .by_key
-            .get(key)
-            .map(|posting| Arc::clone(&posting.purposes))
-            .filter(|list| list.iter().any(|p| &**p == purpose));
-        if let Some(old) = listed {
-            let kept = old.iter().filter(|p| &***p != purpose).cloned().collect();
-            let kept = self.shared_list(kept);
-            if let Some(posting) = self.by_key.get_mut(key) {
-                posting.purposes = kept;
-            }
-            self.release_list(&old);
+    /// Append every key owned by `subject` to `out`, in no particular order.
+    fn collect_keys(&self, subject: &str, out: &mut Vec<String>) {
+        if let Some(keys) = self.by_subject.get(subject) {
+            out.extend(keys.iter().map(|key| key.to_string()));
         }
-        self.drop_purpose_posting(key, purpose);
     }
 
     /// Every key owned by `subject`, in lexicographic order.
     #[must_use]
     pub fn keys_of_subject(&self, subject: &str) -> Vec<String> {
-        strings(self.by_subject.get(subject))
-    }
-
-    /// Every key processable under `purpose`, in lexicographic order.
-    #[must_use]
-    pub fn keys_for_purpose(&self, purpose: &str) -> Vec<String> {
-        strings(self.by_purpose.get(purpose))
-    }
-
-    /// All data subjects currently present in the index.
-    #[must_use]
-    pub fn subjects(&self) -> Vec<String> {
-        self.by_subject.keys().map(|s| s.to_string()).collect()
-    }
-
-    /// All purposes currently present in the index.
-    #[must_use]
-    pub fn purposes(&self) -> Vec<String> {
-        self.by_purpose.keys().map(|p| p.to_string()).collect()
-    }
-
-    /// Number of keys indexed for `subject`.
-    #[must_use]
-    pub fn subject_key_count(&self, subject: &str) -> usize {
-        self.by_subject.get(subject).map_or(0, BTreeSet::len)
-    }
-
-    /// Total number of index mutations performed.
-    #[must_use]
-    pub fn update_count(&self) -> u64 {
-        self.updates
+        let mut keys = Vec::new();
+        self.collect_keys(subject, &mut keys);
+        keys.sort_unstable();
+        keys
     }
 
     /// Clear the index (before a rebuild).
@@ -337,18 +275,30 @@ impl MetadataIndex {
             }
         }
         self.by_subject.clear();
-        self.by_purpose.clear();
         self.by_key.clear();
-        self.purpose_lists.clear();
     }
 }
 
-/// Per-shard segments of the metadata index, routed by the same key hash
+/// Per-shard segments of the subject index, routed by the same key hash
 /// the engine uses, so an operation that already holds the engine shard
 /// only contends on its own index segment.
+///
+/// Removals the engine makes on its own — `maxmemory` eviction, lazy and
+/// active expiry — reach the index through a per-segment departure queue
+/// (see [`Self::departure_hook`]): the engine reports them under its shard
+/// lock, which ranks below the segment lock, so it cannot retire their
+/// postings itself. Every lock of a segment — each mutation bracket and
+/// each query — first drains that segment's queue and retires each queued
+/// key the engine no longer holds.
 #[derive(Debug)]
 pub struct ShardedMetadataIndex {
     segments: Vec<Mutex<MetadataIndex>>,
+    /// Keys the engine removed on its own, per segment. Each queue is a
+    /// leaf lock: nothing else is taken while it is held.
+    departures: Arc<[Mutex<Vec<Box<str>>>]>,
+    /// The engine a queued key is checked against; `None` for a
+    /// free-standing index, which retires every queued key.
+    engine: Option<KvStore>,
     router: ShardRouter,
     presence: Arc<SubjectPresence>,
 }
@@ -368,8 +318,20 @@ impl ShardedMetadataIndex {
             .collect();
         ShardedMetadataIndex {
             segments,
+            departures: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
+            engine: None,
             router,
             presence,
+        }
+    }
+
+    /// An empty index over `engine`'s shard layout, which retires a queued
+    /// departure only once `engine` no longer holds the key.
+    #[must_use]
+    pub fn over(engine: &KvStore) -> Self {
+        ShardedMetadataIndex {
+            engine: Some(engine.clone()),
+            ..Self::new(engine.router())
         }
     }
 
@@ -392,6 +354,29 @@ impl ShardedMetadataIndex {
         &self.presence
     }
 
+    /// The callback that queues a key the engine removed on its own, for
+    /// the engine's removal listener. It takes only the queue's leaf lock,
+    /// so it may run under an engine shard lock.
+    pub fn departure_hook(&self) -> impl Fn(&str) + Send + Sync + 'static {
+        let departures = Arc::clone(&self.departures);
+        let router = self.router;
+        move |key| departures[router.shard_of(key)].lock().push(key.into())
+    }
+
+    /// Lock segment `shard`, first retiring the postings of the keys that
+    /// left the engine since the segment was last locked.
+    fn lock(&self, shard: usize) -> MutexGuard<'_, MetadataIndex> {
+        let mut segment = self.segments[shard].lock();
+        // The queue lock is released here, before the engine is asked.
+        let departed = std::mem::take(&mut *self.departures[shard].lock());
+        for key in departed {
+            if !self.engine.as_ref().is_some_and(|kv| kv.holds(&key)) {
+                segment.remove(&key);
+            }
+        }
+        segment
+    }
+
     /// Run `f` while holding the lock of segment `shard`.
     ///
     /// This is the batched sibling of [`Self::with_key_segment`]: a caller
@@ -404,8 +389,7 @@ impl ShardedMetadataIndex {
     ///
     /// Panics when `shard` is out of range.
     pub fn with_segment<R>(&self, shard: usize, f: impl FnOnce(&mut MetadataIndex) -> R) -> R {
-        let mut segment = self.segments[shard].lock();
-        f(&mut segment)
+        f(&mut self.lock(shard))
     }
 
     /// Run `f` while holding the lock of `key`'s segment.
@@ -418,28 +402,18 @@ impl ShardedMetadataIndex {
     /// vanished keys) while keys on other segments proceed in parallel.
     /// The closure must use the provided segment, not re-enter `self`.
     pub fn with_key_segment<R>(&self, key: &str, f: impl FnOnce(&mut MetadataIndex) -> R) -> R {
-        let mut segment = self.segments[self.router.shard_of(key)].lock();
-        f(&mut segment)
+        self.with_segment(self.router.shard_of(key), f)
     }
 
-    /// Index `key` as belonging to `subject` with the given purposes
-    /// (locks only the owning segment).
-    pub fn insert(&self, key: &str, subject: &str, purposes: impl IntoIterator<Item = String>) {
-        self.segments[self.router.shard_of(key)]
-            .lock()
-            .insert(key, subject, purposes);
+    /// Index `key` as belonging to `subject` (locks only the owning
+    /// segment).
+    pub fn insert(&self, key: &str, subject: &str) {
+        self.with_key_segment(key, |segment| segment.insert(key, subject));
     }
 
-    /// Remove `key` from every posting list of its segment.
+    /// Remove `key`'s posting from its segment.
     pub fn remove(&self, key: &str) {
-        self.segments[self.router.shard_of(key)].lock().remove(key);
-    }
-
-    /// Remove `key` from one purpose's posting list.
-    pub fn remove_purpose(&self, key: &str, purpose: &str) {
-        self.segments[self.router.shard_of(key)]
-            .lock()
-            .remove_purpose(key, purpose);
+        self.with_key_segment(key, |segment| segment.remove(key));
     }
 
     /// Every key owned by `subject`, merged across segments in
@@ -450,72 +424,18 @@ impl ShardedMetadataIndex {
     /// actually lives instead of the shard count.
     #[must_use]
     pub fn keys_of_subject(&self, subject: &str) -> Vec<String> {
-        let mut keys: Vec<String> = self
-            .presence
-            .shards_with(subject)
-            .into_iter()
-            .flat_map(|shard| self.segments[shard].lock().keys_of_subject(subject))
-            .collect();
-        keys.sort();
+        let mut keys = Vec::new();
+        for shard in self.presence.shards_with(subject) {
+            self.lock(shard).collect_keys(subject, &mut keys);
+        }
+        keys.sort_unstable();
         keys
-    }
-
-    /// Every key processable under `purpose`, merged across segments in
-    /// lexicographic order.
-    #[must_use]
-    pub fn keys_for_purpose(&self, purpose: &str) -> Vec<String> {
-        let mut keys: Vec<String> = self
-            .segments
-            .iter()
-            .flat_map(|s| s.lock().keys_for_purpose(purpose))
-            .collect();
-        keys.sort();
-        keys
-    }
-
-    /// All data subjects present in any segment, deduplicated and sorted.
-    #[must_use]
-    pub fn subjects(&self) -> Vec<String> {
-        let set: BTreeSet<String> = self
-            .segments
-            .iter()
-            .flat_map(|s| s.lock().subjects())
-            .collect();
-        set.into_iter().collect()
-    }
-
-    /// All purposes present in any segment, deduplicated and sorted.
-    #[must_use]
-    pub fn purposes(&self) -> Vec<String> {
-        let set: BTreeSet<String> = self
-            .segments
-            .iter()
-            .flat_map(|s| s.lock().purposes())
-            .collect();
-        set.into_iter().collect()
-    }
-
-    /// Number of keys indexed for `subject` across all segments (pruned
-    /// by the presence map, like [`Self::keys_of_subject`]).
-    #[must_use]
-    pub fn subject_key_count(&self, subject: &str) -> usize {
-        self.presence
-            .shards_with(subject)
-            .into_iter()
-            .map(|shard| self.segments[shard].lock().subject_key_count(subject))
-            .sum()
-    }
-
-    /// Total number of index mutations performed across all segments.
-    #[must_use]
-    pub fn update_count(&self) -> u64 {
-        self.segments.iter().map(|s| s.lock().update_count()).sum()
     }
 
     /// Clear every segment (before a rebuild).
     pub fn clear(&self) {
-        for segment in &self.segments {
-            segment.lock().clear();
+        for shard in 0..self.segments.len() {
+            self.lock(shard).clear();
         }
     }
 }
@@ -523,16 +443,13 @@ impl ShardedMetadataIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn sample_index() -> MetadataIndex {
         let mut idx = MetadataIndex::new();
-        idx.insert(
-            "user:alice:email",
-            "alice",
-            ["billing".to_string(), "analytics".to_string()],
-        );
-        idx.insert("user:alice:address", "alice", ["billing".to_string()]);
-        idx.insert("user:bob:email", "bob", ["analytics".to_string()]);
+        idx.insert("user:alice:email", "alice");
+        idx.insert("user:alice:address", "alice");
+        idx.insert("user:bob:email", "bob");
         idx
     }
 
@@ -545,17 +462,6 @@ mod tests {
         );
         assert_eq!(idx.keys_of_subject("bob"), vec!["user:bob:email"]);
         assert!(idx.keys_of_subject("carol").is_empty());
-        assert_eq!(idx.subject_key_count("alice"), 2);
-        assert_eq!(idx.subjects(), vec!["alice", "bob"]);
-    }
-
-    #[test]
-    fn purpose_lookup() {
-        let idx = sample_index();
-        assert_eq!(idx.keys_for_purpose("billing").len(), 2);
-        assert_eq!(idx.keys_for_purpose("analytics").len(), 2);
-        assert!(idx.keys_for_purpose("marketing").is_empty());
-        assert_eq!(idx.purposes(), vec!["analytics", "billing"]);
     }
 
     #[test]
@@ -563,41 +469,52 @@ mod tests {
         let mut idx = sample_index();
         idx.remove("user:alice:email");
         assert_eq!(idx.keys_of_subject("alice"), vec!["user:alice:address"]);
-        assert_eq!(idx.keys_for_purpose("analytics"), vec!["user:bob:email"]);
         // Removing the last key of a subject drops the subject entirely.
         idx.remove("user:bob:email");
-        assert!(idx.subjects().iter().all(|s| s != "bob"));
-    }
-
-    #[test]
-    fn remove_purpose_only_affects_that_posting_list() {
-        let mut idx = sample_index();
-        idx.remove_purpose("user:alice:email", "analytics");
-        assert_eq!(idx.keys_for_purpose("analytics"), vec!["user:bob:email"]);
-        // Subject index untouched.
-        assert_eq!(idx.subject_key_count("alice"), 2);
-        // Billing still lists the key.
-        assert!(idx
-            .keys_for_purpose("billing")
-            .contains(&"user:alice:email".to_string()));
-    }
-
-    #[test]
-    fn clear_and_update_counter() {
-        let mut idx = sample_index();
-        assert_eq!(idx.update_count(), 3);
-        idx.clear();
-        assert!(idx.subjects().is_empty());
-        assert!(idx.purposes().is_empty());
+        assert!(!idx.by_subject.contains_key("bob"));
+        assert_eq!(idx.by_key.len(), 1);
     }
 
     #[test]
     fn reinserting_same_key_is_idempotent_in_content() {
         let mut idx = MetadataIndex::new();
-        idx.insert("k", "alice", ["p".to_string()]);
-        idx.insert("k", "alice", ["p".to_string()]);
+        idx.insert("k", "alice");
+        idx.insert("k", "alice");
         assert_eq!(idx.keys_of_subject("alice"), vec!["k"]);
-        assert_eq!(idx.keys_for_purpose("p"), vec!["k"]);
+        assert_eq!(idx.by_key.len(), 1);
+    }
+
+    #[test]
+    fn a_self_subject_posting_is_one_allocation() {
+        let mut idx = MetadataIndex::new();
+        idx.insert("user:1", "user:1");
+        let (key, posting) = idx.by_key.get_key_value("user:1").unwrap();
+        let (subject, keys) = idx.by_subject.get_key_value("user:1").unwrap();
+        assert!(Arc::ptr_eq(key, &posting.subject));
+        assert!(Arc::ptr_eq(key, subject));
+        assert!(Arc::ptr_eq(key, &keys.first));
+    }
+
+    #[test]
+    fn removal_keeps_every_slot_pointing_at_its_key() {
+        let mut idx = MetadataIndex::new();
+        let keys: Vec<String> = (0..6).map(|i| format!("k{i}")).collect();
+        for key in &keys {
+            idx.insert(key, "alice");
+        }
+        // First, middle, last, then down to the inline key alone.
+        for gone in ["k0", "k3", "k5", "k1", "k4"] {
+            idx.remove(gone);
+            for (key, posting) in &idx.by_key {
+                let listed = idx.by_subject[&posting.subject]
+                    .iter()
+                    .nth(posting.slot as usize);
+                assert_eq!(listed, Some(key), "after removing {gone}");
+            }
+        }
+        assert_eq!(idx.keys_of_subject("alice"), vec!["k2"]);
+        idx.remove("k2");
+        assert!(idx.by_subject.is_empty() && idx.by_key.is_empty());
     }
 
     #[test]
@@ -605,39 +522,45 @@ mod tests {
         let idx = ShardedMetadataIndex::new(ShardRouter::new(4, 7));
         assert_eq!(idx.segment_count(), 4);
         for i in 0..32 {
-            idx.insert(
-                &format!("user:alice:{i:02}"),
-                "alice",
-                ["billing".to_string()],
-            );
+            idx.insert(&format!("user:alice:{i:02}"), "alice");
         }
-        idx.insert("user:bob:0", "bob", ["analytics".to_string()]);
+        idx.insert("user:bob:0", "bob");
         let keys = idx.keys_of_subject("alice");
         assert_eq!(keys.len(), 32);
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted, "merged query must stay ordered");
-        assert_eq!(idx.subject_key_count("alice"), 32);
-        assert_eq!(idx.subjects(), vec!["alice", "bob"]);
-        assert_eq!(idx.purposes(), vec!["analytics", "billing"]);
-        assert_eq!(idx.keys_for_purpose("billing").len(), 32);
-        assert!(idx.update_count() >= 33);
+        assert_eq!(idx.keys_of_subject("bob"), vec!["user:bob:0"]);
 
         idx.remove("user:alice:00");
-        assert_eq!(idx.subject_key_count("alice"), 31);
-        idx.remove_purpose("user:bob:0", "analytics");
-        assert!(idx.keys_for_purpose("analytics").is_empty());
+        assert_eq!(idx.keys_of_subject("alice").len(), 31);
         idx.clear();
-        assert!(idx.subjects().is_empty());
+        assert!(idx.keys_of_subject("alice").is_empty());
+        assert!(idx.keys_of_subject("bob").is_empty());
+    }
+
+    #[test]
+    fn queued_departures_retire_at_the_next_lock_of_their_segment() {
+        let idx = ShardedMetadataIndex::new(ShardRouter::new(4, 7));
+        for i in 0..8 {
+            idx.insert(&format!("k{i}"), "alice");
+        }
+        let depart = idx.departure_hook();
+        depart("k3");
+        depart("k6");
+        depart("never-indexed");
+        let expected: Vec<String> = [0, 1, 2, 4, 5, 7].map(|i| format!("k{i}")).into();
+        assert_eq!(idx.keys_of_subject("alice"), expected);
+        // The queues are drained: the next query finds them empty.
+        assert!(idx.departures.iter().all(|queue| queue.lock().is_empty()));
     }
 
     #[test]
     fn presence_map_tracks_arrival_and_departure() {
         let idx = ShardedMetadataIndex::new(ShardRouter::new(4, 7));
         assert!(idx.presence().shards_with("alice").is_empty());
-        assert_eq!(idx.presence().shard_mask("alice"), 0);
         for i in 0..16 {
-            idx.insert(&format!("a:{i}"), "alice", ["p".to_string()]);
+            idx.insert(&format!("a:{i}"), "alice");
         }
         let shards = idx.presence().shards_with("alice");
         assert!(!shards.is_empty());
@@ -657,12 +580,12 @@ mod tests {
     #[test]
     fn presence_map_survives_clear_and_reinsert() {
         let idx = ShardedMetadataIndex::new(ShardRouter::new(4, 7));
-        idx.insert("k1", "alice", ["p".to_string()]);
-        idx.insert("k2", "bob", ["p".to_string()]);
+        idx.insert("k1", "alice");
+        idx.insert("k2", "bob");
         idx.clear();
         assert!(idx.presence().shards_with("alice").is_empty());
         assert!(idx.presence().shards_with("bob").is_empty());
-        idx.insert("k1", "alice", ["p".to_string()]);
+        idx.insert("k1", "alice");
         assert_eq!(idx.keys_of_subject("alice"), vec!["k1"]);
     }
 
@@ -674,8 +597,8 @@ mod tests {
         // with same-shard subjects (hash collisions are impractical to
         // construct; the per-shard count logic is identical).
         let idx = ShardedMetadataIndex::new(ShardRouter::new(1, 7));
-        idx.insert("k1", "alice", ["p".to_string()]);
-        idx.insert("k2", "bob", ["p".to_string()]);
+        idx.insert("k1", "alice");
+        idx.insert("k2", "bob");
         idx.remove("k1");
         assert!(idx.presence().shards_with("alice").is_empty());
         assert_eq!(idx.presence().shards_with("bob"), vec![0]);
@@ -685,68 +608,44 @@ mod tests {
     #[test]
     fn insert_retires_the_previous_owners_postings() {
         let idx = ShardedMetadataIndex::new(ShardRouter::new(1, 7));
-        idx.insert("k", "alice", ["billing".to_string()]);
-        idx.insert("k", "bob", ["analytics".to_string()]);
+        idx.insert("k", "alice");
+        idx.insert("k", "bob");
         assert!(idx.keys_of_subject("alice").is_empty());
-        assert!(idx.keys_for_purpose("billing").is_empty());
         assert_eq!(idx.keys_of_subject("bob"), vec!["k"]);
-        assert_eq!(idx.keys_for_purpose("analytics"), vec!["k"]);
-        assert_eq!(idx.subjects(), vec!["bob"]);
         // Alice's last posting died with the re-insert: presence cleared.
         assert!(idx.presence().shards_with("alice").is_empty());
         assert_eq!(idx.presence().shards_with("bob"), vec![0]);
     }
 
-    #[test]
-    fn purpose_lists_are_shared_and_dropped_with_their_last_key() {
-        let mut idx = MetadataIndex::new();
-        let both = || ["a".to_string(), "b".to_string()];
-        idx.insert("k1", "alice", both());
-        idx.insert("k2", "bob", both());
-        assert_eq!(idx.purpose_lists.len(), 1);
-        idx.remove_purpose("k1", "a");
-        assert_eq!(idx.purpose_lists.len(), 2);
-        idx.remove("k1");
-        assert_eq!(idx.purpose_lists.len(), 1);
-        idx.insert("k2", "bob", ["c".to_string()]);
-        idx.remove("k2");
-        assert!(idx.purpose_lists.is_empty());
-    }
-
     // The pruned cross-segment queries must agree with a naive model (one
     // posting per key, queries answered by scanning it) under arbitrary
     // interleavings of insert — including re-inserts of a live key under
-    // another subject or purpose — remove / remove_purpose / clear.
+    // another subject, and keys that are their own subject — remove and
+    // clear.
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig { cases: 64 })]
         #[test]
         fn pruned_queries_match_exact_index(
-            ops in proptest::collection::vec(
-                ((0u8..100, 0u8..12), (0u8..4, 0u8..3)),
-                1..120,
-            ),
+            ops in proptest::collection::vec((0u8..100, 0u8..12, 0u8..5), 1..120),
             shards in 1usize..9,
         ) {
             let sharded = ShardedMetadataIndex::new(ShardRouter::new(shards, 7));
-            let mut model: BTreeMap<String, (String, BTreeSet<String>)> = BTreeMap::new();
-            for ((op, key), (subject, purpose)) in ops {
+            let mut model: BTreeMap<String, String> = BTreeMap::new();
+            let subject_name = |s: u8, key: &str| match s {
+                4 => key.to_string(),
+                _ => format!("subject:{s}"),
+            };
+            for (op, key, subject) in ops {
                 let key = format!("key:{key:02}");
-                let subject = format!("subject:{subject}");
-                let purpose = format!("purpose:{purpose}");
                 match op {
                     0..=59 => {
-                        sharded.insert(&key, &subject, [purpose.clone()]);
-                        model.insert(key, (subject, BTreeSet::from([purpose])));
+                        let subject = subject_name(subject, &key);
+                        sharded.insert(&key, &subject);
+                        model.insert(key, subject);
                     }
-                    60..=89 => {
+                    60..=97 => {
                         sharded.remove(&key);
                         model.remove(&key);
-                    }
-                    90..=97 => {
-                        sharded.remove_purpose(&key, &purpose);
-                        if let Some((_, purposes)) = model.get_mut(&key) {
-                            purposes.remove(&purpose);
-                        }
                     }
                     _ => {
                         sharded.clear();
@@ -754,30 +653,15 @@ mod tests {
                     }
                 }
             }
-            // (owner, purposes) of one modelled key.
-            type Posted = (String, BTreeSet<String>);
-            let model_keys = |pick: &dyn Fn(&Posted) -> bool| -> Vec<String> {
-                model
+            let subjects = (0..4)
+                .map(|s| format!("subject:{s}"))
+                .chain((0..12).map(|k| format!("key:{k:02}")));
+            for subject in subjects {
+                let expected: Vec<String> = model
                     .iter()
-                    .filter(|(_, posting)| pick(posting))
+                    .filter(|(_, owner)| **owner == subject)
                     .map(|(key, _)| key.clone())
-                    .collect()
-            };
-            for p in 0..3 {
-                let purpose = format!("purpose:{p}");
-                proptest::prop_assert_eq!(
-                    sharded.keys_for_purpose(&purpose),
-                    model_keys(&|(_, purposes)| purposes.contains(&purpose))
-                );
-            }
-            for s in 0..4 {
-                let subject = format!("subject:{s}");
-                let expected = model_keys(&|(owner, _)| *owner == subject);
-                proptest::prop_assert_eq!(sharded.subject_key_count(&subject), expected.len());
-                proptest::prop_assert_eq!(
-                    sharded.subjects().contains(&subject),
-                    !expected.is_empty()
-                );
+                    .collect();
                 // Presence transitions are exact: a shard is listed if and
                 // only if it holds a posting of the subject.
                 let holding: Vec<usize> = (0..sharded.segment_count())
@@ -797,17 +681,13 @@ mod tests {
                 let idx = &idx;
                 scope.spawn(move || {
                     for i in 0..100 {
-                        idx.insert(
-                            &format!("t{t}:k{i}"),
-                            &format!("subject{t}"),
-                            ["p".to_string()],
-                        );
+                        idx.insert(&format!("t{t}:k{i}"), &format!("subject{t}"));
                     }
                 });
             }
         });
         let total: usize = (0..8)
-            .map(|t| idx.subject_key_count(&format!("subject{t}")))
+            .map(|t| idx.keys_of_subject(&format!("subject{t}")).len())
             .sum();
         assert_eq!(total, 800);
     }

@@ -113,9 +113,9 @@ pub struct CompliancePolicy {
     /// Enforce the per-key purpose whitelist and objections.
     pub enforce_purpose_limitation: bool,
 
-    // ---- metadata indexing (Art. 15/20) ----
-    /// Maintain subject/purpose secondary indexes for timely rights
-    /// handling.
+    // ---- metadata indexing (Art. 15/17/20/21) ----
+    /// Maintain the subject index (subject → keys), so the rights find a
+    /// subject's keys without a full scan.
     pub maintain_indexes: bool,
 
     // ---- data location (Art. 46) ----

@@ -346,17 +346,14 @@ impl GdprStore {
             // the objection.
             let objected = self
                 .index
-                .with_key_segment(&key, |segment| -> Result<bool> {
+                .with_key_segment(&key, |_segment| -> Result<bool> {
                     let Some(mut meta) = self.load_metadata(&key)? else {
                         return Ok(false);
                     };
                     meta.object_to(purpose);
                     self.store_metadata(&key, &meta)?;
-                    if self.policy.maintain_indexes {
-                        segment.remove_purpose(&key, purpose);
-                    }
-                    // The cached metadata predates the objection; drop it
-                    // so the next read re-admits the objecting copy.
+                    // The cached metadata predates the objection; drop it so
+                    // the next read re-admits the objecting copy.
                     self.hot.invalidate(&key);
                     Ok(true)
                 })?;
@@ -684,12 +681,12 @@ mod tests {
         assert!(matches!(err, GdprError::PurposeViolation { .. }));
         // Billing still works.
         assert!(store.get(&ctx(), "user:alice:email").is_ok());
-        // Purpose index no longer lists alice's keys under analytics.
-        assert!(!store
-            .index
-            .keys_for_purpose("analytics")
-            .iter()
-            .any(|k| k.contains("alice")));
+        // The stored metadata records the objection.
+        for key in ["user:alice:email", "user:alice:address"] {
+            let meta = store.load_metadata(key).unwrap().unwrap();
+            assert!(meta.objections.contains("analytics"), "{key}");
+            assert!(!meta.allows_purpose("analytics"), "{key}");
+        }
     }
 
     #[test]

@@ -32,6 +32,7 @@ use audit::sink::{AuditSink, MemorySink};
 use kvstore::clock::SharedClock;
 use kvstore::commands::{Command, Reply};
 use kvstore::config::StoreConfig;
+use kvstore::db::RemovalCause;
 use kvstore::expire::CycleOutcome;
 use kvstore::object::Bytes;
 use kvstore::store::{KeyRead, KvStore, ValuePart};
@@ -225,9 +226,10 @@ impl GdprStore {
         );
 
         let hot = Arc::new(HotCache::new(HotCacheConfig::default(), kv.router()));
-        Self::hook_engine_invalidation(&kv, &hot);
+        let index = ShardedMetadataIndex::over(&kv);
+        Self::hook_engine_removals(&kv, &hot, &index);
         let store = GdprStore {
-            index: ShardedMetadataIndex::new(kv.router()),
+            index,
             hot,
             kv,
             audit,
@@ -277,19 +279,26 @@ impl GdprStore {
     /// cache; used by the server's `hotcache=` flag and the benches).
     pub fn set_hot_cache(&mut self, config: HotCacheConfig) {
         self.hot = Arc::new(HotCache::new(config, self.kv.router()));
-        Self::hook_engine_invalidation(&self.kv, &self.hot);
+        Self::hook_engine_removals(&self.kv, &self.hot, &self.index);
     }
 
     /// Route engine-internal removals — `maxmemory` eviction, lazy and
-    /// active expiry — into hot-cache invalidation. The engine fires the
-    /// listener while the owning shard's lock is still held, so the stale
-    /// entry is gone (and in-flight admissions are epoch-fenced) before
-    /// any later read can observe the removal. This is what lets a cache
-    /// hit skip engine revalidation entirely.
-    fn hook_engine_invalidation(kv: &KvStore, hot: &Arc<HotCache>) {
+    /// active expiry — into hot-cache invalidation and the index's
+    /// departure queue. The engine fires the listener while the owning
+    /// shard's lock is still held, so the stale entry is gone (and
+    /// in-flight admissions are epoch-fenced) before any later read can
+    /// observe the removal. This is what lets a cache hit skip engine
+    /// revalidation entirely. The posting goes at the next bracket or query
+    /// on the key's segment; an explicit delete is retired by the bracket
+    /// that issued it.
+    fn hook_engine_removals(kv: &KvStore, hot: &Arc<HotCache>, index: &ShardedMetadataIndex) {
         let cache = Arc::clone(hot);
-        kv.set_removal_listener(Some(Arc::new(move |key: &str, _cause| {
+        let depart = index.departure_hook();
+        kv.set_removal_listener(Some(Arc::new(move |key: &str, cause| {
             cache.invalidate(key);
+            if cause != RemovalCause::Explicit {
+                depart(key);
+            }
         })));
     }
 
@@ -605,7 +614,7 @@ impl GdprStore {
             return;
         }
         match meta {
-            Some(meta) => segment.insert(key, &meta.subject, meta.purposes.iter().cloned()),
+            Some(meta) => segment.insert(key, &meta.subject),
             None => segment.remove(key),
         }
     }
@@ -867,8 +876,7 @@ impl GdprStore {
     /// Replace the GDPR metadata of an existing key (subject transfer,
     /// purpose re-consent, retention change) without rewriting its value.
     /// The metadata in the key's entry, its retention deadline and the
-    /// subject/purpose index postings change together under the key's
-    /// segment lock.
+    /// key's subject posting change together under the key's segment lock.
     ///
     /// The actor must be permitted to act on the key's *current* subject
     /// as well as the new one (re-stamping someone else's data to a
@@ -1041,7 +1049,7 @@ impl GdprStore {
         }
         self.index.clear();
         self.for_each_governed(|key, meta| {
-            self.index.insert(key, &meta.subject, meta.purposes);
+            self.index.insert(key, &meta.subject);
         })
     }
 

@@ -7,6 +7,7 @@
 //! decoding problem can occur.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Bound;
 use std::sync::Arc;
 
 use rand::Rng;
@@ -78,29 +79,33 @@ pub struct DbStats {
 }
 
 /// A single logical database (keyspace).
+///
+/// Each key is allocated once, as an `Arc<str>`: the dictionary, the two
+/// sampling pools with their position maps, `expires` and `sorted_keys`
+/// all hold that one allocation.
 #[derive(Debug)]
 pub struct Db {
-    dict: HashMap<String, Object>,
+    dict: HashMap<Arc<str>, Object>,
     /// Absolute expiration time per key, in Unix milliseconds.
-    expires: HashMap<String, UnixMillis>,
+    expires: HashMap<Arc<str>, UnixMillis>,
     /// Keys that have an expiration, laid out in a vector for O(1) random
     /// sampling by the probabilistic active-expiry cycle (Redis samples
     /// random dict entries; a vector plus position map is the moral
     /// equivalent for our hash map).
-    expires_sample_pool: Vec<String>,
-    expires_pool_index: HashMap<String, usize>,
+    expires_sample_pool: Vec<Arc<str>>,
+    expires_pool_index: HashMap<Arc<str>, usize>,
     /// *All* keys, laid out the same way for O(1) random sampling by the
     /// `maxmemory` evictor (Redis samples the main dict for `allkeys-*`
     /// policies).
-    keys_sample_pool: Vec<String>,
-    keys_pool_index: HashMap<String, usize>,
+    keys_sample_pool: Vec<Arc<str>>,
+    keys_pool_index: HashMap<Arc<str>, usize>,
     /// Secondary index over expiration deadlines, used by the *strict*
     /// expiry mode the paper's modified Redis implements: a hierarchical
     /// timer wheel by default, or the original BTree index (see
     /// [`crate::ttl_wheel`]).
     deadline_index: Box<dyn DeadlineIndex>,
     /// All keys in lexicographic order, used to serve YCSB-style scans.
-    sorted_keys: BTreeSet<String>,
+    sorted_keys: BTreeSet<Arc<str>>,
     clock: SharedClock,
     stats: DbStats,
     /// Number of keyspace changes since the last persistence checkpoint.
@@ -179,31 +184,47 @@ impl Db {
         self.stats.mem_bytes = self.stats.mem_bytes.saturating_sub(bytes as u64);
     }
 
-    /// Register a newly created key in the evictor's sampling pool.
-    fn index_key(&mut self, key: &str) {
-        let pos = self.keys_sample_pool.len();
-        self.keys_sample_pool.push(key.to_string());
-        self.keys_pool_index.insert(key.to_string(), pos);
+    /// Add `obj` at `key`, which the keyspace does not hold: the key is
+    /// allocated here, once, and registered in the ordered set and the
+    /// evictor's sampling pool.
+    fn insert_new(&mut self, key: &str, obj: Object) {
+        let key: Arc<str> = Arc::from(key);
+        self.sorted_keys.insert(Arc::clone(&key));
+        pool_push(
+            &mut self.keys_sample_pool,
+            &mut self.keys_pool_index,
+            Arc::clone(&key),
+        );
+        self.dict.insert(key, obj);
     }
 
-    /// Drop a removed key from the evictor's sampling pool (same
-    /// swap-remove idiom as the expiry pool).
-    fn unindex_key(&mut self, key: &str) {
-        if let Some(pos) = self.keys_pool_index.remove(key) {
-            let last = self.keys_sample_pool.len() - 1;
-            self.keys_sample_pool.swap_remove(pos);
-            if pos != last {
-                let moved = self.keys_sample_pool[pos].clone();
-                self.keys_pool_index.insert(moved, pos);
-            }
+    /// The entry at `key`, created holding `empty()` when there is none
+    /// (the container commands' implicit create).
+    fn entry_or_create(
+        &mut self,
+        key: &str,
+        empty: impl FnOnce() -> Value,
+        now: UnixMillis,
+    ) -> &mut Object {
+        if !self.dict.contains_key(key) {
+            self.insert_new(key, Object::new(empty(), now));
+            self.mem_add(crate::object::PER_KEY_OVERHEAD + key.len());
         }
+        self.dict.get_mut(key).expect("entry ensured above")
     }
 
+    /// Give `key`, which the keyspace holds, the deadline `at`.
     fn index_expiry(&mut self, key: &str, at: UnixMillis) {
-        if self.expires.insert(key.to_string(), at).is_none() {
-            let pos = self.expires_sample_pool.len();
-            self.expires_sample_pool.push(key.to_string());
-            self.expires_pool_index.insert(key.to_string(), pos);
+        if let Some(deadline) = self.expires.get_mut(key) {
+            *deadline = at;
+        } else if let Some((shared, _)) = self.dict.get_key_value(key) {
+            let shared = Arc::clone(shared);
+            self.expires.insert(Arc::clone(&shared), at);
+            pool_push(
+                &mut self.expires_sample_pool,
+                &mut self.expires_pool_index,
+                shared,
+            );
         }
         // The index upserts: a previous deadline for the key is replaced
         // (the wheel tombstones it, the BTree removes the old posting).
@@ -213,14 +234,11 @@ impl Db {
     fn unindex_expiry(&mut self, key: &str) {
         if self.expires.remove(key).is_some() {
             self.deadline_index.remove(key);
-            if let Some(pos) = self.expires_pool_index.remove(key) {
-                let last = self.expires_sample_pool.len() - 1;
-                self.expires_sample_pool.swap_remove(pos);
-                if pos != last {
-                    let moved = self.expires_sample_pool[pos].clone();
-                    self.expires_pool_index.insert(moved, pos);
-                }
-            }
+            pool_remove(
+                &mut self.expires_sample_pool,
+                &mut self.expires_pool_index,
+                key,
+            );
         }
     }
 
@@ -229,7 +247,7 @@ impl Db {
         if let Some(obj) = &removed {
             self.mem_sub(obj.footprint(key));
             self.sorted_keys.remove(key);
-            self.unindex_key(key);
+            pool_remove(&mut self.keys_sample_pool, &mut self.keys_pool_index, key);
             self.unindex_expiry(key);
             self.dirty += 1;
             match cause {
@@ -314,9 +332,7 @@ impl Db {
                     ..Object::new(value, now)
                 };
                 self.mem_add(obj.footprint(key));
-                self.dict.insert(key.to_string(), obj);
-                self.sorted_keys.insert(key.to_string());
-                self.index_key(key);
+                self.insert_new(key, obj);
             }
         }
         self.stats.writes += 1;
@@ -424,19 +440,12 @@ impl Db {
         self.expire_if_needed(key);
         let now = self.now_millis();
         let value_len = value.len();
-        let obj = self
-            .dict
-            .entry(key.to_string())
-            .or_insert_with(|| Object::new(Value::Hash(BTreeMap::new()), now));
+        let obj = self.entry_or_create(key, || Value::Hash(BTreeMap::new()), now);
         match &mut obj.value {
             Value::Hash(map) => {
                 let prev = map.insert(field.to_string(), value);
                 let fresh = prev.is_none();
                 obj.mark_written(now);
-                if self.sorted_keys.insert(key.to_string()) {
-                    self.index_key(key);
-                    self.mem_add(crate::object::PER_KEY_OVERHEAD + key.len());
-                }
                 if let Some(old) = prev {
                     self.mem_sub(field.len() + old.len());
                 }
@@ -548,19 +557,12 @@ impl Db {
         self.expire_if_needed(key);
         let now = self.now_millis();
         let member_len = member.len();
-        let obj = self
-            .dict
-            .entry(key.to_string())
-            .or_insert_with(|| Object::new(Value::Set(BTreeSet::new()), now));
+        let obj = self.entry_or_create(key, || Value::Set(BTreeSet::new()), now);
         match &mut obj.value {
             Value::Set(members) => {
                 let added = members.insert(member);
                 if added {
                     obj.mark_written(now);
-                }
-                if self.sorted_keys.insert(key.to_string()) {
-                    self.index_key(key);
-                    self.mem_add(crate::object::PER_KEY_OVERHEAD + key.len());
                 }
                 if added {
                     self.mem_add(member_len);
@@ -699,11 +701,11 @@ impl Db {
             // Sample with replacement, as the Redis dict sampling effectively
             // does across buckets.
             let idx = rng.gen_range(0..self.expires_sample_pool.len());
-            let key = self.expires_sample_pool[idx].clone();
+            let key = Arc::clone(&self.expires_sample_pool[idx]);
             if let Some(&at) = self.expires.get(&key) {
                 if at <= now {
                     self.remove_key(&key, RemovalCause::ActiveExpiry);
-                    expired.push(key);
+                    expired.push(key.to_string());
                     if self.expires_sample_pool.is_empty() {
                         break;
                     }
@@ -751,25 +753,25 @@ impl Db {
             EvictionPolicy::Noeviction => return None,
             EvictionPolicy::SampledRandom => {
                 let idx = rng.gen_range(0..self.keys_sample_pool.len());
-                self.keys_sample_pool[idx].clone()
+                Arc::clone(&self.keys_sample_pool[idx])
             }
             EvictionPolicy::SampledLru => {
                 // Approximated LRU: among `sample` random keys, evict the
                 // one idle the longest (smallest last-access timestamp).
-                let mut best: Option<(UnixMillis, String)> = None;
+                let mut best: Option<(UnixMillis, &Arc<str>)> = None;
                 for _ in 0..sample.max(1) {
                     let idx = rng.gen_range(0..self.keys_sample_pool.len());
                     let key = &self.keys_sample_pool[idx];
                     let last = self.dict.get(key).map_or(0, |o| o.last_access_ms);
-                    if best.as_ref().is_none_or(|(b, _)| last < *b) {
-                        best = Some((last, key.clone()));
+                    if best.is_none_or(|(b, _)| last < b) {
+                        best = Some((last, key));
                     }
                 }
-                best?.1
+                Arc::clone(best?.1)
             }
         };
         self.remove_key(&victim, RemovalCause::Eviction);
-        Some(victim)
+        Some(victim.to_string())
     }
 
     /// Number of keys currently carrying a TTL.
@@ -820,7 +822,7 @@ impl Db {
         self.sorted_keys
             .iter()
             .filter(|k| glob_match(pattern, k))
-            .cloned()
+            .map(|k| k.to_string())
             .collect()
     }
 
@@ -829,16 +831,42 @@ impl Db {
     #[must_use]
     pub fn scan_range(&self, start: &str, count: usize) -> Vec<String> {
         self.sorted_keys
-            .range(start.to_string()..)
+            .range::<str, _>((Bound::Included(start), Bound::Unbounded))
             .take(count)
-            .cloned()
+            .map(|k| k.to_string())
             .collect()
     }
 
     /// Iterate over all `(key, object)` pairs (used by snapshot and AOF
     /// rewrite).
-    pub fn iter(&self) -> impl Iterator<Item = (&String, &Object)> {
-        self.dict.iter()
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &Object)> {
+        self.dict.iter().map(|(key, obj)| (&**key, obj))
+    }
+
+    /// Whether the keyspace holds an entry at `key`, past its deadline or
+    /// not (no lazy expiry).
+    #[must_use]
+    pub fn contains(&self, key: &str) -> bool {
+        self.dict.contains_key(key)
+    }
+}
+
+/// Append `key` to a sampling pool and record its position.
+fn pool_push(pool: &mut Vec<Arc<str>>, positions: &mut HashMap<Arc<str>, usize>, key: Arc<str>) {
+    positions.insert(Arc::clone(&key), pool.len());
+    pool.push(key);
+}
+
+/// Drop `key` from a sampling pool by swap-remove, re-pointing the
+/// position of the key that moved into its place.
+fn pool_remove(pool: &mut Vec<Arc<str>>, positions: &mut HashMap<Arc<str>, usize>, key: &str) {
+    if let Some(pos) = positions.remove(key) {
+        pool.swap_remove(pos);
+        if let Some(moved) = pool.get(pos) {
+            if let Some(slot) = positions.get_mut(moved) {
+                *slot = pos;
+            }
+        }
     }
 }
 

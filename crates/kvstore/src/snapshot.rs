@@ -78,19 +78,19 @@ pub fn rewrite_commands(db: &Db) -> Vec<Command> {
             crate::object::Value::Str(b) => {
                 commands.push(match governed.take() {
                     Some(governed) => Command::SetGoverned {
-                        key: key.clone(),
+                        key: key.to_string(),
                         value: b.clone(),
                         governed,
                     },
                     None => Command::Set {
-                        key: key.clone(),
+                        key: key.to_string(),
                         value: b.clone(),
                     },
                 });
             }
             crate::object::Value::Hash(map) => {
                 commands.push(Command::HSetMulti {
-                    key: key.clone(),
+                    key: key.to_string(),
                     fields: map.clone(),
                 });
             }
@@ -103,14 +103,14 @@ pub fn rewrite_commands(db: &Db) -> Vec<Command> {
                     .map(|(i, v)| (format!("{i:020}"), v.clone()))
                     .collect();
                 commands.push(Command::HSetMulti {
-                    key: key.clone(),
+                    key: key.to_string(),
                     fields,
                 });
             }
             crate::object::Value::Set(members) => {
                 for member in members {
                     commands.push(Command::SAdd {
-                        key: key.clone(),
+                        key: key.to_string(),
                         member: member.clone(),
                     });
                 }
@@ -118,13 +118,13 @@ pub fn rewrite_commands(db: &Db) -> Vec<Command> {
         }
         if let Some(governed) = governed {
             commands.push(Command::Govern {
-                key: key.clone(),
+                key: key.to_string(),
                 governed,
             });
         }
         if let Some(at) = db.expire_deadline(key) {
             commands.push(Command::ExpireAt {
-                key: key.clone(),
+                key: key.to_string(),
                 at_ms: at,
             });
         }

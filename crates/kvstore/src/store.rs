@@ -597,7 +597,7 @@ impl KvStore {
                     .iter()
                     .filter(|(key, _)| live(key))
                     .filter_map(|(key, obj)| {
-                        Some((key.clone(), Arc::clone(obj.governed.as_ref()?)))
+                        Some((key.to_string(), Arc::clone(obj.governed.as_ref()?)))
                     })
                     .collect()
             };
@@ -751,6 +751,16 @@ impl KvStore {
     /// Whether the key exists.
     pub fn exists(&self, key: &str) -> Result<bool> {
         Ok(self.read(key, ValuePart::Exists)?.exists)
+    }
+
+    /// Whether the keyspace holds an entry at `key`, past its deadline or
+    /// not: no lazy expiry, no journal record, no hit or miss counted.
+    #[must_use]
+    pub fn holds(&self, key: &str) -> bool {
+        self.inner.shards[self.inner.router.shard_of(key)]
+            .lock()
+            .db
+            .contains(key)
     }
 
     /// Set a TTL relative to now.
@@ -1068,7 +1078,7 @@ impl KvStore {
     #[must_use]
     pub fn canonical_state(&self) -> Vec<u8> {
         let guards = self.lock_all_shards();
-        let mut entries: Vec<(&String, &Db, &crate::object::Object)> = guards
+        let mut entries: Vec<(&str, &Db, &crate::object::Object)> = guards
             .iter()
             .flat_map(|guard| guard.db.iter().map(|(key, obj)| (key, &guard.db, obj)))
             .collect();

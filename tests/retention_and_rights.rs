@@ -11,7 +11,7 @@ use gdpr_storage::gdpr_core::policy::CompliancePolicy;
 use gdpr_storage::gdpr_core::retention::ErasureDelayExperiment;
 use gdpr_storage::gdpr_core::store::{AccessContext, GdprStore};
 use gdpr_storage::kvstore::clock::SimClock;
-use gdpr_storage::kvstore::config::StoreConfig;
+use gdpr_storage::kvstore::config::{EvictionPolicy, StoreConfig};
 use gdpr_storage::kvstore::expire::ExpiryMode;
 
 fn ctx() -> AccessContext {
@@ -203,4 +203,56 @@ fn ttl_visible_through_engine_matches_metadata_deadline() {
     let stored = store.metadata(&ctx(), "k").unwrap().unwrap();
     assert_eq!(stored.expires_at_ms, Some(epoch + 60_000));
     assert_eq!(stored.created_at_ms, epoch);
+}
+
+#[test]
+fn keys_the_engine_evicts_or_expires_leave_the_subject_index() {
+    // 2 000 puts for one subject under a 64 KiB ceiling: the evictor keeps
+    // a few hundred, and the subject's keys are exactly those.
+    let store = GdprStore::open(
+        CompliancePolicy::eventual(),
+        StoreConfig::in_memory()
+            .shards(4)
+            .max_memory(64 * 1024)
+            .eviction_policy(EvictionPolicy::SampledLru),
+        Box::new(MemorySink::new()),
+    )
+    .unwrap();
+    store.grant(Grant::new("app", "service"));
+    for i in 0..2_000 {
+        let meta = PersonalMetadata::new("alice").with_purpose("service");
+        store
+            .put(&ctx(), &format!("user:alice:{i:04}"), vec![b'x'; 100], meta)
+            .unwrap();
+    }
+    let held = store.engine().len();
+    assert!(held < 2_000, "the evictor ran");
+    let listed = store.keys_of_subject("alice").unwrap();
+    assert_eq!(listed.len(), held);
+    assert!(listed.iter().all(|key| store.engine().exists(key).unwrap()));
+
+    // Ten keys with a 500 ms retention, read after their deadline: lazy
+    // expiry removes them before any tick, so no tick reports them.
+    let clock = SimClock::new(1_700_000_000_000);
+    let (store, _trail) = strict_store_with_clock(&clock);
+    for i in 0..10 {
+        let meta = PersonalMetadata::new("bob")
+            .with_purpose("service")
+            .with_ttl_millis(500);
+        store
+            .put(&ctx(), &format!("user:bob:{i}"), b"v".to_vec(), meta)
+            .unwrap();
+    }
+    clock.advance_millis(1_000);
+    for i in 0..10 {
+        assert_eq!(store.get(&ctx(), &format!("user:bob:{i}")).unwrap(), None);
+    }
+    store.tick().unwrap();
+    store.tick().unwrap();
+    assert_eq!(store.engine().len(), 0);
+    assert!(store.keys_of_subject("bob").unwrap().is_empty());
+    assert!(!store
+        .right_to_portability(&ctx(), "bob")
+        .unwrap()
+        .contains("user:bob"));
 }

@@ -1,5 +1,10 @@
-//! The in-memory keyspace: a dictionary of typed objects plus the expiry
-//! bookkeeping.
+//! The in-memory keyspace: one slot per key, holding the key's typed
+//! object and its expiry deadline.
+//!
+//! A command finds its key's slot once and applies lazy expiry there (an
+//! entry past its deadline is removed and reads as absent); `KEYS` and
+//! `SCAN` leave such entries out without removing them, and `DBSIZE`
+//! counts them until they are removed, as in Redis.
 //!
 //! [`Db`] is deliberately single-threaded (like a Redis database); the
 //! [`crate::store::KvStore`] wraps it in a lock and adds persistence. All
@@ -18,7 +23,7 @@ use crate::object::{Bytes, Object, Value};
 use crate::ttl_wheel::{
     build_deadline_index, DeadlineIndex, DeadlineIndexKind, DeadlineIndexStats,
 };
-use crate::{Result, StoreError};
+use crate::Result;
 
 /// Why a key was removed — used by the caller to decide what to propagate
 /// to the AOF and to the audit trail.
@@ -78,27 +83,36 @@ pub struct DbStats {
     pub mem_bytes: u64,
 }
 
+/// One key of the keyspace with everything the engine keeps about it: the
+/// entry, its deadline and, while it has one, where it sits in
+/// `Db::expiring`.
+#[derive(Debug)]
+struct Slot {
+    key: Arc<str>,
+    obj: Object,
+    /// Absolute expiration time, in Unix milliseconds.
+    deadline: Option<UnixMillis>,
+    /// Position of this slot's number in `expiring`; meaningful only
+    /// while `deadline` is set.
+    expiring_pos: u32,
+}
+
 /// A single logical database (keyspace).
 ///
-/// Each key is allocated once, as an `Arc<str>`: the dictionary, the two
-/// sampling pools with their position maps, `expires` and `sorted_keys`
-/// all hold that one allocation.
+/// Each key is one `Slot` in a dense vector; `index` maps a key to its
+/// slot and `expiring` lists the slots that carry a deadline. Both vectors
+/// are sampled directly — the evictor draws from `slots`, active expiry
+/// from `expiring` — and a removal swap-removes, re-pointing the slot that
+/// moved into the gap. The key is allocated once, as an `Arc<str>` shared
+/// by its slot, `index` and `sorted_keys`.
 #[derive(Debug)]
 pub struct Db {
-    dict: HashMap<Arc<str>, Object>,
-    /// Absolute expiration time per key, in Unix milliseconds.
-    expires: HashMap<Arc<str>, UnixMillis>,
-    /// Keys that have an expiration, laid out in a vector for O(1) random
-    /// sampling by the probabilistic active-expiry cycle (Redis samples
-    /// random dict entries; a vector plus position map is the moral
-    /// equivalent for our hash map).
-    expires_sample_pool: Vec<Arc<str>>,
-    expires_pool_index: HashMap<Arc<str>, usize>,
-    /// *All* keys, laid out the same way for O(1) random sampling by the
-    /// `maxmemory` evictor (Redis samples the main dict for `allkeys-*`
-    /// policies).
-    keys_sample_pool: Vec<Arc<str>>,
-    keys_pool_index: HashMap<Arc<str>, usize>,
+    slots: Vec<Slot>,
+    index: HashMap<Arc<str>, u32>,
+    /// Slot numbers of the keys with a deadline: the paper's "set of keys
+    /// with expire flag set" that active expiry samples (Redis samples
+    /// the `expires` dict).
+    expiring: Vec<u32>,
     /// Secondary index over expiration deadlines, used by the *strict*
     /// expiry mode the paper's modified Redis implements: a hierarchical
     /// timer wheel by default, or the original BTree index (see
@@ -112,6 +126,11 @@ pub struct Db {
     dirty: u64,
     /// Notified after every per-key removal (see [`RemovalListener`]).
     removal_listener: RemovalListenerSlot,
+}
+
+/// A position in `slots` or `expiring`, stored as a `u32`.
+fn position(pos: usize) -> u32 {
+    u32::try_from(pos).expect("a keyspace holds fewer than 2^32 keys")
 }
 
 impl Db {
@@ -129,12 +148,9 @@ impl Db {
     pub fn with_deadline_index(clock: SharedClock, index: DeadlineIndexKind) -> Self {
         let deadline_index = build_deadline_index(index, clock.now_millis());
         Db {
-            dict: HashMap::new(),
-            expires: HashMap::new(),
-            expires_sample_pool: Vec::new(),
-            expires_pool_index: HashMap::new(),
-            keys_sample_pool: Vec::new(),
-            keys_pool_index: HashMap::new(),
+            slots: Vec::new(),
+            index: HashMap::new(),
+            expiring: Vec::new(),
             deadline_index,
             sorted_keys: BTreeSet::new(),
             clock,
@@ -174,7 +190,7 @@ impl Db {
         self.stats.mem_bytes
     }
 
-    // ----- internal index maintenance -------------------------------------
+    // ----- slot maintenance ------------------------------------------------
 
     fn mem_add(&mut self, bytes: usize) {
         self.stats.mem_bytes += bytes as u64;
@@ -184,88 +200,128 @@ impl Db {
         self.stats.mem_bytes = self.stats.mem_bytes.saturating_sub(bytes as u64);
     }
 
-    /// Add `obj` at `key`, which the keyspace does not hold: the key is
-    /// allocated here, once, and registered in the ordered set and the
-    /// evictor's sampling pool.
-    fn insert_new(&mut self, key: &str, obj: Object) {
-        let key: Arc<str> = Arc::from(key);
-        self.sorted_keys.insert(Arc::clone(&key));
-        pool_push(
-            &mut self.keys_sample_pool,
-            &mut self.keys_pool_index,
-            Arc::clone(&key),
-        );
-        self.dict.insert(key, obj);
+    /// The slot holding `key`, past its deadline or not.
+    fn slot_of(&self, key: &str) -> Option<usize> {
+        self.index.get(key).map(|&pos| pos as usize)
     }
 
-    /// The entry at `key`, created holding `empty()` when there is none
-    /// (the container commands' implicit create).
-    fn entry_or_create(
+    /// The slot holding `key` after lazy expiry (Redis' `expireIfNeeded`):
+    /// an entry whose deadline is `<= now` is removed here and reads as
+    /// absent.
+    fn live_slot(&mut self, key: &str, now: UnixMillis) -> Option<usize> {
+        let pos = self.slot_of(key)?;
+        if self.slots[pos].deadline.is_some_and(|at| at <= now) {
+            self.remove_at(pos, RemovalCause::LazyExpiry);
+            return None;
+        }
+        Some(pos)
+    }
+
+    /// Whether `key` is held and its deadline, if any, is after `now`.
+    fn is_live(&self, key: &str, now: UnixMillis) -> bool {
+        self.expire_deadline(key).is_none_or(|at| now < at)
+    }
+
+    /// Add `obj` at `key`, which the keyspace does not hold, as a new last
+    /// slot: the key is allocated here, once. Returns the slot.
+    fn insert_new(&mut self, key: &str, obj: Object) -> usize {
+        let key: Arc<str> = Arc::from(key);
+        let pos = self.slots.len();
+        self.sorted_keys.insert(Arc::clone(&key));
+        self.index.insert(Arc::clone(&key), position(pos));
+        self.slots.push(Slot {
+            key,
+            obj,
+            deadline: None,
+            expiring_pos: 0,
+        });
+        pos
+    }
+
+    /// The live slot of `key`, created holding `empty()` when there is
+    /// none (the container commands' implicit create).
+    fn live_or_create(
         &mut self,
         key: &str,
         empty: impl FnOnce() -> Value,
         now: UnixMillis,
-    ) -> &mut Object {
-        if !self.dict.contains_key(key) {
-            self.insert_new(key, Object::new(empty(), now));
-            self.mem_add(crate::object::PER_KEY_OVERHEAD + key.len());
+    ) -> usize {
+        if let Some(pos) = self.live_slot(key, now) {
+            return pos;
         }
-        self.dict.get_mut(key).expect("entry ensured above")
+        self.mem_add(crate::object::PER_KEY_OVERHEAD + key.len());
+        self.insert_new(key, Object::new(empty(), now))
     }
 
-    /// Give `key`, which the keyspace holds, the deadline `at`.
-    fn index_expiry(&mut self, key: &str, at: UnixMillis) {
-        if let Some(deadline) = self.expires.get_mut(key) {
-            *deadline = at;
-        } else if let Some((shared, _)) = self.dict.get_key_value(key) {
-            let shared = Arc::clone(shared);
-            self.expires.insert(Arc::clone(&shared), at);
-            pool_push(
-                &mut self.expires_sample_pool,
-                &mut self.expires_pool_index,
-                shared,
-            );
+    /// Give the slot at `pos` the deadline `at`.
+    fn set_deadline(&mut self, pos: usize, at: UnixMillis) {
+        let slot = &mut self.slots[pos];
+        if slot.deadline.is_none() {
+            slot.expiring_pos = position(self.expiring.len());
+            self.expiring.push(position(pos));
         }
+        slot.deadline = Some(at);
         // The index upserts: a previous deadline for the key is replaced
         // (the wheel tombstones it, the BTree removes the old posting).
-        self.deadline_index.insert(key, at);
+        self.deadline_index.insert(&slot.key, at);
     }
 
-    fn unindex_expiry(&mut self, key: &str) {
-        if self.expires.remove(key).is_some() {
-            self.deadline_index.remove(key);
-            pool_remove(
-                &mut self.expires_sample_pool,
-                &mut self.expires_pool_index,
-                key,
-            );
+    /// Drop the deadline of the slot at `pos`. Returns whether it had one.
+    fn clear_deadline(&mut self, pos: usize) -> bool {
+        let slot = &mut self.slots[pos];
+        if slot.deadline.take().is_none() {
+            return false;
         }
+        self.deadline_index.remove(&slot.key);
+        let at = slot.expiring_pos as usize;
+        self.expiring.swap_remove(at);
+        if let Some(&moved) = self.expiring.get(at) {
+            self.slots[moved as usize].expiring_pos = position(at);
+        }
+        true
     }
 
-    fn remove_key(&mut self, key: &str, cause: RemovalCause) -> Option<Object> {
-        let removed = self.dict.remove(key);
-        if let Some(obj) = &removed {
-            self.mem_sub(obj.footprint(key));
-            self.sorted_keys.remove(key);
-            pool_remove(&mut self.keys_sample_pool, &mut self.keys_pool_index, key);
-            self.unindex_expiry(key);
-            self.dirty += 1;
-            match cause {
-                RemovalCause::LazyExpiry | RemovalCause::ActiveExpiry => {
-                    self.stats.expired_keys += 1;
-                }
-                RemovalCause::Explicit | RemovalCause::Flush => {
-                    self.stats.deleted_keys += 1;
-                }
-                RemovalCause::Eviction => {
-                    self.stats.evicted_keys += 1;
-                }
+    /// Remove the slot at `pos` by swap-remove, re-pointing the slot that
+    /// moves into its place, and account for the removal. Returns the
+    /// removed key.
+    fn remove_at(&mut self, pos: usize, cause: RemovalCause) -> Arc<str> {
+        self.clear_deadline(pos);
+        let Slot { key, obj, .. } = self.slots.swap_remove(pos);
+        self.index.remove(&key);
+        self.sorted_keys.remove(&key);
+        if let Some(moved) = self.slots.get(pos) {
+            if let Some(slot) = self.index.get_mut(&moved.key) {
+                *slot = position(pos);
             }
-            if let Some(listener) = &self.removal_listener.0 {
-                (**listener)(key, cause);
+            if moved.deadline.is_some() {
+                self.expiring[moved.expiring_pos as usize] = position(pos);
             }
         }
-        removed
+        self.mem_sub(obj.footprint(&key));
+        self.dirty += 1;
+        match cause {
+            RemovalCause::LazyExpiry | RemovalCause::ActiveExpiry => {
+                self.stats.expired_keys += 1;
+            }
+            RemovalCause::Explicit | RemovalCause::Flush => {
+                self.stats.deleted_keys += 1;
+            }
+            RemovalCause::Eviction => {
+                self.stats.evicted_keys += 1;
+            }
+        }
+        if let Some(listener) = &self.removal_listener.0 {
+            (**listener)(&key, cause);
+        }
+        key
+    }
+
+    /// Remove the slot at `pos` when its container value has become empty
+    /// (Redis drops an aggregate with its last element).
+    fn remove_if_empty(&mut self, pos: usize) {
+        if self.slots[pos].obj.value.is_empty() {
+            self.remove_at(pos, RemovalCause::Explicit);
+        }
     }
 
     /// Install (or clear) the removal listener. The listener fires for
@@ -273,25 +329,6 @@ impl Db {
     /// and `maxmemory` eviction — but not for wholesale flushes.
     pub fn set_removal_listener(&mut self, listener: Option<RemovalListener>) {
         self.removal_listener = RemovalListenerSlot(listener);
-    }
-
-    /// Delete the key if its TTL has elapsed (Redis' `expireIfNeeded`).
-    /// Returns `true` if the key was expired and removed by this call.
-    pub fn expire_if_needed(&mut self, key: &str) -> bool {
-        let now = self.now_millis();
-        self.expire_if_due(key, now)
-    }
-
-    /// [`Self::expire_if_needed`] against a clock reading the caller
-    /// already took.
-    fn expire_if_due(&mut self, key: &str, now: UnixMillis) -> bool {
-        match self.expires.get(key) {
-            Some(&at) if at <= now => {
-                self.remove_key(key, RemovalCause::LazyExpiry);
-                true
-            }
-            _ => false,
-        }
     }
 
     // ----- string commands -------------------------------------------------
@@ -315,13 +352,14 @@ impl Db {
     /// previous TTL.
     pub(crate) fn set_entry(&mut self, key: &str, value: Value, governed: Option<Arc<[u8]>>) {
         let now = self.now_millis();
-        self.unindex_expiry(key);
-        match self.dict.get_mut(key) {
-            Some(obj) => {
+        match self.slot_of(key) {
+            Some(pos) => {
+                self.clear_deadline(pos);
+                let obj = &mut self.slots[pos].obj;
                 let old_size = obj.footprint(key);
                 obj.value = value;
                 obj.governed = governed;
-                obj.mark_written(now);
+                obj.touch(now);
                 let new_size = obj.footprint(key);
                 self.mem_sub(old_size);
                 self.mem_add(new_size);
@@ -343,14 +381,14 @@ impl Db {
     /// value and TTL alone. Returns `false` (and changes nothing) when the
     /// key does not exist.
     pub fn govern(&mut self, key: &str, governed: Arc<[u8]>) -> bool {
-        self.expire_if_needed(key);
         let now = self.now_millis();
-        let Some(obj) = self.dict.get_mut(key) else {
+        let Some(pos) = self.live_slot(key, now) else {
             return false;
         };
+        let obj = &mut self.slots[pos].obj;
         let old_size = obj.footprint(key);
         obj.governed = Some(governed);
-        obj.mark_written(now);
+        obj.touch(now);
         let new_size = obj.footprint(key);
         self.mem_sub(old_size);
         self.mem_add(new_size);
@@ -365,11 +403,11 @@ impl Db {
     /// the same bookkeeping whichever call fetched it.
     pub fn lookup_read(&mut self, key: &str) -> Option<&Object> {
         let now = self.now_millis();
-        self.expire_if_due(key, now);
-        match self.dict.get_mut(key) {
-            Some(obj) => {
-                obj.touch(now);
+        match self.live_slot(key, now) {
+            Some(pos) => {
                 self.stats.keyspace_hits += 1;
+                let obj = &mut self.slots[pos].obj;
+                obj.touch(now);
                 Some(obj)
             }
             None => {
@@ -382,15 +420,16 @@ impl Db {
     /// The entry at `key` after lazy expiry, with no access-time touch and
     /// no hit or miss counted (Redis `EXISTS`).
     pub fn lookup(&mut self, key: &str) -> Option<&Object> {
-        self.expire_if_needed(key);
-        self.dict.get(key)
+        let now = self.now_millis();
+        let pos = self.live_slot(key, now)?;
+        Some(&self.slots[pos].obj)
     }
 
     /// Get the string value of `key` (Redis `GET`).
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::WrongType`] if the key holds a non-string.
+    /// Returns [`crate::StoreError::WrongType`] if the key holds a non-string.
     pub fn get(&mut self, key: &str) -> Result<Option<Bytes>> {
         match self.lookup_read(key).map(|obj| &obj.value) {
             Some(Value::Str(b)) => Ok(Some(b.clone())),
@@ -406,19 +445,20 @@ impl Db {
 
     /// Delete a key (Redis `DEL`/`UNLINK`). Returns `true` if it existed.
     pub fn delete(&mut self, key: &str) -> bool {
-        self.expire_if_needed(key);
-        self.remove_key(key, RemovalCause::Explicit).is_some()
+        let now = self.now_millis();
+        let Some(pos) = self.live_slot(key, now) else {
+            return false;
+        };
+        self.remove_at(pos, RemovalCause::Explicit);
+        true
     }
 
     /// Remove every key (Redis `FLUSHALL`). Returns the number removed.
     pub fn flush_all(&mut self) -> usize {
-        let n = self.dict.len();
-        self.dict.clear();
-        self.expires.clear();
-        self.expires_sample_pool.clear();
-        self.expires_pool_index.clear();
-        self.keys_sample_pool.clear();
-        self.keys_pool_index.clear();
+        let n = self.slots.len();
+        self.slots.clear();
+        self.index.clear();
+        self.expiring.clear();
         self.deadline_index.clear();
         self.sorted_keys.clear();
         self.stats.deleted_keys += n as u64;
@@ -434,32 +474,25 @@ impl Db {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::WrongType`] if the key holds a non-hash.
+    /// Returns [`crate::StoreError::WrongType`] if the key holds a non-hash.
     pub fn hset(&mut self, key: &str, field: &str, mut value: Bytes) -> Result<bool> {
         value.shrink_to_fit();
-        self.expire_if_needed(key);
         let now = self.now_millis();
         let value_len = value.len();
-        let obj = self.entry_or_create(key, || Value::Hash(BTreeMap::new()), now);
-        match &mut obj.value {
-            Value::Hash(map) => {
-                let prev = map.insert(field.to_string(), value);
-                let fresh = prev.is_none();
-                obj.mark_written(now);
-                if let Some(old) = prev {
-                    self.mem_sub(field.len() + old.len());
-                }
-                self.mem_add(field.len() + value_len);
-                self.stats.writes += 1;
-                self.dirty += 1;
-                Ok(fresh)
-            }
-            other => Err(StoreError::WrongType {
-                key: key.to_string(),
-                actual: other.type_name(),
-                expected: "hash",
-            }),
+        let pos = self.live_or_create(key, || Value::Hash(BTreeMap::new()), now);
+        let obj = &mut self.slots[pos].obj;
+        let Value::Hash(map) = &mut obj.value else {
+            return Err(obj.value.wrong_type(key, "hash"));
+        };
+        let prev = map.insert(field.to_string(), value);
+        obj.touch(now);
+        if let Some(old) = &prev {
+            self.mem_sub(field.len() + old.len());
         }
+        self.mem_add(field.len() + value_len);
+        self.stats.writes += 1;
+        self.dirty += 1;
+        Ok(prev.is_none())
     }
 
     /// Set many fields at once (Redis `HMSET`). Returns the number of new
@@ -476,33 +509,23 @@ impl Db {
 
     /// Get one field of a hash (Redis `HGET`).
     pub fn hget(&mut self, key: &str, field: &str) -> Result<Option<Bytes>> {
-        self.expire_if_needed(key);
         let now = self.now_millis();
-        match self.dict.get_mut(key) {
-            Some(obj) => {
-                obj.touch(now);
-                match &obj.value {
-                    Value::Hash(map) => {
-                        let hit = map.get(field).cloned();
-                        if hit.is_some() {
-                            self.stats.keyspace_hits += 1;
-                        } else {
-                            self.stats.keyspace_misses += 1;
-                        }
-                        Ok(hit)
-                    }
-                    other => Err(StoreError::WrongType {
-                        key: key.to_string(),
-                        actual: other.type_name(),
-                        expected: "hash",
-                    }),
-                }
-            }
-            None => {
-                self.stats.keyspace_misses += 1;
-                Ok(None)
-            }
+        let Some(pos) = self.live_slot(key, now) else {
+            self.stats.keyspace_misses += 1;
+            return Ok(None);
+        };
+        let obj = &mut self.slots[pos].obj;
+        obj.touch(now);
+        let Value::Hash(map) = &obj.value else {
+            return Err(obj.value.wrong_type(key, "hash"));
+        };
+        let hit = map.get(field).cloned();
+        if hit.is_some() {
+            self.stats.keyspace_hits += 1;
+        } else {
+            self.stats.keyspace_misses += 1;
         }
+        Ok(hit)
     }
 
     /// Get all fields of a hash (Redis `HGETALL`).
@@ -517,35 +540,23 @@ impl Db {
     /// Delete a field from a hash (Redis `HDEL`). Removes the key entirely
     /// when the last field goes away, like Redis does.
     pub fn hdel(&mut self, key: &str, field: &str) -> Result<bool> {
-        self.expire_if_needed(key);
         let now = self.now_millis();
-        let Some(obj) = self.dict.get_mut(key) else {
+        let Some(pos) = self.live_slot(key, now) else {
             return Ok(false);
         };
-        let removed = match &mut obj.value {
-            Value::Hash(map) => {
-                let prev = map.remove(field);
-                let removed = prev.is_some();
-                if let Some(old) = prev {
-                    obj.mark_written(now);
-                    self.mem_sub(field.len() + old.len());
-                    self.stats.writes += 1;
-                    self.dirty += 1;
-                }
-                removed
-            }
-            other => {
-                return Err(StoreError::WrongType {
-                    key: key.to_string(),
-                    actual: other.type_name(),
-                    expected: "hash",
-                })
-            }
+        let obj = &mut self.slots[pos].obj;
+        let Value::Hash(map) = &mut obj.value else {
+            return Err(obj.value.wrong_type(key, "hash"));
         };
-        if removed && self.dict.get(key).is_some_and(|o| o.value.is_empty()) {
-            self.remove_key(key, RemovalCause::Explicit);
-        }
-        Ok(removed)
+        let Some(old) = map.remove(field) else {
+            return Ok(false);
+        };
+        obj.touch(now);
+        self.mem_sub(field.len() + old.len());
+        self.stats.writes += 1;
+        self.dirty += 1;
+        self.remove_if_empty(pos);
+        Ok(true)
     }
 
     // ----- set commands (used by the GDPR metadata indexes) ----------------
@@ -554,75 +565,49 @@ impl Db {
     /// newly added.
     pub fn sadd(&mut self, key: &str, mut member: Bytes) -> Result<bool> {
         member.shrink_to_fit();
-        self.expire_if_needed(key);
         let now = self.now_millis();
         let member_len = member.len();
-        let obj = self.entry_or_create(key, || Value::Set(BTreeSet::new()), now);
-        match &mut obj.value {
-            Value::Set(members) => {
-                let added = members.insert(member);
-                if added {
-                    obj.mark_written(now);
-                }
-                if added {
-                    self.mem_add(member_len);
-                    self.stats.writes += 1;
-                    self.dirty += 1;
-                }
-                Ok(added)
-            }
-            other => Err(StoreError::WrongType {
-                key: key.to_string(),
-                actual: other.type_name(),
-                expected: "set",
-            }),
+        let pos = self.live_or_create(key, || Value::Set(BTreeSet::new()), now);
+        let obj = &mut self.slots[pos].obj;
+        let Value::Set(members) = &mut obj.value else {
+            return Err(obj.value.wrong_type(key, "set"));
+        };
+        let added = members.insert(member);
+        if added {
+            obj.touch(now);
+            self.mem_add(member_len);
+            self.stats.writes += 1;
+            self.dirty += 1;
         }
+        Ok(added)
     }
 
     /// Remove a member from a set (Redis `SREM`).
     pub fn srem(&mut self, key: &str, member: &[u8]) -> Result<bool> {
-        self.expire_if_needed(key);
         let now = self.now_millis();
-        let Some(obj) = self.dict.get_mut(key) else {
+        let Some(pos) = self.live_slot(key, now) else {
             return Ok(false);
         };
-        let removed = match &mut obj.value {
-            Value::Set(members) => {
-                let removed = members.remove(member);
-                if removed {
-                    obj.mark_written(now);
-                    self.mem_sub(member.len());
-                    self.stats.writes += 1;
-                    self.dirty += 1;
-                }
-                removed
-            }
-            other => {
-                return Err(StoreError::WrongType {
-                    key: key.to_string(),
-                    actual: other.type_name(),
-                    expected: "set",
-                })
-            }
+        let obj = &mut self.slots[pos].obj;
+        let Value::Set(members) = &mut obj.value else {
+            return Err(obj.value.wrong_type(key, "set"));
         };
-        if removed && self.dict.get(key).is_some_and(|o| o.value.is_empty()) {
-            self.remove_key(key, RemovalCause::Explicit);
+        if !members.remove(member) {
+            return Ok(false);
         }
-        Ok(removed)
+        obj.touch(now);
+        self.mem_sub(member.len());
+        self.stats.writes += 1;
+        self.dirty += 1;
+        self.remove_if_empty(pos);
+        Ok(true)
     }
 
     /// All members of a set (Redis `SMEMBERS`), empty if the key is absent.
     pub fn smembers(&mut self, key: &str) -> Result<Vec<Bytes>> {
-        self.expire_if_needed(key);
-        match self.dict.get(key) {
-            Some(obj) => match &obj.value {
-                Value::Set(members) => Ok(members.iter().cloned().collect()),
-                other => Err(StoreError::WrongType {
-                    key: key.to_string(),
-                    actual: other.type_name(),
-                    expected: "set",
-                }),
-            },
+        match self.lookup(key).map(|obj| &obj.value) {
+            Some(Value::Set(members)) => Ok(members.iter().cloned().collect()),
+            Some(other) => Err(other.wrong_type(key, "set")),
             None => Ok(Vec::new()),
         }
     }
@@ -632,11 +617,11 @@ impl Db {
     /// Set an absolute expiration time (Redis `PEXPIREAT`). Returns `false`
     /// if the key does not exist.
     pub fn expire_at(&mut self, key: &str, at: UnixMillis) -> bool {
-        self.expire_if_needed(key);
-        if !self.dict.contains_key(key) {
+        let now = self.now_millis();
+        let Some(pos) = self.live_slot(key, now) else {
             return false;
-        }
-        self.index_expiry(key, at);
+        };
+        self.set_deadline(pos, at);
         self.dirty += 1;
         true
     }
@@ -651,27 +636,27 @@ impl Db {
     /// not exist (Redis `PTTL`, collapsing the -1/-2 distinction into the
     /// richer [`Option`] returned by [`Db::exists`]).
     pub fn ttl_millis(&mut self, key: &str) -> Option<u64> {
-        self.expire_if_needed(key);
         let now = self.now_millis();
-        self.expires.get(key).map(|&at| at.saturating_sub(now))
+        let pos = self.live_slot(key, now)?;
+        self.slots[pos].deadline.map(|at| at.saturating_sub(now))
     }
 
     /// Absolute expiration deadline of a key, if any.
     #[must_use]
     pub fn expire_deadline(&self, key: &str) -> Option<UnixMillis> {
-        self.expires.get(key).copied()
+        self.slots[self.slot_of(key)?].deadline
     }
 
     /// Remove the TTL from a key (Redis `PERSIST`). Returns `true` if a TTL
     /// was removed.
     pub fn persist(&mut self, key: &str) -> bool {
-        if self.expires.contains_key(key) {
-            self.unindex_expiry(key);
+        let removed = self
+            .slot_of(key)
+            .is_some_and(|pos| self.clear_deadline(pos));
+        if removed {
             self.dirty += 1;
-            true
-        } else {
-            false
         }
+        removed
     }
 
     // ----- expiry cycles ---------------------------------------------------
@@ -691,24 +676,17 @@ impl Db {
         sample_size: usize,
     ) -> (usize, Vec<String>) {
         let now = self.now_millis();
-        let pool_len = self.expires_sample_pool.len();
-        if pool_len == 0 {
-            return (0, Vec::new());
-        }
-        let samples = sample_size.min(pool_len);
+        let samples = sample_size.min(self.expiring.len());
         let mut expired = Vec::new();
         for _ in 0..samples {
             // Sample with replacement, as the Redis dict sampling effectively
             // does across buckets.
-            let idx = rng.gen_range(0..self.expires_sample_pool.len());
-            let key = Arc::clone(&self.expires_sample_pool[idx]);
-            if let Some(&at) = self.expires.get(&key) {
-                if at <= now {
-                    self.remove_key(&key, RemovalCause::ActiveExpiry);
-                    expired.push(key.to_string());
-                    if self.expires_sample_pool.is_empty() {
-                        break;
-                    }
+            let pos = self.expiring[rng.gen_range(0..self.expiring.len())] as usize;
+            if self.slots[pos].deadline.is_some_and(|at| at <= now) {
+                let key = self.remove_at(pos, RemovalCause::ActiveExpiry);
+                expired.push(key.to_string());
+                if self.expiring.is_empty() {
+                    break;
                 }
             }
         }
@@ -728,7 +706,9 @@ impl Db {
         let now = self.now_millis();
         let removed = self.deadline_index.advance(now);
         for key in &removed {
-            self.remove_key(key, RemovalCause::ActiveExpiry);
+            if let Some(pos) = self.slot_of(key) {
+                self.remove_at(pos, RemovalCause::ActiveExpiry);
+            }
         }
         removed
     }
@@ -746,38 +726,33 @@ impl Db {
         policy: EvictionPolicy,
         sample: usize,
     ) -> Option<String> {
-        if self.keys_sample_pool.is_empty() {
+        if self.slots.is_empty() {
             return None;
         }
         let victim = match policy {
             EvictionPolicy::Noeviction => return None,
-            EvictionPolicy::SampledRandom => {
-                let idx = rng.gen_range(0..self.keys_sample_pool.len());
-                Arc::clone(&self.keys_sample_pool[idx])
-            }
+            EvictionPolicy::SampledRandom => rng.gen_range(0..self.slots.len()),
             EvictionPolicy::SampledLru => {
                 // Approximated LRU: among `sample` random keys, evict the
                 // one idle the longest (smallest last-access timestamp).
-                let mut best: Option<(UnixMillis, &Arc<str>)> = None;
+                let mut best: Option<(UnixMillis, usize)> = None;
                 for _ in 0..sample.max(1) {
-                    let idx = rng.gen_range(0..self.keys_sample_pool.len());
-                    let key = &self.keys_sample_pool[idx];
-                    let last = self.dict.get(key).map_or(0, |o| o.last_access_ms);
+                    let pos = rng.gen_range(0..self.slots.len());
+                    let last = self.slots[pos].obj.last_access_ms;
                     if best.is_none_or(|(b, _)| last < b) {
-                        best = Some((last, key));
+                        best = Some((last, pos));
                     }
                 }
-                Arc::clone(best?.1)
+                best?.1
             }
         };
-        self.remove_key(&victim, RemovalCause::Eviction);
-        Some(victim.to_string())
+        Some(self.remove_at(victim, RemovalCause::Eviction).to_string())
     }
 
     /// Number of keys currently carrying a TTL.
     #[must_use]
     pub fn expires_len(&self) -> usize {
-        self.expires.len()
+        self.expiring.len()
     }
 
     /// Number of keys whose TTL deadline has already passed but which are
@@ -803,70 +778,58 @@ impl Db {
 
     // ----- keyspace queries -------------------------------------------------
 
-    /// Number of keys (including not-yet-expired ones).
+    /// Number of keys, counting those past their deadline until they are
+    /// removed (Redis `DBSIZE`).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.dict.len()
+        self.slots.len()
     }
 
     /// Whether the keyspace is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.dict.is_empty()
+        self.slots.is_empty()
     }
 
-    /// All keys matching a glob-style pattern (Redis `KEYS`). Supports `*`
-    /// and `?` wildcards.
+    /// All keys matching a glob-style pattern (Redis `KEYS`), leaving out
+    /// those past their deadline. Supports `*` and `?` wildcards.
     #[must_use]
     pub fn keys(&self, pattern: &str) -> Vec<String> {
+        let now = self.now_millis();
         self.sorted_keys
             .iter()
-            .filter(|k| glob_match(pattern, k))
+            .filter(|k| glob_match(pattern, k) && self.is_live(k, now))
             .map(|k| k.to_string())
             .collect()
     }
 
     /// Ordered scan starting at `start` (inclusive), returning up to `count`
-    /// keys — the primitive the YCSB scan workload (workload E) maps to.
+    /// keys that are not past their deadline — the primitive the YCSB scan
+    /// workload (workload E) maps to.
     #[must_use]
     pub fn scan_range(&self, start: &str, count: usize) -> Vec<String> {
+        let now = self.now_millis();
         self.sorted_keys
             .range::<str, _>((Bound::Included(start), Bound::Unbounded))
+            .filter(|k| self.is_live(k, now))
             .take(count)
             .map(|k| k.to_string())
             .collect()
     }
 
-    /// Iterate over all `(key, object)` pairs (used by snapshot and AOF
-    /// rewrite).
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Object)> {
-        self.dict.iter().map(|(key, obj)| (&**key, obj))
+    /// Iterate over every entry with its deadline, past it or not (used by
+    /// snapshot and AOF rewrite).
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &Object, Option<UnixMillis>)> {
+        self.slots
+            .iter()
+            .map(|slot| (&*slot.key, &slot.obj, slot.deadline))
     }
 
     /// Whether the keyspace holds an entry at `key`, past its deadline or
     /// not (no lazy expiry).
     #[must_use]
     pub fn contains(&self, key: &str) -> bool {
-        self.dict.contains_key(key)
-    }
-}
-
-/// Append `key` to a sampling pool and record its position.
-fn pool_push(pool: &mut Vec<Arc<str>>, positions: &mut HashMap<Arc<str>, usize>, key: Arc<str>) {
-    positions.insert(Arc::clone(&key), pool.len());
-    pool.push(key);
-}
-
-/// Drop `key` from a sampling pool by swap-remove, re-pointing the
-/// position of the key that moved into its place.
-fn pool_remove(pool: &mut Vec<Arc<str>>, positions: &mut HashMap<Arc<str>, usize>, key: &str) {
-    if let Some(pos) = positions.remove(key) {
-        pool.swap_remove(pos);
-        if let Some(moved) = pool.get(pos) {
-            if let Some(slot) = positions.get_mut(moved) {
-                *slot = pos;
-            }
-        }
+        self.index.contains_key(key)
     }
 }
 
@@ -893,6 +856,7 @@ pub fn glob_match(pattern: &str, text: &str) -> bool {
 mod tests {
     use super::*;
     use crate::clock::{Clock, SimClock};
+    use crate::StoreError;
     use rand::SeedableRng;
     use std::sync::Arc;
 
@@ -1081,6 +1045,22 @@ mod tests {
         assert_eq!(db.keys("*").len(), 3);
         assert_eq!(db.keys("order:1").len(), 1);
         assert_eq!(db.keys("nothing*").len(), 0);
+    }
+
+    #[test]
+    fn keys_and_scan_leave_out_keys_past_their_deadline() {
+        let (mut db, clock) = sim_db();
+        for key in ["a", "b", "c"] {
+            db.set(key, b"v".to_vec());
+        }
+        db.expire_in_millis("b", 100);
+        clock.advance_millis(100);
+        assert_eq!(db.keys("*"), vec!["a", "c"]);
+        assert_eq!(db.scan_range("", 2), vec!["a", "c"]);
+        assert_eq!(db.scan_range("b", 10), vec!["c"]);
+        // Listing removes nothing: the entry waits for expiry.
+        assert_eq!(db.len(), 3);
+        assert_eq!(db.stats().expired_keys, 0);
     }
 
     #[test]

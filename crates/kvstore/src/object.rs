@@ -1,11 +1,10 @@
 //! The value/object model of the engine.
 //!
 //! Like Redis, every key maps to a typed [`Value`]. The reproduction only
-//! needs the types exercised by YCSB and by the GDPR layer (strings and
-//! hashes carry the data, lists and sets are included for completeness of
-//! the command surface and for the metadata indexes of `gdpr-core`).
+//! needs the types its commands create: strings and hashes carry the data
+//! (YCSB records), sets serve `SADD`/`SREM`/`SMEMBERS`.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use crate::{Result, StoreError};
@@ -14,9 +13,10 @@ use crate::{Result, StoreError};
 pub type Bytes = Vec<u8>;
 
 /// Fixed per-key bookkeeping overhead charged by the memory accounting, in
-/// bytes. A stored key costs more than its payload: the key string is held
-/// by the dictionary, the sorted-keys index and the sampling pools, and the
-/// [`Object`] header (access time, version, enum tag) rides along. The
+/// bytes. A stored key costs more than its payload: its slot (key pointer,
+/// [`Object`] header, deadline, position in the list of expiring keys), its
+/// entry in the key → slot index and in the sorted-keys set, and the key's
+/// own allocation. The
 /// constant is a deliberate round number in the right ballpark — the gauge
 /// must track RSS *direction* under churn, not malloc's exact arithmetic.
 pub const PER_KEY_OVERHEAD: usize = 64;
@@ -37,8 +37,6 @@ pub enum Value {
     Str(Bytes),
     /// A field → value map (used for multi-field YCSB records).
     Hash(BTreeMap<String, Bytes>),
-    /// An ordered list.
-    List(VecDeque<Bytes>),
     /// An unordered set of unique members.
     Set(BTreeSet<Bytes>),
 }
@@ -50,7 +48,6 @@ impl Value {
         match self {
             Value::Str(_) => "string",
             Value::Hash(_) => "hash",
-            Value::List(_) => "list",
             Value::Set(_) => "set",
         }
     }
@@ -97,7 +94,6 @@ impl Value {
         match self {
             Value::Str(b) => b.len(),
             Value::Hash(map) => map.iter().map(|(k, v)| k.len() + v.len()).sum(),
-            Value::List(items) => items.iter().map(Vec::len).sum(),
             Value::Set(members) => members.iter().map(Vec::len).sum(),
         }
     }
@@ -108,7 +104,6 @@ impl Value {
         match self {
             Value::Str(_) => 1,
             Value::Hash(map) => map.len(),
-            Value::List(items) => items.len(),
             Value::Set(members) => members.len(),
         }
     }
@@ -121,7 +116,6 @@ impl Value {
         match self {
             Value::Str(_) => false,
             Value::Hash(map) => map.is_empty(),
-            Value::List(items) => items.is_empty(),
             Value::Set(members) => members.is_empty(),
         }
     }
@@ -142,9 +136,8 @@ impl From<&str> for Value {
 /// A stored object: the value plus bookkeeping the engine needs.
 ///
 /// Redis attaches an LRU/LFU field and an encoding to every `robj`; we keep
-/// the pieces that matter for the paper's experiments (access tracking for
-/// the audit path and a version counter used by the AOF rewrite to detect
-/// concurrent mutation), and the bytes that govern the value.
+/// the access time the sampled-LRU evictor ranks by, and the bytes that
+/// govern the value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Object {
     /// The stored value.
@@ -157,8 +150,6 @@ pub struct Object {
     pub governed: Option<Arc<[u8]>>,
     /// Milliseconds timestamp of the last access (read or write).
     pub last_access_ms: u64,
-    /// Monotonically increasing per-key version, bumped on every write.
-    pub version: u64,
 }
 
 impl Object {
@@ -169,7 +160,6 @@ impl Object {
             value,
             governed: None,
             last_access_ms: now_ms,
-            version: 1,
         }
     }
 
@@ -180,15 +170,9 @@ impl Object {
         entry_footprint(key, &self.value) + self.governed.as_ref().map_or(0, |g| g.len())
     }
 
-    /// Record a read access.
+    /// Record an access (read or write).
     pub fn touch(&mut self, now_ms: u64) {
         self.last_access_ms = now_ms;
-    }
-
-    /// Record a write: bumps the version and the access time.
-    pub fn mark_written(&mut self, now_ms: u64) {
-        self.last_access_ms = now_ms;
-        self.version += 1;
     }
 }
 
@@ -200,7 +184,6 @@ mod tests {
     fn type_names() {
         assert_eq!(Value::from("x").type_name(), "string");
         assert_eq!(Value::Hash(BTreeMap::new()).type_name(), "hash");
-        assert_eq!(Value::List(VecDeque::new()).type_name(), "list");
         assert_eq!(Value::Set(BTreeSet::new()).type_name(), "set");
     }
 
@@ -245,13 +228,9 @@ mod tests {
     #[test]
     fn object_versioning() {
         let mut o = Object::new(Value::from("v"), 100);
-        assert_eq!(o.version, 1);
+        assert_eq!(o.last_access_ms, 100);
         o.touch(150);
-        assert_eq!(o.version, 1);
         assert_eq!(o.last_access_ms, 150);
-        o.mark_written(200);
-        assert_eq!(o.version, 2);
-        assert_eq!(o.last_access_ms, 200);
     }
 
     #[test]

@@ -6,15 +6,14 @@
 //! rather than serialization cleverness — matching the spirit of Redis'
 //! RESP-based AOF and RDB encodings.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::object::{Bytes, Value};
 use crate::{Result, StoreError};
 
-/// Type tags used on the wire.
+/// Type tags used on the wire (`0x03` is unassigned).
 const TAG_STR: u8 = 0x01;
 const TAG_HASH: u8 = 0x02;
-const TAG_LIST: u8 = 0x03;
 const TAG_SET: u8 = 0x04;
 
 /// Append a `u32` length prefix followed by the bytes.
@@ -122,13 +121,6 @@ pub fn encode_value(out: &mut Vec<u8>, value: &Value) {
                 put_bytes(out, v);
             }
         }
-        Value::List(items) => {
-            out.push(TAG_LIST);
-            put_u64(out, items.len() as u64);
-            for item in items {
-                put_bytes(out, item);
-            }
-        }
         Value::Set(members) => {
             out.push(TAG_SET);
             put_u64(out, members.len() as u64);
@@ -153,14 +145,6 @@ pub fn decode_value(reader: &mut Reader<'_>, context: &'static str) -> Result<Va
                 map.insert(field, value);
             }
             Ok(Value::Hash(map))
-        }
-        TAG_LIST => {
-            let n = reader.get_u64(context)?;
-            let mut items = VecDeque::with_capacity(n as usize);
-            for _ in 0..n {
-                items.push_back(reader.get_bytes(context)?);
-            }
-            Ok(Value::List(items))
         }
         TAG_SET => {
             let n = reader.get_u64(context)?;
@@ -209,8 +193,6 @@ mod tests {
 
     #[test]
     fn roundtrip_list_and_set() {
-        let v = Value::List(VecDeque::from(vec![b"a".to_vec(), b"bb".to_vec()]));
-        assert_eq!(roundtrip(&v), v);
         let mut set = BTreeSet::new();
         set.insert(b"m1".to_vec());
         set.insert(b"m2".to_vec());
@@ -228,12 +210,15 @@ mod tests {
 
     #[test]
     fn unknown_tag_is_an_error() {
-        let buf = [0xEEu8, 0, 0, 0, 0];
-        let mut r = Reader::new(&buf);
-        assert!(matches!(
-            decode_value(&mut r, "test"),
-            Err(StoreError::Corrupt { .. })
-        ));
+        // 0x03 once tagged a list, a type no command creates.
+        for tag in [0xEEu8, 0x03] {
+            let buf = [tag, 0, 0, 0, 0, 0, 0, 0, 0];
+            let mut r = Reader::new(&buf);
+            assert!(matches!(
+                decode_value(&mut r, "test"),
+                Err(StoreError::Corrupt { .. })
+            ));
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! data finally disappears from persistent media — the §4.3 discussion of
 //! the paper).
 
+use crate::clock::UnixMillis;
 use crate::commands::Command;
 use crate::db::Db;
 use crate::object::Object;
@@ -21,9 +22,14 @@ const MAGIC: &[u8; 8] = b"GDPRKV02";
 /// Append the snapshot form of `object` stored under `key` — deadline,
 /// value, governing bytes — behind the key. The same bytes render the
 /// entry in [`crate::store::KvStore::canonical_state`].
-pub(crate) fn encode_entry(out: &mut Vec<u8>, db: &Db, key: &str, object: &Object) {
+pub(crate) fn encode_entry(
+    out: &mut Vec<u8>,
+    key: &str,
+    object: &Object,
+    deadline: Option<UnixMillis>,
+) {
     put_str(out, key);
-    match db.expire_deadline(key) {
+    match deadline {
         Some(at) => {
             out.push(1);
             put_u64(out, at);
@@ -56,8 +62,8 @@ pub fn save_shards_to_bytes(dbs: &[&Db]) -> Vec<u8> {
     let total: usize = dbs.iter().map(|db| db.len()).sum();
     put_u64(&mut out, total as u64);
     for db in dbs {
-        for (key, object) in db.iter() {
-            encode_entry(&mut out, db, key, object);
+        for (key, object, deadline) in db.iter() {
+            encode_entry(&mut out, key, object, deadline);
         }
     }
     out
@@ -70,7 +76,7 @@ pub fn save_shards_to_bytes(dbs: &[&Db]) -> Vec<u8> {
 #[must_use]
 pub fn rewrite_commands(db: &Db) -> Vec<Command> {
     let mut commands = Vec::new();
-    for (key, object) in db.iter() {
+    for (key, object, deadline) in db.iter() {
         // A governed string is one record; any other governed value is
         // followed by the record that re-governs it.
         let mut governed = object.governed.clone();
@@ -94,19 +100,6 @@ pub fn rewrite_commands(db: &Db) -> Vec<Command> {
                     fields: map.clone(),
                 });
             }
-            crate::object::Value::List(items) => {
-                // Lists are journaled as a hash of index → element;
-                // adequate for recovery purposes in this engine.
-                let fields = items
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| (format!("{i:020}"), v.clone()))
-                    .collect();
-                commands.push(Command::HSetMulti {
-                    key: key.to_string(),
-                    fields,
-                });
-            }
             crate::object::Value::Set(members) => {
                 for member in members {
                     commands.push(Command::SAdd {
@@ -122,7 +115,7 @@ pub fn rewrite_commands(db: &Db) -> Vec<Command> {
                 governed,
             });
         }
-        if let Some(at) = db.expire_deadline(key) {
+        if let Some(at) = deadline {
             commands.push(Command::ExpireAt {
                 key: key.to_string(),
                 at_ms: at,

@@ -5,7 +5,7 @@
 //! # Execution model
 //!
 //! The keyspace is split into N shards (power of two, configurable via
-//! [`StoreConfig::shards`]); each shard owns its own [`Db`] (dictionary,
+//! [`StoreConfig::shards`]); each shard owns its own [`Db`] (key slots,
 //! expiry indexes, keyspace counters), its own expiry-sampling RNG and its
 //! own lock. A seeded hash of the key ([`crate::shard::ShardRouter`])
 //! decides the owning shard, so operations on different shards execute in
@@ -591,12 +591,11 @@ impl KvStore {
         for shard in &self.inner.shards {
             let governed: Vec<(String, Arc<[u8]>)> = {
                 let shard = shard.lock();
-                let live = |key: &str| shard.db.expire_deadline(key).is_none_or(|at| now < at);
                 shard
                     .db
                     .iter()
-                    .filter(|(key, _)| live(key))
-                    .filter_map(|(key, obj)| {
+                    .filter(|(_, _, deadline)| deadline.is_none_or(|at| now < at))
+                    .filter_map(|(key, obj, _)| {
                         Some((key.to_string(), Arc::clone(obj.governed.as_ref()?)))
                     })
                     .collect()
@@ -1078,14 +1077,11 @@ impl KvStore {
     #[must_use]
     pub fn canonical_state(&self) -> Vec<u8> {
         let guards = self.lock_all_shards();
-        let mut entries: Vec<(&str, &Db, &crate::object::Object)> = guards
-            .iter()
-            .flat_map(|guard| guard.db.iter().map(|(key, obj)| (key, &guard.db, obj)))
-            .collect();
+        let mut entries: Vec<_> = guards.iter().flat_map(|guard| guard.db.iter()).collect();
         entries.sort_unstable_by_key(|(key, _, _)| *key);
         let mut out = Vec::new();
-        for (key, db, object) in entries {
-            snapshot::encode_entry(&mut out, db, key, object);
+        for (key, object, deadline) in entries {
+            snapshot::encode_entry(&mut out, key, object, deadline);
         }
         out
     }

@@ -9,15 +9,17 @@ use std::sync::Arc;
 
 use gdpr_storage::gdpr_core::metadata::{PersonalMetadata, Region};
 use gdpr_storage::gdpr_crypto::aead::ChaCha20Poly1305;
-use gdpr_storage::kvstore::clock::SimClock;
+use gdpr_storage::kvstore::clock::{Clock, SimClock};
 use gdpr_storage::kvstore::commands::Command;
-use gdpr_storage::kvstore::config::StoreConfig;
+use gdpr_storage::kvstore::config::{EvictionPolicy, StoreConfig};
 use gdpr_storage::kvstore::db::{glob_match, Db};
 use gdpr_storage::kvstore::store::KvStore;
 use gdpr_storage::resp::decode::decode_one;
 use gdpr_storage::resp::encode::{encode_frame, encode_into};
 use gdpr_storage::resp::Frame;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 // ---------------------------------------------------------------------------
 // RESP frames
@@ -78,18 +80,34 @@ enum Op {
     Persist(String),
 }
 
+/// [`Op`], plus the steps only the bare keyspace model takes: deadlines
+/// that elapse, and the three ways the engine removes keys on its own.
+#[derive(Debug, Clone)]
+enum DbOp {
+    Op(Op),
+    ExpireShort(String, u64),
+    Advance(u64),
+    SampleExpiry,
+    Evict(EvictionPolicy),
+    Sweep,
+}
+
 fn key_strategy() -> impl Strategy<Value = String> {
     // A small key universe so operations actually collide.
     (0u8..20).prop_map(|i| format!("key{i}"))
 }
 
+fn set_strategy() -> impl Strategy<Value = Op> {
+    (
+        key_strategy(),
+        proptest::collection::vec(any::<u8>(), 0..32),
+    )
+        .prop_map(|(k, v)| Op::Set(k, v))
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (
-            key_strategy(),
-            proptest::collection::vec(any::<u8>(), 0..32)
-        )
-            .prop_map(|(k, v)| Op::Set(k, v)),
+        set_strategy(),
         (
             key_strategy(),
             proptest::collection::vec(any::<u8>(), 0..16)
@@ -101,53 +119,159 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+fn db_op_strategy() -> impl Strategy<Value = DbOp> {
+    // Two extra set arms keep the keyspace from draining: a third of the
+    // steps add or overwrite a key.
+    prop_oneof![
+        op_strategy().prop_map(DbOp::Op),
+        set_strategy().prop_map(DbOp::Op),
+        set_strategy().prop_map(DbOp::Op),
+        (key_strategy(), 1u64..50).prop_map(|(k, ttl)| DbOp::ExpireShort(k, ttl)),
+        (1u64..40).prop_map(DbOp::Advance),
+        prop_oneof![
+            Just(DbOp::SampleExpiry),
+            Just(DbOp::Evict(EvictionPolicy::SampledLru)),
+            Just(DbOp::Evict(EvictionPolicy::SampledRandom)),
+            Just(DbOp::Sweep),
+        ],
+    ]
+}
+
+/// What the model holds for a key: its value and its deadline.
+type Model = HashMap<String, (Vec<u8>, Option<u64>)>;
+
+/// Whether the model holds `key` with a deadline at or before `now`.
+fn overdue(model: &Model, key: &str, now: u64) -> bool {
+    model
+        .get(key)
+        .is_some_and(|(_, deadline)| deadline.is_some_and(|at| at <= now))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The keyspace agrees with a plain HashMap model under any sequence of
-    /// sets, re-governings, deletes, (non-elapsing) expirations and
-    /// persists: an entry's governing bytes exist exactly while its value
-    /// does, and a plain set clears them.
+    /// The keyspace agrees with a plain HashMap model, deadlines included,
+    /// under any sequence of sets, re-governings, deletes, expirations that
+    /// do and do not elapse, persists, clock advances, active-expiry
+    /// samples, evictions under both sampled policies and strict sweeps:
+    /// an entry's governing bytes exist exactly while its value does, a
+    /// plain set clears them, an access to an overdue key removes it, and
+    /// every key the engine removes on its own is one the model held
+    /// (overdue, for expiry).
     #[test]
-    fn db_matches_model(ops in proptest::collection::vec(op_strategy(), 1..120)) {
+    fn db_matches_model(
+        ops in proptest::collection::vec(db_op_strategy(), 1..160),
+        seed in any::<u64>(),
+    ) {
         let clock = SimClock::new(1_000_000);
-        let mut db = Db::new(Arc::new(clock));
-        let mut model: HashMap<String, Vec<u8>> = HashMap::new();
+        let mut db = Db::new(Arc::new(clock.clone()));
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut model = Model::new();
         let mut governance: HashMap<String, Vec<u8>> = HashMap::new();
 
         for op in &ops {
+            let now = clock.now_millis();
+            // An access to an overdue key removes it first.
+            let mut lazy_expire = |model: &mut Model, key: &str| {
+                if overdue(model, key, now) {
+                    model.remove(key);
+                    governance.remove(key);
+                }
+            };
             match op {
-                Op::Set(k, v) => {
+                DbOp::Op(Op::Set(k, v)) => {
                     db.set(k, v.clone());
-                    model.insert(k.clone(), v.clone());
+                    model.insert(k.clone(), (v.clone(), None));
                     governance.remove(k);
                 }
-                Op::Govern(k, g) => {
+                DbOp::Op(Op::Govern(k, g)) => {
+                    lazy_expire(&mut model, k);
                     let governed = db.govern(k, g.clone().into());
                     prop_assert_eq!(governed, model.contains_key(k));
                     if governed {
                         governance.insert(k.clone(), g.clone());
                     }
                 }
-                Op::Del(k) => {
+                DbOp::Op(Op::Del(k)) => {
+                    lazy_expire(&mut model, k);
                     let existed = db.delete(k);
                     prop_assert_eq!(existed, model.remove(k).is_some());
                     governance.remove(k);
                 }
-                Op::ExpireFar(k) => {
-                    // A TTL far in the future never elapses during the test,
-                    // so it must not change visibility.
-                    let ok = db.expire_in_millis(k, 1_000_000_000);
-                    prop_assert_eq!(ok, model.contains_key(k));
+                DbOp::Op(Op::ExpireFar(k)) => {
+                    // A TTL far in the future never elapses during the test.
+                    lazy_expire(&mut model, k);
+                    let at = now + 1_000_000_000;
+                    prop_assert_eq!(db.expire_at(k, at), model.contains_key(k));
+                    if let Some(entry) = model.get_mut(k) {
+                        entry.1 = Some(at);
+                    }
                 }
-                Op::Persist(k) => {
-                    let _ = db.persist(k);
+                DbOp::ExpireShort(k, ttl) => {
+                    lazy_expire(&mut model, k);
+                    prop_assert_eq!(db.expire_in_millis(k, *ttl), model.contains_key(k));
+                    if let Some(entry) = model.get_mut(k) {
+                        entry.1 = Some(now + ttl);
+                    }
+                }
+                DbOp::Op(Op::Persist(k)) => {
+                    // PERSIST lifts a deadline without lazy expiry.
+                    let had = model.get_mut(k).and_then(|entry| entry.1.take()).is_some();
+                    prop_assert_eq!(db.persist(k), had);
+                }
+                DbOp::Advance(ms) => {
+                    clock.advance_millis(*ms);
+                }
+                DbOp::SampleExpiry => {
+                    let (_, removed) = db.active_expire_sample(&mut rng, 5);
+                    for key in &removed {
+                        prop_assert!(overdue(&model, key, now), "sampled {} not overdue", key);
+                        model.remove(key);
+                        governance.remove(key);
+                    }
+                }
+                DbOp::Evict(policy) => {
+                    let victim = db.evict_one(&mut rng, *policy, 3);
+                    prop_assert_eq!(victim.is_some(), !model.is_empty());
+                    if let Some(key) = victim {
+                        prop_assert!(model.remove(&key).is_some(), "evicted {} not held", key);
+                        governance.remove(&key);
+                    }
+                }
+                DbOp::Sweep => {
+                    let mut removed = db.strict_expire_sweep();
+                    removed.sort();
+                    let mut due: Vec<String> = model
+                        .keys()
+                        .filter(|key| overdue(&model, key, now))
+                        .cloned()
+                        .collect();
+                    due.sort();
+                    prop_assert_eq!(&removed, &due);
+                    for key in &removed {
+                        model.remove(key);
+                        governance.remove(key);
+                    }
                 }
             }
+            prop_assert_eq!(db.len(), model.len());
+            let expiring = model.values().filter(|(_, deadline)| deadline.is_some()).count();
+            prop_assert_eq!(db.expires_len(), expiring);
         }
 
+        // Every key's TTL matches (reading it removes the overdue ones).
+        let now = clock.now_millis();
+        for i in 0u8..20 {
+            let k = format!("key{i}");
+            if overdue(&model, &k, now) {
+                model.remove(&k);
+                governance.remove(&k);
+            }
+            let ttl = model.get(&k).and_then(|(_, deadline)| *deadline).map(|at| at - now);
+            prop_assert_eq!(db.ttl_millis(&k), ttl);
+        }
         prop_assert_eq!(db.len(), model.len());
-        for (k, v) in &model {
+        for (k, (v, _)) in &model {
             prop_assert_eq!(db.get(k).unwrap(), Some(v.clone()));
             let governed = db.lookup(k).and_then(|entry| entry.governed.clone());
             prop_assert_eq!(governed.as_deref(), governance.get(k).map(Vec::as_slice));
@@ -317,8 +441,6 @@ proptest! {
     #[test]
     fn zipfian_stays_in_range(items in 1u64..10_000, seed in any::<u64>()) {
         use gdpr_storage::ycsb::generator::{NumberGenerator, ZipfianGenerator};
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
         let mut g = ZipfianGenerator::new(items);
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..200 {

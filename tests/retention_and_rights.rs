@@ -66,6 +66,9 @@ fn expired_data_is_invisible_even_before_the_sweep_runs() {
         .with_ttl_millis(500);
     store.put(&ctx(), "ephemeral", b"v".to_vec(), meta).unwrap();
     clock.advance_millis(1_000);
+    // A key name is personal data too: a scan does not list it, though
+    // nothing has touched or removed it yet.
+    assert_eq!(store.scan(&ctx(), "", 10).unwrap(), Vec::<String>::new());
     // Lazy expiration on access hides the key even though no cycle ran.
     assert_eq!(store.get(&ctx(), "ephemeral").unwrap(), None);
 }

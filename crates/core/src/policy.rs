@@ -229,7 +229,6 @@ impl CompliancePolicy {
                 match self.expiry_mode {
                     ExpiryMode::Strict => SupportLevel::Full,
                     ExpiryMode::LazyProbabilistic => SupportLevel::Partial,
-                    ExpiryMode::AccessOnly => SupportLevel::None,
                 },
             ),
             (

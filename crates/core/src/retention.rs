@@ -9,7 +9,6 @@
 
 use kvstore::clock::SimClock;
 use kvstore::expire::{ActiveExpireConfig, ErasureSimulator, ExpiryMode};
-use kvstore::ttl_wheel::DeadlineIndexKind;
 
 use crate::store::GdprStore;
 use crate::Result;
@@ -70,9 +69,6 @@ pub struct ErasureDelayExperiment {
     pub long_ttl_ms: u64,
     /// Expiry policy under test.
     pub mode: ExpiryMode,
-    /// Deadline-index implementation serving the sweep (the wheel by
-    /// default; the BTree baseline is used for differential replays).
-    pub index: DeadlineIndexKind,
 }
 
 impl ErasureDelayExperiment {
@@ -85,15 +81,7 @@ impl ErasureDelayExperiment {
             short_ttl_ms: 5 * 60 * 1_000,
             long_ttl_ms: 5 * 24 * 3_600 * 1_000,
             mode,
-            index: DeadlineIndexKind::default(),
         }
-    }
-
-    /// Builder-style: run the experiment on a specific deadline index.
-    #[must_use]
-    pub fn with_index(mut self, index: DeadlineIndexKind) -> Self {
-        self.index = index;
-        self
     }
 
     /// Run the experiment on a simulated clock: populate a fresh engine,
@@ -107,7 +95,7 @@ impl ErasureDelayExperiment {
         use std::sync::Arc;
 
         let clock = SimClock::new(0);
-        let mut db = Db::with_deadline_index(Arc::new(clock.clone()), self.index);
+        let mut db = Db::new(Arc::new(clock.clone()));
         let short_count = (self.total_keys as f64 * self.short_fraction).round() as usize;
         for i in 0..self.total_keys {
             let key = format!("user{i:012}");

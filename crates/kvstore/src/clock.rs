@@ -87,13 +87,9 @@ impl SimClock {
         self.now.fetch_add(millis, Ordering::SeqCst) + millis
     }
 
-    /// Jump the clock to an absolute time. Panics in debug builds if the
-    /// target is in the past (simulated time never goes backwards).
+    /// Jump the clock to an absolute time. The target may be in the past,
+    /// as when a wall clock is stepped back.
     pub fn set(&self, millis: UnixMillis) {
-        debug_assert!(
-            millis >= self.now.load(Ordering::SeqCst),
-            "SimClock must not go backwards"
-        );
         self.now.store(millis, Ordering::SeqCst);
     }
 }

@@ -99,9 +99,9 @@ pub struct StoreConfig {
     pub expiry_mode: ExpiryMode,
     /// Tunables of the probabilistic expiry cycle.
     pub active_expire: ActiveExpireConfig,
-    /// Deadline-index implementation serving strict expiry: the
-    /// hierarchical timer wheel by default, or the original BTree index
-    /// (kept for differential testing and as a paper-faithful baseline).
+    /// Deadline index serving strict expiry. The timer wheel is the only
+    /// one; the field stays because the contract benchmark's store setup
+    /// sets it.
     pub deadline_index: DeadlineIndexKind,
     /// Trigger an automatic AOF rewrite once the log holds at least this
     /// many records more than after the previous rewrite (0 disables).
@@ -202,7 +202,8 @@ impl StoreConfig {
         self
     }
 
-    /// Builder-style: select the deadline-index implementation.
+    /// Builder-style: select the deadline index (the wheel is the only
+    /// one; see [`StoreConfig::deadline_index`]).
     #[must_use]
     pub fn deadline_index(mut self, kind: DeadlineIndexKind) -> Self {
         self.deadline_index = kind;
@@ -293,8 +294,8 @@ mod tests {
 
     #[test]
     fn deadline_index_builder() {
-        let c = StoreConfig::in_memory().deadline_index(DeadlineIndexKind::BTree);
-        assert_eq!(c.deadline_index, DeadlineIndexKind::BTree);
+        let c = StoreConfig::in_memory().deadline_index(DeadlineIndexKind::Wheel);
+        assert_eq!(c.deadline_index, DeadlineIndexKind::Wheel);
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! `SCAN` leave such entries out without removing them, and `DBSIZE`
 //! counts them until they are removed, as in Redis.
 //!
+//! The slot is the one authority for a key's deadline. Strict expiry finds
+//! the expired keys through a timer wheel ([`crate::ttl_wheel`]) that only
+//! indexes the slots: each deadline set parks one entry pointing back at
+//! its slot, and the keyspace decides whether that entry still holds.
+//!
 //! [`Db`] is deliberately single-threaded (like a Redis database); the
 //! [`crate::store::KvStore`] wraps it in a lock and adds persistence. All
 //! methods take `&mut self` and are infallible unless a type error or
@@ -20,9 +25,7 @@ use rand::Rng;
 use crate::clock::{SharedClock, UnixMillis};
 use crate::config::EvictionPolicy;
 use crate::object::{Bytes, Object, Value};
-use crate::ttl_wheel::{
-    build_deadline_index, DeadlineIndex, DeadlineIndexKind, DeadlineIndexStats,
-};
+use crate::ttl_wheel::{DeadlineIndexStats, Entry, TtlWheel};
 use crate::Result;
 
 /// Why a key was removed — used by the caller to decide what to propagate
@@ -95,7 +98,14 @@ struct Slot {
     /// Position of this slot's number in `expiring`; meaningful only
     /// while `deadline` is set.
     expiring_pos: u32,
+    /// Bumped by every deadline set: a wheel entry parked under an older
+    /// number is stale.
+    deadline_seq: u32,
 }
+
+// The sequence number sits in the padding beside `expiring_pos`.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<Slot>() == 96);
 
 /// A single logical database (keyspace).
 ///
@@ -104,7 +114,7 @@ struct Slot {
 /// are sampled directly — the evictor draws from `slots`, active expiry
 /// from `expiring` — and a removal swap-removes, re-pointing the slot that
 /// moved into the gap. The key is allocated once, as an `Arc<str>` shared
-/// by its slot, `index` and `sorted_keys`.
+/// by its slot, `index`, `sorted_keys` and its wheel entries.
 #[derive(Debug)]
 pub struct Db {
     slots: Vec<Slot>,
@@ -113,11 +123,15 @@ pub struct Db {
     /// with expire flag set" that active expiry samples (Redis samples
     /// the `expires` dict).
     expiring: Vec<u32>,
-    /// Secondary index over expiration deadlines, used by the *strict*
-    /// expiry mode the paper's modified Redis implements: a hierarchical
-    /// timer wheel by default, or the original BTree index (see
-    /// [`crate::ttl_wheel`]).
-    deadline_index: Box<dyn DeadlineIndex>,
+    /// Index over the slots' deadlines, used by the *strict* expiry mode
+    /// the paper's modified Redis implements (see [`crate::ttl_wheel`]).
+    wheel: TtlWheel,
+    /// Deadlines set on keys that had none.
+    deadline_inserts: u64,
+    /// Deadlines replaced on keys that had one.
+    deadline_reschedules: u64,
+    /// Deadlines cleared before they fired (`PERSIST`, removal, overwrite).
+    deadline_removes: u64,
     /// All keys in lexicographic order, used to serve YCSB-style scans.
     sorted_keys: BTreeSet<Arc<str>>,
     clock: SharedClock,
@@ -134,24 +148,17 @@ fn position(pos: usize) -> u32 {
 }
 
 impl Db {
-    /// Create an empty database reading time from `clock`, with the
-    /// default deadline index (the timer wheel).
+    /// Create an empty database reading time from `clock`.
     #[must_use]
     pub fn new(clock: SharedClock) -> Self {
-        Db::with_deadline_index(clock, DeadlineIndexKind::default())
-    }
-
-    /// Create an empty database with an explicit deadline-index
-    /// implementation (the BTree variant exists for differential testing
-    /// and as a paper-faithful baseline).
-    #[must_use]
-    pub fn with_deadline_index(clock: SharedClock, index: DeadlineIndexKind) -> Self {
-        let deadline_index = build_deadline_index(index, clock.now_millis());
         Db {
             slots: Vec::new(),
             index: HashMap::new(),
             expiring: Vec::new(),
-            deadline_index,
+            wheel: TtlWheel::new(clock.now_millis()),
+            deadline_inserts: 0,
+            deadline_reschedules: 0,
+            deadline_removes: 0,
             sorted_keys: BTreeSet::new(),
             clock,
             stats: DbStats::default(),
@@ -234,6 +241,7 @@ impl Db {
             obj,
             deadline: None,
             expiring_pos: 0,
+            deadline_seq: 0,
         });
         pos
     }
@@ -253,31 +261,74 @@ impl Db {
         self.insert_new(key, Object::new(empty(), now))
     }
 
-    /// Give the slot at `pos` the deadline `at`.
+    /// The wheel, with the test of whether the slots still vouch for one
+    /// of its entries: the key's slot exists, holds the same key
+    /// allocation, and carries the entry's deadline under the entry's
+    /// sequence number.
+    fn wheel_and_vouch(&mut self) -> (&mut TtlWheel, impl Fn(&Entry) -> bool + '_) {
+        let (index, slots) = (&self.index, &self.slots);
+        let vouch = move |entry: &Entry| {
+            index.get(entry.key.as_ref()).is_some_and(|&pos| {
+                let slot = &slots[pos as usize];
+                Arc::ptr_eq(&slot.key, &entry.key)
+                    && slot.deadline == Some(entry.at)
+                    && slot.deadline_seq == entry.seq
+            })
+        };
+        (&mut self.wheel, vouch)
+    }
+
+    /// Rewrite the wheel from its live entries once stale ones dominate.
+    fn compact_wheel(&mut self) {
+        let live = self.expiring.len();
+        let (wheel, vouch) = self.wheel_and_vouch();
+        wheel.compact(live, vouch);
+    }
+
+    /// Give the slot at `pos` the deadline `at`, parking it in the wheel;
+    /// the entry parked for a previous deadline goes stale.
     fn set_deadline(&mut self, pos: usize, at: UnixMillis) {
         let slot = &mut self.slots[pos];
         if slot.deadline.is_none() {
             slot.expiring_pos = position(self.expiring.len());
             self.expiring.push(position(pos));
+            self.deadline_inserts += 1;
+        } else {
+            self.deadline_reschedules += 1;
         }
         slot.deadline = Some(at);
-        // The index upserts: a previous deadline for the key is replaced
-        // (the wheel tombstones it, the BTree removes the old posting).
-        self.deadline_index.insert(&slot.key, at);
+        slot.deadline_seq = slot.deadline_seq.wrapping_add(1);
+        self.wheel.insert(Entry {
+            at,
+            key: Arc::clone(&slot.key),
+            seq: slot.deadline_seq,
+        });
+        self.compact_wheel();
     }
 
-    /// Drop the deadline of the slot at `pos`. Returns whether it had one.
-    fn clear_deadline(&mut self, pos: usize) -> bool {
+    /// Take the deadline of the slot at `pos` out of `expiring`, leaving
+    /// its wheel entry to go stale. Returns whether it had one.
+    fn take_deadline(&mut self, pos: usize) -> bool {
         let slot = &mut self.slots[pos];
         if slot.deadline.take().is_none() {
             return false;
         }
-        self.deadline_index.remove(&slot.key);
         let at = slot.expiring_pos as usize;
         self.expiring.swap_remove(at);
         if let Some(&moved) = self.expiring.get(at) {
             self.slots[moved as usize].expiring_pos = position(at);
         }
+        true
+    }
+
+    /// Drop the deadline of the slot at `pos` before it fires. Returns
+    /// whether it had one.
+    fn clear_deadline(&mut self, pos: usize) -> bool {
+        if !self.take_deadline(pos) {
+            return false;
+        }
+        self.deadline_removes += 1;
+        self.compact_wheel();
         true
     }
 
@@ -459,7 +510,7 @@ impl Db {
         self.slots.clear();
         self.index.clear();
         self.expiring.clear();
-        self.deadline_index.clear();
+        self.wheel.clear();
         self.sorted_keys.clear();
         self.stats.deleted_keys += n as u64;
         self.stats.mem_bytes = 0;
@@ -694,23 +745,24 @@ impl Db {
     }
 
     /// Strict expiry sweep: remove **every** key whose deadline is `<= now`,
-    /// using the deadline index. This is the paper's modification ("we
-    /// modify Redis to iterate through the entire list of keys with
-    /// associated EXPIRE"), served in `O(expired)` by the timer wheel (or
-    /// the BTree reference index — the paper's §5.1 *Efficient Deletion*
-    /// suggestion). The order of the returned keys is
-    /// implementation-defined but deterministic — the BTree sweeps in
-    /// `(deadline, key)` order, the wheel in slot order; callers needing
-    /// a canonical order must sort.
+    /// and no other. This is the paper's modification ("we modify Redis to
+    /// iterate through the entire list of keys with associated EXPIRE"),
+    /// served in `O(expired)` by the timer wheel — the paper's §5.1
+    /// *Efficient Deletion* suggestion. The keys come back in the wheel's
+    /// slot order, which is deterministic; callers needing a canonical
+    /// order must sort.
     pub fn strict_expire_sweep(&mut self) -> Vec<String> {
         let now = self.now_millis();
-        let removed = self.deadline_index.advance(now);
-        for key in &removed {
-            if let Some(pos) = self.slot_of(key) {
+        let (wheel, vouch) = self.wheel_and_vouch();
+        let due = wheel.advance(now, vouch);
+        due.into_iter()
+            .map(|key| {
+                let pos = self.slot_of(&key).expect("a live wheel entry has a slot");
+                self.take_deadline(pos);
                 self.remove_at(pos, RemovalCause::ActiveExpiry);
-            }
-        }
-        removed
+                key.to_string()
+            })
+            .collect()
     }
 
     // ----- maxmemory eviction ----------------------------------------------
@@ -761,19 +813,21 @@ impl Db {
     /// because the wheel advances its cursor to answer it.
     pub fn pending_expired_len(&mut self) -> usize {
         let now = self.clock.now_millis();
-        self.deadline_index.pending_expired(now)
+        let (wheel, vouch) = self.wheel_and_vouch();
+        wheel.pending_expired(now, vouch)
     }
 
-    /// Which deadline-index implementation this keyspace runs on.
-    #[must_use]
-    pub fn deadline_index_kind(&self) -> DeadlineIndexKind {
-        self.deadline_index.kind()
-    }
-
-    /// Occupancy and activity counters of the deadline index.
+    /// The keyspace's deadline counters with the wheel's occupancy and
+    /// activity counters.
     #[must_use]
     pub fn deadline_index_stats(&self) -> DeadlineIndexStats {
-        self.deadline_index.stats()
+        DeadlineIndexStats {
+            entries: self.expiring.len() as u64,
+            inserts: self.deadline_inserts,
+            reschedules: self.deadline_reschedules,
+            removes: self.deadline_removes,
+            ..self.wheel.stats()
+        }
     }
 
     // ----- keyspace queries -------------------------------------------------
@@ -1196,6 +1250,32 @@ mod tests {
         assert_eq!(victim, "k");
         assert!(db.is_empty());
         assert_eq!(db.mem_bytes(), 0);
+    }
+
+    #[test]
+    fn a_clock_stepped_back_holds_the_sweep_to_the_slot_deadline() {
+        let (mut db, clock) = sim_db();
+        db.set("k", b"v".to_vec());
+        assert!(db.expire_at("k", 1_000_500));
+        clock.set(1_001_000);
+        assert_eq!(db.pending_expired_len(), 1);
+        // The wall clock steps back behind the deadline the wheel's
+        // cursor has already passed: the key is live again.
+        clock.set(1_000_200);
+        assert!(db.lookup("k").is_some());
+        assert_eq!(db.strict_expire_sweep(), Vec::<String>::new());
+        assert_eq!(db.pending_expired_len(), 0);
+        assert_eq!(db.deadline_index_stats().ready_entries, 1, "still parked");
+        // A deadline set behind the cursor waits for the clock too.
+        db.set("j", b"v".to_vec());
+        assert!(db.expire_at("j", 1_000_800));
+        assert_eq!(db.strict_expire_sweep(), Vec::<String>::new());
+        clock.set(1_000_500);
+        assert_eq!(db.pending_expired_len(), 1);
+        assert_eq!(db.strict_expire_sweep(), vec!["k"]);
+        clock.set(1_000_800);
+        assert_eq!(db.strict_expire_sweep(), vec!["j"]);
+        assert_eq!(db.stats().expired_keys, 2);
     }
 
     #[test]

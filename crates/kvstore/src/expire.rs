@@ -11,20 +11,18 @@
 //!   deadline has passed and erase it in the same cycle, which our engine
 //!   serves from a per-shard deadline index in `O(expired)`.
 //!
-//! The deadline index behind strict mode is, by default, a **hierarchical
-//! timer wheel** ([`crate::ttl_wheel`]): 4 levels × 256 slots at 1 ms base
-//! resolution, so registering or rescheduling a TTL is `O(1)` instead of
-//! the `O(log n)` BTree insert every TTL'd write used to pay under the
-//! shard lock. Advancing the wheel visits only the slots the cursor
-//! passes, **cascading** entries from coarse levels into finer ones (at
-//! most 3 cascades per entry); deadlines beyond the top level (~50 days)
-//! park in an overflow heap and fire straight from it. Removals and
-//! reschedules are lazy — a generation check drops stale entries when
-//! their slot is visited — so an overwritten TTL can never fire at its
-//! stale deadline. The original BTree index remains available via
-//! [`crate::config::StoreConfig::deadline_index`] and pins the wheel's
-//! semantics in the differential/property suite
-//! (`tests/ttl_wheel_differential.rs`).
+//! The deadline index behind strict mode is a **hierarchical timer wheel**
+//! ([`crate::ttl_wheel`]): 4 levels × 256 slots at 1 ms base resolution,
+//! so registering or rescheduling a TTL is `O(1)`. Advancing the wheel
+//! visits only the slots the cursor passes, **cascading** entries from
+//! coarse levels into finer ones (at most 3 cascades per entry);
+//! deadlines beyond the top level (~50 days) park in an overflow heap and
+//! fire straight from it. The wheel only points at the keyspace's slots,
+//! which hold each key's one deadline: an entry fires only while its slot
+//! still carries that deadline and the clock has reached it, so an
+//! overwritten TTL can never fire at its stale deadline, nor a TTL before
+//! its time after the clock steps back. `tests/ttl_wheel_differential.rs`
+//! pins the sweep to a model of the deadlines.
 //!
 //! [`run_expire_cycle`] executes one 100 ms tick of either policy;
 //! [`ErasureSimulator`] replays the whole Figure 2 experiment on a
@@ -44,9 +42,6 @@ pub enum ExpiryMode {
     /// Full sweep of the expired-deadline index on every cycle (the paper's
     /// strict / real-time compliance modification).
     Strict,
-    /// Never actively expire; keys are only reclaimed lazily on access.
-    /// Included as a baseline for the ablation benchmarks.
-    AccessOnly,
 }
 
 /// Tunables of the probabilistic cycle, defaulting to the values stock
@@ -92,8 +87,7 @@ pub struct CycleOutcome {
 ///
 /// For [`ExpiryMode::LazyProbabilistic`] this is the inner loop the paper
 /// describes; for [`ExpiryMode::Strict`] it is a full sweep of the expired
-/// prefix of the deadline index; for [`ExpiryMode::AccessOnly`] it does
-/// nothing.
+/// deadlines.
 pub fn run_expire_cycle<R: Rng + ?Sized>(
     db: &mut Db,
     mode: ExpiryMode,
@@ -101,7 +95,6 @@ pub fn run_expire_cycle<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> CycleOutcome {
     match mode {
-        ExpiryMode::AccessOnly => CycleOutcome::default(),
         ExpiryMode::Strict => {
             let removed = db.strict_expire_sweep();
             CycleOutcome {
@@ -262,21 +255,6 @@ mod tests {
         assert_eq!(out.removed.len(), 200);
         assert_eq!(out.iterations, 1);
         assert_eq!(db.pending_expired_len(), 0);
-    }
-
-    #[test]
-    fn access_only_mode_never_erases() {
-        let (mut db, clock) = populate(100, 1.0, 10, 1_000);
-        clock.advance_millis(50_000);
-        let mut rng = StdRng::seed_from_u64(1);
-        let out = run_expire_cycle(
-            &mut db,
-            ExpiryMode::AccessOnly,
-            &ActiveExpireConfig::default(),
-            &mut rng,
-        );
-        assert!(out.removed.is_empty());
-        assert_eq!(db.len(), 100, "keys linger until accessed");
     }
 
     #[test]

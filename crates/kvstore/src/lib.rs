@@ -10,8 +10,9 @@
 //!   usual string/hash/list/set commands ([`commands::Command`]),
 //! * the TTL subsystem with both Redis' **lazy probabilistic active-expiry
 //!   cycle** and the paper's **strict indexed expiry** ([`expire`]), served
-//!   by a **hierarchical timer wheel** deadline index (O(1) per TTL
-//!   insert/reschedule; [`ttl_wheel`]),
+//!   by a **hierarchical timer wheel** over the keyspace's slots, which
+//!   hold each key's one deadline (O(1) per TTL insert/reschedule;
+//!   [`ttl_wheel`]),
 //! * **append-only-file** persistence with `always` / `everysec` / `no`
 //!   fsync policies and background-rewrite compaction ([`aof`]),
 //! * point-in-time **snapshots** ([`snapshot`]),

@@ -28,8 +28,9 @@ pub struct EngineStats {
     pub eviction_policy: EvictionPolicy,
     /// Keyspace counters.
     pub db: DbStats,
-    /// Deadline-index (strict-expiry) counters summed over shards: wheel
-    /// occupancy, cascades, stale-entry drops and overflow parking.
+    /// Deadline counters summed over shards: keys with a deadline, deadlines
+    /// set, replaced and cleared, and the wheel's occupancy, cascades,
+    /// stale-entry drops and overflow parking.
     pub deadline_index: DeadlineIndexStats,
     /// AOF counters aggregated over all journal segments (zeroed when
     /// persistence is disabled).

@@ -185,7 +185,7 @@ impl KvStore {
 
         let mut shards: Vec<Shard> = (0..shard_count)
             .map(|idx| Shard {
-                db: Db::with_deadline_index(Arc::clone(&clock), config.deadline_index),
+                db: Db::new(Arc::clone(&clock)),
                 rng: match config.rng_seed {
                     Some(seed) => StdRng::seed_from_u64(seed.wrapping_add(idx as u64)),
                     None => StdRng::from_entropy(),
@@ -1113,10 +1113,7 @@ impl KvStore {
     #[must_use]
     pub fn stats(&self) -> EngineStats {
         let mut db = DbStats::default();
-        let mut deadline_index = DeadlineIndexStats {
-            kind: self.inner.config.deadline_index,
-            ..DeadlineIndexStats::default()
-        };
+        let mut deadline_index = DeadlineIndexStats::default();
         for shard in &self.inner.shards {
             let shard = shard.lock();
             let s = shard.db.stats();

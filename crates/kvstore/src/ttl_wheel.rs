@@ -1,14 +1,10 @@
-//! The deadline index behind strict expiry: a hierarchical timer wheel,
-//! with the original BTree index retained as a differential-testing
-//! reference.
+//! The deadline index behind strict expiry: a hierarchical timer wheel
+//! over the engine's slots.
 //!
 //! The paper's strict (real-time) expiry needs to answer one question
-//! cheaply: *which keys' deadlines have passed?* The engine originally
-//! served that from a `BTreeSet<(deadline, key)>`, which costs `O(log n)`
-//! per TTL insert/reschedule — so every write to a TTL'd key pays tree
-//! rebalancing under the shard lock. A hierarchical timer wheel (the
-//! classic Varghese & Lauck scheme, as used by kernel timers) makes the
-//! same operations `O(1)`:
+//! cheaply: *which keys' deadlines have passed?* A hierarchical timer
+//! wheel (the classic Varghese & Lauck scheme, as used by kernel timers)
+//! parks a deadline in `O(1)` and finds the expired ones in `O(expired)`:
 //!
 //! * [`WHEEL_LEVELS`] levels of [`WHEEL_SLOTS`] slots each, at a base
 //!   resolution of 1 ms. Level `l` spans deadlines up to `256^(l+1)` ms
@@ -18,23 +14,26 @@
 //! * Advancing the cursor visits only the slots the cursor passes and
 //!   **cascades** entries from coarse levels into finer ones; each entry
 //!   cascades at most [`WHEEL_LEVELS`]-1 times over its lifetime.
-//! * Remove/reschedule is **lazy**: the authoritative `key → generation`
-//!   map is updated in `O(1)` and stale wheel entries are dropped
-//!   (generation mismatch) when their slot is next visited, so no slot
-//!   scan is ever needed. A compaction backstop rewrites the wheel from
-//!   the live entries once the stale backlog exceeds twice the live
-//!   count, bounding memory at `O(live)` even under TTL-refresh
-//!   workloads (amortized `O(1)` per mutation).
 //!
-//! Both implementations sit behind the [`DeadlineIndex`] trait, selected
-//! by [`crate::config::StoreConfig::deadline_index`]; the wheel is the
-//! default, and the BTree is kept so the differential/property suites in
-//! `tests/ttl_wheel_differential.rs` can pin the wheel to the original
-//! semantics by comparing the fired key *sets* of every advance (the
-//! BTree fires in `(deadline, key)` order, the wheel in slot order).
+//! The wheel owns no deadline. A key's deadline lives in its slot of
+//! [`crate::db::Db`], and a parked [`Entry`] only points at it: the slot's
+//! own `Arc<str>` key (a refcount bump, not an allocation), the deadline
+//! it was parked for and the slot's deadline sequence number at the time.
+//! Every operation that looks at entries takes the owner's verdict on
+//! whether an entry is still live, so a reschedule, `PERSIST` or removal
+//! costs the wheel nothing: the entry the slot no longer vouches for is
+//! dropped as stale when its slot is next visited. A compaction backstop
+//! rewrites the wheel from the live entries once the parked backlog
+//! exceeds twice the live count, bounding memory at `O(live)` even under
+//! TTL-refresh workloads (amortized `O(1)` per mutation).
+//!
+//! A live entry fires only once the clock, not just the cursor, has
+//! reached its deadline. The cursor never moves backwards, so after the
+//! wall clock steps back an entry can be due by the cursor and not by the
+//! clock: it waits in the ready list for the clock to catch up.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -55,15 +54,15 @@ fn level_horizon(level: usize) -> u64 {
     1u64 << (SLOT_BITS as u64 * (level as u64 + 1))
 }
 
-/// Which [`DeadlineIndex`] implementation a store uses.
+/// The deadline index a store runs. The wheel is the only one; the type
+/// and [`crate::config::StoreConfig::deadline_index`] remain because the
+/// contract benchmark's store setup names them, and the `ttl_index` stats
+/// row prints the label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DeadlineIndexKind {
-    /// The hierarchical timer wheel (`O(1)` insert/reschedule/remove).
+    /// The hierarchical timer wheel.
     #[default]
     Wheel,
-    /// The original `BTreeSet<(deadline, key)>` index (`O(log n)` per
-    /// mutation), retained as the differential-testing reference.
-    BTree,
 }
 
 impl DeadlineIndexKind {
@@ -72,7 +71,6 @@ impl DeadlineIndexKind {
     pub fn label(self) -> &'static str {
         match self {
             DeadlineIndexKind::Wheel => "wheel",
-            DeadlineIndexKind::BTree => "btree",
         }
     }
 }
@@ -84,13 +82,13 @@ impl fmt::Display for DeadlineIndexKind {
     }
 }
 
-/// Occupancy and activity counters of a deadline index (the wheel-specific
-/// gauges are zero for the BTree implementation).
+/// Occupancy and activity counters of a keyspace's deadlines and the
+/// wheel that indexes them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeadlineIndexStats {
     /// Which implementation produced these counters.
     pub kind: DeadlineIndexKind,
-    /// Keys currently tracked (live deadlines).
+    /// Keys currently carrying a deadline.
     pub entries: u64,
     /// Deadlines registered for keys that had none.
     pub inserts: u64,
@@ -98,7 +96,7 @@ pub struct DeadlineIndexStats {
     pub reschedules: u64,
     /// Deadlines explicitly removed (`PERSIST`, `DEL`, overwrite-by-SET).
     pub removes: u64,
-    /// Keys returned by [`DeadlineIndex::advance`] as expired.
+    /// Keys returned by [`TtlWheel::advance`] as expired.
     pub fired: u64,
     /// Entries moved from a coarse wheel level into a finer one.
     pub cascades: u64,
@@ -132,77 +130,17 @@ impl DeadlineIndexStats {
     }
 }
 
-/// The deadline index contract shared by the wheel and the BTree: map keys
-/// to absolute expiration deadlines and pop everything whose deadline has
-/// passed.
-///
-/// Implementations own their bookkeeping; callers never tell them *where*
-/// an entry currently sits. For identical histories the two
-/// implementations fire identical key *sets* at every advance (the
-/// property the differential suite pins down), though not necessarily in
-/// the same order.
-pub trait DeadlineIndex: Send + fmt::Debug {
-    /// Which implementation this is.
-    fn kind(&self) -> DeadlineIndexKind;
-
-    /// Register or replace the deadline of `key` (upsert). A deadline at
-    /// or before the current cursor is legal and fires on the next
-    /// [`DeadlineIndex::advance`].
-    fn insert(&mut self, key: &str, at: UnixMillis);
-
-    /// Forget `key`'s deadline; a no-op if it has none.
-    fn remove(&mut self, key: &str);
-
-    /// Move the cursor to `now` and pop every key whose deadline is
-    /// `<= now`. The order is implementation-defined but deterministic
-    /// (the BTree fires in `(deadline, key)` order, the wheel in slot
-    /// order); callers needing a canonical order sort the result. The
-    /// cursor never moves backwards; an earlier `now` still collects what
-    /// is already due.
-    fn advance(&mut self, now: UnixMillis) -> Vec<String>;
-
-    /// Number of keys whose deadline is `<= now` without popping them
-    /// (Figure 2's overdue gauge).
-    fn pending_expired(&mut self, now: UnixMillis) -> usize;
-
-    /// Number of keys currently tracked.
-    fn len(&self) -> usize;
-
-    /// Whether no key is tracked.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drop every entry (`FLUSHALL`); cumulative counters survive.
-    fn clear(&mut self);
-
-    /// Occupancy and activity counters.
-    fn stats(&self) -> DeadlineIndexStats;
-}
-
-/// Construct the configured index implementation. `start_millis` seeds the
-/// wheel cursor (the engine clock's current time); the BTree ignores it.
-#[must_use]
-pub fn build_deadline_index(
-    kind: DeadlineIndexKind,
-    start_millis: UnixMillis,
-) -> Box<dyn DeadlineIndex> {
-    match kind {
-        DeadlineIndexKind::Wheel => Box::new(TtlWheel::new(start_millis)),
-        DeadlineIndexKind::BTree => Box::new(BTreeDeadlineIndex::new()),
-    }
-}
-
-/// A parked wheel entry. `gen` snapshots the generation of the insert that
-/// created it; the entry is live only while the map still carries the same
-/// generation for the key.
-#[derive(Debug, Clone)]
-struct Entry {
-    at: UnixMillis,
-    gen: u64,
-    /// Shared with the `live` map key: one allocation per insert, and
-    /// refcount bumps thereafter.
-    key: Arc<str>,
+/// A parked wheel entry: a pointer to the slot that owns a deadline. It
+/// is live while that slot still holds `key` (the same allocation) with
+/// deadline `at` under sequence number `seq`; the owner decides.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Entry {
+    /// The deadline the entry was parked for.
+    pub at: UnixMillis,
+    /// The owning slot's key, shared with the slot.
+    pub key: Arc<str>,
+    /// The slot's deadline sequence number when the entry was parked.
+    pub seq: u32,
 }
 
 /// The hierarchical timer wheel (see the module docs for the scheme).
@@ -214,17 +152,10 @@ pub struct TtlWheel {
     /// that slot of level `l`.
     levels: Vec<Vec<Vec<Entry>>>,
     /// Far-future entries (beyond the top level's horizon), fired straight
-    /// from the heap.
-    overflow: BinaryHeap<Reverse<(UnixMillis, u64, Arc<str>)>>,
-    /// Entries already due but not yet popped by `advance`.
+    /// from the heap in `(deadline, key)` order.
+    overflow: BinaryHeap<Reverse<Entry>>,
+    /// Entries due by the cursor but not yet fired.
     ready: Vec<Entry>,
-    /// Authoritative `key → generation of its newest insert`: only parked
-    /// entries matching their key's current generation are real.
-    live: HashMap<Arc<str>, u64>,
-    next_gen: u64,
-    inserts: u64,
-    reschedules: u64,
-    removes: u64,
     fired: u64,
     cascades: u64,
     stale_dropped: u64,
@@ -242,11 +173,6 @@ impl TtlWheel {
                 .collect(),
             overflow: BinaryHeap::new(),
             ready: Vec::new(),
-            live: HashMap::new(),
-            next_gen: 0,
-            inserts: 0,
-            reschedules: 0,
-            removes: 0,
             fired: 0,
             cascades: 0,
             stale_dropped: 0,
@@ -260,15 +186,12 @@ impl TtlWheel {
         self.cur
     }
 
-    fn is_live(&self, entry: &Entry) -> bool {
-        self.live.get(entry.key.as_ref()) == Some(&entry.gen)
-    }
-
-    /// Park an entry according to its distance from the cursor. Placement
+    /// Park `entry` according to its distance from the cursor; a deadline
+    /// at or before the cursor goes straight to the ready list. Placement
     /// uses absolute deadline bits for the slot index, so an entry placed
     /// at level `l` is drained exactly when the cursor's level-`l` index
     /// reaches the deadline's.
-    fn place(&mut self, entry: Entry) {
+    pub fn insert(&mut self, entry: Entry) {
         if entry.at <= self.cur {
             self.ready.push(entry);
             return;
@@ -283,8 +206,7 @@ impl TtlWheel {
                 return;
             }
         }
-        self.overflow
-            .push(Reverse((entry.at, entry.gen, entry.key)));
+        self.overflow.push(Reverse(entry));
     }
 
     /// Drain one slot: due entries go to `ready` (validated later, at
@@ -295,7 +217,13 @@ impl TtlWheel {
     /// lands in a slot whose absolute index at its (finer) level lies
     /// beyond `now`, so no slot is ever re-filled after — or before — this
     /// advance visits it.
-    fn drain_slot(&mut self, level: usize, slot: usize, now: UnixMillis) {
+    fn drain_slot(
+        &mut self,
+        level: usize,
+        slot: usize,
+        now: UnixMillis,
+        is_live: &impl Fn(&Entry) -> bool,
+    ) {
         if self.levels[level][slot].is_empty() {
             return;
         }
@@ -304,11 +232,11 @@ impl TtlWheel {
         for entry in drained {
             if entry.at <= now {
                 self.ready.push(entry);
-            } else if !self.is_live(&entry) {
+            } else if !is_live(&entry) {
                 self.stale_dropped += 1;
             } else {
                 self.cascades += 1;
-                self.place(entry);
+                self.insert(entry);
             }
         }
     }
@@ -325,54 +253,36 @@ impl TtlWheel {
     /// TTL-refresh workload (the same key rescheduled over and over, each
     /// time parking a new entry while the old one waits for its possibly
     /// far-future slot) grow memory with *write rate* instead of key
-    /// count. Once parked entries exceed twice the live count (plus a
+    /// count. Once parked entries exceed twice the `live` count (plus a
     /// floor covering the slot scan), rewrite the wheel from the live
     /// entries only — amortized O(1) per mutation.
-    fn maybe_compact(&mut self) {
-        let slack = 2 * self.live.len() as u64 + (WHEEL_LEVELS * WHEEL_SLOTS) as u64;
-        if self.parked() <= slack {
+    pub fn compact(&mut self, live: usize, is_live: impl Fn(&Entry) -> bool) {
+        let slack = 2 * live as u64 + (WHEEL_LEVELS * WHEEL_SLOTS) as u64;
+        let parked = self.parked();
+        if parked <= slack {
             return;
         }
-        let mut retained = Vec::with_capacity(self.live.len());
-        for level in 0..WHEEL_LEVELS {
-            for slot in 0..WHEEL_SLOTS {
-                for entry in std::mem::take(&mut self.levels[level][slot]) {
-                    if self.live.get(entry.key.as_ref()) == Some(&entry.gen) {
-                        retained.push(entry);
-                    } else {
-                        self.stale_dropped += 1;
-                    }
-                }
-            }
-        }
+        let overflow = std::mem::take(&mut self.overflow)
+            .into_iter()
+            .map(|Reverse(entry)| entry);
+        let retained: Vec<Entry> = self
+            .levels
+            .iter_mut()
+            .flatten()
+            .flat_map(std::mem::take)
+            .chain(overflow)
+            .filter(|entry| is_live(entry))
+            .collect();
         self.level_entries = [0; WHEEL_LEVELS];
-        for Reverse((at, gen, key)) in std::mem::take(&mut self.overflow) {
-            let entry = Entry { at, gen, key };
-            if self.live.get(entry.key.as_ref()) == Some(&entry.gen) {
-                retained.push(entry);
-            } else {
-                self.stale_dropped += 1;
-            }
-        }
-        let live = &self.live;
-        let mut dropped = 0u64;
-        self.ready.retain(
-            |entry| match live.get(entry.key.as_ref()) == Some(&entry.gen) {
-                true => true,
-                false => {
-                    dropped += 1;
-                    false
-                }
-            },
-        );
-        self.stale_dropped += dropped;
+        self.ready.retain(|entry| is_live(entry));
+        self.stale_dropped += parked - (retained.len() + self.ready.len()) as u64;
         for entry in retained {
-            self.place(entry);
+            self.insert(entry);
         }
     }
 
     /// Move the cursor to `now`, draining every slot it passes.
-    fn cascade_to(&mut self, now: UnixMillis) {
+    fn cascade_to(&mut self, now: UnixMillis, is_live: &impl Fn(&Entry) -> bool) {
         if now <= self.cur {
             return;
         }
@@ -395,210 +305,75 @@ impl TtlWheel {
             if now_idx - prev_idx >= WHEEL_SLOTS as u64 {
                 // The cursor lapped the whole level: everything drains.
                 for slot in 0..WHEEL_SLOTS {
-                    self.drain_slot(level, slot, now);
+                    self.drain_slot(level, slot, now, is_live);
                 }
             } else {
                 for idx in (prev_idx + 1)..=now_idx {
                     let slot = (idx & (WHEEL_SLOTS as u64 - 1)) as usize;
-                    self.drain_slot(level, slot, now);
+                    self.drain_slot(level, slot, now, is_live);
                 }
             }
         }
-        while let Some(Reverse((at, _, _))) = self.overflow.peek() {
-            if *at > now {
-                break;
-            }
-            let Reverse((at, gen, key)) = self.overflow.pop().expect("peeked entry");
+        while self.overflow.peek().is_some_and(|Reverse(e)| e.at <= now) {
+            let Reverse(entry) = self.overflow.pop().expect("peeked entry");
             // Validation is deferred to collection, like slot drains.
-            self.ready.push(Entry { at, gen, key });
-        }
-    }
-}
-
-impl DeadlineIndex for TtlWheel {
-    fn kind(&self) -> DeadlineIndexKind {
-        DeadlineIndexKind::Wheel
-    }
-
-    fn insert(&mut self, key: &str, at: UnixMillis) {
-        self.next_gen += 1;
-        let gen = self.next_gen;
-        // One allocation per insert: map key and parked entry share it.
-        let key: Arc<str> = Arc::from(key);
-        let previous = self.live.insert(Arc::clone(&key), gen);
-        if previous.is_some() {
-            self.reschedules += 1;
-        } else {
-            self.inserts += 1;
-        }
-        self.place(Entry { at, gen, key });
-        self.maybe_compact();
-    }
-
-    fn remove(&mut self, key: &str) {
-        if self.live.remove(key).is_some() {
-            // The parked entry stays behind and is dropped as stale when
-            // its slot is next visited (or by the compaction backstop).
-            self.removes += 1;
-            self.maybe_compact();
+            self.ready.push(entry);
         }
     }
 
-    fn advance(&mut self, now: UnixMillis) -> Vec<String> {
-        self.cascade_to(now);
-        let mut due: Vec<String> = Vec::new();
+    /// Move the cursor to `now` and pop the key of every live entry whose
+    /// deadline is `<= now`, in slot order (callers needing a canonical
+    /// order sort). Stale entries are dropped; a live entry due by the
+    /// cursor but not by `now` stays ready.
+    pub fn advance(&mut self, now: UnixMillis, is_live: impl Fn(&Entry) -> bool) -> Vec<Arc<str>> {
+        self.cascade_to(now, &is_live);
+        let mut due = Vec::new();
         for entry in std::mem::take(&mut self.ready) {
-            // Single-lookup validation: speculatively remove, and restore
-            // the mapping in the (rare) case the entry was stale but the
-            // key has a newer live deadline.
-            match self.live.remove(entry.key.as_ref()) {
-                Some(gen) if gen == entry.gen => {
-                    self.fired += 1;
-                    due.push(entry.key.to_string());
-                }
-                Some(newer) => {
-                    self.live.insert(entry.key, newer);
-                    self.stale_dropped += 1;
-                }
-                None => self.stale_dropped += 1,
+            if !is_live(&entry) {
+                self.stale_dropped += 1;
+            } else if entry.at <= now {
+                self.fired += 1;
+                due.push(entry.key);
+            } else {
+                self.ready.push(entry);
             }
         }
         due
     }
 
-    fn pending_expired(&mut self, now: UnixMillis) -> usize {
-        self.cascade_to(now);
-        // Compact the ready list while counting: stale entries would
-        // otherwise inflate the gauge until the next advance.
-        let live = &self.live;
-        let mut dropped = 0u64;
-        self.ready.retain(|entry| {
-            let keep = live.get(entry.key.as_ref()) == Some(&entry.gen);
-            if !keep {
-                dropped += 1;
-            }
-            keep
-        });
-        self.stale_dropped += dropped;
-        self.ready.len()
+    /// Number of live entries whose deadline is `<= now`, without popping
+    /// them (Figure 2's overdue gauge). Stale ready entries are dropped
+    /// while counting, so they cannot inflate the gauge.
+    pub fn pending_expired(&mut self, now: UnixMillis, is_live: impl Fn(&Entry) -> bool) -> usize {
+        self.cascade_to(now, &is_live);
+        let ready_before = self.ready.len();
+        self.ready.retain(|entry| is_live(entry));
+        self.stale_dropped += (ready_before - self.ready.len()) as u64;
+        self.ready.iter().filter(|entry| entry.at <= now).count()
     }
 
-    fn len(&self) -> usize {
-        self.live.len()
-    }
-
-    fn clear(&mut self) {
-        for level in &mut self.levels {
-            for slot in level {
-                slot.clear();
-            }
+    /// Drop every entry (`FLUSHALL`); cumulative counters survive.
+    pub fn clear(&mut self) {
+        for slot in self.levels.iter_mut().flatten() {
+            slot.clear();
         }
         self.overflow.clear();
         self.ready.clear();
-        self.live.clear();
         self.level_entries = [0; WHEEL_LEVELS];
     }
 
-    fn stats(&self) -> DeadlineIndexStats {
+    /// The wheel's own occupancy and activity counters; the deadline
+    /// counts (`entries`, `inserts`, `reschedules`, `removes`) are the
+    /// owner's and read zero here.
+    #[must_use]
+    pub fn stats(&self) -> DeadlineIndexStats {
         DeadlineIndexStats {
-            kind: DeadlineIndexKind::Wheel,
-            entries: self.live.len() as u64,
-            inserts: self.inserts,
-            reschedules: self.reschedules,
-            removes: self.removes,
             fired: self.fired,
             cascades: self.cascades,
             stale_dropped: self.stale_dropped,
             overflow_entries: self.overflow.len() as u64,
             ready_entries: self.ready.len() as u64,
             level_entries: self.level_entries,
-        }
-    }
-}
-
-/// The original deadline index: a `BTreeSet<(deadline, key)>` plus a
-/// `key → deadline` map, `O(log n)` per mutation. Kept as the semantic
-/// reference the wheel is differentially tested against (and selectable
-/// via [`DeadlineIndexKind::BTree`]).
-#[derive(Debug, Default)]
-pub struct BTreeDeadlineIndex {
-    by_deadline: BTreeSet<(UnixMillis, String)>,
-    deadlines: HashMap<String, UnixMillis>,
-    inserts: u64,
-    reschedules: u64,
-    removes: u64,
-    fired: u64,
-}
-
-impl BTreeDeadlineIndex {
-    /// Create an empty index.
-    #[must_use]
-    pub fn new() -> Self {
-        BTreeDeadlineIndex::default()
-    }
-}
-
-impl DeadlineIndex for BTreeDeadlineIndex {
-    fn kind(&self) -> DeadlineIndexKind {
-        DeadlineIndexKind::BTree
-    }
-
-    fn insert(&mut self, key: &str, at: UnixMillis) {
-        match self.deadlines.insert(key.to_string(), at) {
-            Some(old) => {
-                self.by_deadline.remove(&(old, key.to_string()));
-                self.reschedules += 1;
-            }
-            None => self.inserts += 1,
-        }
-        self.by_deadline.insert((at, key.to_string()));
-    }
-
-    fn remove(&mut self, key: &str) {
-        if let Some(at) = self.deadlines.remove(key) {
-            self.by_deadline.remove(&(at, key.to_string()));
-            self.removes += 1;
-        }
-    }
-
-    fn advance(&mut self, now: UnixMillis) -> Vec<String> {
-        let mut due = Vec::new();
-        while let Some((at, key)) = self.by_deadline.iter().next().cloned() {
-            if at > now {
-                break;
-            }
-            self.by_deadline.remove(&(at, key.clone()));
-            self.deadlines.remove(&key);
-            self.fired += 1;
-            due.push(key);
-        }
-        due
-    }
-
-    fn pending_expired(&mut self, now: UnixMillis) -> usize {
-        self.by_deadline
-            .iter()
-            .take_while(|(at, _)| *at <= now)
-            .count()
-    }
-
-    fn len(&self) -> usize {
-        self.deadlines.len()
-    }
-
-    fn clear(&mut self) {
-        self.by_deadline.clear();
-        self.deadlines.clear();
-    }
-
-    fn stats(&self) -> DeadlineIndexStats {
-        DeadlineIndexStats {
-            kind: DeadlineIndexKind::BTree,
-            entries: self.deadlines.len() as u64,
-            inserts: self.inserts,
-            reschedules: self.reschedules,
-            removes: self.removes,
-            fired: self.fired,
             ..DeadlineIndexStats::default()
         }
     }
@@ -607,198 +382,219 @@ impl DeadlineIndex for BTreeDeadlineIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::SimClock;
+    use crate::db::Db;
 
-    fn both(start: UnixMillis) -> [Box<dyn DeadlineIndex>; 2] {
-        [
-            build_deadline_index(DeadlineIndexKind::Wheel, start),
-            build_deadline_index(DeadlineIndexKind::BTree, start),
-        ]
+    /// A keyspace on a simulated clock: its slots own the deadlines its
+    /// wheel indexes.
+    fn keyspace(start: UnixMillis) -> (Db, SimClock) {
+        let clock = SimClock::new(start);
+        (Db::new(Arc::new(clock.clone())), clock)
+    }
+
+    /// Give `key` the deadline `at`, creating the key if it is absent.
+    fn expire(db: &mut Db, key: &str, at: UnixMillis) {
+        if !db.contains(key) {
+            db.set(key, Vec::new());
+        }
+        assert!(db.expire_at(key, at), "{key}");
+    }
+
+    /// Set the clock to `now` and run a strict sweep; the fired keys come
+    /// back sorted.
+    fn sweep(db: &mut Db, clock: &SimClock, now: UnixMillis) -> Vec<String> {
+        clock.set(now);
+        let mut fired = db.strict_expire_sweep();
+        fired.sort();
+        fired
     }
 
     #[test]
     fn kind_labels_roundtrip() {
-        for kind in [DeadlineIndexKind::Wheel, DeadlineIndexKind::BTree] {
-            assert_eq!(format!("{kind}"), kind.label());
-        }
+        let kind = DeadlineIndexKind::Wheel;
+        assert_eq!(format!("{kind}"), kind.label());
         assert_eq!(DeadlineIndexKind::default(), DeadlineIndexKind::Wheel);
-    }
-
-    fn sorted(mut keys: Vec<String>) -> Vec<String> {
-        keys.sort();
-        keys
     }
 
     #[test]
     fn fires_exactly_the_due_set() {
-        for mut index in both(0) {
-            index.insert("b", 50);
-            index.insert("a", 50);
-            index.insert("c", 10);
-            index.insert("later", 1_000);
-            assert_eq!(sorted(index.advance(100)), vec!["a", "b", "c"]);
-            assert_eq!(index.len(), 1, "{:?}", index.kind());
-            assert_eq!(index.advance(2_000), vec!["later"]);
-            assert!(index.is_empty());
-        }
+        let (mut db, clock) = keyspace(0);
+        expire(&mut db, "b", 50);
+        expire(&mut db, "a", 50);
+        expire(&mut db, "c", 10);
+        expire(&mut db, "later", 1_000);
+        assert_eq!(sweep(&mut db, &clock, 100), vec!["a", "b", "c"]);
+        assert_eq!(db.expires_len(), 1);
+        assert_eq!(sweep(&mut db, &clock, 2_000), vec!["later"]);
+        assert_eq!(db.expires_len(), 0);
     }
 
     #[test]
     fn past_deadlines_fire_on_next_advance() {
-        for mut index in both(1_000) {
-            index.insert("overdue", 10);
-            index.insert("now", 1_000);
-            assert_eq!(index.pending_expired(1_000), 2);
-            assert_eq!(sorted(index.advance(1_000)), vec!["now", "overdue"]);
-        }
+        let (mut db, clock) = keyspace(1_000);
+        expire(&mut db, "overdue", 10);
+        expire(&mut db, "now", 1_000);
+        assert_eq!(db.pending_expired_len(), 2);
+        assert_eq!(sweep(&mut db, &clock, 1_000), vec!["now", "overdue"]);
     }
 
     #[test]
     fn reschedule_does_not_fire_stale_deadline() {
-        for mut index in both(0) {
-            index.insert("k", 100);
-            index.insert("k", 500_000); // rescheduled far out (level 2)
-            assert!(index.advance(200).is_empty(), "{:?}", index.kind());
-            assert_eq!(index.len(), 1);
-            assert_eq!(index.advance(500_000), vec!["k"]);
-        }
+        let (mut db, clock) = keyspace(0);
+        expire(&mut db, "k", 100);
+        expire(&mut db, "k", 500_000); // rescheduled far out (level 2)
+        assert!(sweep(&mut db, &clock, 200).is_empty());
+        assert_eq!(db.expires_len(), 1);
+        assert_eq!(sweep(&mut db, &clock, 500_000), vec!["k"]);
     }
 
     #[test]
     fn reschedule_to_same_deadline_fires_once() {
-        for mut index in both(0) {
-            index.insert("k", 300);
-            index.insert("k", 400);
-            index.insert("k", 300);
-            assert_eq!(index.advance(1_000), vec!["k"]);
-            assert!(index.advance(2_000).is_empty());
-        }
+        let (mut db, clock) = keyspace(0);
+        expire(&mut db, "k", 300);
+        expire(&mut db, "k", 400);
+        expire(&mut db, "k", 300);
+        assert_eq!(db.pending_expired_len(), 0);
+        clock.set(1_000);
+        assert_eq!(db.pending_expired_len(), 1, "one live entry of three");
+        assert_eq!(sweep(&mut db, &clock, 1_000), vec!["k"]);
+        assert!(sweep(&mut db, &clock, 2_000).is_empty());
     }
 
     #[test]
     fn removed_key_never_fires() {
-        for mut index in both(0) {
-            index.insert("gone", 100);
-            index.remove("gone");
-            index.remove("never-there");
-            assert_eq!(index.len(), 0);
-            assert!(index.advance(1_000).is_empty());
-        }
+        let (mut db, clock) = keyspace(0);
+        expire(&mut db, "gone", 100);
+        assert!(db.delete("gone"));
+        assert!(!db.persist("never-there"));
+        assert_eq!(db.expires_len(), 0);
+        assert!(sweep(&mut db, &clock, 1_000).is_empty());
+        assert_eq!(db.stats().expired_keys, 0);
     }
 
     #[test]
     fn far_future_deadlines_live_in_overflow_and_fire() {
         let horizon = level_horizon(WHEEL_LEVELS - 1);
-        let mut wheel = TtlWheel::new(0);
-        wheel.insert("far", horizon + 5);
-        wheel.insert("near", 5);
-        assert_eq!(wheel.stats().overflow_entries, 1);
-        assert_eq!(wheel.advance(10), vec!["near"]);
-        assert!(wheel.advance(horizon).is_empty());
-        assert_eq!(wheel.advance(horizon + 5), vec!["far"]);
-        assert_eq!(wheel.stats().overflow_entries, 0);
+        let (mut db, clock) = keyspace(0);
+        expire(&mut db, "far", horizon + 5);
+        expire(&mut db, "near", 5);
+        assert_eq!(db.deadline_index_stats().overflow_entries, 1);
+        assert_eq!(sweep(&mut db, &clock, 10), vec!["near"]);
+        assert!(sweep(&mut db, &clock, horizon).is_empty());
+        assert_eq!(sweep(&mut db, &clock, horizon + 5), vec!["far"]);
+        assert_eq!(db.deadline_index_stats().overflow_entries, 0);
     }
 
     #[test]
     fn overflow_respects_removal_and_reschedule() {
         let horizon = level_horizon(WHEEL_LEVELS - 1);
-        let mut wheel = TtlWheel::new(0);
-        wheel.insert("dropped", horizon + 1);
-        wheel.insert("pulled-in", horizon + 1);
-        wheel.remove("dropped");
-        wheel.insert("pulled-in", 100); // rescheduled into the wheel proper
-        assert_eq!(wheel.advance(200), vec!["pulled-in"]);
-        assert!(wheel.advance(horizon + 10).is_empty());
-        assert!(wheel.stats().stale_dropped >= 2);
+        let (mut db, clock) = keyspace(0);
+        expire(&mut db, "dropped", horizon + 1);
+        expire(&mut db, "pulled-in", horizon + 1);
+        assert!(db.persist("dropped"));
+        expire(&mut db, "pulled-in", 100); // rescheduled into the wheel proper
+        assert_eq!(sweep(&mut db, &clock, 200), vec!["pulled-in"]);
+        assert!(sweep(&mut db, &clock, horizon + 10).is_empty());
+        assert!(db.deadline_index_stats().stale_dropped >= 2);
     }
 
     #[test]
     fn big_jump_drains_every_level() {
-        let mut wheel = TtlWheel::new(0);
+        let (mut db, clock) = keyspace(0);
         let mut expected = Vec::new();
         for level in 0..WHEEL_LEVELS {
-            let at = level_horizon(level) - 3;
             let key = format!("l{level}");
-            wheel.insert(&key, at);
-            expected.push((at, key));
+            expire(&mut db, &key, level_horizon(level) - 3);
+            expected.push(key);
         }
-        expected.sort();
         let jump = level_horizon(WHEEL_LEVELS - 1);
-        let fired = sorted(wheel.advance(jump));
-        let mut expected: Vec<String> = expected.into_iter().map(|(_, k)| k).collect();
-        expected.sort();
-        assert_eq!(fired, expected);
-        assert_eq!(wheel.stats().level_entries, [0; WHEEL_LEVELS]);
+        assert_eq!(sweep(&mut db, &clock, jump), expected);
+        assert_eq!(db.deadline_index_stats().level_entries, [0; WHEEL_LEVELS]);
     }
 
     #[test]
     fn small_steps_cascade_entries_down() {
-        let mut wheel = TtlWheel::new(0);
-        wheel.insert("k", 70_000); // 70 000 ms > level 1's 65 536 ms horizon
-        assert_eq!(wheel.stats().level_entries[2], 1);
+        let (mut db, clock) = keyspace(0);
+        expire(&mut db, "k", 70_000); // 70 000 ms > level 1's 65 536 ms horizon
+        assert_eq!(db.deadline_index_stats().level_entries[2], 1);
         // Stepping to within 256 ms of the deadline cascades it 2 → 1 → 0.
         let mut now = 0;
         while now < 69_900 {
             now += 100;
-            assert!(wheel.advance(now).is_empty());
+            assert!(sweep(&mut db, &clock, now).is_empty());
         }
-        assert_eq!(wheel.stats().level_entries[0], 1);
-        assert!(wheel.stats().cascades >= 2);
-        assert_eq!(wheel.advance(70_000), vec!["k"]);
+        let stats = db.deadline_index_stats();
+        assert_eq!(stats.level_entries[0], 1);
+        assert!(stats.cascades >= 2);
+        assert_eq!(sweep(&mut db, &clock, 70_000), vec!["k"]);
     }
 
     #[test]
     fn cursor_never_moves_backwards() {
+        let entry = |key: &str, at| Entry {
+            at,
+            key: Arc::from(key),
+            seq: 0,
+        };
         let mut wheel = TtlWheel::new(5_000);
-        wheel.insert("k", 5_500);
-        assert!(wheel.advance(1_000).is_empty());
+        wheel.insert(entry("k", 5_500));
+        assert!(wheel.advance(1_000, |_| true).is_empty());
         assert_eq!(wheel.cursor(), 5_000);
-        assert_eq!(wheel.advance(6_000), vec!["k"]);
+        assert_eq!(wheel.advance(6_000, |_| true), vec![Arc::from("k")]);
+        assert_eq!(wheel.cursor(), 6_000);
+        // Behind the cursor an entry is ready at once, but it fires only
+        // when the clock reaches its deadline.
+        wheel.insert(entry("late", 5_800));
+        assert_eq!(wheel.pending_expired(5_500, |_| true), 0);
+        assert!(wheel.advance(5_500, |_| true).is_empty());
+        assert_eq!(wheel.stats().ready_entries, 1);
+        assert_eq!(wheel.advance(5_800, |_| true), vec![Arc::from("late")]);
         assert_eq!(wheel.cursor(), 6_000);
     }
 
     #[test]
     fn pending_expired_counts_without_popping() {
-        for mut index in both(0) {
-            for i in 0..10 {
-                index.insert(&format!("k{i}"), 100 + i);
-            }
-            assert_eq!(index.pending_expired(104), 5);
-            assert_eq!(index.pending_expired(104), 5, "counting must not pop");
-            assert_eq!(index.advance(104).len(), 5);
-            assert_eq!(index.pending_expired(104), 0);
-            assert_eq!(index.len(), 5);
+        let (mut db, clock) = keyspace(0);
+        for i in 0..10 {
+            expire(&mut db, &format!("k{i}"), 100 + i);
         }
+        clock.set(104);
+        assert_eq!(db.pending_expired_len(), 5);
+        assert_eq!(db.pending_expired_len(), 5, "counting must not pop");
+        assert_eq!(sweep(&mut db, &clock, 104).len(), 5);
+        assert_eq!(db.pending_expired_len(), 0);
+        assert_eq!(db.expires_len(), 5);
     }
 
     #[test]
     fn clear_drops_entries_but_keeps_activity_counters() {
-        for mut index in both(0) {
-            index.insert("a", 10);
-            index.insert("b", 20);
-            index.clear();
-            assert!(index.is_empty());
-            assert!(index.advance(1_000).is_empty());
-            let stats = index.stats();
-            assert_eq!(stats.entries, 0);
-            assert_eq!(stats.inserts, 2);
-        }
+        let (mut db, clock) = keyspace(0);
+        expire(&mut db, "a", 10);
+        expire(&mut db, "b", 20);
+        db.flush_all();
+        assert_eq!(db.expires_len(), 0);
+        assert!(sweep(&mut db, &clock, 1_000).is_empty());
+        let stats = db.deadline_index_stats();
+        assert_eq!(stats.entries, 0);
+        assert_eq!(stats.inserts, 2);
+        assert_eq!(stats.level_entries, [0; WHEEL_LEVELS]);
     }
 
     #[test]
     fn stats_track_inserts_reschedules_removes_and_fires() {
-        for mut index in both(0) {
-            index.insert("a", 10);
-            index.insert("a", 20);
-            index.insert("b", 30);
-            index.remove("b");
-            index.advance(100);
-            let stats = index.stats();
-            assert_eq!(stats.kind, index.kind());
-            assert_eq!(stats.inserts, 2);
-            assert_eq!(stats.reschedules, 1);
-            assert_eq!(stats.removes, 1);
-            assert_eq!(stats.fired, 1);
-        }
+        let (mut db, clock) = keyspace(0);
+        expire(&mut db, "a", 10);
+        expire(&mut db, "a", 20);
+        expire(&mut db, "b", 30);
+        assert!(db.persist("b"));
+        sweep(&mut db, &clock, 100);
+        let stats = db.deadline_index_stats();
+        assert_eq!(stats.kind, DeadlineIndexKind::Wheel);
+        assert_eq!(stats.inserts, 2);
+        assert_eq!(stats.reschedules, 1);
+        assert_eq!(stats.removes, 1);
+        assert_eq!(stats.fired, 1);
+        assert_eq!(stats.entries, 0);
     }
 
     #[test]
@@ -827,14 +623,14 @@ mod tests {
         // the future over and over. Lazy tombstoning alone would park one
         // stale entry per refresh until the (month-out) deadline passes;
         // the compaction backstop must keep memory O(live keys).
-        let mut wheel = TtlWheel::new(0);
+        let (mut db, clock) = keyspace(0);
         let month = 30 * 24 * 3_600 * 1_000u64;
         for round in 0..20_000u64 {
             for k in 0..5 {
-                wheel.insert(&format!("session{k}"), month + round);
+                expire(&mut db, &format!("session{k}"), month + round);
             }
         }
-        let stats = wheel.stats();
+        let stats = db.deadline_index_stats();
         assert_eq!(stats.entries, 5);
         let parked =
             stats.level_entries.iter().sum::<u64>() + stats.overflow_entries + stats.ready_entries;
@@ -845,25 +641,22 @@ mod tests {
         assert!(stats.stale_dropped > 90_000, "{stats:?}");
         // Removing far-future deadlines is bounded the same way.
         for k in 0..5 {
-            wheel.remove(&format!("session{k}"));
+            assert!(db.persist(&format!("session{k}")));
         }
-        assert_eq!(wheel.len(), 0);
-        assert!(wheel.advance(2 * month).is_empty());
+        assert_eq!(db.expires_len(), 0);
+        assert!(sweep(&mut db, &clock, 2 * month).is_empty());
     }
 
     #[test]
     fn dense_same_deadline_burst_fires_exactly_once_each() {
-        for mut index in both(0) {
-            for i in 0..500 {
-                index.insert(&format!("k{i:03}"), 1_000);
-            }
-            let fired = index.advance(1_000);
-            assert_eq!(fired.len(), 500);
-            let mut sorted = fired.clone();
-            sorted.sort();
-            sorted.dedup();
-            assert_eq!(sorted.len(), 500, "no double fire");
-            assert!(index.advance(2_000).is_empty());
+        let (mut db, clock) = keyspace(0);
+        for i in 0..500 {
+            expire(&mut db, &format!("k{i:03}"), 1_000);
         }
+        let mut fired = sweep(&mut db, &clock, 1_000);
+        assert_eq!(fired.len(), 500);
+        fired.dedup();
+        assert_eq!(fired.len(), 500, "no double fire");
+        assert!(sweep(&mut db, &clock, 2_000).is_empty());
     }
 }

@@ -123,8 +123,8 @@ impl Dispatcher {
             evicted.label = Some(("policy", e.eviction_policy.label()));
         }
         t.section("Expiry", [
-            ("ttl_index", Text(ttl.kind.to_string()), "Deadline index kind."),
-            ("ttl_entries", Gauge(ttl.entries), "Live entries in the deadline index."),
+            ("ttl_index", Text(ttl.kind.to_string()), "Deadline index kind (always wheel)."),
+            ("ttl_entries", Gauge(ttl.entries), "Keys with a deadline."),
             ("ttl_inserts", Counter(ttl.inserts), "Deadline-index insertions."),
             ("ttl_reschedules", Counter(ttl.reschedules), "Deadlines replaced for keys that had one."),
             ("ttl_removes", Counter(ttl.removes), "Deadlines removed explicitly."),

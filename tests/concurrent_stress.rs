@@ -474,8 +474,8 @@ fn writers_racing_strict_wheel_tick_never_double_fire_or_miss_deadlines() {
     // entries behind) while a ticker runs the strict sweep. Invariants:
     //
     // * no double fire — every key appears at most once across all tick
-    //   outcomes (the wheel's generation check must hold under racing
-    //   reschedules);
+    //   outcomes (the slot's deadline sequence check must hold under
+    //   racing reschedules);
     // * no stale fire — a key whose TTL was rewritten far into the future
     //   must survive every sweep;
     // * no missed deadline beyond one tick — once writers stop, a single

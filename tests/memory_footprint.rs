@@ -97,5 +97,25 @@ fn a_record_costs_a_bounded_number_of_live_allocations() {
         "{per_record:.2} live allocations per governed record"
     );
     assert_eq!(engine.len(), RECORDS);
-    println!("index {per_posting:.2}, engine {per_record:.2} live allocations per record");
+
+    // Deadlines on those records: the slot holds each one, and the wheel
+    // entry that indexes it shares the slot's key.
+    let now = engine.clock().now_millis();
+    let per_deadline = allocations_per_record(|| {
+        for i in 0..RECORDS {
+            let at_ms = now + 3_600_000 + i as u64;
+            engine
+                .execute(Command::ExpireAt { key: key(i), at_ms })
+                .unwrap();
+        }
+    });
+    assert!(
+        per_deadline <= 0.10,
+        "{per_deadline:.2} live allocations per deadline"
+    );
+    assert_eq!(engine.stats().deadline_index.entries, RECORDS as u64);
+    println!(
+        "index {per_posting:.2}, engine {per_record:.2}, deadline {per_deadline:.2} \
+         live allocations per record"
+    );
 }

@@ -8,6 +8,8 @@
 
 use std::fmt;
 
+use crate::{AuditError, Result};
+
 /// The kind of interaction being recorded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
@@ -252,6 +254,136 @@ impl AuditRecord {
     }
 }
 
+impl AuditRecord {
+    /// The record as the compact binary evidence a journal carries:
+    /// `timestamp (u64 LE) || operation (u8) || outcome (u8) || present
+    /// (u8)` and then actor, subject, purpose and detail, each a `u32 LE`
+    /// length and its bytes; `present` has bit 0 and 1 set for the subject
+    /// and purpose that are there, and an absent one takes no bytes. No
+    /// key — the journal record that carries the evidence names it — no
+    /// sequence number and no rendered line: the log assigns the one and
+    /// renders the other when it archives the record.
+    #[must_use]
+    pub fn encode(&self) -> Vec<u8> {
+        let optional = [&self.subject, &self.purpose];
+        let mut out = Vec::with_capacity(self.line_len_hint());
+        out.extend_from_slice(&self.timestamp_ms.to_le_bytes());
+        out.push(self.operation.code());
+        out.push(self.outcome as u8);
+        let present = optional
+            .iter()
+            .enumerate()
+            .filter(|(_, field)| field.is_some())
+            .fold(0u8, |bits, (bit, _)| bits | 1 << bit);
+        out.push(present);
+        put_field(&mut out, &self.actor);
+        for field in optional.into_iter().flatten() {
+            put_field(&mut out, field);
+        }
+        put_field(&mut out, &self.detail);
+        out
+    }
+
+    /// Decode what [`Self::encode`] produced, the evidence about `key`;
+    /// the sequence number is 0.
+    ///
+    /// # Errors
+    ///
+    /// [`AuditError::Corrupt`] for bytes that are not one whole encoded
+    /// record.
+    pub fn decode(key: Option<&str>, bytes: &[u8]) -> Result<Self> {
+        let corrupt = |what: &str| AuditError::Corrupt(format!("evidence record: {what}"));
+        let (head, mut rest) = bytes
+            .split_first_chunk::<11>()
+            .ok_or_else(|| corrupt("truncated header"))?;
+        let field = |rest: &mut &[u8]| -> Result<String> {
+            let (len, tail) = rest
+                .split_first_chunk::<4>()
+                .ok_or_else(|| corrupt("truncated field length"))?;
+            let len = u32::from_le_bytes(*len) as usize;
+            if tail.len() < len {
+                return Err(corrupt("truncated field"));
+            }
+            let (text, tail) = tail.split_at(len);
+            *rest = tail;
+            String::from_utf8(text.to_vec()).map_err(|_| corrupt("field is not UTF-8"))
+        };
+        let timestamp_ms = u64::from_le_bytes(head[..8].try_into().expect("eight bytes"));
+        let operation =
+            Operation::from_code(head[8]).ok_or_else(|| corrupt("unknown operation"))?;
+        let outcome = match head[9] {
+            0 => Outcome::Allowed,
+            1 => Outcome::Denied,
+            2 => Outcome::Failed,
+            _ => return Err(corrupt("unknown outcome")),
+        };
+        let present = head[10];
+        if present > 0b11 {
+            return Err(corrupt("unknown optional field"));
+        }
+        let actor = field(&mut rest)?;
+        let mut optional = [None, None];
+        for (bit, slot) in optional.iter_mut().enumerate() {
+            if present & 1 << bit != 0 {
+                *slot = Some(field(&mut rest)?);
+            }
+        }
+        let detail = field(&mut rest)?;
+        if !rest.is_empty() {
+            return Err(corrupt("trailing bytes"));
+        }
+        let [subject, purpose] = optional;
+        Ok(AuditRecord {
+            sequence: 0,
+            timestamp_ms,
+            actor,
+            operation,
+            key: key.map(str::to_string),
+            subject,
+            purpose,
+            outcome,
+            detail,
+        })
+    }
+}
+
+impl Operation {
+    /// The operation's code in the binary evidence encoding.
+    fn code(self) -> u8 {
+        match self {
+            Operation::Read => 0,
+            Operation::Write => 1,
+            Operation::Delete => 2,
+            Operation::ExpireUpdate => 3,
+            Operation::MetadataUpdate => 4,
+            Operation::AccessControl => 5,
+            Operation::RightsRequest => 6,
+            Operation::Maintenance => 7,
+        }
+    }
+
+    /// The operation whose [`Self::code`] is `code`.
+    fn from_code(code: u8) -> Option<Self> {
+        Some(match code {
+            0 => Operation::Read,
+            1 => Operation::Write,
+            2 => Operation::Delete,
+            3 => Operation::ExpireUpdate,
+            4 => Operation::MetadataUpdate,
+            5 => Operation::AccessControl,
+            6 => Operation::RightsRequest,
+            7 => Operation::Maintenance,
+            _ => return None,
+        })
+    }
+}
+
+/// Append `field` as a `u32 LE` length and its bytes.
+fn put_field(out: &mut Vec<u8>, field: &str) {
+    out.extend_from_slice(&(field.len() as u32).to_le_bytes());
+    out.extend_from_slice(field.as_bytes());
+}
+
 /// Append `n` in decimal.
 fn push_decimal(out: &mut String, mut n: u64) {
     let mut digits = [0u8; 20];
@@ -315,6 +447,37 @@ mod tests {
         let line = r.to_line();
         assert!(!line.contains(['\n', '\0']));
         assert_eq!(AuditRecord::from_line(&line).unwrap(), r);
+    }
+
+    #[test]
+    fn binary_roundtrip_keeps_every_field() {
+        let full = sample().detail("weird|detail\nwith \0 and ünïcode");
+        let bare = AuditRecord::new(5, "engine", Operation::Maintenance);
+        let keyless = AuditRecord::new(7, "", Operation::RightsRequest)
+            .subject("")
+            .outcome(Outcome::Denied);
+        for record in [full, bare, keyless] {
+            let encoded = record.encode();
+            let key = record.key.as_deref();
+            assert_eq!(AuditRecord::decode(key, &encoded).unwrap(), record);
+            for cut in 0..encoded.len() {
+                assert!(
+                    AuditRecord::decode(key, &encoded[..cut]).is_err(),
+                    "cut {cut}"
+                );
+            }
+            let mut longer = encoded.clone();
+            longer.push(0);
+            assert!(AuditRecord::decode(key, &longer).is_err());
+        }
+        for code in 0..=u8::MAX {
+            let Some(op) = Operation::from_code(code) else {
+                continue;
+            };
+            assert_eq!(op.code(), code);
+            let record = AuditRecord::new(1, "a", op).outcome(Outcome::Failed);
+            assert_eq!(AuditRecord::decode(None, &record.encode()).unwrap(), record);
+        }
     }
 
     #[test]

@@ -30,10 +30,16 @@ impl GdprAdapter {
     /// Wrap a compliance store; installs a grant so the benchmark actor is
     /// allowed to operate, and derives the data subject from the key (every
     /// YCSB record key doubles as its subject id).
+    ///
+    /// # Panics
+    ///
+    /// When the store cannot commit the grant's audit record.
     #[must_use]
     pub fn new(store: GdprStore) -> Self {
         let ctx = AccessContext::new("ycsb-driver", "benchmarking");
-        store.grant(Grant::new("ycsb-driver", "benchmarking"));
+        store
+            .grant(Grant::new("ycsb-driver", "benchmarking"))
+            .expect("the benchmark grant is recorded");
         GdprAdapter {
             store,
             ctx,

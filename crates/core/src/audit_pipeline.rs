@@ -1,26 +1,30 @@
-//! Per-shard buffered audit emission.
+//! The trail's front: per-shard buffers under eventual compliance, the
+//! archive under real-time compliance.
 //!
 //! The paper's monitoring retrofit (§4.1) funnels every interaction into
 //! one log — which, naively shared, would re-serialize the sharded engine
 //! on its hottest path. [`AuditPipeline`] keeps the single [`AuditLog`]
 //! (sequence numbers and the tamper-evident hash chain need one writer)
-//! but puts a small per-shard buffer in front of it:
+//! and never puts it on a request path that must wait for it:
 //!
-//! * under **real-time** compliance ([`crate::policy::ResponseMode::is_real_time`]) every
-//!   record still goes straight to the log — durability before
-//!   acknowledgement is the whole point of that policy, and the cost is
-//!   what Figure 1 measures;
 //! * under **eventual** compliance a record is appended to its shard's
 //!   buffer (shard-local lock only) and the log is only touched when the
 //!   buffer fills, on the periodic [`AuditPipeline::flush`] from `tick`,
 //!   or when the trail is read back — so the loss window stays bounded by
 //!   `MAX_BUFFERED_PER_SHARD` records per shard plus the flush policy's
 //!   own window, which is exactly the "bounded lag" the eventual end of
-//!   the compliance spectrum admits.
+//!   the compliance spectrum admits;
+//! * under **real-time** compliance ([`crate::policy::ResponseMode::is_real_time`])
+//!   a record is durable before its operation returns because it is an
+//!   `EVIDENCE` record committed in the engine journal, with the operation
+//!   or on its own; the log here is the archive the journal is copied into
+//!   behind that commit (its [`Archiver`] implementation), one sink sync per
+//!   pass.
 
 use audit::log::{AuditLog, AuditLogStats};
 use audit::record::AuditRecord;
 use audit::sink::SinkStats;
+use kvstore::store::{ArchiveResult, Archiver};
 use parking_lot::Mutex;
 
 /// Cap on records parked in one shard's buffer before it drains into the
@@ -32,34 +36,25 @@ pub const MAX_BUFFERED_PER_SHARD: usize = 128;
 pub struct AuditPipeline {
     log: Mutex<AuditLog>,
     buffers: Vec<Mutex<Vec<AuditRecord>>>,
-    real_time: bool,
+    /// The journal position `(epoch, sequence)` of the newest evidence
+    /// record the log has taken from an archive pass.
+    archived: Mutex<(u64, u64)>,
 }
 
 impl AuditPipeline {
     /// Build a pipeline over `log` with one buffer per engine shard.
-    /// `real_time` short-circuits buffering entirely.
     #[must_use]
-    pub fn new(log: AuditLog, shards: usize, real_time: bool) -> Self {
+    pub fn new(log: AuditLog, shards: usize) -> Self {
         AuditPipeline {
             log: Mutex::new(log),
             buffers: (0..shards.max(1)).map(|_| Mutex::new(Vec::new())).collect(),
-            real_time,
+            archived: Mutex::new((0, 0)),
         }
     }
 
-    /// Record one interaction, routed through the shard's buffer unless the
-    /// policy is real-time. Recording into a buffer cannot fail; sink
-    /// errors surface on flush.
-    ///
-    /// # Errors
-    ///
-    /// Under a real-time policy, the sink error that kept the record from
-    /// becoming durable (the log keeps the line and retries it with the
-    /// next record).
-    pub fn emit(&self, shard: usize, record: AuditRecord) -> audit::Result<()> {
-        if self.real_time {
-            return self.log.lock().record(record).map(|_| ());
-        }
+    /// Record one interaction in the shard's buffer. Recording cannot
+    /// fail; sink errors surface on flush.
+    pub fn emit(&self, shard: usize, record: AuditRecord) {
         let drained = {
             let mut buffer = self.buffers[shard % self.buffers.len()].lock();
             buffer.push(record);
@@ -72,7 +67,6 @@ impl AuditPipeline {
         if let Some(records) = drained {
             self.append_batch(records);
         }
-        Ok(())
     }
 
     fn append_batch(&self, records: Vec<AuditRecord>) {
@@ -143,6 +137,51 @@ impl Drop for AuditPipeline {
     }
 }
 
+/// The archive of real-time evidence: an archive pass streams the
+/// journal's evidence into the log, a record at a time in journal order,
+/// then flushes it — one sink sync per pass.
+impl Archiver for AuditPipeline {
+    /// Give the log the record at `(epoch, seq)` unless it already took it
+    /// (a failed pass hands its evidence over again).
+    ///
+    /// # Errors
+    ///
+    /// [`audit::AuditError::Corrupt`] for a payload that does not decode.
+    fn take(&self, epoch: u64, seq: u64, key: &str, payload: &[u8]) -> ArchiveResult {
+        let mut archived = self.archived.lock();
+        if archived.0 != epoch {
+            *archived = (epoch, 0);
+        }
+        if seq <= archived.1 {
+            return Ok(());
+        }
+        let record = AuditRecord::decode(Some(key).filter(|key| !key.is_empty()), payload)?;
+        // The log keeps a line its sink refused and retries it on flush.
+        let _ = self.log.lock().record(record);
+        archived.1 = seq;
+        Ok(())
+    }
+
+    /// Flush the log: the sink sync of the pass.
+    ///
+    /// # Errors
+    ///
+    /// Sink errors, after which the log keeps what it took and the next
+    /// pass retries only the flush.
+    fn seal(&self) -> ArchiveResult {
+        Ok(self.log.lock().flush()?)
+    }
+
+    /// Follow the records it took into the rewritten journal, so that a
+    /// pass over it does not take them again.
+    fn renumbered(&self, epoch: u64, new_epoch: u64, renumber: &dyn Fn(u64) -> u64) {
+        let mut archived = self.archived.lock();
+        if archived.0 == epoch {
+            *archived = (new_epoch, renumber(archived.1));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,22 +194,39 @@ mod tests {
     }
 
     #[test]
-    fn real_time_pipeline_writes_through() {
+    fn archive_takes_each_evidence_record_once_and_syncs_once_per_pass() {
         let sink = MemorySink::new();
         let view = sink.share();
-        let pipeline = AuditPipeline::new(
-            AuditLog::new(Box::new(sink), FlushPolicy::Synchronous),
-            4,
-            true,
-        );
-        pipeline.emit(0, record(1)).unwrap();
-        pipeline.emit(3, record(2)).unwrap();
-        assert_eq!(
-            view.lines().len(),
-            2,
-            "real-time records are durable immediately"
-        );
-        assert_eq!(pipeline.buffered(), 0);
+        let pipeline = AuditPipeline::new(AuditLog::new(Box::new(sink), FlushPolicy::Manual), 4);
+        let pass = |epoch: u64, seqs: &[u64]| -> ArchiveResult {
+            for &seq in seqs {
+                pipeline.take(epoch, seq, "k", &record(seq).encode())?;
+            }
+            pipeline.seal()
+        };
+        pass(1, &[3, 5]).unwrap();
+        assert_eq!(view.lines().len(), 2);
+        // A pass handed what an earlier one took skips it.
+        pass(1, &[3, 5, 8]).unwrap();
+        assert_eq!(view.lines().len(), 3);
+        // A new epoch renumbers the journal.
+        pass(2, &[1]).unwrap();
+        let lines = view.lines();
+        assert_eq!(lines.len(), 4);
+        assert_eq!(pipeline.log_stats().flushes, 3);
+        let parsed = audit::reader::parse_trail(&lines.join("\n")).unwrap();
+        let stamps: Vec<u64> = parsed.iter().map(|r| r.record.timestamp_ms).collect();
+        assert_eq!(stamps, [3, 5, 8, 1]);
+        assert!(parsed.iter().all(|r| r.record.key.as_deref() == Some("k")));
+        audit::reader::verify_trail(&parsed).unwrap();
+        assert!(pipeline.take(2, 2, "k", b"junk").is_err());
+        assert_eq!(view.lines().len(), 4);
+        // A rewrite that carried seq 1 of epoch 2 over as seq 11 of epoch 3.
+        pipeline.renumbered(2, 3, &|seq| if seq >= 1 { 11 } else { 10 });
+        pass(3, &[11, 12]).unwrap();
+        let parsed = audit::reader::parse_trail(&view.lines().join("\n")).unwrap();
+        let stamps: Vec<u64> = parsed.iter().map(|r| r.record.timestamp_ms).collect();
+        assert_eq!(stamps, [3, 5, 8, 1, 12]);
     }
 
     #[test]
@@ -180,10 +236,9 @@ mod tests {
         let pipeline = AuditPipeline::new(
             AuditLog::new(Box::new(sink), FlushPolicy::Batched { max_records: 1_000 }),
             4,
-            false,
         );
         for i in 0..10 {
-            pipeline.emit(i % 4, record(i as u64)).unwrap();
+            pipeline.emit(i % 4, record(i as u64));
         }
         assert_eq!(pipeline.buffered(), 10);
         assert_eq!(view.lines().len(), 0);
@@ -203,10 +258,9 @@ mod tests {
                 },
             ),
             1,
-            false,
         );
         for i in 0..MAX_BUFFERED_PER_SHARD as u64 + 5 {
-            pipeline.emit(0, record(i)).unwrap();
+            pipeline.emit(0, record(i));
         }
         assert!(
             pipeline.buffered() < MAX_BUFFERED_PER_SHARD,
@@ -225,10 +279,9 @@ mod tests {
         let pipeline = AuditPipeline::new(
             AuditLog::new(Box::new(sink), FlushPolicy::Batched { max_records: 1_000 }),
             4,
-            false,
         );
         for i in 0..20 {
-            pipeline.emit(i % 4, record(i as u64)).unwrap();
+            pipeline.emit(i % 4, record(i as u64));
         }
         let tip = pipeline.chain_tip().unwrap();
         assert!(!tip.is_empty());

@@ -56,7 +56,7 @@
 //!
 //! // Under a strict policy access is closed by default (Article 25);
 //! // open it explicitly for this actor and purpose.
-//! store.grant(Grant::new("web-frontend", "account-management"));
+//! store.grant(Grant::new("web-frontend", "account-management"))?;
 //!
 //! // Personal data always carries metadata: owner, purposes, TTL, location.
 //! let meta = PersonalMetadata::new("alice")
@@ -100,8 +100,11 @@ use std::fmt;
 pub enum GdprError {
     /// The underlying storage engine failed.
     Store(kvstore::StoreError),
-    /// The audit subsystem failed (under strict compliance this aborts the
-    /// operation: no durable evidence, no operation).
+    /// The audit subsystem failed: the trail's sink, or a record that does
+    /// not decode, when the trail is flushed or archived. Under real-time
+    /// compliance an operation's evidence commits in the engine journal,
+    /// so an operation whose evidence cannot commit fails with
+    /// [`GdprError::Store`] instead, and has no effect.
     Audit(audit::AuditError),
     /// The access-control layer denied the operation.
     AccessDenied {
@@ -143,6 +146,16 @@ pub enum GdprError {
         /// The missing key.
         key: String,
     },
+    /// A real-time audit policy (`audit_flush`) commits each operation's
+    /// evidence in the engine journal, so the store refuses to open it
+    /// without a journal or with one that does not sync every commit
+    /// (`journal_fsync` other than `always`).
+    RealTimeAuditWithoutJournal {
+        /// Whether the engine configuration has a journal.
+        journal: bool,
+        /// The policy's `journal_fsync`.
+        journal_fsync: kvstore::aof::FsyncPolicy,
+    },
 }
 
 impl fmt::Display for GdprError {
@@ -178,6 +191,16 @@ impl fmt::Display for GdprError {
             GdprError::NoSuchKey { key } => {
                 write!(f, "key {key:?} does not exist")
             }
+            GdprError::RealTimeAuditWithoutJournal {
+                journal,
+                journal_fsync,
+            } => write!(
+                f,
+                "a real-time audit_flush commits evidence in the engine journal, so it needs \
+                 a journal with journal_fsync = always (journal: {}, journal_fsync: {})",
+                if *journal { "present" } else { "none" },
+                journal_fsync.as_str()
+            ),
         }
     }
 }
@@ -194,7 +217,14 @@ impl Error for GdprError {
 
 impl From<kvstore::StoreError> for GdprError {
     fn from(e: kvstore::StoreError) -> Self {
-        GdprError::Store(e)
+        match e {
+            // The archive is the audit trail: its failure is an audit error.
+            kvstore::StoreError::Archive(cause) => match cause.downcast::<audit::AuditError>() {
+                Ok(audit) => GdprError::Audit(*audit),
+                Err(other) => GdprError::Store(kvstore::StoreError::Archive(other)),
+            },
+            other => GdprError::Store(other),
+        }
     }
 }
 

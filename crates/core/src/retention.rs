@@ -141,7 +141,7 @@ mod tests {
             Box::new(audit::sink::MemorySink::new()),
         )
         .unwrap();
-        store.grant(Grant::new("app", "billing"));
+        store.grant(Grant::new("app", "billing")).unwrap();
         for i in 0..20 {
             let meta = PersonalMetadata::new("alice")
                 .with_purpose("billing")

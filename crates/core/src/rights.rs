@@ -27,7 +27,7 @@ use kvstore::store::ValuePart;
 use crate::export::{self, ExportCursor, ExportPage};
 use crate::metadata::PersonalMetadata;
 use crate::store::{AccessContext, GdprStore, Op};
-use crate::Result;
+use crate::{GdprError, Result};
 
 /// Everything returned to a data subject exercising their right of access.
 #[derive(Debug, Clone, PartialEq)]
@@ -180,6 +180,11 @@ impl GdprStore {
     /// AOF (the §4.3 concern); under an eventual policy the compaction is
     /// left to the next scheduled rewrite.
     ///
+    /// The request is recorded whatever happens after its first key is
+    /// erased: a delete or scrub that fails ends the erasure there, and the
+    /// record says how far it got and what failed before the error is
+    /// returned.
+    ///
     /// # Errors
     ///
     /// Returns storage or audit errors.
@@ -187,26 +192,39 @@ impl GdprStore {
         let _timed = self.rights_timing.erase.start_timer();
         let op = self.begin(Operation::RightsRequest, ctx, None);
         let mut erased = Vec::new();
-        for key in self.keys_of_subject(subject)? {
-            if self.purge(&key, false)? {
-                erased.push(key);
+        let mut outcome = self.keys_of_subject(subject).and_then(|keys| {
+            for key in keys {
+                if self.purge(&key, false, None)? {
+                    erased.push(key);
+                }
             }
+            Ok(0)
+        });
+        if outcome.is_ok() && self.policy.scrub_aof_on_erasure && !erased.is_empty() {
+            outcome = self.kv.rewrite_aof().map_err(GdprError::from);
         }
-
-        let journal_records_scrubbed = if self.policy.scrub_aof_on_erasure && !erased.is_empty() {
-            self.kv.rewrite_aof()?
-        } else {
-            0
+        // A request that failed before it erased anything has nothing to
+        // record.
+        let outcome = match outcome {
+            Err(e) if erased.is_empty() => return Err(e),
+            outcome => outcome,
         };
 
         self.stats
             .erased_by_request
             .fetch_add(erased.len() as u64, Ordering::Relaxed);
-        let detail = format!(
-            "art.17 erasure: {} keys erased, {journal_records_scrubbed} journal records scrubbed",
-            erased.len()
-        );
+        let detail = match &outcome {
+            Ok(scrubbed) => format!(
+                "art.17 erasure: {} keys erased, {scrubbed} journal records scrubbed",
+                erased.len()
+            ),
+            Err(e) => format!(
+                "art.17 erasure: {} keys erased, then failed: {e}",
+                erased.len()
+            ),
+        };
         self.complete(&op, subject, &detail)?;
+        let journal_records_scrubbed = outcome?;
 
         Ok(ErasureReport {
             subject: subject.to_string(),
@@ -408,8 +426,8 @@ mod tests {
 
     fn store_with_data(policy: CompliancePolicy) -> GdprStore {
         let store = GdprStore::open_in_memory(policy).unwrap();
-        store.grant(Grant::new("app", "billing"));
-        store.grant(Grant::new("app", "analytics"));
+        store.grant(Grant::new("app", "billing")).unwrap();
+        store.grant(Grant::new("app", "analytics")).unwrap();
         let alice = PersonalMetadata::new("alice")
             .with_purpose("billing")
             .with_purpose("analytics")
@@ -588,7 +606,7 @@ mod tests {
             Box::new(MemorySink::new()),
         )
         .unwrap();
-        store.grant(Grant::new("app", "billing"));
+        store.grant(Grant::new("app", "billing")).unwrap();
         for i in 0..37 {
             let meta = PersonalMetadata::new("alice").with_purpose("billing");
             store
@@ -647,7 +665,7 @@ mod tests {
             Box::new(MemorySink::new()),
         )
         .unwrap();
-        store.grant(Grant::new("app", "billing"));
+        store.grant(Grant::new("app", "billing")).unwrap();
         let durable = PersonalMetadata::new("erin").with_purpose("billing");
         let fleeting = PersonalMetadata::new("erin")
             .with_purpose("billing")

@@ -20,22 +20,34 @@
 //!    frame, one durability wait, and after a crash all of it or none.
 //! 3. **record** — `complete`: one `allowed_ops` increment and one audit
 //!    record (monitoring, Articles 30/33/34). Under real-time compliance
-//!    either outcome's record is durable before the call returns.
+//!    either outcome's record is durable before the call returns: it is an
+//!    `EVIDENCE` record in the engine journal, committed in the bracket's
+//!    own batch (`attest`: the mutation and its evidence are one frame and
+//!    one group-commit wait) or, for reads, denials and keyless requests,
+//!    alone on the key's shard (shard 0 without a key). The chained text
+//!    trail is an archive copied from the journal behind those commits:
+//!    before a rewrite drops frames, at a clean close, and on
+//!    [`GdprStore::flush_audit`]. An operation that returns `Err` has
+//!    committed nothing — except a journal scrub that fails after its
+//!    delete or erasure committed (and was recorded), and an erasure
+//!    request that fails part way, whose record says how far it got.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use audit::log::AuditLog;
+use audit::policy::FlushPolicy;
 use audit::record::{AuditRecord, Operation, Outcome};
 use audit::sink::{AuditSink, MemorySink};
+use kvstore::aof::FsyncPolicy;
 use kvstore::clock::SharedClock;
 use kvstore::commands::{Command, Reply};
-use kvstore::config::StoreConfig;
+use kvstore::config::{Persistence, StoreConfig};
 use kvstore::db::RemovalCause;
 use kvstore::expire::CycleOutcome;
 use kvstore::object::Bytes;
-use kvstore::store::{KeyRead, KvStore, ValuePart};
+use kvstore::store::{Archiver, KeyRead, KvStore, ValuePart};
 use parking_lot::RwLock;
 
 use crate::acl::{AccessController, AccessDecision, Grant};
@@ -141,18 +153,30 @@ fn push_deadline(batch: &mut Vec<Command>, key: &str, at_ms: Option<u64>) {
     }
 }
 
+/// The description of a delete, by whether the key was there.
+fn del_detail(existed: bool) -> &'static str {
+    if existed {
+        "DEL (existed)"
+    } else {
+        "DEL (missing)"
+    }
+}
+
 /// The GDPR-compliant store.
 ///
 /// Per-key operations take **no global exclusive lock**: the engine routes
 /// the key to its owning shard, the metadata index locks only the owning
 /// segment, compliance counters are atomics, the ACL check holds a shared
 /// read lock, and audit emission goes through the per-shard buffers of
-/// [`AuditPipeline`] (direct to the serialized log only under real-time
-/// compliance, where that serialization *is* the measured guarantee).
+/// [`AuditPipeline`] — or, under real-time compliance, into the owning
+/// shard's journal segment, where group commit batches it.
 pub struct GdprStore {
     pub(crate) kv: KvStore,
     pub(crate) hot: Arc<HotCache>,
-    pub(crate) audit: AuditPipeline,
+    pub(crate) audit: Arc<AuditPipeline>,
+    /// Evidence is committed in the engine journal (a real-time audit
+    /// policy that monitors).
+    pub(crate) journal_evidence: bool,
     pub(crate) acl: RwLock<AccessController>,
     pub(crate) index: ShardedMetadataIndex,
     pub(crate) policy: CompliancePolicy,
@@ -196,16 +220,28 @@ impl GdprStore {
     }
 
     /// Open a store over an explicit engine configuration and audit sink
-    /// (used by the benchmark harness to point both at real files).
+    /// (used by the benchmark harness to point both at real files). Under a
+    /// real-time audit policy the sink receives the archive of the
+    /// journal's evidence (see the module docs).
     ///
     /// # Errors
     ///
-    /// Propagates engine-open errors.
+    /// [`GdprError::RealTimeAuditWithoutJournal`] for a real-time audit
+    /// policy over an engine configuration with no journal, or with a
+    /// `journal_fsync` other than `always`; otherwise engine-open errors.
     pub fn open(
         policy: CompliancePolicy,
         mut kv_config: StoreConfig,
         audit_sink: Box<dyn AuditSink>,
     ) -> Result<Self> {
+        let journal_evidence = policy.monitor_all_operations && policy.audit_flush.is_real_time();
+        let journal = kv_config.persistence != Persistence::None;
+        if journal_evidence && (!journal || policy.journal_fsync != FsyncPolicy::Always) {
+            return Err(GdprError::RealTimeAuditWithoutJournal {
+                journal,
+                journal_fsync: policy.journal_fsync,
+            });
+        }
         // The engine-level knobs follow the compliance policy.
         kv_config.fsync = policy.journal_fsync;
         kv_config.expiry_mode = policy.expiry_mode;
@@ -215,15 +251,21 @@ impl GdprStore {
         let clock = Arc::clone(&kv_config.clock);
         let kv = KvStore::open(kv_config)?;
 
-        let mut audit_log = AuditLog::new(audit_sink, policy.audit_flush);
+        // Under real-time compliance the log is the archive: a pass syncs
+        // the sink once, not once per record.
+        let flush = if journal_evidence {
+            FlushPolicy::Manual
+        } else {
+            policy.audit_flush
+        };
+        let mut audit_log = AuditLog::new(audit_sink, flush);
         if !policy.audit_chaining {
             audit_log = audit_log.without_chain();
         }
-        let audit = AuditPipeline::new(
-            audit_log,
-            kv.shard_count(),
-            policy.audit_flush.is_real_time(),
-        );
+        let audit = Arc::new(AuditPipeline::new(audit_log, kv.shard_count()));
+        if journal_evidence {
+            kv.set_archiver(Some(Arc::clone(&audit) as Arc<dyn Archiver>));
+        }
 
         let hot = Arc::new(HotCache::new(HotCacheConfig::default(), kv.router()));
         let index = ShardedMetadataIndex::over(&kv);
@@ -233,6 +275,7 @@ impl GdprStore {
             hot,
             kv,
             audit,
+            journal_evidence,
             acl: RwLock::new(AccessController::new()),
             policy,
             clock,
@@ -353,34 +396,60 @@ impl GdprStore {
     }
 
     /// A copy of the audit trail lines, if the store was opened with the
-    /// in-memory sink ([`Self::open_in_memory`]). Buffered records are
-    /// pushed to the sink first so the trail is complete.
+    /// in-memory sink ([`Self::open_in_memory`]). Every record so far is
+    /// pushed to the sink first ([`Self::flush_audit`]) so the trail is
+    /// complete.
     #[must_use]
     pub fn audit_trail(&self) -> Option<Vec<String>> {
         if self.audit_mirror.is_some() {
-            let _ = self.audit.flush();
+            let _ = self.flush_audit();
         }
         self.audit_mirror.as_ref().map(MemorySink::lines)
     }
 
-    /// Current tip digest of the audit hash chain, if chaining is enabled.
+    /// Current tip digest of the audit hash chain, if chaining is enabled,
+    /// covering every record so far.
     #[must_use]
     pub fn audit_chain_tip(&self) -> Option<String> {
+        let _ = self.kv.archive();
         self.audit.chain_tip()
     }
 
-    /// Install an access grant (Article 25: restrict access by default,
-    /// open it explicitly).
-    pub fn grant(&self, grant: Grant) {
-        self.acl.write().grant(grant.clone());
-        self.audit_acl_change(&grant.actor, &grant.purpose, "grant installed");
+    /// Put every audit record so far in the trail, synced: archive the
+    /// evidence the journal holds past its last mark (one pass under every
+    /// shard lock, one sink sync), then drain the eventual policy's buffers
+    /// and flush.
+    ///
+    /// # Errors
+    ///
+    /// Sink errors, as [`GdprError::Audit`]; the records stay in the
+    /// journal or the log and the next flush retries them.
+    pub fn flush_audit(&self) -> Result<()> {
+        self.kv.archive()?;
+        Ok(self.audit.flush()?)
     }
 
-    fn audit_acl_change(&self, actor: &str, purpose: &str, detail: &str) {
+    /// Install an access grant (Article 25: restrict access by default,
+    /// open it explicitly). The grant takes effect once its record is
+    /// committed (see [`Self::revoke`]).
+    ///
+    /// # Errors
+    ///
+    /// Under a real-time audit policy, a journal failure committing the
+    /// record; the grant is then not installed.
+    pub fn grant(&self, grant: Grant) -> Result<()> {
+        let mut acl = self.acl.write();
+        self.audit_acl_change(&grant.actor, &grant.purpose, "grant installed")?;
+        acl.grant(grant);
+        Ok(())
+    }
+
+    /// Record an access-control change, which the caller applies once this
+    /// returns `Ok`, still holding the ACL's write lock: no check sees the
+    /// change before its evidence is committed.
+    fn audit_acl_change(&self, actor: &str, purpose: &str, detail: &str) -> Result<()> {
         let record = AuditRecord::new(self.now_ms(), actor, Operation::AccessControl);
-        // `grant`/`revoke` have no error to return; an unwritten line stays
-        // buffered in the log and fails the next operation that records.
-        let _ = self.emit_audit(record.purpose(purpose).detail(detail));
+        self.emit_audit(record.purpose(purpose).detail(detail))
     }
 
     /// Whether `actor` currently holds any unexpired grant for `purpose`
@@ -397,28 +466,50 @@ impl GdprStore {
     }
 
     /// Revoke every grant of `actor` for `purpose`. Returns how many were
-    /// removed.
-    pub fn revoke(&self, actor: &str, purpose: &str) -> usize {
-        let removed = self.acl.write().revoke(actor, purpose);
-        self.audit_acl_change(actor, purpose, &format!("{removed} grants revoked"));
-        removed
+    /// removed. Like [`Self::grant`], the change takes effect once its
+    /// record is committed; checks wait for it meanwhile.
+    ///
+    /// # Errors
+    ///
+    /// Under a real-time audit policy, a journal failure committing the
+    /// record; the grants are then kept.
+    pub fn revoke(&self, actor: &str, purpose: &str) -> Result<usize> {
+        let mut acl = self.acl.write();
+        let mut revoked = acl.clone();
+        let removed = revoked.revoke(actor, purpose);
+        self.audit_acl_change(actor, purpose, &format!("{removed} grants revoked"))?;
+        *acl = revoked;
+        Ok(removed)
     }
 
     // ---- internal helpers ---------------------------------------------------
 
-    /// Hand one record to the audit pipeline. Under a real-time audit
-    /// policy the record is on the sink, synced, when this returns `Ok`,
-    /// and a sink failure is returned; otherwise it is buffered.
+    /// Make `record` evidence, counted once it is. Under a real-time
+    /// audit policy it is one `EVIDENCE` record committed to the journal
+    /// when this returns `Ok`, and a journal failure is returned; otherwise
+    /// it is buffered. Keyed records go to the key's shard; keyless
+    /// control-plane records (grants, rights requests) ride on shard 0.
     fn emit_audit(&self, record: AuditRecord) -> Result<()> {
         // Under the unmodified policy nothing is monitored at all.
         if !self.policy.monitor_all_operations {
             return Ok(());
         }
+        if self.journal_evidence {
+            self.kv.execute(Self::evidence(&record))?;
+        } else {
+            let shard = record.key.as_deref().map_or(0, |key| self.kv.shard_of(key));
+            self.audit.emit(shard, record);
+        }
         self.stats.audit_records.fetch_add(1, Ordering::Relaxed);
-        // Keyed records buffer on the key's shard; keyless control-plane
-        // records (grants, rights requests) ride on shard 0.
-        let shard = record.key.as_deref().map_or(0, |key| self.kv.shard_of(key));
-        Ok(self.audit.emit(shard, record)?)
+        Ok(())
+    }
+
+    /// The journal record carrying `record`.
+    fn evidence(record: &AuditRecord) -> Command {
+        Command::Evidence {
+            key: record.key.clone().unwrap_or_default(),
+            payload: record.encode(),
+        }
     }
 
     fn corrupt(key: &str, encoded: &[u8]) -> GdprError {
@@ -533,7 +624,6 @@ impl GdprStore {
     /// Refuse `op`: the only place a denial is counted and recorded.
     /// Returns the error the caller hands back.
     fn deny(&self, op: &Op<'_>, subject: &str, error: GdprError) -> GdprError {
-        self.stats.denied_ops.fetch_add(1, Ordering::Relaxed);
         let reason = match &error {
             GdprError::AccessDenied { reason, .. } => reason.as_str(),
             GdprError::LocationViolation { .. } => "location policy violation",
@@ -542,7 +632,10 @@ impl GdprStore {
         };
         // No durable evidence of the refusal: that failure outranks it.
         match self.record(op, subject, Outcome::Denied, reason) {
-            Ok(()) => error,
+            Ok(()) => {
+                self.stats.denied_ops.fetch_add(1, Ordering::Relaxed);
+                error
+            }
             Err(audit_failure) => audit_failure,
         }
     }
@@ -653,12 +746,30 @@ impl GdprStore {
     /// `engine_expired` is the retention path: the engine removed the
     /// entry when its deadline fired, and a concurrent put may have
     /// re-created the key since — then only the hot entry is dropped.
-    pub(crate) fn purge(&self, key: &str, engine_expired: bool) -> Result<bool> {
+    /// `attest`, for a `DEL` that is itself the operation, is that
+    /// operation and its subject: the `DEL` and its evidence commit
+    /// together.
+    pub(crate) fn purge(
+        &self,
+        key: &str,
+        engine_expired: bool,
+        attest: Option<(&Op<'_>, &str)>,
+    ) -> Result<bool> {
         self.index.with_key_segment(key, |segment| {
-            let removed = if engine_expired {
-                !self.kv.exists(key)?
-            } else {
-                self.kv.delete(key)?
+            let removed = match attest.filter(|_| self.journal_evidence) {
+                _ if engine_expired => !self.kv.exists(key)?,
+                Some((op, subject)) => {
+                    // The evidence says whether the key was there; no
+                    // bracket writes it while its segment is locked.
+                    let existed = self.kv.exists(key)?;
+                    let mut batch = vec![Command::Del {
+                        key: key.to_string(),
+                    }];
+                    self.attest(&mut batch, op, subject, del_detail(existed));
+                    self.kv.execute_batch(batch)?;
+                    existed
+                }
+                None => self.kv.delete(key)?,
             };
             let recreated = engine_expired && !removed;
             if !recreated {
@@ -669,25 +780,54 @@ impl GdprStore {
         })
     }
 
-    /// Write the one audit record of `op`; under a real-time audit policy
-    /// it is durable (and a sink failure surfaces) before this returns.
-    fn record(&self, op: &Op<'_>, subject: &str, outcome: Outcome, detail: &str) -> Result<()> {
-        let mut record = AuditRecord::new(op.now, op.actor, op.kind)
+    /// The one audit record of `op`.
+    fn audit_record(op: &Op<'_>, subject: &str, outcome: Outcome, detail: &str) -> AuditRecord {
+        let record = AuditRecord::new(op.now, op.actor, op.kind)
             .subject(subject)
             .purpose(op.purpose)
             .outcome(outcome)
             .detail(detail);
-        if let Some(key) = op.key {
-            record = record.key(key);
+        match op.key {
+            Some(key) => record.key(key),
+            None => record,
         }
-        self.emit_audit(record)
+    }
+
+    /// Write the one audit record of `op`; under a real-time audit policy
+    /// it is committed (and a journal failure surfaces) before this
+    /// returns.
+    fn record(&self, op: &Op<'_>, subject: &str, outcome: Outcome, detail: &str) -> Result<()> {
+        self.emit_audit(Self::audit_record(op, subject, outcome, detail))
     }
 
     /// The success epilogue of every data-path operation and rights
-    /// request: counted once, recorded once.
+    /// request whose bracket did not [`Self::attest`] it: recorded once,
+    /// then counted once.
     pub(crate) fn complete(&self, op: &Op<'_>, subject: &str, detail: &str) -> Result<()> {
+        self.record(op, subject, Outcome::Allowed, detail)?;
         self.stats.allowed_ops.fetch_add(1, Ordering::Relaxed);
-        self.record(op, subject, Outcome::Allowed, detail)
+        Ok(())
+    }
+
+    /// Under a real-time audit policy, add the evidence of `op`'s success
+    /// to the batch of the bracket that commits it: one frame, one
+    /// group-commit wait, and after a crash both or neither.
+    /// [`Self::complete_attested`] then counts it.
+    fn attest(&self, batch: &mut Vec<Command>, op: &Op<'_>, subject: &str, detail: &str) {
+        if self.journal_evidence {
+            let record = Self::audit_record(op, subject, Outcome::Allowed, detail);
+            batch.push(Self::evidence(&record));
+        }
+    }
+
+    /// The success epilogue of a bracket that ran [`Self::attest`].
+    fn complete_attested(&self, op: &Op<'_>, subject: &str, detail: &str) -> Result<()> {
+        if !self.journal_evidence {
+            return self.complete(op, subject, detail);
+        }
+        self.stats.audit_records.fetch_add(1, Ordering::Relaxed);
+        self.stats.allowed_ops.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
     // ---- data-path operations -----------------------------------------------
@@ -716,9 +856,10 @@ impl GdprStore {
                 governed: meta.encode().into(),
             });
             push_deadline(batch, key, meta.expires_at_ms);
+            self.attest(batch, &op, &meta.subject, &detail);
             Ok(())
         })?;
-        self.complete(&op, &meta.subject, &detail)
+        self.complete_attested(&op, &meta.subject, &detail)
     }
 
     /// Store a multi-field record (the YCSB record shape) with metadata.
@@ -736,6 +877,7 @@ impl GdprStore {
         let op = self.begin(Operation::Write, ctx, Some(key));
         self.authorize_write(&op, &meta)?;
         self.resolve_retention(&mut meta);
+        let detail = format!("HMSET {} fields", fields.len());
         self.install(key, Some(&meta), |batch| {
             batch.push(Command::HSetMulti {
                 key: key.to_string(),
@@ -746,10 +888,10 @@ impl GdprStore {
                 governed: meta.encode().into(),
             });
             push_deadline(batch, key, meta.expires_at_ms);
+            self.attest(batch, &op, &meta.subject, &detail);
             Ok(())
         })?;
-        let detail = format!("HMSET {} fields", fields.len());
-        self.complete(&op, &meta.subject, &detail)
+        self.complete_attested(&op, &meta.subject, &detail)
     }
 
     /// Update fields of an existing record, re-using its stored metadata.
@@ -767,6 +909,7 @@ impl GdprStore {
         let op = self.begin(Operation::Write, ctx, Some(key));
         let stored = self.require_metadata(key)?;
         self.authorize_read(&op, Self::view(key, stored.as_deref())?.as_ref())?;
+        let detail = format!("HMSET {} fields (update)", fields.len());
         let stored = self.install(key, None, |batch| {
             // Re-check inside the bracket: an erasure may have removed the
             // key (and its metadata) between the check above and now; the
@@ -778,12 +921,12 @@ impl GdprStore {
                 fields: fields.clone(),
             });
             let view = Self::view(key, stored.as_deref())?;
-            push_deadline(batch, key, view.and_then(|v| v.expires_at_ms()));
+            push_deadline(batch, key, view.as_ref().and_then(MetaView::expires_at_ms));
+            self.attest(batch, &op, subject_of(view.as_ref()), &detail);
             Ok(stored)
         })?;
-        let detail = format!("HMSET {} fields (update)", fields.len());
         let view = Self::view(key, stored.as_deref())?;
-        self.complete(&op, subject_of(view.as_ref()), &detail)
+        self.complete_attested(&op, subject_of(view.as_ref()), &detail)
     }
 
     /// Read the string value stored under `key`.
@@ -936,9 +1079,10 @@ impl GdprStore {
                 });
             }
             push_deadline(batch, key, meta.expires_at_ms);
+            self.attest(batch, &op, &meta.subject, "metadata replaced");
             Ok(())
         })?;
-        self.complete(&op, &meta.subject, "metadata replaced")
+        self.complete_attested(&op, &meta.subject, "metadata replaced")
     }
 
     /// Read the GDPR metadata of a key (itself an audited read).
@@ -959,7 +1103,9 @@ impl GdprStore {
     ///
     /// # Errors
     ///
-    /// Returns access violations and storage errors.
+    /// Returns access violations and storage errors. Under a policy that
+    /// scrubs the journal on erasure, a scrub that fails is reported after
+    /// the delete and its record committed and were counted.
     pub fn delete(&self, ctx: &AccessContext, key: &str) -> Result<bool> {
         let op = self.begin(Operation::Delete, ctx, Some(key));
         let stored = self.governed(key)?;
@@ -967,16 +1113,12 @@ impl GdprStore {
         if let Some(meta) = &meta {
             self.authorize_access(&op, meta.subject())?;
         }
-        let existed = self.purge(key, false)?;
+        let subject = subject_of(meta.as_ref());
+        let existed = self.purge(key, false, Some((&op, subject)))?;
+        self.complete_attested(&op, subject, del_detail(existed))?;
         if existed && self.policy.scrub_aof_on_erasure {
             self.kv.rewrite_aof()?;
         }
-        let detail = if existed {
-            "DEL (existed)"
-        } else {
-            "DEL (missing)"
-        };
-        self.complete(&op, subject_of(meta.as_ref()), detail)?;
         Ok(existed)
     }
 
@@ -1015,7 +1157,7 @@ impl GdprStore {
         let outcome = self.kv.tick()?;
         let now = self.now_ms();
         for key in &outcome.removed {
-            self.purge(key, true)?;
+            self.purge(key, true, None)?;
             self.emit_audit(
                 AuditRecord::new(now, "retention-engine", Operation::Delete)
                     .key(key)
@@ -1032,8 +1174,11 @@ impl GdprStore {
         }
         // Drain the per-shard audit buffers and give the periodic audit
         // policy a chance to flush even when no records were emitted this
-        // tick.
-        self.audit.flush().map_err(GdprError::from)?;
+        // tick. Real-time evidence is in the journal already; the archive
+        // is not a tick's business.
+        if !self.journal_evidence {
+            self.audit.flush()?;
+        }
         Ok(outcome)
     }
 
@@ -1053,7 +1198,10 @@ impl GdprStore {
         })
     }
 
-    /// Apply one journal record streamed from a replication primary.
+    /// Apply one write record streamed from a replication primary. The
+    /// stream's reader drops the records that change no state (logged
+    /// reads, the primary's evidence and archive marks) before they get
+    /// here.
     ///
     /// The record is an *engine* command (the primary already ran the
     /// compliance checks before journaling it), so it executes directly on
@@ -1131,6 +1279,17 @@ impl GdprStore {
     }
 }
 
+impl Drop for GdprStore {
+    fn drop(&mut self) {
+        // A clean close archives what the journal holds past its last
+        // mark, before the fields — the trail's log and sink among them —
+        // drop. Errors cannot be reported from drop: the evidence stays in
+        // the journal for the next open's passes.
+        let _ = self.kv.archive();
+        self.kv.set_archiver(None);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1150,7 +1309,7 @@ mod tests {
     fn permissive_store() -> GdprStore {
         // Strict policy but with a grant installed for the test actor.
         let store = GdprStore::open_in_memory(CompliancePolicy::strict()).unwrap();
-        store.grant(Grant::new("app", "billing"));
+        store.grant(Grant::new("app", "billing")).unwrap();
         store
     }
 
@@ -1197,7 +1356,7 @@ mod tests {
     #[test]
     fn purpose_limitation_blocks_non_whitelisted_reads() {
         let store = permissive_store();
-        store.grant(Grant::new("app", "marketing"));
+        store.grant(Grant::new("app", "marketing")).unwrap();
         store.put(&ctx(), "k", b"v".to_vec(), meta()).unwrap();
         let marketing = AccessContext::new("app", "marketing");
         let err = store.get(&marketing, "k").unwrap_err();
@@ -1207,7 +1366,7 @@ mod tests {
     #[test]
     fn objection_blocks_previously_allowed_purpose() {
         let store = permissive_store();
-        store.grant(Grant::new("app", "analytics"));
+        store.grant(Grant::new("app", "analytics")).unwrap();
         let m = meta().with_purpose("analytics").with_objection("analytics");
         store.put(&ctx(), "k", b"v".to_vec(), m).unwrap();
         let analytics = AccessContext::new("app", "analytics");
@@ -1243,7 +1402,7 @@ mod tests {
             Box::new(MemorySink::new()),
         )
         .unwrap();
-        store.grant(Grant::new("app", "billing"));
+        store.grant(Grant::new("app", "billing")).unwrap();
         store
             .put(&ctx(), "k", b"v".to_vec(), meta().with_ttl_millis(5_000))
             .unwrap();
@@ -1345,7 +1504,7 @@ mod tests {
             Box::new(MemorySink::new()),
         )
         .unwrap();
-        store.grant(Grant::new("app", "billing"));
+        store.grant(Grant::new("app", "billing")).unwrap();
         let owned_by = |subject: &str| PersonalMetadata::new(subject).with_purpose("billing");
         for i in 0..4 {
             let key = format!("alice:{i}");
@@ -1435,7 +1594,7 @@ mod tests {
             Box::new(MemorySink::new()),
         )
         .unwrap();
-        store.grant(Grant::new("app", "billing"));
+        store.grant(Grant::new("app", "billing")).unwrap();
         store.put(&ctx(), "k", b"v".to_vec(), meta()).unwrap();
         store
             .set_metadata(&ctx(), "k", meta().with_ttl_millis(5_000))
@@ -1451,10 +1610,12 @@ mod tests {
         // An actor whose grant is scoped to bob must not be able to
         // re-stamp alice's key onto bob (stealing it from alice's index).
         let store = GdprStore::open_in_memory(CompliancePolicy::strict()).unwrap();
-        store.grant(Grant::new("app", "billing"));
+        store.grant(Grant::new("app", "billing")).unwrap();
         store.put(&ctx(), "k", b"v".to_vec(), meta()).unwrap();
-        store.revoke("app", "billing");
-        store.grant(Grant::new("app", "billing").for_subject("bob"));
+        store.revoke("app", "billing").unwrap();
+        store
+            .grant(Grant::new("app", "billing").for_subject("bob"))
+            .unwrap();
         let bob_meta = PersonalMetadata::new("bob").with_purpose("billing");
         let err = store.set_metadata(&ctx(), "k", bob_meta).unwrap_err();
         assert!(matches!(err, GdprError::AccessDenied { .. }));
@@ -1476,7 +1637,7 @@ mod tests {
     #[test]
     fn set_metadata_preserves_recorded_objections() {
         let store = permissive_store();
-        store.grant(Grant::new("app", "analytics"));
+        store.grant(Grant::new("app", "analytics")).unwrap();
         let m = meta().with_purpose("analytics");
         store.put(&ctx(), "k", b"v".to_vec(), m.clone()).unwrap();
         store.right_to_object(&ctx(), "alice", "analytics").unwrap();
@@ -1499,7 +1660,7 @@ mod tests {
             Box::new(MemorySink::new()),
         )
         .unwrap();
-        store.grant(Grant::new("app", "billing"));
+        store.grant(Grant::new("app", "billing")).unwrap();
         store
             .put(&ctx(), "k", b"v".to_vec(), meta().with_ttl_millis(5_000))
             .unwrap();
@@ -1519,7 +1680,7 @@ mod tests {
     fn has_grant_follows_policy_and_acl() {
         let store = GdprStore::open_in_memory(CompliancePolicy::strict()).unwrap();
         assert!(!store.has_grant("app", "billing"));
-        store.grant(Grant::new("app", "billing"));
+        store.grant(Grant::new("app", "billing")).unwrap();
         assert!(store.has_grant("app", "billing"));
         assert!(!store.has_grant("app", "marketing"));
         // Without access-control enforcement every session is acceptable.
@@ -1531,7 +1692,7 @@ mod tests {
     fn revoke_closes_access() {
         let store = permissive_store();
         store.put(&ctx(), "k", b"v".to_vec(), meta()).unwrap();
-        assert_eq!(store.revoke("app", "billing"), 1);
+        assert_eq!(store.revoke("app", "billing").unwrap(), 1);
         assert!(store.get(&ctx(), "k").is_err());
     }
 
@@ -1577,7 +1738,7 @@ mod tests {
     #[test]
     fn hot_cache_respects_objections_recorded_after_admission() {
         let store = permissive_store();
-        store.grant(Grant::new("app", "analytics"));
+        store.grant(Grant::new("app", "analytics")).unwrap();
         let m = meta().with_purpose("analytics");
         store.put(&ctx(), "k", b"v".to_vec(), m).unwrap();
         let analytics = AccessContext::new("app", "analytics");
@@ -1606,7 +1767,7 @@ mod tests {
             Box::new(MemorySink::new()),
         )
         .unwrap();
-        store.grant(Grant::new("app", "billing"));
+        store.grant(Grant::new("app", "billing")).unwrap();
         store
             .put(&ctx(), "k", b"v".to_vec(), meta().with_ttl_millis(5_000))
             .unwrap();

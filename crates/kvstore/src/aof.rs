@@ -269,6 +269,24 @@ impl AofLog {
         Ok(records)
     }
 
+    /// Show `visit` every record in the log, in append order, reading the
+    /// device one append at a time (see
+    /// [`StorageDevice::for_each_append`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError::Corrupt`] if the framing is damaged, and
+    /// propagates device errors.
+    pub fn for_each_record(&mut self, mut visit: impl FnMut(&[u8]) -> Result<()>) -> Result<()> {
+        self.device.for_each_append(&mut |appended| {
+            let mut reader = Reader::new(appended);
+            while !reader.is_at_end() {
+                visit(reader.get_slice("aof record")?)?;
+            }
+            Ok(())
+        })
+    }
+
     /// Rewrite (compact) the log so it contains exactly `records`, dropping
     /// everything else — including tombstones of deleted personal data that
     /// §4.3 of the paper worries about. Returns the number of records that

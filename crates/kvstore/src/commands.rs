@@ -23,12 +23,35 @@ use crate::{Result, StoreError};
 pub(crate) const OP_GET: u8 = 0x02;
 pub(crate) const OP_DEL: u8 = 0x03;
 pub(crate) const OP_EXISTS: u8 = 0x04;
+/// Journal opcodes of the records the archive pass looks for.
+pub(crate) const OP_EVIDENCE: u8 = 0x17;
+pub(crate) const OP_ARCHIVED: u8 = 0x18;
 
 /// Append the journal record of the `opcode` command on `key` — what
 /// [`Command::encode_into`] writes for it — without building the command.
 pub(crate) fn encode_keyed(out: &mut Vec<u8>, opcode: u8, key: &str) {
     out.push(opcode);
     put_str(out, key);
+}
+
+/// The key and payload of an encoded `EVIDENCE` record, borrowed from it.
+pub(crate) fn evidence_parts(record: &[u8]) -> Result<(&str, &[u8])> {
+    const CTX: &str = "evidence record";
+    let corrupt = |detail: String| StoreError::Corrupt {
+        context: CTX,
+        detail,
+    };
+    let mut r = Reader::new(record);
+    if r.get_u8(CTX)? != OP_EVIDENCE {
+        return Err(corrupt("not an EVIDENCE record".to_string()));
+    }
+    let key = std::str::from_utf8(r.get_slice(CTX)?)
+        .map_err(|_| corrupt("key is not UTF-8".to_string()))?;
+    let payload = r.get_slice(CTX)?;
+    if !r.is_at_end() {
+        return Err(corrupt(format!("{} trailing bytes", r.remaining())));
+    }
+    Ok((key, payload))
 }
 
 /// A command accepted by the engine.
@@ -167,6 +190,23 @@ pub enum Command {
         /// The entry's new governing bytes.
         governed: Arc<[u8]>,
     },
+    /// Evidence of one operation, opaque to the engine: journaled in the
+    /// frame of the visit that runs it and applied to nothing. It is routed
+    /// by `key`; evidence that names no key (an empty `key`) rides on
+    /// shard 0. The archive pass hands `key` and `payload` on (see
+    /// [`crate::store::Archiver`]), so the payload need not repeat the key.
+    Evidence {
+        /// The key the evidence is about, or empty.
+        key: String,
+        /// The encoded evidence.
+        payload: Bytes,
+    },
+    /// A mark the archive pass journals on every segment: the evidence of
+    /// every record up to `through_seq` is archived. Applied to nothing.
+    Archived {
+        /// The highest journal sequence the archive covers.
+        through_seq: u64,
+    },
 }
 
 /// The result of executing a [`Command`].
@@ -212,6 +252,13 @@ impl Command {
         )
     }
 
+    /// Whether the journal takes this command whether or not reads are
+    /// logged: the writes, and the evidence records that change no key.
+    #[must_use]
+    pub fn is_journaled(&self) -> bool {
+        self.is_write() || matches!(self, Command::Evidence { .. } | Command::Archived { .. })
+    }
+
     /// Whether this command can *grow* the keyspace footprint — the subset
     /// of writes the `noeviction` policy rejects with `-OOM` once the shard
     /// is over budget. Deletions, TTL changes and flushes stay allowed so a
@@ -255,6 +302,8 @@ impl Command {
             Command::FlushAll => "FLUSHALL",
             Command::SetGoverned { .. } => "SETGOVERNED",
             Command::Govern { .. } => "GOVERN",
+            Command::Evidence { .. } => "EVIDENCE",
+            Command::Archived { .. } => "ARCHIVED",
         }
     }
 
@@ -281,9 +330,12 @@ impl Command {
             | Command::SMembers { key }
             | Command::SetGoverned { key, .. }
             | Command::Govern { key, .. } => Some(key),
-            Command::Keys { .. } | Command::Scan { .. } | Command::DbSize | Command::FlushAll => {
-                None
-            }
+            Command::Evidence { key, .. } => Some(key.as_str()).filter(|key| !key.is_empty()),
+            Command::Keys { .. }
+            | Command::Scan { .. }
+            | Command::DbSize
+            | Command::FlushAll
+            | Command::Archived { .. } => None,
         }
     }
 
@@ -352,6 +404,7 @@ impl Command {
             Command::Govern { key, governed } => {
                 Ok(Reply::Int(i64::from(db.govern(&key, governed))))
             }
+            Command::Evidence { .. } | Command::Archived { .. } => Ok(Reply::Ok),
         }
     }
 
@@ -462,6 +515,15 @@ impl Command {
                 put_str(out, key);
                 put_bytes(out, governed);
             }
+            Command::Evidence { key, payload } => {
+                out.push(OP_EVIDENCE);
+                put_str(out, key);
+                put_bytes(out, payload);
+            }
+            Command::Archived { through_seq } => {
+                out.push(OP_ARCHIVED);
+                put_u64(out, *through_seq);
+            }
         }
     }
 
@@ -557,6 +619,13 @@ impl Command {
             0x16 => Command::Govern {
                 key: r.get_str(CTX)?,
                 governed: r.get_slice(CTX)?.into(),
+            },
+            OP_EVIDENCE => Command::Evidence {
+                key: r.get_str(CTX)?,
+                payload: r.get_bytes(CTX)?,
+            },
+            OP_ARCHIVED => Command::Archived {
+                through_seq: r.get_u64(CTX)?,
             },
             other => {
                 return Err(StoreError::Corrupt {
@@ -673,7 +742,28 @@ mod tests {
                 key: "g".into(),
                 governed: Arc::from(&b"other subject"[..]),
             },
+            Command::Evidence {
+                key: "g".into(),
+                payload: b"evidence".to_vec(),
+            },
+            Command::Evidence {
+                key: String::new(),
+                payload: b"keyless".to_vec(),
+            },
+            Command::Archived { through_seq: 42 },
         ]
+    }
+
+    #[test]
+    fn evidence_parts_are_borrowed_from_their_record() {
+        let record = Command::Evidence {
+            key: "k".into(),
+            payload: b"proof".to_vec(),
+        }
+        .encode();
+        assert_eq!(evidence_parts(&record).unwrap(), ("k", &b"proof"[..]));
+        assert!(evidence_parts(&record[..record.len() - 1]).is_err());
+        assert!(evidence_parts(&Command::DbSize.encode()).is_err());
     }
 
     #[test]
@@ -711,8 +801,13 @@ mod tests {
                     | Command::Keys { .. }
                     | Command::Scan { .. }
                     | Command::DbSize
+                    | Command::Evidence { .. }
+                    | Command::Archived { .. }
             );
             assert_eq!(cmd.is_write(), expected, "{}", cmd.name());
+            let journaled =
+                expected || matches!(cmd, Command::Evidence { .. } | Command::Archived { .. });
+            assert_eq!(cmd.is_journaled(), journaled, "{}", cmd.name());
         }
     }
 
@@ -724,6 +819,11 @@ mod tests {
         );
         assert_eq!(Command::DbSize.primary_key(), None);
         assert_eq!(Command::FlushAll.primary_key(), None);
+        let keyless = Command::Evidence {
+            key: String::new(),
+            payload: Vec::new(),
+        };
+        assert_eq!(keyless.primary_key(), None);
     }
 
     #[test]

@@ -12,6 +12,7 @@ use std::sync::Arc;
 
 use crate::aof::FsyncPolicy;
 use crate::clock::{Clock, SharedClock, SystemClock};
+use crate::device::StorageDevice;
 use crate::expire::{ActiveExpireConfig, ExpiryMode};
 use crate::shard::DEFAULT_HASH_SEED;
 use crate::ttl_wheel::DeadlineIndexKind;
@@ -28,7 +29,30 @@ pub enum Persistence {
     AofInMemory,
     /// Append-only file on disk at the given path.
     AofFile(PathBuf),
+    /// Journal segments on devices the caller supplies, one per shard,
+    /// kept like in-memory ones (no manifest; encryption at rest does not
+    /// wrap them). Lets a test put a device it can fail under the journal,
+    /// the way an audit sink is handed to the trail.
+    AofDevices(SegmentDevices),
 }
+
+/// Builds the device of segment `i` (see [`Persistence::AofDevices`]).
+#[derive(Clone)]
+pub struct SegmentDevices(pub Arc<dyn Fn(usize) -> Box<dyn StorageDevice> + Send + Sync>);
+
+impl std::fmt::Debug for SegmentDevices {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("SegmentDevices")
+    }
+}
+
+impl PartialEq for SegmentDevices {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl Eq for SegmentDevices {}
 
 /// At-rest encryption settings (the LUKS simulation).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -214,6 +238,17 @@ impl StoreConfig {
     #[must_use]
     pub fn aof_in_memory(mut self) -> Self {
         self.persistence = Persistence::AofInMemory;
+        self
+    }
+
+    /// Builder-style: journal segments on the devices `device` builds, by
+    /// segment index (see [`Persistence::AofDevices`]).
+    #[must_use]
+    pub fn aof_devices(
+        mut self,
+        device: impl Fn(usize) -> Box<dyn StorageDevice> + Send + Sync + 'static,
+    ) -> Self {
+        self.persistence = Persistence::AofDevices(SegmentDevices(Arc::new(device)));
         self
     }
 

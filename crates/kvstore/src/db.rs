@@ -107,6 +107,10 @@ struct Slot {
 #[cfg(target_pointer_width = "64")]
 const _: () = assert!(std::mem::size_of::<Slot>() == 96);
 
+/// An entry as a visit keeps it to put it back: the object and its
+/// deadline.
+pub(crate) type KeptEntry = (Object, Option<UnixMillis>);
+
 /// A single logical database (keyspace).
 ///
 /// Each key is one `Slot` in a dense vector; `index` maps a key to its
@@ -400,7 +404,10 @@ impl Db {
     }
 
     /// Make `value` and `governed` the entry at `key`, clearing any
-    /// previous TTL.
+    /// previous TTL. An overwrite keeps the entry's allocations where it
+    /// can — a string of the same length is copied into the old buffer,
+    /// equal governing bytes stay shared — so that a writer thread does
+    /// not move a key's memory into its own allocator arena.
     pub(crate) fn set_entry(&mut self, key: &str, value: Value, governed: Option<Arc<[u8]>>) {
         let now = self.now_millis();
         match self.slot_of(key) {
@@ -408,8 +415,15 @@ impl Db {
                 self.clear_deadline(pos);
                 let obj = &mut self.slots[pos].obj;
                 let old_size = obj.footprint(key);
-                obj.value = value;
-                obj.governed = governed;
+                match (&mut obj.value, value) {
+                    (Value::Str(old), Value::Str(new)) if old.len() == new.len() => {
+                        old.copy_from_slice(&new);
+                    }
+                    (slot, value) => *slot = value,
+                }
+                if obj.governed != governed {
+                    obj.governed = governed;
+                }
                 obj.touch(now);
                 let new_size = obj.footprint(key);
                 self.mem_sub(old_size);
@@ -426,6 +440,32 @@ impl Db {
         }
         self.stats.writes += 1;
         self.dirty += 1;
+    }
+
+    /// The entry at `key` and its deadline, past it or not: what a visit
+    /// keeps so that it can [`Self::restore`] the key if its journal
+    /// append fails.
+    pub(crate) fn entry(&self, key: &str) -> Option<KeptEntry> {
+        let slot = &self.slots[self.slot_of(key)?];
+        Some((slot.obj.clone(), slot.deadline))
+    }
+
+    /// Put back what [`Self::entry`] returned: that entry with its
+    /// deadline, or no entry at all.
+    pub(crate) fn restore(&mut self, key: &str, entry: Option<KeptEntry>) {
+        let Some((obj, deadline)) = entry else {
+            if let Some(pos) = self.slot_of(key) {
+                self.remove_at(pos, RemovalCause::Explicit);
+            }
+            return;
+        };
+        let last_access_ms = obj.last_access_ms;
+        self.set_entry(key, obj.value, obj.governed);
+        let pos = self.slot_of(key).expect("the entry was just set");
+        self.slots[pos].obj.last_access_ms = last_access_ms;
+        if let Some(at) = deadline {
+            self.set_deadline(pos, at);
+        }
     }
 
     /// Replace the governing bytes of the entry at `key`, leaving its
@@ -778,12 +818,40 @@ impl Db {
         policy: EvictionPolicy,
         sample: usize,
     ) -> Option<String> {
+        let victim = self.pick_victim(rng, policy, sample)?;
+        Some(self.remove_at(victim, RemovalCause::Eviction).to_string())
+    }
+
+    /// [`Self::evict_one`], handing back the victim's entry as
+    /// [`Self::entry`] would have: what a visit keeps to put it back.
+    pub(crate) fn evict_entry<R: Rng + ?Sized>(
+        &mut self,
+        rng: &mut R,
+        policy: EvictionPolicy,
+        sample: usize,
+    ) -> Option<(String, KeptEntry)> {
+        let victim = self.pick_victim(rng, policy, sample)?;
+        let slot = &self.slots[victim];
+        let entry = (slot.obj.clone(), slot.deadline);
+        Some((
+            self.remove_at(victim, RemovalCause::Eviction).to_string(),
+            entry,
+        ))
+    }
+
+    /// The slot [`Self::evict_one`] removes.
+    fn pick_victim<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        policy: EvictionPolicy,
+        sample: usize,
+    ) -> Option<usize> {
         if self.slots.is_empty() {
             return None;
         }
-        let victim = match policy {
-            EvictionPolicy::Noeviction => return None,
-            EvictionPolicy::SampledRandom => rng.gen_range(0..self.slots.len()),
+        match policy {
+            EvictionPolicy::Noeviction => None,
+            EvictionPolicy::SampledRandom => Some(rng.gen_range(0..self.slots.len())),
             EvictionPolicy::SampledLru => {
                 // Approximated LRU: among `sample` random keys, evict the
                 // one idle the longest (smallest last-access timestamp).
@@ -795,10 +863,9 @@ impl Db {
                         best = Some((last, pos));
                     }
                 }
-                best?.1
+                Some(best?.1)
             }
-        };
-        Some(self.remove_at(victim, RemovalCause::Eviction).to_string())
+        }
     }
 
     /// Number of keys currently carrying a TTL.
@@ -927,6 +994,28 @@ mod tests {
         assert_eq!(db.get("missing").unwrap(), None);
         assert_eq!(db.stats().keyspace_hits, 1);
         assert_eq!(db.stats().keyspace_misses, 1);
+    }
+
+    #[test]
+    fn an_overwrite_keeps_the_entrys_allocations_where_it_can() {
+        let (mut db, _) = sim_db();
+        let governed: Arc<[u8]> = Arc::from(&b"meta"[..]);
+        db.set_governed("k", b"v1".to_vec(), Some(Arc::clone(&governed)));
+        let buffer = |db: &mut Db| match &db.lookup("k").unwrap().value {
+            Value::Str(bytes) => bytes.as_ptr(),
+            other => panic!("{other:?}"),
+        };
+        let before = buffer(&mut db);
+        db.set_governed("k", b"v2".to_vec(), Some(Arc::from(&b"meta"[..])));
+        assert_eq!(buffer(&mut db), before, "same length: copied in place");
+        let kept = db.lookup("k").unwrap().governed.clone().unwrap();
+        assert!(
+            Arc::ptr_eq(&kept, &governed),
+            "equal governing bytes stay shared"
+        );
+        db.set_governed("k", b"longer".to_vec(), None);
+        assert_eq!(db.get("k").unwrap(), Some(b"longer".to_vec()));
+        assert!(db.lookup("k").unwrap().governed.is_none());
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! not at all.
 
 use std::fs::File;
-use std::io::{BufReader, Read, Write};
+use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -81,6 +81,18 @@ pub trait StorageDevice: Send + std::fmt::Debug {
     /// Atomically replace the device content with `data` (used by AOF
     /// rewrite and snapshot save).
     fn replace(&mut self, data: &[u8]) -> Result<()>;
+
+    /// Show `visit` the logical content in pieces, in order: one per
+    /// append where the device keeps appends apart (a [`FramedDevice`] over
+    /// a file), all of it at once otherwise. A reader that needs one append
+    /// at a time then holds no more than that in memory.
+    ///
+    /// # Errors
+    ///
+    /// Device errors, and whatever `visit` returns, which ends the walk.
+    fn for_each_append(&mut self, visit: &mut dyn FnMut(&[u8]) -> Result<()>) -> Result<()> {
+        visit(&self.read_all()?)
+    }
 
     /// Logical size in bytes (what `read_all` would return).
     fn logical_len(&self) -> u64;
@@ -141,6 +153,10 @@ impl StorageDevice for MemoryDevice {
         Ok(self.buf.lock().clone())
     }
 
+    fn for_each_append(&mut self, visit: &mut dyn FnMut(&[u8]) -> Result<()>) -> Result<()> {
+        visit(&self.buf.lock())
+    }
+
     fn replace(&mut self, data: &[u8]) -> Result<()> {
         let mut buf = self.buf.lock();
         buf.clear();
@@ -189,8 +205,25 @@ pub struct PlainFileDevice {
 /// word, at the end of the file, or at a chunk the file is too short for
 /// (never the extended tail: it can be a megabyte per segment).
 fn read_whole_chunks(file: &File, file_len: u64) -> Result<Vec<u8>> {
-    let mut reader = BufReader::with_capacity(64 << 10, file);
     let mut content = Vec::new();
+    for_each_whole_chunk(file, file_len, &mut |chunk| {
+        content.extend_from_slice(chunk);
+        Ok(())
+    })?;
+    Ok(content)
+}
+
+/// Show `visit` each whole chunk at the front of `file` (as
+/// [`read_whole_chunks`] finds them), header included, one at a time.
+fn for_each_whole_chunk(
+    mut file: &File,
+    file_len: u64,
+    visit: &mut dyn FnMut(&[u8]) -> Result<()>,
+) -> Result<()> {
+    file.seek(SeekFrom::Start(0))?;
+    let mut reader = BufReader::with_capacity(64 << 10, file);
+    let mut chunk = Vec::new();
+    let mut chunk_start = 0u64;
     loop {
         let mut header = [0u8; 4];
         match reader.read_exact(&mut header) {
@@ -199,17 +232,18 @@ fn read_whole_chunks(file: &File, file_len: u64) -> Result<Vec<u8>> {
             Err(e) => return Err(e.into()),
         }
         let len = u64::from(u32::from_le_bytes(header));
-        let chunk_start = content.len();
-        if len == 0 || chunk_start as u64 + 4 + len > file_len {
+        if len == 0 || chunk_start + 4 + len > file_len {
             break;
         }
-        content.extend_from_slice(&header);
-        if (&mut reader).take(len).read_to_end(&mut content)? as u64 != len {
-            content.truncate(chunk_start);
+        chunk.clear();
+        chunk.extend_from_slice(&header);
+        if (&mut reader).take(len).read_to_end(&mut chunk)? as u64 != len {
             break;
         }
+        visit(&chunk)?;
+        chunk_start += 4 + len;
     }
-    Ok(content)
+    Ok(())
 }
 
 impl PlainFileDevice {
@@ -260,6 +294,13 @@ impl StorageDevice for PlainFileDevice {
         match self.opened_content.take() {
             Some(content) => Ok(content),
             None => Ok(self.file.read_content()?),
+        }
+    }
+
+    fn for_each_append(&mut self, visit: &mut dyn FnMut(&[u8]) -> Result<()>) -> Result<()> {
+        match &self.opened_content {
+            Some(content) => visit(content),
+            None => for_each_whole_chunk(self.file.file(), self.file.end(), visit),
         }
     }
 
@@ -595,6 +636,33 @@ impl<D: TruncatableDevice, S: FrameSeal> StorageDevice for FramedDevice<D, S> {
         self.decode_all(&raw, false).map(|(payload, _)| payload)
     }
 
+    /// One frame's payload at a time, opened into one reused buffer.
+    fn for_each_append(&mut self, visit: &mut dyn FnMut(&[u8]) -> Result<()>) -> Result<()> {
+        if let Some(payload) = &self.opened_payload {
+            return visit(payload);
+        }
+        let seal = &self.seal;
+        let mut payload = Vec::new();
+        self.inner.for_each_append(&mut |mut frames| {
+            while !frames.is_empty() {
+                let frame = frames
+                    .split_first_chunk::<4>()
+                    .and_then(|(header, rest)| rest.get(..u32::from_le_bytes(*header) as usize));
+                let Some(body) = frame else {
+                    return Err(StoreError::Corrupt {
+                        context: S::CONTEXT,
+                        detail: "truncated frame".to_string(),
+                    });
+                };
+                payload.clear();
+                seal.open(body, &mut payload)?;
+                visit(&payload)?;
+                frames = &frames[4 + body.len()..];
+            }
+            Ok(())
+        })
+    }
+
     fn replace(&mut self, data: &[u8]) -> Result<()> {
         self.encode_frame(data);
         self.inner.replace(&self.frame)?;
@@ -758,6 +826,39 @@ mod tests {
         // New appends after reopen still decrypt.
         reopened.append(b"ghi").unwrap();
         assert_eq!(reopened.read_all().unwrap(), b"abcdefghi");
+    }
+
+    #[test]
+    fn a_framed_file_is_read_back_one_append_at_a_time() {
+        let path = temp_file("for-each-append.bin");
+        let _ = std::fs::remove_file(&path);
+        let pieces = |device: &mut dyn StorageDevice| {
+            let mut seen = Vec::new();
+            device
+                .for_each_append(&mut |piece| {
+                    seen.push(piece.to_vec());
+                    Ok(())
+                })
+                .unwrap();
+            seen
+        };
+        {
+            let mut d =
+                EncryptedFileDevice::new(PlainFileDevice::open(&path).unwrap(), b"pw").unwrap();
+            for piece in [&b"abc"[..], b"de", b"fghi"] {
+                d.append(piece).unwrap();
+            }
+            assert_eq!(
+                pieces(&mut d),
+                [b"abc".to_vec(), b"de".to_vec(), b"fghi".to_vec()]
+            );
+        }
+        // Reopened, what recovery read is handed over whole.
+        let mut d = EncryptedFileDevice::new(PlainFileDevice::open(&path).unwrap(), b"pw").unwrap();
+        assert_eq!(pieces(&mut d), [b"abcdefghi".to_vec()]);
+        d.append(b"j").unwrap();
+        assert_eq!(pieces(&mut d).concat(), b"abcdefghij");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

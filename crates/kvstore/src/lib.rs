@@ -102,6 +102,9 @@ pub enum StoreError {
         /// That shard's slice of the `maxmemory` budget, in bytes.
         limit: u64,
     },
+    /// The archiver refused the evidence an archive pass handed it (see
+    /// [`store::Archiver`]); the journal still holds that evidence.
+    Archive(Box<dyn Error + Send + Sync>),
 }
 
 impl fmt::Display for StoreError {
@@ -126,6 +129,7 @@ impl fmt::Display for StoreError {
                 f,
                 "command not allowed when used memory > 'maxmemory' (used={used}, limit={limit})"
             ),
+            StoreError::Archive(e) => write!(f, "archiving the journal's evidence failed: {e}"),
         }
     }
 }
@@ -135,6 +139,7 @@ impl Error for StoreError {
         match self {
             StoreError::Io(e) => Some(e),
             StoreError::Crypto(e) => Some(e),
+            StoreError::Archive(e) => Some(e.as_ref()),
             _ => None,
         }
     }

@@ -40,8 +40,10 @@
 //! a rewrite leaves the old epoch's manifest — and therefore the old,
 //! complete segment set — in effect (new-epoch files that were staged but
 //! never committed are deleted on the next open). A file at `<path>` that
-//! is not a version-[`MANIFEST_VERSION`] manifest (bad magic, empty,
-//! truncated, an older version) is refused, and the open touches no file.
+//! is not a manifest of version [`OLDEST_MANIFEST_VERSION`] to
+//! [`MANIFEST_VERSION`] (bad magic, empty, truncated, another version) is
+//! refused, and the open touches no file. An older readable manifest is
+//! stamped with the current version once its segments are loaded.
 //! A segment set laid out for another router is read but not appended to
 //! ([`LoadedJournal::needs_rewrite`]): the engine replays its records
 //! through the current router and rewrites the set as the next epoch
@@ -58,7 +60,7 @@ use parking_lot::Mutex;
 
 use crate::aof::{AofLog, AofStats, FsyncPolicy};
 use crate::clock::SharedClock;
-use crate::config::{Persistence, StoreConfig};
+use crate::config::{Persistence, SegmentDevices, StoreConfig};
 use crate::device::{
     ChecksummedDevice, EncryptedFileDevice, MemoryDevice, PlainFileDevice, StorageDevice,
 };
@@ -66,13 +68,23 @@ use crate::serialize::{put_u64, Reader};
 use crate::shard::ShardRouter;
 use crate::{Result, StoreError};
 
+/// How many records a segment's reader may run ahead of an ordered walk
+/// ([`ShardedAof::for_each_record_after`]).
+pub const WALK_READ_AHEAD: usize = 256;
+
 /// File-format magic for the segment-set manifest.
 pub const MANIFEST_MAGIC: &[u8; 8] = b"GDPRAOFM";
-/// Manifest format version, the only one [`ShardedAof::open`] reads: a
-/// governed key's metadata travels in its entry's own records, and an
-/// unencrypted segment file holds checksummed frames (see
-/// [`crate::device`]).
-pub const MANIFEST_VERSION: u64 = 3;
+/// Manifest format version this build writes: a governed key's metadata
+/// travels in its entry's own records, an unencrypted segment file holds
+/// checksummed frames (see [`crate::device`]), and the segments may hold
+/// `EVIDENCE` and `ARCHIVED` records. [`ShardedAof::open`] also reads
+/// [`OLDEST_MANIFEST_VERSION`] (a journal without evidence, decoded the
+/// same way) and stamps the manifest with this version, so that a build
+/// that cannot read evidence refuses the journal at its manifest.
+pub const MANIFEST_VERSION: u64 = 4;
+
+/// The oldest manifest version [`ShardedAof::open`] reads.
+pub const OLDEST_MANIFEST_VERSION: u64 = 3;
 
 /// How long a group-commit follower sleeps before it re-checks whether it
 /// must take over as leader: a guard against a lost wakeup or a leader
@@ -83,8 +95,8 @@ const FOLLOWER_WAIT: Duration = Duration::from_millis(2);
 /// the writer's journal was laid out.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AofManifest {
-    /// The format version the segment set was laid out under; always
-    /// [`MANIFEST_VERSION`] once decoded.
+    /// The format version the segment set was laid out under, from
+    /// [`OLDEST_MANIFEST_VERSION`] to [`MANIFEST_VERSION`].
     pub version: u64,
     /// Monotonic epoch; bumped by every segment-set rewrite. Only files of
     /// this epoch are part of the journal.
@@ -124,11 +136,12 @@ impl AofManifest {
         }
         let mut reader = Reader::new(&bytes[MANIFEST_MAGIC.len()..]);
         let version = reader.get_u64(CTX)?;
-        if version != MANIFEST_VERSION {
+        if !(OLDEST_MANIFEST_VERSION..=MANIFEST_VERSION).contains(&version) {
             return Err(StoreError::Corrupt {
                 context: CTX,
                 detail: format!(
-                    "manifest version {version}; this build reads version {MANIFEST_VERSION} only"
+                    "manifest version {version}; this build reads versions \
+                     {OLDEST_MANIFEST_VERSION} to {MANIFEST_VERSION}"
                 ),
             });
         }
@@ -185,6 +198,8 @@ enum SegmentBackend {
         manifest: PathBuf,
         passphrase: Option<Vec<u8>>,
     },
+    /// Segments on caller-supplied devices, kept like in-memory ones.
+    Devices(SegmentDevices),
 }
 
 impl SegmentBackend {
@@ -197,6 +212,7 @@ impl SegmentBackend {
                 manifest: path.clone(),
                 passphrase,
             }),
+            Persistence::AofDevices(devices) => Some(SegmentBackend::Devices(devices.clone())),
         }
     }
 
@@ -211,6 +227,7 @@ impl SegmentBackend {
                 manifest,
                 passphrase,
             } => open_journal_file(&segment_path(manifest, epoch, idx), passphrase.as_deref()),
+            SegmentBackend::Devices(devices) => Ok((devices.0)(idx)),
         }
     }
 }
@@ -473,8 +490,8 @@ impl ShardedAof {
     /// # Errors
     ///
     /// Returns configuration, I/O, decryption or corruption errors. A file
-    /// at the manifest path that is not a version-[`MANIFEST_VERSION`]
-    /// manifest is [`StoreError::Corrupt`], naming the path and the bad
+    /// at the manifest path that is not a readable manifest (see the
+    /// module docs) is [`StoreError::Corrupt`], naming the path and the bad
     /// magic or version; no file is deleted, renamed or written first.
     pub fn open(
         config: &StoreConfig,
@@ -496,7 +513,7 @@ impl ShardedAof {
                 .collect()
         };
         let (epoch, loaded, logs) = match &backend {
-            SegmentBackend::Memory { .. } => (
+            SegmentBackend::Memory { .. } | SegmentBackend::Devices(_) => (
                 1,
                 LoadedJournal::empty(shard_count, router.seed()),
                 fresh(1)?,
@@ -505,6 +522,15 @@ impl ShardedAof {
                 Some(man) => {
                     cleanup_stale_segments(manifest, Some(man.epoch));
                     let (segments, logs) = load_segments(&backend, &man, config.fsync, &clock)?;
+                    if man.version < MANIFEST_VERSION {
+                        write_manifest(
+                            manifest,
+                            &AofManifest {
+                                version: MANIFEST_VERSION,
+                                ..man.clone()
+                            },
+                        )?;
+                    }
                     let loaded = LoadedJournal {
                         segments,
                         writer_seed: man.shard_hash_seed,
@@ -933,7 +959,7 @@ impl ShardedAof {
 
         let mut dropped = 0u64;
         match &self.backend {
-            SegmentBackend::Memory { .. } => {
+            SegmentBackend::Memory { .. } | SegmentBackend::Devices(_) => {
                 for (seg, framed) in self.segments.iter().zip(&framed_segments) {
                     let mut log = seg.log.lock();
                     dropped += log.rewrite(framed.iter().map(Vec::as_slice))?;
@@ -995,6 +1021,94 @@ impl ShardedAof {
             inner.start_seq = next_seq + 1;
         }
         Ok(dropped)
+    }
+
+    /// Show `visit` every record past sequence `after` whose payload
+    /// `keep` accepts, as `(sequence, payload)`, across the segments in
+    /// sequence order, a broadcast record once. With several segments each
+    /// is read by a thread of its own, at most [`WALK_READ_AHEAD`] records
+    /// ahead of the merge, so the walk holds that many records per segment
+    /// in memory, not the journal. The caller holds every shard lock, so no
+    /// append lands meanwhile.
+    ///
+    /// # Errors
+    ///
+    /// Device and decoding errors, and whatever `visit` returns; either
+    /// ends the walk, after which `visit` has seen a prefix of the records
+    /// in sequence order.
+    pub fn for_each_record_after(
+        &self,
+        after: u64,
+        keep: impl Fn(&[u8]) -> bool + Sync,
+        mut visit: impl FnMut(u64, &[u8]) -> Result<()>,
+    ) -> Result<()> {
+        if let [only] = self.segments.as_slice() {
+            return only.log.lock().for_each_record(|record| {
+                let (seq, payload) = split_frame(record)?;
+                if seq > after && keep(payload) {
+                    visit(seq, payload)?;
+                }
+                Ok(())
+            });
+        }
+        std::thread::scope(|scope| {
+            let keep = &keep;
+            let mut readers: Vec<_> = self
+                .segments
+                .iter()
+                .map(|seg| {
+                    let (tx, rx) = std::sync::mpsc::sync_channel(WALK_READ_AHEAD);
+                    let reader = scope.spawn(move || {
+                        seg.log.lock().for_each_record(|record| {
+                            let (seq, payload) = split_frame(record)?;
+                            if seq > after && keep(payload) {
+                                // A closed channel: the walk ended early.
+                                tx.send((seq, payload.to_vec())).map_err(|_| {
+                                    StoreError::Io(std::io::Error::other("journal walk ended"))
+                                })?;
+                            }
+                            Ok(())
+                        })
+                    });
+                    (rx, Some(reader))
+                })
+                .collect();
+            // The next record of segment `i`; at its end, its reader's
+            // error, before any later record is visited.
+            let mut next = |i: usize| -> Result<Option<(u64, Vec<u8>)>> {
+                let (rx, reader) = &mut readers[i];
+                match rx.recv() {
+                    Ok(record) => Ok(Some(record)),
+                    Err(_) => {
+                        if let Some(reader) = reader.take() {
+                            reader.join().expect("journal reader panicked")?;
+                        }
+                        Ok(None)
+                    }
+                }
+            };
+            let mut heads = Vec::with_capacity(self.segments.len());
+            for i in 0..self.segments.len() {
+                heads.push(next(i)?);
+            }
+            let mut last = None;
+            loop {
+                let lowest = heads
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, head)| Some((head.as_ref()?.0, i)))
+                    .min();
+                let Some((seq, i)) = lowest else {
+                    return Ok(());
+                };
+                let (_, payload) = heads[i].take().expect("the lowest head is there");
+                if last != Some(seq) {
+                    visit(seq, &payload)?;
+                    last = Some(seq);
+                }
+                heads[i] = next(i)?;
+            }
+        })
     }
 
     /// Per-segment activity counters (group-commit numbers merged in).
@@ -1068,15 +1182,18 @@ fn frame(seq: u64, record: &[u8]) -> Vec<u8> {
 
 /// Split a stored segment record back into `(sequence, payload)`.
 fn unframe(record: &[u8]) -> Result<(u64, Vec<u8>)> {
-    if record.len() < 8 {
+    split_frame(record).map(|(seq, payload)| (seq, payload.to_vec()))
+}
+
+/// [`unframe`], borrowing the payload.
+fn split_frame(record: &[u8]) -> Result<(u64, &[u8])> {
+    let Some((seq, payload)) = record.split_first_chunk::<8>() else {
         return Err(StoreError::Corrupt {
             context: "aof segment",
             detail: format!("record of {} bytes cannot hold a sequence", record.len()),
         });
-    }
-    let mut seq = [0u8; 8];
-    seq.copy_from_slice(&record[..8]);
-    Ok((u64::from_le_bytes(seq), record[8..].to_vec()))
+    };
+    Ok((u64::from_le_bytes(*seq), payload))
 }
 
 /// Read and parse the manifest, `Ok(None)` when there is no file at

@@ -29,7 +29,9 @@
 //!    settles *after* the lock drops — under `always` fsync a per-segment
 //!    group committer coalesces concurrent writers into one fsync, so
 //!    persistence scales with the shard count instead of re-serializing
-//!    it;
+//!    it; under `always` a keyed visit whose append fails puts back the
+//!    entries its commands wrote, so what the caller hears failed changed
+//!    nothing;
 //! 4. time-driven work (active expiry per shard, the `everysec` fsync
 //!    timer of **every** segment, auto-rewrite) runs from
 //!    [`KvStore::tick`], which a server loop or benchmark calls
@@ -39,7 +41,15 @@
 //!    [`ShardRouter`] — so a journal written with M shards replays
 //!    correctly into N shards, the way snapshots already do — and a set
 //!    laid out any other way is rewritten. A journal older than
-//!    [`MANIFEST_VERSION`](crate::sharded_aof::MANIFEST_VERSION) is refused.
+//!    [`OLDEST_MANIFEST_VERSION`](crate::sharded_aof::OLDEST_MANIFEST_VERSION)
+//!    is refused;
+//! 6. `EVIDENCE` records change no key: they ride in the frame of the visit
+//!    that runs them, and an archive pass ([`KvStore::archive`], and every
+//!    rewrite before it drops frames) hands those past the last `ARCHIVED`
+//!    mark to the [`Archiver`] registered with [`KvStore::set_archiver`],
+//!    then journals a new mark on every segment. A rewrite carries what
+//!    the pass left unarchived into the new segment set, so an archiver
+//!    that fails fails no rewrite.
 //!
 //! Lock order (deadlock freedom): shard locks are only ever taken in
 //! ascending index order, and a segment's log lock is only taken while
@@ -57,11 +67,14 @@ use parking_lot::{Mutex, MutexGuard};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::aof::AofStats;
+use crate::aof::{AofStats, FsyncPolicy};
 use crate::clock::{SharedClock, UnixMillis};
-use crate::commands::{encode_keyed, Command, Reply, OP_DEL, OP_EXISTS, OP_GET};
+use crate::commands::{
+    encode_keyed, evidence_parts, Command, Reply, OP_ARCHIVED, OP_DEL, OP_EVIDENCE, OP_EXISTS,
+    OP_GET,
+};
 use crate::config::{EvictionPolicy, StoreConfig};
-use crate::db::{Db, DbStats};
+use crate::db::{Db, DbStats, KeptEntry};
 use crate::expire::{run_expire_cycle, CycleOutcome};
 use crate::object::{Bytes, Value};
 use crate::shard::ShardRouter;
@@ -70,6 +83,68 @@ use crate::snapshot;
 use crate::stats::EngineStats;
 use crate::ttl_wheel::DeadlineIndexStats;
 use crate::{Result, StoreError};
+
+/// What an [`Archiver`] returns.
+pub type ArchiveResult = std::result::Result<(), Box<dyn std::error::Error + Send + Sync>>;
+
+/// Where an archive pass hands the evidence. A pass calls
+/// [`Archiver::take`] for each `EVIDENCE` record journaled past the last
+/// `ARCHIVED` mark, in journal-sequence order, then [`Archiver::seal`]
+/// once, and journals a new mark only after `seal` returned. A pass that
+/// fails leaves the evidence unmarked, so the next pass hands it over
+/// again: the archiver skips what it already has, by sequence within the
+/// epoch (a rewrite starts a new epoch and renumbers).
+pub trait Archiver: Send + Sync {
+    /// Take the evidence journaled at `seq` of journal `epoch` about `key`
+    /// (empty for none).
+    ///
+    /// # Errors
+    ///
+    /// Whatever keeps the archiver from taking it; the pass ends there.
+    fn take(&self, epoch: u64, seq: u64, key: &str, payload: &[u8]) -> ArchiveResult;
+
+    /// Make everything taken so far durable.
+    ///
+    /// # Errors
+    ///
+    /// Whatever keeps it from being durable; the pass journals no mark.
+    fn seal(&self) -> ArchiveResult;
+
+    /// The journal was rewritten from `epoch` into `new_epoch`, carrying
+    /// the evidence no pass had marked: `renumber` maps a sequence of
+    /// `epoch` to the new sequence of the last carried record at or before
+    /// it, so that the archiver still skips what it took from a pass that
+    /// failed.
+    fn renumbered(&self, epoch: u64, new_epoch: u64, renumber: &dyn Fn(u64) -> u64);
+}
+
+/// The entries a keyed visit wrote, as they were before it: under
+/// `always`, restored when the visit's journal append fails.
+type Undo = Vec<(String, Option<KeptEntry>)>;
+
+/// What one keyed visit did, for the engine's counters.
+#[derive(Debug, Default, Clone, Copy)]
+struct Visit {
+    reads: u64,
+    writes: u64,
+    journaled: u64,
+    evidence: u64,
+}
+
+/// What a journal holds beside the commands it replays.
+struct Recovered {
+    partitions: Vec<Vec<Command>>,
+    /// The `EVIDENCE` records past the last `ARCHIVED` mark, as
+    /// `(sequence, encoded record)`, in sequence order.
+    unarchived: Vec<(u64, Vec<u8>)>,
+    /// The sequence that mark covers (0 without one).
+    archived_through: u64,
+}
+
+/// Whether a journal record is an `EVIDENCE` record.
+fn is_evidence(record: &[u8]) -> bool {
+    record.first() == Some(&OP_EVIDENCE)
+}
 
 /// How many random keys the sampled eviction policies examine per victim
 /// (Redis' `maxmemory-samples` default).
@@ -143,6 +218,13 @@ struct Inner {
     /// How long per-key commands hold their shard lock (execute + journal
     /// append), the engine's main contention signal.
     shard_lock_hold: AtomicHistogram,
+    /// Where archive passes hand the evidence.
+    archiver: Mutex<Option<Arc<dyn Archiver>>>,
+    /// The journal sequence the last `ARCHIVED` mark covers.
+    archived_through: AtomicU64,
+    /// `EVIDENCE` records journaled past that mark: a pass with none to
+    /// hand over reads no segment.
+    unarchived: AtomicU64,
 }
 
 /// A thread-safe handle to the storage engine.
@@ -195,11 +277,15 @@ impl KvStore {
             .collect();
 
         let mut relayout = false;
+        let mut unarchived = Vec::new();
+        let mut archived_through = 0;
         let aof = match ShardedAof::open(&config, &router)? {
             Some((aof, loaded)) => {
                 relayout = loaded.needs_rewrite(&router);
-                let partitions = Self::partition_journal(loaded, &router)?;
-                Self::replay(partitions, &mut shards)?;
+                let recovered = Self::partition_journal(loaded, &router)?;
+                Self::replay(recovered.partitions, &mut shards)?;
+                unarchived = recovered.unarchived;
+                archived_through = recovered.archived_through;
                 Some(aof)
             }
             None => None,
@@ -212,13 +298,19 @@ impl KvStore {
             config,
             counters: EngineCounters::default(),
             shard_lock_hold: AtomicHistogram::new(),
+            archiver: Mutex::new(None),
+            archived_through: AtomicU64::new(archived_through),
+            unarchived: AtomicU64::new(unarchived.len() as u64),
         };
         let store = KvStore {
             inner: Arc::new(inner),
             clock,
         };
-        if relayout {
-            store.rewrite_aof()?;
+        if let (true, Some(aof)) = (relayout, &store.inner.aof) {
+            // No archiver is registered yet: the unarchived evidence moves
+            // into the new segment set.
+            let mut guards = store.lock_all_shards();
+            store.rewrite_locked(aof, &mut guards, unarchived)?;
         }
         Ok(store)
     }
@@ -231,50 +323,73 @@ impl KvStore {
     /// Otherwise the segments are merged by global sequence number (which
     /// reconstructs a valid linearization and deduplicates broadcast
     /// copies) and each record is re-routed through the current router.
-    fn partition_journal(loaded: LoadedJournal, router: &ShardRouter) -> Result<Vec<Vec<Command>>> {
+    /// Evidence is set aside, not replayed, and the archive marks say how
+    /// much of it is archived.
+    fn partition_journal(loaded: LoadedJournal, router: &ShardRouter) -> Result<Recovered> {
         let shard_count = router.shard_count();
-        if !loaded.needs_rewrite(router) {
-            let mut partitions = Vec::with_capacity(shard_count);
+        let relayout = loaded.needs_rewrite(router);
+        let mut evidence = Vec::new();
+        let mut archived_through = 0;
+        // A write to replay, or `None` for a record that applies nothing.
+        let mut sort = |seq: u64, record: Vec<u8>| -> Result<Option<Command>> {
+            match record.first() {
+                Some(&OP_EVIDENCE) => {
+                    evidence.push((seq, record));
+                    Ok(None)
+                }
+                Some(&OP_ARCHIVED) => {
+                    if let Command::Archived { through_seq } = Command::decode(&record)? {
+                        archived_through = archived_through.max(through_seq);
+                    }
+                    Ok(None)
+                }
+                _ => Ok(Some(Command::decode(&record)?).filter(Command::is_write)),
+            }
+        };
+        let mut partitions: Vec<Vec<Command>> = Vec::with_capacity(shard_count);
+        if !relayout {
             for records in loaded.segments {
                 let mut commands = Vec::with_capacity(records.len());
-                for (_seq, record) in records {
-                    let cmd = Command::decode(&record)?;
-                    if cmd.is_write() {
-                        commands.push(cmd);
-                    }
+                for (seq, record) in records {
+                    commands.extend(sort(seq, record)?);
                 }
                 partitions.push(commands);
             }
-            return Ok(partitions);
-        }
-
-        let mut merged: Vec<(u64, Vec<u8>)> = loaded.segments.into_iter().flatten().collect();
-        merged.sort_by_key(|(seq, _)| *seq);
-        let mut partitions: Vec<Vec<Command>> = (0..shard_count).map(|_| Vec::new()).collect();
-        let mut last_seq = None;
-        for (seq, record) in merged {
-            // Broadcast records were written once per writer segment under
-            // a shared sequence number; keep one copy.
-            if last_seq == Some(seq) {
-                continue;
-            }
-            last_seq = Some(seq);
-            let cmd = Command::decode(&record)?;
-            if !cmd.is_write() {
-                continue;
-            }
-            match cmd.primary_key() {
-                Some(key) => partitions[router.shard_of(key)].push(cmd),
-                // FLUSHALL (the only key-less write) clears every shard;
-                // relative order within each partition is preserved.
-                None => {
-                    for partition in &mut partitions {
-                        partition.push(cmd.clone());
+        } else {
+            let mut merged: Vec<(u64, Vec<u8>)> = loaded.segments.into_iter().flatten().collect();
+            merged.sort_by_key(|(seq, _)| *seq);
+            partitions.resize_with(shard_count, Vec::new);
+            let mut last_seq = None;
+            for (seq, record) in merged {
+                // Broadcast records were written once per writer segment
+                // under a shared sequence number; keep one copy.
+                if last_seq == Some(seq) {
+                    continue;
+                }
+                last_seq = Some(seq);
+                let Some(cmd) = sort(seq, record)? else {
+                    continue;
+                };
+                match cmd.primary_key() {
+                    Some(key) => partitions[router.shard_of(key)].push(cmd),
+                    // FLUSHALL (the only key-less write) clears every
+                    // shard; relative order within each partition is
+                    // preserved.
+                    None => {
+                        for partition in &mut partitions {
+                            partition.push(cmd.clone());
+                        }
                     }
                 }
             }
         }
-        Ok(partitions)
+        evidence.sort_unstable_by_key(|(seq, _)| *seq);
+        evidence.retain(|(seq, _)| *seq > archived_through);
+        Ok(Recovered {
+            partitions,
+            unarchived: evidence,
+            archived_through,
+        })
     }
 
     /// Rebuild every shard from its partition — in parallel when there is
@@ -344,8 +459,7 @@ impl KvStore {
     ///
     /// Propagates execution and persistence errors.
     pub fn execute(&self, command: Command) -> Result<Reply> {
-        if let Some(key) = command.primary_key() {
-            let shard_idx = self.inner.router.shard_of(key);
+        if let Some(shard_idx) = self.home_shard(&command) {
             let mut only = None;
             self.run_on_shard(shard_idx, std::iter::once(command), |reply| {
                 only = Some(reply);
@@ -353,6 +467,11 @@ impl KvStore {
             return Ok(only.expect("a command that did not fail has replied"));
         }
 
+        if let Command::Archived { .. } = command {
+            return Err(StoreError::InvalidCommand(
+                "ARCHIVED marks are journaled by the archive pass only".to_string(),
+            ));
+        }
         let is_write = command.is_write();
         let journal = self.inner.aof.is_some() && (is_write || self.inner.config.log_reads);
         let mut ticket = None;
@@ -425,11 +544,10 @@ impl KvStore {
         let Some(first) = commands.first() else {
             return Ok(Vec::new());
         };
-        let shard_of = |command: &Command| command.primary_key().map(|key| self.shard_of(key));
-        let shared = shard_of(first).filter(|idx| {
+        let shared = self.home_shard(first).filter(|idx| {
             commands
                 .iter()
-                .all(|command| shard_of(command) == Some(*idx))
+                .all(|command| self.home_shard(command) == Some(*idx))
         });
         let Some(shard_idx) = shared else {
             return Err(StoreError::InvalidCommand(
@@ -441,12 +559,22 @@ impl KvStore {
         Ok(replies)
     }
 
+    /// The shard a keyed command runs on: its key's, or shard 0 for
+    /// evidence that names no key. `None` for a keyspace-wide command.
+    fn home_shard(&self, command: &Command) -> Option<usize> {
+        match command {
+            Command::Evidence { key, .. } if key.is_empty() => Some(0),
+            _ => command.primary_key().map(|key| self.shard_of(key)),
+        }
+    }
+
     /// The one keyed execution path: run `commands` (all owned by shard
     /// `shard_idx`) under one acquisition of its lock, journal what ran in
     /// one append, wait for durability once. A command is encoded into the
     /// shard's journal batch first and consumed by its execution, so the
     /// payload of a write is copied into the journal and moved into the
-    /// keyspace.
+    /// keyspace. Under `always` the entries the writes touch are kept
+    /// first, to be put back if the append fails.
     fn run_on_shard(
         &self,
         shard_idx: usize,
@@ -455,6 +583,9 @@ impl KvStore {
     ) -> Result<()> {
         let aof = self.inner.aof.as_ref();
         let log_reads = self.inner.config.log_reads;
+        let mut undo = aof
+            .is_some_and(|aof| aof.policy() == FsyncPolicy::Always)
+            .then(Undo::new);
         // `noeviction` rejects growth up front; a command that can only
         // shrink the keyspace is always allowed.
         let growth_limit = self
@@ -466,7 +597,7 @@ impl KvStore {
         let shard = &mut *guard;
         // The journal gets, in apply order: each command, and behind each
         // write the victims its eviction pass shed.
-        let (mut reads, mut writes, mut journaled) = (0u64, 0u64, 0u64);
+        let mut visit = Visit::default();
         let mut failure = None;
         for command in commands {
             let is_write = command.is_write();
@@ -476,12 +607,18 @@ impl KvStore {
                 break;
             }
             let before = shard.journal.mark();
-            let journal = aof.is_some() && (is_write || log_reads);
+            let journal = aof.is_some() && (command.is_journaled() || log_reads);
             if journal {
                 shard
                     .journal
                     .push_with(|record| command.encode_into(record));
             }
+            if let (Some(undo), Some(key)) = (&mut undo, command.primary_key()) {
+                if is_write && !undo.iter().any(|(kept, _)| kept == key) {
+                    undo.push((key.to_string(), shard.db.entry(key)));
+                }
+            }
+            let evidence = matches!(command, Command::Evidence { .. });
             match command.execute(&mut shard.db) {
                 Ok(r) => reply(r),
                 Err(e) => {
@@ -491,20 +628,22 @@ impl KvStore {
                     break;
                 }
             }
-            journaled += u64::from(journal);
-            if is_write {
-                writes += 1;
+            visit.journaled += u64::from(journal);
+            if evidence {
+                visit.evidence += u64::from(journal);
+            } else if is_write {
+                visit.writes += 1;
                 // The sampled policies reclaim space right after the
                 // write, under the same shard lock, and journal each
                 // eviction as a DEL — so replicas and crash-replay see
                 // the eviction at exactly this point of the key's
                 // command stream and stay byte-convergent.
-                self.evict_to_budget(shard);
+                self.evict_to_budget(shard, undo.as_mut());
             } else {
-                reads += 1;
+                visit.reads += 1;
             }
         }
-        self.finish_visit(shard_idx, guard, held, reads, writes, journaled)?;
+        self.finish_visit(shard_idx, guard, held, visit, undo.unwrap_or_default())?;
         failure.map_or(Ok(()), Err)
     }
 
@@ -512,27 +651,40 @@ impl KvStore {
     /// shard's segment while the shard is still locked (so the journal
     /// order of its keys matches their apply order), unlock, and only then
     /// wait for durability — group commit coalesces the wait with every
-    /// other writer of the segment.
+    /// other writer of the segment. An append that fails puts back the
+    /// entries in `undo` first.
     fn finish_visit(
         &self,
         shard_idx: usize,
         mut shard: MutexGuard<'_, Shard>,
         held: Instant,
-        reads: u64,
-        writes: u64,
-        journaled: u64,
+        visit: Visit,
+        undo: Undo,
     ) -> Result<()> {
         let aof = self.inner.aof.as_ref();
-        let ticket = match aof {
-            Some(aof) => aof.append_batch(shard_idx, &mut shard.journal)?,
+        let ticket = match aof.map(|aof| aof.append_batch(shard_idx, &mut shard.journal)) {
+            Some(Err(e)) => {
+                for (key, entry) in undo.into_iter().rev() {
+                    shard.db.restore(&key, entry);
+                }
+                return Err(e);
+            }
+            Some(Ok(ticket)) => ticket,
             None => None,
         };
+        // Counted while the shard is locked: an archive pass, which locks
+        // every shard, sees each record it must look for.
+        if visit.evidence > 0 {
+            self.inner
+                .unarchived
+                .fetch_add(visit.evidence, Ordering::Relaxed);
+        }
         drop(shard);
         self.inner.shard_lock_hold.record(held.elapsed());
         if let (Some(ticket), Some(aof)) = (ticket, aof) {
             aof.commit(ticket)?;
         }
-        self.count_executed(reads, writes, journaled)
+        self.count_executed(visit.reads, visit.writes, visit.journaled)
     }
 
     /// Read `key` in one visit of its shard: one lock acquisition, one
@@ -572,7 +724,12 @@ impl KvStore {
         if journal {
             records.push_with(|record| encode_keyed(record, opcode, key));
         }
-        self.finish_visit(shard_idx, guard, held, 1, 0, u64::from(journal))?;
+        let visit = Visit {
+            reads: 1,
+            journaled: u64::from(journal),
+            ..Visit::default()
+        };
+        self.finish_visit(shard_idx, guard, held, visit, Undo::new())?;
         Ok(read)
     }
 
@@ -642,9 +799,10 @@ impl KvStore {
 
     /// Evict sampled victims from the locked shard until it is back under
     /// its budget (or nothing is left to evict), adding each eviction as a
-    /// `DEL` to the shard's journal batch, behind the write that caused it.
+    /// `DEL` to the shard's journal batch, behind the write that caused it,
+    /// and keeping each victim's entry in `undo`, when the visit keeps one.
     /// No-op under `noeviction` or without a `maxmemory` ceiling.
-    fn evict_to_budget(&self, shard: &mut Shard) {
+    fn evict_to_budget(&self, shard: &mut Shard, mut undo: Option<&mut Undo>) {
         let policy = self.inner.config.eviction_policy;
         if policy == EvictionPolicy::Noeviction {
             return;
@@ -656,7 +814,19 @@ impl KvStore {
             db, rng, journal, ..
         } = shard;
         while db.mem_bytes() > budget {
-            match db.evict_one(rng, policy, EVICTION_SAMPLES) {
+            let victim = match undo.as_deref_mut() {
+                Some(undo) => {
+                    db.evict_entry(rng, policy, EVICTION_SAMPLES)
+                        .map(|(victim, entry)| {
+                            if !undo.iter().any(|(kept, _)| *kept == victim) {
+                                undo.push((victim.clone(), Some(entry)));
+                            }
+                            victim
+                        })
+                }
+                None => db.evict_one(rng, policy, EVICTION_SAMPLES),
+            };
+            match victim {
                 Some(victim) if self.inner.aof.is_some() => {
                     journal.push_with(|record| encode_keyed(record, OP_DEL, &victim));
                 }
@@ -954,6 +1124,11 @@ impl KvStore {
     /// dropped, i.e. how much stale (including deleted-but-persisting)
     /// data was purged.
     ///
+    /// Evidence is not dropped unarchived: an archive pass runs first, and
+    /// whatever it leaves unarchived — all of it when the archiver fails
+    /// or none is registered — moves to the end of segment 0, in order. A
+    /// failing archiver never fails a rewrite.
+    ///
     /// Holds every shard lock for the duration, so the rewritten segment
     /// set is a consistent point-in-time image.
     ///
@@ -966,8 +1141,22 @@ impl KvStore {
             return Ok(0);
         };
         let mut guards = self.lock_all_shards();
+        // The pass's failure leaves its evidence to the carry below.
+        let _ = self.archive_locked(aof);
+        let carried = self.unarchived_evidence(aof)?;
+        self.rewrite_locked(aof, &mut guards, carried)
+    }
 
-        let per_segment: Vec<Vec<Vec<u8>>> = guards
+    /// The rewrite itself, under every shard lock: the live dataset, and
+    /// `carried` evidence records, `(sequence, record)` in sequence order,
+    /// behind segment 0's.
+    fn rewrite_locked(
+        &self,
+        aof: &ShardedAof,
+        guards: &mut [MutexGuard<'_, Shard>],
+        carried: Vec<(u64, Vec<u8>)>,
+    ) -> Result<u64> {
+        let mut per_segment: Vec<Vec<Vec<u8>>> = guards
             .iter()
             .map(|guard| {
                 snapshot::rewrite_commands(&guard.db)
@@ -976,6 +1165,12 @@ impl KvStore {
                     .collect()
             })
             .collect();
+        let epoch = aof.epoch();
+        // The rewrite numbers segment 0's records from 1: carried record
+        // `i` follows the `base` records of the live dataset.
+        let base = per_segment[0].len() as u64;
+        let carried_seqs: Vec<u64> = carried.iter().map(|(seq, _)| *seq).collect();
+        per_segment[0].extend(carried.into_iter().map(|(_, record)| record));
         let dropped = aof.rewrite(&per_segment)?;
         self.inner
             .counters
@@ -984,7 +1179,93 @@ impl KvStore {
         for guard in guards.iter_mut() {
             guard.db.reset_dirty();
         }
+        // The new set is renumbered and holds no mark.
+        self.inner.archived_through.store(0, Ordering::Relaxed);
+        self.inner
+            .unarchived
+            .store(carried_seqs.len() as u64, Ordering::Relaxed);
+        if let (false, Some(archiver)) =
+            (carried_seqs.is_empty(), self.inner.archiver.lock().clone())
+        {
+            let renumber = |seq| base + carried_seqs.partition_point(|&old| old <= seq) as u64;
+            archiver.renumbered(epoch, aof.epoch(), &renumber);
+        }
         Ok(dropped)
+    }
+
+    /// Register where archive passes hand the evidence (replacing any
+    /// previous archiver), or clear it with `None`.
+    pub fn set_archiver(&self, archiver: Option<Arc<dyn Archiver>>) {
+        *self.inner.archiver.lock() = archiver;
+    }
+
+    /// One archive pass, under every shard lock: stream every `EVIDENCE`
+    /// record journaled past the last `ARCHIVED` mark to the registered
+    /// [`Archiver`], read back from the segments in journal-sequence order
+    /// (see [`ShardedAof::for_each_record_after`]: the pass holds a few
+    /// records per segment in memory, not the evidence), seal it, then
+    /// journal a mark covering it on every segment and wait for the mark to
+    /// be durable. A no-op without an archiver, persistence or unarchived
+    /// evidence.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Archive`] when the archiver fails; persistence errors
+    /// from reading the segments or journaling the mark.
+    pub fn archive(&self) -> Result<()> {
+        let Some(aof) = &self.inner.aof else {
+            return Ok(());
+        };
+        // Evidence is counted under its shard's lock before its visit
+        // returns: a pass that sees none has none to look for.
+        if self.inner.unarchived.load(Ordering::Relaxed) == 0 {
+            return Ok(());
+        }
+        let _guards = self.lock_all_shards();
+        self.archive_locked(aof)
+    }
+
+    /// [`Self::archive`], with every shard lock held by the caller.
+    fn archive_locked(&self, aof: &ShardedAof) -> Result<()> {
+        let Some(archiver) = self.inner.archiver.lock().clone() else {
+            return Ok(());
+        };
+        if self.inner.unarchived.load(Ordering::Relaxed) == 0 {
+            return Ok(());
+        }
+        let epoch = aof.epoch();
+        let through = self.inner.archived_through.load(Ordering::Relaxed);
+        aof.for_each_record_after(through, is_evidence, |seq, record| {
+            let (key, payload) = evidence_parts(record)?;
+            archiver
+                .take(epoch, seq, key, payload)
+                .map_err(StoreError::Archive)
+        })?;
+        archiver.seal().map_err(StoreError::Archive)?;
+        let through_seq = aof.last_seq();
+        if let Some(ticket) = aof.append_broadcast(&Command::Archived { through_seq }.encode())? {
+            aof.commit(ticket)?;
+        }
+        self.inner
+            .archived_through
+            .store(through_seq, Ordering::Relaxed);
+        self.inner.unarchived.store(0, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// The `EVIDENCE` records past the last mark, encoded, in sequence
+    /// order; the caller holds every shard lock. Reads no segment when
+    /// none was journaled.
+    fn unarchived_evidence(&self, aof: &ShardedAof) -> Result<Vec<(u64, Vec<u8>)>> {
+        let mut evidence = Vec::new();
+        if self.inner.unarchived.load(Ordering::Relaxed) > 0 {
+            let through = self.inner.archived_through.load(Ordering::Relaxed);
+            aof.for_each_record_after(through, is_evidence, |seq, record| {
+                evidence.push((seq, record.to_vec()));
+                Ok(())
+            })?;
+        }
+        Ok(evidence)
     }
 
     /// Force an fsync of every journal segment regardless of policy.
@@ -2027,6 +2308,237 @@ mod tests {
         assert_eq!(store.get("t").unwrap(), None);
         assert_eq!(store.aof_stats().unwrap().records_appended, 1);
         assert_eq!(store.stats().writes, 1);
+    }
+
+    fn evidence(key: &str, payload: &[u8]) -> Command {
+        Command::Evidence {
+            key: key.to_string(),
+            payload: payload.to_vec(),
+        }
+    }
+
+    /// What an archiver was handed, pass by pass, and a switch to fail it.
+    #[derive(Default)]
+    struct Archive {
+        taking: Mutex<Vec<Bytes>>,
+        passes: Mutex<Vec<Vec<Bytes>>>,
+        failing: std::sync::atomic::AtomicBool,
+    }
+
+    impl Archiver for Archive {
+        fn take(&self, _epoch: u64, _seq: u64, key: &str, payload: &[u8]) -> ArchiveResult {
+            if self.failing.load(Ordering::SeqCst) {
+                return Err("archive is down".into());
+            }
+            let mut taken = key.as_bytes().to_vec();
+            taken.extend_from_slice(payload);
+            self.taking.lock().push(taken);
+            Ok(())
+        }
+
+        fn seal(&self) -> ArchiveResult {
+            let pass = std::mem::take(&mut *self.taking.lock());
+            self.passes.lock().push(pass);
+            Ok(())
+        }
+
+        fn renumbered(&self, _epoch: u64, _new_epoch: u64, _renumber: &dyn Fn(u64) -> u64) {}
+    }
+
+    impl Archive {
+        fn register(self: &Arc<Self>, store: &KvStore) {
+            store.set_archiver(Some(Arc::clone(self) as Arc<dyn Archiver>));
+        }
+
+        fn take(&self) -> Vec<Vec<Bytes>> {
+            std::mem::take(&mut *self.passes.lock())
+        }
+    }
+
+    #[test]
+    fn an_archive_pass_hands_over_each_evidence_record_once_in_journal_order() {
+        let store = KvStore::open(StoreConfig::in_memory().aof_in_memory().shards(4)).unwrap();
+        let archive = Arc::new(Archive::default());
+        archive.register(&store);
+        store
+            .execute_batch(vec![set("k", b"v"), evidence("k", b"a")])
+            .unwrap();
+        store.execute(evidence("", b"b")).unwrap();
+        store.execute(evidence("other", b"c")).unwrap();
+        assert_eq!(store.stats().writes, 1, "evidence is not a write");
+        assert!(store.execute(Command::Archived { through_seq: 9 }).is_err());
+
+        archive.failing.store(true, Ordering::SeqCst);
+        assert!(matches!(store.archive(), Err(StoreError::Archive(_))));
+        archive.failing.store(false, Ordering::SeqCst);
+        store.archive().unwrap();
+        // Each record as its key and its payload.
+        let all = vec![b"ka".to_vec(), b"b".to_vec(), b"otherc".to_vec()];
+        assert_eq!(archive.take(), vec![all]);
+        // Past the mark there is nothing to hand over.
+        store.archive().unwrap();
+        assert!(archive.take().is_empty());
+        store.execute(evidence("k", b"d")).unwrap();
+        store.archive().unwrap();
+        assert_eq!(archive.take(), vec![vec![b"kd".to_vec()]]);
+    }
+
+    #[test]
+    fn evidence_survives_rewrites_and_reopens_until_it_is_archived() {
+        let dir = std::env::temp_dir().join(format!("kvstore-evidence-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("journal.aof");
+        let open = |shards| KvStore::open(StoreConfig::with_aof(&path).shards(shards)).unwrap();
+        let archive = Arc::new(Archive::default());
+        {
+            let store = open(2);
+            store
+                .execute_batch(vec![set("k", b"v"), evidence("k", b"a")])
+                .unwrap();
+            archive.register(&store);
+            store.archive().unwrap();
+            store.execute(evidence("k", b"b")).unwrap();
+            // A rewrite with no archiver carries the evidence over.
+            store.set_archiver(None);
+            store.rewrite_aof().unwrap();
+            store.execute(evidence("", b"c")).unwrap();
+        }
+        assert_eq!(archive.take(), vec![vec![b"ka".to_vec()]]);
+        {
+            // Reopened at another shard count: the relayout carries it too.
+            let store = open(4);
+            assert_eq!(store.get("k").unwrap(), Some(b"v".to_vec()));
+            store.execute(evidence("k", b"d")).unwrap();
+            // A rewrite whose archive pass fails carries the evidence over.
+            archive.register(&store);
+            archive.failing.store(true, Ordering::SeqCst);
+            store.rewrite_aof().unwrap();
+            assert!(archive.take().is_empty());
+            // One that archives first hands it over.
+            archive.failing.store(false, Ordering::SeqCst);
+            store.rewrite_aof().unwrap();
+            let passed = archive.take();
+            let expected = [&b"kb"[..], b"c", b"kd"].map(<[u8]>::to_vec).to_vec();
+            assert_eq!(passed, vec![expected]);
+        }
+        let store = open(4);
+        archive.register(&store);
+        store.archive().unwrap();
+        assert!(archive.take().is_empty(), "nothing is archived twice");
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_journal_at_the_previous_manifest_version_is_read_and_restamped() {
+        let dir = std::env::temp_dir().join(format!("kvstore-v3-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("journal.aof");
+        let version =
+            || u64::from_le_bytes(std::fs::read(&path).unwrap()[8..16].try_into().unwrap());
+        drop(
+            KvStore::open(StoreConfig::with_aof(&path))
+                .unwrap()
+                .set("k", b"v".to_vec()),
+        );
+        let mut manifest = std::fs::read(&path).unwrap();
+        manifest[8..16].copy_from_slice(&3u64.to_le_bytes());
+        std::fs::write(&path, manifest).unwrap();
+        let store = KvStore::open(StoreConfig::with_aof(&path)).unwrap();
+        assert_eq!(store.get("k").unwrap(), Some(b"v".to_vec()));
+        assert_eq!(version(), crate::sharded_aof::MANIFEST_VERSION);
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A journal device that refuses appends while `down` is set.
+    #[derive(Debug)]
+    struct Refusing {
+        inner: crate::device::MemoryDevice,
+        down: Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl crate::device::StorageDevice for Refusing {
+        fn append(&mut self, data: &[u8]) -> Result<()> {
+            if self.down.load(Ordering::SeqCst) {
+                return Err(StoreError::Io(std::io::Error::other("device is down")));
+            }
+            self.inner.append(data)
+        }
+        fn sync(&mut self) -> Result<()> {
+            self.inner.sync()
+        }
+        fn read_all(&mut self) -> Result<Vec<u8>> {
+            self.inner.read_all()
+        }
+        fn replace(&mut self, data: &[u8]) -> Result<()> {
+            self.inner.replace(data)
+        }
+        fn logical_len(&self) -> u64 {
+            self.inner.logical_len()
+        }
+        fn stats(&self) -> crate::device::DeviceStats {
+            self.inner.stats()
+        }
+    }
+
+    #[test]
+    fn a_visit_whose_append_fails_under_always_changes_nothing() {
+        let clock = SimClock::new(1_000);
+        let down = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let devices = Arc::clone(&down);
+        let config = StoreConfig::in_memory()
+            .fsync(FsyncPolicy::Always)
+            .clock(clock)
+            .aof_devices(move |_| {
+                Box::new(Refusing {
+                    inner: crate::device::MemoryDevice::new(),
+                    down: Arc::clone(&devices),
+                })
+            });
+        let store = KvStore::open(config).unwrap();
+        store.set("k", b"old".to_vec()).unwrap();
+        store.expire_at("k", 9_000).unwrap();
+        let before = store.canonical_state();
+        down.store(true, Ordering::SeqCst);
+        let overwrite = vec![set("k", b"new"), Command::Persist { key: "k".into() }];
+        assert!(store.execute_batch(overwrite).is_err());
+        assert!(store.execute(set("fresh", b"v")).is_err());
+        down.store(false, Ordering::SeqCst);
+        assert_eq!(store.canonical_state(), before);
+        assert_eq!(store.get("fresh").unwrap(), None);
+        assert_eq!(store.ttl("k").unwrap(), Some(Duration::from_millis(8_000)));
+    }
+
+    #[test]
+    fn a_refused_write_puts_back_the_keys_its_eviction_pass_shed() {
+        let down = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let devices = Arc::clone(&down);
+        let config = StoreConfig::in_memory()
+            .fsync(FsyncPolicy::Always)
+            .rng_seed(3)
+            .max_memory(4 * 1024)
+            .eviction_policy(EvictionPolicy::SampledLru)
+            .aof_devices(move |_| {
+                Box::new(Refusing {
+                    inner: crate::device::MemoryDevice::new(),
+                    down: Arc::clone(&devices),
+                })
+            });
+        let store = KvStore::open(config).unwrap();
+        for i in 0..20 {
+            store.set(&format!("k{i:02}"), vec![b'x'; 100]).unwrap();
+        }
+        let before = store.canonical_state();
+        let evicted = store.stats().db.evicted_keys;
+        down.store(true, Ordering::SeqCst);
+        // Big enough to shed several keys before the append is refused.
+        assert!(store.set("big", vec![b'y'; 1_000]).is_err());
+        down.store(false, Ordering::SeqCst);
+        assert!(store.stats().db.evicted_keys > evicted, "the pass ran");
+        assert_eq!(store.canonical_state(), before);
     }
 
     #[test]

@@ -44,7 +44,7 @@ fn loaded_store() -> Arc<GdprStore> {
         Box::new(audit::sink::NullSink::new()),
     )
     .unwrap();
-    store.grant(Grant::new("app", "billing"));
+    store.grant(Grant::new("app", "billing")).unwrap();
     for i in 0..KEYS {
         let meta = PersonalMetadata::new(SUBJECT).with_purpose("billing");
         store

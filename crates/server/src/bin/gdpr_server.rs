@@ -14,7 +14,10 @@
 //! ```
 //!
 //! * `compliance` — 0 = raw engine (plain Redis surface only), 1 =
-//!   eventual policy, 2 = strict policy.
+//!   eventual policy, 2 = strict policy. The strict policy commits each
+//!   operation's evidence in the journal, so it runs on a journal synced on
+//!   every commit: with `compliance=2`, `fsync` defaults to `always` and
+//!   `fsync=everysec`, `fsync=none` and `aof=none` are refused (exit 2).
 //! * `transport` — `reactor` (default): the event-driven connection layer
 //!   (symmetric epoll event loops that run each request to completion),
 //!   or `threads`: one OS thread per connection.
@@ -25,7 +28,8 @@
 //!   the reactor and 1024 on the threads transport.
 //! * `readtimeout` — idle timeout in seconds, measured from the last
 //!   *complete* request frame (default 30).
-//! * `fsync` — `always`, `everysec` or `none` (journal fsync policy).
+//! * `fsync` — `always`, `everysec` or `none` (journal fsync policy;
+//!   default `everysec`, and `always` under `compliance=2`).
 //!   Under `fsync=always` each journal segment's group committer lets
 //!   concurrent connections share fsyncs instead of re-serializing on one
 //!   journal writer; with one writer it is one fsync per record.
@@ -181,8 +185,21 @@ fn main() {
         "none" | "never" | "no" => Some(FsyncPolicy::Never),
         _ => None,
     };
-    let fsync = arg_with(&args, "fsync", parse_fsync, "always|everysec|none")
-        .unwrap_or(FsyncPolicy::EverySec);
+    let strict = compliance == 2;
+    let fsync =
+        arg_with(&args, "fsync", parse_fsync, "always|everysec|none").unwrap_or(if strict {
+            FsyncPolicy::Always
+        } else {
+            FsyncPolicy::EverySec
+        });
+    // Strict evidence is durable when the journal is: refuse to weaken it.
+    let strict_needs = "compliance=2 commits evidence in the journal; want fsync=always";
+    if strict && fsync != FsyncPolicy::Always {
+        reject(
+            &format!("fsync={}", arg_str(&args, "fsync").unwrap_or("")),
+            strict_needs,
+        );
+    }
 
     let max_memory = arg_u64(&args, "maxmemory").unwrap_or(0);
     let evict = arg_with(
@@ -201,6 +218,12 @@ fn main() {
         config = config.repl_backlog(records);
     }
     let journal = arg_str(&args, "aof").unwrap_or("mem");
+    if strict && journal == "none" {
+        reject(
+            "aof=none",
+            "compliance=2 commits evidence in the journal; want aof=mem or a path",
+        );
+    }
     match journal {
         "mem" => config = config.aof_in_memory(),
         "none" => {}
@@ -215,12 +238,14 @@ fn main() {
         println!("gdpr-server: raw engine, {shards} shard(s), fsync {fsync:?}");
         Dispatcher::kv(store)
     } else {
-        let mut policy = if compliance == 2 {
+        let policy = if strict {
             CompliancePolicy::strict()
         } else {
-            CompliancePolicy::eventual()
+            CompliancePolicy {
+                journal_fsync: fsync,
+                ..CompliancePolicy::eventual()
+            }
         };
-        policy.journal_fsync = fsync;
         println!(
             "gdpr-server: compliance policy '{}', {shards} shard(s), fsync {fsync:?}",
             policy.name
@@ -248,7 +273,10 @@ fn main() {
                         "want actor:purpose[,actor:purpose...]",
                     );
                 };
-                store.grant(Grant::new(actor, purpose));
+                if let Err(e) = store.grant(Grant::new(actor, purpose)) {
+                    eprintln!("gdpr-server: cannot install grant {actor}:{purpose}: {e}");
+                    std::process::exit(1);
+                }
                 println!("  grant installed: {actor} -> {purpose}");
             }
         }

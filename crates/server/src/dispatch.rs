@@ -699,13 +699,14 @@ fn dispatch_gdpr(
             session.ctx = Some(AccessContext { actor, purpose });
             Frame::Simple("OK".to_string())
         }
-        GdprRequest::Grant { actor, purpose } => {
-            store.grant(Grant::new(&actor, &purpose));
-            Frame::Simple("OK".to_string())
-        }
-        GdprRequest::Revoke { actor, purpose } => {
-            Frame::Integer(store.revoke(&actor, &purpose) as i64)
-        }
+        GdprRequest::Grant { actor, purpose } => match store.grant(Grant::new(&actor, &purpose)) {
+            Ok(()) => Frame::Simple("OK".to_string()),
+            Err(e) => gdpr_err(&e),
+        },
+        GdprRequest::Revoke { actor, purpose } => match store.revoke(&actor, &purpose) {
+            Ok(removed) => Frame::Integer(removed as i64),
+            Err(e) => gdpr_err(&e),
+        },
         GdprRequest::Stats => string_array_frame(dispatcher.stats_lines()),
         // Everything else acts on personal data (listing a subject's keys
         // reveals where it lives) and needs an authenticated session.

@@ -413,8 +413,9 @@ fn replicate_once(dispatcher: &Dispatcher, primary: &str, stop: &AtomicBool) -> 
 /// compliance layer.
 fn apply_record(dispatcher: &Dispatcher, record: &[u8]) -> crate::Result<()> {
     let cmd = Command::decode(record).map_err(|e| ServerError::Server(e.to_string()))?;
-    // Read-log records (the GDPR monitoring retrofit journals reads too)
-    // carry no state change.
+    // Read-log records (the GDPR monitoring retrofit journals reads too),
+    // the primary's evidence and its archive marks carry no state change:
+    // a replica applies and journals none of them.
     if !cmd.is_write() {
         return Ok(());
     }

@@ -40,6 +40,16 @@ fn a_bad_flag_is_named_and_exits_2() {
 }
 
 #[test]
+fn strict_compliance_refuses_a_journal_that_does_not_sync_every_commit() {
+    for weaker in ["fsync=everysec", "fsync=none", "aof=none"] {
+        let (code, stderr) = run(&["addr=127.0.0.1:0", "duration=1", "compliance=2", weaker]);
+        assert_eq!(code, Some(2), "{weaker}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{weaker}: {stderr}");
+        assert!(stderr.contains(weaker), "{weaker} not named in: {stderr}");
+    }
+}
+
+#[test]
 fn every_documented_flag_is_accepted() {
     let (code, stderr) = run(&[
         "addr=127.0.0.1:0",

@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let store = GdprStore::open_in_memory(CompliancePolicy::strict())?;
 
     // Normal operation: the billing service writes and reads customer data.
-    store.grant(Grant::new("billing-service", "billing"));
+    store.grant(Grant::new("billing-service", "billing"))?;
     let billing = AccessContext::new("billing-service", "billing");
     for (i, subject) in ["alice", "bob", "carol", "dave"].iter().enumerate() {
         let metadata = PersonalMetadata::new(subject)
@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // The incident: a compromised support credential reads several records
     // and probes others it has no grant for.
     let breach_started = store.now_ms();
-    store.grant(Grant::new("support-tool", "billing"));
+    store.grant(Grant::new("support-tool", "billing"))?;
     let compromised = AccessContext::new("support-tool", "billing");
     store.get(&compromised, "user:alice:card")?;
     store.get(&compromised, "user:bob:card")?;

@@ -25,7 +25,7 @@ const RECORDS: usize = 2_000;
 const OPERATIONS: usize = 10_000;
 
 fn run_workload(store: &GdprStore) -> Result<f64, Box<dyn Error>> {
-    store.grant(Grant::new("app", "service"));
+    store.grant(Grant::new("app", "service"))?;
     let ctx = AccessContext::new("app", "service");
     let mut rng = StdRng::seed_from_u64(7);
 

@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // 2. Access is closed by default (Article 25). Grant the web frontend
     //    the right to process data for account management.
-    store.grant(Grant::new("web-frontend", "account-management"));
+    store.grant(Grant::new("web-frontend", "account-management"))?;
     let ctx = AccessContext::new("web-frontend", "account-management");
 
     // 3. Personal data always carries metadata: whose it is, why it may be
@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
 
     // 5. A different purpose is refused — purpose limitation (Article 5).
-    store.grant(Grant::new("ad-service", "marketing"));
+    store.grant(Grant::new("ad-service", "marketing"))?;
     let marketing = AccessContext::new("ad-service", "marketing");
     match store.get(&marketing, "user:alice:email") {
         Err(e) => println!("marketing read refused as expected: {e}"),

@@ -21,7 +21,7 @@ use gdpr_storage::gdpr_core::store::{AccessContext, GdprStore};
 
 fn main() -> Result<(), Box<dyn Error>> {
     let store = GdprStore::open_in_memory(CompliancePolicy::strict())?;
-    store.grant(Grant::new("crm", "customer-relationship"));
+    store.grant(Grant::new("crm", "customer-relationship"))?;
     let ctx = AccessContext::new("crm", "customer-relationship");
 
     // Populate three data subjects with a handful of keys each.

@@ -3,8 +3,10 @@
 //! the segment set back to equivalent state — including when the shard
 //! count changed in between, when a segment-set swap was torn mid-rewrite,
 //! while concurrent writers and rewriters were racing, and when the crash
-//! tore the last append at any byte. A manifest that is damaged or older
-//! than the current format is refused, and no file is touched.
+//! tore the last append at any byte — and then the evidence archived from
+//! the journal names exactly what survived. A manifest that is damaged or
+//! older than the formats this build reads is refused, and no file is
+//! touched.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -641,17 +643,22 @@ fn a_torn_bracket_leaves_value_and_shadow_or_neither_and_a_trail_that_verifies()
 
         let sink = Box::new(FileSink::open(&trail_path).unwrap());
         let store = GdprStore::open(policy(), config(), sink).unwrap();
-        store.grant(Grant::new("app", "billing"));
+        store.grant(Grant::new("app", "billing")).unwrap();
         for i in 0..8 {
             let subject = if i % 2 == 0 { "alice" } else { "bob" };
             store
                 .put(&ctx, &format!("user{i:02}"), vec![i; 24], meta(subject))
                 .unwrap();
         }
+        // The trail is the archive of the journal's evidence: flushed
+        // here it ends with the last put's line, and below with the final
+        // operation's (whose frame the images hold by then).
+        store.flush_audit().unwrap();
         let before = images();
         let trail_before = crash_image(&trail_path);
         final_op(&store, &ctx);
         let after = images();
+        store.flush_audit().unwrap();
         let trail_after = crash_image(&trail_path);
         drop(store);
 
@@ -665,18 +672,19 @@ fn a_torn_bracket_leaves_value_and_shadow_or_neither_and_a_trail_that_verifies()
             let whole = write_cut(segment, image, cut, cut % 2 == 0, to);
             let reopened = GdprStore::open(policy(), config(), Box::new(NullSink::new()))
                 .unwrap_or_else(|e| panic!("{name}, cut {cut}: {e}"));
-            reopened.grant(Grant::new("app", "billing"));
             // Value and metadata, or neither: every key's entry holds both.
             for key in reopened.engine().keys("*").unwrap() {
                 let entry = reopened.engine().read(&key, ValuePart::Fetch).unwrap();
                 assert!(entry.governed.is_some(), "{name}, cut {cut}: {key} alone");
             }
-            // The index the entries rebuild and the values agree.
+            // The index the entries rebuild and the values agree (read
+            // through the engine: a strict read would commit evidence, an
+            // fsync per key per cut).
             let mut listed = Vec::new();
             for subject in ["alice", "bob"] {
                 for key in reopened.keys_of_subject(subject).unwrap() {
                     assert!(
-                        reopened.get(&ctx, &key).unwrap().is_some(),
+                        reopened.engine().get(&key).unwrap().is_some(),
                         "{name}, cut {cut}: {key} is posted but holds no value"
                     );
                     listed.push(key);
@@ -741,6 +749,84 @@ fn a_torn_bracket_leaves_value_and_shadow_or_neither_and_a_trail_that_verifies()
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+#[test]
+fn a_cut_anywhere_in_the_last_frames_archives_the_evidence_of_exactly_what_survived() {
+    use gdpr_storage::audit::reader::{parse_trail, verify_trail};
+    use gdpr_storage::audit::record::{Operation, Outcome};
+    use gdpr_storage::audit::sink::MemorySink;
+    use gdpr_storage::gdpr_core::acl::Grant;
+    use gdpr_storage::gdpr_core::metadata::PersonalMetadata;
+    use gdpr_storage::gdpr_core::policy::CompliancePolicy;
+    use gdpr_storage::gdpr_core::store::{AccessContext, GdprStore};
+    use std::collections::BTreeSet;
+
+    let dir = test_dir("evidence-cuts");
+    let path = dir.join("journal.aof");
+    let config = || StoreConfig::with_aof(&path).encrypted(b"evidence battery");
+    let segment = segment_path(&path, 1, 0);
+    let ctx = AccessContext::new("app", "billing");
+    let meta = || PersonalMetadata::new("alice").with_purpose("billing");
+    let store = GdprStore::open(
+        CompliancePolicy::strict(),
+        config(),
+        Box::new(MemorySink::new()),
+    )
+    .unwrap();
+    store.grant(Grant::new("app", "billing")).unwrap();
+    for i in 0..4 {
+        store
+            .put(&ctx, &format!("kept{i}"), vec![i; 16], meta())
+            .unwrap();
+    }
+    let from = log_end(&crash_image(&segment));
+    // The last frames: each operation's one commit, a put's evidence in
+    // its frame, a read's and a denial's in one of their own.
+    store.put(&ctx, "last0", b"v".to_vec(), meta()).unwrap();
+    store.get(&ctx, "kept0").unwrap();
+    let stranger = AccessContext::new("stranger", "billing");
+    assert!(store.get(&stranger, "kept1").is_err());
+    store.put(&ctx, "last1", b"v".to_vec(), meta()).unwrap();
+    store.get(&ctx, "last1").unwrap();
+    store.put(&ctx, "last2", b"v".to_vec(), meta()).unwrap();
+    let image = crash_image(&segment);
+    let to = log_end(&image);
+    drop(store);
+
+    for cut in cut_points(from, to, image.len()) {
+        write_cut(&segment, &image, cut, cut % 2 == 0, to);
+        // One evidence record per whole frame left.
+        let frames = chunk_bounds(&image[..cut.min(to)]).len() - 1;
+        let sink = MemorySink::new();
+        let view = sink.share();
+        let reopened = GdprStore::open(CompliancePolicy::strict(), config(), Box::new(sink))
+            .unwrap_or_else(|e| panic!("cut {cut}: {e}"));
+        reopened.flush_audit().unwrap();
+        let trail = parse_trail(&view.lines().join("\n")).unwrap();
+        verify_trail(&trail).unwrap();
+        assert_eq!(trail.len(), frames, "cut {cut}");
+        let distinct: BTreeSet<String> = trail
+            .iter()
+            .map(|r| {
+                format!(
+                    "{:?}",
+                    (r.record.operation, &r.record.key, r.record.outcome)
+                )
+            })
+            .collect();
+        assert_eq!(distinct.len(), trail.len(), "cut {cut}: a record repeated");
+        // The keys whose put survived are the keys with an allowed write.
+        let written: BTreeSet<String> = trail
+            .iter()
+            .filter(|r| r.record.operation == Operation::Write)
+            .filter(|r| r.record.outcome == Outcome::Allowed)
+            .filter_map(|r| r.record.key.clone())
+            .collect();
+        let live: BTreeSet<String> = reopened.engine().keys("*").unwrap().into_iter().collect();
+        assert_eq!(written, live, "cut {cut}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -855,7 +941,7 @@ fn every_key_keeps_its_metadata_when_reopened_at_another_shard_count() {
                 Box::new(NullSink::new()),
             )
             .unwrap();
-            store.grant(Grant::new("app", "billing"));
+            store.grant(Grant::new("app", "billing")).unwrap();
             store
         };
         let keys: Vec<String> = (0..40).map(|i| format!("user{i:02}")).collect();

@@ -6,9 +6,10 @@
 //! * denied (location, access, reader purpose, writer purpose): one
 //!   `denied_ops` increment, one `Denied` record naming the operation, and
 //!   keyspace, metadata index and hot cache exactly as they were;
-//! * under `CompliancePolicy::strict()` that record is in the sink before
-//!   the call returns — and when the sink cannot take it, the call returns
-//!   the audit error and the record is kept for the next flush.
+//! * under `CompliancePolicy::strict()` that record is committed in the
+//!   engine journal before the call returns, and the trail is its archive:
+//!   a sink outage fails no operation and loses no record, and an operation
+//!   the journal refuses reports failure and changed nothing.
 
 use std::collections::BTreeMap;
 
@@ -22,7 +23,10 @@ use gdpr_storage::gdpr_core::metadata::{PersonalMetadata, Region};
 use gdpr_storage::gdpr_core::policy::CompliancePolicy;
 use gdpr_storage::gdpr_core::store::{AccessContext, GdprStore};
 use gdpr_storage::gdpr_core::GdprError;
+use gdpr_storage::kvstore::clock::SimClock;
 use gdpr_storage::kvstore::config::StoreConfig;
+use gdpr_storage::kvstore::device::{DeviceStats, MemoryDevice, StorageDevice};
+use gdpr_storage::kvstore::StoreError;
 use proptest::prelude::*;
 
 /// Holds grants for `billing` and `marketing`; the seeded keys whitelist
@@ -56,7 +60,7 @@ fn fields() -> BTreeMap<String, Vec<u8>> {
     BTreeMap::from([("f".to_string(), b"v".to_vec())])
 }
 
-/// A strict store over a sink the test can read without flushing, seeded
+/// A strict store over a sink the test can read, seeded
 /// with alice's string keys `k` (heated into the hot tier) and `c` (never
 /// read) and her record `r`.
 fn fixture() -> (GdprStore, MemorySink) {
@@ -64,8 +68,8 @@ fn fixture() -> (GdprStore, MemorySink) {
     let view = sink.share();
     let config = StoreConfig::in_memory().aof_in_memory().shards(2);
     let store = GdprStore::open(CompliancePolicy::strict(), config, Box::new(sink)).unwrap();
-    store.grant(Grant::new("app", "billing"));
-    store.grant(Grant::new("app", "marketing"));
+    store.grant(Grant::new("app", "billing")).unwrap();
+    store.grant(Grant::new("app", "marketing")).unwrap();
     let billing = app("billing");
     store
         .put(&billing, "k", b"value".to_vec(), meta("alice"))
@@ -208,6 +212,7 @@ fn matrix() -> Vec<(&'static str, Operation, Expect, Run)> {
 fn every_operation_is_counted_once_and_audited_once() {
     for (name, operation, expect, run) in matrix() {
         let (store, sink) = fixture();
+        store.flush_audit().unwrap();
         let stats = store.stats();
         let lines = sink.lines().len();
         let keyspace = store.engine().canonical_state();
@@ -231,8 +236,8 @@ fn every_operation_is_counted_once_and_audited_once() {
         assert_eq!(after.denied_ops, stats.denied_ops + 1 - allowed, "{name}");
         assert_eq!(after.audit_records, stats.audit_records + 1, "{name}");
 
-        // Read the sink as-is (no flush): under the strict policy the one
-        // record must already be there when the call returns.
+        // The one record is in the journal; the flush archives it.
+        store.flush_audit().unwrap();
         let trail = sink.lines();
         assert_eq!(trail.len(), lines + 1, "{name}: records in the sink");
         let record = parse_chained_line(trail.last().unwrap()).unwrap().record;
@@ -267,6 +272,11 @@ fn engine_visits(store: &GdprStore) -> u64 {
     store.engine().stage_latencies()[0].1.count()
 }
 
+/// The visit in which the strict policy commits the evidence of an
+/// operation without a bracket of its own (a read, a denial, a rights
+/// request). A bracket's batch carries its evidence.
+const EVIDENCE: u64 = 1;
+
 #[test]
 fn a_read_visits_the_engine_once_per_key() {
     use gdpr_storage::gdpr_core::hot_cache::HotCacheConfig;
@@ -284,33 +294,34 @@ fn a_read_visits_the_engine_once_per_key() {
     // A miss reads value and metadata from one entry in one visit (and is
     // admitted: the tier has room); the hit that follows touches no shard.
     let reads = store.engine().stats().reads;
-    assert_eq!(visits_of(&|| drop(store.get(&billing, "c").unwrap())), 1);
+    let get_c = || drop(store.get(&billing, "c").unwrap());
+    assert_eq!(visits_of(&get_c), 1 + EVIDENCE);
     assert_eq!(store.engine().stats().reads, reads + 1, "one key looked at");
-    assert_eq!(visits_of(&|| drop(store.get(&billing, "c").unwrap())), 0);
+    assert_eq!(visits_of(&get_c), EVIDENCE);
     assert_eq!(store.hot_cache_stats().hits, 1);
 
     assert_eq!(
         visits_of(&|| drop(store.get_record(&billing, "r").unwrap())),
-        1
+        1 + EVIDENCE
     );
     assert_eq!(
         visits_of(&|| drop(store.metadata(&billing, "k").unwrap())),
-        1
+        1 + EVIDENCE
     );
     // Alice owns `c`, `k` and `r`; the index names them without a visit.
     let export = || drop(store.right_to_portability(&billing, "alice").unwrap());
-    assert_eq!(visits_of(&export), 3);
+    assert_eq!(visits_of(&export), 3 + EVIDENCE);
     let access = || drop(store.right_of_access(&billing, "alice").unwrap());
-    assert_eq!(visits_of(&access), 3);
+    assert_eq!(visits_of(&access), 3 + EVIDENCE);
     // A write's checks are one visit each — before the bracket, inside
-    // it — and the bracket's batch is the third.
+    // it — and the bracket's batch, evidence and all, is the third.
     let restamp = || store.set_metadata(&billing, "k", meta("alice")).unwrap();
     assert_eq!(visits_of(&restamp), 3);
     let update = || store.update_record(&billing, "r", &fields()).unwrap();
     assert_eq!(visits_of(&update), 3);
     // Per key, an objection reads the metadata and writes it back.
     let object = || drop(store.right_to_object(&billing, "alice", "ads").unwrap());
-    assert_eq!(visits_of(&object), 3 * 2);
+    assert_eq!(visits_of(&object), 3 * 2 + EVIDENCE);
 
     // A refused read made its one visit and kept nothing of it: no value
     // comes back, and none went into the hot tier — the next read of `k`
@@ -323,12 +334,16 @@ fn a_read_visits_the_engine_once_per_key() {
             "{result:?}"
         );
     };
-    assert_eq!(visits_of(&refused), 1);
+    assert_eq!(visits_of(&refused), 1 + EVIDENCE);
     assert_eq!(store.hot_cache_stats().admissions, hot.admissions);
-    assert_eq!(visits_of(&|| drop(store.get(&billing, "k").unwrap())), 1);
+    assert_eq!(
+        visits_of(&|| drop(store.get(&billing, "k").unwrap())),
+        1 + EVIDENCE
+    );
     assert_eq!(store.hot_cache_stats().misses, hot.misses + 2);
 
-    // Under read-logging that visit is one journaled `GET`.
+    // Under read-logging that visit is one journaled `GET`, beside the
+    // evidence.
     let config = StoreConfig::in_memory().aof_in_memory().log_reads(true);
     let logged = GdprStore::open(
         CompliancePolicy::strict(),
@@ -336,14 +351,14 @@ fn a_read_visits_the_engine_once_per_key() {
         Box::new(MemorySink::new()),
     );
     let logged = logged.unwrap();
-    logged.grant(Grant::new("app", "billing"));
+    logged.grant(Grant::new("app", "billing")).unwrap();
     logged
         .put(&billing, "k", b"value".to_vec(), meta("alice"))
         .unwrap();
     let journaled = || logged.aof_stats().unwrap().records_appended;
     let before = journaled();
     assert_eq!(logged.get(&billing, "k").unwrap(), Some(b"value".to_vec()));
-    assert_eq!(journaled(), before + 1);
+    assert_eq!(journaled(), before + 1 + EVIDENCE);
 }
 
 /// How a key's metadata was named before it moved into the key's entry:
@@ -361,9 +376,9 @@ fn a_key_named_like_a_legacy_shadow_cannot_touch_another_keys_metadata() {
         Box::new(MemorySink::new()),
     );
     let store = store.unwrap();
-    store.grant(Grant::new("app", "billing"));
+    store.grant(Grant::new("app", "billing")).unwrap();
     // Granted `marketing` only, on any subject's data.
-    store.grant(Grant::new("mallory", "marketing"));
+    store.grant(Grant::new("mallory", "marketing")).unwrap();
     let mallory = AccessContext::new("mallory", "marketing");
 
     // A victim whose old shadow key shares a shard with that key's own
@@ -423,8 +438,8 @@ fn a_current_journal_holding_a_key_named_like_a_shadow_reopens_untouched() {
             Box::new(MemorySink::new()),
         );
         let store = store.unwrap();
-        store.grant(Grant::new("app", "billing"));
-        store.grant(Grant::new("mallory", "marketing"));
+        store.grant(Grant::new("app", "billing")).unwrap();
+        store.grant(Grant::new("mallory", "marketing")).unwrap();
         store
     };
     let forged = PersonalMetadata::new("mallory").with_purpose("marketing");
@@ -472,7 +487,7 @@ fn eviction_takes_a_value_and_its_metadata_together() {
             Box::new(MemorySink::new()),
         );
         let store = store.unwrap();
-        store.grant(Grant::new("app", "billing"));
+        store.grant(Grant::new("app", "billing")).unwrap();
         let billing = app("billing");
         let key = |i: usize| format!("user:{i:04}");
         for i in 0..KEYS {
@@ -543,7 +558,7 @@ impl AuditSink for FlakySink {
 }
 
 #[test]
-fn a_failed_audit_write_fails_the_operation_and_keeps_the_record() {
+fn a_sink_outage_fails_no_strict_operation_and_loses_no_record() {
     for outage in [SINK_REFUSES_WRITES, SINK_REFUSES_SYNCS] {
         let inner = MemorySink::new();
         let view = inner.share();
@@ -553,51 +568,341 @@ fn a_failed_audit_write_fails_the_operation_and_keeps_the_record() {
             state: std::sync::Arc::clone(&state),
             offered: 0,
         };
-        let config = StoreConfig::in_memory().aof_in_memory().shards(2);
+        let clock = SimClock::new(1_000);
+        let config = StoreConfig::in_memory()
+            .aof_in_memory()
+            .shards(2)
+            .clock(clock.clone());
         let store = GdprStore::open(CompliancePolicy::strict(), config, Box::new(sink)).unwrap();
-        store.grant(Grant::new("app", "billing"));
+        store.grant(Grant::new("app", "billing")).unwrap();
         let billing = app("billing");
         store
             .put(&billing, "k", b"value".to_vec(), meta("alice"))
             .unwrap();
+        for key in ["e1", "e2"] {
+            store
+                .put(&billing, key, b"v".to_vec(), meta("carol"))
+                .unwrap();
+        }
+        let short = meta("dave").with_ttl_millis(1_000);
+        store.put(&billing, "t", b"v".to_vec(), short).unwrap();
+        store.flush_audit().unwrap();
         let durable = view.lines().len();
 
-        // No durable evidence, no success: an allowed write, an allowed
-        // read and a denial all come back as the audit failure.
+        // The evidence commits in the journal: an allowed write, an
+        // allowed read, a denial, a delete and an erasure request (both of
+        // which scrub the journal, archiving first) and a retention
+        // erasure answer as they would with the sink up.
         state.store(outage, std::sync::atomic::Ordering::SeqCst);
-        let failed: [(&str, Result<(), GdprError>); 3] = [
-            ("put", store.put(&billing, "n", b"v".to_vec(), meta("bob"))),
-            ("get", store.get(&billing, "k").map(drop)),
-            ("denied get", store.get(&stranger(), "k").map(drop)),
-        ];
-        for (name, result) in failed {
+        store
+            .put(&billing, "n", b"v".to_vec(), meta("bob"))
+            .unwrap();
+        assert_eq!(store.get(&billing, "k").unwrap(), Some(b"value".to_vec()));
+        let denied = store.get(&stranger(), "k");
+        assert!(
+            matches!(denied, Err(GdprError::AccessDenied { .. })),
+            "{denied:?}"
+        );
+        assert!(store.delete(&billing, "n").unwrap(), "outage {outage}");
+        let erasure = store.right_to_erasure(&billing, "carol").unwrap();
+        assert_eq!(erasure.erased_keys, ["e1", "e2"]);
+        assert!(erasure.journal_records_scrubbed > 0);
+        clock.advance_millis(2_000);
+        store.tick().unwrap();
+        for key in ["n", "e1", "e2", "t"] {
             assert!(
-                matches!(result, Err(GdprError::Audit(AuditError::Io(_)))),
-                "{name} under outage {outage}: {result:?}"
+                store.get(&billing, key).unwrap().is_none(),
+                "outage {outage}: {key}"
+            );
+        }
+        // The archive cannot be made durable while the outage lasts.
+        for _ in 0..2 {
+            let flushed = store.flush_audit();
+            assert!(
+                matches!(flushed, Err(GdprError::Audit(AuditError::Io(_)))),
+                "outage {outage}: {flushed:?}"
             );
         }
 
-        // The sink recovers: the next operation succeeds and carries the
-        // three kept records out with it, once each, in order.
+        // The sink recovers: the trail takes every record once, in order.
         state.store(SINK_UP, std::sync::atomic::Ordering::SeqCst);
-        store.get(&billing, "k").unwrap();
+        store.flush_audit().unwrap();
         let trail = view.lines();
-        assert_eq!(trail.len(), durable + 4, "outage {outage}");
         assert_eq!(trail.len() as u64, store.stats().audit_records);
         let parsed = parse_trail(&trail.join("\n")).unwrap();
         verify_trail(&parsed).unwrap();
-        let outcomes: Vec<Outcome> = parsed[durable..].iter().map(|r| r.record.outcome).collect();
+        let records: Vec<(Operation, Outcome, Option<&str>)> = parsed[durable..]
+            .iter()
+            .map(|r| {
+                (
+                    r.record.operation,
+                    r.record.outcome,
+                    r.record.key.as_deref(),
+                )
+            })
+            .collect();
+        let (allowed, denied) = (Outcome::Allowed, Outcome::Denied);
         assert_eq!(
-            outcomes,
+            records,
             [
-                Outcome::Allowed,
-                Outcome::Allowed,
-                Outcome::Denied,
-                Outcome::Allowed
+                (Operation::Write, allowed, Some("n")),
+                (Operation::Read, allowed, Some("k")),
+                (Operation::Read, denied, Some("k")),
+                // One per key the gets after the tick looked for.
+                (Operation::Delete, allowed, Some("n")),
+                (Operation::RightsRequest, allowed, None),
+                (Operation::Delete, allowed, Some("t")),
+                (Operation::Read, allowed, Some("n")),
+                (Operation::Read, allowed, Some("e1")),
+                (Operation::Read, allowed, Some("e2")),
+                (Operation::Read, allowed, Some("t")),
             ],
             "outage {outage}"
         );
     }
+}
+
+/// A journal segment device the test can take down: an append or a sync
+/// fails while it is.
+#[derive(Debug)]
+struct FlakyDevice {
+    inner: MemoryDevice,
+    down: std::sync::Arc<std::sync::atomic::AtomicBool>,
+    /// Refuses only the whole-content replace of a rewrite.
+    rewrite_down: std::sync::Arc<std::sync::atomic::AtomicBool>,
+}
+
+impl FlakyDevice {
+    fn check(&self) -> gdpr_storage::kvstore::Result<()> {
+        if self.down.load(std::sync::atomic::Ordering::SeqCst) {
+            return Err(StoreError::Io(std::io::Error::other("journal is down")));
+        }
+        Ok(())
+    }
+}
+
+impl StorageDevice for FlakyDevice {
+    fn append(&mut self, data: &[u8]) -> gdpr_storage::kvstore::Result<()> {
+        self.check()?;
+        self.inner.append(data)
+    }
+
+    fn sync(&mut self) -> gdpr_storage::kvstore::Result<()> {
+        self.check()?;
+        self.inner.sync()
+    }
+
+    fn read_all(&mut self) -> gdpr_storage::kvstore::Result<Vec<u8>> {
+        self.inner.read_all()
+    }
+
+    fn replace(&mut self, data: &[u8]) -> gdpr_storage::kvstore::Result<()> {
+        self.check()?;
+        if self.rewrite_down.load(std::sync::atomic::Ordering::SeqCst) {
+            return Err(StoreError::Io(std::io::Error::other("rewrite refused")));
+        }
+        self.inner.replace(data)
+    }
+
+    fn logical_len(&self) -> u64 {
+        self.inner.logical_len()
+    }
+
+    fn stats(&self) -> DeviceStats {
+        self.inner.stats()
+    }
+}
+
+#[test]
+fn a_strict_put_the_journal_refuses_changes_nothing() {
+    let down = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let devices = std::sync::Arc::clone(&down);
+    let config = StoreConfig::in_memory().shards(2).aof_devices(move |_| {
+        Box::new(FlakyDevice {
+            inner: MemoryDevice::new(),
+            down: std::sync::Arc::clone(&devices),
+            rewrite_down: std::sync::Arc::default(),
+        })
+    });
+    let sink = MemorySink::new();
+    let view = sink.share();
+    let store = GdprStore::open(CompliancePolicy::strict(), config, Box::new(sink)).unwrap();
+    store.grant(Grant::new("app", "billing")).unwrap();
+    let billing = app("billing");
+    store
+        .put(&billing, "k", b"value".to_vec(), meta("bob"))
+        .unwrap();
+    let stats = store.stats();
+
+    // A fresh key and an overwrite, both refused by the journal.
+    down.store(true, std::sync::atomic::Ordering::SeqCst);
+    for (key, value) in [("n", b"new".to_vec()), ("k", b"overwrite".to_vec())] {
+        let result = store.put(&billing, key, value, meta("bob"));
+        assert!(
+            matches!(result, Err(GdprError::Store(_))),
+            "{key}: {result:?}"
+        );
+    }
+    assert_eq!(store.stats(), stats, "nothing counted");
+    // Nor does an access-control change take effect without its record.
+    assert!(store.grant(Grant::new("stranger", "billing")).is_err());
+    assert!(store.revoke("app", "billing").is_err());
+    down.store(false, std::sync::atomic::Ordering::SeqCst);
+    assert!(!store.has_grant("stranger", "billing"));
+    assert!(store.has_grant("app", "billing"));
+
+    assert_eq!(store.get(&billing, "n").unwrap(), None);
+    assert_eq!(store.get(&billing, "k").unwrap(), Some(b"value".to_vec()));
+    assert_eq!(store.keys_of_subject("bob").unwrap(), vec!["k"]);
+    store.flush_audit().unwrap();
+    let trail = parse_trail(&view.lines().join("\n")).unwrap();
+    verify_trail(&trail).unwrap();
+    let writes: Vec<&str> = trail
+        .iter()
+        .filter(|r| r.record.operation == Operation::Write)
+        .filter_map(|r| r.record.key.as_deref())
+        .collect();
+    assert_eq!(writes, ["k"], "only the put that committed is in the trail");
+    assert!(
+        trail
+            .iter()
+            .filter(|r| r.record.operation == Operation::AccessControl)
+            .all(|r| r.record.actor == "app"),
+        "no record of the refused grant or revoke"
+    );
+}
+
+#[test]
+fn a_strict_erasure_whose_scrub_fails_is_recorded_and_counted() {
+    let rewrite_down = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let devices = std::sync::Arc::clone(&rewrite_down);
+    let config = StoreConfig::in_memory().shards(2).aof_devices(move |_| {
+        Box::new(FlakyDevice {
+            inner: MemoryDevice::new(),
+            down: std::sync::Arc::default(),
+            rewrite_down: std::sync::Arc::clone(&devices),
+        })
+    });
+    let sink = MemorySink::new();
+    let view = sink.share();
+    let store = GdprStore::open(CompliancePolicy::strict(), config, Box::new(sink)).unwrap();
+    store.grant(Grant::new("app", "billing")).unwrap();
+    let billing = app("billing");
+    for (key, subject) in [("b", "bob"), ("c1", "carol"), ("c2", "carol")] {
+        store
+            .put(&billing, key, b"v".to_vec(), meta(subject))
+            .unwrap();
+    }
+    let stats = store.stats();
+
+    // The deletes commit; the scrub behind each fails and says so.
+    rewrite_down.store(true, std::sync::atomic::Ordering::SeqCst);
+    assert!(matches!(
+        store.delete(&billing, "b"),
+        Err(GdprError::Store(_))
+    ));
+    assert!(matches!(
+        store.right_to_erasure(&billing, "carol"),
+        Err(GdprError::Store(_))
+    ));
+    rewrite_down.store(false, std::sync::atomic::Ordering::SeqCst);
+    for key in ["b", "c1", "c2"] {
+        assert_eq!(store.get(&billing, key).unwrap(), None, "{key}");
+    }
+    let after = store.stats();
+    assert_eq!(
+        after.allowed_ops,
+        stats.allowed_ops + 2 + 3,
+        "two requests, three gets"
+    );
+    store.flush_audit().unwrap();
+    let trail = parse_trail(&view.lines().join("\n")).unwrap();
+    verify_trail(&trail).unwrap();
+    assert_eq!(trail.len() as u64, store.stats().audit_records);
+    let delete = trail
+        .iter()
+        .find(|r| r.record.operation == Operation::Delete)
+        .expect("the delete is recorded");
+    assert_eq!(delete.record.detail, "DEL (existed)");
+    let erasure = trail
+        .iter()
+        .find(|r| r.record.operation == Operation::RightsRequest)
+        .expect("the erasure request is recorded");
+    assert!(
+        erasure
+            .record
+            .detail
+            .starts_with("art.17 erasure: 2 keys erased, then failed:"),
+        "{}",
+        erasure.record.detail
+    );
+}
+
+/// A `MemorySink` that counts its syncs where the test can see them.
+#[derive(Debug)]
+struct CountingSink {
+    inner: MemorySink,
+    syncs: std::sync::Arc<std::sync::atomic::AtomicU64>,
+}
+
+impl AuditSink for CountingSink {
+    fn write_line(&mut self, line: &str) -> gdpr_storage::audit::Result<()> {
+        self.inner.write_line(line)
+    }
+
+    fn sync(&mut self) -> gdpr_storage::audit::Result<()> {
+        self.syncs.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        self.inner.sync()
+    }
+
+    fn stats(&self) -> SinkStats {
+        self.inner.stats()
+    }
+}
+
+#[test]
+fn a_strict_operation_costs_at_most_one_journal_fsync_and_no_sink_sync() {
+    use std::sync::atomic::Ordering::SeqCst;
+    const OPS: u64 = 200;
+    let dir = std::env::temp_dir().join(format!("gdpr-pipeline-fsyncs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let inner = MemorySink::new();
+    let view = inner.share();
+    let syncs = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let sink = CountingSink {
+        inner,
+        syncs: std::sync::Arc::clone(&syncs),
+    };
+    let config = StoreConfig::with_aof(dir.join("journal.aof")).shards(2);
+    let store = GdprStore::open(CompliancePolicy::strict(), config, Box::new(sink)).unwrap();
+    store.grant(Grant::new("app", "billing")).unwrap();
+    let billing = app("billing");
+    let fsyncs = || store.aof_stats().unwrap().fsyncs;
+    let before = fsyncs();
+    for i in 0..OPS {
+        let key = format!("user{i:03}");
+        store
+            .put(&billing, &key, vec![b'v'; 64], meta("alice"))
+            .unwrap();
+        assert!(store.get(&billing, &key).unwrap().is_some());
+    }
+    let spent = fsyncs() - before;
+    assert!(
+        spent <= 2 * OPS,
+        "{spent} journal fsyncs for {} ops",
+        2 * OPS
+    );
+    assert_eq!(syncs.load(SeqCst), 0, "no sink sync on a request path");
+
+    store.flush_audit().unwrap();
+    assert_eq!(syncs.load(SeqCst), 1, "one sync for the archive pass");
+    let trail = view.lines();
+    assert_eq!(trail.len() as u64, store.stats().audit_records);
+    assert_eq!(trail.len() as u64, 1 + 2 * OPS);
+    verify_trail(&parse_trail(&trail.join("\n")).unwrap()).unwrap();
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -613,7 +918,7 @@ fn an_eventual_store_outlives_a_sink_outage_without_losing_or_repeating_a_line()
     };
     let config = StoreConfig::in_memory().aof_in_memory().shards(2);
     let store = GdprStore::open(CompliancePolicy::eventual(), config, Box::new(sink)).unwrap();
-    store.grant(Grant::new("app", "billing"));
+    store.grant(Grant::new("app", "billing")).unwrap();
     let billing = app("billing");
     store
         .put(&billing, "k", b"value".to_vec(), meta("alice"))
@@ -676,7 +981,7 @@ fn an_eventual_store_outlives_a_sink_outage_without_losing_or_repeating_a_line()
 fn rewriting_a_key_under_a_new_subject_moves_its_posting() {
     // put k→alice, put k→bob, erase alice: bob's data must survive.
     let store = GdprStore::open_in_memory(CompliancePolicy::strict()).unwrap();
-    store.grant(Grant::new("app", "billing"));
+    store.grant(Grant::new("app", "billing")).unwrap();
     let ctx = app("billing");
     store
         .put(&ctx, "k", b"hers".to_vec(), meta("alice"))
@@ -700,8 +1005,8 @@ proptest! {
         ops in proptest::collection::vec(((0u8..12, 0u8..4), (0u8..3, 0u8..4)), 1..80),
     ) {
         let store = GdprStore::open_in_memory(CompliancePolicy::strict()).unwrap();
-        store.grant(Grant::new("app", "billing"));
-        store.grant(Grant::new("app", "marketing"));
+        store.grant(Grant::new("app", "billing")).unwrap();
+        store.grant(Grant::new("app", "marketing")).unwrap();
         let control_plane = store.stats().audit_records;
         let mut issued = 0u64;
         for ((op, key), (who, shape)) in ops {

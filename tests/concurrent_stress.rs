@@ -47,8 +47,8 @@ fn open_sharded(policy: CompliancePolicy) -> GdprStore {
         Box::new(gdpr_storage::audit::sink::MemorySink::new()),
     )
     .unwrap();
-    store.grant(Grant::new("app", "service"));
-    store.grant(Grant::new("app", "analytics"));
+    store.grant(Grant::new("app", "service")).unwrap();
+    store.grant(Grant::new("app", "analytics")).unwrap();
     store
 }
 
@@ -212,7 +212,7 @@ fn concurrent_put_get_erasure_objection_keeps_index_consistent() {
 #[test]
 fn strict_policy_audit_chain_survives_concurrent_emission() {
     let store = GdprStore::open_in_memory(CompliancePolicy::strict()).unwrap();
-    store.grant(Grant::new("app", "service"));
+    store.grant(Grant::new("app", "service")).unwrap();
 
     std::thread::scope(|scope| {
         for t in 0..4 {
@@ -270,8 +270,8 @@ fn group_commit_under_compliance_hammering_keeps_state_and_journal_aligned() {
             Box::new(gdpr_storage::audit::sink::MemorySink::new()),
         )
         .unwrap();
-        store.grant(Grant::new("app", "service"));
-        store.grant(Grant::new("app", "analytics"));
+        store.grant(Grant::new("app", "service")).unwrap();
+        store.grant(Grant::new("app", "analytics")).unwrap();
 
         std::thread::scope(|scope| {
             for t in 0..WRITER_THREADS {
@@ -312,8 +312,8 @@ fn group_commit_under_compliance_hammering_keeps_state_and_journal_aligned() {
     )
     .unwrap();
     // Grants live in the in-memory ACL, not the journal; reinstall them.
-    reopened.grant(Grant::new("app", "service"));
-    reopened.grant(Grant::new("app", "analytics"));
+    reopened.grant(Grant::new("app", "service")).unwrap();
+    reopened.grant(Grant::new("app", "analytics")).unwrap();
     // Writers other than thread 0 (raced by the eraser) must have all 30
     // slots, each holding the last value written to it.
     for t in 1..WRITER_THREADS {
@@ -419,7 +419,9 @@ fn a_read_is_authorised_against_the_metadata_of_the_value_it_returns() {
     for hot in [true, false] {
         let mut store = open_sharded(CompliancePolicy::eventual());
         store.set_hot_cache(HotCacheConfig::default().enabled(hot));
-        store.grant(Grant::new("reader", "service").for_subject("A"));
+        store
+            .grant(Grant::new("reader", "service").for_subject("A"))
+            .unwrap();
         let owned_by = |subject: &str| {
             PersonalMetadata::new(subject)
                 .with_purpose("service")

@@ -204,7 +204,7 @@ fn client_counters_surface_in_info_and_gdpr_stats() {
             )
             .unwrap(),
         );
-        store.grant(Grant::new("app", "billing"));
+        store.grant(Grant::new("app", "billing")).unwrap();
         let server = TcpServer::bind(
             Dispatcher::gdpr(Arc::clone(&store)),
             "127.0.0.1:0",
@@ -291,7 +291,7 @@ fn a_slow_export_delays_only_the_connections_on_its_loop() {
             )
             .unwrap(),
         );
-        store.grant(Grant::new("app", "billing"));
+        store.grant(Grant::new("app", "billing")).unwrap();
         let server = TcpServer::bind(Dispatcher::gdpr(store), "127.0.0.1:0", leg.config()).unwrap();
         let addr = server.local_addr();
         // Accepted first and second: loops 0 and 1 when there are three.

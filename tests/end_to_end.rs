@@ -54,7 +54,9 @@ fn open_store(dir: &Path, policy: CompliancePolicy) -> GdprStore {
     let kv_config = StoreConfig::with_aof(dir.join("engine.aof"));
     let sink = FileSink::open(dir.join("audit.trail")).unwrap();
     let store = GdprStore::open(policy, kv_config, Box::new(sink)).unwrap();
-    store.grant(Grant::new("integration-app", "integration-testing"));
+    store
+        .grant(Grant::new("integration-app", "integration-testing"))
+        .unwrap();
     store
 }
 
@@ -215,6 +217,9 @@ fn denied_operations_leave_evidence_in_the_trail() {
     let rogue = AccessContext::new("rogue-service", "exfiltration");
     assert!(store.get(&rogue, "user:eve:email").is_err());
 
+    // The file trail is the archive of the journal's evidence: flush it
+    // before reading the file.
+    store.flush_audit().unwrap();
     let trail_text = std::fs::read_to_string(dir.join("audit.trail")).unwrap();
     let trail = parse_trail(&trail_text).unwrap();
     let denied = TrailQuery::any()

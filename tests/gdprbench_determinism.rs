@@ -73,7 +73,7 @@ fn open_store(shards: usize) -> Arc<GdprStore> {
     )
     .expect("store opens");
     for (actor, purpose) in BenchSpec::grants() {
-        store.grant(Grant::new(actor, purpose));
+        store.grant(Grant::new(actor, purpose)).unwrap();
     }
     Arc::new(store)
 }

@@ -54,7 +54,7 @@ fn open_store() -> Arc<GdprStore> {
     )
     .expect("store opens");
     for (actor, purpose) in BenchSpec::grants() {
-        store.grant(Grant::new(actor, purpose));
+        store.grant(Grant::new(actor, purpose)).unwrap();
     }
     Arc::new(store)
 }

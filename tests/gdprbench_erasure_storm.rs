@@ -41,9 +41,9 @@ fn storm_store() -> Arc<GdprStore> {
         Box::new(gdpr_storage::audit::sink::NullSink::new()),
     )
     .expect("store opens");
-    store.grant(Grant::new(LOAD_ACTOR, LOAD_PURPOSE));
-    store.grant(Grant::new("processor", "processing"));
-    store.grant(Grant::new("regulator", "audit"));
+    store.grant(Grant::new(LOAD_ACTOR, LOAD_PURPOSE)).unwrap();
+    store.grant(Grant::new("processor", "processing")).unwrap();
+    store.grant(Grant::new("regulator", "audit")).unwrap();
     let loader = AccessContext::new(LOAD_ACTOR, LOAD_PURPOSE);
     for s in 0..SUBJECTS {
         for k in 0..KEYS_PER_SUBJECT {

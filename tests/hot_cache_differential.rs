@@ -171,7 +171,7 @@ fn store_with_cache(enabled: bool, clock: SimClock) -> GdprStore {
             .enabled(enabled)
             .capacity_per_segment(4),
     );
-    store.grant(Grant::new(ACTOR, PURPOSE));
+    store.grant(Grant::new(ACTOR, PURPOSE)).unwrap();
     store
 }
 
@@ -381,7 +381,7 @@ fn hot_gdpr_server(transport: Transport, clock: SimClock) -> (TcpServerHandle, A
     )
     .expect("open GDPR store");
     store.set_hot_cache(HotCacheConfig::default().enabled(true));
-    store.grant(Grant::new(ACTOR, PURPOSE));
+    store.grant(Grant::new(ACTOR, PURPOSE)).unwrap();
     let store = Arc::new(store);
     let server = TcpServer::bind(
         Dispatcher::gdpr(Arc::clone(&store)),

@@ -92,7 +92,7 @@ fn open(clock: &SimClock) -> GdprStore {
         Box::new(MemorySink::new()),
     )
     .unwrap();
-    store.grant(Grant::new("app", PURPOSE));
+    store.grant(Grant::new("app", PURPOSE)).unwrap();
     store
 }
 

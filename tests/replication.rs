@@ -137,7 +137,7 @@ fn erasure_on_the_primary_reaches_every_replica() {
         )
         .unwrap(),
     );
-    primary_store.grant(Grant::new("app", "billing"));
+    primary_store.grant(Grant::new("app", "billing")).unwrap();
     let server = TcpServer::bind(
         Dispatcher::gdpr(Arc::clone(&primary_store)),
         "127.0.0.1:0",
@@ -219,6 +219,67 @@ fn erasure_on_the_primary_reaches_every_replica() {
     for (_, _, handle) in replicas {
         handle.stop();
     }
+    server.shutdown();
+}
+
+#[test]
+fn a_strict_primarys_evidence_stays_on_the_primary() {
+    let open = |shards: usize| {
+        Arc::new(
+            GdprStore::open(
+                CompliancePolicy::strict(),
+                StoreConfig::in_memory().aof_in_memory().shards(shards),
+                Box::new(gdpr_storage::audit::sink::NullSink::new()),
+            )
+            .unwrap(),
+        )
+    };
+    let primary_store = open(4);
+    primary_store.grant(Grant::new("app", "billing")).unwrap();
+    let server = TcpServer::bind(
+        Dispatcher::gdpr(Arc::clone(&primary_store)),
+        "127.0.0.1:0",
+        fast_server_config(),
+    )
+    .unwrap();
+    let replica_store = open(2);
+    let replica = Dispatcher::gdpr(Arc::clone(&replica_store));
+    let handle = replication::start_replica(replica.clone(), &server.local_addr().to_string());
+
+    // Puts, gets and a denial: every one commits evidence on the primary.
+    let mut client = TcpRemoteClient::connect(server.local_addr()).unwrap();
+    client.auth("app", "billing").unwrap();
+    let put = |key: &str, purpose: &str| GdprRequest::Put {
+        key: key.to_string(),
+        subject: "alice".to_string(),
+        purposes: vec![purpose.to_string()],
+        value: b"pii".to_vec(),
+        ttl_ms: None,
+    };
+    for i in 0..10 {
+        let key = format!("user:alice:rec{i:02}");
+        client.gdpr(&put(&key, "billing")).unwrap();
+        assert_eq!(client.get(&key).unwrap(), Some(b"pii".to_vec()));
+    }
+    // A writer whose purpose the metadata does not whitelist is refused.
+    let refused = client.gdpr(&put("user:alice:denied", "analytics"));
+    assert!(refused.is_err(), "{refused:?}");
+    let evidence_before = primary_store.stats().audit_records;
+    assert!(evidence_before >= 21, "{evidence_before}");
+
+    wait_until("replica converged on a strict primary", || {
+        converged(server.dispatcher(), &replica)
+    });
+    assert_eq!(
+        server.dispatcher().state_digest_hex(),
+        replica.state_digest_hex()
+    );
+    // The replica applied the data and journaled none of the evidence.
+    assert_eq!(replica_store.keys_of_subject("alice").unwrap().len(), 10);
+    assert_eq!(replica_store.stats().audit_records, 0);
+    let journaled = replica_store.aof_stats().unwrap().records_appended;
+    assert!(journaled <= 10, "the data writes only: {journaled} records");
+    handle.stop();
     server.shutdown();
 }
 

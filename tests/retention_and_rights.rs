@@ -29,7 +29,7 @@ fn strict_store_with_clock(clock: &SimClock) -> (GdprStore, MemorySink) {
         Box::new(sink),
     )
     .unwrap();
-    store.grant(Grant::new("app", "service"));
+    store.grant(Grant::new("app", "service")).unwrap();
     (store, trail_view)
 }
 
@@ -135,8 +135,8 @@ fn rights_interact_correctly_with_retention() {
 #[test]
 fn objection_and_portability_work_under_the_eventual_policy_too() {
     let store = GdprStore::open_in_memory(CompliancePolicy::eventual()).unwrap();
-    store.grant(Grant::new("app", "service"));
-    store.grant(Grant::new("app", "analytics"));
+    store.grant(Grant::new("app", "service")).unwrap();
+    store.grant(Grant::new("app", "analytics")).unwrap();
     let meta = PersonalMetadata::new("bob")
         .with_purpose("service")
         .with_purpose("analytics")
@@ -221,7 +221,7 @@ fn keys_the_engine_evicts_or_expires_leave_the_subject_index() {
         Box::new(MemorySink::new()),
     )
     .unwrap();
-    store.grant(Grant::new("app", "service"));
+    store.grant(Grant::new("app", "service")).unwrap();
     for i in 0..2_000 {
         let meta = PersonalMetadata::new("alice").with_purpose("service");
         store

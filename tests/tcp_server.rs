@@ -27,7 +27,7 @@ fn gdpr_server(shards: usize) -> (TcpServerHandle, Arc<GdprStore>) {
         )
         .unwrap(),
     );
-    store.grant(Grant::new(ACTOR, PURPOSE));
+    store.grant(Grant::new(ACTOR, PURPOSE)).unwrap();
     let server = TcpServer::bind(
         Dispatcher::gdpr(Arc::clone(&store)),
         "127.0.0.1:0",

@@ -117,19 +117,18 @@ impl ChainState {
 
     /// Fold a record into the chain, returning its digest.
     pub fn append(&mut self, record: &AuditRecord) -> ChainDigest {
-        self.append_line(&record.to_line()).to_string()
+        self.append_line(record.to_line().as_bytes());
+        self.tip().to_string()
     }
 
-    /// Fold an already-serialized record line into the chain; returns its
-    /// digest, the new tip.
-    ///
-    /// Byte-identical to [`Self::append`] when `line` came from
-    /// [`AuditRecord::to_line`]; lets the writer serialize once for both
-    /// the chain and the sink.
-    pub fn append_line(&mut self, line: &str) -> &str {
-        self.tip = chain_digest_hex(&self.tip, line.as_bytes());
+    /// Fold an already-rendered record line into the chain; returns the
+    /// new tip's hex digits. Byte-identical to [`Self::append`] when `line`
+    /// is the record's line: the log renders each line once, for both the
+    /// chain and the sink.
+    pub(crate) fn append_line(&mut self, line: &[u8]) -> &HexDigest {
+        self.tip = chain_digest_hex(&self.tip, line);
         self.length += 1;
-        self.tip()
+        &self.tip
     }
 }
 

@@ -11,7 +11,10 @@
 //! This crate provides that log as a reusable component:
 //!
 //! * [`record::AuditRecord`] — a structured description of one interaction
-//!   (who, what, which key, under which purpose, when, outcome);
+//!   (who, what, which key, under which purpose, when, outcome), as the
+//!   trail's readers hold it; [`record::AuditEvent`] is the same with every
+//!   field borrowed, which writers hand in and which renders the trail line
+//!   and the journal's evidence bytes;
 //! * [`sink`] — where records go: an in-memory ring, an append-only file
 //!   with an fsync policy, or a null sink;
 //! * [`policy::FlushPolicy`] — the real-time vs eventual compliance knob;

@@ -8,7 +8,7 @@
 
 use crate::chain::{ChainState, ChainedRecord};
 use crate::policy::FlushPolicy;
-use crate::record::AuditRecord;
+use crate::record::{AuditEvent, AuditRecord, Decimal};
 use crate::sink::{AuditSink, SinkStats};
 use crate::Result;
 
@@ -30,17 +30,35 @@ pub struct AuditLogStats {
 /// second of traffic takes.
 const HAND_OVER_BYTES: usize = 64 << 10;
 
-/// Render `record` as one trail line at the end of `out`: the record and,
-/// under a chain, `#` and the digest that chains the line onto its
-/// predecessor. Serialized exactly once: the chain hashes the bytes the
-/// sink will get.
-fn render_line(record: &AuditRecord, chain: Option<&mut ChainState>, out: &mut String) {
-    let start = out.len();
-    record.write_line(out);
-    if let Some(chain) = chain {
-        let digest = chain.append_line(&out[start..]);
-        out.push('#');
-        out.push_str(digest);
+/// Events rendered as their trail lines less the sequence numbers, waiting
+/// for a log to number and chain them: what a caller that batches in front
+/// of the log keeps instead of record objects. Its buffers are kept from
+/// batch to batch.
+#[derive(Debug, Default)]
+pub struct EventBatch {
+    /// The rendered lines, back to back.
+    lines: Vec<u8>,
+    /// Each line's timestamp (for the flush policy) and where it ends.
+    ends: Vec<(u64, usize)>,
+}
+
+impl EventBatch {
+    /// Render `event` at the end of the batch.
+    pub fn push(&mut self, event: &AuditEvent<'_>) {
+        event.write_unsequenced(&mut self.lines);
+        self.ends.push((event.timestamp_ms, self.lines.len()));
+    }
+
+    /// Number of events in the batch.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether the batch holds no event.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
     }
 }
 
@@ -52,7 +70,7 @@ pub struct AuditLog {
     chain: Option<ChainState>,
     /// The rendered lines the sink has not taken yet, a newline behind
     /// each, in one contiguous buffer.
-    buffer: String,
+    buffer: Vec<u8>,
     /// Records accepted since the last successful sync: the lines in
     /// `buffer` and those the sink has taken but not synced.
     at_risk: usize,
@@ -70,7 +88,7 @@ impl AuditLog {
             sink,
             policy,
             chain: Some(ChainState::new()),
-            buffer: String::new(),
+            buffer: Vec::new(),
             at_risk: 0,
             next_sequence: 0,
             last_flush_ms: 0,
@@ -119,21 +137,69 @@ impl AuditLog {
     /// Propagates sink errors raised while flushing or handing lines over.
     /// The record is accepted all the same: its line stays buffered and
     /// goes out, in order, with the next flush that succeeds.
-    pub fn record(&mut self, mut record: AuditRecord) -> Result<u64> {
-        record.sequence = self.next_sequence;
+    pub fn record(&mut self, record: AuditRecord) -> Result<u64> {
+        self.record_event(&record.event())
+    }
+
+    /// [`Self::record`] of an event that borrows its fields.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Self::record`].
+    pub fn record_event(&mut self, event: &AuditEvent<'_>) -> Result<u64> {
+        self.append(event.timestamp_ms, |out| event.write_unsequenced(out))
+    }
+
+    /// [`Self::record`] of every event in `batch`, in order, which is left
+    /// empty: the log only numbers and chains the lines rendered there.
+    ///
+    /// # Errors
+    ///
+    /// The first sink error, as for [`Self::record`]; every event is taken
+    /// all the same.
+    pub fn record_batch(&mut self, batch: &mut EventBatch) -> Result<()> {
+        let mut outcome = Ok(());
+        let mut start = 0;
+        for &(timestamp_ms, end) in &batch.ends {
+            let line = &batch.lines[start..end];
+            let appended = self.append(timestamp_ms, |out| out.extend_from_slice(line));
+            if outcome.is_ok() {
+                outcome = appended.map(drop);
+            }
+            start = end;
+        }
+        batch.lines.clear();
+        batch.ends.clear();
+        outcome
+    }
+
+    /// Number the line `render` writes after its sequence number, chain it
+    /// (the chain hashes the bytes the sink will get) and apply the flush
+    /// policy.
+    fn append(&mut self, timestamp_ms: u64, render: impl FnOnce(&mut Vec<u8>)) -> Result<u64> {
+        let sequence = self.next_sequence;
         self.next_sequence += 1;
         self.stats.records += 1;
 
-        render_line(&record, self.chain.as_mut(), &mut self.buffer);
-        self.buffer.push('\n');
+        let start = self.buffer.len();
+        self.buffer
+            .extend_from_slice(Decimal::new(sequence).as_bytes());
+        self.buffer.push(b'|');
+        render(&mut self.buffer);
+        if let Some(chain) = self.chain.as_mut() {
+            let digest = chain.append_line(&self.buffer[start..]);
+            self.buffer.push(b'#');
+            self.buffer.extend_from_slice(digest);
+        }
+        self.buffer.push(b'\n');
         self.at_risk += 1;
 
         match self.policy {
             FlushPolicy::Synchronous => self.flush()?,
             FlushPolicy::Periodic { interval_ms } => {
-                if record.timestamp_ms.saturating_sub(self.last_flush_ms) >= interval_ms {
+                if timestamp_ms.saturating_sub(self.last_flush_ms) >= interval_ms {
                     self.flush()?;
-                    self.last_flush_ms = record.timestamp_ms;
+                    self.last_flush_ms = timestamp_ms;
                 }
             }
             FlushPolicy::Batched { max_records } => {
@@ -146,15 +212,17 @@ impl AuditLog {
         if self.buffer.len() >= HAND_OVER_BYTES {
             self.hand_over()?;
         }
-        Ok(record.sequence)
+        Ok(sequence)
     }
 
     /// Give the sink every buffered line, in order, without syncing it.
     /// The line the sink refuses, and those behind it, stay buffered.
     fn hand_over(&mut self) -> Result<()> {
+        let lines = std::str::from_utf8(&self.buffer)
+            .expect("the log renders UTF-8 fields and ASCII separators");
         let mut taken = 0;
         let mut written = Ok(());
-        for line in self.buffer.split_terminator('\n') {
+        for line in lines.split_terminator('\n') {
             written = self.sink.write_line(line);
             if written.is_err() {
                 break;

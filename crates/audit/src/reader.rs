@@ -256,6 +256,43 @@ mod tests {
     }
 
     #[test]
+    fn escapes_next_to_a_backslash_survive_the_round_trip_in_every_field() {
+        // A backslash followed by `p`, `n` or `0` is text, not an escape.
+        let values = ["C:\\path", "dom\\nina", "a\\0b", "\\\\p|\n\0\\", "\\"];
+        let sink = MemorySink::new();
+        let view = sink.share();
+        let mut log = AuditLog::new(Box::new(sink), FlushPolicy::Manual);
+        let mut written = Vec::new();
+        for (i, value) in values.iter().enumerate() {
+            let base = AuditRecord::new(i as u64, "app", Operation::Read);
+            let records = [
+                AuditRecord::new(i as u64, value, Operation::Read),
+                base.clone().key(value),
+                base.clone().subject(value),
+                base.clone().purpose(value),
+                base.detail(value),
+            ];
+            for mut record in records {
+                record.sequence = written.len() as u64;
+                assert_eq!(AuditRecord::from_line(&record.to_line()).unwrap(), record);
+                log.record(record.clone()).unwrap();
+                written.push(record);
+            }
+        }
+        log.flush().unwrap();
+        let trail = parse_trail(&view.lines().join("\n")).unwrap();
+        let parsed: Vec<_> = trail.iter().map(|chained| chained.record.clone()).collect();
+        assert_eq!(parsed, written);
+        verify_trail(&trail).unwrap();
+    }
+
+    #[test]
+    fn an_escape_no_writer_makes_is_a_malformed_line() {
+        assert!(AuditRecord::from_line("0|1|a\\x|read||||allowed|").is_none());
+        assert!(AuditRecord::from_line("0|1|a\\|read||||allowed|").is_none());
+    }
+
+    #[test]
     fn corrupt_line_is_reported_with_its_number() {
         let mut text = build_trail();
         text.push_str("\nthis is not a record\n");

@@ -7,9 +7,12 @@
 //! (sequence numbers and the tamper-evident hash chain need one writer)
 //! and never puts it on a request path that must wait for it:
 //!
-//! * under **eventual** compliance a record is appended to its shard's
-//!   buffer (shard-local lock only) and the log is only touched when the
-//!   buffer fills, on the periodic [`AuditPipeline::flush`] from `tick`,
+//! * under **eventual** compliance a record is rendered, from the
+//!   operation's borrowed fields, into its shard's buffer as its trail line
+//!   less the sequence number (shard-local lock only; no record object is
+//!   built) and the log, which only numbers and chains those lines, is
+//!   only touched when the buffer fills, on the periodic
+//!   [`AuditPipeline::flush`] from `tick`,
 //!   or when the trail is read back — so the loss window stays bounded by
 //!   `MAX_BUFFERED_PER_SHARD` records per shard plus the flush policy's
 //!   own window, which is exactly the "bounded lag" the eventual end of
@@ -18,11 +21,11 @@
 //!   a record is durable before its operation returns because it is an
 //!   `EVIDENCE` record committed in the engine journal, with the operation
 //!   or on its own; the log here is the archive the journal is copied into
-//!   behind that commit (its [`Archiver`] implementation), one sink sync per
-//!   pass.
+//!   behind that commit (its [`Archiver`] implementation, which renders
+//!   each line from the evidence bytes it borrows), one sink sync per pass.
 
-use audit::log::{AuditLog, AuditLogStats};
-use audit::record::AuditRecord;
+use audit::log::{AuditLog, AuditLogStats, EventBatch};
+use audit::record::AuditEvent;
 use audit::sink::SinkStats;
 use kvstore::store::{ArchiveResult, Archiver};
 use parking_lot::Mutex;
@@ -35,7 +38,9 @@ pub const MAX_BUFFERED_PER_SHARD: usize = 128;
 #[derive(Debug)]
 pub struct AuditPipeline {
     log: Mutex<AuditLog>,
-    buffers: Vec<Mutex<Vec<AuditRecord>>>,
+    /// Each shard's parked records, rendered in place in one reused
+    /// buffer (see [`EventBatch`]).
+    buffers: Vec<Mutex<EventBatch>>,
     /// The journal position `(epoch, sequence)` of the newest evidence
     /// record the log has taken from an archive pass.
     archived: Mutex<(u64, u64)>,
@@ -47,38 +52,18 @@ impl AuditPipeline {
     pub fn new(log: AuditLog, shards: usize) -> Self {
         AuditPipeline {
             log: Mutex::new(log),
-            buffers: (0..shards.max(1)).map(|_| Mutex::new(Vec::new())).collect(),
+            buffers: (0..shards.max(1)).map(|_| Mutex::default()).collect(),
             archived: Mutex::new((0, 0)),
         }
     }
 
-    /// Record one interaction in the shard's buffer. Recording cannot
-    /// fail; sink errors surface on flush.
-    pub fn emit(&self, shard: usize, record: AuditRecord) {
-        let drained = {
-            let mut buffer = self.buffers[shard % self.buffers.len()].lock();
-            buffer.push(record);
-            if buffer.len() >= MAX_BUFFERED_PER_SHARD {
-                Some(std::mem::take(&mut *buffer))
-            } else {
-                None
-            }
-        };
-        if let Some(records) = drained {
-            self.append_batch(records);
-        }
-    }
-
-    fn append_batch(&self, records: Vec<AuditRecord>) {
-        if records.is_empty() {
-            return;
-        }
-        // Lock order: a shard buffer is never held while taking the log
-        // lock with another buffer lock outstanding; batches are handed
-        // over after the buffer guard drops.
-        let mut log = self.log.lock();
-        for record in records {
-            let _ = log.record(record);
+    /// Record one interaction in the shard's buffer, rendered there.
+    /// Recording cannot fail; sink errors surface on flush.
+    pub fn emit(&self, shard: usize, event: &AuditEvent<'_>) {
+        let mut buffer = self.buffers[shard % self.buffers.len()].lock();
+        buffer.push(event);
+        if buffer.len() >= MAX_BUFFERED_PER_SHARD {
+            self.append_batch(&mut buffer);
         }
     }
 
@@ -86,8 +71,17 @@ impl AuditPipeline {
     /// and chain digests) without forcing a sink flush.
     pub fn drain(&self) {
         for buffer in &self.buffers {
-            let records = std::mem::take(&mut *buffer.lock());
-            self.append_batch(records);
+            self.append_batch(&mut buffer.lock());
+        }
+    }
+
+    /// Hand a shard's batch to the log, which numbers and chains its lines
+    /// and leaves it empty. Lock order: a shard buffer, then the log; no
+    /// path holds two buffers or takes a buffer under the log.
+    fn append_batch(&self, batch: &mut EventBatch) {
+        if !batch.is_empty() {
+            // The log keeps a line its sink refused and retries it on flush.
+            let _ = self.log.lock().record_batch(batch);
         }
     }
 
@@ -155,9 +149,9 @@ impl Archiver for AuditPipeline {
         if seq <= archived.1 {
             return Ok(());
         }
-        let record = AuditRecord::decode(Some(key).filter(|key| !key.is_empty()), payload)?;
+        let event = AuditEvent::decode(Some(key).filter(|key| !key.is_empty()), payload)?;
         // The log keeps a line its sink refused and retries it on flush.
-        let _ = self.log.lock().record(record);
+        let _ = self.log.lock().record_event(&event);
         archived.1 = seq;
         Ok(())
     }
@@ -186,7 +180,7 @@ impl Archiver for AuditPipeline {
 mod tests {
     use super::*;
     use audit::policy::FlushPolicy;
-    use audit::record::Operation;
+    use audit::record::{AuditRecord, Operation};
     use audit::sink::MemorySink;
 
     fn record(ts: u64) -> AuditRecord {
@@ -238,7 +232,7 @@ mod tests {
             4,
         );
         for i in 0..10 {
-            pipeline.emit(i % 4, record(i as u64));
+            pipeline.emit(i % 4, &record(i as u64).event());
         }
         assert_eq!(pipeline.buffered(), 10);
         assert_eq!(view.lines().len(), 0);
@@ -260,7 +254,7 @@ mod tests {
             1,
         );
         for i in 0..MAX_BUFFERED_PER_SHARD as u64 + 5 {
-            pipeline.emit(0, record(i));
+            pipeline.emit(0, &record(i).event());
         }
         assert!(
             pipeline.buffered() < MAX_BUFFERED_PER_SHARD,
@@ -281,7 +275,7 @@ mod tests {
             4,
         );
         for i in 0..20 {
-            pipeline.emit(i % 4, record(i as u64));
+            pipeline.emit(i % 4, &record(i as u64).event());
         }
         let tip = pipeline.chain_tip().unwrap();
         assert!(!tip.is_empty());

@@ -20,7 +20,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 
-use audit::record::Operation;
+use audit::record::{Detail, Operation};
 use kvstore::object::{Bytes, Value};
 use kvstore::store::ValuePart;
 
@@ -165,7 +165,7 @@ impl GdprStore {
         let op = self.begin(Operation::RightsRequest, ctx, None);
         let items = self.load_items(&self.keys_of_subject(subject)?)?;
         let detail = format!("art.15 access request: {} items", items.len());
-        self.complete(&op, subject, &detail)?;
+        self.complete(&op, subject, Detail::Text(&detail))?;
         Ok(SubjectAccessReport {
             subject: subject.to_string(),
             generated_at_ms: op.now,
@@ -223,7 +223,7 @@ impl GdprStore {
                 erased.len()
             ),
         };
-        self.complete(&op, subject, &detail)?;
+        self.complete(&op, subject, Detail::Text(&detail))?;
         let journal_records_scrubbed = outcome?;
 
         Ok(ErasureReport {
@@ -331,7 +331,7 @@ impl GdprStore {
             };
             (None, detail)
         };
-        self.complete(&op, subject, &detail)?;
+        self.complete(&op, subject, Detail::Text(&detail))?;
         Ok(ExportPage {
             chunk,
             next_cursor,
@@ -380,7 +380,7 @@ impl GdprStore {
             }
         }
         let detail = format!("art.21 objection recorded on {} keys", updated.len());
-        self.complete(&op, subject, &detail)?;
+        self.complete(&op, subject, Detail::Text(&detail))?;
         Ok(ObjectionReport {
             subject: subject.to_string(),
             purpose: purpose.to_string(),

@@ -38,7 +38,7 @@ use std::sync::Arc;
 
 use audit::log::AuditLog;
 use audit::policy::FlushPolicy;
-use audit::record::{AuditRecord, Operation, Outcome};
+use audit::record::{AuditEvent, Detail, Operation, Outcome};
 use audit::sink::{AuditSink, MemorySink};
 use kvstore::aof::FsyncPolicy;
 use kvstore::clock::SharedClock;
@@ -154,12 +154,12 @@ fn push_deadline(batch: &mut Vec<Command>, key: &str, at_ms: Option<u64>) {
 }
 
 /// The description of a delete, by whether the key was there.
-fn del_detail(existed: bool) -> &'static str {
-    if existed {
+fn del_detail(existed: bool) -> Detail<'static> {
+    Detail::Text(if existed {
         "DEL (existed)"
     } else {
         "DEL (missing)"
-    }
+    })
 }
 
 /// The GDPR-compliant store.
@@ -448,8 +448,11 @@ impl GdprStore {
     /// returns `Ok`, still holding the ACL's write lock: no check sees the
     /// change before its evidence is committed.
     fn audit_acl_change(&self, actor: &str, purpose: &str, detail: &str) -> Result<()> {
-        let record = AuditRecord::new(self.now_ms(), actor, Operation::AccessControl);
-        self.emit_audit(record.purpose(purpose).detail(detail))
+        self.emit_audit(&AuditEvent {
+            purpose: Some(purpose),
+            detail: Detail::Text(detail),
+            ..AuditEvent::new(self.now_ms(), actor, Operation::AccessControl)
+        })
     }
 
     /// Whether `actor` currently holds any unexpired grant for `purpose`
@@ -484,31 +487,33 @@ impl GdprStore {
 
     // ---- internal helpers ---------------------------------------------------
 
-    /// Make `record` evidence, counted once it is. Under a real-time
+    /// Make `event` evidence, counted once it is. Under a real-time
     /// audit policy it is one `EVIDENCE` record committed to the journal
     /// when this returns `Ok`, and a journal failure is returned; otherwise
-    /// it is buffered. Keyed records go to the key's shard; keyless
-    /// control-plane records (grants, rights requests) ride on shard 0.
-    fn emit_audit(&self, record: AuditRecord) -> Result<()> {
+    /// it is rendered into a buffer. Keyed records go to the key's shard;
+    /// keyless control-plane records (grants, rights requests) ride on
+    /// shard 0.
+    fn emit_audit(&self, event: &AuditEvent<'_>) -> Result<()> {
         // Under the unmodified policy nothing is monitored at all.
         if !self.policy.monitor_all_operations {
             return Ok(());
         }
         if self.journal_evidence {
-            self.kv.execute(Self::evidence(&record))?;
+            self.kv.execute(Self::evidence(event))?;
         } else {
-            let shard = record.key.as_deref().map_or(0, |key| self.kv.shard_of(key));
-            self.audit.emit(shard, record);
+            let shard = event.key.map_or(0, |key| self.kv.shard_of(key));
+            self.audit.emit(shard, event);
         }
         self.stats.audit_records.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// The journal record carrying `record`.
-    fn evidence(record: &AuditRecord) -> Command {
+    /// The journal record carrying `event`, encoded straight into its
+    /// payload.
+    fn evidence(event: &AuditEvent<'_>) -> Command {
         Command::Evidence {
-            key: record.key.clone().unwrap_or_default(),
-            payload: record.encode(),
+            key: event.key.unwrap_or_default().to_string(),
+            payload: event.encode(),
         }
     }
 
@@ -631,7 +636,7 @@ impl GdprStore {
             _ => "denied",
         };
         // No durable evidence of the refusal: that failure outranks it.
-        match self.record(op, subject, Outcome::Denied, reason) {
+        match self.record(op, subject, Outcome::Denied, Detail::Text(reason)) {
             Ok(()) => {
                 self.stats.denied_ops.fetch_add(1, Ordering::Relaxed);
                 error
@@ -780,30 +785,42 @@ impl GdprStore {
         })
     }
 
-    /// The one audit record of `op`.
-    fn audit_record(op: &Op<'_>, subject: &str, outcome: Outcome, detail: &str) -> AuditRecord {
-        let record = AuditRecord::new(op.now, op.actor, op.kind)
-            .subject(subject)
-            .purpose(op.purpose)
-            .outcome(outcome)
-            .detail(detail);
-        match op.key {
-            Some(key) => record.key(key),
-            None => record,
+    /// The one audit record of `op`, borrowing its fields.
+    fn audit_event<'a>(
+        op: &Op<'a>,
+        subject: &'a str,
+        outcome: Outcome,
+        detail: Detail<'a>,
+    ) -> AuditEvent<'a> {
+        AuditEvent {
+            timestamp_ms: op.now,
+            actor: op.actor,
+            operation: op.kind,
+            key: op.key,
+            subject: Some(subject),
+            purpose: Some(op.purpose),
+            outcome,
+            detail,
         }
     }
 
     /// Write the one audit record of `op`; under a real-time audit policy
     /// it is committed (and a journal failure surfaces) before this
     /// returns.
-    fn record(&self, op: &Op<'_>, subject: &str, outcome: Outcome, detail: &str) -> Result<()> {
-        self.emit_audit(Self::audit_record(op, subject, outcome, detail))
+    fn record(
+        &self,
+        op: &Op<'_>,
+        subject: &str,
+        outcome: Outcome,
+        detail: Detail<'_>,
+    ) -> Result<()> {
+        self.emit_audit(&Self::audit_event(op, subject, outcome, detail))
     }
 
     /// The success epilogue of every data-path operation and rights
     /// request whose bracket did not [`Self::attest`] it: recorded once,
     /// then counted once.
-    pub(crate) fn complete(&self, op: &Op<'_>, subject: &str, detail: &str) -> Result<()> {
+    pub(crate) fn complete(&self, op: &Op<'_>, subject: &str, detail: Detail<'_>) -> Result<()> {
         self.record(op, subject, Outcome::Allowed, detail)?;
         self.stats.allowed_ops.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -813,15 +830,15 @@ impl GdprStore {
     /// to the batch of the bracket that commits it: one frame, one
     /// group-commit wait, and after a crash both or neither.
     /// [`Self::complete_attested`] then counts it.
-    fn attest(&self, batch: &mut Vec<Command>, op: &Op<'_>, subject: &str, detail: &str) {
+    fn attest(&self, batch: &mut Vec<Command>, op: &Op<'_>, subject: &str, detail: Detail<'_>) {
         if self.journal_evidence {
-            let record = Self::audit_record(op, subject, Outcome::Allowed, detail);
-            batch.push(Self::evidence(&record));
+            let event = Self::audit_event(op, subject, Outcome::Allowed, detail);
+            batch.push(Self::evidence(&event));
         }
     }
 
     /// The success epilogue of a bracket that ran [`Self::attest`].
-    fn complete_attested(&self, op: &Op<'_>, subject: &str, detail: &str) -> Result<()> {
+    fn complete_attested(&self, op: &Op<'_>, subject: &str, detail: Detail<'_>) -> Result<()> {
         if !self.journal_evidence {
             return self.complete(op, subject, detail);
         }
@@ -848,7 +865,7 @@ impl GdprStore {
         let op = self.begin(Operation::Write, ctx, Some(key));
         self.authorize_write(&op, &meta)?;
         self.resolve_retention(&mut meta);
-        let detail = format!("SET {} bytes", value.len());
+        let detail = Detail::SetBytes(value.len() as u64);
         self.install(key, Some(&meta), |batch| {
             batch.push(Command::SetGoverned {
                 key: key.to_string(),
@@ -856,10 +873,10 @@ impl GdprStore {
                 governed: meta.encode().into(),
             });
             push_deadline(batch, key, meta.expires_at_ms);
-            self.attest(batch, &op, &meta.subject, &detail);
+            self.attest(batch, &op, &meta.subject, detail);
             Ok(())
         })?;
-        self.complete_attested(&op, &meta.subject, &detail)
+        self.complete_attested(&op, &meta.subject, detail)
     }
 
     /// Store a multi-field record (the YCSB record shape) with metadata.
@@ -877,7 +894,7 @@ impl GdprStore {
         let op = self.begin(Operation::Write, ctx, Some(key));
         self.authorize_write(&op, &meta)?;
         self.resolve_retention(&mut meta);
-        let detail = format!("HMSET {} fields", fields.len());
+        let detail = Detail::HmsetFields(fields.len() as u64);
         self.install(key, Some(&meta), |batch| {
             batch.push(Command::HSetMulti {
                 key: key.to_string(),
@@ -888,10 +905,10 @@ impl GdprStore {
                 governed: meta.encode().into(),
             });
             push_deadline(batch, key, meta.expires_at_ms);
-            self.attest(batch, &op, &meta.subject, &detail);
+            self.attest(batch, &op, &meta.subject, detail);
             Ok(())
         })?;
-        self.complete_attested(&op, &meta.subject, &detail)
+        self.complete_attested(&op, &meta.subject, detail)
     }
 
     /// Update fields of an existing record, re-using its stored metadata.
@@ -909,7 +926,7 @@ impl GdprStore {
         let op = self.begin(Operation::Write, ctx, Some(key));
         let stored = self.require_metadata(key)?;
         self.authorize_read(&op, Self::view(key, stored.as_deref())?.as_ref())?;
-        let detail = format!("HMSET {} fields (update)", fields.len());
+        let detail = Detail::HmsetUpdate(fields.len() as u64);
         let stored = self.install(key, None, |batch| {
             // Re-check inside the bracket: an erasure may have removed the
             // key (and its metadata) between the check above and now; the
@@ -922,11 +939,11 @@ impl GdprStore {
             });
             let view = Self::view(key, stored.as_deref())?;
             push_deadline(batch, key, view.as_ref().and_then(MetaView::expires_at_ms));
-            self.attest(batch, &op, subject_of(view.as_ref()), &detail);
+            self.attest(batch, &op, subject_of(view.as_ref()), detail);
             Ok(stored)
         })?;
         let view = Self::view(key, stored.as_deref())?;
-        self.complete_attested(&op, subject_of(view.as_ref()), &detail)
+        self.complete_attested(&op, subject_of(view.as_ref()), detail)
     }
 
     /// Read the string value stored under `key`.
@@ -990,8 +1007,8 @@ impl GdprStore {
         meta: Option<&MetaView<'_>>,
         value: Option<Bytes>,
     ) -> Result<Option<Bytes>> {
-        let detail = format!("GET {} bytes", value.as_ref().map_or(0, Vec::len));
-        self.complete(op, subject_of(meta), &detail)?;
+        let detail = Detail::GetBytes(value.as_ref().map_or(0, Vec::len) as u64);
+        self.complete(op, subject_of(meta), detail)?;
         Ok(value)
     }
 
@@ -1012,7 +1029,7 @@ impl GdprStore {
         let view = Self::view(key, governed.as_deref())?;
         self.authorize_read(&op, view.as_ref())?;
         let record = value.map(|value| value.into_hash(key)).transpose()?;
-        self.complete(&op, subject_of(view.as_ref()), "HGETALL")?;
+        self.complete(&op, subject_of(view.as_ref()), Detail::Text("HGETALL"))?;
         Ok(record)
     }
 
@@ -1079,10 +1096,10 @@ impl GdprStore {
                 });
             }
             push_deadline(batch, key, meta.expires_at_ms);
-            self.attest(batch, &op, &meta.subject, "metadata replaced");
+            self.attest(batch, &op, &meta.subject, Detail::Text("metadata replaced"));
             Ok(())
         })?;
-        self.complete_attested(&op, &meta.subject, "metadata replaced")
+        self.complete_attested(&op, &meta.subject, Detail::Text("metadata replaced"))
     }
 
     /// Read the GDPR metadata of a key (itself an audited read).
@@ -1095,7 +1112,7 @@ impl GdprStore {
         let op = self.begin(Operation::Read, ctx, Some(key));
         let meta = self.load_metadata(key)?;
         let subject = meta.as_ref().map_or("", |m| m.subject.as_str());
-        self.complete(&op, subject, "metadata read")?;
+        self.complete(&op, subject, Detail::Text("metadata read"))?;
         Ok(meta)
     }
 
@@ -1130,7 +1147,7 @@ impl GdprStore {
     pub fn scan(&self, ctx: &AccessContext, start: &str, count: usize) -> Result<Vec<String>> {
         let op = self.begin(Operation::Read, ctx, None);
         let keys = self.kv.scan(start, count)?;
-        self.complete(&op, "", &format!("SCAN {} keys", keys.len()))?;
+        self.complete(&op, "", Detail::ScanKeys(keys.len() as u64))?;
         Ok(keys)
     }
 
@@ -1158,11 +1175,11 @@ impl GdprStore {
         let now = self.now_ms();
         for key in &outcome.removed {
             self.purge(key, true, None)?;
-            self.emit_audit(
-                AuditRecord::new(now, "retention-engine", Operation::Delete)
-                    .key(key)
-                    .detail("erased: retention period elapsed"),
-            )?;
+            self.emit_audit(&AuditEvent {
+                key: Some(key),
+                detail: Detail::Text("erased: retention period elapsed"),
+                ..AuditEvent::new(now, "retention-engine", Operation::Delete)
+            })?;
         }
         if !outcome.removed.is_empty() {
             self.stats

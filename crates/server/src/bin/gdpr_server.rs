@@ -7,6 +7,7 @@
 //! gdpr-server [addr=127.0.0.1:6379] [shards=1] [fsync=everysec]
 //!             [compliance=1] [transport=reactor|threads] [workers=0]
 //!             [maxconns=0|N] [readtimeout=secs] [aof=mem|none|<path>]
+//!             [audit=<path>]
 //!             [replicaof=host:port] [backlog=records]
 //!             [grant=actor:purpose[,actor:purpose...]] [duration=secs]
 //!             [metrics=host:port] [slowlog=micros] [slowlogmax=N]
@@ -39,6 +40,17 @@
 //!   (a damaged manifest, one older than version 3) is refused: the
 //!   server prints `gdpr-server: cannot open journal <path>: <error>`,
 //!   touches no file and exits with status 1.
+//! * `audit` — where the compliance engine keeps its hash-chained audit
+//!   trail: a file (created if absent; a trail already there is resumed,
+//!   and each start begins a new chain in it). The default is
+//!   `<aof>.audit` beside a file journal, and an in-memory trail with
+//!   `aof=mem` or `aof=none` (it grows with every operation served).
+//!   Under `compliance=1` the trail's last lines reach the file at `TICK`,
+//!   when buffers fill, and at `SHUTDOWN`; under `compliance=2` each
+//!   operation's evidence is in the journal first and the file is its
+//!   archive, written at a journal rewrite and at `SHUTDOWN`. A journal
+//!   that is refused leaves no trail file behind. Ignored with
+//!   `compliance=0`.
 //! * `replicaof` — follow a primary at `host:port`: full-sync on connect,
 //!   then apply its journal stream; writes to this server are rejected
 //!   with a redirect error. Replication lag is in `INFO`/`GDPR.STATS`.
@@ -80,7 +92,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use audit::sink::NullSink;
+use audit::sink::{AuditSink, FileSink, MemorySink};
 use gdpr_core::acl::Grant;
 use gdpr_core::policy::CompliancePolicy;
 use gdpr_core::store::GdprStore;
@@ -101,6 +113,7 @@ const KNOWN_FLAGS: &[&str] = &[
     "maxconns",
     "readtimeout",
     "aof",
+    "audit",
     "replicaof",
     "backlog",
     "grant",
@@ -250,8 +263,28 @@ fn main() {
             "gdpr-server: compliance policy '{}', {shards} shard(s), fsync {fsync:?}",
             policy.name
         );
-        let mut store = GdprStore::open(policy, config, Box::new(NullSink::new()))
-            .unwrap_or_else(|e| cannot_open(journal, e));
+        let trail = arg_str(&args, "audit")
+            .map(str::to_string)
+            .or_else(|| (!matches!(journal, "mem" | "none")).then(|| format!("{journal}.audit")));
+        // Whether opening the trail creates it: checked before it does.
+        let created = trail
+            .clone()
+            .filter(|path| !std::path::Path::new(path).exists());
+        let sink: Box<dyn AuditSink> = match &trail {
+            Some(path) => Box::new(FileSink::open(path).unwrap_or_else(|e| {
+                eprintln!("gdpr-server: cannot open audit trail {path}: {e}");
+                std::process::exit(1);
+            })),
+            None => Box::new(MemorySink::new()),
+        };
+        let mut store = GdprStore::open(policy, config, sink).unwrap_or_else(|e| {
+            // A refused journal leaves no trail file behind either.
+            if let Some(path) = created {
+                let _ = std::fs::remove_file(path);
+            }
+            cannot_open(journal, e)
+        });
+        println!("  audit trail: {}", trail.as_deref().unwrap_or("in memory"));
         if let Some(hotcache) = arg_u64(&args, "hotcache") {
             store.set_hot_cache(
                 gdpr_core::hot_cache::HotCacheConfig::default().enabled(hotcache != 0),

@@ -51,6 +51,9 @@ fn strict_compliance_refuses_a_journal_that_does_not_sync_every_commit() {
 
 #[test]
 fn every_documented_flag_is_accepted() {
+    let trail =
+        std::env::temp_dir().join(format!("gdpr-server-flags-{}.audit", std::process::id()));
+    let audit = format!("audit={}", trail.display());
     let (code, stderr) = run(&[
         "addr=127.0.0.1:0",
         "shards=2",
@@ -61,6 +64,7 @@ fn every_documented_flag_is_accepted() {
         "maxconns=8",
         "readtimeout=5",
         "aof=mem",
+        &audit,
         "backlog=16",
         "grant=app:billing,ops:support",
         "duration=1",
@@ -72,6 +76,8 @@ fn every_documented_flag_is_accepted() {
         "hotcache=0",
     ]);
     assert_eq!(code, Some(0), "{stderr}");
+    assert!(trail.exists(), "audit= names the trail file");
+    let _ = std::fs::remove_file(&trail);
 }
 
 #[test]

@@ -85,14 +85,21 @@ impl Slowlog {
 
     /// Record a slow request. `name` is the command name; `args` the raw
     /// argument bytes (lossily decoded and truncated for capture).
-    pub fn push(&self, duration_micros: u64, name: &str, args: &[Vec<u8>]) {
-        let mut command = Vec::with_capacity(1 + args.len().min(MAX_ARGS + 1));
+    pub fn push<I>(&self, duration_micros: u64, name: &str, args: I)
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+        I::Item: AsRef<[u8]>,
+    {
+        let args = args.into_iter();
+        let total = args.len();
+        let mut command = Vec::with_capacity(1 + total.min(MAX_ARGS + 1));
         command.push(name.to_string());
-        for arg in args.iter().take(MAX_ARGS) {
-            command.push(render_arg(arg));
+        for arg in args.take(MAX_ARGS) {
+            command.push(render_arg(arg.as_ref()));
         }
-        if args.len() > MAX_ARGS {
-            command.push(format!("... ({} more arguments)", args.len() - MAX_ARGS));
+        if total > MAX_ARGS {
+            command.push(format!("... ({} more arguments)", total - MAX_ARGS));
         }
         let entry = SlowlogEntry {
             id: self.next_id.fetch_add(1, Ordering::Relaxed),
@@ -189,11 +196,11 @@ mod tests {
     #[test]
     fn reset_clears_entries_but_not_ids() {
         let log = Slowlog::new(0, 8);
-        log.push(1, "PING", &[]);
-        log.push(2, "PING", &[]);
+        log.push(1, "PING", &[] as &[&[u8]]);
+        log.push(2, "PING", &[] as &[&[u8]]);
         log.reset();
         assert!(log.is_empty());
-        log.push(3, "PING", &[]);
+        log.push(3, "PING", &[] as &[&[u8]]);
         assert_eq!(log.entries(1)[0].id, 2, "id counter survives reset");
     }
 

@@ -5,9 +5,9 @@
 //! the network. To reproduce that data path, the `netsim` crate moves
 //! RESP-encoded requests and replies through a simulated link; this crate
 //! provides the wire format: [`Frame`] values, an incremental
-//! [`decode::Decoder`], an [`encode`] module, and a typed
-//! [`command::WireCommand`] layer that maps RESP arrays to the engine's
-//! command set.
+//! [`decode::Decoder`] (owned frames, or commands as borrowed
+//! [`command::CommandView`]s of its buffer), an [`encode`] module, and the
+//! typed [`command::GdprRequest`] surface.
 //!
 //! # Example
 //!

@@ -159,19 +159,6 @@ impl ReplFrame {
     }
 }
 
-/// Whether a decoded request frame is the `REPLSYNC` command (checked at
-/// the transport layer, which owns the connection the stream takes over).
-#[must_use]
-pub fn is_replsync_command(frame: &Frame) -> bool {
-    match frame {
-        Frame::Array(items) => matches!(
-            items.first(),
-            Some(Frame::Bulk(name)) if name.eq_ignore_ascii_case(REPLSYNC.as_bytes())
-        ),
-        _ => false,
-    }
-}
-
 /// Whether a RESP error message is the stream-lost signal.
 #[must_use]
 pub fn is_repllost_error(message: &str) -> bool {
@@ -227,10 +214,25 @@ mod tests {
 
     #[test]
     fn replsync_detection_is_case_insensitive() {
-        assert!(is_replsync_command(&Frame::command(["replsync"])));
-        assert!(is_replsync_command(&Frame::command(["REPLSYNC"])));
-        assert!(!is_replsync_command(&Frame::command(["GET", "k"])));
-        assert!(!is_replsync_command(&Frame::Integer(3)));
+        // The transports check each request they take off the decoder.
+        let is_replsync = |frame: &Frame| {
+            let mut decoder = crate::decode::Decoder::new();
+            decoder.feed(&crate::encode::encode_frame(frame));
+            decoder
+                .next_request()
+                .unwrap()
+                .unwrap()
+                .is_command(REPLSYNC)
+        };
+        assert!(is_replsync(&Frame::command(["replsync"])));
+        assert!(is_replsync(&Frame::command(["REPLSYNC"])));
+        assert!(!is_replsync(&Frame::command(["GET", "k"])));
+        assert!(!is_replsync(&Frame::Integer(3)));
+        // A frame the view does not take still counts by its first element.
+        assert!(is_replsync(&Frame::Array(vec![
+            Frame::bulk("ReplSync"),
+            Frame::Integer(1)
+        ])));
     }
 
     #[test]

@@ -11,13 +11,16 @@
 //! * `flags` — the replica redirect ([`WRITE`]), the compliance engine's
 //!   `NOAUTH` ([`AUTH`]), and which engines serve the command ([`KV`],
 //!   [`COMPLIANCE`]);
-//! * `id` — the handler, by a `match` in [`crate::dispatch`].
+//! * `id` — the handler, by a `match` in [`crate::dispatch`];
+//! * `stored` — the arguments the command stores as data, which a
+//!   `SLOWLOG` capture blanks.
 //!
 //! A name that is not in the table is an unknown command, timed as
 //! `other`. `docs/WIRE.md` lists the same commands; a test below checks it
-//! row for row. The helpers at the end read arguments for the handlers.
+//! row for row. The helpers at the end read arguments for the handlers
+//! from the request's [`CommandView`].
 
-use resp::command::WireCommand;
+use resp::command::CommandView;
 
 use crate::metrics::CommandFamily::{self, Admin, Expire, GdprData, GdprRight, Read, Scan, Write};
 
@@ -72,6 +75,29 @@ const BOTH: u8 = KV | COMPLIANCE;
 /// `max_args` of a command that ignores the arguments past its minimum.
 const ANY: usize = usize::MAX;
 
+/// The arguments a command stores as data: the values (and set members)
+/// a `SLOWLOG` capture leaves out, so that the ring, which no erasure
+/// reaches, keeps keys and options but no personal data.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stored {
+    Nothing,
+    /// The argument at this index.
+    Arg(usize),
+    /// `HMSET key f v [f v …]`: every value, not the field names.
+    HashValues,
+}
+
+impl Stored {
+    /// Whether argument `i` is stored data.
+    pub fn covers(self, i: usize) -> bool {
+        match self {
+            Stored::Nothing => false,
+            Stored::Arg(at) => i == at,
+            Stored::HashValues => i >= 2 && i.is_multiple_of(2),
+        }
+    }
+}
+
 /// One wire command.
 #[derive(Debug)]
 pub(crate) struct CommandSpec {
@@ -84,6 +110,7 @@ pub(crate) struct CommandSpec {
     pub flags: u8,
     pub family: CommandFamily,
     pub id: Cmd,
+    pub stored: Stored,
 }
 
 impl CommandSpec {
@@ -98,6 +125,12 @@ impl CommandSpec {
             "ERR wrong number of arguments for '{}' (usage: {})",
             self.name, self.usage
         )
+    }
+
+    /// The row with the arguments it stores named.
+    const fn stores(mut self, stored: Stored) -> Self {
+        self.stored = stored;
+        self
     }
 }
 
@@ -118,8 +151,11 @@ const fn row(
         flags,
         family,
         id,
+        stored: Stored::Nothing,
     }
 }
+
+use Stored::{Arg, HashValues};
 
 /// Every wire command, sorted by name.
 #[rustfmt::skip]
@@ -138,7 +174,7 @@ pub(crate) static COMMANDS: [CommandSpec; 42] = [
     row("GDPR.GRANT", "GDPR.GRANT actor purpose", 2, 2, COMPLIANCE, Admin, Cmd::Gdpr),
     row("GDPR.KEYSOF", "GDPR.KEYSOF subject", 1, 1, AUTH | COMPLIANCE, GdprRight, Cmd::Gdpr),
     row("GDPR.OBJECT", "GDPR.OBJECT subject purpose", 2, 2, WRITE | AUTH | COMPLIANCE, GdprRight, Cmd::Gdpr),
-    row("GDPR.PUT", "GDPR.PUT key subject purposes value [ttl_ms]", 4, 5, WRITE | AUTH | COMPLIANCE, GdprData, Cmd::Gdpr),
+    row("GDPR.PUT", "GDPR.PUT key subject purposes value [ttl_ms]", 4, 5, WRITE | AUTH | COMPLIANCE, GdprData, Cmd::Gdpr).stores(Arg(3)),
     row("GDPR.REVOKE", "GDPR.REVOKE actor purpose", 2, 2, COMPLIANCE, Admin, Cmd::Gdpr),
     row("GDPR.SETMETA", "GDPR.SETMETA key subject purposes [ttl_ms]", 3, 4, WRITE | AUTH | COMPLIANCE, GdprData, Cmd::Gdpr),
     row("GDPR.STATS", "GDPR.STATS", 0, 0, COMPLIANCE, Admin, Cmd::Gdpr),
@@ -146,8 +182,8 @@ pub(crate) static COMMANDS: [CommandSpec; 42] = [
     row("HDEL", "HDEL key field", 2, 2, WRITE | KV, Write, Cmd::HDel),
     row("HGET", "HGET key field", 2, 2, KV, Read, Cmd::HGet),
     row("HGETALL", "HGETALL key", 1, 1, AUTH | BOTH, Read, Cmd::HGetAll),
-    row("HMSET", "HMSET key f v [f v …]", 3, ANY, WRITE | AUTH | BOTH, Write, Cmd::HMSet),
-    row("HSET", "HSET key field value", 3, 3, WRITE | KV, Write, Cmd::HSet),
+    row("HMSET", "HMSET key f v [f v …]", 3, ANY, WRITE | AUTH | BOTH, Write, Cmd::HMSet).stores(HashValues),
+    row("HSET", "HSET key field value", 3, 3, WRITE | KV, Write, Cmd::HSet).stores(Arg(2)),
     row("INFO", "INFO", 0, ANY, BOTH, Admin, Cmd::Info),
     row("KEYS", "KEYS pattern", 1, 1, KV, Scan, Cmd::Keys),
     row("PERSIST", "PERSIST key", 1, 1, WRITE | KV, Expire, Cmd::Persist),
@@ -156,43 +192,54 @@ pub(crate) static COMMANDS: [CommandSpec; 42] = [
     row("PING", "PING", 0, ANY, BOTH, Admin, Cmd::Ping),
     row("PTTL", "PTTL key", 1, 1, KV, Expire, Cmd::Ttl),
     row("REPLSYNC", "REPLSYNC", 0, ANY, BOTH, Admin, Cmd::Replsync),
-    row("SADD", "SADD key member", 2, 2, WRITE | KV, Write, Cmd::SAdd),
+    row("SADD", "SADD key member", 2, 2, WRITE | KV, Write, Cmd::SAdd).stores(Arg(1)),
     row("SCAN", "SCAN start count", 2, 2, AUTH | BOTH, Scan, Cmd::Scan),
-    row("SET", "SET key value", 2, 2, WRITE | AUTH | BOTH, Write, Cmd::Set),
+    row("SET", "SET key value", 2, 2, WRITE | AUTH | BOTH, Write, Cmd::Set).stores(Arg(1)),
     row("SHUTDOWN", "SHUTDOWN", 0, ANY, BOTH, Admin, Cmd::Shutdown),
     row("SLOWLOG", "SLOWLOG GET [n] | LEN | RESET", 1, ANY, BOTH, Admin, Cmd::Slowlog),
     row("SMEMBERS", "SMEMBERS key", 1, 1, KV, Read, Cmd::SMembers),
-    row("SREM", "SREM key member", 2, 2, WRITE | KV, Write, Cmd::SRem),
+    row("SREM", "SREM key member", 2, 2, WRITE | KV, Write, Cmd::SRem).stores(Arg(1)),
     row("TICK", "TICK", 0, ANY, BOTH, Admin, Cmd::Tick),
     row("TTL", "TTL key", 1, 1, KV, Expire, Cmd::Ttl),
     row("UNLINK", "UNLINK key", 1, 1, WRITE | AUTH | BOTH, Write, Cmd::Del),
 ];
 
-/// The row of an upper-cased command name.
-pub(crate) fn lookup(name: &str) -> Option<&'static CommandSpec> {
+/// The longest command name.
+const LONGEST_NAME: usize = 12;
+
+/// The row of a command name, in any case, upper-cased on the stack.
+pub(crate) fn lookup(name: &[u8]) -> Option<&'static CommandSpec> {
+    let mut upper = [0u8; LONGEST_NAME];
+    let upper = upper.get_mut(..name.len())?;
+    for (to, from) in upper.iter_mut().zip(name) {
+        *to = from.to_ascii_uppercase();
+    }
     COMMANDS
-        .binary_search_by(|spec| spec.name.cmp(name))
+        .binary_search_by(|spec| spec.name.as_bytes().cmp(upper))
         .ok()
         .map(|i| &COMMANDS[i])
 }
 
 /// Argument `i` as UTF-8 text.
-pub(crate) fn arg(cmd: &WireCommand, i: usize) -> Result<&str, String> {
+pub(crate) fn arg<'a>(cmd: &CommandView<'a>, i: usize) -> Result<&'a str, String> {
     cmd.arg_str(i).map_err(|e| format!("ERR {e}"))
 }
 
 /// Argument `i` as an owned string.
-pub(crate) fn text(cmd: &WireCommand, i: usize) -> Result<String, String> {
+pub(crate) fn text(cmd: &CommandView<'_>, i: usize) -> Result<String, String> {
     arg(cmd, i).map(str::to_string)
 }
 
-/// Argument `i` moved out of the command: the value a write stores.
-pub(crate) fn payload(cmd: &mut WireCommand, i: usize) -> Result<Vec<u8>, String> {
-    cmd.take_arg(i).map_err(|e| format!("ERR {e}"))
+/// Argument `i` copied out of the request: the value a write stores (the
+/// one copy between the read buffer and the store).
+pub(crate) fn payload(cmd: &CommandView<'_>, i: usize) -> Result<Vec<u8>, String> {
+    cmd.arg_bytes(i)
+        .map(<[u8]>::to_vec)
+        .map_err(|e| format!("ERR {e}"))
 }
 
 /// Argument `i` as an unsigned integer.
-pub(crate) fn number(cmd: &WireCommand, i: usize) -> Result<u64, String> {
+pub(crate) fn number(cmd: &CommandView<'_>, i: usize) -> Result<u64, String> {
     cmd.arg_u64(i).map_err(|e| format!("ERR {e}"))
 }
 
@@ -202,7 +249,7 @@ pub(crate) fn number(cmd: &WireCommand, i: usize) -> Result<u64, String> {
 /// `i64` — `PTTL` answers a signed integer — is refused, so the key keeps
 /// the deadline it had.
 pub(crate) fn expiry(
-    cmd: &WireCommand,
+    cmd: &CommandView<'_>,
     i: usize,
     unit_ms: u64,
     from_ms: u64,
@@ -214,7 +261,7 @@ pub(crate) fn expiry(
                 .checked_add(ms)
                 .is_some_and(|at| i64::try_from(at).is_ok())
         })
-        .ok_or_else(|| format!("ERR invalid expire time in '{}' command", cmd.name))
+        .ok_or_else(|| format!("ERR invalid expire time in '{}' command", cmd.upper_name()))
 }
 
 #[cfg(test)]
@@ -233,13 +280,23 @@ mod tests {
             );
         }
         for spec in &COMMANDS {
-            assert_eq!(lookup(spec.name).map(|s| s.name), Some(spec.name));
+            assert_eq!(
+                lookup(spec.name.as_bytes()).map(|s| s.name),
+                Some(spec.name)
+            );
+            let lower = spec.name.to_ascii_lowercase();
+            assert_eq!(lookup(lower.as_bytes()).map(|s| s.name), Some(spec.name));
             assert_eq!(spec.usage.split(' ').next(), Some(spec.name), "{spec:?}");
             assert!(spec.min_args <= spec.max_args, "{spec:?}");
+            assert!(spec.name.len() <= LONGEST_NAME, "{spec:?}");
             assert!(spec.has(KV) || spec.has(COMPLIANCE), "{spec:?}");
         }
-        assert!(lookup("GDPR.NOPE").is_none());
-        assert!(lookup("set").is_none(), "names are looked up upper-cased");
+        assert!(lookup(b"GDPR.NOPE").is_none());
+        assert_eq!(lookup(b"sEt").map(|s| s.name), Some("SET"), "any case");
+        assert!(lookup(b"SET ").is_none());
+        assert!(lookup(b"SETX").is_none());
+        assert!(lookup(b"").is_none());
+        assert!(lookup(&[0xff, b'S']).is_none());
     }
 
     #[test]
@@ -258,11 +315,38 @@ mod tests {
         let mut named = 0;
         for (family, names) in pinned {
             for name in names {
-                assert_eq!(lookup(name).map(|s| s.family), Some(family), "{name}");
+                assert_eq!(
+                    lookup(name.as_bytes()).map(|s| s.family),
+                    Some(family),
+                    "{name}"
+                );
                 named += 1;
             }
         }
         assert_eq!(named, COMMANDS.len());
+    }
+
+    #[test]
+    fn the_stored_arguments_are_the_values_and_members() {
+        let stored: Vec<(&str, Stored)> = COMMANDS
+            .iter()
+            .filter(|spec| spec.stored != Stored::Nothing)
+            .map(|spec| (spec.name, spec.stored))
+            .collect();
+        assert_eq!(
+            stored,
+            [
+                ("GDPR.PUT", Arg(3)),
+                ("HMSET", HashValues),
+                ("HSET", Arg(2)),
+                ("SADD", Arg(1)),
+                ("SET", Arg(1)),
+                ("SREM", Arg(1)),
+            ]
+        );
+        // HMSET key f v f v: the values, not the key or the field names.
+        let covered: Vec<usize> = (0..5).filter(|&i| HashValues.covers(i)).collect();
+        assert_eq!(covered, [2, 4]);
     }
 
     /// The command rows of docs/WIRE.md's "Plain commands" and "The

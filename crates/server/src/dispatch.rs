@@ -2,8 +2,11 @@
 //!
 //! Both RESP front-ends — the in-process simulated server in
 //! `netsim::server` and the real TCP server in [`crate::tcp`] — delegate
-//! every decoded frame to [`Dispatcher`], so the two paths execute the
-//! same commands the same way and cannot drift. The dispatcher serves one
+//! every request to [`Dispatcher`], so the two paths execute the same
+//! commands the same way and cannot drift: the TCP transports hand in each
+//! command as a [`CommandView`] of their read buffer, the simulated server
+//! a decoded frame, whose elements [`Dispatcher::handle_frame`] reads
+//! through the same view. The dispatcher serves one
 //! of two engines:
 //!
 //! * [`Engine::Kv`] — the raw storage engine, speaking the plain Redis
@@ -32,8 +35,9 @@ use gdpr_core::store::{AccessContext, GdprStore};
 use gdpr_crypto::sha256::Sha256;
 use kvstore::commands::{Command, Reply};
 use kvstore::store::KvStore;
-use resp::command::{GdprRequest, WireCommand};
-use resp::Frame;
+use resp::command::{CommandView, GdprRequest};
+use resp::decode::Request;
+use resp::{Frame, RespError};
 
 use crate::commands::{
     self, arg, expiry, number, payload, text, Cmd, CommandSpec, AUTH, COMPLIANCE, KV, WRITE,
@@ -71,7 +75,7 @@ pub struct ClientStats {
     /// Event-loop wakeups, summed over the reactor's loops (0 on the
     /// thread-per-connection transport, which has no event loop).
     pub reactor_wakeups: u64,
-    /// Most connections that held decoded-but-unexecuted frames on one
+    /// Most connections that held unexecuted commands on one
     /// event loop at once (0 on the thread-per-connection transport).
     pub worker_queue_hwm: u64,
 }
@@ -311,58 +315,88 @@ impl Dispatcher {
         hex
     }
 
-    /// Handle one decoded request frame and produce the reply frame: a
-    /// copy of `frame` goes through [`Self::handle_owned_frame`]. The
-    /// transports own the frames they decode and call that directly.
+    /// Handle one decoded request frame and produce the reply frame: the
+    /// frame's elements are read through a [`CommandView`] and run by
+    /// [`Self::handle_command`]. A frame that is no command (not an
+    /// array, empty, an element that is no string, a name that is not
+    /// UTF-8) is refused, counted and not timed.
     pub fn handle_frame(&self, frame: &Frame, session: &mut Session) -> Frame {
-        self.handle_owned_frame(frame.clone(), session)
+        match CommandView::from_frame(frame) {
+            Ok(cmd) => self.handle_command(&cmd, session),
+            Err(e) => self.refuse(&e),
+        }
     }
 
-    /// Handle one decoded request frame, taking it over: the arguments
-    /// move into the parsed command, and the payload of a write moves on
-    /// into the store.
+    /// [`Self::handle_frame`] for a caller done with its frame.
+    pub fn handle_owned_frame(&self, frame: Frame, session: &mut Session) -> Frame {
+        self.handle_frame(&frame, session)
+    }
+
+    /// Handle what a transport took off its decoder: a command view of the
+    /// read buffer, or a frame of another shape.
+    pub fn handle_request(&self, request: Request<'_>, session: &mut Session) -> Frame {
+        match request {
+            Request::Command(cmd) => self.handle_command(&cmd, session),
+            Request::Frame(frame) => self.handle_frame(&frame, session),
+        }
+    }
+
+    /// Handle one command, reading its arguments where they lie; a
+    /// payload the engine keeps is copied out once.
     ///
     /// The command name is looked up once, in the command table
-    /// (`commands.rs`). Its row gives the checks the request passes and
-    /// the handler it runs, and the family it is timed into. This is the
-    /// observability interception point: every parsed command is timed
-    /// into its family histogram (an unknown name into `other`) and,
-    /// over the configured threshold, captured into the `SLOWLOG` ring (a
-    /// payload that moved into the store shows there as an empty
-    /// argument).
-    pub fn handle_owned_frame(&self, frame: Frame, session: &mut Session) -> Frame {
+    /// (`commands.rs`), in any case. Its row gives the checks the request
+    /// passes and the handler it runs, and the family it is timed into.
+    /// This is the observability interception point: every command is
+    /// timed into its family histogram (an unknown name into `other`)
+    /// and, over the configured threshold, captured into the `SLOWLOG`
+    /// ring with the arguments its row stores as data left blank.
+    pub fn handle_command(&self, cmd: &CommandView<'_>, session: &mut Session) -> Frame {
+        let spec = commands::lookup(cmd.name());
+        if spec.is_none() && std::str::from_utf8(cmd.name()).is_err() {
+            return self.refuse(&RespError::InvalidCommand(
+                "command name is not valid utf-8".to_string(),
+            ));
+        }
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
         let started = Instant::now();
-        let (reply, timed) = match WireCommand::from_frame(frame) {
-            Ok(mut cmd) => {
-                let spec = commands::lookup(&cmd.name);
-                let reply = match spec {
-                    Some(spec) => self.dispatch(spec, &mut cmd, session),
-                    None => Frame::Error(format!("ERR unknown command '{}'", cmd.name)),
-                };
-                let family = spec.map_or(CommandFamily::Other, |spec| spec.family);
-                (reply, Some((family, cmd)))
-            }
-            Err(e) => (Frame::Error(format!("ERR {e}")), None),
+        let reply = match spec {
+            Some(spec) => self.dispatch(spec, cmd, session),
+            None => Frame::Error(format!("ERR unknown command '{}'", cmd.upper_name())),
         };
         if matches!(reply, Frame::Error(_)) {
             self.stats.errors.fetch_add(1, Ordering::Relaxed);
         }
-        if let Some((family, cmd)) = timed {
-            let elapsed = started.elapsed();
-            self.metrics.record_command(family, elapsed);
-            let micros = elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
-            if self.metrics.slowlog.should_log(micros) {
-                self.metrics.slowlog.push(micros, &cmd.name, &cmd.args);
-            }
+        let elapsed = started.elapsed();
+        self.metrics.record_command(
+            spec.map_or(CommandFamily::Other, |spec| spec.family),
+            elapsed,
+        );
+        let micros = elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
+        if self.metrics.slowlog.should_log(micros) {
+            let name = spec.map_or_else(|| cmd.upper_name(), |spec| spec.name.to_string());
+            let stored = spec.map_or(commands::Stored::Nothing, |spec| spec.stored);
+            let args = cmd
+                .args()
+                .enumerate()
+                .map(|(i, arg)| if stored.covers(i) { &[][..] } else { arg });
+            self.metrics.slowlog.push(micros, &name, args);
         }
         reply
+    }
+
+    /// The reply to a request that is no command: counted as a request
+    /// and an error, not timed.
+    fn refuse(&self, e: &RespError) -> Frame {
+        self.stats.requests.fetch_add(1, Ordering::Relaxed);
+        self.stats.errors.fetch_add(1, Ordering::Relaxed);
+        Frame::Error(format!("ERR {e}"))
     }
 
     /// The `SLOWLOG GET [n] | RESET | LEN` container command, with
     /// Redis-shaped replies (`GET` returns `[id, unix_seconds,
     /// duration_micros, [command…]]` entries, newest first).
-    fn slowlog_command(&self, cmd: &WireCommand) -> Frame {
+    fn slowlog_command(&self, cmd: &CommandView<'_>) -> Frame {
         let slowlog = &self.metrics.slowlog;
         let sub = match cmd.subcommand() {
             Ok(sub) => sub,
@@ -410,9 +444,8 @@ impl Dispatcher {
     }
 
     /// Run one command by its table row: the arity check, the replica
-    /// redirect, the engine and auth gates, then the row's handler. A
-    /// write takes its payload out of `cmd` ([`WireCommand::take_arg`]).
-    fn dispatch(&self, spec: &CommandSpec, cmd: &mut WireCommand, session: &mut Session) -> Frame {
+    /// redirect, the engine and auth gates, then the row's handler.
+    fn dispatch(&self, spec: &CommandSpec, cmd: &CommandView<'_>, session: &mut Session) -> Frame {
         if !(spec.min_args..=spec.max_args).contains(&cmd.arity()) {
             return Frame::Error(spec.arity_error());
         }
@@ -469,7 +502,7 @@ impl Dispatcher {
                 },
                 Err(message) => Frame::Error(message),
             },
-            (Cmd::Gdpr, Engine::Gdpr(store)) => match GdprRequest::from_wire(cmd) {
+            (Cmd::Gdpr, Engine::Gdpr(store)) => match GdprRequest::from_command(cmd) {
                 Ok(request) => dispatch_gdpr(self, store, request, session),
                 Err(e) => Frame::Error(format!("ERR {e}")),
             },
@@ -481,14 +514,14 @@ impl Dispatcher {
 }
 
 /// The raw-engine command of a row the table serves there, with the
-/// values it carries moved out of `cmd`.
+/// values it carries copied out of `cmd`.
 ///
 /// # Errors
 ///
 /// Returns a ready-to-send RESP error message for a malformed argument.
 fn kv_command(
     spec: &CommandSpec,
-    cmd: &mut WireCommand,
+    cmd: &CommandView<'_>,
     store: &KvStore,
 ) -> std::result::Result<Command, String> {
     let now = || store.clock().now_millis();
@@ -554,10 +587,10 @@ fn kv_command(
     })
 }
 
-/// `HMSET`'s key and field/value map, the values moved out of `cmd`.
+/// `HMSET`'s key and field/value map, the values copied out of `cmd`.
 fn hash_fields(
     spec: &CommandSpec,
-    cmd: &mut WireCommand,
+    cmd: &CommandView<'_>,
 ) -> std::result::Result<(String, BTreeMap<String, Vec<u8>>), String> {
     if cmd.arity().is_multiple_of(2) {
         return Err(spec.arity_error());
@@ -808,7 +841,7 @@ fn dispatch_gdpr_data(store: &GdprStore, request: GdprRequest, ctx: &AccessConte
 fn compliance_command(
     store: &GdprStore,
     spec: &CommandSpec,
-    cmd: &mut WireCommand,
+    cmd: &CommandView<'_>,
     session: &Session,
 ) -> std::result::Result<Frame, String> {
     if spec.id == Cmd::DbSize {

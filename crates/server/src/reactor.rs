@@ -14,19 +14,27 @@
 //! * **loop 0** also owns the listener and deals accepted sockets
 //!   round-robin to the loops through a per-loop inbox plus
 //!   [`polling::Poller::notify`]. A connection stays on its loop for life;
-//! * a loop **runs every request to completion**: it reads, decodes with
-//!   the incremental [`Decoder`], executes [`Dispatcher::handle_owned_frame`]
-//!   itself, encodes the reply straight into the connection's outbox and
-//!   writes it at once. There is no hand-off to another thread, and
-//!   write-readiness is armed only after a write returned `WouldBlock`;
+//! * a loop **runs every request to completion**: it reads into the
+//!   connection's incremental [`Decoder`], takes each complete command off
+//!   it as a borrowed view of the buffer (no frame tree, no owned
+//!   command, no per-frame memmove), executes it with
+//!   [`Dispatcher::handle_request`] itself, encodes the reply straight
+//!   into the connection's outbox and writes it at once. There is no
+//!   hand-off to another thread, and write-readiness is armed only after a
+//!   write returned `WouldBlock`;
 //! * a slow command (a big `GDPR.EXPORT`, a strict-fsync write) therefore
 //!   stalls the connections that share its loop and no others, and within
-//!   a loop a fixed per-turn frame budget bounds how many frames one
-//!   connection executes before its neighbours get their turn.
+//!   a loop a fixed per-turn frame budget bounds how many commands one
+//!   connection executes before its neighbours get their turn. The
+//!   unexecuted commands wait in the decoder's buffer, which is also what
+//!   backpressure bounds: a connection whose buffer holds
+//!   `MAX_PENDING_BYTES` behind a spent budget is not read until it
+//!   shrinks.
 //!
-//! Idle connections cost one registered descriptor and a ~100-byte state
-//! machine — no thread, no pinned read buffer (a scratch buffer per loop
-//! serves all reads). The transport semantics match the threads
+//! Idle connections cost one registered descriptor, a ~100-byte state
+//! machine and their decoder's buffer — no thread, no read buffer of their
+//! own (a scratch buffer per loop serves all reads). The transport
+//! semantics match the threads
 //! implementation exactly: same pipelining, same
 //! `-ERR max connections reached` refusal, same idle timeout measured
 //! from the last *complete* frame, same drain-on-shutdown guarantee
@@ -45,22 +53,23 @@ use parking_lot::Mutex;
 use polling::{Event, Poller};
 use resp::decode::Decoder;
 use resp::encode::encode_into;
+use resp::repl::REPLSYNC;
 use resp::Frame;
 
 use crate::dispatch::{Dispatcher, Session};
-use crate::tcp::{
-    at_connection_limit, is_shutdown_command, reject_over_limit, shrink_buffer, ServerConfig,
-};
+use crate::tcp::{at_connection_limit, reject_over_limit, shrink_buffer, ServerConfig, SHUTDOWN};
 
 /// Poller key of the listening socket (loop 0); connection slot `i` maps
 /// to key `i + 1` on its loop's poller.
 const LISTENER_KEY: usize = 0;
 
-/// Cap on decoded-but-unexecuted frames per connection. A pipelining
-/// flood beyond this pauses reads for that connection (level-triggered
-/// polling resumes them as soon as the backlog shrinks) so one client
-/// cannot buffer unbounded work.
-pub(crate) const MAX_PENDING_FRAMES: usize = 4096;
+/// Cap on buffered request bytes per connection with commands left over
+/// from its turn. A pipelining flood beyond this pauses reads for that
+/// connection (level-triggered polling resumes them as soon as the
+/// backlog shrinks) so one client cannot buffer unbounded work. A
+/// connection whose budget is not spent keeps reading: its buffer holds
+/// at most the start of one frame, which `max_frame_bytes` bounds.
+pub(crate) const MAX_PENDING_BYTES: usize = 64 * 1024;
 
 /// Cap on read syscalls per connection per wakeup, so one firehose client
 /// cannot monopolize the event loop; remaining bytes re-report on the
@@ -93,14 +102,15 @@ fn loop_count(config: &ServerConfig, dispatcher: &Dispatcher) -> usize {
 /// connection is this struct plus a registered descriptor.
 struct Conn {
     stream: TcpStream,
+    /// The bytes read and not yet executed: complete commands left over
+    /// from a spent turn budget, then the start of the next frame.
     decoder: Decoder,
     session: Session,
-    /// Complete frames decoded but not yet executed.
-    pending: VecDeque<Frame>,
-    /// When the oldest batch in `pending` was decoded; taken when its
-    /// first frame starts to execute (the `worker_queue_wait` stage).
+    /// When bytes arrived with no turn under way to take them; taken when
+    /// the turn that executes them starts (the `worker_queue_wait` stage).
     batch_decoded_at: Option<Instant>,
-    /// The connection is on its loop's ready list.
+    /// The connection spent its turn budget with commands possibly left
+    /// in its decoder, and waits on its loop's ready list.
     queued: bool,
     /// Encoded replies awaiting the socket; `out_pos` marks how far the
     /// kernel has accepted them.
@@ -118,10 +128,7 @@ struct Conn {
     /// A `REPLSYNC` arrived: once quiesced, hand the socket to a blocking
     /// replication feeder instead of closing it.
     replsync: bool,
-    /// Protocol-error reply to append *after* the replies of every frame
-    /// decoded ahead of the error, preserving reply order.
-    error_reply: Option<Frame>,
-    /// When the last complete request frame arrived (idle timeout is
+    /// When the last complete request frame was taken (idle timeout is
     /// measured from here, so slow-loris byte-tricklers still idle out).
     last_frame: Instant,
 }
@@ -132,7 +139,6 @@ impl Conn {
             stream,
             decoder: Decoder::with_max_frame_bytes(max_frame_bytes),
             session: Session::new(),
-            pending: VecDeque::new(),
             batch_decoded_at: None,
             queued: false,
             outbox: Vec::new(),
@@ -143,7 +149,6 @@ impl Conn {
             close_after_flush: false,
             dead: false,
             replsync: false,
-            error_reply: None,
             last_frame: Instant::now(),
         }
     }
@@ -152,10 +157,16 @@ impl Conn {
         self.out_pos >= self.outbox.len()
     }
 
-    /// The connection has nothing queued anywhere: no unexecuted frames,
-    /// no unflushed replies.
+    /// The connection has nothing queued anywhere: no unexecuted command
+    /// (a turn that did not spend its budget left none), no unflushed
+    /// replies.
     fn quiesced(&self) -> bool {
-        self.pending.is_empty() && self.outbox_flushed()
+        !self.queued && self.outbox_flushed()
+    }
+
+    /// Backpressure: a spent turn left this much unexecuted input.
+    fn backlogged(&self) -> bool {
+        self.queued && self.decoder.buffered() >= MAX_PENDING_BYTES
     }
 }
 
@@ -449,7 +460,7 @@ impl EventLoop {
     }
 
     /// Read until the socket runs dry (or the pass/backpressure caps
-    /// kick in), decoding complete frames into the pending batch.
+    /// kick in) into the connection's decoder.
     fn read_pass(&mut self, slot: usize) {
         let Some(conn) = self.conns[slot].as_mut() else {
             return;
@@ -457,10 +468,10 @@ impl EventLoop {
         if conn.input_closed || conn.dead {
             return;
         }
-        let mut decoded_any = false;
+        let mut read_any = false;
         for _ in 0..MAX_READ_PASSES {
-            if conn.pending.len() >= MAX_PENDING_FRAMES {
-                break; // backpressure: pause reads until the backlog shrinks
+            if conn.backlogged() {
+                break; // pause reads until the backlog shrinks
             }
             match conn.stream.read(&mut self.scratch) {
                 Ok(0) => {
@@ -469,35 +480,7 @@ impl EventLoop {
                 }
                 Ok(n) => {
                     conn.decoder.feed(&self.scratch[..n]);
-                    loop {
-                        match conn.decoder.next_frame() {
-                            Ok(Some(frame)) => {
-                                decoded_any = true;
-                                if resp::repl::is_replsync_command(&frame) {
-                                    // Quiesce, then hand the socket to a
-                                    // blocking replication feeder; bytes
-                                    // after the handshake belong to the
-                                    // replication protocol, not RESP.
-                                    conn.replsync = true;
-                                    conn.input_closed = true;
-                                    break;
-                                }
-                                conn.pending.push_back(frame);
-                            }
-                            Ok(None) => break,
-                            Err(e) => {
-                                // Protocol error: the stream offset is
-                                // unrecoverable. Answer everything decoded
-                                // before it, then this error, then close.
-                                conn.error_reply = Some(Frame::Error(format!("ERR {e}")));
-                                conn.input_closed = true;
-                                break;
-                            }
-                        }
-                    }
-                    if conn.input_closed {
-                        break;
-                    }
+                    read_any = true;
                     // A short read very likely drained the socket. The
                     // drain phase wants proof, and reads on to WouldBlock.
                     if n < self.scratch.len() && !self.draining {
@@ -506,7 +489,7 @@ impl EventLoop {
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     // Draining: everything that had reached the socket is
-                    // now decoded, so nothing later will be answered.
+                    // now buffered, so nothing later will be answered.
                     conn.input_closed = self.draining;
                     break;
                 }
@@ -517,57 +500,83 @@ impl EventLoop {
                 }
             }
         }
-        if decoded_any {
-            let now = Instant::now();
-            conn.last_frame = now;
-            if !conn.pending.is_empty() {
-                conn.batch_decoded_at.get_or_insert(now);
-            }
+        if read_any {
+            conn.batch_decoded_at.get_or_insert_with(Instant::now);
         }
     }
 
     /// One connection's turn: execute up to [`TURN_FRAME_BUDGET`] of its
-    /// pending frames, write what it owes at once, then the bookkeeping.
+    /// buffered commands, write what it owes at once, then the
+    /// bookkeeping.
     fn serve(&mut self, slot: usize) {
         self.execute(slot);
         self.flush(slot);
         self.finish_io(slot);
     }
 
-    /// Execute a connection's oldest frames, encoding each reply straight
-    /// into the outbox; with frames left over it joins the ready list. A
-    /// connection already on the list waits for its turn there.
+    /// Execute a connection's complete commands in arrival order, straight
+    /// from its decoder's buffer, encoding each reply into the outbox;
+    /// with the budget spent it joins the ready list. A connection already
+    /// on the list waits for its turn there.
+    ///
+    /// A protocol error ends the input: its error reply follows the
+    /// replies of everything before it, then the connection closes. A
+    /// `REPLSYNC` ends it too: the socket goes to a replication feeder
+    /// once the replies ahead of it are flushed.
     fn execute(&mut self, slot: usize) {
         let Some(conn) = self.conns[slot].as_mut() else {
             return;
         };
-        if conn.queued || conn.pending.is_empty() {
+        if conn.queued {
             return;
         }
         let dispatcher = &self.shared.dispatcher;
-        // This connection plus the ones still waiting for their turn.
-        dispatcher
-            .client_cells()
-            .observe_worker_queue_depth(self.ready.len() as u64 + 1);
-        if let Some(decoded_at) = conn.batch_decoded_at.take() {
-            dispatcher
-                .metrics()
-                .record_worker_queue_wait(decoded_at.elapsed());
-        }
+        let decoded_at = conn.batch_decoded_at.take();
+        let mut executed = 0;
         let mut shutdown_seen = false;
-        let turn = conn.pending.len().min(TURN_FRAME_BUDGET);
-        for frame in conn.pending.drain(..turn) {
-            shutdown_seen |= is_shutdown_command(&frame);
-            let reply = dispatcher.handle_owned_frame(frame, &mut conn.session);
+        while executed < TURN_FRAME_BUDGET {
+            let request = match conn.decoder.next_request() {
+                Ok(Some(request)) => request,
+                Ok(None) => break,
+                Err(e) => {
+                    // The stream offset is unrecoverable.
+                    encode_into(&Frame::Error(format!("ERR {e}")), &mut conn.outbox);
+                    conn.decoder.clear();
+                    conn.close_after_flush = true;
+                    conn.input_closed = true;
+                    break;
+                }
+            };
+            if executed == 0 {
+                // This connection plus the ones still waiting for their
+                // turn.
+                dispatcher
+                    .client_cells()
+                    .observe_worker_queue_depth(self.ready.len() as u64 + 1);
+                let now = Instant::now();
+                if let Some(decoded_at) = decoded_at {
+                    dispatcher
+                        .metrics()
+                        .record_worker_queue_wait(now.saturating_duration_since(decoded_at));
+                }
+                conn.last_frame = now;
+            }
+            executed += 1;
+            if request.is_command(REPLSYNC) {
+                // Bytes after the handshake belong to the replication
+                // protocol, not RESP.
+                conn.decoder.clear();
+                conn.replsync = true;
+                conn.input_closed = true;
+                break;
+            }
+            shutdown_seen |= request.is_command(SHUTDOWN);
+            let reply = dispatcher.handle_request(request, &mut conn.session);
             encode_into(&reply, &mut conn.outbox);
         }
-        conn.queued = !conn.pending.is_empty();
+        conn.queued = executed == TURN_FRAME_BUDGET;
         if conn.queued {
             self.ready.push_back(slot);
-        } else {
-            // An idle connection keeps no backlog allocation, whether its
-            // last pipeline was one frame deep or thousands.
-            conn.pending = VecDeque::new();
         }
         if shutdown_seen {
             self.shared.request_shutdown();
@@ -597,7 +606,7 @@ impl EventLoop {
         if conn.dead {
             conn.outbox.clear();
             conn.out_pos = 0;
-            conn.pending.clear();
+            conn.decoder.clear();
             conn.input_closed = true;
         } else if conn.outbox_flushed() && !conn.outbox.is_empty() {
             // Batch fully delivered: reuse the buffer, but never let one
@@ -608,20 +617,9 @@ impl EventLoop {
         }
     }
 
-    /// Post-I/O bookkeeping for a connection: attach a deferred protocol
-    /// error once the replies ahead of it are encoded, re-register
-    /// interest, close or hand off when fully quiesced.
+    /// Post-I/O bookkeeping for a connection: re-register interest,
+    /// close or hand off when fully quiesced.
     fn finish_io(&mut self, slot: usize) {
-        let Some(conn) = self.conns[slot].as_mut() else {
-            return;
-        };
-        if conn.pending.is_empty() {
-            if let Some(err) = conn.error_reply.take() {
-                encode_into(&err, &mut conn.outbox);
-                conn.close_after_flush = true;
-                self.flush(slot);
-            }
-        }
         let Some(conn) = self.conns[slot].as_mut() else {
             return;
         };
@@ -636,7 +634,7 @@ impl EventLoop {
         // Keep the poller's interest set in line with what the state
         // machine can use: reads unless the backlog is at its cap, writes
         // only while a write is owed after a `WouldBlock`.
-        let want_read = !conn.input_closed && conn.pending.len() < MAX_PENDING_FRAMES;
+        let want_read = !conn.input_closed && !conn.backlogged();
         let want_write = !conn.outbox_flushed();
         if want_read != conn.reg_read || want_write != conn.reg_write {
             let event = Event {
@@ -699,8 +697,8 @@ impl EventLoop {
     }
 
     /// Sweep for connections idle past the read timeout. Only truly idle
-    /// connections qualify: anything with queued frames or unflushed
-    /// replies is working, not idle.
+    /// connections qualify: anything with unexecuted commands or
+    /// unflushed replies is working, not idle.
     fn idle_sweep(&mut self) {
         for slot in 0..self.conns.len() {
             let Some(conn) = self.conns[slot].as_mut() else {

@@ -12,9 +12,10 @@
 //!   thread notices the shutdown flag promptly.
 //!
 //! Both transports share [`ServerConfig`], the connection counters on the
-//! dispatcher (`# Clients` in `INFO`), pipelining (each read drains the
-//! incremental [`Decoder`] completely and the whole batch of replies is
-//! written back together), the idle-timeout rule (measured from the last
+//! dispatcher (`# Clients` in `INFO`), pipelining (each command is run
+//! straight from the incremental [`Decoder`]'s buffer, as a borrowed view,
+//! and the whole batch of replies is written back together), the
+//! idle-timeout rule (measured from the last
 //! *complete* request frame, so a byte-trickling client cannot hold a
 //! slot open), and the shutdown protocol:
 //! [`TcpServerHandle::request_shutdown`] raises a flag, the transport
@@ -33,6 +34,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use resp::decode::Decoder;
 use resp::encode::{encode_frame, encode_into};
+use resp::repl::REPLSYNC;
 use resp::Frame;
 
 use crate::dispatch::{ClientStatsCells, Dispatcher, Session};
@@ -426,10 +428,10 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                 let mut decoded_any = false;
                 let mut shutdown_seen = false;
                 loop {
-                    match decoder.next_frame() {
-                        Ok(Some(frame)) => {
+                    match decoder.next_request() {
+                        Ok(Some(request)) => {
                             decoded_any = true;
-                            if resp::repl::is_replsync_command(&frame) {
+                            if request.is_command(REPLSYNC) {
                                 // The connection becomes a replication
                                 // stream: answer everything already
                                 // pipelined ahead of the handshake, then
@@ -446,10 +448,8 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                                 );
                                 return;
                             }
-                            if is_shutdown_command(&frame) {
-                                shutdown_seen = true;
-                            }
-                            let reply = shared.dispatcher.handle_owned_frame(frame, &mut session);
+                            shutdown_seen |= request.is_command(SHUTDOWN);
+                            let reply = shared.dispatcher.handle_request(request, &mut session);
                             encode_into(&reply, &mut replies);
                         }
                         Ok(None) => break,
@@ -511,23 +511,15 @@ pub(crate) fn shrink_buffer(buf: &mut Vec<u8>, cap: usize) {
     }
 }
 
-/// Whether a decoded frame is the `SHUTDOWN` command (checked at the
-/// transport layer, which owns the shutdown flag).
-pub(crate) fn is_shutdown_command(frame: &Frame) -> bool {
-    match frame {
-        Frame::Array(items) => matches!(
-            items.first(),
-            Some(Frame::Bulk(name)) if name.eq_ignore_ascii_case(b"SHUTDOWN")
-        ),
-        _ => false,
-    }
-}
+/// The command the transports intercept to stop the server once its
+/// reply is written.
+pub(crate) const SHUTDOWN: &str = "SHUTDOWN";
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::TcpRemoteClient;
-    use crate::reactor::{MAX_PENDING_FRAMES, TURN_FRAME_BUDGET};
+    use crate::reactor::{MAX_PENDING_BYTES, TURN_FRAME_BUDGET};
     use kvstore::config::StoreConfig;
     use kvstore::store::KvStore;
 
@@ -726,7 +718,7 @@ mod tests {
             for neighbour in &mut neighbours {
                 neighbour.ping().unwrap();
             }
-            let walk = vec![Frame::command(["KEYS", "nomatch*"]); MAX_PENDING_FRAMES];
+            let walk = vec![Frame::command(["KEYS", "nomatch*"]); MAX_PENDING_BYTES];
             let done = requests() + walk.len() as u64;
             streamer.send_batch(&walk).unwrap();
 
@@ -770,7 +762,7 @@ mod tests {
             // Deeper than the backpressure cap plus a turn budget, in
             // frames large enough that reads stop at the cap with the
             // tail still unread on the socket when SHUTDOWN is executed.
-            let depth = MAX_PENDING_FRAMES + TURN_FRAME_BUDGET + 1000;
+            let depth = MAX_PENDING_BYTES + TURN_FRAME_BUDGET + 1000;
             let value = "v".repeat(100);
             let backlog: Vec<Frame> = (0..depth)
                 .map(|i| Frame::command(["SET", &format!("key:{i}"), &value]))

@@ -1,13 +1,13 @@
 //! The audit log front object.
 //!
-//! [`AuditLog`] assigns sequence numbers, maintains the optional hash
-//! chain, renders each line in place into one buffer and flushes that to an
+//! [`AuditLog`] assigns sequence numbers, maintains the hash chain,
+//! renders each line in place into one buffer and flushes that to an
 //! [`AuditSink`] according to a [`FlushPolicy`]. Callers that want the
 //! sink's cost off their critical section batch through per-shard buffers
 //! in front of it (the compliance pipeline does).
 
 use crate::chain::{ChainState, ChainedRecord};
-use crate::policy::FlushPolicy;
+use crate::policy::{FlushPolicy, PERIODIC_INTERVAL_MS};
 use crate::record::{AuditEvent, AuditRecord, Decimal};
 use crate::sink::{AuditSink, SinkStats};
 use crate::Result;
@@ -67,7 +67,7 @@ impl EventBatch {
 pub struct AuditLog {
     sink: Box<dyn AuditSink>,
     policy: FlushPolicy,
-    chain: Option<ChainState>,
+    chain: ChainState,
     /// The rendered lines the sink has not taken yet, a newline behind
     /// each, in one contiguous buffer.
     buffer: Vec<u8>,
@@ -80,27 +80,19 @@ pub struct AuditLog {
 }
 
 impl AuditLog {
-    /// Create a log over `sink` with the given flush policy. Hash chaining
-    /// is enabled by default; disable it with [`Self::without_chain`] to
-    /// measure its cost.
+    /// Create a log over `sink` with the given flush policy. Every line is
+    /// hash-chained to the one before it.
     pub fn new(sink: Box<dyn AuditSink>, policy: FlushPolicy) -> Self {
         AuditLog {
             sink,
             policy,
-            chain: Some(ChainState::new()),
+            chain: ChainState::new(),
             buffer: Vec::new(),
             at_risk: 0,
             next_sequence: 0,
             last_flush_ms: 0,
             stats: AuditLogStats::default(),
         }
-    }
-
-    /// Builder-style: disable hash chaining.
-    #[must_use]
-    pub fn without_chain(mut self) -> Self {
-        self.chain = None;
-        self
     }
 
     /// The configured flush policy.
@@ -124,10 +116,10 @@ impl AuditLog {
         self.sink.stats()
     }
 
-    /// Digest of the chain tip, if chaining is enabled.
+    /// Digest of the chain tip.
     #[must_use]
-    pub fn chain_tip(&self) -> Option<String> {
-        self.chain.as_ref().map(|c| c.tip().to_string())
+    pub fn chain_tip(&self) -> String {
+        self.chain.tip().to_string()
     }
 
     /// Record one interaction. Returns the sequence number assigned.
@@ -186,25 +178,18 @@ impl AuditLog {
             .extend_from_slice(Decimal::new(sequence).as_bytes());
         self.buffer.push(b'|');
         render(&mut self.buffer);
-        if let Some(chain) = self.chain.as_mut() {
-            let digest = chain.append_line(&self.buffer[start..]);
-            self.buffer.push(b'#');
-            self.buffer.extend_from_slice(digest);
-        }
+        let digest = self.chain.append_line(&self.buffer[start..]);
+        self.buffer.push(b'#');
+        self.buffer.extend_from_slice(digest);
         self.buffer.push(b'\n');
         self.at_risk += 1;
 
         match self.policy {
             FlushPolicy::Synchronous => self.flush()?,
-            FlushPolicy::Periodic { interval_ms } => {
-                if timestamp_ms.saturating_sub(self.last_flush_ms) >= interval_ms {
+            FlushPolicy::Periodic => {
+                if timestamp_ms.saturating_sub(self.last_flush_ms) >= PERIODIC_INTERVAL_MS {
                     self.flush()?;
                     self.last_flush_ms = timestamp_ms;
-                }
-            }
-            FlushPolicy::Batched { max_records } => {
-                if self.at_risk >= max_records {
-                    self.flush()?;
                 }
             }
             FlushPolicy::Manual => {}
@@ -266,8 +251,8 @@ impl Drop for AuditLog {
     }
 }
 
-/// Parse a persisted line back into `(record, digest)`; the digest part is
-/// absent when chaining was disabled.
+/// Parse a persisted line back into `(record, digest)`; a line with no
+/// digest part parses with an empty one, which no chain verifies.
 #[must_use]
 pub fn parse_chained_line(line: &str) -> Option<ChainedRecord> {
     match line.rsplit_once('#') {
@@ -323,18 +308,6 @@ mod tests {
         log.record(rec(1_500)).unwrap();
         assert_eq!(view.lines().len(), 4, "window elapsed, everything flushed");
         assert_eq!(log.at_risk(), 0);
-    }
-
-    #[test]
-    fn batched_policy_flushes_at_capacity() {
-        let sink = MemorySink::new();
-        let view = sink.share();
-        let mut log = AuditLog::new(Box::new(sink), FlushPolicy::Batched { max_records: 3 });
-        log.record(rec(1)).unwrap();
-        log.record(rec(2)).unwrap();
-        assert_eq!(view.lines().len(), 0);
-        log.record(rec(3)).unwrap();
-        assert_eq!(view.lines().len(), 3);
     }
 
     #[test]
@@ -470,7 +443,7 @@ mod tests {
         for ts in 0..5 {
             log.record(rec(ts)).unwrap();
         }
-        let tip = log.chain_tip().unwrap();
+        let tip = log.chain_tip();
         let chained: Vec<_> = view
             .lines()
             .iter()
@@ -478,18 +451,5 @@ mod tests {
             .collect();
         let verified_tip = crate::chain::verify_chain(&chained).unwrap();
         assert_eq!(verified_tip, tip);
-    }
-
-    #[test]
-    fn without_chain_lines_have_no_digest() {
-        let sink = MemorySink::new();
-        let view = sink.share();
-        let mut log = AuditLog::new(Box::new(sink), FlushPolicy::Synchronous).without_chain();
-        log.record(rec(7)).unwrap();
-        assert!(log.chain_tip().is_none());
-        let line = view.lines()[0].clone();
-        let parsed = parse_chained_line(&line).unwrap();
-        assert!(parsed.digest.is_empty());
-        assert_eq!(parsed.record.timestamp_ms, 7);
     }
 }

@@ -6,32 +6,21 @@
 //! (eventual compliance, ~30 % of baseline, at the risk of losing the last
 //! second of evidence).
 
+/// How long [`FlushPolicy::Periodic`] lets records sit in the buffer, in
+/// milliseconds: the paper's one-second window.
+pub(crate) const PERIODIC_INTERVAL_MS: u64 = 1_000;
+
 /// When buffered audit records are forced to durable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushPolicy {
     /// Flush and fsync after every record — real-time compliance.
     Synchronous,
-    /// Flush and fsync at most once per `interval_ms` — eventual
-    /// compliance with a bounded evidence-loss window.
-    Periodic {
-        /// Maximum time records may sit in the buffer, in milliseconds.
-        interval_ms: u64,
-    },
-    /// Flush once the buffer holds `max_records` — eventual compliance
-    /// bounded by record count rather than time.
-    Batched {
-        /// Maximum number of buffered records before a flush.
-        max_records: usize,
-    },
+    /// Flush and fsync at most once per second — eventual compliance with
+    /// a bounded evidence-loss window.
+    Periodic,
     /// Never flush automatically (only on explicit `flush()` / drop). Used
     /// as the "monitoring disabled" baseline in benchmarks.
     Manual,
-}
-
-impl Default for FlushPolicy {
-    fn default() -> Self {
-        FlushPolicy::Periodic { interval_ms: 1_000 }
-    }
 }
 
 impl FlushPolicy {
@@ -44,18 +33,7 @@ impl FlushPolicy {
     /// The paper's relaxed configuration (fsync once per second).
     #[must_use]
     pub fn every_second() -> Self {
-        FlushPolicy::Periodic { interval_ms: 1_000 }
-    }
-
-    /// Human-readable label used in benchmark output.
-    #[must_use]
-    pub fn label(&self) -> String {
-        match self {
-            FlushPolicy::Synchronous => "sync".to_string(),
-            FlushPolicy::Periodic { interval_ms } => format!("every-{interval_ms}ms"),
-            FlushPolicy::Batched { max_records } => format!("batch-{max_records}"),
-            FlushPolicy::Manual => "manual".to_string(),
-        }
+        FlushPolicy::Periodic
     }
 
     /// Whether this policy satisfies the paper's definition of *real-time*
@@ -65,17 +43,6 @@ impl FlushPolicy {
     pub fn is_real_time(&self) -> bool {
         matches!(self, FlushPolicy::Synchronous)
     }
-
-    /// Upper bound, in milliseconds, on how long an audit record may remain
-    /// volatile (`None` when unbounded).
-    #[must_use]
-    pub fn max_loss_window_ms(&self) -> Option<u64> {
-        match self {
-            FlushPolicy::Synchronous => Some(0),
-            FlushPolicy::Periodic { interval_ms } => Some(*interval_ms),
-            FlushPolicy::Batched { .. } | FlushPolicy::Manual => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -84,46 +51,14 @@ mod tests {
 
     #[test]
     fn default_is_the_papers_relaxed_point() {
-        assert_eq!(
-            FlushPolicy::default(),
-            FlushPolicy::Periodic { interval_ms: 1_000 }
-        );
-        assert_eq!(
-            FlushPolicy::every_second().max_loss_window_ms(),
-            Some(1_000)
-        );
+        assert_eq!(FlushPolicy::every_second(), FlushPolicy::Periodic);
+        assert_eq!(PERIODIC_INTERVAL_MS, 1_000);
     }
 
     #[test]
     fn real_time_classification() {
         assert!(FlushPolicy::real_time().is_real_time());
         assert!(!FlushPolicy::every_second().is_real_time());
-        assert!(!(FlushPolicy::Batched { max_records: 10 }).is_real_time());
         assert!(!FlushPolicy::Manual.is_real_time());
-    }
-
-    #[test]
-    fn loss_windows() {
-        assert_eq!(FlushPolicy::Synchronous.max_loss_window_ms(), Some(0));
-        assert_eq!(
-            (FlushPolicy::Batched { max_records: 5 }).max_loss_window_ms(),
-            None
-        );
-        assert_eq!(FlushPolicy::Manual.max_loss_window_ms(), None);
-    }
-
-    #[test]
-    fn labels_are_distinct() {
-        let labels: Vec<String> = [
-            FlushPolicy::Synchronous,
-            FlushPolicy::every_second(),
-            FlushPolicy::Batched { max_records: 64 },
-            FlushPolicy::Manual,
-        ]
-        .iter()
-        .map(FlushPolicy::label)
-        .collect();
-        let unique: std::collections::BTreeSet<_> = labels.iter().collect();
-        assert_eq!(unique.len(), labels.len());
     }
 }

@@ -19,8 +19,7 @@ use crate::{AuditError, Result};
 /// ends a line without a NUL, which is where a reopened sink goes on
 /// writing. Behind that lie the NULs of the extended file and what a crash
 /// tore. Of it, only an append that is whole but for its newline — it
-/// parses, and carries a chain digest if the line before it does — is
-/// kept.
+/// parses, and carries its chain digest — is kept.
 ///
 /// # Errors
 ///
@@ -45,26 +44,22 @@ pub fn parse_trail(text: &str) -> Result<Vec<ChainedRecord>> {
         }
     }
     let unfinished = rest.trim_end_matches('\0');
-    if let Some(last) = parse_chained_line(unfinished).filter(|_| !unfinished.contains('\0')) {
-        let chained = out.last().is_some_and(|prev| !prev.digest.is_empty());
-        if !last.digest.is_empty() || !chained {
-            out.push(last);
-        }
+    if let Some(last) = parse_chained_line(unfinished)
+        .filter(|last| !unfinished.contains('\0') && !last.digest.is_empty())
+    {
+        out.push(last);
     }
     Ok(out)
 }
 
-/// Verify the hash chain of a parsed trail (ignoring records persisted
-/// without a digest, which cannot be verified).
+/// Verify the hash chain of a parsed trail. Every line the log writes is
+/// chained, so a record without a digest breaks the chain like a wrong
+/// one.
 ///
 /// # Errors
 ///
 /// Returns [`AuditError::ChainBroken`] at the first mismatch.
 pub fn verify_trail(records: &[ChainedRecord]) -> Result<()> {
-    if records.iter().any(|r| r.digest.is_empty()) {
-        // Unchained trails have nothing to verify.
-        return Ok(());
-    }
     verify_chain(records).map(|_| ())
 }
 
@@ -308,6 +303,34 @@ mod tests {
         let tampered = text.replace("alice", "mallory");
         let trail = parse_trail(&tampered).unwrap();
         assert!(verify_trail(&trail).is_err());
+    }
+
+    #[test]
+    fn a_line_stripped_of_its_digest_fails_verification() {
+        let text = build_trail();
+        let mut lines: Vec<&str> = text.lines().collect();
+        let (altered, _) = lines[1].rsplit_once('#').unwrap();
+        let altered = altered.replace("alice", "mallory");
+        lines[1] = &altered;
+        let trail = parse_trail(&lines.join("\n")).unwrap();
+        assert!(trail[1].digest.is_empty());
+        assert!(matches!(
+            verify_trail(&trail),
+            Err(AuditError::ChainBroken { at_sequence: 1 })
+        ));
+    }
+
+    #[test]
+    fn a_first_line_torn_in_its_digest_is_dropped() {
+        let text = build_trail();
+        let first = text.lines().next().unwrap();
+        let torn = &first[..first.len() - 10];
+        assert!(parse_trail(torn).unwrap().is_empty());
+        assert_eq!(
+            parse_trail(first).unwrap().len(),
+            1,
+            "whole but its newline"
+        );
     }
 
     #[test]

@@ -25,15 +25,11 @@ fn main() {
         let assessment = assess(&policy);
         println!("{}", assessment.render_table());
         let gaps = assessment.gaps();
-        if gaps.is_empty() {
-            println!("compliance gaps: none\n");
-        } else {
-            println!("compliance gaps ({}):", gaps.len());
-            for gap in gaps {
-                println!("  Art. {:<6} {}", gap.article, gap.title);
-            }
-            println!();
+        println!("compliance gaps ({}):", gaps.len());
+        for gap in gaps {
+            println!("  Art. {:<6} {}", gap.article, gap.title);
         }
+        println!();
         println!("{}\n", "=".repeat(100));
     }
 }

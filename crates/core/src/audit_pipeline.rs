@@ -17,10 +17,11 @@
 //!   `MAX_BUFFERED_PER_SHARD` records per shard plus the flush policy's
 //!   own window, which is exactly the "bounded lag" the eventual end of
 //!   the compliance spectrum admits;
-//! * under **real-time** compliance ([`crate::policy::ResponseMode::is_real_time`])
-//!   a record is durable before its operation returns because it is an
-//!   `EVIDENCE` record committed in the engine journal, with the operation
-//!   or on its own; the log here is the archive the journal is copied into
+//! * under **real-time** compliance (an `audit_flush` that
+//!   [`is_real_time`](audit::policy::FlushPolicy::is_real_time)) a record
+//!   is durable before its operation returns because it is an `EVIDENCE`
+//!   record committed in the engine journal, with the operation or on its
+//!   own; the log here is the archive the journal is copied into
 //!   behind that commit (its [`Archiver`] implementation, which renders
 //!   each line from the evidence bytes it borrows), one sink sync per pass.
 
@@ -96,9 +97,9 @@ impl AuditPipeline {
     }
 
     /// Digest of the chain tip (drains first so the tip covers everything
-    /// emitted so far), if chaining is enabled.
+    /// emitted so far).
     #[must_use]
-    pub fn chain_tip(&self) -> Option<String> {
+    pub fn chain_tip(&self) -> String {
         self.drain();
         self.log.lock().chain_tip()
     }
@@ -227,10 +228,7 @@ mod tests {
     fn eventual_pipeline_buffers_until_flush() {
         let sink = MemorySink::new();
         let view = sink.share();
-        let pipeline = AuditPipeline::new(
-            AuditLog::new(Box::new(sink), FlushPolicy::Batched { max_records: 1_000 }),
-            4,
-        );
+        let pipeline = AuditPipeline::new(AuditLog::new(Box::new(sink), FlushPolicy::Manual), 4);
         for i in 0..10 {
             pipeline.emit(i % 4, &record(i as u64).event());
         }
@@ -244,15 +242,7 @@ mod tests {
     #[test]
     fn full_buffer_drains_itself() {
         let sink = MemorySink::new();
-        let pipeline = AuditPipeline::new(
-            AuditLog::new(
-                Box::new(sink),
-                FlushPolicy::Batched {
-                    max_records: 10_000,
-                },
-            ),
-            1,
-        );
+        let pipeline = AuditPipeline::new(AuditLog::new(Box::new(sink), FlushPolicy::Manual), 1);
         for i in 0..MAX_BUFFERED_PER_SHARD as u64 + 5 {
             pipeline.emit(0, &record(i).event());
         }
@@ -270,17 +260,13 @@ mod tests {
     fn chain_stays_verifiable_across_buffered_emission() {
         let sink = MemorySink::new();
         let view = sink.share();
-        let pipeline = AuditPipeline::new(
-            AuditLog::new(Box::new(sink), FlushPolicy::Batched { max_records: 1_000 }),
-            4,
-        );
+        let pipeline = AuditPipeline::new(AuditLog::new(Box::new(sink), FlushPolicy::Manual), 4);
         for i in 0..20 {
             pipeline.emit(i % 4, &record(i as u64).event());
         }
-        let tip = pipeline.chain_tip().unwrap();
-        assert!(!tip.is_empty());
+        let tip = pipeline.chain_tip();
         pipeline.flush().unwrap();
         let parsed = audit::reader::parse_trail(&view.lines().join("\n")).unwrap();
-        audit::reader::verify_trail(&parsed).unwrap();
+        assert_eq!(audit::chain::verify_chain(&parsed).unwrap(), tip);
     }
 }

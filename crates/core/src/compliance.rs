@@ -5,9 +5,37 @@
 //! and [`assess`] combines it with a [`CompliancePolicy`] to produce the
 //! self-assessment a deployment can print (or a regulator can ask for):
 //! per article, which feature is needed, how completely this configuration
-//! supports it, and whether it is handled in real time.
+//! supports it, and whether it is handled in real time. The assessment
+//! reads only policy fields the store enforces, so it scores what the
+//! store does: encryption is at rest only, and reads partial.
 
-use crate::policy::{CompliancePolicy, SupportLevel};
+use kvstore::expire::ExpiryMode;
+
+use crate::policy::CompliancePolicy;
+
+/// How completely a feature is supported (the paper's full vs partial
+/// distinction).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum SupportLevel {
+    /// Not supported at all.
+    None,
+    /// Supported only with external infrastructure or manual policy.
+    Partial,
+    /// Supported natively by the storage system.
+    Full,
+}
+
+impl SupportLevel {
+    /// Human-readable label.
+    #[must_use]
+    pub fn label(&self) -> &'static str {
+        match self {
+            SupportLevel::None => "none",
+            SupportLevel::Partial => "partial",
+            SupportLevel::Full => "full",
+        }
+    }
+}
 
 /// The six storage features of §3.1 of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -27,6 +55,16 @@ pub enum StorageFeature {
 }
 
 impl StorageFeature {
+    /// The six features, in the paper's order.
+    pub const ALL: [StorageFeature; 6] = [
+        StorageFeature::TimelyDeletion,
+        StorageFeature::MonitoringLogging,
+        StorageFeature::MetadataIndexing,
+        StorageFeature::AccessControl,
+        StorageFeature::Encryption,
+        StorageFeature::ManageDataLocation,
+    ];
+
     /// The feature name as used in the paper's Table 1.
     #[must_use]
     pub fn name(&self) -> &'static str {
@@ -170,51 +208,76 @@ pub struct ComplianceAssessment {
     /// Per-feature assessment.
     pub features: Vec<FeatureAssessment>,
     /// Whether the configuration meets the paper's definition of strict
-    /// compliance (full + real-time on every feature).
+    /// compliance: every feature full and real-time.
     pub strict: bool,
 }
 
 /// Assess a policy against the six features.
 #[must_use]
 pub fn assess(policy: &CompliancePolicy) -> ComplianceAssessment {
-    let support_by_name: std::collections::HashMap<&'static str, SupportLevel> =
-        policy.support_levels().into_iter().collect();
-
-    let real_time = |feature: StorageFeature| match feature {
-        StorageFeature::TimelyDeletion => {
-            policy.expiry_mode == kvstore::expire::ExpiryMode::Strict
-                && policy.erasure_response.is_real_time()
-        }
-        StorageFeature::MonitoringLogging => policy.audit_flush.is_real_time(),
-        StorageFeature::MetadataIndexing => policy.maintain_indexes,
-        StorageFeature::AccessControl => policy.enforce_access_control,
-        StorageFeature::Encryption => policy.encrypt_at_rest && policy.encrypt_in_transit,
-        StorageFeature::ManageDataLocation => !policy.location_policy.is_unrestricted(),
-    };
-
-    let features = [
-        StorageFeature::TimelyDeletion,
-        StorageFeature::MonitoringLogging,
-        StorageFeature::MetadataIndexing,
-        StorageFeature::AccessControl,
-        StorageFeature::Encryption,
-        StorageFeature::ManageDataLocation,
-    ]
-    .into_iter()
-    .map(|feature| FeatureAssessment {
-        feature,
-        support: support_by_name
-            .get(feature.name())
-            .copied()
-            .unwrap_or(SupportLevel::None),
-        real_time: real_time(feature),
-    })
-    .collect();
-
+    let features: Vec<FeatureAssessment> = StorageFeature::ALL
+        .into_iter()
+        .map(|feature| assess_feature(policy, feature))
+        .collect();
+    let strict = features
+        .iter()
+        .all(|f| f.support == SupportLevel::Full && f.real_time);
     ComplianceAssessment {
         policy_name: policy.name.clone(),
         features,
-        strict: policy.is_strict(),
+        strict,
+    }
+}
+
+/// How `policy` supports `feature`, and whether in real time.
+fn assess_feature(policy: &CompliancePolicy, feature: StorageFeature) -> FeatureAssessment {
+    use SupportLevel::{Full, None, Partial};
+    let full_or = |on: bool, otherwise: SupportLevel| if on { Full } else { otherwise };
+    let (support, real_time) = match feature {
+        StorageFeature::TimelyDeletion => {
+            let strict = policy.expiry_mode == ExpiryMode::Strict;
+            (
+                full_or(strict, Partial),
+                strict && policy.scrub_aof_on_erasure,
+            )
+        }
+        StorageFeature::MonitoringLogging => (
+            full_or(policy.monitor_all_operations, None),
+            policy.monitor_all_operations && policy.audit_flush.is_real_time(),
+        ),
+        StorageFeature::MetadataIndexing => (
+            full_or(policy.maintain_indexes, Partial),
+            policy.maintain_indexes,
+        ),
+        StorageFeature::AccessControl => (
+            match (
+                policy.enforce_access_control,
+                policy.enforce_purpose_limitation,
+            ) {
+                (true, true) => Full,
+                (true, false) => Partial,
+                (false, _) => None,
+            },
+            policy.enforce_access_control,
+        ),
+        // The journal is sealed; no socket is, so this is never full.
+        StorageFeature::Encryption => (
+            if policy.encrypt_at_rest {
+                Partial
+            } else {
+                None
+            },
+            policy.encrypt_at_rest,
+        ),
+        StorageFeature::ManageDataLocation => {
+            let restricted = !policy.location_policy.is_unrestricted();
+            (full_or(restricted, Partial), restricted)
+        }
+    };
+    FeatureAssessment {
+        feature,
+        support,
+        real_time,
     }
 }
 
@@ -299,12 +362,24 @@ mod tests {
         assert_eq!(art17.features, &[StorageFeature::TimelyDeletion]);
     }
 
+    /// The articles that need encryption: the gaps of a store that seals
+    /// its journal and not its wire.
+    const ENCRYPTION_GAPS: [&str; 4] = ["5.2", "13", "25", "32"];
+
+    fn gap_articles(assessment: &ComplianceAssessment) -> Vec<&'static str> {
+        assessment.gaps().iter().map(|m| m.article).collect()
+    }
+
     #[test]
-    fn strict_policy_has_no_gaps() {
+    fn strict_policy_gaps_are_the_encryption_articles() {
         let assessment = assess(&CompliancePolicy::strict());
-        assert!(assessment.strict);
-        assert!(assessment.gaps().is_empty(), "{:?}", assessment.gaps());
+        assert!(!assessment.strict);
+        assert_eq!(gap_articles(&assessment), ENCRYPTION_GAPS);
         assert!(assessment.features.iter().all(|f| f.real_time));
+        assert_eq!(
+            assessment.support_for(StorageFeature::Encryption),
+            SupportLevel::Partial
+        );
     }
 
     #[test]
@@ -326,15 +401,17 @@ mod tests {
     fn eventual_policy_is_full_but_not_real_time_everywhere() {
         let assessment = assess(&CompliancePolicy::eventual());
         assert!(!assessment.strict);
-        assert!(
-            assessment.gaps().is_empty(),
-            "eventual compliance is still *full* support"
+        assert_eq!(
+            gap_articles(&assessment),
+            ENCRYPTION_GAPS,
+            "eventual compliance is still *full* support, but for encryption"
         );
         let monitoring = assessment
             .features
             .iter()
             .find(|f| f.feature == StorageFeature::MonitoringLogging)
             .unwrap();
+        assert_eq!(monitoring.support, SupportLevel::Full);
         assert!(
             !monitoring.real_time,
             "everysec flushing is not real-time compliance"
@@ -364,18 +441,18 @@ mod tests {
     }
 
     #[test]
+    fn support_level_order() {
+        assert!(SupportLevel::Full > SupportLevel::Partial);
+        assert!(SupportLevel::Partial > SupportLevel::None);
+        assert_eq!(SupportLevel::Full.label(), "full");
+    }
+
+    #[test]
     fn feature_names_are_distinct() {
-        let names: std::collections::BTreeSet<&str> = [
-            StorageFeature::TimelyDeletion,
-            StorageFeature::MonitoringLogging,
-            StorageFeature::MetadataIndexing,
-            StorageFeature::AccessControl,
-            StorageFeature::Encryption,
-            StorageFeature::ManageDataLocation,
-        ]
-        .iter()
-        .map(StorageFeature::name)
-        .collect();
+        let names: std::collections::BTreeSet<&str> = StorageFeature::ALL
+            .iter()
+            .map(StorageFeature::name)
+            .collect();
         assert_eq!(names.len(), 6);
     }
 }

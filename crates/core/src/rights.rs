@@ -63,8 +63,9 @@ pub struct ErasureReport {
     /// Number of journal records dropped by the accompanying compaction
     /// (0 when the policy defers scrubbing).
     pub journal_records_scrubbed: u64,
-    /// Whether the erasure was completed synchronously (real-time
-    /// compliance) or left residue for background clean-up.
+    /// Whether the erased data also left the journal before the request
+    /// returned (the policy's `scrub_aof_on_erasure`), rather than staying
+    /// there until a later rewrite.
     pub completed_in_real_time: bool,
 }
 
@@ -230,8 +231,7 @@ impl GdprStore {
             subject: subject.to_string(),
             erased_keys: erased,
             journal_records_scrubbed,
-            completed_in_real_time: self.policy.erasure_response.is_real_time()
-                && self.policy.scrub_aof_on_erasure,
+            completed_in_real_time: self.policy.scrub_aof_on_erasure,
         })
     }
 

@@ -17,8 +17,9 @@
 //! * `compliance` — 0 = raw engine (plain Redis surface only), 1 =
 //!   eventual policy, 2 = strict policy. The strict policy commits each
 //!   operation's evidence in the journal, so it runs on a journal synced on
-//!   every commit: with `compliance=2`, `fsync` defaults to `always` and
-//!   `fsync=everysec`, `fsync=none` and `aof=none` are refused (exit 2).
+//!   every commit that a crash leaves on disk: with `compliance=2`, `fsync`
+//!   defaults to `always`, and `fsync=everysec`, `fsync=none`, `aof=none`
+//!   and `aof=mem` (so also a missing `aof=`) are refused (exit 2).
 //! * `transport` — `reactor` (default): the event-driven connection layer
 //!   (symmetric epoll event loops that run each request to completion),
 //!   or `threads`: one OS thread per connection.
@@ -36,7 +37,8 @@
 //!   journal writer; with one writer it is one fsync per record.
 //! * `aof` — `mem` (default: in-memory journal), `none`, or a file path
 //!   (the path becomes the segment-set manifest; segments live next to
-//!   it as `<path>.e<epoch>.s<shard>`). A journal that cannot be opened
+//!   it as `<path>.e<epoch>.s<shard>`); `compliance=2` needs a path. A
+//!   journal that cannot be opened
 //!   (a damaged manifest, one older than version 3) is refused: the
 //!   server prints `gdpr-server: cannot open journal <path>: <error>`,
 //!   touches no file and exits with status 1.
@@ -44,7 +46,8 @@
 //!   trail: a file (created if absent; a trail already there is resumed,
 //!   and each start begins a new chain in it). The default is
 //!   `<aof>.audit` beside a file journal, and an in-memory trail with
-//!   `aof=mem` or `aof=none` (it grows with every operation served).
+//!   `aof=mem` or `aof=none` under `compliance=1` (it grows with every
+//!   operation served).
 //!   Under `compliance=1` the trail's last lines reach the file at `TICK`,
 //!   when buffers fill, and at `SHUTDOWN`; under `compliance=2` each
 //!   operation's evidence is in the journal first and the file is its
@@ -231,10 +234,10 @@ fn main() {
         config = config.repl_backlog(records);
     }
     let journal = arg_str(&args, "aof").unwrap_or("mem");
-    if strict && journal == "none" {
+    if strict && matches!(journal, "mem" | "none") {
         reject(
-            "aof=none",
-            "compliance=2 commits evidence in the journal; want aof=mem or a path",
+            &format!("aof={journal}"),
+            "compliance=2 commits evidence in the journal; want aof=<path>",
         );
     }
     match journal {

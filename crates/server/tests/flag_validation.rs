@@ -41,19 +41,39 @@ fn a_bad_flag_is_named_and_exits_2() {
 
 #[test]
 fn strict_compliance_refuses_a_journal_that_does_not_sync_every_commit() {
-    for weaker in ["fsync=everysec", "fsync=none", "aof=none"] {
-        let (code, stderr) = run(&["addr=127.0.0.1:0", "duration=1", "compliance=2", weaker]);
-        assert_eq!(code, Some(2), "{weaker}: {stderr}");
-        assert_eq!(stderr.lines().count(), 1, "{weaker}: {stderr}");
-        assert!(stderr.contains(weaker), "{weaker} not named in: {stderr}");
+    let aof = std::env::temp_dir().join(format!("gdpr-server-weaker-{}.aof", std::process::id()));
+    let aof = format!("aof={}", aof.display());
+    // (extra flags, the flag the refusal must name). A bare compliance=2
+    // gets the default journal, aof=mem, which a crash takes with it.
+    for (weaker, named) in [
+        (vec!["fsync=everysec", aof.as_str()], "fsync=everysec"),
+        (vec!["fsync=none", aof.as_str()], "fsync=none"),
+        (vec!["aof=none"], "aof=none"),
+        (vec!["aof=mem"], "aof=mem"),
+        (vec![], "aof=mem"),
+    ] {
+        let mut args = vec!["addr=127.0.0.1:0", "duration=1", "compliance=2"];
+        args.extend(&weaker);
+        let (code, stderr) = run(&args);
+        assert_eq!(code, Some(2), "{weaker:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{weaker:?}: {stderr}");
+        assert!(stderr.contains(named), "{named} not named in: {stderr}");
+        if named == "aof=mem" || named == "aof=none" {
+            assert!(stderr.contains("want aof=<path>"), "{stderr}");
+        }
     }
 }
 
 #[test]
 fn every_documented_flag_is_accepted() {
-    let trail =
-        std::env::temp_dir().join(format!("gdpr-server-flags-{}.audit", std::process::id()));
+    // compliance=2 needs a file journal: aof=mem and aof=none are refused
+    // (see above), so this run names one.
+    let dir = std::env::temp_dir().join(format!("gdpr-server-flags-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let trail = dir.join("flags.audit");
     let audit = format!("audit={}", trail.display());
+    let aof = format!("aof={}", dir.join("flags.aof").display());
     let (code, stderr) = run(&[
         "addr=127.0.0.1:0",
         "shards=2",
@@ -63,7 +83,7 @@ fn every_documented_flag_is_accepted() {
         "workers=1",
         "maxconns=8",
         "readtimeout=5",
-        "aof=mem",
+        &aof,
         &audit,
         "backlog=16",
         "grant=app:billing,ops:support",
@@ -77,7 +97,7 @@ fn every_documented_flag_is_accepted() {
     ]);
     assert_eq!(code, Some(0), "{stderr}");
     assert!(trail.exists(), "audit= names the trail file");
-    let _ = std::fs::remove_file(&trail);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -2,9 +2,14 @@
 //!
 //! Article 5(2) puts the burden of *demonstrating* compliance on the
 //! controller, which is only convincing if the evidence itself cannot be
-//! silently edited. Each record's digest therefore folds in the digest of
-//! its predecessor; [`verify_chain`] re-walks the trail and reports the
-//! first break.
+//! silently edited. The trail is chained per **block**: the lines the log
+//! hands to its sink at once. Every line ends in `#`; the last line of a
+//! block carries, behind its `#`, the block's seal: the hex SHA-256 of the
+//! previous seal, a newline, and the block's bytes as written, from its
+//! first byte up to that final `#`. A block of one line is therefore
+//! hashed exactly as a trail that sealed every line was, and such a trail
+//! reads as one of one-line blocks. [`verify_chain`] re-walks the trail and
+//! reports the first block that does not verify.
 
 use gdpr_crypto::sha256::{digest_to_hex, to_hex, Sha256};
 
@@ -17,58 +22,43 @@ pub type ChainDigest = String;
 /// What the digest that seeds an empty chain is the digest of.
 const GENESIS: &[u8] = b"gdpr-audit-chain-genesis";
 
+/// What ends every line of a block but its last, whose seal goes between
+/// the two bytes: the log writes it, and the chain hashes it between lines.
+pub(crate) const LINE_END: &[u8] = b"#\n";
+
 /// The digest that seeds an empty chain.
 #[must_use]
 pub fn genesis_digest() -> ChainDigest {
     to_hex(&Sha256::digest(GENESIS))
 }
 
-/// Compute the chained digest of `record` given its predecessor's digest.
-#[must_use]
-pub fn chain_digest(previous: &str, record: &AuditRecord) -> ChainDigest {
-    chain_digest_line(previous, &record.to_line())
-}
-
-/// Compute the chained digest of an already-serialized record line.
-///
-/// The log writer serializes each record exactly once and feeds the same
-/// line to the chain and the sink; `line` must be the output of
-/// [`AuditRecord::to_line`] for the digest to match [`chain_digest`].
-#[must_use]
-pub fn chain_digest_line(previous: &str, line: &str) -> ChainDigest {
-    hex_str(&chain_digest_hex(previous.as_bytes(), line.as_bytes())).to_string()
-}
-
 /// A digest as the ASCII hex digits the trail carries.
 type HexDigest = [u8; 64];
-
-/// [`chain_digest_line`] without the allocation.
-fn chain_digest_hex(previous: &[u8], line: &[u8]) -> HexDigest {
-    let mut hasher = Sha256::new();
-    hasher.update(previous);
-    hasher.update(b"\n");
-    hasher.update(line);
-    digest_to_hex(&hasher.finalize())
-}
 
 fn hex_str(hex: &HexDigest) -> &str {
     std::str::from_utf8(hex).expect("hex digits are ASCII")
 }
 
-/// A chained record as persisted: the record plus its digest.
+/// A chained record as persisted: the record plus its seal, empty for a
+/// record that does not end its block.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChainedRecord {
     /// The audit record itself.
     pub record: AuditRecord,
-    /// The digest of this record chained onto its predecessor.
+    /// The seal of the block this record ends, or empty.
     pub digest: ChainDigest,
 }
 
-/// An incremental chain builder used by the log writer.
+/// An incremental chain builder used by the log writer: one running hasher
+/// over the open block.
 #[derive(Debug, Clone)]
 pub struct ChainState {
+    /// The last seal.
     tip: HexDigest,
     length: u64,
+    /// The open block's hash so far, if a line was folded in since the
+    /// last seal.
+    open: Option<Sha256>,
 }
 
 impl Default for ChainState {
@@ -84,6 +74,7 @@ impl ChainState {
         ChainState {
             tip: digest_to_hex(&Sha256::digest(GENESIS)),
             length: 0,
+            open: None,
         }
     }
 
@@ -92,12 +83,15 @@ impl ChainState {
     #[must_use]
     pub fn resume(tip: &str, length: u64) -> Option<Self> {
         let tip: HexDigest = tip.as_bytes().try_into().ok()?;
-        tip.iter()
-            .all(u8::is_ascii_hexdigit)
-            .then_some(ChainState { tip, length })
+        tip.iter().all(u8::is_ascii_hexdigit).then_some(ChainState {
+            tip,
+            length,
+            open: None,
+        })
     }
 
-    /// Current tip digest.
+    /// The last seal: it covers every record folded in before it, and
+    /// none of an open block.
     #[must_use]
     pub fn tip(&self) -> &str {
         hex_str(&self.tip)
@@ -115,41 +109,69 @@ impl ChainState {
         self.length == 0
     }
 
-    /// Fold a record into the chain, returning its digest.
+    /// Fold a record into the chain as the last line of its block, returning
+    /// the block's seal.
     pub fn append(&mut self, record: &AuditRecord) -> ChainDigest {
         self.append_line(record.to_line().as_bytes());
+        self.seal();
         self.tip().to_string()
     }
 
-    /// Fold an already-rendered record line into the chain; returns the
-    /// new tip's hex digits. Byte-identical to [`Self::append`] when `line`
-    /// is the record's line: the log renders each line once, for both the
-    /// chain and the sink.
-    pub(crate) fn append_line(&mut self, line: &[u8]) -> &HexDigest {
-        self.tip = chain_digest_hex(&self.tip, line);
+    /// Fold a rendered record line (without its `#`) into the open block,
+    /// opening one behind the last seal if there is none.
+    pub(crate) fn append_line(&mut self, line: &[u8]) {
+        let block = match &mut self.open {
+            Some(block) => {
+                block.update(LINE_END);
+                block
+            }
+            None => {
+                let block = self.open.insert(Sha256::new());
+                block.update(&self.tip);
+                block.update(b"\n");
+                block
+            }
+        };
+        block.update(line);
         self.length += 1;
-        &self.tip
+    }
+
+    /// Close the open block: its seal becomes the tip and is returned.
+    /// `None`, and nothing done, when no block is open.
+    pub(crate) fn seal(&mut self) -> Option<&HexDigest> {
+        let block = self.open.take()?;
+        self.tip = digest_to_hex(&block.finalize());
+        Some(&self.tip)
     }
 }
 
 /// Verify that a sequence of chained records is intact, returning the tip.
+/// A record with no seal belongs to the block the next sealed record ends.
 ///
 /// # Errors
 ///
-/// Returns [`AuditError::ChainBroken`] at the first record whose digest
-/// does not match.
+/// Returns [`AuditError::ChainBroken`] at the first record of the first
+/// block whose seal does not match, or of a block that the records end
+/// before sealing.
 pub fn verify_chain(records: &[ChainedRecord]) -> Result<ChainDigest> {
-    let mut expected = genesis_digest();
+    let mut state = ChainState::new();
+    let mut block_start = None;
     for chained in records {
-        let digest = chain_digest(&expected, &chained.record);
-        if digest != chained.digest {
-            return Err(AuditError::ChainBroken {
-                at_sequence: chained.record.sequence,
-            });
+        block_start.get_or_insert(chained.record.sequence);
+        state.append_line(chained.record.to_line().as_bytes());
+        if chained.digest.is_empty() {
+            continue;
         }
-        expected = digest;
+        let sealed = state.seal().expect("a line was just folded in");
+        if sealed[..] != *chained.digest.as_bytes() {
+            break;
+        }
+        block_start = None;
     }
-    Ok(expected)
+    match block_start {
+        Some(at_sequence) => Err(AuditError::ChainBroken { at_sequence }),
+        None => Ok(state.tip().to_string()),
+    }
 }
 
 #[cfg(test)]

@@ -2,11 +2,13 @@
 //!
 //! [`AuditLog`] assigns sequence numbers, maintains the hash chain,
 //! renders each line in place into one buffer and flushes that to an
-//! [`AuditSink`] according to a [`FlushPolicy`]. Callers that want the
-//! sink's cost off their critical section batch through per-shard buffers
-//! in front of it (the compliance pipeline does).
+//! [`AuditSink`] according to a [`FlushPolicy`]. The lines it hands over
+//! at once are one block of the chain ([`crate::chain`]): the last of them
+//! carries the block's seal. Callers that want the sink's cost off their
+//! critical section batch through per-shard buffers in front of it (the
+//! compliance pipeline does).
 
-use crate::chain::{ChainState, ChainedRecord};
+use crate::chain::{ChainState, ChainedRecord, LINE_END};
 use crate::policy::{FlushPolicy, PERIODIC_INTERVAL_MS};
 use crate::record::{AuditEvent, AuditRecord, Decimal};
 use crate::sink::{AuditSink, SinkStats};
@@ -27,7 +29,7 @@ pub struct AuditLogStats {
 /// How many bytes of rendered lines the log holds before it hands them to
 /// the sink without waiting for the flush policy. The policy still decides
 /// alone when the sink is synced; this only bounds the memory that a
-/// second of traffic takes.
+/// second of traffic takes, and the length of a block of the chain.
 const HAND_OVER_BYTES: usize = 64 << 10;
 
 /// Events rendered as their trail lines less the sequence numbers, waiting
@@ -68,8 +70,9 @@ pub struct AuditLog {
     sink: Box<dyn AuditSink>,
     policy: FlushPolicy,
     chain: ChainState,
-    /// The rendered lines the sink has not taken yet, a newline behind
-    /// each, in one contiguous buffer.
+    /// The rendered lines the sink has not taken yet, `#` and a newline
+    /// behind each, in one contiguous buffer. The lines of the chain's open
+    /// block are its last ones.
     buffer: Vec<u8>,
     /// Records accepted since the last successful sync: the lines in
     /// `buffer` and those the sink has taken but not synced.
@@ -80,8 +83,8 @@ pub struct AuditLog {
 }
 
 impl AuditLog {
-    /// Create a log over `sink` with the given flush policy. Every line is
-    /// hash-chained to the one before it.
+    /// Create a log over `sink` with the given flush policy. Every block of
+    /// lines it hands over is hash-chained to the one before it.
     pub fn new(sink: Box<dyn AuditSink>, policy: FlushPolicy) -> Self {
         AuditLog {
             sink,
@@ -116,9 +119,11 @@ impl AuditLog {
         self.sink.stats()
     }
 
-    /// Digest of the chain tip.
+    /// Digest of the chain tip, covering every record so far: the open
+    /// block is sealed first.
     #[must_use]
-    pub fn chain_tip(&self) -> String {
+    pub fn chain_tip(&mut self) -> String {
+        self.seal();
         self.chain.tip().to_string()
     }
 
@@ -165,9 +170,9 @@ impl AuditLog {
         outcome
     }
 
-    /// Number the line `render` writes after its sequence number, chain it
-    /// (the chain hashes the bytes the sink will get) and apply the flush
-    /// policy.
+    /// Number the line `render` writes after its sequence number, fold it
+    /// into the open block (the chain hashes the bytes the sink will get)
+    /// and apply the flush policy.
     fn append(&mut self, timestamp_ms: u64, render: impl FnOnce(&mut Vec<u8>)) -> Result<u64> {
         let sequence = self.next_sequence;
         self.next_sequence += 1;
@@ -178,10 +183,8 @@ impl AuditLog {
             .extend_from_slice(Decimal::new(sequence).as_bytes());
         self.buffer.push(b'|');
         render(&mut self.buffer);
-        let digest = self.chain.append_line(&self.buffer[start..]);
-        self.buffer.push(b'#');
-        self.buffer.extend_from_slice(digest);
-        self.buffer.push(b'\n');
+        self.chain.append_line(&self.buffer[start..]);
+        self.buffer.extend_from_slice(LINE_END);
         self.at_risk += 1;
 
         match self.policy {
@@ -200,9 +203,22 @@ impl AuditLog {
         Ok(sequence)
     }
 
-    /// Give the sink every buffered line, in order, without syncing it.
-    /// The line the sink refuses, and those behind it, stay buffered.
+    /// Close the open block: its seal goes behind the `#` of its last line,
+    /// the buffer's last.
+    fn seal(&mut self) {
+        if let Some(seal) = self.chain.seal() {
+            let newline = self.buffer.pop();
+            debug_assert_eq!(newline, Some(b'\n'));
+            self.buffer.extend_from_slice(seal);
+            self.buffer.push(b'\n');
+        }
+    }
+
+    /// Seal the open block and give the sink every buffered line, in order,
+    /// without syncing it. The line the sink refuses, and those behind it,
+    /// stay buffered.
     fn hand_over(&mut self) -> Result<()> {
+        self.seal();
         let lines = std::str::from_utf8(&self.buffer)
             .expect("the log renders UTF-8 fields and ASCII separators");
         let mut taken = 0;
@@ -251,21 +267,22 @@ impl Drop for AuditLog {
     }
 }
 
-/// Parse a persisted line back into `(record, digest)`; a line with no
-/// digest part parses with an empty one, which no chain verifies.
+/// Parse a persisted line back into `(record, seal)`. A line that ends its
+/// block ends in `#` and the seal's 64 hex digits; any other ends in `#`
+/// alone and parses with an empty seal, as does a line with neither.
 #[must_use]
 pub fn parse_chained_line(line: &str) -> Option<ChainedRecord> {
-    match line.rsplit_once('#') {
-        Some((record_part, digest)) if digest.len() == 64 => AuditRecord::from_line(record_part)
-            .map(|record| ChainedRecord {
-                record,
-                digest: digest.to_string(),
-            }),
-        _ => AuditRecord::from_line(line).map(|record| ChainedRecord {
-            record,
-            digest: String::new(),
-        }),
-    }
+    let (record, digest) = match line.rsplit_once('#') {
+        Some((record, seal)) if seal.len() == 64 && seal.bytes().all(|b| b.is_ascii_hexdigit()) => {
+            (record, seal)
+        }
+        Some((record, "")) => (record, ""),
+        _ => (line, ""),
+    };
+    AuditRecord::from_line(record).map(|record| ChainedRecord {
+        record,
+        digest: digest.to_string(),
+    })
 }
 
 #[cfg(test)]
@@ -394,27 +411,48 @@ mod tests {
         crate::chain::verify_chain(&chained).unwrap();
     }
 
-    #[test]
-    fn the_rendered_trail_is_what_it_was_before_lines_were_rendered_in_place() {
-        // Written by the commit before this renderer, digests included.
-        let sink = MemorySink::new();
-        let view = sink.share();
-        let mut log = AuditLog::new(Box::new(sink), FlushPolicy::Manual);
-        log.record(rec(1_700_000_000_000)).unwrap();
-        log.record(
+    /// The three records of the golden trails, as `record` takes them.
+    fn golden_records() -> [AuditRecord; 3] {
+        [
+            rec(1_700_000_000_000),
             AuditRecord::new(1_700_000_000_001, "pipe|actor", Operation::RightsRequest)
                 .subject("subject-42")
                 .purpose("analytics")
                 .outcome(Outcome::Denied)
                 .detail("weird|detail\nwith newline \\ and backslash, \0 too"),
-        )
-        .unwrap();
-        log.record(AuditRecord::new(u64::MAX, "engine", Operation::Maintenance))
-            .unwrap();
-        log.flush().unwrap();
-        assert_eq!(view.lines(), GOLDEN_TRAIL);
+            AuditRecord::new(u64::MAX, "engine", Operation::Maintenance),
+        ]
     }
 
+    /// The lines `policy` has a log over a memory sink write for the
+    /// golden records, flushed once at the end.
+    fn golden_lines(policy: FlushPolicy) -> Vec<String> {
+        let sink = MemorySink::new();
+        let view = sink.share();
+        let mut log = AuditLog::new(Box::new(sink), policy);
+        for record in golden_records() {
+            log.record(record).unwrap();
+        }
+        log.flush().unwrap();
+        view.lines()
+    }
+
+    #[test]
+    fn the_rendered_trail_is_what_it_was_before_lines_were_rendered_in_place() {
+        // Written by the commit before this renderer, digests included: a
+        // synchronous log seals every line, as every log did then.
+        assert_eq!(golden_lines(FlushPolicy::Synchronous), GOLDEN_TRAIL);
+        let parsed: Vec<_> = GOLDEN_TRAIL
+            .iter()
+            .map(|line| parse_chained_line(line).unwrap())
+            .collect();
+        assert_eq!(
+            crate::chain::verify_chain(&parsed).unwrap(),
+            &GOLDEN_TRAIL[2][GOLDEN_TRAIL[2].len() - 64..]
+        );
+    }
+
+    /// A trail that sealed every line.
     const GOLDEN_TRAIL: [&str; 3] = [
         "0|1700000000000|tester|read|k|||allowed|\
          #33a1898f682b2a1d9852c7267050364afb9faee0d2af9bbb9e46b6679826136d",
@@ -423,6 +461,30 @@ mod tests {
          #226effdeb933e9bfc027e4d8bf2f84aed64e81643d98ad0554dad3fe9448beeb",
         "2|18446744073709551615|engine|maintenance||||allowed|\
          #952709b8a7f465849172c61efbdb87b55853d6c163a2b3d311f1fb336a067862",
+    ];
+
+    #[test]
+    fn a_flush_writes_its_lines_as_one_block_with_one_seal() {
+        let lines = golden_lines(FlushPolicy::Manual);
+        assert_eq!(lines, GOLDEN_BLOCK);
+        let block = GOLDEN_BLOCK.join("\n");
+        let parsed = crate::reader::parse_trail(&block).unwrap();
+        assert_eq!(parsed.len(), 3);
+        assert!(parsed[..2].iter().all(|line| line.digest.is_empty()));
+        assert_eq!(
+            crate::chain::verify_chain(&parsed).unwrap(),
+            &GOLDEN_BLOCK[2][GOLDEN_BLOCK[2].len() - 64..]
+        );
+    }
+
+    /// The same records flushed once: one block, sealed by
+    /// SHA-256(genesis ‖ `\n` ‖ its lines up to the final `#`).
+    const GOLDEN_BLOCK: [&str; 3] = [
+        "0|1700000000000|tester|read|k|||allowed|#",
+        "1|1700000000001|pipe\\pactor|rights||subject-42|analytics|denied|\
+         weird\\pdetail\\nwith newline \\\\ and backslash, \\0 too#",
+        "2|18446744073709551615|engine|maintenance||||allowed|\
+         #ecc84a8fcb8727497acdaea8861a7c98cdd32d3d1717fd48b77f81b9bed22d04",
     ];
 
     #[test]

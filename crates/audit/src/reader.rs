@@ -16,10 +16,12 @@ use crate::{AuditError, Result};
 ///
 /// The text may be a trail file read while its [`crate::sink::FileSink`]
 /// is open, or after a crash: the trail ends behind the last newline that
-/// ends a line without a NUL, which is where a reopened sink goes on
-/// writing. Behind that lie the NULs of the extended file and what a crash
-/// tore. Of it, only an append that is whole but for its newline — it
-/// parses, and carries its chain digest — is kept.
+/// ends a line without a NUL. Behind that lie the NULs of the extended
+/// file and what a crash tore. Of it, only an append that is whole but for
+/// its newline — it parses, and carries a block's seal — is kept. The
+/// whole lines of a block that a crash cut before its seal are kept too:
+/// [`verify_trail`] reports them, and a reopened sink goes on writing
+/// ahead of them.
 ///
 /// # Errors
 ///
@@ -52,13 +54,15 @@ pub fn parse_trail(text: &str) -> Result<Vec<ChainedRecord>> {
     Ok(out)
 }
 
-/// Verify the hash chain of a parsed trail. Every line the log writes is
-/// chained, so a record without a digest breaks the chain like a wrong
-/// one.
+/// Verify the hash chain of a parsed trail. Every block of lines the log
+/// writes ends in a seal, so a line stripped of its seal merges two blocks
+/// and breaks the chain like a wrong seal, and so does a trail that ends
+/// inside a block.
 ///
 /// # Errors
 ///
-/// Returns [`AuditError::ChainBroken`] at the first mismatch.
+/// Returns [`AuditError::ChainBroken`] at the first record of the first
+/// block that does not verify.
 pub fn verify_trail(records: &[ChainedRecord]) -> Result<()> {
     verify_chain(records).map(|_| ())
 }

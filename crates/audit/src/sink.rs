@@ -118,43 +118,59 @@ impl AuditSink for MemorySink {
 /// extended ahead ([`extfile`]; sparse, never written), so the tail reads
 /// as NUL bytes. No line holds a NUL ([`crate::record::AuditRecord`]
 /// escapes it), so **the trail ends behind the last newline that ends a
-/// line without one** — the one rule by which this sink resumes and
-/// [`crate::reader::parse_trail`] reads the file. A clean close cuts the file back to the
-/// trail; after a crash the next open does, and with the tail drops what
-/// the crash tore: a last line that no newline ends, or one with a hole in
-/// it.
+/// line without one** — the rule by which [`crate::reader::parse_trail`]
+/// reads the file. A clean close cuts the file back to the trail. After a
+/// crash the next open cuts it back further, behind the last line that
+/// seals a block of the chain ([`crate::chain`]): with the tail it drops
+/// what the crash tore, a last line that no newline ends, one with a hole
+/// in it, and the whole lines of a block whose seal never landed.
 ///
-/// Lines are collected in a block and reach the file in **one positional
-/// write per block**: at [`AuditSink::sync`] (so a line synced is a line
-/// written, and under a real-time policy a block is one line), when the
-/// block passes 64 KiB, and when the sink is dropped. A crash can tear a
-/// block of many lines anywhere: by the rule above the whole lines ahead of
-/// the tear survive and the rest is dropped.
+/// Lines are collected and reach the file in **one positional write per
+/// 64 KiB or less**: at [`AuditSink::sync`] (so a line synced is a line
+/// written, and under a real-time policy a write is one line), when the
+/// collected lines pass 64 KiB, and when the sink is dropped. A crash can
+/// tear a write anywhere: the sealed blocks ahead of the tear survive and
+/// the next open cuts the rest.
 #[derive(Debug)]
 pub struct FileSink {
     path: PathBuf,
     file: ExtendedFile,
     /// The lines taken and not yet written, each with its newline.
-    block: Vec<u8>,
+    pending: Vec<u8>,
     stats: SinkStats,
 }
 
 /// How many bytes of lines a [`FileSink`] collects before it writes them
 /// without being asked to sync.
-const BLOCK_BYTES: usize = 64 << 10;
+const WRITE_BYTES: usize = 64 << 10;
 
 /// Where the trail in `bytes` (which start at the start of a line) ends:
 /// behind the last newline that ends a line holding no NUL byte, 0 if there
 /// is none. What lies behind that is the extended tail of an open file, a
 /// line a crash tore a hole in, or an append that never got its newline.
 pub(crate) fn trail_end(bytes: &[u8]) -> usize {
+    end_behind(bytes, |_| true)
+}
+
+/// Where a reopened sink resumes in `bytes`: behind the last whole line, as
+/// for [`trail_end`], that does not end in `#`. Every line the log writes
+/// ends in `#` but the one that seals its block, so this is the end of the
+/// last sealed block, and what lies behind it is a block a crash cut short.
+fn sealed_end(bytes: &[u8]) -> usize {
+    end_behind(bytes, |line| !line.ends_with(b"#"))
+}
+
+/// Behind the last newline in `bytes` that ends a line holding no NUL byte
+/// and that `ends_a_block` accepts; 0 if there is none.
+fn end_behind(bytes: &[u8], ends_a_block: impl Fn(&[u8]) -> bool) -> usize {
     let mut end = bytes.len();
     while let Some(newline) = bytes[..end].iter().rposition(|b| *b == b'\n') {
         let line_start = bytes[..newline]
             .iter()
             .rposition(|b| *b == b'\n')
             .map_or(0, |previous| previous + 1);
-        if !bytes[line_start..newline].contains(&0) {
+        let line = &bytes[line_start..newline];
+        if !line.contains(&0) && ends_a_block(line) {
             return newline + 1;
         }
         end = newline;
@@ -162,9 +178,9 @@ pub(crate) fn trail_end(bytes: &[u8]) -> usize {
     0
 }
 
-/// [`trail_end`] of the file, found from the back: O(tail), however long
+/// [`sealed_end`] of the file, found from the back: O(tail), however long
 /// the trail is.
-fn find_trail_end(mut file: &File, len: u64) -> std::io::Result<u64> {
+fn find_sealed_end(mut file: &File, len: u64) -> std::io::Result<u64> {
     let mut read_back = |buf: &mut Vec<u8>, from: u64, to: u64| {
         buf.resize((to - from) as usize, 0);
         file.seek(SeekFrom::Start(from))?;
@@ -185,7 +201,8 @@ fn find_trail_end(mut file: &File, len: u64) -> std::io::Result<u64> {
         }
     }
     // Then look at a window that ends there, widened until it holds the
-    // end of the trail: lines are short, the first one almost always does.
+    // end of the last sealed block: blocks are at most some 64 KiB, the
+    // first or second window almost always does.
     let mut window = 64 << 10;
     loop {
         let from = content_end.saturating_sub(window);
@@ -196,7 +213,7 @@ fn find_trail_end(mut file: &File, len: u64) -> std::io::Result<u64> {
             Some(newline) => newline + 1,
             None => buf.len(),
         };
-        let end = trail_end(&buf[line_start..]);
+        let end = sealed_end(&buf[line_start..]);
         if end > 0 || from == 0 {
             return Ok(from + (line_start + end) as u64);
         }
@@ -206,7 +223,7 @@ fn find_trail_end(mut file: &File, len: u64) -> std::io::Result<u64> {
 
 impl FileSink {
     /// Open (creating if necessary) a trail file at `path` and resume
-    /// where its trail ends.
+    /// behind its last sealed block.
     ///
     /// # Errors
     ///
@@ -214,21 +231,21 @@ impl FileSink {
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         let mut file = ExtendedFile::open(&path)?;
-        let end = find_trail_end(file.file(), file.end())?;
+        let end = find_sealed_end(file.file(), file.end())?;
         file.truncate(end)?;
         Ok(FileSink {
             path,
             file,
-            block: Vec::new(),
+            pending: Vec::new(),
             stats: SinkStats::default(),
         })
     }
 
-    /// Write the collected block at the end of the trail.
-    fn write_block(&mut self) -> Result<()> {
-        if !self.block.is_empty() {
-            self.file.append(&self.block)?;
-            self.block.clear();
+    /// Write the collected lines at the end of the trail.
+    fn write_pending(&mut self) -> Result<()> {
+        if !self.pending.is_empty() {
+            self.file.append(&self.pending)?;
+            self.pending.clear();
         }
         Ok(())
     }
@@ -242,13 +259,13 @@ impl FileSink {
 
 impl AuditSink for FileSink {
     fn write_line(&mut self, line: &str) -> Result<()> {
-        let taken = self.block.len();
-        self.block.extend_from_slice(line.as_bytes());
-        self.block.push(b'\n');
-        if self.block.len() >= BLOCK_BYTES {
-            if let Err(e) = self.write_block() {
+        let taken = self.pending.len();
+        self.pending.extend_from_slice(line.as_bytes());
+        self.pending.push(b'\n');
+        if self.pending.len() >= WRITE_BYTES {
+            if let Err(e) = self.write_pending() {
                 // Refused: the caller keeps this line and offers it again.
-                self.block.truncate(taken);
+                self.pending.truncate(taken);
                 return Err(e);
             }
         }
@@ -258,7 +275,7 @@ impl AuditSink for FileSink {
     }
 
     fn sync(&mut self) -> Result<()> {
-        self.write_block()?;
+        self.write_pending()?;
         self.file.sync_data()?;
         self.stats.syncs += 1;
         Ok(())
@@ -273,7 +290,7 @@ impl Drop for FileSink {
     fn drop(&mut self) {
         // The lines taken are the sink's to write; errors cannot be
         // reported from drop. The file then cuts itself back to the trail.
-        let _ = self.write_block();
+        let _ = self.write_pending();
     }
 }
 
@@ -383,6 +400,33 @@ mod tests {
             drop(s);
             assert_eq!(std::fs::read_to_string(&path).unwrap(), trail);
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_reopened_sink_resumes_behind_the_last_sealed_block() {
+        let seal = "0f".repeat(32);
+        let sealed = format!("a#{seal}\n");
+        for (bytes, end) in [
+            (format!("{sealed}b#\nc#"), sealed.len()),
+            (format!("{sealed}b#\nc#{seal}\n"), 2 * sealed.len() + 3),
+            (format!("{sealed}b#\nc#{}", &seal[..9]), sealed.len()),
+            (format!("{sealed}b#\nc#\0\0"), sealed.len()),
+            ("a#\nb#\n".to_string(), 0),
+            // Lines no log wrote end no block of one: they are kept.
+            ("first\nsecond\n".to_string(), 13),
+        ] {
+            assert_eq!(sealed_end(bytes.as_bytes()), end, "{bytes:?}");
+        }
+
+        let dir = std::env::temp_dir().join(format!("audit-sink-sealed-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("trail.log");
+        let mut crashed = format!("{sealed}b#\nc#\n").into_bytes();
+        crashed.resize(4096, 0);
+        std::fs::write(&path, &crashed).unwrap();
+        drop(FileSink::open(&path).unwrap());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), sealed);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -69,7 +69,8 @@ impl AuditPipeline {
     }
 
     /// Move every buffered record into the log (assigning sequence numbers
-    /// and chain digests) without forcing a sink flush.
+    /// and folding each line into the chain's open block) without forcing
+    /// a sink flush.
     pub fn drain(&self) {
         for buffer in &self.buffers {
             self.append_batch(&mut buffer.lock());
@@ -96,8 +97,8 @@ impl AuditPipeline {
         self.log.lock().flush()
     }
 
-    /// Digest of the chain tip (drains first so the tip covers everything
-    /// emitted so far).
+    /// Digest of the chain tip (drains first, and the log seals its open
+    /// block, so the tip covers everything emitted so far).
     #[must_use]
     pub fn chain_tip(&self) -> String {
         self.drain();
@@ -254,6 +255,44 @@ mod tests {
             pipeline.log_stats().records,
             MAX_BUFFERED_PER_SHARD as u64 + 5
         );
+    }
+
+    /// The trail bytes of an eventual `get` as a benchmark client makes
+    /// it (actor `suite`, purpose `benchmarking`, a `user%08d` key that is
+    /// its own subject, 100-byte values). A 64-hex chain digest on every
+    /// line made that some 159 B, and a 20 s read-heavy run at 315 k ops/s
+    /// then wrote about 1 GB of trail, past the file-size limit it was run
+    /// under: it died of SIGXFSZ (exit 153). One seal per handed-over block
+    /// keeps it under 100 B.
+    #[test]
+    fn an_eventual_get_costs_at_most_100_trail_bytes() {
+        use audit::record::{Detail, Outcome};
+        use audit::sink::NullSink;
+
+        const RECORDS: u64 = 10_000;
+        let log = AuditLog::new(Box::new(NullSink::new()), FlushPolicy::every_second());
+        let pipeline = AuditPipeline::new(log, 4);
+        for i in 0..RECORDS {
+            let key = format!("user{:08}", i * 7_919 % 1_000_000);
+            pipeline.emit(
+                i as usize,
+                &AuditEvent {
+                    timestamp_ms: 1_760_000_000_000 + i / 3,
+                    actor: "suite",
+                    operation: Operation::Read,
+                    key: Some(&key),
+                    subject: Some(&key),
+                    purpose: Some("benchmarking"),
+                    outcome: Outcome::Allowed,
+                    detail: Detail::GetBytes(100),
+                },
+            );
+        }
+        pipeline.flush().unwrap();
+        let sink = pipeline.sink_stats();
+        assert_eq!(sink.lines, RECORDS);
+        let per_record = sink.bytes as f64 / RECORDS as f64;
+        assert!(per_record <= 100.0, "{per_record:.1} trail bytes per get");
     }
 
     #[test]

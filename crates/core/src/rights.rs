@@ -63,10 +63,6 @@ pub struct ErasureReport {
     /// Number of journal records dropped by the accompanying compaction
     /// (0 when the policy defers scrubbing).
     pub journal_records_scrubbed: u64,
-    /// Whether the erased data also left the journal before the request
-    /// returned (the policy's `scrub_aof_on_erasure`), rather than staying
-    /// there until a later rewrite.
-    pub completed_in_real_time: bool,
 }
 
 /// Result of an objection request.
@@ -231,7 +227,6 @@ impl GdprStore {
             subject: subject.to_string(),
             erased_keys: erased,
             journal_records_scrubbed,
-            completed_in_real_time: self.policy.scrub_aof_on_erasure,
         })
     }
 
@@ -479,7 +474,7 @@ mod tests {
         let store = store_with_data(CompliancePolicy::strict());
         let report = store.right_to_erasure(&ctx(), "alice").unwrap();
         assert_eq!(report.erased_keys.len(), 2);
-        assert!(report.completed_in_real_time);
+        assert!(store.policy().scrub_aof_on_erasure);
         assert!(
             report.journal_records_scrubbed > 0,
             "strict policy scrubs the journal"
@@ -505,7 +500,7 @@ mod tests {
         let store = store_with_data(CompliancePolicy::eventual());
         let report = store.right_to_erasure(&ctx(), "alice").unwrap();
         assert_eq!(report.erased_keys.len(), 2);
-        assert!(!report.completed_in_real_time);
+        assert!(!store.policy().scrub_aof_on_erasure);
         assert_eq!(report.journal_records_scrubbed, 0);
     }
 

@@ -70,7 +70,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         "erasure: {} keys removed, {} journal records scrubbed, real-time: {}",
         report.erased_keys.len(),
         report.journal_records_scrubbed,
-        report.completed_in_real_time
+        store.policy().scrub_aof_on_erasure
     );
 
     // 7. Everything that happened above is evidence (Article 30).

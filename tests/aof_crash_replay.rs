@@ -836,6 +836,7 @@ fn a_cut_anywhere_in_a_block_of_lines_keeps_the_whole_lines_ahead_of_it() {
     use gdpr_storage::audit::reader::{parse_trail, verify_trail, verify_trail_segments};
     use gdpr_storage::audit::record::{AuditRecord, Operation};
     use gdpr_storage::audit::sink::{AuditSink, FileSink};
+    use gdpr_storage::audit::AuditError;
 
     const PAGE: usize = 4096;
     let dir = test_dir("block-cuts");
@@ -848,10 +849,11 @@ fn a_cut_anywhere_in_a_block_of_lines_keeps_the_whole_lines_ahead_of_it() {
             .detail("GET 24 bytes")
     };
 
-    // Under an eventual policy a flush writes every line since the last
-    // one as one block. The last block here is five lines across a page
-    // boundary: a crash can leave any prefix of it (the file is extended
-    // ahead, so what is missing reads as zeros).
+    // Under an eventual policy a flush hands every line since the last
+    // one to the sink as one block of the chain, sealed on its last line.
+    // The last block here is ten lines across a page boundary: a crash can
+    // leave any prefix of it (the file is extended ahead, so what is
+    // missing reads as zeros).
     let sink = Box::new(FileSink::open(&trail_path).unwrap());
     let mut log = AuditLog::new(sink, FlushPolicy::Manual);
     let mut written = 0;
@@ -863,34 +865,47 @@ fn a_cut_anywhere_in_a_block_of_lines_keeps_the_whole_lines_ahead_of_it() {
         log.flush().unwrap();
         crash_image(&trail_path)
     };
-    let trail_before = flush_lines(&mut log, 28);
-    let trail_after = flush_lines(&mut log, 5);
+    let trail_before = flush_lines(&mut log, 48);
+    let trail_after = flush_lines(&mut log, 10);
     drop(log);
     let ends_at = |trail: &[u8]| trail.iter().position(|b| *b == 0).unwrap();
     let (from, to) = (ends_at(&trail_before), ends_at(&trail_after));
     assert!(from < PAGE - 1 && PAGE + 1 < to, "block {from}..{to}");
     let trail_after = &trail_after[..to + 2 * PAGE];
     let whole = parse_trail(std::str::from_utf8(trail_after).unwrap()).unwrap();
-    assert_eq!(whole.len(), 33);
+    assert_eq!(whole.len(), 58);
     let line_ends: Vec<usize> = (0..to).filter(|at| trail_after[*at] == b'\n').collect();
-    assert!(line_ends.iter().filter(|end| **end >= from).count() >= 3);
+    let (block_start, block_end) = (48, 58);
+    assert_eq!(line_ends[block_start - 1] + 1, from);
 
     for cut in cut_points(from, to, trail_after.len()) {
         write_cut(&trail_path, trail_after, cut, true, to);
-        // What the reader keeps: the lines whose newline landed, and one
-        // that is whole but for its newline.
+        // What the reader keeps: the lines whose newline landed, and the
+        // sealing line if it is whole but for its newline.
         let text = std::fs::read_to_string(&trail_path).unwrap();
         let survived = parse_trail(&text).unwrap();
         let complete = line_ends.iter().filter(|end| **end < cut).count();
-        let kept = complete + usize::from(line_ends.contains(&cut));
+        let kept = complete + usize::from(cut == to - 1);
         assert_eq!(survived, whole[..kept], "cut {cut}");
-        verify_trail(&survived).unwrap();
+        // It verifies only at a block end: a block cut short is reported
+        // at its first line.
+        match kept {
+            48 | 58 => verify_trail(&survived).unwrap(),
+            _ => assert!(
+                matches!(
+                    verify_trail(&survived),
+                    Err(AuditError::ChainBroken { at_sequence: 48 })
+                ),
+                "cut {cut}"
+            ),
+        }
 
-        // Where a reopened sink resumes: behind the last newline that
-        // landed, which is where the reader's whole lines end.
+        // Where a reopened sink resumes: behind the last whole line that
+        // seals a block, so what a crash cut short of its seal goes.
+        let sealed = if cut < to { block_start } else { block_end };
         drop(FileSink::open(&trail_path).unwrap());
         let resumed_at = std::fs::metadata(&trail_path).unwrap().len() as usize;
-        assert_eq!(resumed_at, line_ends[complete - 1] + 1, "cut {cut}");
+        assert_eq!(resumed_at, line_ends[sealed - 1] + 1, "cut {cut}");
 
         // And it goes on from there without a gap or a hole.
         let sink = Box::new(FileSink::open(&trail_path).unwrap());
@@ -903,8 +918,8 @@ fn a_cut_anywhere_in_a_block_of_lines_keeps_the_whole_lines_ahead_of_it() {
         let text = std::fs::read_to_string(&trail_path).unwrap();
         assert!(!text.contains('\0'), "cut {cut}");
         let resumed = parse_trail(&text).unwrap();
-        assert_eq!(resumed.len(), complete + 3, "cut {cut}");
-        assert_eq!(resumed[..complete], whole[..complete]);
+        assert_eq!(resumed.len(), sealed + 3, "cut {cut}");
+        assert_eq!(resumed[..sealed], whole[..sealed]);
         assert_eq!(verify_trail_segments(&resumed).unwrap(), 2);
     }
 

@@ -178,18 +178,16 @@ fn eventual_policy_defers_scrub_but_strict_does_not() {
             )
             .unwrap();
     }
-    assert!(
-        strict
+    assert!(strict.policy().scrub_aof_on_erasure);
+    assert!(!eventual.policy().scrub_aof_on_erasure);
+    let scrubbed = |store: &GdprStore| {
+        store
             .right_to_erasure(&ctx(), "x")
             .unwrap()
-            .completed_in_real_time
-    );
-    assert!(
-        !eventual
-            .right_to_erasure(&ctx(), "x")
-            .unwrap()
-            .completed_in_real_time
-    );
+            .journal_records_scrubbed
+    };
+    assert!(scrubbed(&strict) > 0);
+    assert_eq!(scrubbed(&eventual), 0);
 }
 
 #[test]

@@ -3,8 +3,8 @@
 //! The paged `GDPR.EXPORT subject CURSOR c [COUNT n]` form must produce
 //! chunks whose in-order concatenation is byte-identical to the
 //! monolithic export, on every path a client can reach the dispatcher:
-//! in-process (core API), the simulated RESP server, and both live TCP
-//! transports (reactor and thread-per-connection). Every leg loads the
+//! in-process (core API), the simulated RESP server, and the live TCP
+//! server. Every leg loads the
 //! same data under the same pinned clock, so the documents must agree
 //! byte-for-byte *across* legs too.
 
@@ -17,7 +17,7 @@ use gdpr_core::policy::CompliancePolicy;
 use gdpr_core::store::{AccessContext, GdprStore};
 use gdpr_server::client::TcpRemoteClient;
 use gdpr_server::dispatch::Dispatcher;
-use gdpr_server::tcp::{ServerConfig, TcpServer, Transport};
+use gdpr_server::tcp::{ServerConfig, TcpServer};
 use kvstore::clock::SimClock;
 use kvstore::config::StoreConfig;
 use netsim::server::RespKvServer;
@@ -148,30 +148,24 @@ fn paged_export_is_byte_identical_on_every_transport() {
         assert_eq!(out, reference, "netsim paged export diverged");
     }
 
-    // Both live TCP transports.
-    for transport in [Transport::Reactor, Transport::Threads] {
-        let store = loaded_store();
-        let config = ServerConfig {
-            transport,
-            ..ServerConfig::default()
-        };
-        let handle = TcpServer::bind(Dispatcher::gdpr(store), "127.0.0.1:0", config).unwrap();
-        let mut client = TcpRemoteClient::connect(handle.local_addr()).unwrap();
-        client.auth("app", "billing").unwrap();
-        assert_eq!(
-            client.export_subject(SUBJECT).unwrap(),
-            reference,
-            "{transport:?} monolithic export diverged"
-        );
-        assert_eq!(
-            client.export_subject_paged(SUBJECT, PAGE).unwrap(),
-            reference,
-            "{transport:?} paged export (helper) diverged"
-        );
-        let out = paged_via_frames(|frame| client.roundtrip(&frame).unwrap());
-        assert_eq!(out, reference, "{transport:?} paged export diverged");
-        handle.shutdown();
-    }
+    // The live TCP server.
+    let config = ServerConfig::default();
+    let handle = TcpServer::bind(Dispatcher::gdpr(loaded_store()), "127.0.0.1:0", config).unwrap();
+    let mut client = TcpRemoteClient::connect(handle.local_addr()).unwrap();
+    client.auth("app", "billing").unwrap();
+    assert_eq!(
+        client.export_subject(SUBJECT).unwrap(),
+        reference,
+        "tcp monolithic export diverged"
+    );
+    assert_eq!(
+        client.export_subject_paged(SUBJECT, PAGE).unwrap(),
+        reference,
+        "tcp paged export (helper) diverged"
+    );
+    let out = paged_via_frames(|frame| client.roundtrip(&frame).unwrap());
+    assert_eq!(out, reference, "tcp paged export diverged");
+    handle.shutdown();
 }
 
 #[test]

@@ -5,9 +5,8 @@
 //!
 //! ```text
 //! gdpr-server [addr=127.0.0.1:6379] [shards=1] [fsync=everysec]
-//!             [compliance=1] [transport=reactor|threads] [workers=0]
-//!             [maxconns=0|N] [readtimeout=secs] [aof=mem|none|<path>]
-//!             [audit=<path>]
+//!             [compliance=1] [workers=0] [maxconns=0|N]
+//!             [readtimeout=secs] [aof=mem|none|<path>] [audit=<path>]
 //!             [replicaof=host:port] [backlog=records]
 //!             [grant=actor:purpose[,actor:purpose...]] [duration=secs]
 //!             [metrics=host:port] [slowlog=micros] [slowlogmax=N]
@@ -20,14 +19,11 @@
 //!   every commit that a crash leaves on disk: with `compliance=2`, `fsync`
 //!   defaults to `always`, and `fsync=everysec`, `fsync=none`, `aof=none`
 //!   and `aof=mem` (so also a missing `aof=`) are refused (exit 2).
-//! * `transport` — `reactor` (default): the event-driven connection layer
-//!   (symmetric epoll event loops that run each request to completion),
-//!   or `threads`: one OS thread per connection.
-//! * `workers` — reactor event-loop threads (0 = `min(cores, shards)`);
-//!   each serves its share of the connections from read to reply.
+//! * `workers` — event-loop threads (0 = `min(cores, shards)`); each is
+//!   a symmetric epoll loop that serves its share of the connections from
+//!   read to reply.
 //! * `maxconns` — connection cap; over-limit clients receive a final
-//!   `-ERR max connections reached` frame. Defaults to unlimited (0) on
-//!   the reactor and 1024 on the threads transport.
+//!   `-ERR max connections reached` frame. Defaults to unlimited (0).
 //! * `readtimeout` — idle timeout in seconds, measured from the last
 //!   *complete* request frame (default 30).
 //! * `fsync` — `always`, `everysec` or `none` (journal fsync policy;
@@ -89,7 +85,7 @@
 //! run with a weaker configuration than the operator asked for.
 //!
 //! The server exits cleanly when a client sends `SHUTDOWN`: in-flight
-//! requests are answered, every connection thread is joined, and the final
+//! requests are answered, every event loop is joined, and the final
 //! request counters are printed.
 
 use std::sync::Arc;
@@ -100,7 +96,7 @@ use gdpr_core::acl::Grant;
 use gdpr_core::policy::CompliancePolicy;
 use gdpr_core::store::GdprStore;
 use gdpr_server::dispatch::Dispatcher;
-use gdpr_server::tcp::{ServerConfig, TcpServer, Transport};
+use gdpr_server::tcp::{ServerConfig, TcpServer};
 use kvstore::aof::FsyncPolicy;
 use kvstore::config::StoreConfig;
 use kvstore::store::KvStore;
@@ -111,7 +107,6 @@ const KNOWN_FLAGS: &[&str] = &[
     "shards",
     "fsync",
     "compliance",
-    "transport",
     "workers",
     "maxconns",
     "readtimeout",
@@ -181,18 +176,12 @@ fn main() {
     let shards = arg_u64(&args, "shards").unwrap_or(1) as usize;
     let parse_level = |v: &str| v.parse().ok().filter(|level: &u64| *level <= 2);
     let compliance = arg_with(&args, "compliance", parse_level, "0|1|2").unwrap_or(1);
-    let transport =
-        arg_with(&args, "transport", Transport::parse, "reactor|threads").unwrap_or_default();
-    // The reactor holds a connection for the cost of one descriptor, so
-    // its default is uncapped; thread-per-connection defaults to 1024.
-    let max_connections = arg_u64(&args, "maxconns").unwrap_or(match transport {
-        Transport::Reactor => 0,
-        Transport::Threads => 1024,
-    }) as usize;
+    let max_connections =
+        arg_u64(&args, "maxconns").map_or(ServerConfig::default().max_connections, |n| n as usize);
     let duration_secs = arg_u64(&args, "duration").unwrap_or(0);
     // "10k connections" dies at the distro-default 1024 descriptors
-    // without this; best effort (the hard limit caps it). Raised for both
-    // transports so `maxconns` is an honest knob on either.
+    // without this; best effort (the hard limit caps it), so that
+    // `maxconns` is an honest knob.
     let _ = polling::raise_nofile_limit(65536);
 
     let parse_fsync = |label: &str| match label {
@@ -329,7 +318,6 @@ fn main() {
     )));
 
     let mut server_config = ServerConfig {
-        transport,
         max_connections,
         workers: arg_u64(&args, "workers").unwrap_or(0) as usize,
         ..ServerConfig::default()
@@ -355,7 +343,7 @@ fn main() {
         gdpr_server::replication::start_replica(server.dispatcher().clone(), primary)
     });
     println!(
-        "gdpr-server: listening on {} (transport={transport}, maxconns={max_connections}); \
+        "gdpr-server: listening on {} (maxconns={max_connections}); \
          send SHUTDOWN to stop",
         server.local_addr()
     );
@@ -377,10 +365,10 @@ fn main() {
         listener.shutdown();
     }
     let dispatch = server.dispatcher().stats();
-    let transport = server.transport_stats();
+    let clients = server.dispatcher().client_stats();
     server.shutdown();
     println!(
         "gdpr-server: stopped; {} requests ({} errors), {} connections accepted, {} rejected",
-        dispatch.requests, dispatch.errors, transport.accepted, transport.rejected
+        dispatch.requests, dispatch.errors, clients.accepted, clients.rejected_over_limit
     );
 }

@@ -3,8 +3,8 @@
 //! Both RESP front-ends — the in-process simulated server in
 //! `netsim::server` and the real TCP server in [`crate::tcp`] — delegate
 //! every request to [`Dispatcher`], so the two paths execute the same
-//! commands the same way and cannot drift: the TCP transports hand in each
-//! command as a [`CommandView`] of their read buffer, the simulated server
+//! commands the same way and cannot drift: the TCP event loops hand in
+//! each command as a [`CommandView`] of their read buffer, the simulated server
 //! a decoded frame, whose elements [`Dispatcher::handle_frame`] reads
 //! through the same view. The dispatcher serves one
 //! of two engines:
@@ -72,17 +72,16 @@ pub struct ClientStats {
     pub rejected_over_limit: u64,
     /// Connections closed for exceeding the idle timeout.
     pub idle_timeouts: u64,
-    /// Event-loop wakeups, summed over the reactor's loops (0 on the
-    /// thread-per-connection transport, which has no event loop).
+    /// Event-loop wakeups, summed over the reactor's loops.
     pub reactor_wakeups: u64,
     /// Most connections that held unexecuted commands on one
-    /// event loop at once (0 on the thread-per-connection transport).
+    /// event loop at once.
     pub worker_queue_hwm: u64,
 }
 
-/// The shared atomic cells behind [`ClientStats`]. Both transports (for
-/// the reactor, every event loop) update these through the dispatcher so
-/// the stats surfaces read one place regardless of transport.
+/// The shared atomic cells behind [`ClientStats`]. Every event loop
+/// updates these through the dispatcher so the stats surfaces read one
+/// place.
 #[derive(Debug, Default)]
 pub struct ClientStatsCells {
     connected: AtomicU64,
@@ -233,7 +232,7 @@ impl Dispatcher {
     }
 
     /// The connection-layer counter cells shared by this dispatcher's
-    /// clones; the transports write them, the stats surfaces read them.
+    /// clones; the event loops write them, the stats surfaces read them.
     #[must_use]
     pub fn client_cells(&self) -> &Arc<ClientStatsCells> {
         &self.clients
@@ -332,7 +331,7 @@ impl Dispatcher {
         self.handle_frame(&frame, session)
     }
 
-    /// Handle what a transport took off its decoder: a command view of the
+    /// Handle what an event loop took off its decoder: a command view of the
     /// read buffer, or a frame of another shape.
     pub fn handle_request(&self, request: Request<'_>, session: &mut Session) -> Frame {
         match request {

@@ -13,11 +13,10 @@
 //!   rights). Every command it accepts is declared once, in the
 //!   private `commands` table: name, usage, arity, flags and metrics
 //!   family.
-//! * [`tcp`] — the RESP2 server facade over `std::net::TcpListener`:
-//!   incremental decoding, pipelined requests, connection limits,
-//!   read/write timeouts and graceful shutdown that drains in-flight
-//!   requests, served by either of two transports.
-//! * [`reactor`] — the default transport: N symmetric readiness-driven
+//! * [`tcp`] — the RESP2 server over `std::net::TcpListener`: pipelined
+//!   requests, connection limits, read/write timeouts and graceful
+//!   shutdown that drains in-flight requests.
+//! * [`reactor`] — the event loops serving it: N symmetric readiness-driven
 //!   event loops (epoll via the `polling` shim), each
 //!   owning its share of the connection sockets and running their
 //!   requests to completion — thousands of idle connections without one

@@ -1,7 +1,7 @@
 //! The server's always-on observability state and its exposition.
 //!
 //! [`ServerMetrics`] is shared (via `Arc`) by every clone of the
-//! dispatcher, both transports and the replication runner. It holds:
+//! dispatcher, the event loops and the replication runner. It holds:
 //!
 //! * one latency histogram per **command family** (fed by
 //!   [`crate::dispatch::Dispatcher::handle_frame`], which also feeds the
@@ -10,8 +10,7 @@
 //!   the wait between decoding a batch and its event loop starting to
 //!   execute it, and replication apply time (the engine
 //!   keeps shard-lock hold and group-commit wait itself);
-//! * server identity (start time, transport label) for the `# Server`
-//!   `INFO` section.
+//! * server identity (start time) for the `# Server` `INFO` section.
 //!
 //! [`Dispatcher::render_prometheus`] renders the histograms and every
 //! numeric row of the stats table ([`crate::stats`]) as one Prometheus
@@ -19,13 +18,17 @@
 //! [`crate::metrics_http`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use obs::{AtomicHistogram, LatencyHistogram, PromWriter, Slowlog};
 
 use crate::dispatch::Dispatcher;
 use crate::stats::StatValue;
+
+/// The connection layer's label: `transport:` in `INFO` and the
+/// `transport` label of the `/metrics` command-latency series. The event
+/// loops are the only connection layer.
+pub(crate) const TRANSPORT: &str = "reactor";
 
 /// Default `SLOWLOG` threshold: 10 ms, Redis'
 /// `slowlog-log-slower-than` default.
@@ -98,8 +101,6 @@ pub struct ServerMetrics {
     started: Instant,
     /// Unix timestamp (seconds) the server started, for `# Server`.
     started_unix_secs: u64,
-    /// Transport label, set once by the transport that binds.
-    transport: OnceLock<&'static str>,
     families: [AtomicHistogram; CommandFamily::ALL.len()],
     /// Time from a batch being decoded to its first frame starting to
     /// execute on its event loop (≈ 0 unless the loop is busy with
@@ -129,7 +130,6 @@ impl ServerMetrics {
                 .duration_since(std::time::UNIX_EPOCH)
                 .map(|d| d.as_secs())
                 .unwrap_or(0),
-            transport: OnceLock::new(),
             families: std::array::from_fn(|_| AtomicHistogram::new()),
             worker_queue_wait: AtomicHistogram::new(),
             repl_apply: AtomicHistogram::new(),
@@ -148,18 +148,6 @@ impl ServerMetrics {
     #[must_use]
     pub fn started_unix_secs(&self) -> u64 {
         self.started_unix_secs
-    }
-
-    /// Record which transport is serving (first caller wins; both
-    /// transports set it at bind).
-    pub fn set_transport(&self, label: &'static str) {
-        let _ = self.transport.set(label);
-    }
-
-    /// The transport label, `"unbound"` before any transport bound.
-    #[must_use]
-    pub fn transport(&self) -> &'static str {
-        self.transport.get().copied().unwrap_or("unbound")
     }
 
     /// Record one completed request into its family histogram.
@@ -250,12 +238,11 @@ impl Dispatcher {
                 StatValue::Text(_) => {}
             }
         }
-        let transport = metrics.transport();
         for (family, hist) in metrics.family_snapshots() {
             w.histogram(
                 "gdpr_server_command_latency_seconds",
                 "Request latency through the dispatcher, by command family.",
-                &[("family", family), ("transport", transport)],
+                &[("family", family), ("transport", TRANSPORT)],
                 &hist,
             );
         }
@@ -312,14 +299,5 @@ mod tests {
             m.slowlog.threshold_micros(),
             DEFAULT_SLOWLOG_THRESHOLD_MICROS
         );
-    }
-
-    #[test]
-    fn transport_label_first_set_wins() {
-        let m = ServerMetrics::default();
-        assert_eq!(m.transport(), "unbound");
-        m.set_transport("reactor");
-        m.set_transport("threads");
-        assert_eq!(m.transport(), "reactor");
     }
 }

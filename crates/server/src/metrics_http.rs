@@ -4,7 +4,7 @@
 //! and sequential, so the endpoint is deliberately the simplest thing
 //! that speaks enough HTTP: one accept thread, one connection at a time,
 //! `Connection: close` on every response. It shares the dispatcher with
-//! the RESP transports, so a scrape sees exactly the counters and
+//! the RESP server, so a scrape sees exactly the counters and
 //! histograms the wire surfaces see — rendered by
 //! [`Dispatcher::render_prometheus`](crate::dispatch::Dispatcher).
 //!

@@ -1,11 +1,11 @@
 //! The event-driven connection layer: N symmetric run-to-completion
 //! event loops.
 //!
-//! The thread-per-connection transport in [`crate::tcp`] costs one OS
-//! thread (stack, scheduler state, context switches) per client, which
-//! collapses under the thousands of mostly idle sessions a
-//! GDPRbench-style regulator/processor workload holds open. This module
-//! serves them the way Redis does, once per core:
+//! A thread per connection would cost one OS thread (stack, scheduler
+//! state, context switches) per client, which collapses under the
+//! thousands of mostly idle sessions a GDPRbench-style
+//! regulator/processor workload holds open. This module serves them the
+//! way Redis does, once per core:
 //!
 //! * each **event loop** is one thread with its own level-triggered
 //!   [`polling::Poller`] (epoll) and its own
@@ -33,18 +33,16 @@
 //!
 //! Idle connections cost one registered descriptor, a ~100-byte state
 //! machine and their decoder's buffer — no thread, no read buffer of their
-//! own (a scratch buffer per loop serves all reads). The transport
-//! semantics match the threads
-//! implementation exactly: same pipelining, same
-//! `-ERR max connections reached` refusal, same idle timeout measured
-//! from the last *complete* frame, same drain-on-shutdown guarantee
-//! (every request whose bytes reached the server is answered), and the
-//! same `REPLSYNC` handoff — the socket is quiesced, deregistered and
-//! given to a blocking replication feeder thread.
+//! own (a scratch buffer per loop serves all reads). Over-limit clients
+//! get a final `-ERR max connections reached` frame, the idle timeout is
+//! measured from the last *complete* frame, shutdown answers every
+//! request whose bytes reached the server, and a `REPLSYNC` connection is
+//! quiesced, deregistered and given to a blocking replication feeder
+//! thread.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -57,7 +55,9 @@ use resp::repl::REPLSYNC;
 use resp::Frame;
 
 use crate::dispatch::{Dispatcher, Session};
-use crate::tcp::{at_connection_limit, reject_over_limit, shrink_buffer, ServerConfig, SHUTDOWN};
+use crate::tcp::{
+    at_connection_limit, reject_over_limit, shrink_buffer, ServerConfig, TcpServer, SHUTDOWN,
+};
 
 /// Poller key of the listening socket (loop 0); connection slot `i` maps
 /// to key `i + 1` on its loop's poller.
@@ -178,10 +178,10 @@ struct LoopPort {
 }
 
 /// State shared by the loops and the server handle.
-struct Shared {
-    dispatcher: Dispatcher,
+pub(crate) struct Shared {
+    pub(crate) dispatcher: Dispatcher,
     config: ServerConfig,
-    shutdown: AtomicBool,
+    pub(crate) shutdown: AtomicBool,
     /// Loop 0 still holds the listener and may deal sockets. The other
     /// loops finish draining only once this is down, so no dealt socket
     /// is left in the inbox of a loop that has already exited.
@@ -190,7 +190,7 @@ struct Shared {
 }
 
 impl Shared {
-    fn request_shutdown(&self) {
+    pub(crate) fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         for port in &self.ports {
             port.poller.notify();
@@ -198,86 +198,56 @@ impl Shared {
     }
 }
 
-/// Handle to a running reactor transport (constructed through
-/// [`crate::tcp::TcpServer::bind`]).
-pub(crate) struct ReactorServer {
-    shared: Arc<Shared>,
-    addr: SocketAddr,
-    loops: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl ReactorServer {
-    pub(crate) fn start(
-        dispatcher: Dispatcher,
-        listener: TcpListener,
-        config: ServerConfig,
-    ) -> std::io::Result<Self> {
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let ports = (0..loop_count(&config, &dispatcher))
-            .map(|_| {
-                Ok(LoopPort {
-                    poller: Poller::new()?,
-                    inbox: Mutex::new(Vec::new()),
-                })
+/// Start the event loops on `listener` (the body of
+/// [`TcpServer::bind`]): loop 0 takes the listener, every loop gets its
+/// own poller and inbox.
+pub(crate) fn start(
+    dispatcher: Dispatcher,
+    listener: TcpListener,
+    config: ServerConfig,
+) -> std::io::Result<TcpServer> {
+    listener.set_nonblocking(true)?;
+    let addr = listener.local_addr()?;
+    let ports = (0..loop_count(&config, &dispatcher))
+        .map(|_| {
+            Ok(LoopPort {
+                poller: Poller::new()?,
+                inbox: Mutex::new(Vec::new()),
             })
-            .collect::<std::io::Result<Vec<_>>>()?;
-        ports[0]
-            .poller
-            .add(&listener, Event::readable(LISTENER_KEY))?;
-        let mut server = ReactorServer {
-            shared: Arc::new(Shared {
-                dispatcher,
-                config,
-                shutdown: AtomicBool::new(false),
-                accepting: AtomicBool::new(true),
-                ports,
-            }),
-            addr,
-            loops: Vec::new(),
-        };
-        let mut listener = Some(listener);
-        for index in 0..server.shared.ports.len() {
-            let event_loop = EventLoop::new(index, listener.take(), Arc::clone(&server.shared));
-            let spawned = std::thread::Builder::new()
-                .name(format!("gdpr-server-loop-{index}"))
-                .spawn(move || event_loop.run());
-            match spawned {
-                Ok(handle) => server.loops.push(handle),
-                Err(e) => {
-                    // The loop that failed to start took the listener (or
-                    // never had it) with it; nothing accepts any more.
-                    server.shared.accepting.store(false, Ordering::SeqCst);
-                    server.shutdown();
-                    return Err(e);
-                }
+        })
+        .collect::<std::io::Result<Vec<_>>>()?;
+    ports[0]
+        .poller
+        .add(&listener, Event::readable(LISTENER_KEY))?;
+    let mut server = TcpServer {
+        shared: Arc::new(Shared {
+            dispatcher,
+            config,
+            shutdown: AtomicBool::new(false),
+            accepting: AtomicBool::new(true),
+            ports,
+        }),
+        addr,
+        loops: Vec::new(),
+    };
+    let mut listener = Some(listener);
+    for index in 0..server.shared.ports.len() {
+        let event_loop = EventLoop::new(index, listener.take(), Arc::clone(&server.shared));
+        let spawned = std::thread::Builder::new()
+            .name(format!("gdpr-server-loop-{index}"))
+            .spawn(move || event_loop.run());
+        match spawned {
+            Ok(handle) => server.loops.push(handle),
+            Err(e) => {
+                // The loop that failed to start took the listener (or
+                // never had it) with it; nothing accepts any more.
+                server.shared.accepting.store(false, Ordering::SeqCst);
+                server.shutdown();
+                return Err(e);
             }
         }
-        Ok(server)
     }
-
-    pub(crate) fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    pub(crate) fn dispatcher(&self) -> &Dispatcher {
-        &self.shared.dispatcher
-    }
-
-    pub(crate) fn is_shutdown_requested(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
-    }
-
-    pub(crate) fn request_shutdown(&self) {
-        self.shared.request_shutdown();
-    }
-
-    pub(crate) fn shutdown(&mut self) {
-        self.request_shutdown();
-        for handle in self.loops.drain(..) {
-            let _ = handle.join();
-        }
-    }
+    Ok(server)
 }
 
 /// One event-loop thread's whole world.
@@ -669,8 +639,8 @@ impl EventLoop {
 
     /// Turn a quiesced `REPLSYNC` connection back into a blocking socket
     /// and hand it to a replication feeder thread (the stream protocol is
-    /// long-lived and blocking by design; the feeder watches the shutdown
-    /// flag just like the threads transport's handler does).
+    /// long-lived and blocking by design; the feeder's reads time out
+    /// every `poll_interval` to check the shutdown flag).
     fn handoff_replsync(&mut self, slot: usize) {
         let Some(conn) = self.release(slot) else {
             return;
@@ -778,10 +748,6 @@ mod tests {
 
     #[test]
     fn transport_default_is_reactor() {
-        assert_eq!(Transport::parse("reactor"), Some(Transport::Reactor));
-        assert_eq!(Transport::parse("threads"), Some(Transport::Threads));
-        assert_eq!(Transport::parse("bogus"), None);
-        assert_eq!(Transport::default(), Transport::Reactor);
         assert_eq!(ServerConfig::default().transport, Transport::Reactor);
     }
 }

@@ -158,9 +158,10 @@ impl ReplicationState {
     }
 }
 
-/// Primary side: serve one replication stream over `stream`. Called by the
-/// connection thread when it sees `REPLSYNC`; the connection belongs to
-/// the stream from then on (the replica sends nothing further).
+/// Primary side: serve one replication stream over `stream`. Called on the
+/// feeder thread an event loop hands a `REPLSYNC` connection to; the
+/// connection belongs to the stream from then on (the replica sends
+/// nothing further).
 pub(crate) fn serve_stream(
     stream: &mut TcpStream,
     dispatcher: &Dispatcher,

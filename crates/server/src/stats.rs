@@ -218,7 +218,7 @@ impl Dispatcher {
             "# Server\nversion:{}\npid:{}\ntransport:{}\nshards:{}\nhost_cores:{}\nengine:{}\n",
             env!("CARGO_PKG_VERSION"),
             std::process::id(),
-            self.metrics().transport(),
+            crate::metrics::TRANSPORT,
             self.raw_engine().shard_count(),
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             match self.engine() {

@@ -1,88 +1,57 @@
-//! The RESP2 TCP front-end: one listener, two interchangeable transports.
+//! The RESP2 TCP front-end: one listener served by the run-to-completion
+//! event loops in [`crate::reactor`]. Loop 0 accepts and deals the
+//! sockets out; each loop polls its own non-blocking connections and
+//! executes their [`Dispatcher`] batches itself, so a mostly idle
+//! connection costs one registered descriptor, not one OS thread.
 //!
-//! * [`Transport::Reactor`] (default) — the event-driven connection layer
-//!   in [`crate::reactor`]: N symmetric run-to-completion event loops,
-//!   each polling its own non-blocking connection sockets and executing
-//!   their [`Dispatcher`] batches itself; loop 0 also accepts and deals
-//!   the sockets out. Thousands of mostly idle connections cost one
-//!   registered descriptor each instead of one OS thread each.
-//! * [`Transport::Threads`] — the classic Redis-era shape kept as a
-//!   baseline and fallback: one accept thread, one OS thread per
-//!   connection, blocking reads with a short poll timeout so every
-//!   thread notices the shutdown flag promptly.
-//!
-//! Both transports share [`ServerConfig`], the connection counters on the
-//! dispatcher (`# Clients` in `INFO`), pipelining (each command is run
-//! straight from the incremental [`Decoder`]'s buffer, as a borrowed view,
-//! and the whole batch of replies is written back together), the
-//! idle-timeout rule (measured from the last
-//! *complete* request frame, so a byte-trickling client cannot hold a
-//! slot open), and the shutdown protocol:
-//! [`TcpServerHandle::request_shutdown`] raises a flag, the transport
-//! answers every request whose bytes already reached the server, then
-//! closes. [`TcpServerHandle::shutdown`] joins all transport threads.
-//!
-//! The transport is selected by [`ServerConfig::transport`] (default: the
-//! reactor); the integration suites pin each transport explicitly.
+//! [`ServerConfig`] holds the tunables: the connection cap, the event-loop
+//! count, the idle timeout (measured from the last *complete* request
+//! frame, so a byte-trickling client cannot hold a slot open) and the
+//! buffer caps. The connection counters live on the dispatcher
+//! (`# Clients` in `INFO`). Pipelined commands run straight from the
+//! incremental decoder's buffer, as borrowed views, and their replies are
+//! written back together. Shutdown:
+//! [`TcpServerHandle::request_shutdown`] raises a flag, the loops answer
+//! every request whose bytes already reached the server, then close;
+//! [`TcpServerHandle::shutdown`] joins every loop.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use parking_lot::Mutex;
-use resp::decode::Decoder;
-use resp::encode::{encode_frame, encode_into};
-use resp::repl::REPLSYNC;
+use resp::encode::encode_frame;
 use resp::Frame;
 
-use crate::dispatch::{ClientStatsCells, Dispatcher, Session};
+use crate::dispatch::{ClientStatsCells, Dispatcher};
+use crate::reactor;
 
-/// Which connection layer serves the listener.
+/// The connection layer: the event loops are the only one. The type and
+/// [`ServerConfig::transport`] remain because the contract benchmark's
+/// server setup names them; a declared suite-adaptation commit removes
+/// both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Transport {
     /// Run-to-completion event loops (see [`crate::reactor`]).
     #[default]
     Reactor,
-    /// One OS thread per connection (the original transport).
-    Threads,
 }
 
-impl Transport {
-    /// Parse a transport label (`reactor` / `threads`).
-    #[must_use]
-    pub fn parse(label: &str) -> Option<Self> {
-        match label {
-            "reactor" | "epoll" | "event" => Some(Transport::Reactor),
-            "threads" | "thread" => Some(Transport::Threads),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for Transport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Transport::Reactor => write!(f, "reactor"),
-            Transport::Threads => write!(f, "threads"),
-        }
-    }
-}
-
-/// Tunables of the TCP front-end, shared by both transports.
+/// Tunables of the TCP front-end.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// The connection layer to serve with (default: the reactor).
+    /// The connection layer (the reactor is the only one; the field stays
+    /// for the contract benchmark's server setup, and a declared
+    /// suite-adaptation commit removes it).
     pub transport: Transport,
     /// Maximum concurrently served connections; further clients receive a
     /// final `-ERR max connections reached` frame and are disconnected.
-    /// `0` means unlimited (useful on the reactor, whose per-connection
-    /// cost is a registered descriptor rather than an OS thread).
+    /// `0` (the default) means unlimited: a connection costs a registered
+    /// descriptor, not an OS thread.
     pub max_connections: usize,
-    /// Event-loop threads of the reactor transport, each serving its
-    /// share of the connections from read to reply; `0` means
-    /// `min(available cores, engine shards)`.
+    /// Event-loop threads, each serving its share of the connections from
+    /// read to reply; `0` means `min(available cores, engine shards)`.
     pub workers: usize,
     /// Drop a connection after this long without receiving a complete
     /// request frame (partial frames do not count — see the slow-loris
@@ -93,8 +62,8 @@ pub struct ServerConfig {
     /// Largest request frame accepted before the connection is dropped
     /// with a protocol error (see [`resp::decode::Decoder`]).
     pub max_frame_bytes: usize,
-    /// How often blocked reads (threads transport) or the event loop
-    /// (reactor) wake up to check the shutdown flag.
+    /// How often an idle event loop, and a replication feeder's blocked
+    /// read, wake up to check the shutdown flag.
     pub poll_interval: Duration,
     /// Per-connection reply buffers are reused across pipelined batches
     /// and shrunk back to this capacity after a larger reply (e.g. a big
@@ -106,7 +75,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             transport: Transport::default(),
-            max_connections: 1024,
+            max_connections: 0,
             workers: 0,
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(10),
@@ -117,31 +86,14 @@ impl Default for ServerConfig {
     }
 }
 
-/// Counters describing transport-level activity (the dispatcher keeps the
-/// request/error counters). Backed by the dispatcher's shared
-/// [`crate::dispatch::ClientStats`] cells, so both transports report
-/// through the same counters that `INFO` / `GDPR.STATS` surface.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TransportStats {
-    /// Connections accepted and served.
-    pub accepted: u64,
-    /// Connections refused because the limit was reached.
-    pub rejected: u64,
-    /// Connections currently open.
-    pub active: usize,
-}
-
-/// A running TCP server over either transport.
+/// A running TCP server: the event loops and the state they share.
 ///
 /// Dropping the handle requests shutdown but does not wait for the
 /// threads; call [`TcpServerHandle::shutdown`] for a clean join.
 pub struct TcpServer {
-    backend: Backend,
-}
-
-enum Backend {
-    Threads(ThreadsServer),
-    Reactor(crate::reactor::ReactorServer),
+    pub(crate) shared: Arc<reactor::Shared>,
+    pub(crate) addr: SocketAddr,
+    pub(crate) loops: Vec<std::thread::JoinHandle<()>>,
 }
 
 /// Public alias: the value returned by [`TcpServer::bind`] acts as the
@@ -151,106 +103,61 @@ pub type TcpServerHandle = TcpServer;
 impl std::fmt::Debug for TcpServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TcpServer")
-            .field("addr", &self.local_addr())
-            .field("transport", &self.transport())
-            .field("active", &self.transport_stats().active)
+            .field("addr", &self.addr)
+            .field("loops", &self.loops.len())
+            .field("connected", &self.dispatcher().client_stats().connected)
             .finish()
     }
 }
 
 impl TcpServer {
-    /// Bind `addr` (use port 0 for an ephemeral port) and start serving
-    /// the dispatcher's engine on [`ServerConfig::transport`].
+    /// Bind `addr` (use port 0 for an ephemeral port) and start the event
+    /// loops serving the dispatcher's engine.
     ///
     /// # Errors
     ///
-    /// Returns the bind/listen error (or, on the reactor, the poller
-    /// creation error).
+    /// Returns the bind/listen error, the poller creation error or the
+    /// error of a loop thread that could not be spawned.
     pub fn bind(
         dispatcher: Dispatcher,
         addr: impl ToSocketAddrs,
         config: ServerConfig,
     ) -> std::io::Result<TcpServerHandle> {
-        let listener = TcpListener::bind(addr)?;
-        dispatcher.metrics().set_transport(match config.transport {
-            Transport::Threads => "threads",
-            Transport::Reactor => "reactor",
-        });
-        let backend = match config.transport {
-            Transport::Threads => {
-                Backend::Threads(ThreadsServer::start(dispatcher, listener, config)?)
-            }
-            Transport::Reactor => Backend::Reactor(crate::reactor::ReactorServer::start(
-                dispatcher, listener, config,
-            )?),
-        };
-        Ok(TcpServer { backend })
-    }
-
-    /// The transport actually serving this listener.
-    #[must_use]
-    pub fn transport(&self) -> Transport {
-        match &self.backend {
-            Backend::Threads(_) => Transport::Threads,
-            Backend::Reactor(_) => Transport::Reactor,
-        }
+        reactor::start(dispatcher, TcpListener::bind(addr)?, config)
     }
 
     /// The address the server actually listens on.
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        match &self.backend {
-            Backend::Threads(s) => s.shared.addr,
-            Backend::Reactor(s) => s.local_addr(),
-        }
+        self.addr
     }
 
     /// The dispatcher serving this listener.
     #[must_use]
     pub fn dispatcher(&self) -> &Dispatcher {
-        match &self.backend {
-            Backend::Threads(s) => &s.shared.dispatcher,
-            Backend::Reactor(s) => s.dispatcher(),
-        }
+        &self.shared.dispatcher
     }
 
     /// Whether shutdown has been requested (by [`Self::request_shutdown`]
     /// or a client's `SHUTDOWN` command).
     #[must_use]
     pub fn is_shutdown_requested(&self) -> bool {
-        match &self.backend {
-            Backend::Threads(s) => s.shared.shutdown.load(Ordering::SeqCst),
-            Backend::Reactor(s) => s.is_shutdown_requested(),
-        }
+        self.shared.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Transport-level counters.
-    #[must_use]
-    pub fn transport_stats(&self) -> TransportStats {
-        let clients = self.dispatcher().client_stats();
-        TransportStats {
-            accepted: clients.accepted,
-            rejected: clients.rejected_over_limit,
-            active: usize::try_from(clients.connected).unwrap_or(usize::MAX),
-        }
-    }
-
-    /// Raise the shutdown flag and wake the transport. Safe to call from
-    /// any thread (including connection handlers); returns immediately.
+    /// Raise the shutdown flag and wake every loop. Safe to call from any
+    /// thread; returns immediately.
     pub fn request_shutdown(&self) {
-        match &self.backend {
-            Backend::Threads(s) => request_shutdown(&s.shared),
-            Backend::Reactor(s) => s.request_shutdown(),
-        }
+        self.shared.request_shutdown();
     }
 
-    /// Request shutdown and join every transport thread. In-flight
-    /// requests already received by the server are answered before their
+    /// Request shutdown and join every event loop. In-flight requests
+    /// already received by the server are answered before their
     /// connections close.
     pub fn shutdown(mut self) {
-        match &mut self.backend {
-            Backend::Threads(s) => s.shutdown(),
-            Backend::Reactor(s) => s.shutdown(),
+        self.request_shutdown();
+        for handle in self.loops.drain(..) {
+            let _ = handle.join();
         }
     }
 
@@ -270,79 +177,6 @@ impl Drop for TcpServer {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Thread-per-connection transport
-// ---------------------------------------------------------------------------
-
-struct Shared {
-    dispatcher: Dispatcher,
-    config: ServerConfig,
-    addr: SocketAddr,
-    shutdown: AtomicBool,
-}
-
-impl Shared {
-    fn clients(&self) -> &ClientStatsCells {
-        self.dispatcher.client_cells()
-    }
-}
-
-/// The thread-per-connection backend.
-struct ThreadsServer {
-    shared: Arc<Shared>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    connections: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-}
-
-impl ThreadsServer {
-    fn start(
-        dispatcher: Dispatcher,
-        listener: TcpListener,
-        config: ServerConfig,
-    ) -> std::io::Result<Self> {
-        let local = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            dispatcher,
-            config,
-            addr: local,
-            shutdown: AtomicBool::new(false),
-        });
-        let connections: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
-            Arc::new(Mutex::new(Vec::new()));
-
-        let accept_shared = Arc::clone(&shared);
-        let accept_connections = Arc::clone(&connections);
-        let accept_thread = std::thread::Builder::new()
-            .name("gdpr-server-accept".to_string())
-            .spawn(move || accept_loop(&listener, &accept_shared, &accept_connections))?;
-
-        Ok(ThreadsServer {
-            shared,
-            accept_thread: Some(accept_thread),
-            connections,
-        })
-    }
-
-    fn shutdown(&mut self) {
-        request_shutdown(&self.shared);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-        let handles: Vec<_> = std::mem::take(&mut *self.connections.lock());
-        for handle in handles {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn request_shutdown(shared: &Shared) {
-    if shared.shutdown.swap(true, Ordering::SeqCst) {
-        return;
-    }
-    // Wake the accept loop with a throwaway loopback connection.
-    let _ = TcpStream::connect_timeout(&shared.addr, Duration::from_millis(250));
-}
-
 /// Whether the connection count is at the configured cap (`0` = never).
 pub(crate) fn at_connection_limit(limit: usize, connected: u64) -> bool {
     limit != 0 && connected >= limit as u64
@@ -359,145 +193,6 @@ pub(crate) fn reject_over_limit(mut stream: TcpStream, clients: &ClientStatsCell
     )));
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    connections: &Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-) {
-    loop {
-        let (stream, _) = match listener.accept() {
-            Ok(pair) => pair,
-            Err(_) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let clients = shared.clients();
-        if at_connection_limit(shared.config.max_connections, clients.snapshot().connected) {
-            reject_over_limit(stream, clients);
-            continue;
-        }
-        clients.connection_opened();
-        let conn_shared = Arc::clone(shared);
-        let handle = std::thread::Builder::new()
-            .name("gdpr-server-conn".to_string())
-            .spawn(move || {
-                serve_connection(stream, &conn_shared);
-                conn_shared.clients().connection_closed();
-            })
-            .expect("spawn connection thread");
-        let mut conns = connections.lock();
-        // Reap finished handlers so long-running servers do not accumulate
-        // one JoinHandle per historical connection.
-        conns.retain(|h| !h.is_finished());
-        conns.push(handle);
-    }
-}
-
-/// Serve one connection until the client disconnects, errors, idles out or
-/// the server shuts down. Every read drains the decoder completely and the
-/// whole batch of replies is written back in one syscall (pipelining); the
-/// reply buffer is reused across batches and shrunk back to the configured
-/// cap after an oversized reply.
-fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.config.poll_interval));
-    let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-
-    let mut decoder = Decoder::with_max_frame_bytes(shared.config.max_frame_bytes);
-    let mut session = Session::new();
-    let mut read_buf = [0u8; 16 * 1024];
-    let mut replies: Vec<u8> = Vec::new();
-    let mut last_frame = Instant::now();
-
-    loop {
-        // Sample the flag *before* reading: when shutdown is requested we
-        // still perform one more read, so bytes already queued on the
-        // socket are served before the connection closes.
-        let stopping = shared.shutdown.load(Ordering::SeqCst);
-        match stream.read(&mut read_buf) {
-            Ok(0) => return,
-            Ok(n) => {
-                decoder.feed(&read_buf[..n]);
-                replies.clear();
-                let mut decoded_any = false;
-                let mut shutdown_seen = false;
-                loop {
-                    match decoder.next_request() {
-                        Ok(Some(request)) => {
-                            decoded_any = true;
-                            if request.is_command(REPLSYNC) {
-                                // The connection becomes a replication
-                                // stream: answer everything already
-                                // pipelined ahead of the handshake, then
-                                // hand the socket to the feeder until the
-                                // replica disconnects or we shut down.
-                                if !replies.is_empty() && stream.write_all(&replies).is_err() {
-                                    return;
-                                }
-                                crate::replication::serve_stream(
-                                    &mut stream,
-                                    &shared.dispatcher,
-                                    &shared.shutdown,
-                                    shared.config.poll_interval,
-                                );
-                                return;
-                            }
-                            shutdown_seen |= request.is_command(SHUTDOWN);
-                            let reply = shared.dispatcher.handle_request(request, &mut session);
-                            encode_into(&reply, &mut replies);
-                        }
-                        Ok(None) => break,
-                        Err(e) => {
-                            // Protocol error: answer with an error frame and
-                            // drop the connection (the stream offset is
-                            // unrecoverable).
-                            encode_into(&Frame::Error(format!("ERR {e}")), &mut replies);
-                            let _ = stream.write_all(&replies);
-                            return;
-                        }
-                    }
-                }
-                // Only a *complete* request frame counts as activity: a
-                // client trickling a frame byte-by-byte still idles out.
-                if decoded_any {
-                    last_frame = Instant::now();
-                }
-                if !replies.is_empty() {
-                    if stream.write_all(&replies).is_err() {
-                        return;
-                    }
-                    shrink_buffer(&mut replies, shared.config.buffer_cap_bytes);
-                }
-                if shutdown_seen {
-                    request_shutdown(shared);
-                    return;
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if stopping {
-                    return;
-                }
-                if last_frame.elapsed() > shared.config.read_timeout {
-                    shared.clients().idle_timeout();
-                    let _ = stream
-                        .write_all(&encode_frame(&Frame::Error("ERR idle timeout".to_string())));
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
-}
-
 /// Drop an oversized reusable buffer back to the configured capacity cap
 /// once its contents are consumed, so one huge reply (a large export, a
 /// deep pipeline) does not pin memory for the connection's lifetime.
@@ -511,7 +206,7 @@ pub(crate) fn shrink_buffer(buf: &mut Vec<u8>, cap: usize) {
     }
 }
 
-/// The command the transports intercept to stop the server once its
+/// The command the event loops intercept to stop the server once its
 /// reply is written.
 pub(crate) const SHUTDOWN: &str = "SHUTDOWN";
 
@@ -528,28 +223,22 @@ mod tests {
         TcpServer::bind(dispatcher, "127.0.0.1:0", config).unwrap()
     }
 
-    /// Every transport-behavior test in this module runs against the
-    /// reactor at one and at three event loops and against the threads
-    /// transport; a test overrides further fields of the config it gets.
-    fn for_each_transport(mut test: impl FnMut(ServerConfig, &str)) {
-        for (transport, workers) in [
-            (Transport::Reactor, 1),
-            (Transport::Reactor, 3),
-            (Transport::Threads, 0),
-        ] {
+    /// Every transport-behavior test in this module runs at one and at
+    /// three event loops; a test overrides further fields of the config
+    /// it gets.
+    fn for_each_loop_count(mut test: impl FnMut(ServerConfig, &str)) {
+        for workers in [1, 3] {
             let config = ServerConfig {
-                transport,
                 workers,
                 ..ServerConfig::default()
             };
-            test(config, &format!("{transport}, workers={workers}"));
+            test(config, &format!("workers={workers}"));
         }
     }
 
     #[test]
     fn serves_basic_roundtrips_over_a_real_socket() {
-        for_each_transport(|config, label| {
-            let transport = config.transport;
+        for_each_loop_count(|config, label| {
             let server = kv_server(config);
             let mut client = TcpRemoteClient::connect(server.local_addr()).unwrap();
             client.set("k", b"v").unwrap();
@@ -557,14 +246,13 @@ mod tests {
             assert_eq!(client.get("missing").unwrap(), None);
             assert!(client.delete("k").unwrap());
             assert_eq!(server.dispatcher().stats().requests, 4, "{label}");
-            assert_eq!(server.transport(), transport);
             server.shutdown();
         });
     }
 
     #[test]
     fn pipelined_batch_returns_every_reply_in_order() {
-        for_each_transport(|config, label| {
+        for_each_loop_count(|config, label| {
             let server = kv_server(config);
             let mut client = TcpRemoteClient::connect(server.local_addr()).unwrap();
             let frames: Vec<Frame> = (0..50)
@@ -586,7 +274,7 @@ mod tests {
 
     #[test]
     fn connection_limit_rejects_excess_clients() {
-        for_each_transport(|config, label| {
+        for_each_loop_count(|config, label| {
             let config = ServerConfig {
                 max_connections: 1,
                 ..config
@@ -601,14 +289,18 @@ mod tests {
                 matches!(err, crate::ServerError::Server(ref m) if m.contains("max connections")),
                 "{label}: {err}"
             );
-            assert_eq!(server.transport_stats().rejected, 1, "{label}");
+            assert_eq!(
+                server.dispatcher().client_stats().rejected_over_limit,
+                1,
+                "{label}"
+            );
             server.shutdown();
         });
     }
 
     #[test]
     fn idle_connections_are_dropped_after_the_read_timeout() {
-        for_each_transport(|config, label| {
+        for_each_loop_count(|config, label| {
             let config = ServerConfig {
                 read_timeout: Duration::from_millis(100),
                 poll_interval: Duration::from_millis(10),
@@ -628,7 +320,7 @@ mod tests {
 
     #[test]
     fn oversized_frames_poison_only_their_connection() {
-        for_each_transport(|config, label| {
+        for_each_loop_count(|config, label| {
             let config = ServerConfig {
                 max_frame_bytes: 1024,
                 ..config
@@ -652,7 +344,7 @@ mod tests {
 
     #[test]
     fn shutdown_command_stops_the_server() {
-        for_each_transport(|config, label| {
+        for_each_loop_count(|config, label| {
             let server = kv_server(config);
             let mut client = TcpRemoteClient::connect(server.local_addr()).unwrap();
             client.set("k", b"v").unwrap();
@@ -665,7 +357,7 @@ mod tests {
 
     #[test]
     fn shutdown_drains_requests_already_on_the_wire() {
-        for_each_transport(|config, label| {
+        for_each_loop_count(|config, label| {
             let server = kv_server(config);
             let addr = server.local_addr();
             let mut client = TcpRemoteClient::connect(addr).unwrap();
@@ -690,7 +382,6 @@ mod tests {
 
     fn reactor_server(workers: usize) -> TcpServerHandle {
         kv_server(ServerConfig {
-            transport: Transport::Reactor,
             workers,
             ..ServerConfig::default()
         })
@@ -784,7 +475,7 @@ mod tests {
 
     #[test]
     fn accept_after_shutdown_is_refused() {
-        for_each_transport(|config, label| {
+        for_each_loop_count(|config, label| {
             let server = kv_server(config);
             let addr = server.local_addr();
             server.shutdown();

@@ -22,8 +22,10 @@ fn a_bad_flag_is_named_and_exits_2() {
         "fsync=alway",
         "shards=two",
         "compliance=3",
+        // The transport, the deadline index and group commit are no
+        // longer choices.
         "transport=fibers",
-        // The deadline index and group commit are no longer choices.
+        "transport=threads",
         "index=btree",
         "groupcommit=1",
         "gcwait=1",
@@ -79,7 +81,6 @@ fn every_documented_flag_is_accepted() {
         "shards=2",
         "fsync=always",
         "compliance=2",
-        "transport=threads",
         "workers=1",
         "maxconns=8",
         "readtimeout=5",

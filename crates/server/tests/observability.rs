@@ -19,30 +19,22 @@ use gdpr_server::client::TcpRemoteClient;
 use gdpr_server::dispatch::Dispatcher;
 use gdpr_server::metrics::ServerMetrics;
 use gdpr_server::metrics_http::MetricsServer;
-use gdpr_server::tcp::{ServerConfig, TcpServer, TcpServerHandle, Transport};
+use gdpr_server::tcp::{ServerConfig, TcpServer, TcpServerHandle};
 use kvstore::config::StoreConfig;
 use kvstore::store::KvStore;
 use resp::command::GdprRequest;
 use resp::Frame;
 
-fn kv_server(transport: Transport, metrics: Arc<ServerMetrics>) -> TcpServerHandle {
+fn kv_server(metrics: Arc<ServerMetrics>) -> TcpServerHandle {
     let dispatcher =
         Dispatcher::kv(KvStore::open(StoreConfig::in_memory()).unwrap()).with_metrics(metrics);
-    let config = ServerConfig {
-        transport,
-        ..ServerConfig::default()
-    };
-    TcpServer::bind(dispatcher, "127.0.0.1:0", config).unwrap()
+    TcpServer::bind(dispatcher, "127.0.0.1:0", ServerConfig::default()).unwrap()
 }
 
-fn gdpr_server(transport: Transport) -> TcpServerHandle {
+fn gdpr_server() -> TcpServerHandle {
     let store = Arc::new(GdprStore::open_in_memory(CompliancePolicy::eventual()).unwrap());
     let dispatcher = Dispatcher::gdpr(store).with_metrics(Arc::new(ServerMetrics::new(-1, 16)));
-    let config = ServerConfig {
-        transport,
-        ..ServerConfig::default()
-    };
-    TcpServer::bind(dispatcher, "127.0.0.1:0", config).unwrap()
+    TcpServer::bind(dispatcher, "127.0.0.1:0", ServerConfig::default()).unwrap()
 }
 
 fn http_get(addr: SocketAddr, target: &str) -> String {
@@ -232,40 +224,29 @@ fn histogram_count(samples: &[Sample], name: &str, label: &str) -> u64 {
 }
 
 #[test]
-fn info_reports_server_and_latency_sections_on_both_transports() {
-    for transport in [Transport::Reactor, Transport::Threads] {
-        let server = kv_server(transport, Arc::new(ServerMetrics::new(-1, 16)));
-        let mut client = TcpRemoteClient::connect(server.local_addr()).unwrap();
-        client.set("k", b"v").unwrap();
-        assert_eq!(client.get("k").unwrap(), Some(b"v".to_vec()));
+fn info_reports_server_and_latency_sections() {
+    let server = kv_server(Arc::new(ServerMetrics::new(-1, 16)));
+    let mut client = TcpRemoteClient::connect(server.local_addr()).unwrap();
+    client.set("k", b"v").unwrap();
+    assert_eq!(client.get("k").unwrap(), Some(b"v".to_vec()));
 
-        let info = info_text(&mut client);
-        assert!(info.contains("# Server"), "{transport}: {info}");
-        assert!(
-            info.contains(&format!("version:{}\n", env!("CARGO_PKG_VERSION"))),
-            "{transport}"
-        );
-        assert!(info.contains("uptime_seconds:"), "{transport}");
-        assert!(
-            info.contains(&format!("transport:{transport}\n")),
-            "{transport}: {info}"
-        );
-        assert!(info.contains("host_cores:"), "{transport}");
-        assert!(info.contains("# Latency"), "{transport}");
-        // The SET and GET above are already recorded by INFO time.
-        assert!(info.contains("latency_cmd_read:"), "{transport}: {info}");
-        assert!(info.contains("latency_cmd_write:"), "{transport}");
-        assert!(
-            info.contains("latency_stage_shard_lock_hold:"),
-            "{transport}: {info}"
-        );
-        server.shutdown();
-    }
+    let info = info_text(&mut client);
+    assert!(info.contains("# Server"), "{info}");
+    assert!(info.contains(&format!("version:{}\n", env!("CARGO_PKG_VERSION"))));
+    assert!(info.contains("uptime_seconds:"));
+    assert!(info.contains("transport:reactor\n"), "{info}");
+    assert!(info.contains("host_cores:"));
+    assert!(info.contains("# Latency"));
+    // The SET and GET above are already recorded by INFO time.
+    assert!(info.contains("latency_cmd_read:"), "{info}");
+    assert!(info.contains("latency_cmd_write:"));
+    assert!(info.contains("latency_stage_shard_lock_hold:"), "{info}");
+    server.shutdown();
 }
 
 #[test]
 fn prometheus_scrape_parses_and_matches_gdpr_stats() {
-    let server = gdpr_server(Transport::Reactor);
+    let server = gdpr_server();
     let metrics = MetricsServer::start("127.0.0.1:0", server.dispatcher().clone()).unwrap();
     let mut client = TcpRemoteClient::connect(server.local_addr()).unwrap();
 
@@ -317,7 +298,7 @@ fn prometheus_scrape_parses_and_matches_gdpr_stats() {
         ),
         stats_erase
     );
-    // The transport label reflects the serving transport.
+    // The command-latency series carry the event loops' transport label.
     assert!(
         samples
             .iter()
@@ -482,7 +463,7 @@ fn info_gdpr_stats_and_metrics_render_one_table() {
 #[test]
 fn slowlog_captures_slow_commands_and_honors_the_ring_bound() {
     // Threshold 0 logs every request; the ring keeps only 4.
-    let server = kv_server(Transport::Threads, Arc::new(ServerMetrics::new(0, 4)));
+    let server = kv_server(Arc::new(ServerMetrics::new(0, 4)));
     let mut client = TcpRemoteClient::connect(server.local_addr()).unwrap();
     for i in 0..10 {
         client.set(&format!("key{i}"), b"v").unwrap();
@@ -554,7 +535,7 @@ fn slowlog_captures_slow_commands_and_honors_the_ring_bound() {
 
 #[test]
 fn negative_threshold_disables_the_slowlog() {
-    let server = kv_server(Transport::Threads, Arc::new(ServerMetrics::new(-1, 4)));
+    let server = kv_server(Arc::new(ServerMetrics::new(-1, 4)));
     let mut client = TcpRemoteClient::connect(server.local_addr()).unwrap();
     for i in 0..5 {
         client.set(&format!("key{i}"), b"v").unwrap();

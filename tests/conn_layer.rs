@@ -1,10 +1,9 @@
-//! Connection-layer regression battery, run against BOTH transports —
-//! the reactor at one and at three event loops: over-limit refusal with
-//! a final error frame, slow-loris idle enforcement,
-//! partial-frame-at-shutdown drain semantics, the `# Clients` /
-//! `clients_*=` stats surfaces, and what a loop of its own buys a
-//! connection (a neighbour's slow export does not delay it, a `SHUTDOWN`
-//! seen by any loop drains them all).
+//! Connection-layer regression battery, run at one and at three event
+//! loops: over-limit refusal with a final error frame, slow-loris idle
+//! enforcement, partial-frame-at-shutdown drain semantics, the
+//! `# Clients` / `clients_*=` stats surfaces, and what a loop of its own
+//! buys a connection (a neighbour's slow export does not delay it, a
+//! `SHUTDOWN` seen by any loop drains them all).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -13,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use gdpr_server::client::TcpRemoteClient;
 use gdpr_server::dispatch::Dispatcher;
-use gdpr_server::tcp::{ServerConfig, TcpServer, TcpServerHandle, Transport};
+use gdpr_server::tcp::{ServerConfig, TcpServer, TcpServerHandle};
 use gdpr_storage::gdpr_core::acl::Grant;
 use gdpr_storage::gdpr_core::policy::CompliancePolicy;
 use gdpr_storage::gdpr_core::store::GdprStore;
@@ -23,47 +22,18 @@ use gdpr_storage::resp::command::GdprRequest;
 use gdpr_storage::resp::encode::encode_frame;
 use gdpr_storage::resp::Frame;
 
-/// One way of serving: a transport and its `workers` setting (event
-/// loops on the reactor; the threads transport ignores it).
-#[derive(Clone, Copy)]
-struct Leg {
-    transport: Transport,
-    workers: usize,
-}
+/// Every test runs at one and at three event loops (`workers`).
+const LOOPS: [usize; 2] = [1, 3];
 
-impl Leg {
-    const fn new(transport: Transport, workers: usize) -> Leg {
-        Leg { transport, workers }
-    }
-
-    fn config(self) -> ServerConfig {
-        ServerConfig {
-            transport: self.transport,
-            workers: self.workers,
-            ..ServerConfig::default()
-        }
+fn config(workers: usize) -> ServerConfig {
+    ServerConfig {
+        workers,
+        ..ServerConfig::default()
     }
 }
 
-impl std::fmt::Display for Leg {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}, workers={}", self.transport, self.workers)
-    }
-}
-
-const REACTOR_LEGS: [Leg; 2] = [
-    Leg::new(Transport::Reactor, 1),
-    Leg::new(Transport::Reactor, 3),
-];
-
-const BOTH: [Leg; 3] = [
-    REACTOR_LEGS[0],
-    REACTOR_LEGS[1],
-    Leg::new(Transport::Threads, 0),
-];
-
-fn kv_server(leg: Leg, mutate: impl FnOnce(&mut ServerConfig)) -> TcpServerHandle {
-    let mut config = leg.config();
+fn kv_server(workers: usize, mutate: impl FnOnce(&mut ServerConfig)) -> TcpServerHandle {
+    let mut config = config(workers);
     mutate(&mut config);
     let dispatcher = Dispatcher::kv(KvStore::open(StoreConfig::in_memory()).unwrap());
     TcpServer::bind(dispatcher, "127.0.0.1:0", config).unwrap()
@@ -83,8 +53,8 @@ fn eventually(what: &str, mut probe: impl FnMut() -> bool) {
 
 #[test]
 fn over_limit_clients_get_a_final_error_frame_then_the_slot_frees_up() {
-    for leg in BOTH {
-        let server = kv_server(leg, |c| c.max_connections = 2);
+    for workers in LOOPS {
+        let server = kv_server(workers, |c| c.max_connections = 2);
         let addr = server.local_addr();
         let mut a = TcpRemoteClient::connect(addr).unwrap();
         let mut b = TcpRemoteClient::connect(addr).unwrap();
@@ -102,9 +72,13 @@ fn over_limit_clients_get_a_final_error_frame_then_the_slot_frees_up() {
         assert_eq!(
             String::from_utf8_lossy(&raw),
             "-ERR max connections reached\r\n",
-            "{leg}"
+            "workers={workers}"
         );
-        assert_eq!(server.transport_stats().rejected, 1, "{leg}");
+        assert_eq!(
+            server.dispatcher().client_stats().rejected_over_limit,
+            1,
+            "workers={workers}"
+        );
 
         // Closing one served connection frees the slot for a newcomer.
         drop(b);
@@ -120,8 +94,8 @@ fn over_limit_clients_get_a_final_error_frame_then_the_slot_frees_up() {
 
 #[test]
 fn slow_loris_trickler_is_timed_out_without_stalling_other_connections() {
-    for leg in BOTH {
-        let server = kv_server(leg, |c| {
+    for workers in LOOPS {
+        let server = kv_server(workers, |c| {
             c.read_timeout = Duration::from_millis(200);
             c.poll_interval = Duration::from_millis(10);
         });
@@ -151,11 +125,26 @@ fn slow_loris_trickler_is_timed_out_without_stalling_other_connections() {
         }
         let mut fresh = TcpRemoteClient::connect(addr).unwrap();
         fresh.ping().unwrap();
+        // Hung up before it could idle out: a close is not a timeout.
+        drop(fresh);
 
+        // `steady` keeps round-tripping, far inside the timeout, until the
+        // trickler is joined, so the trickler is the one connection that
+        // idles out.
         eventually("trickler idle timeout recorded", || {
+            steady.ping().unwrap();
             server.dispatcher().client_stats().idle_timeouts >= 1
         });
+        while !trickler.is_finished() {
+            steady.ping().unwrap();
+            std::thread::sleep(Duration::from_millis(20));
+        }
         trickler.join().unwrap();
+        assert_eq!(
+            server.dispatcher().client_stats().idle_timeouts,
+            1,
+            "workers={workers}: only the trickler idles out"
+        );
         steady.ping().unwrap();
         server.shutdown();
     }
@@ -163,8 +152,8 @@ fn slow_loris_trickler_is_timed_out_without_stalling_other_connections() {
 
 #[test]
 fn shutdown_answers_the_complete_frame_and_drops_the_partial_one() {
-    for leg in BOTH {
-        let server = kv_server(leg, |_| {});
+    for workers in LOOPS {
+        let server = kv_server(workers, |_| {});
         let addr = server.local_addr();
 
         // One complete SET plus the dangling prefix of a second frame in
@@ -184,18 +173,22 @@ fn shutdown_answers_the_complete_frame_and_drops_the_partial_one() {
             .unwrap();
         let mut raw = Vec::new();
         socket.read_to_end(&mut raw).unwrap();
-        assert_eq!(String::from_utf8_lossy(&raw), "+OK\r\n", "{leg}");
+        assert_eq!(
+            String::from_utf8_lossy(&raw),
+            "+OK\r\n",
+            "workers={workers}"
+        );
         server.shutdown();
         assert!(
             started.elapsed() < Duration::from_secs(5),
-            "{leg}: drain hung on a partial frame"
+            "workers={workers}: drain hung on a partial frame"
         );
     }
 }
 
 #[test]
 fn client_counters_surface_in_info_and_gdpr_stats() {
-    for leg in BOTH {
+    for workers in LOOPS {
         let store = Arc::new(
             GdprStore::open(
                 CompliancePolicy::eventual(),
@@ -208,7 +201,7 @@ fn client_counters_surface_in_info_and_gdpr_stats() {
         let server = TcpServer::bind(
             Dispatcher::gdpr(Arc::clone(&store)),
             "127.0.0.1:0",
-            leg.config(),
+            config(workers),
         )
         .unwrap();
         let mut client = TcpRemoteClient::connect(server.local_addr()).unwrap();
@@ -226,7 +219,10 @@ fn client_counters_surface_in_info_and_gdpr_stats() {
             "clients_rejected_over_limit:0",
             "clients_idle_timeouts:0",
         ] {
-            assert!(info.contains(needle), "{leg}: missing {needle}\n{info}");
+            assert!(
+                info.contains(needle),
+                "workers={workers}: missing {needle}\n{info}"
+            );
         }
 
         let stats: Vec<String> = match client.gdpr(&GdprRequest::Stats).unwrap() {
@@ -243,12 +239,12 @@ fn client_counters_surface_in_info_and_gdpr_stats() {
             stats
                 .iter()
                 .find_map(|l| l.strip_prefix(prefix))
-                .unwrap_or_else(|| panic!("{leg}: no {prefix} line in {stats:?}"))
+                .unwrap_or_else(|| panic!("workers={workers}: no {prefix} line in {stats:?}"))
                 .parse()
                 .unwrap()
         };
-        assert_eq!(line_value("clients_connected="), 1, "{leg}");
-        assert_eq!(line_value("clients_accepted="), 1, "{leg}");
+        assert_eq!(line_value("clients_connected="), 1, "workers={workers}");
+        assert_eq!(line_value("clients_accepted="), 1, "workers={workers}");
         let wakeups = line_value("clients_reactor_wakeups=");
         let queue_hwm = line_value("clients_worker_queue_hwm=");
         let queue_waits = server
@@ -259,30 +255,19 @@ fn client_counters_surface_in_info_and_gdpr_stats() {
             .find(|(stage, _)| *stage == "worker_queue_wait")
             .map(|(_, waits)| waits.count())
             .unwrap();
-        match leg.transport {
-            // Some loop woke for the accept and for every request; one
-            // connection was all that ever waited for its loop, once per
-            // batch it sent (AUTH, SET, INFO and this GDPR.STATS).
-            Transport::Reactor => {
-                assert!(wakeups >= 4, "{leg}");
-                assert_eq!(queue_hwm, 1, "{leg}");
-                assert_eq!(queue_waits, 4, "{leg}");
-            }
-            // Thread-per-connection has neither an event loop nor a
-            // ready list.
-            Transport::Threads => {
-                assert_eq!(wakeups, 0, "{leg}");
-                assert_eq!(queue_hwm, 0, "{leg}");
-                assert_eq!(queue_waits, 0, "{leg}");
-            }
-        }
+        // Some loop woke for the accept and for every request; one
+        // connection was all that ever waited for its loop, once per batch
+        // it sent (AUTH, SET, INFO and this GDPR.STATS).
+        assert!(wakeups >= 4, "workers={workers}");
+        assert_eq!(queue_hwm, 1, "workers={workers}");
+        assert_eq!(queue_waits, 4, "workers={workers}");
         server.shutdown();
     }
 }
 
 #[test]
 fn a_slow_export_delays_only_the_connections_on_its_loop() {
-    for leg in REACTOR_LEGS {
+    for workers in LOOPS {
         let store = Arc::new(
             GdprStore::open(
                 CompliancePolicy::eventual(),
@@ -292,7 +277,8 @@ fn a_slow_export_delays_only_the_connections_on_its_loop() {
             .unwrap(),
         );
         store.grant(Grant::new("app", "billing")).unwrap();
-        let server = TcpServer::bind(Dispatcher::gdpr(store), "127.0.0.1:0", leg.config()).unwrap();
+        let server =
+            TcpServer::bind(Dispatcher::gdpr(store), "127.0.0.1:0", config(workers)).unwrap();
         let addr = server.local_addr();
         // Accepted first and second: loops 0 and 1 when there are three.
         let mut exporter = TcpRemoteClient::connect(addr).unwrap();
@@ -332,16 +318,18 @@ fn a_slow_export_delays_only_the_connections_on_its_loop() {
         };
         exporter.send_batch(&[export.to_frame()]).unwrap();
         pinger.ping().unwrap();
-        if leg.workers > 1 {
+        if workers > 1 {
             // PONG came back from another loop with the export still
             // running: only the PING has completed.
-            assert_eq!(completed() - before, 1, "{leg}");
+            assert_eq!(completed() - before, 1, "workers={workers}");
         }
         // Sharing the one loop, the PING may have had to wait; either
         // way both are answered.
         match exporter.read_replies(1).unwrap().pop() {
-            Some(Frame::Bulk(document)) => assert!(document.len() > keys * 200, "{leg}"),
-            other => panic!("{leg}: unexpected {other:?}"),
+            Some(Frame::Bulk(document)) => {
+                assert!(document.len() > keys * 200, "workers={workers}")
+            }
+            other => panic!("workers={workers}: unexpected {other:?}"),
         }
         server.shutdown();
     }

@@ -7,15 +7,16 @@
 //! three ways on twin stores (one simulated clock, so deadlines and
 //! metadata timestamps agree):
 //!
-//! * over TCP on the reactor, whose event loop runs each command straight
-//!   from its read buffer;
-//! * over TCP on `transport=threads`;
+//! * over TCP on one event loop, which runs each command straight from
+//!   its read buffer;
+//! * over TCP on three event loops, where the second connection is served
+//!   by a loop other than the one that accepted it;
 //! * through `Dispatcher::handle_frame`, one decoded frame at a time.
 //!
 //! All three must answer with the same reply bytes and end with the same
 //! `DIGEST`, the same per-family command counts and the same
 //! `requests`/`errors` counters. (`REPLSYNC` is the one command left out:
-//! a TCP transport hands its connection to a replication feeder, see
+//! the event loop hands its connection to a replication feeder, see
 //! `tests/replication.rs`.)
 
 use std::io::{Read, Write};
@@ -24,7 +25,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gdpr_server::dispatch::{Dispatcher, Session};
-use gdpr_server::tcp::{ServerConfig, TcpServer, Transport};
+use gdpr_server::tcp::{ServerConfig, TcpServer};
 use gdpr_storage::audit::sink::MemorySink;
 use gdpr_storage::gdpr_core::policy::CompliancePolicy;
 use gdpr_storage::gdpr_core::store::GdprStore;
@@ -401,12 +402,12 @@ fn frames(bytes: &[u8]) -> Vec<Frame> {
     frames
 }
 
-/// Run each connection's whole stream as one pipelined write over TCP
-/// and read its replies until the server closes the connection.
-fn over_tcp(dispatcher: Dispatcher, transport: Transport, connections: &[Vec<Request>]) -> Outcome {
+/// Run each connection's whole stream as one pipelined write over TCP to
+/// a server of `workers` event loops and read its replies until the
+/// server closes the connection.
+fn over_tcp(dispatcher: Dispatcher, workers: usize, connections: &[Vec<Request>]) -> Outcome {
     let config = ServerConfig {
-        transport,
-        workers: 1,
+        workers,
         ..ServerConfig::default()
     };
     let server = TcpServer::bind(dispatcher, "127.0.0.1:0", config).unwrap();
@@ -428,7 +429,7 @@ fn over_tcp(dispatcher: Dispatcher, transport: Transport, connections: &[Vec<Req
 }
 
 /// Run each connection's stream through `Dispatcher::handle_frame`, with
-/// the transports' rules: a fresh session per connection, and a protocol
+/// the event loop's rules: a fresh session per connection, and a protocol
 /// error answered after the replies before it, then the end.
 fn in_process(dispatcher: Dispatcher, connections: &[Vec<Request>]) -> Outcome {
     let mut replies = Vec::new();
@@ -513,9 +514,9 @@ fn check(seed: u64, compliance: bool, twin: fn() -> Dispatcher) {
         connections[1].len(),
         "seed {seed}"
     );
-    for transport in [Transport::Reactor, Transport::Threads] {
-        let tcp = over_tcp(twin(), transport, &connections);
-        assert_eq!(tcp, by_frame, "seed {seed}, {transport}");
+    for workers in [1, 3] {
+        let tcp = over_tcp(twin(), workers, &connections);
+        assert_eq!(tcp, by_frame, "seed {seed}, workers={workers}");
     }
 }
 

@@ -1,12 +1,11 @@
 //! The cross-transport differential battery (GDPRbench tentpole pin).
 //!
-//! One seeded customer + regulator workload is driven through four
+//! One seeded customer + regulator workload is driven through three
 //! different paths to the *same kind* of store:
 //!
 //! 1. in-process calls on [`GdprStore`];
-//! 2. RESP frames over the simulated network (netsim);
-//! 3. RESP frames over live TCP on the reactor transport;
-//! 4. RESP frames over live TCP on the thread-per-connection transport.
+//! 2. RESP frames over the simulated network (netsim), plain and secure;
+//! 3. RESP frames over live TCP to the event-loop server.
 //!
 //! Every leg gets its own pinned-clock store (`SimClock`, so exports and
 //! metadata timestamps are identical by construction), the same grants and
@@ -27,7 +26,7 @@ use gdpr_storage::gdpr_core::policy::CompliancePolicy;
 use gdpr_storage::gdpr_core::store::GdprStore;
 use gdpr_storage::gdpr_server::client::TcpRemoteClient;
 use gdpr_storage::gdpr_server::dispatch::Dispatcher;
-use gdpr_storage::gdpr_server::tcp::{ServerConfig, TcpServer, Transport};
+use gdpr_storage::gdpr_server::tcp::{ServerConfig, TcpServer};
 use gdpr_storage::gdprbench::ops::{load_ops, transaction_ops};
 use gdpr_storage::gdprbench::{
     drive, BenchSpec, ClientFactory, InProcessFactory, NetsimFactory, Outcome, Role, TcpFactory,
@@ -147,14 +146,14 @@ fn netsim_leg(link: LinkConfig, secret: Option<&'static [u8]>) -> LegResult {
     )
 }
 
-fn tcp_leg(transport: Transport) -> LegResult {
+fn tcp_leg() -> LegResult {
     let store = open_store();
-    let config = ServerConfig {
-        transport,
-        ..ServerConfig::default()
-    };
-    let handle =
-        TcpServer::bind(Dispatcher::gdpr(store), "127.0.0.1:0", config).expect("tcp server binds");
+    let handle = TcpServer::bind(
+        Dispatcher::gdpr(store),
+        "127.0.0.1:0",
+        ServerConfig::default(),
+    )
+    .expect("tcp server binds");
     let addr = handle.local_addr();
     let result = drive_leg(
         &TcpFactory::for_load(addr),
@@ -199,8 +198,7 @@ fn all_transports_agree_per_op_and_on_the_final_digest() {
                 Some(b"differential-battery"),
             ),
         ),
-        ("tcp/reactor", tcp_leg(Transport::Reactor)),
-        ("tcp/threads", tcp_leg(Transport::Threads)),
+        ("tcp/reactor", tcp_leg()),
     ];
     for (name, leg) in &legs {
         assert_eq!(

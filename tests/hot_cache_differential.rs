@@ -12,7 +12,7 @@
 //!   compliance history (puts, purpose-mismatched reads, deletes, subject
 //!   erasures, retention-clock advances) and every single response must
 //!   be identical, including denials and error shapes;
-//! * over a live TCP server, on BOTH transports: a heated key must stop
+//! * over a live TCP server: a heated key must stop
 //!   being served the instant its subject is erased, and the instant its
 //!   retention deadline passes — even before any expiry cycle runs.
 
@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use gdpr_server::client::TcpRemoteClient;
 use gdpr_server::dispatch::Dispatcher;
-use gdpr_server::tcp::{ServerConfig, TcpServer, TcpServerHandle, Transport};
+use gdpr_server::tcp::{ServerConfig, TcpServer, TcpServerHandle};
 use gdpr_storage::audit::sink::MemorySink;
 use gdpr_storage::gdpr_core::acl::Grant;
 use gdpr_storage::gdpr_core::hot_cache::{
@@ -363,14 +363,12 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Erasure and retention over live TCP, on both transports
+// Erasure and retention over live TCP
 // ---------------------------------------------------------------------------
-
-const BOTH: [Transport; 2] = [Transport::Reactor, Transport::Threads];
 
 /// A live GDPR server with the hot cache force-enabled and a simulated
 /// retention clock.
-fn hot_gdpr_server(transport: Transport, clock: SimClock) -> (TcpServerHandle, Arc<GdprStore>) {
+fn hot_gdpr_server(clock: SimClock) -> (TcpServerHandle, Arc<GdprStore>) {
     let mut store = GdprStore::open(
         CompliancePolicy::eventual(),
         StoreConfig::in_memory()
@@ -386,10 +384,7 @@ fn hot_gdpr_server(transport: Transport, clock: SimClock) -> (TcpServerHandle, A
     let server = TcpServer::bind(
         Dispatcher::gdpr(Arc::clone(&store)),
         "127.0.0.1:0",
-        ServerConfig {
-            transport,
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
     )
     .expect("bind server");
     (server, store)
@@ -422,46 +417,42 @@ fn put_and_heat(client: &mut TcpRemoteClient, store: &GdprStore, key: &str, ttl_
 
 #[test]
 fn erased_subject_is_never_served_from_the_hot_tier_over_tcp() {
-    for transport in BOTH {
-        let (server, store) = hot_gdpr_server(transport, SimClock::new(START));
-        let mut client = TcpRemoteClient::connect(server.local_addr()).unwrap();
-        client.auth(ACTOR, PURPOSE).unwrap();
-        put_and_heat(&mut client, &store, "pii:alice", None);
-        assert!(client.erase_subject("alice").unwrap() >= 1, "{transport}");
-        assert_eq!(
-            client.get("pii:alice").unwrap(),
-            None,
-            "{transport}: erased value served from the hot tier"
-        );
-        drop(client);
-        server.shutdown();
-    }
+    let (server, store) = hot_gdpr_server(SimClock::new(START));
+    let mut client = TcpRemoteClient::connect(server.local_addr()).unwrap();
+    client.auth(ACTOR, PURPOSE).unwrap();
+    put_and_heat(&mut client, &store, "pii:alice", None);
+    assert!(client.erase_subject("alice").unwrap() >= 1);
+    assert_eq!(
+        client.get("pii:alice").unwrap(),
+        None,
+        "erased value served from the hot tier"
+    );
+    drop(client);
+    server.shutdown();
 }
 
 #[test]
 fn expired_keys_are_never_served_from_the_hot_tier_over_tcp() {
-    for transport in BOTH {
-        let clock = SimClock::new(START);
-        let (server, store) = hot_gdpr_server(transport, clock.clone());
-        let mut client = TcpRemoteClient::connect(server.local_addr()).unwrap();
-        client.auth(ACTOR, PURPOSE).unwrap();
-        put_and_heat(&mut client, &store, "pii:ttl", Some(5_000));
-        clock.advance_millis(6_000);
-        // No expiry cycle has run yet, so the entry may still sit in the
-        // hot map — the hit path must notice the cached retention
-        // deadline on its own.
-        assert_eq!(
-            client.get("pii:ttl").unwrap(),
-            None,
-            "{transport}: expired value served from the hot tier before the cycle"
-        );
-        client.tick().unwrap();
-        assert_eq!(
-            client.get("pii:ttl").unwrap(),
-            None,
-            "{transport}: expired value served after the expiry cycle"
-        );
-        drop(client);
-        server.shutdown();
-    }
+    let clock = SimClock::new(START);
+    let (server, store) = hot_gdpr_server(clock.clone());
+    let mut client = TcpRemoteClient::connect(server.local_addr()).unwrap();
+    client.auth(ACTOR, PURPOSE).unwrap();
+    put_and_heat(&mut client, &store, "pii:ttl", Some(5_000));
+    clock.advance_millis(6_000);
+    // No expiry cycle has run yet, so the entry may still sit in the hot
+    // map — the hit path must notice the cached retention deadline on its
+    // own.
+    assert_eq!(
+        client.get("pii:ttl").unwrap(),
+        None,
+        "expired value served from the hot tier before the cycle"
+    );
+    client.tick().unwrap();
+    assert_eq!(
+        client.get("pii:ttl").unwrap(),
+        None,
+        "expired value served after the expiry cycle"
+    );
+    drop(client);
+    server.shutdown();
 }

@@ -1,7 +1,7 @@
 //! `SLOWLOG` keeps stored values out: golden entries for every command
 //! that carries a payload (the value of `SET`, `HSET` and `GDPR.PUT`, the
 //! values of `HMSET`, the member of `SADD`/`SREM`), captured at
-//! `slowlog=0` on both transports and both engines.
+//! `slowlog=0` on both engines.
 //!
 //! The expected entries were recorded when a payload still moved out of
 //! the parsed command into the store and so showed as an empty argument.
@@ -13,7 +13,7 @@ use std::sync::Arc;
 use gdpr_server::client::TcpRemoteClient;
 use gdpr_server::dispatch::Dispatcher;
 use gdpr_server::metrics::ServerMetrics;
-use gdpr_server::tcp::{ServerConfig, TcpServer, Transport};
+use gdpr_server::tcp::{ServerConfig, TcpServer};
 use gdpr_storage::gdpr_core::policy::CompliancePolicy;
 use gdpr_storage::gdpr_core::store::GdprStore;
 use gdpr_storage::kvstore::config::StoreConfig;
@@ -24,10 +24,9 @@ use gdpr_storage::resp::Frame;
 /// Run `requests` on a fresh server at `slowlog=0`, each expected to
 /// succeed, and render the ring oldest first: one line per entry, the
 /// command and its captured arguments.
-fn captured(dispatcher: Dispatcher, transport: Transport, requests: &[Frame]) -> String {
+fn captured(dispatcher: Dispatcher, requests: &[Frame]) -> String {
     let dispatcher = dispatcher.with_metrics(Arc::new(ServerMetrics::new(0, 128)));
     let config = ServerConfig {
-        transport,
         workers: 1,
         ..ServerConfig::default()
     };
@@ -35,11 +34,11 @@ fn captured(dispatcher: Dispatcher, transport: Transport, requests: &[Frame]) ->
     let mut client = TcpRemoteClient::connect(server.local_addr()).unwrap();
     for request in requests {
         let reply = client.roundtrip(request);
-        assert!(reply.is_ok(), "{transport}: {request:?} -> {reply:?}");
+        assert!(reply.is_ok(), "{request:?} -> {reply:?}");
     }
     let entries = match client.roundtrip(&Frame::command(["SLOWLOG", "GET", "128"])) {
         Ok(Frame::Array(entries)) => entries,
-        other => panic!("{transport}: SLOWLOG GET returned {other:?}"),
+        other => panic!("SLOWLOG GET returned {other:?}"),
     };
     server.shutdown();
     let mut lines: Vec<String> = entries
@@ -65,11 +64,9 @@ fn captured(dispatcher: Dispatcher, transport: Transport, requests: &[Frame]) ->
     lines.join("\n")
 }
 
-fn both_transports(dispatcher: impl Fn() -> Dispatcher, requests: &[Frame], golden: &str) {
-    for transport in [Transport::Reactor, Transport::Threads] {
-        let got = captured(dispatcher(), transport, requests);
-        assert_eq!(got, golden.trim(), "{transport}:\n{got}");
-    }
+fn check_golden(dispatcher: Dispatcher, requests: &[Frame], golden: &str) {
+    let got = captured(dispatcher, requests);
+    assert_eq!(got, golden.trim(), "\n{got}");
 }
 
 #[test]
@@ -103,8 +100,8 @@ fn raw_engine_entries_keep_keys_and_fields_and_blank_stored_values() {
 "HGET" "h" "email"
 "PEXPIRE" "user:1" "60000"
 "#;
-    both_transports(
-        || Dispatcher::kv(KvStore::open(StoreConfig::in_memory()).unwrap()),
+    check_golden(
+        Dispatcher::kv(KvStore::open(StoreConfig::in_memory()).unwrap()),
         &requests,
         golden,
     );
@@ -147,12 +144,6 @@ fn compliance_engine_entries_keep_keys_and_metadata_and_blank_stored_values() {
 "GET" "user:1"
 "GDPR.GETMETA" "user:alice:email"
 "#;
-    both_transports(
-        || {
-            let store = GdprStore::open_in_memory(CompliancePolicy::eventual()).unwrap();
-            Dispatcher::gdpr(Arc::new(store))
-        },
-        &requests,
-        golden,
-    );
+    let store = GdprStore::open_in_memory(CompliancePolicy::eventual()).unwrap();
+    check_golden(Dispatcher::gdpr(Arc::new(store)), &requests, golden);
 }

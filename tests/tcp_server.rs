@@ -158,9 +158,9 @@ fn concurrent_pipelined_clients_mix_kv_and_gdpr_commands() {
 
     // No request errored server-side beyond what we asserted above.
     assert_eq!(server.dispatcher().stats().errors, 0);
-    let stats = server.transport_stats();
-    assert_eq!(stats.accepted, CLIENTS as u64 + 1);
-    assert_eq!(stats.rejected, 0);
+    let clients = server.dispatcher().client_stats();
+    assert_eq!(clients.accepted, CLIENTS as u64 + 1);
+    assert_eq!(clients.rejected_over_limit, 0);
     server.shutdown();
 }
 

@@ -1,116 +1,60 @@
-//! [`ycsb::client::KvInterface`] adapters for the Figure 1 configurations.
+//! The [`ycsb::client::KvInterface`] adapter every Figure 1 column is
+//! driven through: YCSB over one RESP connection to a `TcpServer`, direct
+//! or through the sealed [`Tunnel`].
 //!
-//! * [`GdprAdapter`] — the full compliance layer (metadata, ACL, audit);
-//! * [`RemoteAdapter`] — the simulated network path with the optional
-//!   TLS-style channel, in front of the raw engine (Figure 1's
-//!   "unmodified", AOF and "LUKS + TLS" configurations).
+//! A YCSB record travels as one opaque `SET` value: [`encode_fields`]
+//! packs its field map into that blob and [`decode_fields`] unpacks it.
 
 use std::collections::BTreeMap;
 
-use gdpr_core::acl::Grant;
-use gdpr_core::metadata::PersonalMetadata;
-use gdpr_core::store::{AccessContext, GdprStore};
-use netsim::client::RemoteClient;
+use gdpr_server::client::TcpRemoteClient;
+use kvstore::object::Value;
+use kvstore::serialize::{decode_value, encode_value, Reader};
 use ycsb::client::KvInterface;
 use ycsb::{Result, WorkloadError};
 
-pub use netsim::client::{decode_fields, encode_fields};
+use crate::tunnel::Tunnel;
 
-// ---------------------------------------------------------------------------
-
-/// YCSB against the full GDPR compliance layer.
-#[derive(Debug)]
-pub struct GdprAdapter {
-    store: GdprStore,
-    ctx: AccessContext,
-    subject_of_key: fn(&str) -> String,
+/// Serialize a YCSB field map into the single opaque blob that travels as
+/// a `SET` value.
+#[must_use]
+pub fn encode_fields(fields: &BTreeMap<String, Vec<u8>>) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_value(&mut out, &Value::Hash(fields.clone()));
+    out
 }
 
-impl GdprAdapter {
-    /// Wrap a compliance store; installs a grant so the benchmark actor is
-    /// allowed to operate, and derives the data subject from the key (every
-    /// YCSB record key doubles as its subject id).
-    ///
-    /// # Panics
-    ///
-    /// When the store cannot commit the grant's audit record.
+/// Decode a blob produced by [`encode_fields`].
+#[must_use]
+pub fn decode_fields(bytes: &[u8]) -> Option<BTreeMap<String, Vec<u8>>> {
+    let mut reader = Reader::new(bytes);
+    match decode_value(&mut reader, "ycsb record").ok()? {
+        Value::Hash(map) => Some(map),
+        _ => None,
+    }
+}
+
+/// YCSB over the wire.
+#[derive(Debug)]
+pub struct WireAdapter {
+    client: TcpRemoteClient,
+    /// The tunnel the client talks through, if any; dropping it hangs up
+    /// and joins its relays.
+    _tunnel: Option<Tunnel>,
+}
+
+impl WireAdapter {
+    /// Drive `client`, which talks through `tunnel` when one is given.
     #[must_use]
-    pub fn new(store: GdprStore) -> Self {
-        let ctx = AccessContext::new("ycsb-driver", "benchmarking");
-        store
-            .grant(Grant::new("ycsb-driver", "benchmarking"))
-            .expect("the benchmark grant is recorded");
-        GdprAdapter {
-            store,
-            ctx,
-            subject_of_key: |key| key.to_string(),
+    pub fn new(client: TcpRemoteClient, tunnel: Option<Tunnel>) -> Self {
+        WireAdapter {
+            client,
+            _tunnel: tunnel,
         }
     }
-
-    /// The wrapped compliance store.
-    #[must_use]
-    pub fn store(&self) -> &GdprStore {
-        &self.store
-    }
-
-    fn metadata_for(&self, key: &str) -> PersonalMetadata {
-        PersonalMetadata::new(&(self.subject_of_key)(key)).with_purpose("benchmarking")
-    }
 }
 
-impl KvInterface for GdprAdapter {
-    fn insert(&mut self, key: &str, fields: &BTreeMap<String, Vec<u8>>) -> Result<()> {
-        self.store
-            .put_record(&self.ctx, key, fields, self.metadata_for(key))
-            .map_err(WorkloadError::new)
-    }
-
-    fn read(&mut self, key: &str) -> Result<Option<BTreeMap<String, Vec<u8>>>> {
-        self.store
-            .get_record(&self.ctx, key)
-            .map_err(WorkloadError::new)
-    }
-
-    fn update(&mut self, key: &str, fields: &BTreeMap<String, Vec<u8>>) -> Result<()> {
-        self.store
-            .update_record(&self.ctx, key, fields)
-            .map_err(WorkloadError::new)
-    }
-
-    fn scan(&mut self, start_key: &str, count: usize) -> Result<Vec<String>> {
-        self.store
-            .scan(&self.ctx, start_key, count)
-            .map_err(WorkloadError::new)
-    }
-
-    fn tick(&mut self) -> Result<()> {
-        self.store.tick().map(|_| ()).map_err(WorkloadError::new)
-    }
-}
-
-// ---------------------------------------------------------------------------
-
-/// YCSB through the simulated network path (optionally TLS-encrypted).
-#[derive(Debug)]
-pub struct RemoteAdapter {
-    client: RemoteClient,
-}
-
-impl RemoteAdapter {
-    /// Wrap a connected client.
-    #[must_use]
-    pub fn new(client: RemoteClient) -> Self {
-        RemoteAdapter { client }
-    }
-
-    /// The wrapped client (for link statistics).
-    #[must_use]
-    pub fn client(&self) -> &RemoteClient {
-        &self.client
-    }
-}
-
-impl KvInterface for RemoteAdapter {
+impl KvInterface for WireAdapter {
     fn insert(&mut self, key: &str, fields: &BTreeMap<String, Vec<u8>>) -> Result<()> {
         self.client
             .set(key, &encode_fields(fields))
@@ -125,15 +69,13 @@ impl KvInterface for RemoteAdapter {
     }
 
     fn update(&mut self, key: &str, fields: &BTreeMap<String, Vec<u8>>) -> Result<()> {
-        // A faithful reproduction of the read-merge-write the single-blob
-        // encoding forces on the client side.
+        // The read-merge-write the single-blob encoding forces on the
+        // client side.
         let mut merged = self.read(key)?.unwrap_or_default();
         for (f, v) in fields {
             merged.insert(f.clone(), v.clone());
         }
-        self.client
-            .set(key, &encode_fields(&merged))
-            .map_err(WorkloadError::new)
+        self.insert(key, &merged)
     }
 
     fn scan(&mut self, start_key: &str, count: usize) -> Result<Vec<String>> {
@@ -143,23 +85,16 @@ impl KvInterface for RemoteAdapter {
     }
 
     fn tick(&mut self) -> Result<()> {
-        self.client
-            .server()
-            .store()
-            .tick()
-            .map(|_| ())
-            .map_err(WorkloadError::new)
+        self.client.tick().map(|_| ()).map_err(WorkloadError::new)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gdpr_core::policy::CompliancePolicy;
-    use kvstore::config::StoreConfig;
-    use kvstore::store::KvStore;
-    use netsim::link::LinkConfig;
-    use netsim::server::RespKvServer;
+    use crate::client::connect;
+    use crate::fig1::Fig1Config;
+    use crate::server::serve;
     use ycsb::client::Driver;
     use ycsb::workload::WorkloadSpec;
 
@@ -177,27 +112,34 @@ mod tests {
         assert!(decode_fields(b"garbage").is_none());
     }
 
+    /// Load and run `spec` on `config`'s server; returns the requests the
+    /// server answered.
+    fn run_small_workload(config: Fig1Config, spec: WorkloadSpec) -> u64 {
+        let dir = crate::scratch_dir(&format!("adapter-{}", config.label()));
+        let server = serve(config, &dir);
+        let mut adapter = connect(config, server.local_addr());
+        let mut driver = Driver::new(spec, 11);
+        assert_eq!(driver.run_load(&mut adapter).unwrap().errors, 0);
+        assert_eq!(driver.run_transactions(&mut adapter).unwrap().errors, 0);
+        drop(adapter);
+        let requests = server.dispatcher().stats().requests;
+        server.shutdown();
+        crate::cleanup_scratch(&dir);
+        requests
+    }
+
     #[test]
     fn gdpr_adapter_runs_a_small_workload() {
-        let store = GdprStore::open_in_memory(CompliancePolicy::eventual()).unwrap();
-        let mut adapter = GdprAdapter::new(store);
-        let mut driver = Driver::new(WorkloadSpec::workload_a(50, 100), 11);
-        let load = driver.run_load(&mut adapter).unwrap();
-        assert_eq!(load.errors, 0);
-        let run = driver.run_transactions(&mut adapter).unwrap();
-        assert_eq!(run.errors, 0);
-        assert!(adapter.store().stats().allowed_ops > 0);
+        // The strict column: GDPR.AUTH on connect, then every op through
+        // the compliance layer.
+        let requests =
+            run_small_workload(Fig1Config::StrictGdpr, WorkloadSpec::workload_a(50, 100));
+        assert!(requests > 150, "{requests}");
     }
 
     #[test]
     fn remote_adapter_runs_a_small_workload_over_tls_sim() {
-        let server = RespKvServer::new(KvStore::open(StoreConfig::in_memory()).unwrap());
-        let client =
-            RemoteClient::connect_secure(server, LinkConfig::tls_proxied_4_9gbps(), b"bench");
-        let mut adapter = RemoteAdapter::new(client);
-        let mut driver = Driver::new(WorkloadSpec::workload_b(30, 60), 13);
-        assert_eq!(driver.run_load(&mut adapter).unwrap().errors, 0);
-        assert_eq!(driver.run_transactions(&mut adapter).unwrap().errors, 0);
-        assert!(adapter.client().requests() > 0);
+        let requests = run_small_workload(Fig1Config::LuksTls, WorkloadSpec::workload_b(30, 60));
+        assert!(requests > 90, "{requests}");
     }
 }

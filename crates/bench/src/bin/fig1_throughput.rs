@@ -6,31 +6,29 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run -p bench --release --bin fig1_throughput [records=N] [ops=N] [realistic=1] [seed=N]
+//! cargo run -p bench --release --bin fig1_throughput [records=N] [ops=N] [seed=N]
 //! ```
 //!
-//! `realistic=1` makes the simulated link impose its modelled transfer
-//! time, which pulls the unmodified baseline down to testbed-like
-//! throughput (at the cost of a longer run). Any other argument, or a
-//! value that is not an unsigned integer, is printed back and the process
-//! exits with status 2.
+//! Every column is a `TcpServer` with one event loop on loopback, driven
+//! over a real socket; `luks+tls` goes through the sealed relay pair of
+//! `bench::tunnel`. Any other argument, or a value that is not an
+//! unsigned integer, is printed back and the process exits with status 2.
 
 use bench::fig1::{render_table, run_figure1, Fig1Config, Fig1Params};
 use bench::{arg_value, args_or_exit, cleanup_scratch, scratch_dir};
 
 fn main() {
-    let args = args_or_exit(&["records", "ops", "realistic", "seed"]);
+    let args = args_or_exit(&["records", "ops", "seed"]);
     let params = Fig1Params {
         record_count: arg_value(&args, "records").unwrap_or(5_000),
         operation_count: arg_value(&args, "ops").unwrap_or(10_000),
-        impose_link_delay: arg_value(&args, "realistic").unwrap_or(0) == 1,
         seed: arg_value(&args, "seed").unwrap_or(42),
     };
 
     println!("Figure 1 reproduction — YCSB throughput under GDPR compliance configurations");
     println!(
-        "records per workload: {}   operations per phase: {}   link delay imposed: {}\n",
-        params.record_count, params.operation_count, params.impose_link_delay
+        "records per workload: {}   operations per phase: {}   every column over loopback TCP\n",
+        params.record_count, params.operation_count
     );
 
     let dir = scratch_dir("fig1");

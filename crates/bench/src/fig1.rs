@@ -5,23 +5,21 @@
 //! synchronous fsync carrying the monitoring log, LUKS + TLS encryption)
 //! and reports throughput. [`run_figure1`] reproduces the sweep over this
 //! repository's equivalents and adds the full GDPR layer ("strict") as a
-//! fourth series.
+//! fifth column. Every column is a `TcpServer` on loopback (the `server`
+//! module) driven through one [`WireAdapter`] (the `client` module);
+//! `luks+tls` reaches its server through the sealed
+//! [`Tunnel`](crate::tunnel::Tunnel), in the place of the paper's Stunnel
+//! proxies.
 
 use std::path::Path;
 
-use gdpr_core::policy::CompliancePolicy;
-use gdpr_core::store::GdprStore;
-use kvstore::aof::FsyncPolicy;
-use kvstore::config::StoreConfig;
-use kvstore::store::KvStore;
-use netsim::client::RemoteClient;
-use netsim::link::LinkConfig;
-use netsim::server::RespKvServer;
-use ycsb::client::{Driver, KvInterface};
+use ycsb::client::Driver;
 use ycsb::stats::RunReport;
 use ycsb::workload::WorkloadSpec;
 
-use crate::adapters::{GdprAdapter, RemoteAdapter};
+use crate::adapters::WireAdapter;
+use crate::client::connect;
+use crate::server::serve;
 
 /// The YCSB phases of Figure 1, in the paper's order.
 pub const FIGURE1_PHASES: &[&str] = &["Load-A", "A", "B", "C", "D", "Load-E", "E", "F"];
@@ -37,8 +35,8 @@ pub enum Fig1Config {
     /// Monitoring piggybacked on the AOF, fsync on every operation (the
     /// paper's strict §4.1 point).
     AofSync,
-    /// Encryption at rest (LUKS simulation) and in transit (TLS
-    /// simulation), no monitoring (the paper's §4.2 configuration).
+    /// Encryption at rest (LUKS stand-in) and in transit (the sealed
+    /// tunnel), no monitoring (the paper's §4.2 configuration).
     LuksTls,
     /// The complete GDPR compliance layer in its strict configuration.
     StrictGdpr,
@@ -77,9 +75,6 @@ pub struct Fig1Params {
     pub record_count: u64,
     /// Operations per transaction phase.
     pub operation_count: u64,
-    /// Whether the simulated link actually waits out its modelled transfer
-    /// time (closer to the paper's testbed, but slower to run).
-    pub impose_link_delay: bool,
     /// Seed shared by every configuration so they see the same request
     /// stream.
     pub seed: u64,
@@ -90,7 +85,6 @@ impl Default for Fig1Params {
         Fig1Params {
             record_count: 5_000,
             operation_count: 10_000,
-            impose_link_delay: false,
             seed: 42,
         }
     }
@@ -109,72 +103,14 @@ pub struct Fig1Cell {
     pub report: RunReport,
 }
 
-/// Build the adapter stack for a configuration, with its files under `dir`.
-fn build_adapter(config: Fig1Config, dir: &Path, params: &Fig1Params) -> Box<dyn KvInterface> {
-    let link = |mut cfg: LinkConfig| {
-        if params.impose_link_delay {
-            cfg = cfg.imposing_delay();
-        }
-        cfg
-    };
-    match config {
-        Fig1Config::Unmodified => {
-            let store = KvStore::open(StoreConfig::in_memory()).expect("open engine");
-            let server = RespKvServer::new(store);
-            Box::new(RemoteAdapter::new(RemoteClient::connect_plain(
-                server,
-                link(LinkConfig::plain_44gbps()),
-            )))
-        }
-        Fig1Config::AofEverySec => {
-            let store = KvStore::open(
-                StoreConfig::with_aof(dir.join("everysec.aof"))
-                    .fsync(FsyncPolicy::EverySec)
-                    .log_reads(true),
-            )
-            .expect("open engine");
-            let server = RespKvServer::new(store);
-            Box::new(RemoteAdapter::new(RemoteClient::connect_plain(
-                server,
-                link(LinkConfig::plain_44gbps()),
-            )))
-        }
-        Fig1Config::AofSync => {
-            let store = KvStore::open(
-                StoreConfig::with_aof(dir.join("sync.aof"))
-                    .fsync(FsyncPolicy::Always)
-                    .log_reads(true),
-            )
-            .expect("open engine");
-            let server = RespKvServer::new(store);
-            Box::new(RemoteAdapter::new(RemoteClient::connect_plain(
-                server,
-                link(LinkConfig::plain_44gbps()),
-            )))
-        }
-        Fig1Config::LuksTls => {
-            let store = KvStore::open(
-                StoreConfig::with_aof(dir.join("luks.aof"))
-                    .fsync(FsyncPolicy::EverySec)
-                    .encrypted(b"figure1-luks-passphrase"),
-            )
-            .expect("open engine");
-            let server = RespKvServer::new(store);
-            Box::new(RemoteAdapter::new(RemoteClient::connect_secure(
-                server,
-                link(LinkConfig::tls_proxied_4_9gbps()),
-                b"figure1-tls-secret",
-            )))
-        }
-        Fig1Config::StrictGdpr => {
-            let kv_config = StoreConfig::with_aof(dir.join("strict.aof"));
-            let sink =
-                audit::sink::FileSink::open(dir.join("strict.audit")).expect("open audit trail");
-            let store = GdprStore::open(CompliancePolicy::strict(), kv_config, Box::new(sink))
-                .expect("open gdpr store");
-            Box::new(GdprAdapter::new(store))
-        }
-    }
+/// Serve `config` from `dir`, run `phases` against it over the wire, then
+/// hang up and stop the server.
+fn on_column(config: Fig1Config, dir: &Path, phases: impl FnOnce(&mut WireAdapter)) {
+    let server = serve(config, dir);
+    let mut adapter = connect(config, server.local_addr());
+    phases(&mut adapter);
+    drop(adapter);
+    server.shutdown();
 }
 
 /// Run one configuration through all Figure 1 phases.
@@ -184,8 +120,6 @@ fn build_adapter(config: Fig1Config, dir: &Path, params: &Fig1Params) -> Box<dyn
 #[must_use]
 pub fn run_config(config: Fig1Config, dir: &Path, params: &Fig1Params) -> Vec<Fig1Cell> {
     let mut cells = Vec::new();
-    let mut adapter = build_adapter(config, dir, params);
-
     let mut record = |phase: &str, report: RunReport| {
         cells.push(Fig1Cell {
             config,
@@ -196,45 +130,37 @@ pub fn run_config(config: Fig1Config, dir: &Path, params: &Fig1Params) -> Vec<Fi
     };
 
     // Load-A then workloads A, B, C, D on the same dataset.
-    let mut driver = Driver::new(
-        WorkloadSpec::workload_a(params.record_count, params.operation_count),
-        params.seed,
-    );
-    record("Load-A", driver.run_load(adapter.as_mut()).expect("load A"));
-    for name in ["A", "B", "C", "D"] {
+    on_column(config, dir, |adapter| {
         let mut driver = Driver::new(
-            WorkloadSpec::by_name(name, params.record_count, params.operation_count),
+            WorkloadSpec::workload_a(params.record_count, params.operation_count),
             params.seed,
         );
-        record(
-            name,
-            driver
-                .run_transactions(adapter.as_mut())
-                .expect("run phase"),
-        );
-    }
+        record("Load-A", driver.run_load(adapter).expect("load A"));
+        for name in ["A", "B", "C", "D"] {
+            let mut driver = Driver::new(
+                WorkloadSpec::by_name(name, params.record_count, params.operation_count),
+                params.seed,
+            );
+            record(name, driver.run_transactions(adapter).expect("run phase"));
+        }
+    });
 
-    // Fresh adapter (fresh dataset) for Load-E, E, then F.
+    // A fresh server (fresh dataset) for Load-E, E, then F.
     let dir_e = dir.join("phase-e");
     std::fs::create_dir_all(&dir_e).expect("create phase-e dir");
-    let mut adapter = build_adapter(config, &dir_e, params);
-    let mut driver = Driver::new(
-        WorkloadSpec::workload_e(params.record_count, params.operation_count),
-        params.seed,
-    );
-    record("Load-E", driver.run_load(adapter.as_mut()).expect("load E"));
-    record(
-        "E",
-        driver.run_transactions(adapter.as_mut()).expect("run E"),
-    );
-    let mut driver = Driver::new(
-        WorkloadSpec::workload_f(params.record_count, params.operation_count),
-        params.seed,
-    );
-    record(
-        "F",
-        driver.run_transactions(adapter.as_mut()).expect("run F"),
-    );
+    on_column(config, &dir_e, |adapter| {
+        let mut driver = Driver::new(
+            WorkloadSpec::workload_e(params.record_count, params.operation_count),
+            params.seed,
+        );
+        record("Load-E", driver.run_load(adapter).expect("load E"));
+        record("E", driver.run_transactions(adapter).expect("run E"));
+        let mut driver = Driver::new(
+            WorkloadSpec::workload_f(params.record_count, params.operation_count),
+            params.seed,
+        );
+        record("F", driver.run_transactions(adapter).expect("run F"));
+    });
 
     cells
 }
@@ -313,23 +239,21 @@ mod tests {
         let params = Fig1Params {
             record_count: 200,
             operation_count: 300,
-            impose_link_delay: false,
             seed: 1,
         };
-        let cells = run_figure1(
-            &[Fig1Config::Unmodified, Fig1Config::AofSync],
-            &dir,
-            &params,
-        );
-        assert_eq!(cells.len(), FIGURE1_PHASES.len() * 2);
-        // Every phase present for every config.
+        let configs = Fig1Config::all();
+        let cells = run_figure1(&configs, &dir, &params);
+        assert_eq!(cells.len(), FIGURE1_PHASES.len() * configs.len());
+        // Every phase present for every config, each op answered.
         for phase in FIGURE1_PHASES {
-            assert!(cells
-                .iter()
-                .any(|c| c.phase == *phase && c.config == Fig1Config::Unmodified));
-            assert!(cells
-                .iter()
-                .any(|c| c.phase == *phase && c.config == Fig1Config::AofSync));
+            for config in &configs {
+                let cell = cells
+                    .iter()
+                    .find(|c| c.phase == *phase && c.config == *config)
+                    .unwrap();
+                assert!(cell.throughput > 0.0, "{phase} {}", config.label());
+                assert_eq!(cell.report.errors, 0, "{phase} {}", config.label());
+            }
         }
         // Synchronous fsync must not be faster than the baseline on the
         // write-heavy load phase.
@@ -349,7 +273,9 @@ mod tests {
         );
         let table = render_table(&cells);
         assert!(table.contains("Load-A"));
-        assert!(table.contains("aof-sync"));
+        for config in &configs {
+            assert!(table.contains(config.label()));
+        }
         crate::cleanup_scratch(&dir);
     }
 }

@@ -1,14 +1,19 @@
-//! The paper reproductions: store adapters that let the YCSB driver run
-//! against every configuration of Figure 1, and the experiment runners
-//! behind the `fig1_throughput` and `fig2_erasure` binaries.
+//! The paper reproductions: Figure 1's servers, its clients, its sealed
+//! tunnel and the wire adapter the YCSB driver runs through, and the
+//! experiment runners behind the `fig1_throughput` and `fig2_erasure`
+//! binaries.
 //!
 //! Each measured artefact of the paper maps to one binary in `src/bin/`:
 //! `fig1_throughput` (Figure 1), `fig2_erasure` (Figure 2) and
 //! `table1_matrix` (Table 1).
 
 pub mod adapters;
+mod client;
 pub mod fig1;
 pub mod fig2;
+mod secure;
+mod server;
+pub mod tunnel;
 
 use std::path::PathBuf;
 

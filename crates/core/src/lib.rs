@@ -11,7 +11,7 @@
 //! | Monitoring & logging (Art. 5, 30, 33, 34) | audit integration in [`store`] |
 //! | Indexing via metadata (Art. 5, 15, 20, 21) | [`metadata`], [`index`] |
 //! | Access control (Art. 25, 32) | [`acl`] |
-//! | Encryption (Art. 25, 32) | at-rest via the engine device layer, in-transit via `netsim` |
+//! | Encryption (Art. 25, 32) | at rest via the engine device layer; in transit, Figure 1's tunnel only; server sockets are plaintext until ROADMAP direction 4 |
 //! | Manage data location (Art. 46) | [`location`] |
 //!
 //! [`store::GdprStore`] wraps the engine and enforces all of them on every

@@ -4,8 +4,9 @@
 //!
 //! * the `kvstore` device layer seals every persisted chunk with it
 //!   (simulating LUKS full-disk encryption), and
-//! * the `netsim` TLS-proxy simulation seals every wire frame with it
-//!   (simulating the Stunnel record layer).
+//! * Figure 1's tunnel (`bench::tunnel`) seals every record that crosses
+//!   its inter-relay hop with it (standing in for the Stunnel record
+//!   layer).
 
 use crate::chacha20::{ChaCha20, KEY_LEN, NONCE_LEN};
 use crate::poly1305::{Poly1305, TAG_LEN};

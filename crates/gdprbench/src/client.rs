@@ -1,20 +1,17 @@
 //! Transport abstraction: one [`GdprBenchClient`] per connection, one
 //! [`ClientFactory`] per store-under-test.
 //!
-//! Three implementations drive the exact same [`GdprOp`] stream:
+//! Two implementations drive the exact same [`GdprOp`] stream:
 //!
 //! * [`InProcessFactory`] — straight calls on an [`Arc<GdprStore>`];
-//! * [`NetsimFactory`] — RESP frames through the simulated network link
-//!   into the shared dispatcher ([`netsim::server::RespKvServer`]);
 //! * [`TcpFactory`] — RESP frames over a real socket to a live
-//!   [`gdpr_server::tcp::TcpServer`] (either transport).
+//!   [`gdpr_server::tcp::TcpServer`].
 //!
-//! Every implementation classifies results into the same [`Outcome`]
-//! space, so a differential harness can compare runs op-by-op across
-//! transports. Compliance refusals (`access denied`, purpose limitation,
-//! location policy, missing auth) classify as [`Outcome::Denied`] whether
-//! they arrive as a typed [`GdprError`] or as a `-ERR`/`-NOAUTH` wire
-//! frame.
+//! Both classify results into the same [`Outcome`] space, so a
+//! differential harness can compare runs op-by-op across transports.
+//! Compliance refusals (`access denied`, purpose limitation, location
+//! policy, missing auth) classify as [`Outcome::Denied`] whether they
+//! arrive as a typed [`GdprError`] or as a `-ERR`/`-NOAUTH` wire frame.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -23,9 +20,6 @@ use gdpr_core::metadata::PersonalMetadata;
 use gdpr_core::store::{AccessContext, GdprStore};
 use gdpr_core::GdprError;
 use gdpr_server::client::TcpRemoteClient;
-use netsim::client::RemoteClient;
-use netsim::link::LinkConfig;
-use netsim::server::RespKvServer;
 use resp::command::GdprRequest;
 use resp::Frame;
 
@@ -188,7 +182,7 @@ impl GdprBenchClient for InProcessClient {
 }
 
 // ---------------------------------------------------------------------------
-// Wire mapping (shared by netsim and TCP)
+// Wire mapping
 
 /// The RESP frame an op travels as.
 fn op_frame(op: &GdprOp) -> Frame {
@@ -260,115 +254,6 @@ fn classify_reply(op: &GdprOp, reply: &Frame) -> Outcome {
     }
 }
 
-/// One wire round trip, normalised: `Ok(frame)` for replies, `Err(msg)`
-/// for server error frames, `Err("transport: …")` otherwise.
-fn wire_apply<F>(op: &GdprOp, mut roundtrip: F) -> Outcome
-where
-    F: FnMut(&Frame) -> Result<Frame, WireFailure>,
-{
-    match roundtrip(&op_frame(op)) {
-        Ok(reply) => classify_reply(op, &reply),
-        Err(WireFailure::Server(message)) => classify_error_message(&message),
-        Err(WireFailure::Transport) => Outcome::Failed,
-    }
-}
-
-/// A wire-level failure, reduced to what outcome classification needs.
-enum WireFailure {
-    /// The server answered with a RESP error frame.
-    Server(String),
-    /// The transport itself failed (socket, protocol, crypto).
-    Transport,
-}
-
-// ---------------------------------------------------------------------------
-// Netsim (simulated network)
-
-/// Factory for connections through the in-process simulated network. Each
-/// connection owns a [`RemoteClient`] onto a clone of the shared server
-/// (the netsim server models a single logical session, so all clones
-/// share session state — re-authentication on connect keeps the last
-/// factory's role active, which is exactly right for the sequential
-/// phases the differential battery drives).
-pub struct NetsimFactory {
-    server: RespKvServer,
-    link: LinkConfig,
-    secret: Option<Vec<u8>>,
-    actor: String,
-    purpose: String,
-}
-
-impl NetsimFactory {
-    /// Plaintext-link factory for `role` against `server`.
-    #[must_use]
-    pub fn new(server: RespKvServer, link: LinkConfig, actor: &str, purpose: &str) -> Self {
-        NetsimFactory {
-            server,
-            link,
-            secret: None,
-            actor: actor.to_string(),
-            purpose: purpose.to_string(),
-        }
-    }
-
-    /// Factory authenticated for `role`.
-    #[must_use]
-    pub fn for_role(server: RespKvServer, link: LinkConfig, role: Role) -> Self {
-        Self::new(server, link, role.actor(), role.purpose())
-    }
-
-    /// Factory authenticated as the load-phase actor.
-    #[must_use]
-    pub fn for_load(server: RespKvServer, link: LinkConfig) -> Self {
-        Self::new(
-            server,
-            link,
-            crate::spec::LOAD_ACTOR,
-            crate::spec::LOAD_PURPOSE,
-        )
-    }
-
-    /// Builder-style: route through the TLS-simulation channel.
-    #[must_use]
-    pub fn secure(mut self, shared_secret: &[u8]) -> Self {
-        self.secret = Some(shared_secret.to_vec());
-        self
-    }
-}
-
-impl ClientFactory for NetsimFactory {
-    fn connect(&self) -> Result<Box<dyn GdprBenchClient + Send>, String> {
-        let mut inner = match &self.secret {
-            Some(secret) => RemoteClient::connect_secure(self.server.clone(), self.link, secret),
-            None => RemoteClient::connect_plain(self.server.clone(), self.link),
-        };
-        let auth = GdprRequest::Auth {
-            actor: self.actor.clone(),
-            purpose: self.purpose.clone(),
-        };
-        inner
-            .roundtrip(&auth.to_frame())
-            .map_err(|e| format!("netsim auth failed: {e}"))?;
-        Ok(Box::new(NetsimClient { inner }))
-    }
-}
-
-struct NetsimClient {
-    inner: RemoteClient,
-}
-
-impl GdprBenchClient for NetsimClient {
-    fn apply(&mut self, op: &GdprOp) -> Outcome {
-        let inner = &mut self.inner;
-        wire_apply(op, |frame| {
-            inner.roundtrip(frame).map_err(|e| match e {
-                netsim::NetError::Server(message) => WireFailure::Server(message),
-                _ => WireFailure::Transport,
-            })
-        })
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Live TCP
 
@@ -422,13 +307,11 @@ struct TcpClient {
 
 impl GdprBenchClient for TcpClient {
     fn apply(&mut self, op: &GdprOp) -> Outcome {
-        let inner = &mut self.inner;
-        wire_apply(op, |frame| {
-            inner.roundtrip(frame).map_err(|e| match e {
-                gdpr_server::ServerError::Server(message) => WireFailure::Server(message),
-                _ => WireFailure::Transport,
-            })
-        })
+        match self.inner.roundtrip(&op_frame(op)) {
+            Ok(reply) => classify_reply(op, &reply),
+            Err(gdpr_server::ServerError::Server(message)) => classify_error_message(&message),
+            Err(_) => Outcome::Failed,
+        }
     }
 }
 

@@ -24,16 +24,16 @@
 //! store is involved, so the same seed + config produces a byte-identical
 //! workload no matter how many shards route it or which transport carries
 //! it. That is what makes the cross-transport differential battery
-//! possible: the in-process, simulated-network and live-TCP paths run the
-//! *same* ops and must produce the same per-op [`ops::Outcome`] stream and
-//! the same final `DIGEST`.
+//! possible: the in-process path and live TCP (at one and at three event
+//! loops) run the *same* ops and must produce the same per-op
+//! [`ops::Outcome`] stream and the same final `DIGEST`.
 //!
 //! Layout:
 //!
 //! * [`spec`] — roles, op mixes and the workload specification;
 //! * [`ops`] — the op/outcome model and the seeded generator;
 //! * [`client`] — the transport abstraction (in-process [`GdprStore`],
-//!   netsim, live TCP) with uniform outcome classification;
+//!   live TCP) with uniform outcome classification;
 //! * [`runner`] — [`drive`], which applies an op stream over one
 //!   connection and returns the per-op outcomes.
 //!
@@ -44,7 +44,7 @@ pub mod ops;
 pub mod runner;
 pub mod spec;
 
-pub use client::{ClientFactory, GdprBenchClient, InProcessFactory, NetsimFactory, TcpFactory};
+pub use client::{ClientFactory, GdprBenchClient, InProcessFactory, TcpFactory};
 pub use ops::{GdprOp, Outcome};
 pub use runner::drive;
 pub use spec::{BenchSpec, Role};

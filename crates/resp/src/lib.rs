@@ -2,9 +2,9 @@
 //!
 //! The paper measures the in-transit encryption overhead (Stunnel TLS
 //! proxies in front of Redis) with YCSB clients talking to the server over
-//! the network. To reproduce that data path, the `netsim` crate moves
-//! RESP-encoded requests and replies through a simulated link; this crate
-//! provides the wire format: [`Frame`] values, an incremental
+//! the network. This repository reproduces that data path with a real
+//! TCP server (`crates/server`), and Figure 1 puts a sealed relay pair in
+//! the proxies' place; this crate provides the wire format: [`Frame`] values, an incremental
 //! [`decode::Decoder`] (owned frames, or commands as borrowed
 //! [`command::CommandView`]s of its buffer), an [`encode`] module, and the
 //! typed [`command::GdprRequest`] surface.
@@ -68,8 +68,8 @@ impl Frame {
         Frame::Array(parts.into_iter().map(|p| Frame::Bulk(p.into())).collect())
     }
 
-    /// Approximate serialized size in bytes (used by the bandwidth model in
-    /// `netsim` without having to re-encode).
+    /// Approximate serialized size in bytes (the encoder sizes its buffer
+    /// with it).
     #[must_use]
     pub fn wire_len(&self) -> usize {
         match self {

@@ -1,9 +1,9 @@
 //! Blocking client side of the TCP data path.
 //!
-//! [`TcpRemoteClient`] is the real-socket sibling of
-//! `netsim::client::RemoteClient`: one connection, RESP framing both ways,
-//! explicit pipelining, and typed wrappers for the plain Redis commands
-//! and the `GDPR.*` surface.
+//! [`TcpRemoteClient`]: one connection, RESP framing both ways, explicit
+//! pipelining, and typed wrappers for the plain Redis commands and the
+//! `GDPR.*` surface. Figure 1's YCSB adapter, the GDPRbench TCP client
+//! and the tests all talk to the server through it.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};

@@ -1,13 +1,12 @@
 //! The single RESP → engine command mapper.
 //!
-//! Both RESP front-ends — the in-process simulated server in
-//! `netsim::server` and the real TCP server in [`crate::tcp`] — delegate
-//! every request to [`Dispatcher`], so the two paths execute the same
-//! commands the same way and cannot drift: the TCP event loops hand in
-//! each command as a [`CommandView`] of their read buffer, the simulated server
-//! a decoded frame, whose elements [`Dispatcher::handle_frame`] reads
-//! through the same view. The dispatcher serves one
-//! of two engines:
+//! The TCP server in [`crate::tcp`] and every caller holding a decoded
+//! frame (tests, the contract benchmark) delegate each request to
+//! [`Dispatcher`]; TCP and `handle_frame` share `handle_command`: the
+//! event loops hand in each command as a [`CommandView`] of their read
+//! buffer, and [`Dispatcher::handle_frame`] reads a decoded frame's
+//! elements through the same view. The dispatcher serves one of two
+//! engines:
 //!
 //! * [`Engine::Kv`] — the raw storage engine, speaking the plain Redis
 //!   command surface (the paper's unmodified baseline);
@@ -326,11 +325,6 @@ impl Dispatcher {
         }
     }
 
-    /// [`Self::handle_frame`] for a caller done with its frame.
-    pub fn handle_owned_frame(&self, frame: Frame, session: &mut Session) -> Frame {
-        self.handle_frame(&frame, session)
-    }
-
     /// Handle what an event loop took off its decoder: a command view of the
     /// read buffer, or a frame of another shape.
     pub fn handle_request(&self, request: Request<'_>, session: &mut Session) -> Frame {
@@ -490,7 +484,8 @@ impl Dispatcher {
             (Cmd::Digest, _) => Frame::Bulk(self.state_digest_hex().into_bytes()),
             // The TCP transport intercepts REPLSYNC before dispatch and
             // turns the connection into a replication stream; seeing it
-            // here means the front-end cannot serve one (netsim).
+            // here means a `handle_frame` caller (the suite, tests) sent
+            // it, and those cannot serve one.
             (Cmd::Replsync, _) => {
                 Frame::Error("ERR REPLSYNC is only served on the TCP transport".to_string())
             }
@@ -604,7 +599,7 @@ fn hash_fields(
 
 /// Convert an engine reply into a RESP frame.
 #[must_use]
-pub fn reply_to_frame(reply: Reply) -> Frame {
+fn reply_to_frame(reply: Reply) -> Frame {
     match reply {
         Reply::Ok => Frame::Simple("OK".to_string()),
         Reply::Nil => Frame::Null,

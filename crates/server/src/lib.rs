@@ -2,17 +2,17 @@
 //!
 //! The paper measures GDPR overheads with YCSB clients talking to Redis
 //! over an actual network (including the Stunnel/TLS proxy configuration).
-//! The `netsim` crate reproduces the *costs* of that data path in-process;
-//! this crate provides the data path itself:
+//! This crate is that data path; Figure 1 (`crates/bench`) drives it over
+//! loopback, its `luks+tls` column through a sealed relay pair in the
+//! proxies' place:
 //!
-//! * [`dispatch`] — the single RESP → engine command mapper, shared by the
-//!   simulated server in `netsim` and the TCP server here, so the two
-//!   front-ends cannot drift. It serves either the raw [`kvstore`] engine
-//!   or the full [`gdpr_core`] compliance layer, including the `GDPR.*`
-//!   wire surface (session auth, grants, metadata get/set, subject
-//!   rights). Every command it accepts is declared once, in the
-//!   private `commands` table: name, usage, arity, flags and metrics
-//!   family.
+//! * [`dispatch`] — the single RESP → engine command mapper: TCP and
+//!   `handle_frame` share `handle_command`. It serves either the raw
+//!   [`kvstore`] engine or the full [`gdpr_core`] compliance layer,
+//!   including the `GDPR.*` wire surface (session auth, grants, metadata
+//!   get/set, subject rights). Every command it accepts is declared once,
+//!   in the private `commands` table: name, usage, arity, flags and
+//!   metrics family.
 //! * [`tcp`] — the RESP2 server over `std::net::TcpListener`: pipelined
 //!   requests, connection limits, read/write timeouts and graceful
 //!   shutdown that drains in-flight requests.

@@ -10,7 +10,10 @@
 //! * [`ycsb`] — the YCSB-style workload generator for the data path
 //! * [`gdprbench`] — the GDPRbench-style four-role workload suite for the
 //!   rights/metadata paths
-//! * [`audit`], [`gdpr_crypto`], [`netsim`], [`resp`] — supporting substrates
+//! * [`audit`], [`gdpr_crypto`], [`resp`] — supporting substrates
+//!
+//! The paper reproductions (`crates/bench`) are a dev-dependency: the
+//! tests drive Figure 1's sealed tunnel through them.
 
 pub use audit;
 pub use gdpr_core;
@@ -18,6 +21,5 @@ pub use gdpr_crypto;
 pub use gdpr_server;
 pub use gdprbench;
 pub use kvstore;
-pub use netsim;
 pub use resp;
 pub use ycsb;

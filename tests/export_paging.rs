@@ -2,27 +2,26 @@
 //!
 //! The paged `GDPR.EXPORT subject CURSOR c [COUNT n]` form must produce
 //! chunks whose in-order concatenation is byte-identical to the
-//! monolithic export, on every path a client can reach the dispatcher:
-//! in-process (core API), the simulated RESP server, and the live TCP
-//! server. Every leg loads the
-//! same data under the same pinned clock, so the documents must agree
-//! byte-for-byte *across* legs too.
+//! monolithic export, on every path a client can reach it by: in-process
+//! (core API), decoded frames through `Dispatcher::handle_frame`, and the
+//! live TCP server. Every leg loads the same data under the same pinned
+//! clock, so the documents must agree byte-for-byte *across* legs too.
 
 use std::sync::Arc;
 
-use gdpr_core::acl::Grant;
-use gdpr_core::export::ExportCursor;
-use gdpr_core::metadata::PersonalMetadata;
-use gdpr_core::policy::CompliancePolicy;
-use gdpr_core::store::{AccessContext, GdprStore};
-use gdpr_server::client::TcpRemoteClient;
-use gdpr_server::dispatch::Dispatcher;
-use gdpr_server::tcp::{ServerConfig, TcpServer};
-use kvstore::clock::SimClock;
-use kvstore::config::StoreConfig;
-use netsim::server::RespKvServer;
-use resp::command::GdprRequest;
-use resp::Frame;
+use gdpr_storage::audit;
+use gdpr_storage::gdpr_core::acl::Grant;
+use gdpr_storage::gdpr_core::export::ExportCursor;
+use gdpr_storage::gdpr_core::metadata::PersonalMetadata;
+use gdpr_storage::gdpr_core::policy::CompliancePolicy;
+use gdpr_storage::gdpr_core::store::{AccessContext, GdprStore};
+use gdpr_storage::gdpr_server::client::TcpRemoteClient;
+use gdpr_storage::gdpr_server::dispatch::{Dispatcher, Session};
+use gdpr_storage::gdpr_server::tcp::{ServerConfig, TcpServer};
+use gdpr_storage::kvstore::clock::SimClock;
+use gdpr_storage::kvstore::config::StoreConfig;
+use gdpr_storage::resp::command::GdprRequest;
+use gdpr_storage::resp::Frame;
 
 const SUBJECT: &str = "alice";
 const KEYS: u64 = 57;
@@ -30,6 +29,35 @@ const PAGE: u64 = 10;
 
 fn ctx() -> AccessContext {
     AccessContext::new("app", "billing")
+}
+
+/// Decoded frames through `Dispatcher::handle_frame`, on one session.
+struct FrameLeg {
+    dispatcher: Dispatcher,
+    session: Session,
+}
+
+impl FrameLeg {
+    /// A dispatcher over a loaded store, its session authenticated.
+    fn authed() -> Self {
+        let mut leg = FrameLeg {
+            dispatcher: Dispatcher::gdpr(loaded_store()),
+            session: Session::new(),
+        };
+        let auth = leg.handle(
+            &GdprRequest::Auth {
+                actor: "app".into(),
+                purpose: "billing".into(),
+            }
+            .to_frame(),
+        );
+        assert_eq!(auth, Frame::Simple("OK".into()));
+        leg
+    }
+
+    fn handle(&mut self, frame: &Frame) -> Frame {
+        self.dispatcher.handle_frame(frame, &mut self.session)
+    }
 }
 
 /// A compliance store with a pinned clock and a deterministic keyspace:
@@ -122,19 +150,12 @@ fn paged_export_is_byte_identical_on_every_transport() {
         assert_eq!(out, reference, "in-process paged export diverged");
     }
 
-    // Simulated RESP server (same dispatcher as TCP, no sockets).
+    // Decoded frames through the dispatcher (the TCP server's dispatcher,
+    // no sockets).
     {
-        let server = RespKvServer::gdpr(loaded_store());
-        let auth = server.handle_frame(
-            &GdprRequest::Auth {
-                actor: "app".into(),
-                purpose: "billing".into(),
-            }
-            .to_frame(),
-        );
-        assert_eq!(auth, Frame::Simple("OK".into()));
+        let mut leg = FrameLeg::authed();
         let monolithic = bulk(
-            server.handle_frame(
+            leg.handle(
                 &GdprRequest::Export {
                     subject: SUBJECT.into(),
                     cursor: None,
@@ -143,9 +164,12 @@ fn paged_export_is_byte_identical_on_every_transport() {
                 .to_frame(),
             ),
         );
-        assert_eq!(monolithic, reference, "netsim monolithic export diverged");
-        let out = paged_via_frames(|frame| server.handle_frame(&frame));
-        assert_eq!(out, reference, "netsim paged export diverged");
+        assert_eq!(
+            monolithic, reference,
+            "handle_frame monolithic export diverged"
+        );
+        let out = paged_via_frames(|frame| leg.handle(&frame));
+        assert_eq!(out, reference, "handle_frame paged export diverged");
     }
 
     // The live TCP server.
@@ -170,15 +194,8 @@ fn paged_export_is_byte_identical_on_every_transport() {
 
 #[test]
 fn invalid_cursor_is_rejected_on_the_wire() {
-    let server = RespKvServer::gdpr(loaded_store());
-    server.handle_frame(
-        &GdprRequest::Auth {
-            actor: "app".into(),
-            purpose: "billing".into(),
-        }
-        .to_frame(),
-    );
-    let reply = server.handle_frame(
+    let mut leg = FrameLeg::authed();
+    let reply = leg.handle(
         &GdprRequest::Export {
             subject: SUBJECT.into(),
             cursor: Some("not-a-cursor".into()),
@@ -190,4 +207,18 @@ fn invalid_cursor_is_rejected_on_the_wire() {
         Frame::Error(message) => assert!(message.contains("invalid export cursor")),
         other => panic!("expected error frame, got {other:?}"),
     }
+
+    let handle = TcpServer::bind(
+        Dispatcher::gdpr(loaded_store()),
+        "127.0.0.1:0",
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let mut client = TcpRemoteClient::connect(handle.local_addr()).unwrap();
+    client.auth("app", "billing").unwrap();
+    let err = client
+        .export_subject_page(SUBJECT, "not-a-cursor", None)
+        .unwrap_err();
+    assert!(err.to_string().contains("invalid export cursor"), "{err}");
+    handle.shutdown();
 }

@@ -4,8 +4,8 @@
 //! different paths to the *same kind* of store:
 //!
 //! 1. in-process calls on [`GdprStore`];
-//! 2. RESP frames over the simulated network (netsim), plain and secure;
-//! 3. RESP frames over live TCP to the event-loop server.
+//! 2. RESP frames over live TCP to the event-loop server at one loop;
+//! 3. the same at three loops.
 //!
 //! Every leg gets its own pinned-clock store (`SimClock`, so exports and
 //! metadata timestamps are identical by construction), the same grants and
@@ -29,13 +29,10 @@ use gdpr_storage::gdpr_server::dispatch::Dispatcher;
 use gdpr_storage::gdpr_server::tcp::{ServerConfig, TcpServer};
 use gdpr_storage::gdprbench::ops::{load_ops, transaction_ops};
 use gdpr_storage::gdprbench::{
-    drive, BenchSpec, ClientFactory, InProcessFactory, NetsimFactory, Outcome, Role, TcpFactory,
+    drive, BenchSpec, ClientFactory, InProcessFactory, Outcome, Role, TcpFactory,
 };
 use gdpr_storage::kvstore::clock::SimClock;
 use gdpr_storage::kvstore::config::StoreConfig;
-use gdpr_storage::netsim::client::RemoteClient;
-use gdpr_storage::netsim::link::LinkConfig;
-use gdpr_storage::netsim::server::RespKvServer;
 use gdpr_storage::resp::Frame;
 
 const SHARDS: usize = 2;
@@ -105,55 +102,14 @@ fn in_process_leg() -> LegResult {
     )
 }
 
-fn netsim_leg(link: LinkConfig, secret: Option<&'static [u8]>) -> LegResult {
+fn tcp_leg(loops: usize) -> LegResult {
     let store = open_store();
-    let server = RespKvServer::gdpr(store);
-    let digest_server = server.clone();
-    let load_factory = match secret {
-        Some(s) => NetsimFactory::for_load(server.clone(), link).secure(s),
-        None => NetsimFactory::for_load(server.clone(), link),
+    let config = ServerConfig {
+        workers: loops,
+        ..ServerConfig::default()
     };
-    drive_leg(
-        &load_factory,
-        move |role| {
-            let f = NetsimFactory::for_role(server.clone(), link, role);
-            Box::new(match secret {
-                Some(s) => f.secure(s),
-                None => f,
-            })
-        },
-        move || {
-            // The digest needs an authenticated session on the compliance
-            // engine; reuse the regulator's credentials over the wire.
-            let mut client = RemoteClient::connect_plain(digest_server, link);
-            client
-                .roundtrip(
-                    &gdpr_storage::resp::command::GdprRequest::Auth {
-                        actor: Role::Regulator.actor().to_string(),
-                        purpose: Role::Regulator.purpose().to_string(),
-                    }
-                    .to_frame(),
-                )
-                .expect("auth for digest");
-            match client
-                .roundtrip(&Frame::command(["DIGEST"]))
-                .expect("digest")
-            {
-                Frame::Bulk(hex) => String::from_utf8(hex).expect("utf8 digest"),
-                other => panic!("unexpected DIGEST reply {other:?}"),
-            }
-        },
-    )
-}
-
-fn tcp_leg() -> LegResult {
-    let store = open_store();
-    let handle = TcpServer::bind(
-        Dispatcher::gdpr(store),
-        "127.0.0.1:0",
-        ServerConfig::default(),
-    )
-    .expect("tcp server binds");
+    let handle =
+        TcpServer::bind(Dispatcher::gdpr(store), "127.0.0.1:0", config).expect("tcp server binds");
     let addr = handle.local_addr();
     let result = drive_leg(
         &TcpFactory::for_load(addr),
@@ -189,17 +145,7 @@ fn all_transports_agree_per_op_and_on_the_final_digest() {
         .iter()
         .any(|o| matches!(o, Outcome::Ok(n) if *n > 1)));
 
-    let legs = [
-        ("netsim/plain", netsim_leg(LinkConfig::plain_44gbps(), None)),
-        (
-            "netsim/secure",
-            netsim_leg(
-                LinkConfig::tls_proxied_4_9gbps(),
-                Some(b"differential-battery"),
-            ),
-        ),
-        ("tcp/reactor", tcp_leg()),
-    ];
+    let legs = [("tcp/1 loop", tcp_leg(1)), ("tcp/3 loops", tcp_leg(3))];
     for (name, leg) in &legs {
         assert_eq!(
             &reference.load, &leg.load,
